@@ -91,6 +91,10 @@ DIAGNOSTIC_NAMES = (
 DEFAULT_OPERATORS = ("hilbert", "damped_hilbert_1", "finite_rank", "zero")
 
 
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     """Validated suite configuration."""
@@ -145,13 +149,18 @@ class SuiteConfig:
         if "diagnostics" in raw:
             kwargs["diagnostics"] = tuple(str(d) for d in raw["diagnostics"])
         if "radii" in raw:
-            kwargs["radii"] = tuple(float(r) for r in raw["radii"])
+            radii = raw["radii"]
+            if not isinstance(radii, list) or not all(_is_number(r) for r in radii):
+                raise ConfigError("radii must be a list of numbers")
+            kwargs["radii"] = tuple(float(r) for r in radii)
         if "tolerances" in raw:
             if not isinstance(raw["tolerances"], dict):
                 raise ConfigError("tolerances must be an object")
             kwargs["tolerances"] = dict(raw["tolerances"])
         if "seed" in raw:
-            kwargs["seed"] = int(raw["seed"])
+            if isinstance(raw["seed"], bool) or not isinstance(raw["seed"], int):
+                raise ConfigError("seed must be an integer")
+            kwargs["seed"] = raw["seed"]
         cfg = cls(**kwargs)
         cfg.validate()
         return cfg
@@ -168,12 +177,14 @@ class SuiteConfig:
                 raise ConfigError(
                     f"unknown diagnostic {d!r}; known: {list(DIAGNOSTIC_NAMES)}"
                 )
+        if not all(math.isfinite(r) and r >= 0.0 for r in self.radii):
+            raise ConfigError("radii must be finite and nonnegative")
         if len(self.radii) and np.any(np.diff(self.radii) <= 0.0):
             raise ConfigError("radii must be strictly increasing")
         for key, val in self.tolerances.items():
             if key not in DEFAULT_TOLERANCES:
                 raise ConfigError(f"unknown tolerance {key!r}")
-            if not (isinstance(val, (int, float)) and val > 0.0):
+            if not (_is_number(val) and val > 0.0):
                 raise ConfigError(f"tolerance {key!r} must be a positive number")
         if self.grid_N < 16:
             raise ConfigError("grid N must be at least 16")
@@ -512,8 +523,16 @@ def _diag_rk_tail(cfg: SuiteConfig, ctx: _Context):
             _record(
                 "rk_tail",
                 label,
-                ok,
-                {"ratio": ratio, "tail_0": float(tf.values[0]), "tail_max": float(tf.values[-1]), "verdict_trend": tf.verdict},
+                ok and bool(tf.converged.all()),
+                {
+                    "ratio": ratio,
+                    "tail_0": float(tf.values[0]),
+                    "tail_max": float(tf.values[-1]),
+                    "verdict_trend": tf.verdict,
+                    "iterations": tf.iterations.tolist(),
+                    "converged": tf.converged.tolist(),
+                    "residual": tf.residuals.tolist(),
+                },
                 {tol_key: cfg.tol(tol_key)},
                 ctx.grid_meta(),
             )
@@ -539,7 +558,14 @@ def _diag_rk_tail(cfg: SuiteConfig, ctx: _Context):
             "rk_power_vs_svd",
             "damped_hilbert_1",
             ok,
-            {"power": res.value, "dense_svd": dense, "relative_gap": rel, "iterations": res.iterations},
+            {
+                "power": res.value,
+                "dense_svd": dense,
+                "relative_gap": rel,
+                "iterations": res.iterations,
+                "converged": res.converged,
+                "residual": res.residual,
+            },
             {"rk_svd_agreement": cfg.tol("rk_svd_agreement")},
             {"L": small.L, "N": small.N, "a_min": 0.5, "a_max": 64.0, "s": 0.25, "n_nodes": sfg.n_nodes},
         )
@@ -803,6 +829,14 @@ def _fmt(v: float) -> str:
     return f"{v:.9g}"
 
 
+def _fmt_value(v) -> str:
+    if isinstance(v, float):
+        return _fmt(v)
+    if isinstance(v, list):
+        return "[" + ",".join(_fmt_value(x) for x in v) + "]"
+    return str(v)
+
+
 def emit(report: Report, out_dir: str) -> list[str]:
     """Write report.json, per-profile CSVs, and summary.txt; byte-stable."""
     os.makedirs(out_dir, exist_ok=True)
@@ -834,10 +868,7 @@ def emit(report: Report, out_dir: str) -> list[str]:
         fh.write(f"suite verdict: {report.verdict} (seed {report.seed})\n")
         for rec in report.records:
             op = f" [{rec['operator']}]" if rec["operator"] else ""
-            vals = " ".join(
-                f"{k}={_fmt(v) if isinstance(v, float) else v}"
-                for k, v in sorted(rec["values"].items())
-            )
+            vals = " ".join(f"{k}={_fmt_value(v)}" for k, v in sorted(rec["values"].items()))
             fh.write(f"{rec['verdict']:4s} {rec['name']}{op}: {vals}\n")
     written.append(summary_path)
     return written

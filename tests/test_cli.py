@@ -70,3 +70,17 @@ def test_seed_flag_overrides_config(tmp_path, capsys):
     assert main(["--config", cfgp, "--out", str(out), "--seed", "7"]) == 0
     with open(out / "report.json") as fh:
         assert json.load(fh)["seed"] == 7
+
+
+@pytest.mark.parametrize("radii", ["abc", 3, {"R": 1}, ["a", 1], [-1, 0]])
+def test_bad_radii_exit_2(tmp_path, capsys, radii):
+    cfgp = _write_config(tmp_path, {"diagnostics": ["frame"], "radii": radii})
+    assert main(["--config", cfgp, "--out", str(tmp_path / "o")]) == 2
+    assert "radii" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seed", [1.7, 1.0, True, "3"])
+def test_non_integer_seed_exit_2(tmp_path, capsys, seed):
+    cfgp = _write_config(tmp_path, {"diagnostics": ["frame"], "seed": seed})
+    assert main(["--config", cfgp, "--out", str(tmp_path / "o")]) == 2
+    assert "seed" in capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""Tail coefficient-energy functional via power iteration, and spectra."""
+"""Tail coefficient-energy functional via Lanczos (ARPACK `eigsh`), and spectra."""
 
 import math
 
@@ -47,15 +47,40 @@ def test_analysis_operator_rows_are_scaled_frame_elements(psi, small_grid, small
         assert np.allclose(S[i].toarray().ravel(), expected, atol=1e-14)
 
 
-def test_rk_value_matches_dense_svd(psi, small_grid, small_fgrid):
-    # oracle: sigma_max^2 of the explicitly assembled composite matrix
-    A = operator_matrix(get_model("damped_hilbert_1").kernel, small_grid)
+@pytest.mark.parametrize("R", [0.0, 1.0])
+@pytest.mark.parametrize("label", ["hilbert", "damped_hilbert_1", "finite_rank"])
+def test_rk_value_matches_dense_svd(psi, small_grid, small_fgrid, label, R):
+    # oracle: sigma_max^2 of the explicitly assembled composite tail matrix
+    A = operator_matrix(get_model(label).kernel, small_grid)
     S = analysis_operator(psi, small_fgrid, small_grid)
-    res = rk_tail(A, S, small_fgrid, small_grid, 0.0)
-    M = np.asarray(S @ A) / math.sqrt(small_grid.h)
+    res = rk_tail(A, S, small_fgrid, small_grid, R)
+    M = np.asarray(S[np.asarray(small_fgrid.dist0 >= R)] @ A) / math.sqrt(small_grid.h)
     dense = float(scipy.linalg.svdvals(M)[0] ** 2)
     assert res.converged
     assert abs(res.value - dense) / dense < 1e-3
+    # the reported residual is that of the unit witness direction
+    u = res.witness.values * math.sqrt(small_grid.h)
+    explicit = float(np.linalg.norm(M.T @ (M @ u) - res.value * u))
+    assert res.residual == pytest.approx(explicit, rel=1e-3, abs=1e-12)
+    assert res.residual <= 1e-6 * res.value
+
+
+def test_rk_zero_operator_short_circuits(psi, small_grid, small_fgrid):
+    A = operator_matrix(get_model("zero").kernel, small_grid)
+    S = analysis_operator(psi, small_fgrid, small_grid)
+    res = rk_tail(A, S, small_fgrid, small_grid, 0.0)
+    assert res.value == 0.0
+    assert res.iterations == 1
+    assert res.converged
+
+
+def test_rk_reports_non_convergence(psi, small_grid, small_fgrid):
+    # one restart is far too few for Hilbert's clustered top spectrum
+    A = operator_matrix(get_model("hilbert").kernel, small_grid)
+    S = analysis_operator(psi, small_fgrid, small_grid)
+    res = rk_tail(A, S, small_fgrid, small_grid, 0.0, maxiter=1)
+    assert res.converged is False
+    assert res.residual > 1e-6 * res.value
 
 
 def test_rk_witness_is_extremal(psi, small_grid, small_fgrid):

@@ -1,5 +1,6 @@
 """Suite configuration, runner, and byte-stable output emission."""
 
+import dataclasses
 import json
 import os
 
@@ -121,3 +122,45 @@ def test_csv_format(quick_report, tmp_path):
             assert len(cells) == len(header)
             for c in cells:
                 float(c)  # every data cell is numeric
+
+
+RK_SMALL = {
+    "grid": {"L": 32, "N": 256},
+    "frame": {"a_min": 0.5, "a_max": 64, "s": 0.25},
+    "diagnostics": ["rk_tail"],
+    "operators": ["hilbert"],
+    "radii": [0, 1, 2],
+}
+
+
+def _rk_records(cfg):
+    from czframe.reporting import _Context, _diag_rk_tail
+
+    records, _ = _diag_rk_tail(cfg, _Context(cfg))
+    return {r["name"]: r for r in records}
+
+
+def test_rk_tail_record_carries_solver_stats():
+    rec = _rk_records(SuiteConfig.from_dict(RK_SMALL))["rk_tail"]
+    assert rec["verdict"] == "PASS"
+    v = rec["values"]
+    assert v["converged"] == [True, True, True]
+    assert len(v["iterations"]) == len(v["residual"]) == 3
+
+
+def test_unconverged_radius_fails_rk_tail_record(monkeypatch):
+    from czframe import compactness
+
+    solve = compactness.rk_tail
+
+    def stalls_at_one(A, S, fgrid, grid, R, **kwargs):
+        res = solve(A, S, fgrid, grid, R, **kwargs)
+        return dataclasses.replace(res, converged=False) if R == 1.0 else res
+
+    monkeypatch.setattr(compactness, "rk_tail", stalls_at_one)
+    records = _rk_records(SuiteConfig.from_dict(RK_SMALL))
+    rec = records["rk_tail"]
+    assert rec["values"]["converged"] == [True, False, True]
+    assert rec["values"]["ratio"] > DEFAULT_TOLERANCES["rk_hilbert_ratio"]  # the value check alone passes
+    assert rec["verdict"] == "FAIL"
+    assert records["rk_power_vs_svd"]["verdict"] == "PASS"
