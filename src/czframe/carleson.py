@@ -11,6 +11,9 @@ bounds of the continuum suprema and are exactly monotone under nesting.
 Tents are closed on the lattice: the tent over B(b, a) collects nodes
 (a', b') with a' <= a and |b' - b| <= a - a', so a node's own minimal tent
 contains it.
+
+Wavelet and bump pairings over the lattice are products with the cached
+:func:`~czframe.wavelets.frame_rows` matrices of psi and phi.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import numpy as np
 
 from .geometry import dist_to_identity
 from .grids import FrameGrid, SampledFunction, SpatialGrid
-from .wavelets import analyze, _windows
+from .wavelets import analyze, frame_rows
 
 __all__ = [
     "CoefficientMeasure",
@@ -142,26 +145,12 @@ def vanishing_profile(mu: CoefficientMeasure, radii) -> np.ndarray:
 
 
 def _phi_coefficients(f: SampledFunction, phi, fgrid: FrameGrid) -> np.ndarray:
-    """<f, phi_(a,b)> with the L2-normalized dilation a^-1/2 phi((x-b)/a)."""
-    grid = f.grid
-    radius = getattr(phi, "support_radius", 1.0)
-    out = np.empty(fgrid.n_nodes)
-    x = grid.x
-    for j in range(len(fgrid.scales)):
-        sl = fgrid.scale_slice(j)
-        a = fgrid.scales[j]
-        b = fgrid.b[sl]
-        i_lo, i_hi, w = _windows(b, a * radius, grid)
-        if w == 0:
-            out[sl] = 0.0
-            continue
-        idx = i_lo[:, None] + np.arange(w)[None, :]
-        valid = idx < i_hi[:, None]
-        idx_c = np.minimum(idx, grid.N - 1)
-        block = phi((x[idx_c] - b[:, None]) / a) / math.sqrt(a)
-        block *= valid
-        out[sl] = np.einsum("nw,nw->n", block, f.values[idx_c].real) * grid.h
-    return out
+    """<Re f, phi_(a,b)> with the L2-normalized dilation a^-1/2 phi((x-b)/a).
+
+    A product with the cached :func:`~czframe.wavelets.frame_rows` matrix of
+    ``phi``.
+    """
+    return (frame_rows(phi, fgrid, f.grid) @ f.values.real) * f.grid.h
 
 
 def nontangential_max(

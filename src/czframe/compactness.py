@@ -10,7 +10,10 @@ functional is reported together with the maximizing input (the witness) and
 the solver's statistics, so verdicts are auditable.
 
 Discretized operators are passed as dense matrices A with (Tf)(x_i) =
-(A f)_i for sample vectors f; for a CZ kernel, A = kernel_matrix * h.
+(A f)_i for sample vectors f; for a CZ kernel, A = kernel_matrix * h.  The
+analysis operator is the lattice's cached
+:func:`~czframe.wavelets.frame_rows` matrix with rows scaled by
+sqrt(dlambda) * h.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import scipy.sparse
 
 from .grids import FrameGrid, SampledFunction, SpatialGrid, tail_nodes
 from .operators import CZKernel, kernel_matrix
-from .wavelets import _windows
+from .wavelets import frame_rows
 
 __all__ = [
     "PowerIterationResult",
@@ -49,35 +52,11 @@ def analysis_operator(psi, fgrid: FrameGrid, grid: SpatialGrid) -> scipy.sparse.
     """Sparse map g |-> (sqrt(dlambda_node) <g, psi_node>)_node.
 
     Row ``k`` holds sqrt(dlambda_k) * h * psi_k(x_i) over the grid window
-    intersecting the support of the frame element at node k.
+    intersecting the support of the frame element at node k: the cached
+    :func:`~czframe.wavelets.frame_rows` matrix scaled row by row.
     """
-    x = grid.x
-    rows: list[np.ndarray] = []
-    cols: list[np.ndarray] = []
-    vals: list[np.ndarray] = []
-    for j in range(len(fgrid.scales)):
-        sl = fgrid.scale_slice(j)
-        a = fgrid.scales[j]
-        b = fgrid.b[sl]
-        dlam = fgrid.dlam[sl]
-        i_lo, i_hi, w = _windows(b, a * psi.support_radius, grid)
-        if w == 0:
-            continue
-        idx = i_lo[:, None] + np.arange(w)[None, :]
-        valid = idx < i_hi[:, None]
-        idx_c = np.minimum(idx, grid.N - 1)
-        block = psi((x[idx_c] - b[:, None]) / a) / np.sqrt(a)
-        block *= valid
-        block *= (np.sqrt(dlam) * grid.h)[:, None]
-        node_ids = np.arange(sl.start, sl.stop)
-        rows.append(np.repeat(node_ids, w))
-        cols.append(idx_c.ravel())
-        vals.append(block.ravel())
-    mat = scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(fgrid.n_nodes, grid.N),
-    )
-    return mat.tocsr()
+    weights = scipy.sparse.diags(np.sqrt(fgrid.dlam) * grid.h)
+    return (weights @ frame_rows(psi, fgrid, grid)).tocsr()
 
 
 @dataclass

@@ -13,13 +13,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import GroupPoint, dist_to_identity
+from .geometry import dist_to_identity
 
 __all__ = [
     "SpatialGrid",
     "SampledFunction",
     "FrameGrid",
     "make_frame_grid",
+    "validate_frame_grid",
     "inner_product",
     "l2_norm",
     "tail_nodes",
@@ -92,7 +93,9 @@ class FrameGrid:
     Scales are log-uniform with step du; translations are spaced s * a_j and,
     when ``cone_factor > 0``, extend to |b| <= L_b + cone_factor * a_j so the
     lattice keeps covering frame coefficients of box-supported functions at
-    scales much larger than the box.
+    scales much larger than the box.  ``_rows`` caches the sparse frame-row
+    matrices built by ``wavelets.frame_rows``, so they live as long as the
+    lattice does.
     """
 
     a: np.ndarray
@@ -105,6 +108,7 @@ class FrameGrid:
     L_b: float
     cone_factor: float
     _dist0: np.ndarray = field(default=None, repr=False)
+    _rows: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def n_nodes(self) -> int:
@@ -120,8 +124,33 @@ class FrameGrid:
             self._dist0 = dist_to_identity(self.a, self.b)
         return self._dist0
 
-    def points(self, idx) -> list[GroupPoint]:
-        return [GroupPoint(float(self.a[i]), float(self.b[i])) for i in np.atleast_1d(idx)]
+
+def validate_frame_grid(
+    spatial: SpatialGrid,
+    a_min: float,
+    a_max: float,
+    s: float = 0.25,
+    L_b: float | None = None,
+    cone_factor: float = 1.0,
+) -> None:
+    """Raise ValueError unless :func:`make_frame_grid` accepts these arguments.
+
+    Checks only the arguments, so a config can be validated without
+    building its lattice.
+    """
+    if not (0 < s <= 1):
+        raise ValueError("spacing ratio s must lie in (0, 1]")
+    if a_min < 2.0 * spatial.h:
+        raise ValueError(
+            f"a_min={a_min} is below the resolution limit 2h={2 * spatial.h}; "
+            "increase a_min or refine the spatial grid"
+        )
+    if a_max <= a_min:
+        raise ValueError("a_max must exceed a_min")
+    if L_b is not None and L_b <= 0:
+        raise ValueError("translation half-width L_b must be positive")
+    if cone_factor < 0:
+        raise ValueError("cone_factor must be nonnegative")
 
 
 def make_frame_grid(
@@ -138,17 +167,10 @@ def make_frame_grid(
     du = s; translation nodes at scale a are spaced s * a, symmetric about 0.
     Haar weight per node: dlam = du * s (n = 1).
 
-    Raises ValueError when a_min < 2h (scales below spatial resolution).
+    Raises ValueError as :func:`validate_frame_grid` does, e.g. when
+    a_min < 2h (scales below spatial resolution).
     """
-    if not (0 < s <= 1):
-        raise ValueError("spacing ratio s must lie in (0, 1]")
-    if a_min < 2.0 * spatial.h:
-        raise ValueError(
-            f"a_min={a_min} is below the resolution limit 2h={2 * spatial.h}; "
-            "increase a_min or refine the spatial grid"
-        )
-    if a_max <= a_min:
-        raise ValueError("a_max must exceed a_min")
+    validate_frame_grid(spatial, a_min, a_max, s, L_b, cone_factor)
     if L_b is None:
         L_b = spatial.L
 

@@ -38,7 +38,6 @@ __all__ = [
     "DecayReport",
     "default_anchor_lattice",
     "schur_value",
-    "schur_sup",
     "schur_tail",
     "origin_tail",
     "default_test_bundle",
@@ -162,9 +161,6 @@ class DecayReport:
     ratios: np.ndarray = field(repr=False)
     bound: DecayBound = DecayBound()
 
-    def histogram(self, bins: int = 20):
-        return np.histogram(self.ratios, bins=bins)
-
 
 def verify_decay(
     kernel: CZKernel,
@@ -246,24 +242,6 @@ def schur_tail(
     return _weighted_sum(fld.values, fgrid, weight, mask=fgrid.dist0 >= R)
 
 
-def schur_sup(
-    kernel: CZKernel,
-    psi,
-    fgrid: FrameGrid,
-    grid: SpatialGrid,
-    anchors: tuple[GroupPoint, ...] | None = None,
-    R: float = 0.0,
-    weight: LocalizationWeight = LocalizationWeight(),
-) -> float:
-    """Max of the (tail) Schur functional over a finite anchor lattice."""
-    if anchors is None:
-        anchors = default_anchor_lattice()
-    return max(
-        schur_tail(kernel, psi, fgrid, grid, R, anchor=p, weight=weight)
-        for p in anchors
-    )
-
-
 def origin_tail(
     kernel: CZKernel,
     psi,
@@ -312,28 +290,9 @@ def default_test_bundle(psi) -> tuple:
     return (psi, bump(0.0, 2.0), bump(0.5, 1.0))
 
 
-def _pair_bounded(K: np.ndarray, f, g, node: GroupPoint, grid: SpatialGrid) -> float:
-    # Bounded kernels stay resolved on the reference grid; integrate in the
-    # original coordinates where the dilated test functions are smooth:
-    # <T f_node, g_node> = a^-1 * integral g((s-b)/a) K(s,t) f((t-b)/a) ds dt.
-    x = grid.x
-    gv = g((x - node.b) / node.a)
-    fv = f((x - node.b) / node.a)
-    return float(gv @ K @ fv * grid.h**2 / node.a)
-
-
-def _pairings_singular(
-    kernel: CZKernel, samples: list[np.ndarray], node: GroupPoint, local: SpatialGrid
-) -> float:
-    # Conjugate the operator to the node; the test functions stay at unit
-    # scale on a fixed local grid, so the quadrature is node-independent.
-    K = kernel_matrix(conjugate(kernel, node), local)
-    best = 0.0
-    for fv in samples:
-        tf = K @ fv * local.h
-        for gv in samples:
-            best = max(best, abs(float(gv @ tf) * local.h))
-    return best
+def _max_pairing(K: np.ndarray, F: np.ndarray, h: float) -> float:
+    """max |<T f, g>| over the columns f, g of F, with T = K h on a grid of step h."""
+    return float(np.max(np.abs(F.T @ (K @ F)))) * h * h
 
 
 def weak_compactness_profile(
@@ -361,7 +320,7 @@ def weak_compactness_profile(
     if reference is None:
         reference = SpatialGrid(32.0, 2048)
     K_ref = kernel_matrix(kernel, reference) if kernel.bounded else None
-    samples = [np.asarray(f(local.x), dtype=float) for f in bundle]
+    samples = np.column_stack([f(local.x) for f in bundle]).astype(float)
     dist = fgrid.dist0
     out = np.zeros(len(radii))
     for i, r in enumerate(radii):
@@ -373,11 +332,18 @@ def weak_compactness_profile(
         for k in idx:
             node = GroupPoint(float(fgrid.a[k]), float(fgrid.b[k]))
             if kernel.bounded:
-                for f in bundle:
-                    for g in bundle:
-                        val = _pair_bounded(K_ref, f, g, node, reference)
-                        best = max(best, abs(val))
+                # Bounded kernels stay resolved on the reference grid; pair in
+                # the original coordinates, where the dilated test functions
+                # are smooth: <T f_node, g_node> = a^-1 <T f(.-b)/a, g(.-b)/a>.
+                u = (reference.x - node.b) / node.a
+                F = np.column_stack([f(u) for f in bundle])
+                val = _max_pairing(K_ref, F, reference.h) / node.a
             else:
-                best = max(best, _pairings_singular(kernel, samples, node, local))
+                # Conjugate the operator to the node; the test functions stay
+                # at unit scale on a fixed local grid, so the quadrature is
+                # node-independent.
+                K = kernel_matrix(conjugate(kernel, node), local)
+                val = _max_pairing(K, samples, local.h)
+            best = max(best, val)
         out[i] = best
     return out

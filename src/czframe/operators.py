@@ -205,8 +205,10 @@ def transpose(kernel: CZKernel) -> CZKernel:
     return replace(kernel, label=kernel.label + sign_note, fn=lambda x, y: fn(y, x))
 
 
-def compute_T1star(kernel: CZKernel, grid: SpatialGrid, tol: float | None = None):
-    return compute_T1(transpose(kernel), grid, tol=tol)
+def compute_T1star(kernel: CZKernel, grid: SpatialGrid, K: np.ndarray | None = None,
+                   tol: float | None = None) -> tuple[SampledFunction, float]:
+    """T*1 = T1 of the transposed kernel; ``K`` is the kernel matrix of T itself."""
+    return compute_T1(transpose(kernel), grid, K=None if K is None else K.T, tol=tol)
 
 
 def conjugate(kernel: CZKernel, g: GroupPoint) -> CZKernel:

@@ -12,6 +12,10 @@ The decomposition T = S + P_1 + P_2* takes the computed T1 and T*1 as
 symbols, scaled by 1/m_phi so the paraproducts carry the symbols exactly
 and S1 pairs to zero; S is a handle acting by Sf = Tf - P_1 f - P_2* f,
 which makes the reconstruction identity exact by construction.
+
+Bump pairings <f, phitilde_node> and the adjoint's bump synthesis are
+products with the cached L1-normalized :func:`~czframe.wavelets.frame_rows`
+matrix of phi; the wavelet side goes through ``analyze``/``synthesize``.
 """
 
 from __future__ import annotations
@@ -24,8 +28,8 @@ import scipy.sparse
 
 from .compactness import TailFunctional, operator_matrix, singular_spectrum, tail_functional
 from .grids import FrameGrid, SampledFunction, SpatialGrid
-from .operators import CZKernel, apply_kernel, compute_T1, compute_T1star
-from .wavelets import CoefficientField, analyze, synthesize, _windows
+from .operators import CZKernel, apply_kernel, compute_T1, compute_T1star, kernel_matrix
+from .wavelets import CoefficientField, analyze, frame_rows, synthesize
 
 __all__ = [
     "BumpPhi",
@@ -75,60 +79,6 @@ def make_bump_phi(n_quad: int = 100001) -> BumpPhi:
     return BumpPhi(m_phi=m)
 
 
-def _bump_rows(phi: BumpPhi, fgrid: FrameGrid, grid: SpatialGrid) -> scipy.sparse.csr_matrix:
-    """Sparse matrix whose row k samples a_k^-1 phi((x - b_k)/a_k) * h.
-
-    Acting on a sample vector it returns the pairings <f, phitilde_node>.
-    """
-    x = grid.x
-    rows, cols, vals = [], [], []
-    for j, a in enumerate(fgrid.scales):
-        sl = fgrid.scale_slice(j)
-        b = fgrid.b[sl]
-        i_lo, i_hi, w = _windows(b, a * phi.support_radius, grid)
-        if w == 0:
-            continue
-        idx = i_lo[:, None] + np.arange(w)[None, :]
-        valid = idx < i_hi[:, None]
-        idx_c = np.minimum(idx, grid.N - 1)
-        block = phi((x[idx_c] - b[:, None]) / a) / a
-        block *= valid
-        block *= grid.h
-        rows.append(np.repeat(np.arange(sl.start, sl.stop), w))
-        cols.append(idx_c.ravel())
-        vals.append(block.ravel())
-    mat = scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(fgrid.n_nodes, grid.N),
-    )
-    return mat.tocsr()
-
-
-def _wavelet_rows(psi, fgrid: FrameGrid, grid: SpatialGrid) -> scipy.sparse.csr_matrix:
-    """Sparse matrix whose row k samples psi_node_k on the grid (no h)."""
-    x = grid.x
-    rows, cols, vals = [], [], []
-    for j, a in enumerate(fgrid.scales):
-        sl = fgrid.scale_slice(j)
-        b = fgrid.b[sl]
-        i_lo, i_hi, w = _windows(b, a * psi.support_radius, grid)
-        if w == 0:
-            continue
-        idx = i_lo[:, None] + np.arange(w)[None, :]
-        valid = idx < i_hi[:, None]
-        idx_c = np.minimum(idx, grid.N - 1)
-        block = psi((x[idx_c] - b[:, None]) / a) / math.sqrt(a)
-        block *= valid
-        rows.append(np.repeat(np.arange(sl.start, sl.stop), w))
-        cols.append(idx_c.ravel())
-        vals.append(block.ravel())
-    mat = scipy.sparse.coo_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(fgrid.n_nodes, grid.N),
-    )
-    return mat.tocsr()
-
-
 @dataclass
 class ParaproductSymbol:
     """Symbol beta with its cached wavelet coefficient field."""
@@ -150,7 +100,7 @@ def paraproduct_apply(
 ) -> SampledFunction:
     """P_beta f: bump pairings times symbol coefficients, resynthesized."""
     fgrid = symbol.coefficients.fgrid
-    pair = _bump_rows(phi, fgrid, f.grid) @ f.values
+    pair = (frame_rows(phi, fgrid, f.grid, "L1") @ f.values) * f.grid.h
     weighted = CoefficientField(fgrid, pair * symbol.coefficients.values)
     return synthesize(weighted, psi, f.grid)
 
@@ -186,17 +136,20 @@ def paraproduct_adjoint_apply(
     fgrid = symbol.coefficients.fgrid
     wav_coeffs = analyze(g, psi, fgrid).values
     weights = wav_coeffs * np.conj(symbol.coefficients.values) * fgrid.dlam
-    out = _bump_rows(phi, fgrid, g.grid).T @ weights / g.grid.h
-    return SampledFunction(g.grid, out)
+    return SampledFunction(g.grid, frame_rows(phi, fgrid, g.grid, "L1").T @ weights)
 
 
 def paraproduct_matrix(
     symbol: ParaproductSymbol, phi: BumpPhi, psi, grid: SpatialGrid
 ) -> np.ndarray:
-    """Dense sample-space matrix of P_beta (same convention as operator_matrix)."""
+    """Dense sample-space matrix of P_beta (same convention as operator_matrix).
+
+    Equals Psi^T diag(coeff * dlambda) Phi h with the :func:`frame_rows`
+    matrices Psi of psi and Phi of phi (L1-normalized).
+    """
     fgrid = symbol.coefficients.fgrid
-    Phi = _bump_rows(phi, fgrid, grid)
-    Psi = _wavelet_rows(psi, fgrid, grid)
+    Phi = frame_rows(phi, fgrid, grid, "L1") * grid.h
+    Psi = frame_rows(psi, fgrid, grid)
     D = scipy.sparse.diags(symbol.coefficients.values * fgrid.dlam)
     return np.asarray((Psi.T @ (D @ Phi)).todense())
 
@@ -231,6 +184,7 @@ class Decomposition:
     t1: SampledFunction
     t1star: SampledFunction
     t1_truncation_error: float
+    K: np.ndarray = field(repr=False)  # kernel matrix of T on the grid, assembled once
 
     def apply_p1(self, f: SampledFunction) -> SampledFunction:
         return paraproduct_apply(self.symbol_t1, f, self.phi, self.psi)
@@ -239,7 +193,7 @@ class Decomposition:
         return paraproduct_adjoint_apply(self.symbol_t1star, f, self.phi, self.psi)
 
     def apply_t(self, f: SampledFunction) -> SampledFunction:
-        return apply_kernel(self.kernel, f)
+        return apply_kernel(self.kernel, f, K=self.K)
 
     def apply_s(self, f: SampledFunction) -> SampledFunction:
         tf = self.apply_t(f)
@@ -275,8 +229,9 @@ def decompose(
     the constant reproduces T1 itself (up to reproducing-formula error)
     and S1 pairs to zero against well-resolved wavelets.
     """
-    t1, err1 = compute_T1(kernel, grid)
-    t1s, err2 = compute_T1star(kernel, grid)
+    K = kernel_matrix(kernel, grid)
+    t1, err1 = compute_T1(kernel, grid, K=K)
+    t1s, err2 = compute_T1star(kernel, grid, K=K)
     sym1 = make_symbol(SampledFunction(grid, t1.values / phi.m_phi), psi, fgrid)
     sym2 = make_symbol(SampledFunction(grid, t1s.values / phi.m_phi), psi, fgrid)
     return Decomposition(
@@ -288,4 +243,5 @@ def decompose(
         t1=t1,
         t1star=t1s,
         t1_truncation_error=max(err1, err2),
+        K=K,
     )

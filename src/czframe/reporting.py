@@ -25,7 +25,14 @@ from . import compactness as compactness_mod
 from . import localization as localization_mod
 from . import paraproducts as paraproducts_mod
 from .geometry import GroupPoint
-from .grids import SampledFunction, SpatialGrid, make_frame_grid, inner_product, l2_norm
+from .grids import (
+    SampledFunction,
+    SpatialGrid,
+    inner_product,
+    l2_norm,
+    make_frame_grid,
+    validate_frame_grid,
+)
 from .operators import (
     apply_kernel,
     get_model,
@@ -95,6 +102,31 @@ def _is_number(v) -> bool:
     return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
+def _finite(v, name: str) -> float:
+    try:
+        if _is_number(v) and math.isfinite(v):
+            return float(v)
+    except OverflowError:  # an integer beyond the float range
+        pass
+    raise ConfigError(f"{name} must be a finite number")
+
+
+def _integer(v, name: str) -> int:
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ConfigError(f"{name} must be an integer")
+    return v
+
+
+def _section(raw: dict, name: str, keys: set) -> dict:
+    sec = raw.get(name, {})
+    if not isinstance(sec, dict):
+        raise ConfigError(f"{name} must be an object")
+    unknown = set(sec) - keys
+    if unknown:
+        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
+    return sec
+
+
 @dataclass(frozen=True)
 class SuiteConfig:
     """Validated suite configuration."""
@@ -129,38 +161,32 @@ class SuiteConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         kwargs: dict = {}
-        grid = raw.get("grid", {})
+        grid = _section(raw, "grid", {"L", "N"})
         if "L" in grid:
-            kwargs["grid_L"] = float(grid["L"])
+            kwargs["grid_L"] = _finite(grid["L"], "grid.L")
         if "N" in grid:
-            kwargs["grid_N"] = int(grid["N"])
-        frame = raw.get("frame", {})
-        for src, dst in (
-            ("a_min", "a_min"),
-            ("a_max", "a_max"),
-            ("s", "s"),
-            ("L_b", "L_b"),
-            ("cone_factor", "cone_factor"),
-        ):
-            if src in frame and frame[src] is not None:
-                kwargs[dst] = float(frame[src])
-        if "operators" in raw:
-            kwargs["operators"] = tuple(str(o) for o in raw["operators"])
-        if "diagnostics" in raw:
-            kwargs["diagnostics"] = tuple(str(d) for d in raw["diagnostics"])
+            kwargs["grid_N"] = _integer(grid["N"], "grid.N")
+        frame = _section(raw, "frame", {"a_min", "a_max", "s", "L_b", "cone_factor"})
+        for key, val in frame.items():
+            if val is not None:
+                kwargs[key] = _finite(val, f"frame.{key}")
+        for key in ("operators", "diagnostics"):
+            if key in raw:
+                names = raw[key]
+                if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+                    raise ConfigError(f"{key} must be a list of strings")
+                kwargs[key] = tuple(names)
         if "radii" in raw:
             radii = raw["radii"]
-            if not isinstance(radii, list) or not all(_is_number(r) for r in radii):
+            if not isinstance(radii, list):
                 raise ConfigError("radii must be a list of numbers")
-            kwargs["radii"] = tuple(float(r) for r in radii)
+            kwargs["radii"] = tuple(_finite(r, "radii") for r in radii)
         if "tolerances" in raw:
             if not isinstance(raw["tolerances"], dict):
                 raise ConfigError("tolerances must be an object")
             kwargs["tolerances"] = dict(raw["tolerances"])
         if "seed" in raw:
-            if isinstance(raw["seed"], bool) or not isinstance(raw["seed"], int):
-                raise ConfigError("seed must be an integer")
-            kwargs["seed"] = raw["seed"]
+            kwargs["seed"] = _integer(raw["seed"], "seed")
         cfg = cls(**kwargs)
         cfg.validate()
         return cfg
@@ -186,10 +212,17 @@ class SuiteConfig:
                 raise ConfigError(f"unknown tolerance {key!r}")
             if not (_is_number(val) and val > 0.0):
                 raise ConfigError(f"tolerance {key!r} must be a positive number")
-        if self.grid_N < 16:
-            raise ConfigError("grid N must be at least 16")
-        if self.grid_L <= 0 or self.a_min <= 0 or self.a_max <= self.a_min:
-            raise ConfigError("grid/frame dimensions must be positive with a_max > a_min")
+        try:
+            validate_frame_grid(
+                SpatialGrid(self.grid_L, self.grid_N),
+                self.a_min,
+                self.a_max,
+                s=self.s,
+                L_b=self.L_b,
+                cone_factor=self.cone_factor,
+            )
+        except ValueError as exc:
+            raise ConfigError(f"grid/frame: {exc}") from None
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
 

@@ -6,6 +6,10 @@ int_0^inf |psihat(t)|^2 dt/t equals 1.  With that normalization the family
 psi_{(a,b)} = a^{-1/2} psi((x-b)/a) is a continuous Parseval frame: coefficient
 energy against the Haar measure reproduces the L^2 norm, and synthesis of the
 coefficients reproduces the function.
+
+Every lattice-wide operation (analysis, synthesis, and the analysis operator,
+bump pairings and paraproduct factors built on them elsewhere) is a product
+with one sparse matrix from :func:`frame_rows`, cached on the lattice.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy.sparse
 
 from .geometry import GroupPoint
 from .grids import FrameGrid, SampledFunction, SpatialGrid
@@ -26,6 +31,7 @@ __all__ = [
     "make_mother_wavelet",
     "frame_element",
     "coefficient",
+    "frame_rows",
     "analyze",
     "synthesize",
 ]
@@ -116,14 +122,6 @@ class CoefficientField:
         return float(np.sum(np.abs(self.values) ** 2 * self.fgrid.dlam))
 
 
-def _windows(b: np.ndarray, radius: float, grid: SpatialGrid):
-    """Per-node index windows [i_lo, i_hi) covering supp psi_{(a,b)} inside the box."""
-    i_lo = np.clip(np.ceil((b - radius + grid.L) / grid.h).astype(int), 0, grid.N)
-    i_hi = np.clip(np.floor((b + radius + grid.L) / grid.h).astype(int) + 1, 0, grid.N)
-    i_hi = np.maximum(i_hi, i_lo)
-    return i_lo, i_hi, int(np.max(i_hi - i_lo, initial=0))
-
-
 def _check_resolution(a: float, grid: SpatialGrid):
     if a < 2.0 * grid.h:
         warnings.warn(f"frame element at scale a={a} is under-resolved (a < 2h)", stacklevel=3)
@@ -149,65 +147,61 @@ def coefficient(f: SampledFunction, psi, point: GroupPoint, support_radius: floa
     return complex(np.sum(f.values[i0:i1] * w) * grid.h)
 
 
-def analyze(f: SampledFunction, psi, fgrid: FrameGrid) -> CoefficientField:
-    """Frame coefficients <f, psi_{(a,b)}> at every lattice node.
+def frame_rows(fn, fgrid: FrameGrid, grid: SpatialGrid, norm: str = "L2") -> scipy.sparse.csr_matrix:
+    """Sparse matrix whose row k samples the dilate of ``fn`` at lattice node k.
 
-    Works scale by scale: all nodes of one scale share a window length, so the
-    wavelet samples form one (n_b, w) block per scale.
+    Row k holds a_k^{-1/2} fn((x_i - b_k)/a_k) (``norm="L2"``) or
+    a_k^{-1} fn((x_i - b_k)/a_k) (``norm="L1"``) on the grid window
+    [b_k - r a_k, b_k + r a_k] clipped to the box, r = ``fn.support_radius``
+    (1 if absent).  Frame analysis, synthesis, the analysis operator, bump
+    pairings and paraproduct factors are all products with this matrix.  It is
+    cached on ``fgrid`` under ``(fn, grid, norm)``, so it lives exactly as long
+    as the lattice.  ``fn`` must be hashable.
     """
-    grid = f.grid
-    h, L, N = grid.h, grid.L, grid.N
-    fv = f.values
-    out = np.zeros(fgrid.n_nodes, dtype=complex if np.iscomplexobj(fv) else float)
-    r = psi.support_radius if hasattr(psi, "support_radius") else 1.0
-
+    key = (fn, grid, norm)
+    cached = fgrid._rows.get(key)
+    if cached is not None:
+        return cached
+    if norm not in ("L2", "L1"):
+        raise ValueError(f"norm must be 'L2' or 'L1', not {norm!r}")
+    radius = fgrid.a * getattr(fn, "support_radius", 1.0)
+    b, h, L, N = fgrid.b, grid.h, grid.L, grid.N
+    i_lo = np.clip(np.ceil((b - radius + L) / h).astype(int), 0, N)
+    i_hi = np.clip(np.floor((b + radius + L) / h).astype(int) + 1, 0, N)
+    widths = np.maximum(i_hi - i_lo, 0)
+    # Fill one preallocated CSR scale by scale (a scale's nodes share one
+    # dilation), so peak memory is the finished matrix plus one scale's
+    # temporaries; collecting per-scale blocks and concatenating doubles it.
+    indptr = np.zeros(fgrid.n_nodes + 1, dtype=np.int32)
+    np.cumsum(widths, out=indptr[1:])
+    data = np.empty(indptr[-1])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    x = grid.x
     for j, aj in enumerate(fgrid.scales):
         sl = fgrid.scale_slice(j)
-        b = fgrid.b[sl]
-        if b.size == 0:
+        p0, p1 = indptr[sl.start], indptr[sl.stop]
+        if p0 == p1:
             continue
-        i_lo, i_hi, w = _windows(b, aj * r, grid)
-        if w == 0:
-            continue
-        idx = i_lo[:, None] + np.arange(w)[None, :]
-        valid = idx < i_hi[:, None]
-        idx_c = np.minimum(idx, N - 1)
-        x = -L + h * idx_c
-        wav = psi((x - b[:, None]) / aj) / math.sqrt(aj)
-        wav[~valid] = 0.0
-        out[sl] = (np.take(fv, idx_c) * wav).sum(axis=1) * h
-    return CoefficientField(fgrid, out)
+        w = widths[sl]
+        cols = np.arange(p0, p1) - np.repeat(indptr[sl] - i_lo[sl], w)
+        indices[p0:p1] = cols
+        vals = fn((x[cols] - np.repeat(b[sl], w)) / aj)
+        data[p0:p1] = vals / (math.sqrt(aj) if norm == "L2" else aj)
+    rows = scipy.sparse.csr_matrix((data, indices, indptr), shape=(fgrid.n_nodes, N))
+    fgrid._rows[key] = rows
+    return rows
+
+
+def analyze(f: SampledFunction, psi, fgrid: FrameGrid) -> CoefficientField:
+    """Frame coefficients <f, psi_{(a,b)}> at every lattice node, ``R f h``.
+
+    ``R`` is the cached :func:`frame_rows` matrix of ``psi`` on the lattice.
+    """
+    rows = frame_rows(psi, fgrid, f.grid)
+    return CoefficientField(fgrid, (rows @ f.values) * f.grid.h)
 
 
 def synthesize(field: CoefficientField, psi, grid: SpatialGrid) -> SampledFunction:
-    """Sum of coefficient * psi_{(a,b)} * dlam over the lattice."""
-    fgrid = field.fgrid
-    h, L, N = grid.h, grid.L, grid.N
-    vals = field.values
-    is_complex = np.iscomplexobj(vals)
-    out = np.zeros(N, dtype=complex if is_complex else float)
-    r = psi.support_radius if hasattr(psi, "support_radius") else 1.0
-
-    for j, aj in enumerate(fgrid.scales):
-        sl = fgrid.scale_slice(j)
-        b = fgrid.b[sl]
-        c = vals[sl] * fgrid.dlam[sl]
-        if b.size == 0 or not np.any(c):
-            continue
-        i_lo, i_hi, w = _windows(b, aj * r, grid)
-        if w == 0:
-            continue
-        idx = i_lo[:, None] + np.arange(w)[None, :]
-        valid = idx < i_hi[:, None]
-        idx_c = np.minimum(idx, N - 1)
-        x = -L + h * idx_c
-        wav = psi((x - b[:, None]) / aj) / math.sqrt(aj)
-        wav[~valid] = 0.0
-        contrib = c[:, None] * wav
-        flat_idx = idx_c.ravel()
-        if is_complex:
-            out += np.bincount(flat_idx, weights=contrib.real.ravel(), minlength=N)
-            out += 1j * np.bincount(flat_idx, weights=contrib.imag.ravel(), minlength=N)
-        else:
-            out += np.bincount(flat_idx, weights=contrib.ravel(), minlength=N)
-    return SampledFunction(grid, out)
+    """Sum of coefficient * psi_{(a,b)} * dlam over the lattice, ``R^T (c dlam)``."""
+    rows = frame_rows(psi, field.fgrid, grid)
+    return SampledFunction(grid, rows.T @ (field.values * field.fgrid.dlam))

@@ -72,7 +72,7 @@ def test_seed_flag_overrides_config(tmp_path, capsys):
         assert json.load(fh)["seed"] == 7
 
 
-@pytest.mark.parametrize("radii", ["abc", 3, {"R": 1}, ["a", 1], [-1, 0]])
+@pytest.mark.parametrize("radii", ["abc", 3, {"R": 1}, ["a", 1], [-1, 0], [0, 10**400]])
 def test_bad_radii_exit_2(tmp_path, capsys, radii):
     cfgp = _write_config(tmp_path, {"diagnostics": ["frame"], "radii": radii})
     assert main(["--config", cfgp, "--out", str(tmp_path / "o")]) == 2
@@ -84,3 +84,37 @@ def test_non_integer_seed_exit_2(tmp_path, capsys, seed):
     cfgp = _write_config(tmp_path, {"diagnostics": ["frame"], "seed": seed})
     assert main(["--config", cfgp, "--out", str(tmp_path / "o")]) == 2
     assert "seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"grid": {"L": "abc"}},
+        {"grid": {"L": 10**400}},
+        {"grid": 5},
+        {"grid": {"N": 2048.5}},
+        {"grid": {"N": True}},
+        {"grid": {"M": 16}},
+        {"frame": {"a_min": 0.001}},
+        {"frame": {"s": 2}},
+        {"frame": {"a_max": "big"}},
+        {"frame": {"cone_factor": -1}},
+        {"frame": [0.1]},
+        {"operators": "hilbert"},
+    ],
+)
+def test_bad_grid_or_frame_exit_2(tmp_path, capsys, payload):
+    cfgp = _write_config(tmp_path, {"diagnostics": ["frame"], **payload})
+    out = tmp_path / "o"
+    assert main(["--config", cfgp, "--out", str(out)]) == 2
+    assert "invalid config" in capsys.readouterr().err
+    assert not out.exists()  # rejected at config loading, before any work
+
+
+@pytest.mark.parametrize("diagnostics", [3, "frame", [1], None])
+def test_bad_diagnostics_exit_2(tmp_path, capsys, diagnostics):
+    cfgp = _write_config(tmp_path, {"diagnostics": diagnostics})
+    out = tmp_path / "o"
+    assert main(["--config", cfgp, "--out", str(out)]) == 2
+    assert "diagnostics" in capsys.readouterr().err
+    assert not out.exists()

@@ -63,6 +63,10 @@ def test_frame_grid_preconditions(grid):
         make_frame_grid(grid, 0.25, 16.0, s=0.0)
     with pytest.raises(ValueError):
         make_frame_grid(grid, 0.25, 16.0, s=1.5)
+    with pytest.raises(ValueError):
+        make_frame_grid(grid, 0.25, 16.0, L_b=0.0)
+    with pytest.raises(ValueError):
+        make_frame_grid(grid, 0.25, 16.0, cone_factor=-1.0)
 
 
 def test_frame_grid_structure(grid):

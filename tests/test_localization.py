@@ -12,6 +12,7 @@ from czframe.localization import (
     LocalizationWeight,
     default_anchor_lattice,
     decay_majorant,
+    default_test_bundle,
     matrix_coefficient,
     origin_tail,
     schur_tail,
@@ -19,7 +20,7 @@ from czframe.localization import (
     verify_decay,
     weak_compactness_profile,
 )
-from czframe.operators import conjugate, get_model
+from czframe.operators import conjugate, get_model, kernel_matrix
 from czframe.wavelets import make_mother_wavelet
 
 
@@ -134,3 +135,35 @@ def test_weak_compactness_profiles(psi, grid, fgrid):
     fp = weak_compactness_profile(get_model("finite_rank").kernel, psi, fgrid, radii)
     assert fp[-1] < 1e-4
     assert fp[0] > fp[-1]
+
+
+@pytest.mark.parametrize("label", ["finite_rank", "hilbert"])
+def test_batched_pairings_match_per_pair_path(psi, label):
+    # oracle: one matvec per ordered (f, g) pair at every sampled node
+    kernel = get_model(label).kernel
+    local, reference = SpatialGrid(4.0, 128), SpatialGrid(8.0, 256)
+    fg = make_frame_grid(reference, 0.25, 16.0, s=0.5)
+    radii = np.array([0.0, 1.0, 2.0, 3.0])
+    bundle = default_test_bundle(psi)
+    prof = weak_compactness_profile(
+        kernel, psi, fg, radii, max_nodes_per_bin=4, local=local, reference=reference
+    )
+    expected = []
+    for r in radii:
+        idx = np.flatnonzero((fg.dist0 >= r) & (fg.dist0 < r + 0.5))
+        idx = idx[np.linspace(0, idx.size - 1, 4).astype(int)] if idx.size > 4 else idx
+        best = 0.0
+        for k in idx:
+            node = GroupPoint(float(fg.a[k]), float(fg.b[k]))
+            if kernel.bounded:
+                K, x, h, scale = kernel_matrix(kernel, reference), reference.x, reference.h, node.a
+                u = (x - node.b) / node.a
+            else:
+                K, h, scale = kernel_matrix(conjugate(kernel, node), local), local.h, 1.0
+                u = local.x
+            for f in bundle:
+                for g in bundle:
+                    best = max(best, abs(g(u) @ K @ f(u) * h**2 / scale))
+        expected.append(best)
+    assert max(expected) > 0.0
+    np.testing.assert_allclose(prof, expected, rtol=1e-12, atol=0.0)

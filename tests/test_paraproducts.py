@@ -152,3 +152,32 @@ def test_decompose_s1_small_against_wavelets(psi, phi, grid, fgrid):
     num = max(abs(inner_product(s1, frame_element(psi, p, grid))) for p in pts)
     den = max(abs(inner_product(t1, frame_element(psi, p, grid))) for p in pts)
     assert num / den < 0.05
+
+
+def test_decompose_assembles_kernel_matrix_once(psi, phi, monkeypatch):
+    import czframe.operators as operators_mod
+    import czframe.paraproducts as paraproducts_mod
+    from czframe.operators import apply_kernel, compute_T1star, kernel_matrix
+
+    small = SpatialGrid(8.0, 256)
+    sfg = make_frame_grid(small, 0.25, 16.0, s=0.25)
+    kernel = get_model("damped_hilbert_1").kernel
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return kernel_matrix(*args, **kwargs)
+
+    monkeypatch.setattr(operators_mod, "kernel_matrix", counting)
+    monkeypatch.setattr(paraproducts_mod, "kernel_matrix", counting)
+    dec = decompose(kernel, phi, psi, sfg, small)
+    f = SampledFunction.from_callable(small, lambda x: np.exp(-(x**2)))
+    t, s = dec.apply_t(f), dec.apply_s(f)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    # the kept matrix gives bitwise the values of a fresh assembly
+    assert np.array_equal(t.values, apply_kernel(kernel, f).values)
+    assert np.array_equal(dec.t1star.values, compute_T1star(kernel, small)[0].values)
+    assert np.array_equal(
+        s.values, t.values - dec.apply_p1(f).values - dec.apply_p2_adjoint(f).values
+    )

@@ -1,4 +1,4 @@
-"""Mother wavelet certificates and frame analysis/synthesis identities."""
+"""Mother wavelet certificates, frame analysis/synthesis identities, frame rows."""
 
 import math
 
@@ -7,7 +7,15 @@ import pytest
 
 from czframe.geometry import GroupPoint
 from czframe.grids import SampledFunction, SpatialGrid, inner_product, l2_norm, make_frame_grid
-from czframe.wavelets import analyze, coefficient, frame_element, make_mother_wavelet, synthesize
+from czframe.wavelets import (
+    CoefficientField,
+    analyze,
+    coefficient,
+    frame_element,
+    frame_rows,
+    make_mother_wavelet,
+    synthesize,
+)
 
 
 @pytest.fixture(scope="module")
@@ -98,3 +106,79 @@ def test_refinement_improves_parseval(psi, grid):
 def test_under_resolved_scale_warns(psi, grid):
     with pytest.warns(UserWarning):
         frame_element(psi, GroupPoint(grid.h, 0.0), grid)
+
+
+@pytest.fixture(scope="module")
+def tiny():
+    # small box whose large-scale windows overrun it on both sides
+    grid = SpatialGrid(4.0, 64)
+    return grid, make_frame_grid(grid, 0.25, 16.0, s=0.5, cone_factor=1.0)
+
+
+def test_analyze_matches_coefficient_on_every_node(psi, tiny):
+    grid, fg = tiny
+    both = (fg.b - fg.a < -grid.L) & (fg.b + fg.a > grid.L - grid.h)
+    left = (fg.b - fg.a < -grid.L) & ~both
+    right = (fg.b + fg.a > grid.L - grid.h) & ~both
+    assert both.any() and left.any() and right.any()
+    rng = np.random.default_rng(3)
+    real = SampledFunction(grid, rng.standard_normal(grid.N))
+    cplx = SampledFunction(grid, rng.standard_normal(grid.N) + 1j * rng.standard_normal(grid.N))
+    for f in (real, cplx):
+        field = analyze(f, psi, fg)
+        assert np.iscomplexobj(field.values) == np.iscomplexobj(f.values)
+        for i in range(fg.n_nodes):
+            pt = GroupPoint(float(fg.a[i]), float(fg.b[i]))
+            assert abs(field.values[i] - coefficient(f, psi, pt, psi.support_radius)) < 1e-12
+
+
+def test_synthesize_is_adjoint_of_analyze(psi, tiny):
+    # <analyze f, c>_dlam = <f, synthesize c>
+    grid, fg = tiny
+    rng = np.random.default_rng(4)
+    f = SampledFunction(grid, rng.standard_normal(grid.N) + 1j * rng.standard_normal(grid.N))
+    c = rng.standard_normal(fg.n_nodes) + 1j * rng.standard_normal(fg.n_nodes)
+    lhs = np.sum(analyze(f, psi, fg).values * np.conj(c) * fg.dlam)
+    rhs = inner_product(f, synthesize(CoefficientField(fg, c), psi, grid))
+    assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
+
+
+def test_frame_rows_cached_per_function_grid_and_norm(psi, tiny):
+    grid, fg = tiny
+    rows = frame_rows(psi, fg, grid)
+    assert frame_rows(psi, fg, SpatialGrid(4.0, 64), "L2") is rows
+    assert frame_rows(psi, fg, grid, "L1") is not rows
+    assert frame_rows(psi, fg, SpatialGrid(4.0, 128)) is not rows
+    other = make_frame_grid(grid, 0.25, 16.0, s=0.5, cone_factor=1.0)
+    assert frame_rows(psi, other, grid) is not rows
+    with pytest.raises(ValueError):
+        frame_rows(psi, fg, grid, "Linf")
+
+
+def test_analysis_operator_matches_dense_assembly(psi, tiny):
+    from czframe.compactness import analysis_operator
+
+    grid, fg = tiny
+    dense = np.array(
+        [frame_element(psi, GroupPoint(float(a), float(b)), grid).values for a, b in zip(fg.a, fg.b)]
+    )
+    expected = (np.sqrt(fg.dlam) * grid.h)[:, None] * dense
+    np.testing.assert_allclose(
+        analysis_operator(psi, fg, grid).toarray(), expected, rtol=0, atol=1e-14
+    )
+
+
+def test_paraproduct_matrix_matches_dense_assembly(psi, tiny):
+    # P_beta = sum_k psi_k (x) coeff_k dlam_k a_k^-1 phi((y - b_k)/a_k) h
+    from czframe.paraproducts import make_bump_phi, make_symbol, paraproduct_matrix
+
+    grid, fg = tiny
+    phi = make_bump_phi()
+    beta = SampledFunction.from_callable(grid, lambda x: np.exp(-(x**2)))
+    sym = make_symbol(beta, psi, fg)
+    u = (grid.x[None, :] - fg.b[:, None]) / fg.a[:, None]
+    Psi = psi(u) / np.sqrt(fg.a)[:, None]
+    Phi = phi(u) / fg.a[:, None]
+    expected = Psi.T @ ((sym.coefficients.values * fg.dlam)[:, None] * Phi) * grid.h
+    A = paraproduct_matrix(sym, phi, psi, grid)
+    assert np.max(np.abs(A - expected)) <= 1e-12 * np.max(np.abs(expected))
