@@ -9,9 +9,12 @@ start vector.  Vanishing tails as R grows indicate a precompact image; the
 functional is reported together with the maximizing input (the witness) and
 the solver's statistics, so verdicts are auditable.
 
-Discretized operators are passed as dense matrices A with (Tf)(x_i) =
-(A f)_i for sample vectors f; for a CZ kernel, A = kernel_matrix * h.  The
-analysis operator is the lattice's cached
+Discretized operators A with (Tf)(x_i) = (A f)_i for sample vectors f are
+applied only through ``matvec``/``rmatvec`` of a
+:class:`~czframe.operators.DiscreteOperator`; for a CZ kernel it comes from
+:func:`~czframe.operators.discretize` (A = kernel_matrix * h, Toeplitz/FFT
+for convolution kernels), and a plain matrix is taken as the dense
+operator.  The analysis operator is the lattice's cached
 :func:`~czframe.wavelets.frame_rows` matrix with rows scaled by
 sqrt(dlambda) * h.
 """
@@ -25,7 +28,7 @@ import scipy.linalg
 import scipy.sparse
 
 from .grids import FrameGrid, SampledFunction, SpatialGrid, tail_nodes
-from .operators import CZKernel, kernel_matrix
+from .operators import CZKernel, DiscreteOperator, as_operator, kernel_matrix
 from .wavelets import frame_rows
 
 __all__ = [
@@ -137,7 +140,7 @@ def _lanczos_top(
 
 
 def rk_tail(
-    A: np.ndarray,
+    A: DiscreteOperator | np.ndarray,
     S: scipy.sparse.csr_matrix,
     fgrid: FrameGrid,
     grid: SpatialGrid,
@@ -148,20 +151,22 @@ def rk_tail(
 ) -> PowerIterationResult:
     """Sup over the L2 unit ball of tail coefficient energy of Tf.
 
-    ``A`` is the sample-space operator matrix and ``S`` the analysis
-    operator from :func:`analysis_operator` (pass it in so sweeps over R
-    reuse the assembly).  Lanczos (ARPACK ``eigsh``) runs on the normal
+    ``A`` is the sample-space operator (a matrix is taken as the dense
+    operator) and ``S`` the analysis operator from
+    :func:`analysis_operator` (pass it in so sweeps over R reuse the
+    assembly).  Lanczos (ARPACK ``eigsh``) runs on the normal
     matrix of the composite map from a seeded start vector, with tolerance
     ``tol`` and at most ``maxiter`` restarts; on non-convergence the best
     Ritz value found is still reported, with ``converged=False``.
     """
+    A = as_operator(A)
     mask = tail_nodes(fgrid, R)
     S_tail = S[mask]
     root_h = np.sqrt(grid.h)
 
     def B_apply(u: np.ndarray) -> np.ndarray:
-        c = S_tail @ (A @ (u / root_h))
-        return (A.T @ (S_tail.T @ c)) / root_h
+        c = S_tail @ A.matvec(u / root_h)
+        return A.rmatvec(S_tail.T @ c) / root_h
 
     lam, u, calls, ok, residual = _lanczos_top(B_apply, grid.N, tol, maxiter, seed)
     return PowerIterationResult(
@@ -174,7 +179,7 @@ def rk_tail(
 
 
 def tail_functional(
-    A: np.ndarray,
+    A: DiscreteOperator | np.ndarray,
     psi,
     fgrid: FrameGrid,
     grid: SpatialGrid,

@@ -25,7 +25,7 @@ import numpy as np
 
 from .geometry import GroupPoint, IDENTITY, node_distances
 from .grids import FrameGrid, SpatialGrid, inner_product
-from .operators import CZKernel, apply_kernel, conjugate, kernel_matrix
+from .operators import CZKernel, apply_kernel, conjugate, discretize, kernel_matrix
 from .wavelets import CoefficientField, analyze, frame_element
 
 __all__ = [
@@ -290,9 +290,23 @@ def default_test_bundle(psi) -> tuple:
     return (psi, bump(0.0, 2.0), bump(0.5, 1.0))
 
 
-def _max_pairing(K: np.ndarray, F: np.ndarray, h: float) -> float:
-    """max |<T f, g>| over the columns f, g of F, with T = K h on a grid of step h."""
-    return float(np.max(np.abs(F.T @ (K @ F)))) * h * h
+def _max_pairing(F: np.ndarray, TF: np.ndarray, h: float) -> float:
+    """max |<T f, g>| over the columns f, g of F, given TF = T F on a grid of step h."""
+    return float(np.max(np.abs(F.T @ TF))) * h
+
+
+def _windowed_pairing(K: np.ndarray, F: np.ndarray, h: float) -> float:
+    """:func:`_max_pairing` with T = K h, restricted to the rows where F is nonzero.
+
+    The columns of F are compactly supported, so every row outside the
+    contiguous window from the first to the last nonzero row is exactly zero
+    and contributes nothing to F^T K F.
+    """
+    nz = np.flatnonzero(F.any(axis=1))
+    if nz.size == 0:
+        return 0.0
+    w = slice(nz[0], nz[-1] + 1)
+    return _max_pairing(F[w], K[w, w] @ F[w], h) * h
 
 
 def weak_compactness_profile(
@@ -337,13 +351,13 @@ def weak_compactness_profile(
                 # are smooth: <T f_node, g_node> = a^-1 <T f(.-b)/a, g(.-b)/a>.
                 u = (reference.x - node.b) / node.a
                 F = np.column_stack([f(u) for f in bundle])
-                val = _max_pairing(K_ref, F, reference.h) / node.a
+                val = _windowed_pairing(K_ref, F, reference.h) / node.a
             else:
                 # Conjugate the operator to the node; the test functions stay
                 # at unit scale on a fixed local grid, so the quadrature is
                 # node-independent.
-                K = kernel_matrix(conjugate(kernel, node), local)
-                val = _max_pairing(K, samples, local.h)
+                T = discretize(conjugate(kernel, node), local)
+                val = _max_pairing(samples, T.matvec(samples), local.h)
             best = max(best, val)
         out[i] = best
     return out

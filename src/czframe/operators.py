@@ -5,6 +5,13 @@ diagonal, together with declared size/smoothness constants (C_K, delta) and
 structural flags.  Application to sampled functions is the principal-value
 Riemann sum with the diagonal cell excluded; for antisymmetric kernels the
 symmetric exclusion realizes the PV limit with O(h^2) consistency.
+
+:func:`discretize` turns a kernel into a :class:`DiscreteOperator`, the
+sample-space map (Tf)(x_i) = sum_j K(x_i, x_j) f(x_j) h applied matrix-free.
+Convolution kernels K(x, y) = k(x - y) give a Toeplitz matrix, applied by a
+circulant-embedded FFT (Chan & Ng, SIAM Rev. 38, 1996); every other kernel
+is applied through its dense :func:`kernel_matrix`, which also stays the
+oracle for the Toeplitz backend.
 """
 
 from __future__ import annotations
@@ -20,10 +27,13 @@ from .grids import SampledFunction, SpatialGrid
 
 __all__ = [
     "CZKernel",
+    "DiscreteOperator",
     "ModelOperator",
     "model_zoo",
     "get_model",
     "kernel_matrix",
+    "discretize",
+    "as_operator",
     "apply_kernel",
     "compute_T1",
     "compute_T1star",
@@ -34,7 +44,10 @@ __all__ = [
 
 @dataclass(frozen=True)
 class CZKernel:
-    """Off-diagonal kernel with its CZ constants and structural flags."""
+    """Off-diagonal kernel with its CZ constants and structural flags.
+
+    ``profile`` is set for convolution kernels only: K(x, y) = profile(x - y).
+    """
 
     label: str
     fn: Callable[[np.ndarray, np.ndarray], np.ndarray]
@@ -43,6 +56,7 @@ class CZKernel:
     antisymmetric: bool = False
     bounded: bool = False
     exact_cancellation: bool = False
+    profile: Callable[[np.ndarray], np.ndarray] | None = None
 
     def __call__(self, x, y):
         return self.fn(x, y)
@@ -76,6 +90,10 @@ def _hilbert(x, y):
     return 1.0 / (math.pi * (x - y))
 
 
+def _hilbert_profile(d):
+    return 1.0 / (math.pi * d)
+
+
 def _damped_hilbert(alpha):
     def fn(x, y):
         return (1.0 + x * x + y * y) ** (-alpha / 2.0) / (math.pi * (x - y))
@@ -92,6 +110,10 @@ def _zero(x, y):
     return np.zeros(np.broadcast(x, y).shape)
 
 
+def _zero_profile(d):
+    return np.zeros(np.shape(d))
+
+
 def model_zoo() -> dict[str, ModelOperator]:
     """The fixed model operators, keyed by CLI label."""
     u, v = finite_rank_factors()
@@ -101,7 +123,7 @@ def model_zoo() -> dict[str, ModelOperator]:
     return {
         "hilbert": ModelOperator(
             CZKernel("hilbert", _hilbert, c_k=1.0 / math.pi, delta=1.0,
-                     antisymmetric=True, exact_cancellation=True),
+                     antisymmetric=True, exact_cancellation=True, profile=_hilbert_profile),
             known_compact=False,
             description="Hilbert transform kernel 1/(pi (x-y)); bounded, not compact",
         ),
@@ -124,7 +146,7 @@ def model_zoo() -> dict[str, ModelOperator]:
         ),
         "zero": ModelOperator(
             CZKernel("zero", _zero, c_k=0.0, delta=1.0, antisymmetric=True,
-                     bounded=True, exact_cancellation=True),
+                     bounded=True, exact_cancellation=True, profile=_zero_profile),
             known_compact=True,
             description="zero operator",
         ),
@@ -154,6 +176,72 @@ def kernel_matrix(kernel: CZKernel, grid: SpatialGrid) -> np.ndarray:
     else:
         np.fill_diagonal(K, 0.0)
     return K
+
+
+class DiscreteOperator:
+    """Sample-space operator f |-> A f on a grid of N points, applied matrix-free.
+
+    ``matvec`` applies A and ``rmatvec`` applies A^T, to a vector or column by
+    column to an N x k array; the quadrature weight h is part of A.  The
+    operator holds either the dense matrix A or, for a Toeplitz A[i, j] =
+    c[i - j], the rfft of c's length-2N circulant embedding, so each
+    application is one rfft/irfft pair.  ``dense()`` returns A.
+    """
+
+    def __init__(self, n: int, matrix: np.ndarray | None = None, symbol: np.ndarray | None = None):
+        self.n = n
+        self.matrix = matrix
+        self.symbol = symbol
+
+    def _circulant(self, x: np.ndarray, symbol: np.ndarray) -> np.ndarray:
+        x = np.asarray(x)
+        m = 2 * self.n
+        s = symbol if x.ndim == 1 else symbol[:, None]
+        return np.fft.irfft(np.fft.rfft(x, m, axis=0) * s, m, axis=0)[: self.n]
+
+    def matvec(self, x: np.ndarray) -> np.ndarray:
+        if self.matrix is not None:
+            return self.matrix @ x
+        return self._circulant(x, self.symbol)
+
+    def rmatvec(self, x: np.ndarray) -> np.ndarray:
+        if self.matrix is not None:
+            return self.matrix.T @ x
+        # c[-m] embeds as the time reversal of c[m]'s column: conjugate symbol
+        return self._circulant(x, np.conj(self.symbol))
+
+    def dense(self) -> np.ndarray:
+        if self.matrix is not None:
+            return self.matrix
+        return self.matvec(np.eye(self.n))
+
+
+def discretize(kernel: CZKernel, grid: SpatialGrid) -> DiscreteOperator:
+    """The operator matrix kernel_matrix(kernel, grid) * h as a :class:`DiscreteOperator`.
+
+    A kernel with a convolution ``profile`` gets the Toeplitz backend: the
+    2N - 1 values c[m] = profile(m h) h, m = -(N-1) .. N-1, with the same
+    diagonal policy as :func:`kernel_matrix` at m = 0.  Any other kernel gets
+    the dense backend.
+    """
+    N, h = grid.N, grid.h
+    if kernel.profile is None:
+        return DiscreteOperator(N, matrix=kernel_matrix(kernel, grid) * h)
+    m = np.arange(-(N - 1), N)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        c = np.asarray(kernel.profile(m * h), dtype=float)
+    c[N - 1] = np.nan_to_num(c[N - 1]) if kernel.bounded else 0.0
+    # first column of the 2N circulant: c[0..N-1], one zero, c[-(N-1)..-1]
+    column = np.concatenate([c[N - 1:], [0.0], c[: N - 1]]) * h
+    return DiscreteOperator(N, symbol=np.fft.rfft(column))
+
+
+def as_operator(A) -> DiscreteOperator:
+    """``A`` itself if it is a :class:`DiscreteOperator`, else the dense operator of the matrix."""
+    if isinstance(A, DiscreteOperator):
+        return A
+    A = np.asarray(A)
+    return DiscreteOperator(A.shape[0], matrix=A)
 
 
 def apply_kernel(kernel: CZKernel, f: SampledFunction, K: np.ndarray | None = None) -> SampledFunction:
@@ -200,9 +288,14 @@ def compute_T1(kernel: CZKernel, grid: SpatialGrid, K: np.ndarray | None = None,
 
 def transpose(kernel: CZKernel) -> CZKernel:
     """Kernel of the adjoint, K~(x, y) = K(y, x)."""
-    fn = kernel.fn
+    fn, k = kernel.fn, kernel.profile
     sign_note = "_transpose"
-    return replace(kernel, label=kernel.label + sign_note, fn=lambda x, y: fn(y, x))
+    return replace(
+        kernel,
+        label=kernel.label + sign_note,
+        fn=lambda x, y: fn(y, x),
+        profile=None if k is None else (lambda d: k(-d)),
+    )
 
 
 def compute_T1star(kernel: CZKernel, grid: SpatialGrid, K: np.ndarray | None = None,
@@ -212,11 +305,15 @@ def compute_T1star(kernel: CZKernel, grid: SpatialGrid, K: np.ndarray | None = N
 
 
 def conjugate(kernel: CZKernel, g: GroupPoint) -> CZKernel:
-    """Conjugated kernel K_{(a,b)}(x, y) = a K(a x + b, a y + b); same constants."""
+    """Conjugated kernel K_{(a,b)}(x, y) = a K(a x + b, a y + b); same constants.
+
+    A convolution profile k becomes d |-> a k(a d); translation drops out.
+    """
     a, b = g.a, g.b
-    fn = kernel.fn
+    fn, k = kernel.fn, kernel.profile
     return replace(
         kernel,
         label=f"{kernel.label}@({a:g},{b:g})",
         fn=lambda x, y: a * fn(a * x + b, a * y + b),
+        profile=None if k is None else (lambda d: a * k(a * d)),
     )

@@ -35,6 +35,7 @@ from .grids import (
 )
 from .operators import (
     apply_kernel,
+    discretize,
     get_model,
     model_zoo,
 )
@@ -531,7 +532,7 @@ def _diag_rk_tail(cfg: SuiteConfig, ctx: _Context):
         if label not in cfg.operators:
             continue
         k = get_model(label).kernel
-        A = compactness_mod.operator_matrix(k, ctx.grid)
+        A = discretize(k, ctx.grid)
         tf = compactness_mod.tail_functional(
             A, ctx.psi, ctx.fgrid, ctx.grid, radii, label=label, seed=cfg.seed
         )

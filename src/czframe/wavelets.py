@@ -56,6 +56,12 @@ def _bump_derivative(x):
     return out
 
 
+# Rows of the sin(t x) quadrature table built at a time.  32 x 8192 float64
+# is 2 MB and stays in cache; the whole 4096 x 8192 table would be 268 MB.
+# Each row's dot product is unchanged, so the result does not depend on it.
+_ADMISSIBILITY_CHUNK = 32
+
+
 def _admissibility(norm_const: float, n_x: int = 8192, n_t: int = 4096, t_max: float = 400.0) -> float:
     """int_0^inf |psihat(t)|^2 dt/t by log-spaced quadrature.
 
@@ -70,8 +76,10 @@ def _admissibility(norm_const: float, n_x: int = 8192, n_t: int = 4096, t_max: f
     dv = v[1] - v[0]
     t = np.exp(v)
     # I(t) = int_0^1 psi(x) sin(t x) dx, midpoint rule (spectrally accurate here)
-    sin_tx = np.sin(np.outer(t, x))
-    I = sin_tx @ px * hx
+    I = np.empty(n_t)
+    for i in range(0, n_t, _ADMISSIBILITY_CHUNK):
+        rows = slice(i, i + _ADMISSIBILITY_CHUNK)
+        I[rows] = np.sin(np.outer(t[rows], x)) @ px * hx
     # dt/t integral in v = log t: int |psihat|^2 dv
     return float(np.sum(4.0 * I * I) * dv)
 
@@ -192,16 +200,27 @@ def frame_rows(fn, fgrid: FrameGrid, grid: SpatialGrid, norm: str = "L2") -> sci
     return rows
 
 
+def _real_product(M, v: np.ndarray) -> np.ndarray:
+    """``M @ v`` for a real sparse ``M``, applied to the real and imaginary parts
+    of a complex ``v`` separately, so SciPy never upcasts ``M`` to complex."""
+    if not np.iscomplexobj(v):
+        return M @ v
+    out = np.empty(M.shape[0], dtype=complex)
+    out.real = M @ v.real
+    out.imag = M @ v.imag
+    return out
+
+
 def analyze(f: SampledFunction, psi, fgrid: FrameGrid) -> CoefficientField:
     """Frame coefficients <f, psi_{(a,b)}> at every lattice node, ``R f h``.
 
     ``R`` is the cached :func:`frame_rows` matrix of ``psi`` on the lattice.
     """
     rows = frame_rows(psi, fgrid, f.grid)
-    return CoefficientField(fgrid, (rows @ f.values) * f.grid.h)
+    return CoefficientField(fgrid, _real_product(rows, f.values) * f.grid.h)
 
 
 def synthesize(field: CoefficientField, psi, grid: SpatialGrid) -> SampledFunction:
     """Sum of coefficient * psi_{(a,b)} * dlam over the lattice, ``R^T (c dlam)``."""
     rows = frame_rows(psi, field.fgrid, grid)
-    return SampledFunction(grid, rows.T @ (field.values * field.fgrid.dlam))
+    return SampledFunction(grid, _real_product(rows.T, field.values * field.fgrid.dlam))

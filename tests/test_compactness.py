@@ -15,7 +15,7 @@ from czframe.compactness import (
     tail_verdict,
 )
 from czframe.grids import SpatialGrid, make_frame_grid
-from czframe.operators import get_model
+from czframe.operators import discretize, get_model
 from czframe.wavelets import make_mother_wavelet
 
 
@@ -163,3 +163,36 @@ def test_damped_spectrum_shrinks_with_domain_enlargement(small_grid):
         sv = scipy.linalg.svdvals(A)
         ratios.append(sv[16] / sv[0])
     assert ratios[1] < ratios[0]
+
+
+def test_rk_zero_fft_operator_short_circuits(psi, small_grid, small_fgrid):
+    A = discretize(get_model("zero").kernel, small_grid)
+    assert A.matrix is None
+    S = analysis_operator(psi, small_fgrid, small_grid)
+    res = rk_tail(A, S, small_fgrid, small_grid, 0.0)
+    assert res.value == 0.0
+    assert res.iterations == 1
+    assert res.converged
+
+
+def test_rk_fft_backend_matches_dense(psi, small_grid, small_fgrid):
+    # the Toeplitz/FFT Hilbert operator against its dense oracle matrix
+    kern = get_model("hilbert").kernel
+    radii = [0.0, 2.0, 4.0]
+    fft = tail_functional(discretize(kern, small_grid), psi, small_fgrid, small_grid, radii)
+    dense = tail_functional(operator_matrix(kern, small_grid), psi, small_fgrid, small_grid, radii)
+    assert discretize(kern, small_grid).matrix is None
+    assert np.array_equal(fft.iterations, dense.iterations)
+    assert fft.converged.all() and dense.converged.all()
+    np.testing.assert_allclose(fft.values, dense.values, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("label", ["hilbert", "finite_rank"])
+def test_tail_functional_repeats_bitwise_in_process(psi, small_grid, small_fgrid, label):
+    A = discretize(get_model(label).kernel, small_grid)
+    radii = [0.0, 1.0, 3.0]
+    first = tail_functional(A, psi, small_fgrid, small_grid, radii, seed=2)
+    second = tail_functional(A, psi, small_fgrid, small_grid, radii, seed=2)
+    assert np.array_equal(first.iterations, second.iterations)
+    assert np.array_equal(first.values, second.values)
+    assert np.array_equal(first.witnesses[-1].values, second.witnesses[-1].values)

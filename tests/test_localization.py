@@ -8,6 +8,8 @@ import pytest
 from czframe.geometry import GroupPoint, IDENTITY
 from czframe.grids import SpatialGrid, make_frame_grid
 from czframe.localization import (
+    _max_pairing,
+    _windowed_pairing,
     DecayBound,
     LocalizationWeight,
     default_anchor_lattice,
@@ -167,3 +169,17 @@ def test_batched_pairings_match_per_pair_path(psi, label):
         expected.append(best)
     assert max(expected) > 0.0
     np.testing.assert_allclose(prof, expected, rtol=1e-12, atol=0.0)
+
+
+def test_windowed_pairing_equals_full_pairing(psi):
+    # the bundle rows outside the support window are exact zeros
+    kernel = get_model("finite_rank").kernel
+    reference = SpatialGrid(8.0, 256)
+    K = kernel_matrix(kernel, reference)
+    bundle = default_test_bundle(psi)
+    for a, b in ((0.3, -1.0), (1.0, 0.0), (2.0, 5.5), (1.0, 40.0)):
+        F = np.column_stack([f((reference.x - b) / a) for f in bundle])
+        full = _max_pairing(F, K @ F, reference.h) * reference.h
+        windowed = _windowed_pairing(K, F, reference.h)
+        assert windowed == pytest.approx(full, rel=1e-14, abs=0.0)
+    assert windowed == 0.0  # bundle entirely outside the box

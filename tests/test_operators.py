@@ -1,4 +1,5 @@
-"""Model kernels, principal-value quadrature, T1, and conjugation symmetry."""
+"""Model kernels, principal-value quadrature, T1, conjugation symmetry, and the
+discrete operator backends checked against the dense kernel matrix."""
 
 import math
 
@@ -8,10 +9,13 @@ import pytest
 from czframe.geometry import GroupPoint
 from czframe.grids import SampledFunction, SpatialGrid
 from czframe.operators import (
+    DiscreteOperator,
     apply_kernel,
+    as_operator,
     compute_T1,
     compute_T1star,
     conjugate,
+    discretize,
     finite_rank_factors,
     get_model,
     kernel_matrix,
@@ -126,3 +130,56 @@ def test_zero_kernel(grid):
     kern = get_model("zero").kernel
     f = SampledFunction.from_callable(grid, lambda x: np.exp(-(x**2)))
     assert np.all(apply_kernel(kern, f).values == 0.0)
+
+
+def _toeplitz_kernels():
+    hilbert = get_model("hilbert").kernel
+    return {
+        "hilbert": hilbert,
+        "zero": get_model("zero").kernel,
+        "hilbert@(0.37,2.5)": conjugate(hilbert, GroupPoint(0.37, 2.5)),
+        "hilbert@(3,-1.25)": conjugate(hilbert, GroupPoint(3.0, -1.25)),
+        "hilbert_transpose": transpose(hilbert),
+    }
+
+
+@pytest.mark.parametrize("label", sorted(_toeplitz_kernels()))
+def test_toeplitz_backend_matches_dense_oracle(label):
+    grid = SpatialGrid(8.0, 256)
+    kern = _toeplitz_kernels()[label]
+    op = discretize(kern, grid)
+    assert op.matrix is None and op.n == grid.N
+    A = kernel_matrix(kern, grid) * grid.h
+    rng = np.random.default_rng(5)
+    for x in (rng.standard_normal(grid.N), rng.standard_normal((grid.N, 3))):
+        assert op.matvec(x).shape == x.shape
+        # the dense oracle itself rounds x - y with the conjugating translation
+        np.testing.assert_allclose(op.matvec(x), A @ x, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(op.rmatvec(x), A.T @ x, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(op.dense(), A, rtol=0, atol=1e-13)
+    if label == "zero":
+        assert not op.matvec(rng.standard_normal(grid.N)).any()
+
+
+@pytest.mark.parametrize("label", ["damped_hilbert_1", "finite_rank"])
+def test_non_convolution_kernels_get_the_dense_backend(label):
+    grid = SpatialGrid(8.0, 128)
+    kern = get_model(label).kernel
+    assert kern.profile is None
+    op = discretize(kern, grid)
+    A = kernel_matrix(kern, grid) * grid.h
+    assert np.array_equal(op.dense(), A)
+    x = np.random.default_rng(6).standard_normal((grid.N, 2))
+    assert np.array_equal(op.matvec(x), A @ x)
+    assert np.array_equal(op.rmatvec(x), A.T @ x)
+    assert conjugate(kern, GroupPoint(2.0, 1.0)).profile is None
+
+
+def test_as_operator_wraps_matrices_once():
+    A = np.arange(16.0).reshape(4, 4)
+    op = as_operator(A)
+    assert isinstance(op, DiscreteOperator) and op.matrix is A
+    assert as_operator(op) is op
+    x = np.array([1.0, -2.0, 0.5, 3.0])
+    assert np.array_equal(op.matvec(x), A @ x)
+    assert np.array_equal(op.rmatvec(x), A.T @ x)
