@@ -185,10 +185,13 @@ class DiscreteOperator:
     column to an N x k array; the quadrature weight h is part of A.  The
     operator holds either the dense matrix A or, for a Toeplitz A[i, j] =
     c[i - j], the rfft of c's length-2N circulant embedding, so each
-    application is one rfft/irfft pair.  ``dense()`` returns A.
+    application is one rfft/irfft pair.  Exactly one of ``matrix`` and
+    ``symbol`` is given.  ``dense()`` returns A.
     """
 
-    def __init__(self, n: int, matrix: np.ndarray | None = None, symbol: np.ndarray | None = None):
+    def __init__(self, n: int, *, matrix: np.ndarray | None = None, symbol: np.ndarray | None = None):
+        if (matrix is None) == (symbol is None):
+            raise ValueError("DiscreteOperator needs exactly one of matrix and symbol")
         self.n = n
         self.matrix = matrix
         self.symbol = symbol

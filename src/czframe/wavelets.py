@@ -200,27 +200,16 @@ def frame_rows(fn, fgrid: FrameGrid, grid: SpatialGrid, norm: str = "L2") -> sci
     return rows
 
 
-def _real_product(M, v: np.ndarray) -> np.ndarray:
-    """``M @ v`` for a real sparse ``M``, applied to the real and imaginary parts
-    of a complex ``v`` separately, so SciPy never upcasts ``M`` to complex."""
-    if not np.iscomplexobj(v):
-        return M @ v
-    out = np.empty(M.shape[0], dtype=complex)
-    out.real = M @ v.real
-    out.imag = M @ v.imag
-    return out
-
-
 def analyze(f: SampledFunction, psi, fgrid: FrameGrid) -> CoefficientField:
     """Frame coefficients <f, psi_{(a,b)}> at every lattice node, ``R f h``.
 
     ``R`` is the cached :func:`frame_rows` matrix of ``psi`` on the lattice.
     """
     rows = frame_rows(psi, fgrid, f.grid)
-    return CoefficientField(fgrid, _real_product(rows, f.values) * f.grid.h)
+    return CoefficientField(fgrid, (rows @ f.values) * f.grid.h)
 
 
 def synthesize(field: CoefficientField, psi, grid: SpatialGrid) -> SampledFunction:
     """Sum of coefficient * psi_{(a,b)} * dlam over the lattice, ``R^T (c dlam)``."""
     rows = frame_rows(psi, field.fgrid, grid)
-    return SampledFunction(grid, _real_product(rows.T, field.values * field.fgrid.dlam))
+    return SampledFunction(grid, rows.T @ (field.values * field.fgrid.dlam))

@@ -183,3 +183,10 @@ def test_as_operator_wraps_matrices_once():
     x = np.array([1.0, -2.0, 0.5, 3.0])
     assert np.array_equal(op.matvec(x), A @ x)
     assert np.array_equal(op.rmatvec(x), A.T @ x)
+
+
+def test_discrete_operator_needs_exactly_one_backend():
+    with pytest.raises(ValueError):
+        DiscreteOperator(4)
+    with pytest.raises(ValueError):
+        DiscreteOperator(4, matrix=np.eye(4), symbol=np.ones(5))

@@ -194,15 +194,3 @@ def test_chunked_admissibility_equals_unchunked(monkeypatch):
     assert wavelets._admissibility(1.0, n_x=96, n_t=70, t_max=50.0) == whole
     assert chunked == whole
 
-
-def test_complex_analysis_splits_real_and_imaginary_parts(psi, tiny):
-    grid, fg = tiny
-    rng = np.random.default_rng(8)
-    re, im = rng.standard_normal(grid.N), rng.standard_normal(grid.N)
-    field = analyze(SampledFunction(grid, re + 1j * im), psi, fg).values
-    assert np.array_equal(field.real, analyze(SampledFunction(grid, re), psi, fg).values)
-    assert np.array_equal(field.imag, analyze(SampledFunction(grid, im), psi, fg).values)
-    c = CoefficientField(fg, field)
-    back = synthesize(c, psi, grid).values
-    assert np.array_equal(back.real, synthesize(CoefficientField(fg, field.real), psi, grid).values)
-    assert np.array_equal(back.imag, synthesize(CoefficientField(fg, field.imag), psi, grid).values)
