@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import dist_to_identity
-from .grids import FrameGrid, SampledFunction, SpatialGrid
+from .grids import FrameGrid, SampledFunction, SpatialGrid, smooth_bump
 from .wavelets import analyze, frame_rows
 
 __all__ = [
@@ -229,11 +229,7 @@ def bmo_examples(grid: SpatialGrid) -> tuple[BMOExample, ...]:
 
     def bump(center, width):
         def f(x):
-            u = (np.asarray(x, dtype=float) - center) / width
-            out = np.zeros_like(u)
-            inside = np.abs(u) < 1.0
-            out[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
-            return out
+            return smooth_bump(x, center, width)
 
         return f
 

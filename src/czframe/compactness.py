@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 import scipy.sparse
 
 from .grids import FrameGrid, SampledFunction, SpatialGrid, tail_nodes
@@ -234,5 +233,8 @@ def singular_spectrum(A: np.ndarray, k: int) -> np.ndarray:
     n = A.shape[0]
     if not 1 <= k <= n:
         raise ValueError("k must satisfy 1 <= k <= N")
+    # Imported here so that runs which never take a dense SVD do not load it.
+    import scipy.linalg
+
     sv = scipy.linalg.svdvals(A)
     return sv[:k]

@@ -23,6 +23,7 @@ __all__ = [
     "validate_frame_grid",
     "inner_product",
     "l2_norm",
+    "smooth_bump",
     "tail_nodes",
 ]
 
@@ -82,6 +83,16 @@ def inner_product(f: SampledFunction, g: SampledFunction) -> complex:
 
 def l2_norm(f: SampledFunction) -> float:
     return float(np.sqrt(np.sum(np.abs(f.values) ** 2) * f.grid.h))
+
+
+def smooth_bump(x, center: float = 0.0, width: float = 1.0) -> np.ndarray:
+    """The standard bump exp(-1/(1 - u^2)) at u = (x - center)/width, zero for |u| >= 1."""
+    u = (np.asarray(x, dtype=float) - center) / width
+    out = np.zeros_like(u)
+    inside = np.abs(u) < 1.0
+    ui = u[inside]
+    out[inside] = np.exp(-1.0 / (1.0 - ui * ui))
+    return out
 
 
 @dataclass

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import GroupPoint, IDENTITY, node_distances
-from .grids import FrameGrid, SpatialGrid, inner_product
+from .grids import FrameGrid, SpatialGrid, inner_product, smooth_bump
 from .operators import CZKernel, apply_kernel, conjugate, discretize, kernel_matrix
 from .wavelets import CoefficientField, analyze, frame_element
 
@@ -278,11 +278,7 @@ def default_test_bundle(psi) -> tuple:
 
     def bump(center, width):
         def f(x):
-            u = (np.asarray(x, dtype=float) - center) / width
-            out = np.zeros_like(u)
-            inside = np.abs(u) < 1.0
-            out[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
-            return out
+            return smooth_bump(x, center, width)
 
         f.support_radius = abs(center) + width
         return f

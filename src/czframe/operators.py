@@ -23,7 +23,7 @@ from typing import Callable
 import numpy as np
 
 from .geometry import GroupPoint
-from .grids import SampledFunction, SpatialGrid
+from .grids import SampledFunction, SpatialGrid, smooth_bump
 
 __all__ = [
     "CZKernel",
@@ -71,18 +71,10 @@ class ModelOperator:
     description: str = ""
 
 
-def _smooth_bump(x, center=0.0, width=1.0):
-    u = (np.asarray(x, dtype=float) - center) / width
-    out = np.zeros_like(u)
-    m = np.abs(u) < 1.0
-    out[m] = np.exp(-1.0 / (1.0 - u[m] ** 2))
-    return out
-
-
 def finite_rank_factors():
     """Smooth compactly supported factors u, v of the rank-one model kernel."""
-    u = lambda x: _smooth_bump(x, center=0.0, width=2.0)
-    v = lambda y: _smooth_bump(y, center=0.5, width=1.5)
+    u = lambda x: smooth_bump(x, center=0.0, width=2.0)
+    v = lambda y: smooth_bump(y, center=0.5, width=1.5)
     return u, v
 
 
@@ -117,8 +109,8 @@ def _zero_profile(d):
 def model_zoo() -> dict[str, ModelOperator]:
     """The fixed model operators, keyed by CLI label."""
     u, v = finite_rank_factors()
-    sup_uv = float(np.max(_smooth_bump(np.linspace(-2, 2, 4001), 0, 2.0))) * float(
-        np.max(_smooth_bump(np.linspace(-1, 2, 4001), 0.5, 1.5))
+    sup_uv = float(np.max(smooth_bump(np.linspace(-2, 2, 4001), 0, 2.0))) * float(
+        np.max(smooth_bump(np.linspace(-1, 2, 4001), 0.5, 1.5))
     )
     return {
         "hilbert": ModelOperator(

@@ -31,6 +31,7 @@ from .grids import (
     inner_product,
     l2_norm,
     make_frame_grid,
+    smooth_bump,
     validate_frame_grid,
 )
 from .operators import (
@@ -222,7 +223,7 @@ class SuiteConfig:
                 L_b=self.L_b,
                 cone_factor=self.cone_factor,
             )
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:  # OverflowError: grid.N beyond the float range
             raise ConfigError(f"grid/frame: {exc}") from None
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
@@ -305,19 +306,11 @@ def _record(name, operator, verdict, values, tolerances, grid_meta):
 
 def _test_family(grid: SpatialGrid) -> dict:
     x = grid.x
-
-    def bump(center, width):
-        u = (x - center) / width
-        out = np.zeros_like(u)
-        inside = np.abs(u) < 1.0
-        out[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
-        return out
-
     return {
         "gauss": np.exp(-(x**2)),
         "gauss_shift": np.exp(-((x - 10.0) ** 2)),
-        "bump_w2": bump(0.0, 2.0),
-        "bump_shift": bump(-8.0, 1.5),
+        "bump_w2": smooth_bump(x, 0.0, 2.0),
+        "bump_shift": smooth_bump(x, -8.0, 1.5),
     }
 
 
@@ -665,11 +658,7 @@ def _diag_carleson(cfg: SuiteConfig, ctx: _Context):
     )
     k0 = int(np.argmin(ctx.fgrid.dist0))
     mu_pt = carleson_mod.point_mass(ctx.fgrid, k0)
-    u = (ctx.grid.x - 3.0) / 1.5
-    bvals = np.zeros_like(u)
-    inside = np.abs(u) < 1.0
-    bvals[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
-    shifted = SampledFunction(ctx.grid, bvals)
+    shifted = SampledFunction(ctx.grid, smooth_bump(ctx.grid.x, 3.0, 1.5))
     r2, ok2 = carleson_mod.stein_inequality_check(
         shifted, ctx.phi, mu_pt, 2.0, c_check=cfg.tol("stein_slack")
     )
@@ -689,12 +678,7 @@ def _diag_carleson(cfg: SuiteConfig, ctx: _Context):
 def _diag_paraproduct(cfg: SuiteConfig, ctx: _Context):
     records, profiles = [], {}
     grid, fgrid, psi, phi = ctx.grid, ctx.fgrid, ctx.psi, ctx.phi
-    x = grid.x
-    u = x / 2.0
-    bvals = np.zeros_like(u)
-    inside = np.abs(u) < 1.0
-    bvals[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
-    beta = SampledFunction(grid, bvals)
+    beta = SampledFunction(grid, smooth_bump(grid.x, 0.0, 2.0))
     sym = paraproducts_mod.make_symbol(beta, psi, fgrid)
     pb1 = paraproducts_mod.paraproduct_apply_to_constant(sym, phi, psi, grid)
     target = phi.m_phi * beta.values
@@ -844,7 +828,12 @@ _DIAGNOSTICS = {
 
 
 def run_suite(cfg: SuiteConfig) -> Report:
-    """Execute the selected diagnostics; failures never abort the run."""
+    """Execute the selected diagnostics; failures never abort the run.
+
+    A diagnostic that raises contributes one FAIL record named after it, whose
+    ``values`` hold ``error`` ("<Type>: <message>"), and the later diagnostics
+    still run.
+    """
     cfg.validate()
     report = Report(config=cfg.to_dict(), seed=cfg.seed)
     if not cfg.diagnostics:
@@ -853,7 +842,11 @@ def run_suite(cfg: SuiteConfig) -> Report:
     for name in DIAGNOSTIC_NAMES:
         if name not in cfg.diagnostics:
             continue
-        records, profiles = _DIAGNOSTICS[name](cfg, ctx)
+        try:
+            records, profiles = _DIAGNOSTICS[name](cfg, ctx)
+        except Exception as exc:  # the suite boundary: report it, keep running
+            error = f"{type(exc).__name__}: {exc}"
+            records, profiles = [_record(name, None, False, {"error": error}, {}, ctx.grid_meta())], {}
         report.records.extend(records)
         report.profiles.update(profiles)
     return report

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -94,6 +96,7 @@ def test_non_integer_seed_exit_2(tmp_path, capsys, seed):
         {"grid": 5},
         {"grid": {"N": 2048.5}},
         {"grid": {"N": True}},
+        {"grid": {"N": 10**400}},
         {"grid": {"M": 16}},
         {"frame": {"a_min": 0.001}},
         {"frame": {"s": 2}},
@@ -118,3 +121,36 @@ def test_bad_diagnostics_exit_2(tmp_path, capsys, diagnostics):
     assert main(["--config", cfgp, "--out", str(out)]) == 2
     assert "diagnostics" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_raising_diagnostic_exit_1_without_traceback(tmp_path, capsys, monkeypatch):
+    from czframe import reporting
+
+    def broken(cfg, ctx):
+        raise RuntimeError("boom")
+
+    monkeypatch.setitem(reporting._DIAGNOSTICS, "frame", broken)
+    cfgp = _write_config(tmp_path, {**QUICK, "diagnostics": ["frame", "pv"]})
+    out = tmp_path / "results"
+    assert main(["--config", cfgp, "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    with open(out / "report.json") as fh:
+        records = json.load(fh)["records"]
+    assert records[0]["name"] == "frame"
+    assert records[0]["values"] == {"error": "RuntimeError: boom"}
+    assert any(r["name"].startswith("pv") for r in records[1:])
+    assert "FAIL frame: error=RuntimeError: boom" in (out / "summary.txt").read_text()
+
+
+def test_import_loads_no_dense_or_sparse_linalg():
+    # scipy.linalg and ARPACK are imported on first use; a cold start that
+    # never takes a dense SVD or a Lanczos solve should not pay for them.
+    code = (
+        "import sys, czframe, czframe.cli; "
+        "print(sorted(m for m in ('scipy.linalg', 'scipy.sparse.linalg') if m in sys.modules))"
+    )
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

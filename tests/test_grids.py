@@ -11,6 +11,7 @@ from czframe.grids import (
     inner_product,
     l2_norm,
     make_frame_grid,
+    smooth_bump,
     tail_nodes,
 )
 
@@ -93,3 +94,15 @@ def test_cone_extension_widens_translation_range(grid):
     fg0 = make_frame_grid(grid, 0.25, 16.0, s=0.25, L_b=16.0, cone_factor=0.0)
     fg1 = make_frame_grid(grid, 0.25, 16.0, s=0.25, L_b=16.0, cone_factor=1.0)
     assert np.max(np.abs(fg1.b)) > np.max(np.abs(fg0.b))
+
+
+def test_smooth_bump_closed_form():
+    u = np.array([-2.5, -1.0, -0.999, -0.5, 0.0, 0.3, 0.999, 1.0, 1.0 + 1e-12, 7.0])
+    inside = np.abs(u) < 1.0
+    want = np.where(inside, np.exp(-1.0 / (1.0 - np.where(inside, u, 0.0) ** 2)), 0.0)
+    assert np.array_equal(smooth_bump(u), want)  # bitwise, including u = +-1 and |u| > 1
+    assert smooth_bump(0.0) == np.exp(-1.0)  # scalar input
+    # center and width act as x -> (x - center) / width, bitwise
+    x = np.linspace(-9.0, 9.0, 1001)
+    assert np.array_equal(smooth_bump(x, -8.0, 1.5), smooth_bump((x + 8.0) / 1.5))
+    assert np.all(smooth_bump(x, 0.5, 1.5)[np.abs(x - 0.5) >= 1.5] == 0.0)

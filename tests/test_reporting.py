@@ -5,6 +5,8 @@ import json
 import os
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from czframe.reporting import (
     DEFAULT_TOLERANCES,
@@ -164,3 +166,67 @@ def test_unconverged_radius_fails_rk_tail_record(monkeypatch):
     assert rec["values"]["ratio"] > DEFAULT_TOLERANCES["rk_hilbert_ratio"]  # the value check alone passes
     assert rec["verdict"] == "FAIL"
     assert records["rk_power_vs_svd"]["verdict"] == "PASS"
+
+
+def test_raising_diagnostic_becomes_fail_record(monkeypatch):
+    from czframe import reporting
+
+    def broken(cfg, ctx):
+        raise ZeroDivisionError("no lattice today")
+
+    monkeypatch.setitem(reporting._DIAGNOSTICS, "frame", broken)
+    rep = run_suite(SuiteConfig.from_dict(QUICK))
+    first, *rest = rep.records
+    assert first["name"] == "frame"
+    assert first["verdict"] == "FAIL"
+    assert first["values"] == {"error": "ZeroDivisionError: no lattice today"}
+    assert rest and all(r["name"].startswith("pv") for r in rest)  # the next diagnostic still ran
+    assert rep.verdict == "FAIL"
+
+
+# Any JSON value; objects shaped like a config whose entries are any numbers;
+# and such objects with one entry replaced by any JSON value.  Python's json
+# module also reads NaN, +-Infinity and integers of any size, so those are
+# JSON values too.
+_number = st.integers() | st.floats() | st.sampled_from([10**400, -(10**400), 2**63, 1e-300])
+_json = st.recursive(
+    st.none() | st.booleans() | _number | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+_value = st.integers(0, 4096) | st.floats(0.0, 1024.0) | _number
+
+
+def _section(keys, value=_value):
+    return st.fixed_dictionaries({}, optional={k: value for k in keys})
+
+
+_config = st.fixed_dictionaries(
+    {},
+    optional={
+        "grid": _section(["L", "N"]),
+        "frame": _section(["a_min", "a_max", "s", "L_b", "cone_factor"], _value | st.none()),
+        "operators": st.lists(st.sampled_from(["hilbert", "zero", "finite_rank"]), max_size=3),
+        "diagnostics": st.lists(st.sampled_from(DIAGNOSTIC_NAMES), max_size=3),
+        "radii": st.lists(_value, max_size=4),
+        "tolerances": _section(["parseval", "pv_rel"]),
+        "seed": _value,
+    },
+)
+_one_entry_junk = st.builds(
+    lambda cfg, key, junk: {**cfg, key: junk},
+    _config,
+    st.sampled_from(["grid", "frame", "operators", "diagnostics", "radii", "tolerances", "seed", "bogus"]),
+    _json,
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_config | _one_entry_junk | _json)
+@example({"grid": {"N": 10**400}})
+def test_from_dict_validates_or_raises_config_error(raw):
+    try:
+        cfg = SuiteConfig.from_dict(raw)
+    except ConfigError:
+        return
+    cfg.validate()

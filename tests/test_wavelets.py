@@ -184,13 +184,28 @@ def test_paraproduct_matrix_matches_dense_assembly(psi, tiny):
     assert np.max(np.abs(A - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
-def test_chunked_admissibility_equals_unchunked(monkeypatch):
+def _admissibility_oracle(norm_const, n_x, n_t, t_max):
+    """The quadrature as one dense sin(t x) table: the definition the phase table factors."""
+    from czframe.wavelets import _bump_derivative
+
+    hx = 1.0 / n_x
+    x = hx * (np.arange(n_x) + 0.5)
+    v = np.linspace(math.log(1e-4), math.log(t_max), n_t)
+    I = np.sin(np.outer(np.exp(v), x)) @ (norm_const * _bump_derivative(x)) * hx
+    return float(np.sum(4.0 * I * I) * (v[1] - v[0]))
+
+
+@pytest.mark.parametrize("n_x", [64, 96, 200, 1024])
+@pytest.mark.parametrize("norm_const", [1.0, 1.3323698345610664])
+def test_admissibility_matches_dense_sine_oracle(n_x, norm_const):
     from czframe import wavelets
 
-    chunked = wavelets._admissibility(1.0, n_x=96, n_t=70, t_max=50.0)
-    monkeypatch.setattr(wavelets, "_ADMISSIBILITY_CHUNK", 10**6)
-    whole = wavelets._admissibility(1.0, n_x=96, n_t=70, t_max=50.0)
-    monkeypatch.setattr(wavelets, "_ADMISSIBILITY_CHUNK", 9)
-    assert wavelets._admissibility(1.0, n_x=96, n_t=70, t_max=50.0) == whole
-    assert chunked == whole
+    # n_t = 600 spans three t-blocks, the last one partial; 96 and 200 are not
+    # multiples of the phase block, so the zero padding is exercised.
+    got = wavelets._admissibility(norm_const, n_x=n_x, n_t=600, t_max=400.0)
+    want = _admissibility_oracle(norm_const, n_x, 600, 400.0)
+    assert abs(got - want) <= 1e-13 * abs(want)
 
+
+def test_full_size_norm_const_is_pinned(psi):
+    assert abs(psi.norm_const - 1.3323698345610664) <= 1e-15 * 1.3323698345610664
