@@ -10,7 +10,8 @@ bounds of the continuum suprema and are exactly monotone under nesting.
 
 Tents are closed on the lattice: the tent over B(b, a) collects nodes
 (a', b') with a' <= a and |b' - b| <= a - a', so a node's own minimal tent
-contains it.
+contains it.  The cone over x is open: the nodes with |b - x| < a.  These
+are the package's only tent and cone conventions.
 
 Wavelet and bump pairings over the lattice are products with the cached
 :func:`~czframe.wavelets.frame_rows` matrices of psi and phi.
@@ -23,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import dist_to_identity
 from .grids import FrameGrid, SampledFunction, SpatialGrid, smooth_bump
 from .wavelets import analyze, frame_rows
 

@@ -31,7 +31,7 @@ from .operators import CZKernel, DiscreteOperator, as_operator, kernel_matrix
 from .wavelets import frame_rows
 
 __all__ = [
-    "PowerIterationResult",
+    "LanczosResult",
     "TailFunctional",
     "analysis_operator",
     "operator_matrix",
@@ -62,7 +62,7 @@ def analysis_operator(psi, fgrid: FrameGrid, grid: SpatialGrid) -> scipy.sparse.
 
 
 @dataclass
-class PowerIterationResult:
+class LanczosResult:
     """Largest squared singular value of the composite tail map.
 
     ``iterations`` counts applications of the normal operator, ``residual``
@@ -147,7 +147,7 @@ def rk_tail(
     tol: float = 1e-6,
     maxiter: int = 500,
     seed: int = 0,
-) -> PowerIterationResult:
+) -> LanczosResult:
     """Sup over the L2 unit ball of tail coefficient energy of Tf.
 
     ``A`` is the sample-space operator (a matrix is taken as the dense
@@ -168,7 +168,7 @@ def rk_tail(
         return A.rmatvec(S_tail.T @ c) / root_h
 
     lam, u, calls, ok, residual = _lanczos_top(B_apply, grid.N, tol, maxiter, seed)
-    return PowerIterationResult(
+    return LanczosResult(
         value=max(lam, 0.0),
         witness=SampledFunction(grid, u / root_h),
         iterations=calls,

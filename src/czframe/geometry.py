@@ -17,16 +17,12 @@ import numpy as np
 __all__ = [
     "GroupPoint",
     "IDENTITY",
-    "Tent",
-    "Cone",
     "mul",
     "inv",
     "dist",
     "dist_to_identity",
     "node_distances",
     "haar_ball_volume",
-    "in_tent",
-    "in_cone",
 ]
 
 
@@ -106,30 +102,3 @@ def haar_ball_volume(R: float, n_quad: int = 4096) -> tuple[float, float]:
     value = rule(n_quad)
     err = abs(value - rule(n_quad // 2))
     return value, err
-
-
-@dataclass(frozen=True)
-class Tent:
-    """Carleson tent over the ball B(center, radius): {(a, b) : |center - b| < radius - a}."""
-
-    center: float
-    radius: float
-
-    def __post_init__(self):
-        if not self.radius > 0:
-            raise ValueError("tent radius must be positive")
-
-
-@dataclass(frozen=True)
-class Cone:
-    """Cone over a spatial point: {(a, b) : |vertex - b| < a}."""
-
-    vertex: float
-
-
-def in_tent(p: GroupPoint, t: Tent) -> bool:
-    return abs(t.center - p.b) < t.radius - p.a
-
-
-def in_cone(p: GroupPoint, c: Cone) -> bool:
-    return abs(c.vertex - p.b) < p.a

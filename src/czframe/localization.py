@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import GroupPoint, IDENTITY, node_distances
+from .geometry import GroupPoint, IDENTITY
 from .grids import FrameGrid, SpatialGrid, inner_product, smooth_bump
 from .operators import CZKernel, apply_kernel, conjugate, discretize, kernel_matrix
 from .wavelets import CoefficientField, analyze, frame_element

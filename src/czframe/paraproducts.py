@@ -26,7 +26,9 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse
 
-from .compactness import TailFunctional, operator_matrix, singular_spectrum, tail_functional
+from .compactness import TailFunctional, singular_spectrum, tail_functional
+# Unused here; perfbench's tracer test checks that this module binds it.
+from .compactness import operator_matrix  # noqa: F401
 from .grids import FrameGrid, SampledFunction, SpatialGrid
 from .operators import CZKernel, apply_kernel, compute_T1, compute_T1star, kernel_matrix
 from .wavelets import CoefficientField, analyze, frame_rows, synthesize
@@ -210,14 +212,6 @@ class Decomposition:
         grid = self.t1.grid
         p1 = paraproduct_apply_to_constant(self.symbol_t1, self.phi, self.psi, grid)
         return SampledFunction(grid, self.t1.values - p1.values)
-
-    def s_star_applied_to_constant(self) -> SampledFunction:
-        """S*1 = T*1 - P_2(1), by the same analytic constant paths."""
-        grid = self.t1star.grid
-        p2 = paraproduct_apply_to_constant(
-            self.symbol_t1star, self.phi, self.psi, grid
-        )
-        return SampledFunction(grid, self.t1star.values - p2.values)
 
 
 def decompose(

@@ -6,6 +6,15 @@ operator diagnostics), never aborting on a diagnostic failure, and returns
 a Report whose serialization is byte-stable: emitting the same Report
 twice produces identical files.
 
+Diagnostics only compute values. Each record's checks are declared once, as
+``(value key, comparator, tolerance key)`` bounds handed to ``_record``,
+which derives both the verdict and the record's ``tolerances`` echo from
+them; its ``ok`` argument carries the conditions that are not tolerance
+checks (solver convergence, monotone refinement, finite Schur values, an
+exactly zero tail for the zero operator). A non-finite value fails its
+record and is stored as the string ``"nan"``, ``"inf"`` or ``"-inf"``, so
+report.json is strict JSON.
+
 Outputs: report.json (machine summary with per-record tolerances and grid
 metadata), one CSV per exported profile (9 significant digits), and a
 plain-text summary.
@@ -17,6 +26,7 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
+from operator import ge, gt, le, lt
 
 import numpy as np
 
@@ -25,21 +35,9 @@ from . import compactness as compactness_mod
 from . import localization as localization_mod
 from . import paraproducts as paraproducts_mod
 from .geometry import GroupPoint
-from .grids import (
-    SampledFunction,
-    SpatialGrid,
-    inner_product,
-    l2_norm,
-    make_frame_grid,
-    smooth_bump,
-    validate_frame_grid,
-)
-from .operators import (
-    apply_kernel,
-    discretize,
-    get_model,
-    model_zoo,
-)
+from .grids import SampledFunction, SpatialGrid, inner_product, l2_norm, make_frame_grid
+from .grids import smooth_bump, validate_frame_grid
+from .operators import apply_kernel, discretize, get_model, model_zoo
 from .wavelets import analyze, frame_element, make_mother_wavelet, synthesize
 
 __all__ = [
@@ -212,8 +210,8 @@ class SuiteConfig:
         for key, val in self.tolerances.items():
             if key not in DEFAULT_TOLERANCES:
                 raise ConfigError(f"unknown tolerance {key!r}")
-            if not (_is_number(val) and val > 0.0):
-                raise ConfigError(f"tolerance {key!r} must be a positive number")
+            if not _finite(val, f"tolerance {key!r}") > 0.0:
+                raise ConfigError(f"tolerance {key!r} must be positive")
         try:
             validate_frame_grid(
                 SpatialGrid(self.grid_L, self.grid_N),
@@ -264,24 +262,24 @@ class Report:
 
 
 class _Context:
-    """Lazily constructed shared grids and generators for the suite."""
+    """Shared grids, lattice and generators for the suite."""
 
     def __init__(self, cfg: SuiteConfig):
         self.cfg = cfg
         self.psi = make_mother_wavelet()
         self.phi = paraproducts_mod.make_bump_phi()
         self.grid = SpatialGrid(cfg.grid_L, cfg.grid_N)
-        self.fgrid = make_frame_grid(
-            self.grid,
-            cfg.a_min,
-            cfg.a_max,
-            s=cfg.s,
-            L_b=cfg.L_b,
-            cone_factor=cfg.cone_factor,
+        self.fgrid = self.lattice(self.grid, cfg.s)
+
+    def lattice(self, grid: SpatialGrid, s: float):
+        """The configured frame lattice on ``grid`` at spacing ratio ``s``."""
+        cfg = self.cfg
+        return make_frame_grid(
+            grid, cfg.a_min, cfg.a_max, s=s, L_b=cfg.L_b, cone_factor=cfg.cone_factor
         )
 
-    def grid_meta(self, grid=None, fgrid=None) -> dict:
-        grid = grid or self.grid
+    def grid_meta(self, fgrid=None) -> dict:
+        grid = self.grid
         fgrid = fgrid or self.fgrid
         return {
             "L": grid.L,
@@ -293,15 +291,64 @@ class _Context:
         }
 
 
-def _record(name, operator, verdict, values, tolerances, grid_meta):
+def _side_lattice(L: float, N: int, a_min: float, a_max: float, **frame):
+    """A fixed auxiliary lattice as ``(grid, fgrid, meta)``.
+
+    ``meta`` records the requested ``a_min``/``a_max``, not the realized
+    extreme scales.
+    """
+    grid = SpatialGrid(L, N)
+    fgrid = make_frame_grid(grid, a_min, a_max, **frame)
+    meta = {"L": grid.L, "N": grid.N, "a_min": a_min, "a_max": a_max}
+    return grid, fgrid, {**meta, "s": fgrid.s, "n_nodes": fgrid.n_nodes}
+
+
+_COMPARATORS = {"<=": le, "<": lt, ">=": ge, ">": gt}
+
+
+def _nonfinite(v) -> bool:
+    return isinstance(v, float) and not math.isfinite(v)
+
+
+def _strict(v):
+    """``v`` with every non-finite float spelled "nan", "inf" or "-inf"."""
+    if isinstance(v, list):
+        return [_strict(x) for x in v]
+    return str(float(v)) if _nonfinite(v) else v
+
+
+def _record(cfg: SuiteConfig, name, operator, values: dict, grid_meta: dict, *bounds, ok=True):
+    """One PASS/FAIL record, its checks declared once in ``bounds``.
+
+    Each bound is ``(value key, comparator, tolerance key)``, the value key
+    possibly a tuple of keys checked against the same tolerance; the
+    comparator is one of ``<=``, ``<``, ``>=``, ``>``. The record PASSes when
+    ``ok`` holds, every bound holds and every value (list entries included)
+    is finite. ``tolerances`` echoes exactly the bounds' tolerance keys.
+    """
+    tolerances = {tol_key: cfg.tol(tol_key) for _, _, tol_key in bounds}
+    for keys, cmp, tol_key in bounds:
+        for key in (keys,) if isinstance(keys, str) else keys:
+            ok = ok and _COMPARATORS[cmp](values[key], tolerances[tol_key])
+    flat = [x for v in values.values() for x in (v if isinstance(v, list) else [v])]
     return {
         "name": name,
         "operator": operator,
-        "verdict": "PASS" if verdict else "FAIL",
-        "values": values,
+        "verdict": "PASS" if ok and not any(map(_nonfinite, flat)) else "FAIL",
+        "values": {key: _strict(v) for key, v in values.items()},
         "tolerances": tolerances,
         "grid": grid_meta,
     }
+
+
+def _profile(columns: list, *cols) -> dict:
+    """An exported profile: ``columns`` over the zipped value sequences."""
+    return {"columns": columns, "rows": [[float(v) for v in row] for row in zip(*cols)]}
+
+
+def _class_bound(expected_class: str, vanishing: str, nonvanishing: str) -> tuple:
+    """The ratio bound of a BMO example: vanishing for CMO, else non-vanishing."""
+    return ("ratio", "<", vanishing) if expected_class == "CMO" else ("ratio", ">", nonvanishing)
 
 
 def _test_family(grid: SpatialGrid) -> dict:
@@ -315,172 +362,93 @@ def _test_family(grid: SpatialGrid) -> dict:
 
 
 def _diag_frame(cfg: SuiteConfig, ctx: _Context):
-    records, profiles = [], {}
-    refinements = [max(cfg.s * 4, 1.0 / 2), cfg.s * 2, cfg.s]
-    refinements = sorted(set(refinements), reverse=True)
-    rows = []
     history = []
-    for s in refinements:
-        fg = make_frame_grid(
-            ctx.grid, cfg.a_min, cfg.a_max, s=s, L_b=cfg.L_b, cone_factor=cfg.cone_factor
-        )
+    for s in sorted({max(cfg.s * 4, 1.0 / 2), cfg.s * 2, cfg.s}, reverse=True):
+        fg = ctx.lattice(ctx.grid, s)
         worst_p, worst_r = 0.0, 0.0
-        for label, vals in _test_family(ctx.grid).items():
+        for vals in _test_family(ctx.grid).values():
             f = SampledFunction(ctx.grid, vals)
             fld = analyze(f, ctx.psi, fg)
             norm2 = l2_norm(f) ** 2
-            p_err = abs(fld.energy() - norm2) / norm2
+            worst_p = max(worst_p, abs(fld.energy() - norm2) / norm2)
             rec = synthesize(fld, ctx.psi, ctx.grid)
-            r_err = float(
-                np.linalg.norm(rec.values - f.values) / np.linalg.norm(f.values)
-            )
-            worst_p = max(worst_p, p_err)
-            worst_r = max(worst_r, r_err)
+            r_err = np.linalg.norm(rec.values - f.values) / np.linalg.norm(f.values)
+            worst_r = max(worst_r, float(r_err))
         history.append((s, worst_p, worst_r))
-        rows.append([s, worst_p, worst_r])
-    ps = [h[1] for h in history]
-    rs = [h[2] for h in history]
-    ok = (
-        ps[-1] <= cfg.tol("parseval")
-        and rs[-1] <= cfg.tol("roundtrip")
-        and all(ps[i] > ps[i + 1] for i in range(len(ps) - 1))
-        and all(rs[i] > rs[i + 1] for i in range(len(rs) - 1))
+    ss, ps, rs = (list(col) for col in zip(*history))
+    record = _record(
+        cfg, "frame_identities", None,
+        {"parseval_error": ps[-1], "roundtrip_error": rs[-1],
+         "parseval_history": ps, "roundtrip_history": rs},
+        ctx.grid_meta(),
+        ("parseval_error", "<=", "parseval"),
+        ("roundtrip_error", "<=", "roundtrip"),
+        ok=all(x > y for h in (ps, rs) for x, y in zip(h, h[1:])),  # refinement helps
     )
-    records.append(
-        _record(
-            "frame_identities",
-            None,
-            ok,
-            {
-                "parseval_error": ps[-1],
-                "roundtrip_error": rs[-1],
-                "parseval_history": ps,
-                "roundtrip_history": rs,
-            },
-            {"parseval": cfg.tol("parseval"), "roundtrip": cfg.tol("roundtrip")},
-            ctx.grid_meta(),
-        )
-    )
-    profiles["frame_refinement"] = {
-        "columns": ["s", "parseval_error", "roundtrip_error"],
-        "rows": rows,
-    }
-    return records, profiles
+    profile = _profile(["s", "parseval_error", "roundtrip_error"], ss, ps, rs)
+    return [record], {"frame_refinement": profile}
 
 
 def _diag_pv(cfg: SuiteConfig, ctx: _Context):
     grid, psi = ctx.grid, ctx.psi
     H = get_model("hilbert").kernel
-    f = SampledFunction(grid, 1.0 / (1.0 + grid.x**2))
-    hf = apply_kernel(H, f)
+    hf = apply_kernel(H, SampledFunction(grid, 1.0 / (1.0 + grid.x**2)))
     target = grid.x / (1.0 + grid.x**2)
     m = np.abs(grid.x) <= 16.0
-    rel = float(
-        np.linalg.norm(hf.values[m] - target[m]) / np.linalg.norm(target[m])
-    )
+    rel = float(np.linalg.norm(hf.values[m] - target[m]) / np.linalg.norm(target[m]))
     src, tgt = GroupPoint(1.0, 0.0), GroupPoint(1.0, 8.0)
     direct = localization_mod.matrix_coefficient(H, src, tgt, grid, psi)
-    via_apply = complex(
-        inner_product(apply_kernel(H, frame_element(psi, src, grid)), frame_element(psi, tgt, grid))
-    ).real
-    dual = abs(direct - via_apply)
-    ok = rel <= cfg.tol("pv_rel") and dual <= cfg.tol("dual_path")
-    return (
-        [
-            _record(
-                "pv_application",
-                "hilbert",
-                ok,
-                {"relative_error": rel, "dual_path_gap": dual},
-                {"pv_rel": cfg.tol("pv_rel"), "dual_path": cfg.tol("dual_path")},
-                ctx.grid_meta(),
-            )
-        ],
-        {},
+    applied = apply_kernel(H, frame_element(psi, src, grid))
+    via_apply = complex(inner_product(applied, frame_element(psi, tgt, grid))).real
+    record = _record(
+        cfg, "pv_application", "hilbert",
+        {"relative_error": rel, "dual_path_gap": abs(direct - via_apply)},
+        ctx.grid_meta(),
+        ("relative_error", "<=", "pv_rel"),
+        ("dual_path_gap", "<=", "dual_path"),
     )
+    return [record], {}
 
 
 def _diag_decay(cfg: SuiteConfig, ctx: _Context):
     H = get_model("hilbert").kernel
+    # rep and fg2 stay bound until the record is built: freeing them sooner
+    # raised the peak RSS of repeated suites in one process by ~8 MB.
     rep = localization_mod.verify_decay(H, ctx.psi, ctx.fgrid, ctx.grid)
     grid2 = SpatialGrid(cfg.grid_L, cfg.grid_N * 2)
-    fg2 = make_frame_grid(
-        grid2, cfg.a_min, cfg.a_max, s=cfg.s / 2, L_b=cfg.L_b, cone_factor=cfg.cone_factor
-    )
+    fg2 = ctx.lattice(grid2, cfg.s / 2)
     rep2 = localization_mod.verify_decay(H, ctx.psi, fg2, grid2)
-    change = abs(rep2.fitted_c - rep.fitted_c) / rep.fitted_c
-    ok = (
-        math.isfinite(rep.fitted_c)
-        and math.isfinite(rep2.fitted_c)
-        and change <= cfg.tol("decay_stability")
+    fit, fit2 = rep.fitted_c, rep2.fitted_c
+    record = _record(  # a non-finite fit fails the record through its values
+        cfg, "decay_bound", "hilbert",
+        {"fitted_c": fit, "fitted_c_refined": fit2, "relative_change": abs(fit2 - fit) / fit},
+        ctx.grid_meta(),
+        ("relative_change", "<=", "decay_stability"),
     )
-    return (
-        [
-            _record(
-                "decay_bound",
-                "hilbert",
-                ok,
-                {
-                    "fitted_c": rep.fitted_c,
-                    "fitted_c_refined": rep2.fitted_c,
-                    "relative_change": change,
-                },
-                {"decay_stability": cfg.tol("decay_stability")},
-                ctx.grid_meta(),
-            )
-        ],
-        {},
-    )
+    return [record], {}
 
 
 def _diag_schur(cfg: SuiteConfig, ctx: _Context):
     grid, fgrid, psi = ctx.grid, ctx.fgrid, ctx.psi
     H = get_model("hilbert").kernel
     anchors = (GroupPoint(1.0, 0.0), GroupPoint(2.0, 0.0), GroupPoint(1.0, 5.0))
-    vals = [
-        localization_mod.schur_value(H, psi, fgrid, grid, anchor=p) for p in anchors
-    ]
-    spread = max(vals) - min(vals)
-    tails = {
-        r: localization_mod.schur_tail(H, psi, fgrid, grid, float(r))
-        for r in (1.0, 6.0)
-    }
-    factor = tails[1.0] / tails[6.0] if tails[6.0] > 0.0 else math.inf
+    vals = [localization_mod.schur_value(H, psi, fgrid, grid, anchor=p) for p in anchors]
+    tail_1, tail_6 = (localization_mod.schur_tail(H, psi, fgrid, grid, r) for r in (1.0, 6.0))
     r_big = max(6.0, max(cfg.radii) if cfg.radii else 6.0)
-    ft = localization_mod.origin_tail(
-        get_model("finite_rank").kernel, psi, fgrid, grid, r_big
+    ft = localization_mod.origin_tail(get_model("finite_rank").kernel, psi, fgrid, grid, r_big)
+    record = _record(
+        cfg, "schur_localization", "hilbert",
+        {"schur_value": vals[0], "anchor_spread": max(vals) - min(vals),
+         "tail_1": tail_1, "tail_6": tail_6,
+         "tail_factor": tail_1 / tail_6 if tail_6 > 0.0 else math.inf,
+         "finite_rank_origin_tail": ft, "origin_tail_radius": r_big},
+        ctx.grid_meta(),
+        ("anchor_spread", "<=", "schur_anchor"),
+        ("tail_factor", ">=", "schur_tail_factor"),
+        ("finite_rank_origin_tail", "<=", "origin_tail_finite_rank"),
+        ok=all(math.isfinite(v) for v in vals),
     )
-    ok = (
-        all(math.isfinite(v) for v in vals)
-        and spread <= cfg.tol("schur_anchor")
-        and factor >= cfg.tol("schur_tail_factor")
-        and ft <= cfg.tol("origin_tail_finite_rank")
-    )
-    return (
-        [
-            _record(
-                "schur_localization",
-                "hilbert",
-                ok,
-                {
-                    "schur_value": vals[0],
-                    "anchor_spread": spread,
-                    "tail_1": tails[1.0],
-                    "tail_6": tails[6.0],
-                    "tail_factor": factor,
-                    "finite_rank_origin_tail": ft,
-                    "origin_tail_radius": r_big,
-                },
-                {
-                    "schur_anchor": cfg.tol("schur_anchor"),
-                    "schur_tail_factor": cfg.tol("schur_tail_factor"),
-                    "origin_tail_finite_rank": cfg.tol("origin_tail_finite_rank"),
-                },
-                ctx.grid_meta(),
-            )
-        ],
-        {},
-    )
+    return [record], {}
 
 
 def _diag_weak_compactness(cfg: SuiteConfig, ctx: _Context):
@@ -490,188 +458,117 @@ def _diag_weak_compactness(cfg: SuiteConfig, ctx: _Context):
         if label not in cfg.operators:
             continue
         k = get_model(label).kernel
-        prof = localization_mod.weak_compactness_profile(
-            k, ctx.psi, ctx.fgrid, radii
-        )
+        prof = localization_mod.weak_compactness_profile(k, ctx.psi, ctx.fgrid, radii)
         if label == "hilbert":
-            value = float(prof.max() - prof.min())
-            ok = value <= cfg.tol("wc_hilbert_constancy")
-            tol_key = "wc_hilbert_constancy"
+            metric, tol_key = float(prof.max() - prof.min()), "wc_hilbert_constancy"
         else:
-            value = float(prof[-1])
-            ok = value <= cfg.tol("wc_finite_rank_tail")
-            tol_key = "wc_finite_rank_tail"
-        records.append(
-            _record(
-                "weak_compactness_profile",
-                label,
-                ok,
-                {"metric": value, "profile_start": float(prof[0]), "profile_end": float(prof[-1])},
-                {tol_key: cfg.tol(tol_key)},
-                ctx.grid_meta(),
-            )
-        )
-        profiles[f"weak_compactness_{label}"] = {
-            "columns": ["R", "value"],
-            "rows": [[float(r), float(v)] for r, v in zip(radii, prof)],
-        }
+            metric, tol_key = float(prof[-1]), "wc_finite_rank_tail"
+        records.append(_record(
+            cfg, "weak_compactness_profile", label,
+            {"metric": metric, "profile_start": float(prof[0]), "profile_end": float(prof[-1])},
+            ctx.grid_meta(),
+            ("metric", "<=", tol_key),
+        ))
+        profiles[f"weak_compactness_{label}"] = _profile(["R", "value"], radii, prof)
     return records, profiles
+
+
+# The zero operator's record also requires tail_0 == 0 exactly.
+_RK_BOUNDS = {
+    "hilbert": ("ratio", ">", "rk_hilbert_ratio"),
+    "finite_rank": ("ratio", "<", "rk_finite_rank_ratio"),
+    "zero": ("ratio", "<", "rk_finite_rank_ratio"),
+}
 
 
 def _diag_rk_tail(cfg: SuiteConfig, ctx: _Context):
     records, profiles = [], {}
     radii = list(cfg.radii) if cfg.radii else [float(r) for r in range(0, 9)]
-    for label in ("hilbert", "finite_rank", "zero"):
+    for label, bound in _RK_BOUNDS.items():
         if label not in cfg.operators:
             continue
-        k = get_model(label).kernel
-        A = discretize(k, ctx.grid)
+        A = discretize(get_model(label).kernel, ctx.grid)
         tf = compactness_mod.tail_functional(
             A, ctx.psi, ctx.fgrid, ctx.grid, radii, label=label, seed=cfg.seed
         )
-        ratio = tf.ratio()
+        tail_0 = float(tf.values[0])
+        records.append(_record(
+            cfg, "rk_tail", label,
+            {"ratio": tf.ratio(), "tail_0": tail_0, "tail_max": float(tf.values[-1]),
+             "verdict_trend": tf.verdict, "iterations": tf.iterations.tolist(),
+             "converged": tf.converged.tolist(), "residual": tf.residuals.tolist()},
+            ctx.grid_meta(),
+            bound,
+            ok=bool(tf.converged.all()) and (label != "zero" or tail_0 == 0.0),
+        ))
         if label == "hilbert":
-            ok = ratio > cfg.tol("rk_hilbert_ratio")
-            tol_key = "rk_hilbert_ratio"
-            profiles["rk_witness_hilbert"] = {
-                "columns": ["x", "value"],
-                "rows": [
-                    [float(x), float(v)]
-                    for x, v in zip(ctx.grid.x, tf.witnesses[-1].values)
-                ],
-            }
-        elif label == "finite_rank":
-            ok = ratio < cfg.tol("rk_finite_rank_ratio")
-            tol_key = "rk_finite_rank_ratio"
-        else:
-            ok = tf.values[0] == 0.0
-            tol_key = "rk_finite_rank_ratio"
-        records.append(
-            _record(
-                "rk_tail",
-                label,
-                ok and bool(tf.converged.all()),
-                {
-                    "ratio": ratio,
-                    "tail_0": float(tf.values[0]),
-                    "tail_max": float(tf.values[-1]),
-                    "verdict_trend": tf.verdict,
-                    "iterations": tf.iterations.tolist(),
-                    "converged": tf.converged.tolist(),
-                    "residual": tf.residuals.tolist(),
-                },
-                {tol_key: cfg.tol(tol_key)},
-                ctx.grid_meta(),
-            )
-        )
-        profiles[f"rk_tail_{label}"] = {
-            "columns": ["R", "value"],
-            "rows": [[float(r), float(v)] for r, v in zip(tf.radii, tf.values)],
-        }
+            witness = tf.witnesses[-1].values
+            profiles["rk_witness_hilbert"] = _profile(["x", "value"], ctx.grid.x, witness)
+        profiles[f"rk_tail_{label}"] = _profile(["R", "value"], tf.radii, tf.values)
     # downsampled dense-SVD cross-check
     import scipy.linalg
 
-    small = SpatialGrid(32.0, 256)
-    sfg = make_frame_grid(small, 0.5, 64.0, s=0.25)
+    small, sfg, meta = _side_lattice(32.0, 256, 0.5, 64.0, s=0.25)
     S = compactness_mod.analysis_operator(ctx.psi, sfg, small)
     A = compactness_mod.operator_matrix(get_model("damped_hilbert_1").kernel, small)
     res = compactness_mod.rk_tail(A, S, sfg, small, 0.0, seed=cfg.seed)
     M = np.asarray(S @ A) / math.sqrt(small.h)
     dense = float(scipy.linalg.svdvals(M)[0] ** 2)
-    rel = abs(res.value - dense) / dense
-    ok = rel <= cfg.tol("rk_svd_agreement") and res.converged
-    records.append(
-        _record(
-            "rk_power_vs_svd",
-            "damped_hilbert_1",
-            ok,
-            {
-                "power": res.value,
-                "dense_svd": dense,
-                "relative_gap": rel,
-                "iterations": res.iterations,
-                "converged": res.converged,
-                "residual": res.residual,
-            },
-            {"rk_svd_agreement": cfg.tol("rk_svd_agreement")},
-            {"L": small.L, "N": small.N, "a_min": 0.5, "a_max": 64.0, "s": 0.25, "n_nodes": sfg.n_nodes},
-        )
-    )
+    records.append(_record(
+        cfg, "rk_power_vs_svd", "damped_hilbert_1",
+        {"power": res.value, "dense_svd": dense, "relative_gap": abs(res.value - dense) / dense,
+         "iterations": res.iterations, "converged": res.converged, "residual": res.residual},
+        meta,
+        ("relative_gap", "<=", "rk_svd_agreement"),
+        ok=res.converged,
+    ))
     return records, profiles
 
 
 def _diag_carleson(cfg: SuiteConfig, ctx: _Context):
     records, profiles = [], {}
-    wide = SpatialGrid(2048.0, 16384)
-    wfg = make_frame_grid(wide, 0.5, 1024.0, s=0.25, L_b=1024.0, cone_factor=0.0)
+    wide, wfg, meta = _side_lattice(2048.0, 16384, 0.5, 1024.0, s=0.25, L_b=1024.0, cone_factor=0.0)
     radii = np.arange(0.0, 8.5, 0.5)
-    vals = {}
     for ex in carleson_mod.bmo_examples(wide):
         f = SampledFunction.from_callable(wide, ex.evaluator)
         mu = carleson_mod.coefficient_measure(f, ctx.psi, wfg)
         prof = carleson_mod.vanishing_profile(mu, radii)
         ratio = float(prof[-1] / prof[0]) if prof[0] > 0.0 else 0.0
-        vals[ex.label] = (ratio, ex.expected_class)
-        profiles[f"carleson_profile_{ex.label}"] = {
-            "columns": ["R", "value"],
-            "rows": [[float(r), float(v)] for r, v in zip(radii, prof)],
-        }
-        if ex.expected_class == "CMO":
-            ok = ratio < cfg.tol("carleson_vanishing_ratio")
-            tol_key = "carleson_vanishing_ratio"
-        else:
-            ok = ratio > cfg.tol("carleson_nonvanishing_ratio")
-            tol_key = "carleson_nonvanishing_ratio"
-        records.append(
-            _record(
-                "carleson_profile",
-                ex.label,
-                ok,
-                {"ratio": ratio, "expected_class": ex.expected_class},
-                {tol_key: cfg.tol(tol_key)},
-                {"L": wide.L, "N": wide.N, "a_min": 0.5, "a_max": 1024.0, "s": 0.25, "n_nodes": wfg.n_nodes},
-            )
-        )
+        profiles[f"carleson_profile_{ex.label}"] = _profile(["R", "value"], radii, prof)
+        records.append(_record(
+            cfg, "carleson_profile", ex.label,
+            {"ratio": ratio, "expected_class": ex.expected_class},
+            meta,
+            _class_bound(
+                ex.expected_class, "carleson_vanishing_ratio", "carleson_nonvanishing_ratio"
+            ),
+        ))
     # constant annihilation on a well-resolved interior lattice
-    fg_int = make_frame_grid(ctx.grid, 0.5, ctx.grid.L / 2.0, s=0.125, L_b=ctx.grid.L / 2.0, cone_factor=0.0)
+    half = ctx.grid.L / 2.0
+    fg_int = make_frame_grid(ctx.grid, 0.5, half, s=0.125, L_b=half, cone_factor=0.0)
     one = SampledFunction(ctx.grid, np.ones(ctx.grid.N))
     mu1 = carleson_mod.coefficient_measure(one, ctx.psi, fg_int)
-    c0 = carleson_mod.carleson_function(mu1, 0.0)
-    ok = c0 <= cfg.tol("carleson_constant")
-    records.append(
-        _record(
-            "carleson_constant",
-            None,
-            ok,
-            {"carleson_at_0": c0},
-            {"carleson_constant": cfg.tol("carleson_constant")},
-            ctx.grid_meta(fgrid=fg_int),
-        )
-    )
-    # slack inequality audit
+    records.append(_record(
+        cfg, "carleson_constant", None,
+        {"carleson_at_0": carleson_mod.carleson_function(mu1, 0.0)},
+        ctx.grid_meta(fgrid=fg_int),
+        ("carleson_at_0", "<=", "carleson_constant"),
+    ))
+    # slack inequality audit; the stein_slack bound below makes the verdict
     mu_psi = carleson_mod.coefficient_measure(
         frame_element(ctx.psi, GroupPoint(1.0, 0.0), ctx.grid), ctx.psi, ctx.fgrid
     )
     gauss = SampledFunction(ctx.grid, np.exp(-ctx.grid.x**2))
-    r1, ok1 = carleson_mod.stein_inequality_check(
-        gauss, ctx.phi, mu_psi, 2.0, c_check=cfg.tol("stein_slack")
-    )
-    k0 = int(np.argmin(ctx.fgrid.dist0))
-    mu_pt = carleson_mod.point_mass(ctx.fgrid, k0)
+    r1, _ = carleson_mod.stein_inequality_check(gauss, ctx.phi, mu_psi, 2.0)
+    mu_pt = carleson_mod.point_mass(ctx.fgrid, int(np.argmin(ctx.fgrid.dist0)))
     shifted = SampledFunction(ctx.grid, smooth_bump(ctx.grid.x, 3.0, 1.5))
-    r2, ok2 = carleson_mod.stein_inequality_check(
-        shifted, ctx.phi, mu_pt, 2.0, c_check=cfg.tol("stein_slack")
-    )
-    records.append(
-        _record(
-            "stein_inequality",
-            None,
-            ok1 and ok2,
-            {"ratio_gaussian": r1, "ratio_point_mass": r2},
-            {"stein_slack": cfg.tol("stein_slack")},
-            ctx.grid_meta(),
-        )
-    )
+    r2, _ = carleson_mod.stein_inequality_check(shifted, ctx.phi, mu_pt, 2.0)
+    records.append(_record(
+        cfg, "stein_inequality", None,
+        {"ratio_gaussian": r1, "ratio_point_mass": r2},
+        ctx.grid_meta(),
+        (("ratio_gaussian", "ratio_point_mass"), "<=", "stein_slack"),
+    ))
     return records, profiles
 
 
@@ -684,7 +581,6 @@ def _diag_paraproduct(cfg: SuiteConfig, ctx: _Context):
     target = phi.m_phi * beta.values
     rel = float(np.linalg.norm(pb1.values - target) / np.linalg.norm(target))
     pstar1 = paraproducts_mod.paraproduct_adjoint_apply_to_constant(sym, phi, psi, grid)
-    adj_const = float(np.max(np.abs(pstar1.values)))
     rng = np.random.default_rng(cfg.seed)
     gap = 0.0
     for _ in range(3):
@@ -693,28 +589,17 @@ def _diag_paraproduct(cfg: SuiteConfig, ctx: _Context):
         lhs = inner_product(paraproducts_mod.paraproduct_apply(sym, f, phi, psi), g)
         rhs = inner_product(f, paraproducts_mod.paraproduct_adjoint_apply(sym, g, phi, psi))
         gap = max(gap, abs(complex(lhs) - complex(rhs)))
-    ok = (
-        rel <= cfg.tol("pp_symbol_rel")
-        and adj_const <= cfg.tol("pp_adjoint_constant")
-        and gap <= cfg.tol("pp_adjointness")
-    )
-    records.append(
-        _record(
-            "paraproduct_identities",
-            None,
-            ok,
-            {"symbol_rel_error": rel, "adjoint_constant_max": adj_const, "adjointness_gap": gap, "m_phi": phi.m_phi},
-            {
-                "pp_symbol_rel": cfg.tol("pp_symbol_rel"),
-                "pp_adjoint_constant": cfg.tol("pp_adjoint_constant"),
-                "pp_adjointness": cfg.tol("pp_adjointness"),
-            },
-            ctx.grid_meta(),
-        )
-    )
+    records.append(_record(
+        cfg, "paraproduct_identities", None,
+        {"symbol_rel_error": rel, "adjoint_constant_max": float(np.max(np.abs(pstar1.values))),
+         "adjointness_gap": gap, "m_phi": phi.m_phi},
+        ctx.grid_meta(),
+        ("symbol_rel_error", "<=", "pp_symbol_rel"),
+        ("adjoint_constant_max", "<=", "pp_adjoint_constant"),
+        ("adjointness_gap", "<=", "pp_adjointness"),
+    ))
     # compactness dichotomy on a wide coarse lattice
-    pgrid = SpatialGrid(2048.0, 4096)
-    pfg = make_frame_grid(pgrid, 2.0, 1024.0, s=0.25, L_b=1024.0, cone_factor=0.0)
+    pgrid, pfg, meta = _side_lattice(2048.0, 4096, 2.0, 1024.0, s=0.25, L_b=1024.0, cone_factor=0.0)
     radii = np.arange(0.0, 5.5, 0.5)
     for ex in carleson_mod.bmo_examples(pgrid):
         if ex.label == "zero":
@@ -723,44 +608,25 @@ def _diag_paraproduct(cfg: SuiteConfig, ctx: _Context):
         tf, _spec = paraproducts_mod.paraproduct_compactness(
             f, phi, psi, pfg, radii, label=ex.label, keep_witnesses=False, seed=cfg.seed
         )
-        ratio = tf.ratio()
-        if ex.expected_class == "CMO":
-            ok = ratio < cfg.tol("pp_vanishing_ratio")
-            tol_key = "pp_vanishing_ratio"
-        else:
-            ok = ratio > cfg.tol("pp_nonvanishing_ratio")
-            tol_key = "pp_nonvanishing_ratio"
-        records.append(
-            _record(
-                "paraproduct_compactness",
-                ex.label,
-                ok,
-                {"ratio": ratio, "expected_class": ex.expected_class, "verdict_trend": tf.verdict},
-                {tol_key: cfg.tol(tol_key)},
-                {"L": pgrid.L, "N": pgrid.N, "a_min": 2.0, "a_max": 1024.0, "s": 0.25, "n_nodes": pfg.n_nodes},
-            )
-        )
-        profiles[f"paraproduct_tail_{ex.label}"] = {
-            "columns": ["R", "value"],
-            "rows": [[float(r), float(v)] for r, v in zip(tf.radii, tf.values)],
-        }
+        records.append(_record(
+            cfg, "paraproduct_compactness", ex.label,
+            {"ratio": tf.ratio(), "expected_class": ex.expected_class, "verdict_trend": tf.verdict},
+            meta,
+            _class_bound(ex.expected_class, "pp_vanishing_ratio", "pp_nonvanishing_ratio"),
+        ))
+        profiles[f"paraproduct_tail_{ex.label}"] = _profile(["R", "value"], tf.radii, tf.values)
     return records, profiles
 
 
 def _diag_decomposition(cfg: SuiteConfig, ctx: _Context):
-    records = []
     grid, fgrid, psi, phi = ctx.grid, ctx.fgrid, ctx.psi, ctx.phi
     rng = np.random.default_rng(cfg.seed)
     # Hilbert degenerates to S = T
-    H = get_model("hilbert").kernel
-    dec_h = paraproducts_mod.decompose(H, phi, psi, fgrid, grid)
+    dec_h = paraproducts_mod.decompose(get_model("hilbert").kernel, phi, psi, fgrid, grid)
     f = SampledFunction(grid, rng.standard_normal(grid.N))
-    s_minus_t = float(
-        np.max(np.abs(dec_h.apply_s(f).values - dec_h.apply_t(f).values))
-    )
+    s_minus_t = float(np.max(np.abs(dec_h.apply_s(f).values - dec_h.apply_t(f).values)))
     # reconstruction for the damped model
-    D = get_model("damped_hilbert_1").kernel
-    dec = paraproducts_mod.decompose(D, phi, psi, fgrid, grid)
+    dec = paraproducts_mod.decompose(get_model("damped_hilbert_1").kernel, phi, psi, fgrid, grid)
     gap = 0.0
     for _ in range(3):
         fv = SampledFunction(grid, rng.standard_normal(grid.N))
@@ -776,42 +642,20 @@ def _diag_decomposition(cfg: SuiteConfig, ctx: _Context):
     s1 = dec.s_applied_to_constant()
     t1_inf = float(np.max(np.abs(dec.t1.values)))
     worst = 0.0
-    for p in (
-        GroupPoint(1.0, 0.0),
-        GroupPoint(0.5, 2.0),
-        GroupPoint(2.0, -4.0),
-        GroupPoint(1.0, 6.0),
-        GroupPoint(4.0, 0.0),
-    ):
-        w = frame_element(psi, p, grid)
+    for a, b in ((1.0, 0.0), (0.5, 2.0), (2.0, -4.0), (1.0, 6.0), (4.0, 0.0)):
+        w = frame_element(psi, GroupPoint(a, b), grid)
         l1 = float(np.sum(np.abs(w.values)) * grid.h)
         worst = max(worst, abs(complex(inner_product(s1, w))) / (l1 * t1_inf))
-    ok = (
-        s_minus_t <= cfg.tol("decomp_hilbert")
-        and gap <= cfg.tol("decomp_reconstruction")
-        and worst <= cfg.tol("decomp_s1_rel")
+    record = _record(
+        cfg, "decomposition", "damped_hilbert_1",
+        {"hilbert_s_minus_t": s_minus_t, "reconstruction_gap": gap, "paired_s1_ratio": worst,
+         "t1_truncation_error": dec.t1_truncation_error, "m_phi": phi.m_phi},
+        ctx.grid_meta(),
+        ("hilbert_s_minus_t", "<=", "decomp_hilbert"),
+        ("reconstruction_gap", "<=", "decomp_reconstruction"),
+        ("paired_s1_ratio", "<=", "decomp_s1_rel"),
     )
-    records.append(
-        _record(
-            "decomposition",
-            "damped_hilbert_1",
-            ok,
-            {
-                "hilbert_s_minus_t": s_minus_t,
-                "reconstruction_gap": gap,
-                "paired_s1_ratio": worst,
-                "t1_truncation_error": dec.t1_truncation_error,
-                "m_phi": phi.m_phi,
-            },
-            {
-                "decomp_hilbert": cfg.tol("decomp_hilbert"),
-                "decomp_reconstruction": cfg.tol("decomp_reconstruction"),
-                "decomp_s1_rel": cfg.tol("decomp_s1_rel"),
-            },
-            ctx.grid_meta(),
-        )
-    )
-    return records, {}
+    return [record], {}
 
 
 _DIAGNOSTICS = {
@@ -846,7 +690,8 @@ def run_suite(cfg: SuiteConfig) -> Report:
             records, profiles = _DIAGNOSTICS[name](cfg, ctx)
         except Exception as exc:  # the suite boundary: report it, keep running
             error = f"{type(exc).__name__}: {exc}"
-            records, profiles = [_record(name, None, False, {"error": error}, {}, ctx.grid_meta())], {}
+            records = [_record(cfg, name, None, {"error": error}, ctx.grid_meta(), ok=False)]
+            profiles = {}
         report.records.extend(records)
         report.profiles.update(profiles)
     return report
@@ -865,7 +710,7 @@ def _fmt_value(v) -> str:
 
 
 def emit(report: Report, out_dir: str) -> list[str]:
-    """Write report.json, per-profile CSVs, and summary.txt; byte-stable."""
+    """Write report.json (strict JSON), per-profile CSVs, and summary.txt; byte-stable."""
     os.makedirs(out_dir, exist_ok=True)
     written = []
 
@@ -877,7 +722,7 @@ def emit(report: Report, out_dir: str) -> list[str]:
         "records": report.records,
     }
     with open(json_path, "w") as fh:
-        json.dump(payload, fh, indent=2, sort_keys=True)
+        json.dump(payload, fh, indent=2, sort_keys=True, allow_nan=False)
         fh.write("\n")
     written.append(json_path)
 

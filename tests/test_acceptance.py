@@ -7,14 +7,20 @@ recorded diagnostics at their contracted tolerances.
 
 import json
 import math
+import operator
 import os
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from czframe.cli import main
 from czframe.geometry import GroupPoint, dist, haar_ball_volume, mul, inv
+from czframe.reporting import DEFAULT_TOLERANCES
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+COMPARE = {"<=": operator.le, "<": operator.lt, ">=": operator.ge, ">": operator.gt}
 
 
 @pytest.fixture(scope="session")
@@ -172,6 +178,38 @@ def test_decomposition(full_suite):
     assert v["reconstruction_gap"] <= 1e-10
     assert v["paired_s1_ratio"] <= 0.05
     assert v["hilbert_s_minus_t"] <= 1e-9
+
+
+def test_every_tolerance_is_read_by_some_record(full_suite):
+    # a tolerance no record echoes would be a knob that changes nothing
+    records = full_suite["report"]["records"]
+    assert set().union(*(r["tolerances"] for r in records)) == set(DEFAULT_TOLERANCES)
+
+
+def _readme_checks() -> dict:
+    """(record, operator) -> [(value, comparator, tolerance key)] from README's table."""
+    rows = {}
+    for line in README.read_text().splitlines():
+        cells = [c.strip() for c in line.strip().strip("|").split("|")]
+        if len(cells) != 4 or not cells[0].startswith("`"):
+            continue
+        ops = [None] if cells[1] == "—" else [op.strip("`") for op in cells[1].split(", ")]
+        checks = [tuple(check.strip("`").split()) for check in cells[2].split(", ")]
+        for op in ops:
+            rows[(cells[0].strip("`"), op)] = checks
+    return rows
+
+
+def test_readme_check_table_matches_records(full_suite):
+    table = _readme_checks()
+    records = full_suite["report"]["records"]
+    assert len(table) == len(records) == 21
+    assert set(table) == {(r["name"], r["operator"]) for r in records}
+    for r in records:
+        checks = table[(r["name"], r["operator"])]
+        assert set(r["tolerances"]) == {tol for _, _, tol in checks}, r["name"]
+        for value, cmp, tol in checks:  # every record PASSes, so each listed check holds
+            assert COMPARE[cmp](r["values"][value], r["tolerances"][tol]), (r["name"], value)
 
 
 # --- CLI contract --------------------------------------------

@@ -114,6 +114,53 @@ def test_bad_grid_or_frame_exit_2(tmp_path, capsys, payload):
     assert not out.exists()  # rejected at config loading, before any work
 
 
+@pytest.mark.parametrize("tol", [float("inf"), -float("inf"), float("nan"), 10**400, 0.0, "1"])
+def test_non_finite_or_non_positive_tolerance_exit_2(tmp_path, capsys, tol):
+    # json writes inf/nan as the bare tokens Infinity/NaN, which json.load reads back
+    cfgp = _write_config(tmp_path, {**QUICK, "tolerances": {"pv_rel": tol}})
+    out = tmp_path / "o"
+    assert main(["--config", cfgp, "--out", str(out)]) == 2
+    assert "pv_rel" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON token {token}")
+
+
+def _nan_kernel_application(kernel, f, **kwargs):
+    from czframe.grids import SampledFunction
+
+    return SampledFunction(f.grid, f.values * float("nan"))
+
+
+@pytest.mark.parametrize("case", ["quick", "error_record", "nan_value"])
+def test_report_json_is_strict(tmp_path, capsys, monkeypatch, case):
+    from czframe import reporting
+
+    if case == "error_record":
+        monkeypatch.setitem(reporting._DIAGNOSTICS, "pv", lambda cfg, ctx: 1 / 0)
+    if case == "nan_value":
+        monkeypatch.setattr(reporting, "apply_kernel", _nan_kernel_application)
+    out = tmp_path / "results"
+    code = main(["--config", _write_config(tmp_path, QUICK), "--out", str(out)])
+    assert "Traceback" not in "".join(capsys.readouterr())
+    report = json.loads((out / "report.json").read_text(), parse_constant=_reject_constant)
+    (record,) = report["records"]
+    if case == "quick":
+        assert code == 0 and record["verdict"] == "PASS"
+        return
+    assert code == 1 and record["verdict"] == "FAIL"
+    if case == "error_record":
+        assert record["values"] == {"error": "ZeroDivisionError: division by zero"}
+    else:
+        assert record["name"] == "pv_application"
+        assert record["values"] == {"relative_error": "nan", "dual_path_gap": "nan"}
+        assert "FAIL pv_application [hilbert]: dual_path_gap=nan relative_error=nan" in (
+            out / "summary.txt"
+        ).read_text()
+
+
 @pytest.mark.parametrize("diagnostics", [3, "frame", [1], None])
 def test_bad_diagnostics_exit_2(tmp_path, capsys, diagnostics):
     cfgp = _write_config(tmp_path, {"diagnostics": diagnostics})

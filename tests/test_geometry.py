@@ -6,15 +6,11 @@ import numpy as np
 import pytest
 
 from czframe.geometry import (
-    Cone,
     GroupPoint,
     IDENTITY,
-    Tent,
     dist,
     dist_to_identity,
     haar_ball_volume,
-    in_cone,
-    in_tent,
     inv,
     mul,
     node_distances,
@@ -116,13 +112,3 @@ def test_group_point_validation():
         GroupPoint(-2.0, 1.0)
     with pytest.raises(ValueError):
         GroupPoint(math.inf, 1.0)
-
-
-def test_tent_and_cone_membership():
-    tent = Tent(center=0.0, radius=4.0)
-    assert in_tent(GroupPoint(1.0, 2.0), tent)
-    assert not in_tent(GroupPoint(1.0, 3.5), tent)
-    assert not in_tent(GroupPoint(5.0, 0.0), tent)
-    cone = Cone(vertex=0.0)
-    assert in_cone(GroupPoint(2.0, 1.0), cone)
-    assert not in_cone(GroupPoint(0.5, 1.0), cone)

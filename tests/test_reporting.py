@@ -56,8 +56,9 @@ def test_from_dict_rejects_bad_input():
         SuiteConfig.from_dict({"radii": [1.0, 1.0]})
     with pytest.raises(ConfigError):
         SuiteConfig.from_dict({"tolerances": {"unknown_tol": 0.1}})
-    with pytest.raises(ConfigError):
-        SuiteConfig.from_dict({"tolerances": {"parseval": -1.0}})
+    for bad_tol in (-1.0, float("inf"), float("nan")):
+        with pytest.raises(ConfigError):
+            SuiteConfig.from_dict({"tolerances": {"parseval": bad_tol}})
     with pytest.raises(ConfigError):
         SuiteConfig.from_dict({"seed": -1})
 
@@ -124,6 +125,42 @@ def test_csv_format(quick_report, tmp_path):
             assert len(cells) == len(header)
             for c in cells:
                 float(c)  # every data cell is numeric
+
+
+def test_record_verdict_and_echo_come_from_its_bounds():
+    from czframe.reporting import _record
+
+    cfg = SuiteConfig()
+    values = {"err": 0.01, "gain": 7.0, "pair": [0.5, 0.25]}
+    bounds = (("err", "<=", "parseval"), ("gain", ">", "schur_tail_factor"))
+
+    def rec(*bounds, **kw):
+        return _record(cfg, "check", "hilbert", dict(values), {"N": 8}, *bounds, **kw)
+
+    ok = rec(*bounds)
+    assert ok["verdict"] == "PASS"
+    assert ok["tolerances"] == {"parseval": 0.02, "schur_tail_factor": 5.0}
+    assert set(ok["tolerances"]) == {tol_key for _, _, tol_key in bounds}
+    assert rec(*bounds, ("gain", "<", "stein_slack"))["verdict"] == "PASS"  # 7 < 10
+    assert rec(*bounds, ("gain", ">=", "stein_slack"))["verdict"] == "FAIL"  # one bound fails
+    assert rec(*bounds, ok=False)["verdict"] == "FAIL"
+    assert rec()["tolerances"] == {}
+    assert rec((("err", "gain"), "<", "stein_slack"))["verdict"] == "PASS"
+    assert rec((("err", "gain"), "<", "roundtrip"))["verdict"] == "FAIL"
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_record_non_finite_value_fails_and_is_spelled_out(bad):
+    from czframe.reporting import _record
+
+    cfg = SuiteConfig()
+    top = _record(cfg, "check", None, {"x": bad, "n": 3}, {}, ok=True)
+    assert top["verdict"] == "FAIL"
+    assert top["values"] == {"x": str(bad), "n": 3}
+    nested = _record(cfg, "check", None, {"xs": [1.0, bad], "ok": [True]}, {})
+    assert nested["verdict"] == "FAIL"
+    assert nested["values"]["xs"] == [1.0, str(bad)]
+    assert str(bad) in ("nan", "inf", "-inf")
 
 
 RK_SMALL = {
