@@ -14,7 +14,8 @@ applied only through ``matvec``/``rmatvec`` of a
 :class:`~czframe.operators.DiscreteOperator`; for a CZ kernel it comes from
 :func:`~czframe.operators.discretize` (A = kernel_matrix * h, Toeplitz/FFT
 for convolution kernels), and a plain matrix is taken as the dense
-operator.  The analysis operator is the lattice's cached
+operator; :func:`operator_matrix` is the dense A (SVD cross-check, test
+oracle).  The analysis operator is the lattice's cached
 :func:`~czframe.wavelets.frame_rows` matrix with rows scaled by
 sqrt(dlambda) * h.
 """

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import GroupPoint, IDENTITY
-from .grids import FrameGrid, SpatialGrid, inner_product, smooth_bump
+from .grids import FrameGrid, SampledFunction, SpatialGrid, inner_product, smooth_bump
 from .operators import CZKernel, apply_kernel, conjugate, discretize, kernel_matrix
 from .wavelets import CoefficientField, analyze, frame_element
 
@@ -262,10 +262,11 @@ def origin_tail(
     if anchors is None:
         anchors = default_anchor_lattice()
     mask = fgrid.dist0 >= R
+    T = discretize(kernel, grid)
     best = 0.0
     for p in anchors:
         f = frame_element(psi, p, grid)
-        fld = analyze(apply_kernel(kernel, f), psi, fgrid)
+        fld = analyze(SampledFunction(grid, T.matvec(f.values)), psi, fgrid)
         val = _weighted_sum(fld.values, fgrid, weight, mask=mask) / float(
             weight(p.a)
         )

@@ -6,12 +6,12 @@ structural flags.  Application to sampled functions is the principal-value
 Riemann sum with the diagonal cell excluded; for antisymmetric kernels the
 symmetric exclusion realizes the PV limit with O(h^2) consistency.
 
-:func:`discretize` turns a kernel into a :class:`DiscreteOperator`, the
-sample-space map (Tf)(x_i) = sum_j K(x_i, x_j) f(x_j) h applied matrix-free.
-Convolution kernels K(x, y) = k(x - y) give a Toeplitz matrix, applied by a
-circulant-embedded FFT (Chan & Ng, SIAM Rev. 38, 1996); every other kernel
-is applied through its dense :func:`kernel_matrix`, which also stays the
-oracle for the Toeplitz backend.
+:func:`discretize` is the one way a kernel becomes a sample-space operator,
+a :class:`DiscreteOperator` (Tf)(x_i) = sum_j K(x_i, x_j) f(x_j) h applied
+matrix-free: a Toeplitz matrix by circulant-embedded FFT for convolution
+kernels K(x, y) = k(x - y) (Chan & Ng, SIAM Rev. 38, 1996), else the dense
+:func:`kernel_matrix`, which is also the Toeplitz backend's oracle.  T1 and
+T*1 are the operator's symmetric-window row and column sums.
 """
 
 from __future__ import annotations
@@ -162,11 +162,8 @@ def kernel_matrix(kernel: CZKernel, grid: SpatialGrid) -> np.ndarray:
     x = grid.x
     with np.errstate(divide="ignore", invalid="ignore"):
         K = kernel(x[:, None], x[None, :])
-    if kernel.bounded:
-        diag = np.asarray(kernel(x, x), dtype=float)
-        K[np.arange(grid.N), np.arange(grid.N)] = np.nan_to_num(diag)
-    else:
-        np.fill_diagonal(K, 0.0)
+    diag = np.nan_to_num(np.asarray(kernel(x, x), dtype=float)) if kernel.bounded else 0.0
+    np.fill_diagonal(K, diag)
     return K
 
 
@@ -176,17 +173,18 @@ class DiscreteOperator:
     ``matvec`` applies A and ``rmatvec`` applies A^T, to a vector or column by
     column to an N x k array; the quadrature weight h is part of A.  The
     operator holds either the dense matrix A or, for a Toeplitz A[i, j] =
-    c[i - j], the rfft of c's length-2N circulant embedding, so each
-    application is one rfft/irfft pair.  Exactly one of ``matrix`` and
-    ``symbol`` is given.  ``dense()`` returns A.
+    c[i - j], the length-2N circulant column (c[0..N-1], 0, c[-(N-1)..-1])
+    and its rfft, so each application is one rfft/irfft pair.  Exactly one
+    of ``matrix`` and ``column`` is given.  ``dense()`` returns A.
     """
 
-    def __init__(self, n: int, *, matrix: np.ndarray | None = None, symbol: np.ndarray | None = None):
-        if (matrix is None) == (symbol is None):
-            raise ValueError("DiscreteOperator needs exactly one of matrix and symbol")
+    def __init__(self, n: int, *, matrix: np.ndarray | None = None, column: np.ndarray | None = None):
+        if (matrix is None) == (column is None):
+            raise ValueError("DiscreteOperator needs exactly one of matrix and column")
         self.n = n
         self.matrix = matrix
-        self.symbol = symbol
+        self.column = column
+        self.symbol = None if column is None else np.fft.rfft(column)
 
     def _circulant(self, x: np.ndarray, symbol: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
@@ -210,25 +208,44 @@ class DiscreteOperator:
             return self.matrix
         return self.matvec(np.eye(self.n))
 
+    def window_sums(self, transpose: bool = False) -> np.ndarray:
+        """Row sums of A (of A^T if ``transpose``) over |j - i| <= min(i, N - 1 - i).
+
+        Each window is the largest one centred on node i inside the box.  A
+        Toeplitz row or column window holds c[0] and the pairs c[m] + c[-m]:
+        one prefix sum serves both, exactly 0 for an antisymmetric profile.
+        """
+        n = self.n
+        idx = np.arange(n)
+        w = np.minimum(idx, n - 1 - idx)
+        if self.matrix is None:
+            c = self.column
+            return c[0] + np.concatenate([[0.0], np.cumsum(c[1:n] + c[:n:-1])])[w]
+        csum = np.cumsum(self.matrix.T if transpose else self.matrix, axis=1)
+        return csum[idx, idx + w] - np.where(idx > w, csum[idx, idx - w - 1], 0.0)
+
 
 def discretize(kernel: CZKernel, grid: SpatialGrid) -> DiscreteOperator:
     """The operator matrix kernel_matrix(kernel, grid) * h as a :class:`DiscreteOperator`.
 
-    A kernel with a convolution ``profile`` gets the Toeplitz backend: the
-    2N - 1 values c[m] = profile(m h) h, m = -(N-1) .. N-1, with the same
-    diagonal policy as :func:`kernel_matrix` at m = 0.  Any other kernel gets
-    the dense backend.
+    A kernel neither antisymmetric nor bounded has no diagonal-excluding PV
+    quadrature and raises ``ValueError``.  A convolution ``profile`` gives the
+    Toeplitz backend: c[m] = profile(m h) h, m = -(N-1) .. N-1, with the same
+    diagonal policy as :func:`kernel_matrix` at m = 0; else the dense backend.
     """
+    if not (kernel.antisymmetric or kernel.bounded):
+        raise ValueError(f"kernel {kernel.label!r} is neither antisymmetric nor bounded; "
+                         "PV quadrature with diagonal exclusion is unsupported")
     N, h = grid.N, grid.h
     if kernel.profile is None:
-        return DiscreteOperator(N, matrix=kernel_matrix(kernel, grid) * h)
+        A = kernel_matrix(kernel, grid)
+        A *= h  # in place: bitwise kernel_matrix * h, without a second N x N array
+        return DiscreteOperator(N, matrix=A)
     m = np.arange(-(N - 1), N)
     with np.errstate(divide="ignore", invalid="ignore"):
         c = np.asarray(kernel.profile(m * h), dtype=float)
     c[N - 1] = np.nan_to_num(c[N - 1]) if kernel.bounded else 0.0
-    # first column of the 2N circulant: c[0..N-1], one zero, c[-(N-1)..-1]
-    column = np.concatenate([c[N - 1:], [0.0], c[: N - 1]]) * h
-    return DiscreteOperator(N, symbol=np.fft.rfft(column))
+    return DiscreteOperator(N, column=np.concatenate([c[N - 1:], [0.0], c[: N - 1]]) * h)
 
 
 def as_operator(A) -> DiscreteOperator:
@@ -239,16 +256,9 @@ def as_operator(A) -> DiscreteOperator:
     return DiscreteOperator(A.shape[0], matrix=A)
 
 
-def apply_kernel(kernel: CZKernel, f: SampledFunction, K: np.ndarray | None = None) -> SampledFunction:
+def apply_kernel(kernel: CZKernel, f: SampledFunction) -> SampledFunction:
     """Principal-value quadrature Tf(x) = sum_{y != x} K(x, y) f(y) h."""
-    if not (kernel.antisymmetric or kernel.bounded):
-        raise ValueError(
-            f"kernel {kernel.label!r} is neither antisymmetric nor bounded; "
-            "PV quadrature with diagonal exclusion is unsupported"
-        )
-    if K is None:
-        K = kernel_matrix(kernel, f.grid)
-    return SampledFunction(f.grid, (K @ f.values) * f.grid.h)
+    return SampledFunction(f.grid, discretize(kernel, f.grid).matvec(f.values))
 
 
 def truncation_tail_bound(kernel: CZKernel, grid: SpatialGrid) -> float:
@@ -256,47 +266,36 @@ def truncation_tail_bound(kernel: CZKernel, grid: SpatialGrid) -> float:
     return kernel.c_k * 2.0 * grid.L ** (-kernel.delta) / kernel.delta
 
 
-def compute_T1(kernel: CZKernel, grid: SpatialGrid, K: np.ndarray | None = None,
-               tol: float | None = None) -> tuple[SampledFunction, float]:
-    """T1(x) as a symmetric-window PV integral of K(x, .), with its tail bound.
+def compute_T1(kernel: CZKernel, grid: SpatialGrid,
+               T: DiscreteOperator | None = None) -> tuple[SampledFunction, float]:
+    """T1 as the symmetric-window PV sums ``T.window_sums()``, with the analytic tail bound.
 
-    Each node integrates over the largest window |y - x| <= W(x) that fits in
-    the box, so antisymmetric kernels cancel pairwise exactly (the PV limit).
-    The omitted region is covered by the analytic tail bound; callers may pass
-    ``tol`` to fail fast when that estimate is too large for their purpose.
+    Antisymmetric kernels cancel pairwise exactly (the PV limit).  ``T``
+    defaults to the dense discretization, the reference for the Toeplitz
+    sums; perfbench's tracer test counts its kernel assembly.
     """
-    if K is None:
-        K = kernel_matrix(kernel, grid)
-    N = grid.N
-    idx = np.arange(N)
-    w = np.minimum(idx, N - 1 - idx)
-    csum = np.cumsum(K, axis=1)
-    hi = csum[idx, idx + w]
-    lo_idx = idx - w - 1
-    lo = np.where(lo_idx >= 0, csum[idx, np.maximum(lo_idx, 0)], 0.0)
-    t1 = SampledFunction(grid, (hi - lo) * grid.h)
-    tail = truncation_tail_bound(kernel, grid)
-    if tol is not None and tail > tol:
-        raise ValueError(f"T1 truncation tail bound {tail:.3e} exceeds tolerance {tol:.3e}")
-    return t1, tail
+    if T is None:
+        T = discretize(replace(kernel, profile=None), grid)
+    return SampledFunction(grid, T.window_sums()), truncation_tail_bound(kernel, grid)
 
 
 def transpose(kernel: CZKernel) -> CZKernel:
     """Kernel of the adjoint, K~(x, y) = K(y, x)."""
     fn, k = kernel.fn, kernel.profile
-    sign_note = "_transpose"
     return replace(
         kernel,
-        label=kernel.label + sign_note,
+        label=kernel.label + "_transpose",
         fn=lambda x, y: fn(y, x),
         profile=None if k is None else (lambda d: k(-d)),
     )
 
 
-def compute_T1star(kernel: CZKernel, grid: SpatialGrid, K: np.ndarray | None = None,
-                   tol: float | None = None) -> tuple[SampledFunction, float]:
-    """T*1 = T1 of the transposed kernel; ``K`` is the kernel matrix of T itself."""
-    return compute_T1(transpose(kernel), grid, K=None if K is None else K.T, tol=tol)
+def compute_T1star(kernel: CZKernel, grid: SpatialGrid,
+                   T: DiscreteOperator | None = None) -> tuple[SampledFunction, float]:
+    """T*1, the window sums of A^T: T1 of the transposed kernel; ``T`` as in :func:`compute_T1`."""
+    if T is None:
+        T = discretize(replace(kernel, profile=None), grid)
+    return SampledFunction(grid, T.window_sums(True)), truncation_tail_bound(kernel, grid)
 
 
 def conjugate(kernel: CZKernel, g: GroupPoint) -> CZKernel:

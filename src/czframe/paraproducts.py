@@ -11,7 +11,8 @@ explicitly rather than silently renormalized.
 The decomposition T = S + P_1 + P_2* takes the computed T1 and T*1 as
 symbols, scaled by 1/m_phi so the paraproducts carry the symbols exactly
 and S1 pairs to zero; S is a handle acting by Sf = Tf - P_1 f - P_2* f,
-which makes the reconstruction identity exact by construction.
+which makes the reconstruction identity exact by construction.  One
+discretization of T gives T1, T*1 (its window sums) and Tf.
 
 Bump pairings <f, phitilde_node> and the adjoint's bump synthesis are
 products with the cached L1-normalized :func:`~czframe.wavelets.frame_rows`
@@ -30,7 +31,7 @@ from .compactness import TailFunctional, singular_spectrum, tail_functional
 # Unused here; perfbench's tracer test checks that this module binds it.
 from .compactness import operator_matrix  # noqa: F401
 from .grids import FrameGrid, SampledFunction, SpatialGrid
-from .operators import CZKernel, apply_kernel, compute_T1, compute_T1star, kernel_matrix
+from .operators import CZKernel, DiscreteOperator, compute_T1, compute_T1star, discretize
 from .wavelets import CoefficientField, analyze, frame_rows, synthesize
 
 __all__ = [
@@ -186,7 +187,7 @@ class Decomposition:
     t1: SampledFunction
     t1star: SampledFunction
     t1_truncation_error: float
-    K: np.ndarray = field(repr=False)  # kernel matrix of T on the grid, assembled once
+    T: DiscreteOperator = field(repr=False)  # T on the grid, discretized once
 
     def apply_p1(self, f: SampledFunction) -> SampledFunction:
         return paraproduct_apply(self.symbol_t1, f, self.phi, self.psi)
@@ -195,7 +196,7 @@ class Decomposition:
         return paraproduct_adjoint_apply(self.symbol_t1star, f, self.phi, self.psi)
 
     def apply_t(self, f: SampledFunction) -> SampledFunction:
-        return apply_kernel(self.kernel, f, K=self.K)
+        return SampledFunction(f.grid, self.T.matvec(f.values))
 
     def apply_s(self, f: SampledFunction) -> SampledFunction:
         tf = self.apply_t(f)
@@ -223,9 +224,9 @@ def decompose(
     the constant reproduces T1 itself (up to reproducing-formula error)
     and S1 pairs to zero against well-resolved wavelets.
     """
-    K = kernel_matrix(kernel, grid)
-    t1, err1 = compute_T1(kernel, grid, K=K)
-    t1s, err2 = compute_T1star(kernel, grid, K=K)
+    T = discretize(kernel, grid)
+    t1, err = compute_T1(kernel, grid, T)
+    t1s, _ = compute_T1star(kernel, grid, T)
     sym1 = make_symbol(SampledFunction(grid, t1.values / phi.m_phi), psi, fgrid)
     sym2 = make_symbol(SampledFunction(grid, t1s.values / phi.m_phi), psi, fgrid)
     return Decomposition(
@@ -236,6 +237,6 @@ def decompose(
         psi=psi,
         t1=t1,
         t1star=t1s,
-        t1_truncation_error=max(err1, err2),
-        K=K,
+        t1_truncation_error=err,
+        T=T,
     )

@@ -559,10 +559,10 @@ def _diag_carleson(cfg: SuiteConfig, ctx: _Context):
         frame_element(ctx.psi, GroupPoint(1.0, 0.0), ctx.grid), ctx.psi, ctx.fgrid
     )
     gauss = SampledFunction(ctx.grid, np.exp(-ctx.grid.x**2))
-    r1, _ = carleson_mod.stein_inequality_check(gauss, ctx.phi, mu_psi, 2.0)
+    r1 = carleson_mod.stein_inequality_check(gauss, ctx.phi, mu_psi, 2.0)
     mu_pt = carleson_mod.point_mass(ctx.fgrid, int(np.argmin(ctx.fgrid.dist0)))
     shifted = SampledFunction(ctx.grid, smooth_bump(ctx.grid.x, 3.0, 1.5))
-    r2, _ = carleson_mod.stein_inequality_check(shifted, ctx.phi, mu_pt, 2.0)
+    r2 = carleson_mod.stein_inequality_check(shifted, ctx.phi, mu_pt, 2.0)
     records.append(_record(
         cfg, "stein_inequality", None,
         {"ratio_gaussian": r1, "ratio_point_mass": r2},

@@ -106,8 +106,7 @@ def test_stein_inequality_gaussian(psi, grid, fgrid):
     phi = make_bump_phi()
     f = SampledFunction.from_callable(grid, lambda x: np.exp(-((x / 4.0) ** 2)))
     mu = coefficient_measure(f, psi, fgrid)
-    ratio, passed = stein_inequality_check(f, phi, mu, p=2.0)
-    assert passed
+    ratio = stein_inequality_check(f, phi, mu, p=2.0)
     assert 0.0 <= ratio <= 10.0
 
 
@@ -115,8 +114,8 @@ def test_stein_inequality_point_mass(grid, fgrid):
     phi = make_bump_phi()
     f = SampledFunction.from_callable(grid, lambda x: np.exp(-(((x + 8.0) / 2.0) ** 2)))
     mu = point_mass(fgrid, fgrid.n_nodes // 2)
-    ratio, passed = stein_inequality_check(f, phi, mu, p=2.0)
-    assert passed
+    ratio = stein_inequality_check(f, phi, mu, p=2.0)
+    assert ratio <= 10.0
 
 
 def test_stein_p_validation(grid, fgrid):

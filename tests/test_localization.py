@@ -113,11 +113,20 @@ def test_schur_tail_monotone_and_decaying(psi, grid, fgrid):
         schur_tail(kern, psi, fgrid, grid, -1.0)
 
 
-def test_origin_tail_finite_rank_vanishes(psi, grid, fgrid):
+def test_origin_tail_finite_rank_vanishes(psi, grid, fgrid, monkeypatch):
     # a fixed-rank smooth kernel localizes near the identity: the fixed-disk
     # tail at radius 6 is negligible against the full value
+    import czframe.operators as operators_mod
+
     kern = get_model("finite_rank").kernel
+    calls = []
+    monkeypatch.setattr(
+        operators_mod, "kernel_matrix", lambda *a: calls.append(a) or kernel_matrix(*a)
+    )
     full = origin_tail(kern, psi, fgrid, grid, 0.0)
+    monkeypatch.undo()
+    # one assembly serves all nine default anchors
+    assert len(calls) == 1 and len(default_anchor_lattice()) == 9
     tail = origin_tail(kern, psi, fgrid, grid, 8.0)
     assert tail / full < 1e-3
     assert origin_tail(kern, psi, fgrid, grid, 6.0) < full

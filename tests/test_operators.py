@@ -9,6 +9,7 @@ import pytest
 from czframe.geometry import GroupPoint
 from czframe.grids import SampledFunction, SpatialGrid
 from czframe.operators import (
+    CZKernel,
     DiscreteOperator,
     apply_kernel,
     as_operator,
@@ -61,12 +62,20 @@ def test_kernel_matrix_diagonal_policy(grid):
 
 
 def test_pv_diagonal_exclusion_requires_structure(grid):
-    from czframe.operators import CZKernel
-
     bad = CZKernel("bad", lambda x, y: x + y, c_k=1.0, delta=1.0)
     f = SampledFunction.from_callable(grid, lambda x: np.exp(-(x**2)))
     with pytest.raises(ValueError):
         apply_kernel(bad, f)
+    with pytest.raises(ValueError):
+        discretize(bad, grid)
+
+
+@pytest.mark.parametrize("label", sorted(model_zoo()))
+def test_apply_kernel_matches_dense_quadrature(grid, label):
+    kern = get_model(label).kernel
+    f = SampledFunction.from_callable(grid, lambda x: np.exp(-((x - 1.0) ** 2)))
+    expected = (kernel_matrix(kern, grid) @ f.values) * grid.h
+    np.testing.assert_allclose(apply_kernel(kern, f).values, expected, rtol=0, atol=1e-12)
 
 
 def test_finite_rank_application_factorizes(grid):
@@ -99,11 +108,6 @@ def test_t1star_is_t1_of_transpose(grid):
     a, _ = compute_T1star(kern, grid)
     b, _ = compute_T1(transpose(kern), grid)
     assert np.array_equal(a.values, b.values)
-
-
-def test_t1_tol_fails_fast(grid):
-    with pytest.raises(ValueError):
-        compute_T1(get_model("damped_hilbert_1").kernel, grid, tol=1e-12)
 
 
 def test_conjugation_identity_fixed_point():
@@ -140,7 +144,22 @@ def _toeplitz_kernels():
         "hilbert@(0.37,2.5)": conjugate(hilbert, GroupPoint(0.37, 2.5)),
         "hilbert@(3,-1.25)": conjugate(hilbert, GroupPoint(3.0, -1.25)),
         "hilbert_transpose": transpose(hilbert),
+        # bounded and not symmetric: c[m] != c[-m], c[0] != 0
+        "shifted_gaussian": CZKernel(
+            "shifted_gaussian", lambda x, y: np.exp(-((x - y - 0.3) ** 2)), c_k=1.0,
+            delta=1.0, bounded=True, profile=lambda d: np.exp(-((d - 0.3) ** 2)),
+        ),
     }
+
+
+def _window_sums_oracle(A):
+    """Row sums of A over |j - i| <= min(i, N - 1 - i), one row at a time."""
+    n = A.shape[0]
+    out = np.empty(n)
+    for i in range(n):
+        w = min(i, n - 1 - i)
+        out[i] = A[i, i - w: i + w + 1].sum()
+    return out
 
 
 @pytest.mark.parametrize("label", sorted(_toeplitz_kernels()))
@@ -157,6 +176,13 @@ def test_toeplitz_backend_matches_dense_oracle(label):
         np.testing.assert_allclose(op.matvec(x), A @ x, rtol=0, atol=1e-12)
         np.testing.assert_allclose(op.rmatvec(x), A.T @ x, rtol=0, atol=1e-12)
     np.testing.assert_allclose(op.dense(), A, rtol=0, atol=1e-13)
+    for transpose_ in (False, True):
+        sums = op.window_sums(transpose_)
+        np.testing.assert_allclose(
+            sums, _window_sums_oracle(A.T if transpose_ else A), rtol=0, atol=1e-12
+        )
+        if label in ("hilbert", "zero"):
+            assert not sums.any()
     if label == "zero":
         assert not op.matvec(rng.standard_normal(grid.N)).any()
 
@@ -172,6 +198,11 @@ def test_non_convolution_kernels_get_the_dense_backend(label):
     x = np.random.default_rng(6).standard_normal((grid.N, 2))
     assert np.array_equal(op.matvec(x), A @ x)
     assert np.array_equal(op.rmatvec(x), A.T @ x)
+    for transpose_ in (False, True):
+        np.testing.assert_allclose(
+            op.window_sums(transpose_), _window_sums_oracle(A.T if transpose_ else A),
+            rtol=0, atol=1e-12,
+        )
     assert conjugate(kern, GroupPoint(2.0, 1.0)).profile is None
 
 
@@ -189,4 +220,4 @@ def test_discrete_operator_needs_exactly_one_backend():
     with pytest.raises(ValueError):
         DiscreteOperator(4)
     with pytest.raises(ValueError):
-        DiscreteOperator(4, matrix=np.eye(4), symbol=np.ones(5))
+        DiscreteOperator(4, matrix=np.eye(4), column=np.ones(8))

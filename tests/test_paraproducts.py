@@ -154,30 +154,28 @@ def test_decompose_s1_small_against_wavelets(psi, phi, grid, fgrid):
     assert num / den < 0.05
 
 
-def test_decompose_assembles_kernel_matrix_once(psi, phi, monkeypatch):
+@pytest.mark.parametrize("label, assemblies", [("hilbert", 0), ("damped_hilbert_1", 1)])
+def test_decompose_discretizes_once(psi, phi, monkeypatch, label, assemblies):
     import czframe.operators as operators_mod
     import czframe.paraproducts as paraproducts_mod
-    from czframe.operators import apply_kernel, compute_T1star, kernel_matrix
+    from czframe.operators import apply_kernel, compute_T1, discretize, kernel_matrix, transpose
 
     small = SpatialGrid(8.0, 256)
     sfg = make_frame_grid(small, 0.25, 16.0, s=0.25)
-    kernel = get_model("damped_hilbert_1").kernel
-    calls = []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return kernel_matrix(*args, **kwargs)
-
-    monkeypatch.setattr(operators_mod, "kernel_matrix", counting)
-    monkeypatch.setattr(paraproducts_mod, "kernel_matrix", counting)
+    kernel = get_model(label).kernel
+    ops, mats = [], []
+    monkeypatch.setattr(paraproducts_mod, "discretize", lambda *a: ops.append(a) or discretize(*a))
+    monkeypatch.setattr(operators_mod, "kernel_matrix", lambda *a: mats.append(a) or kernel_matrix(*a))
     dec = decompose(kernel, phi, psi, sfg, small)
     f = SampledFunction.from_callable(small, lambda x: np.exp(-(x**2)))
     t, s = dec.apply_t(f), dec.apply_s(f)
-    assert len(calls) == 1
+    assert (len(ops), len(mats)) == (1, assemblies)
     monkeypatch.undo()
-    # the kept matrix gives bitwise the values of a fresh assembly
+    # the kept operator gives bitwise the values of a fresh discretization
     assert np.array_equal(t.values, apply_kernel(kernel, f).values)
-    assert np.array_equal(dec.t1star.values, compute_T1star(kernel, small)[0].values)
+    np.testing.assert_allclose(
+        dec.t1star.values, compute_T1(transpose(kernel), small)[0].values, rtol=0, atol=1e-14
+    )
     assert np.array_equal(
         s.values, t.values - dec.apply_p1(f).values - dec.apply_p2_adjoint(f).values
     )
