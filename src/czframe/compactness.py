@@ -18,10 +18,18 @@ operator; :func:`operator_matrix` is the dense A (SVD cross-check, test
 oracle).  The analysis operator is the lattice's cached
 :func:`~czframe.wavelets.frame_rows` matrix with rows scaled by
 sqrt(dlambda) * h.
+
+A sweep over radii builds that matrix once, with its rows in decreasing
+``fgrid.dist0`` order, so every tail(R) is a zero-copy row prefix of it
+(:func:`tail_views`).  The radii are independent solves from the same seeded
+start vector; :func:`tail_functional` runs them concurrently on a thread pool
+with one worker per usable core and collects them in radius order, so the
+result is bitwise independent of the worker count.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,12 +46,16 @@ __all__ = [
     "operator_matrix",
     "rk_tail",
     "tail_functional",
+    "tail_views",
     "singular_spectrum",
     "tail_verdict",
 ]
 
 VANISHING_THRESHOLD = 1e-2
 NON_VANISHING_THRESHOLD = 0.1
+# Rows scaled per step by analysis_operator: bounds its temporary to the
+# nonzeros of this many rows.
+_ROW_BLOCK = 4096
 
 
 def operator_matrix(kernel: CZKernel, grid: SpatialGrid) -> np.ndarray:
@@ -51,15 +63,47 @@ def operator_matrix(kernel: CZKernel, grid: SpatialGrid) -> np.ndarray:
     return kernel_matrix(kernel, grid) * grid.h
 
 
-def analysis_operator(psi, fgrid: FrameGrid, grid: SpatialGrid) -> scipy.sparse.csr_matrix:
+def analysis_operator(
+    psi, fgrid: FrameGrid, grid: SpatialGrid, order: np.ndarray | None = None
+) -> scipy.sparse.csr_matrix:
     """Sparse map g |-> (sqrt(dlambda_node) <g, psi_node>)_node.
 
     Row ``k`` holds sqrt(dlambda_k) * h * psi_k(x_i) over the grid window
-    intersecting the support of the frame element at node k: the cached
-    :func:`~czframe.wavelets.frame_rows` matrix scaled row by row.
+    intersecting the support of the frame element at node k: one copy of the
+    cached :func:`~czframe.wavelets.frame_rows` matrix, its rows taken in
+    ``order`` (node order by default) and scaled in place, a block of rows at
+    a time, so no second matrix-sized array is made.
     """
-    weights = scipy.sparse.diags(np.sqrt(fgrid.dlam) * grid.h)
-    return (weights @ frame_rows(psi, fgrid, grid)).tocsr()
+    if order is None:
+        order = np.arange(fgrid.n_nodes)
+    S = frame_rows(psi, fgrid, grid)[order]
+    weights = (np.sqrt(fgrid.dlam) * grid.h)[order]
+    for lo in range(0, S.shape[0], _ROW_BLOCK):
+        ptr = S.indptr[lo:lo + _ROW_BLOCK + 1]
+        S.data[ptr[0]:ptr[-1]] *= np.repeat(weights[lo:lo + _ROW_BLOCK], np.diff(ptr))
+    return S
+
+
+def tail_views(
+    psi, fgrid: FrameGrid, grid: SpatialGrid, radii
+) -> tuple[scipy.sparse.csr_matrix, list[scipy.sparse.csr_matrix]]:
+    """The analysis operator sorted by distance, and each tail(R) as a view of it.
+
+    The sorted matrix is :func:`analysis_operator` with its rows in the stable
+    order ``argsort(-fgrid.dist0)``.  The rows of the nodes in
+    ``tail_nodes(fgrid, R)`` are then its first n rows, so the tail matrix of
+    each radius is a CSR row prefix sharing ``data``, ``indices`` and
+    ``indptr`` with it.  A negative radius raises ``ValueError``.
+    """
+    S = analysis_operator(psi, fgrid, grid, np.argsort(-fgrid.dist0, kind="stable"))
+    views = []
+    for r in radii:
+        n = int(np.count_nonzero(tail_nodes(fgrid, float(r))))
+        nnz = S.indptr[n]
+        views.append(scipy.sparse.csr_matrix(
+            (S.data[:nnz], S.indices[:nnz], S.indptr[:n + 1]), shape=(n, grid.N), copy=False
+        ))
+    return S, views
 
 
 @dataclass
@@ -101,7 +145,9 @@ def _lanczos_top(
 ) -> tuple[float, np.ndarray, int, bool, float]:
     """Top eigenpair of the symmetric PSD map ``B_apply`` by ARPACK Lanczos.
 
-    The start vector comes from ``default_rng(seed)``.  Returns the Ritz value,
+    The start vector comes from ``default_rng(seed)``, and so do the vectors
+    ARPACK draws when it restarts from an exhausted Krylov space (by default
+    it would draw them from fresh OS entropy).  Returns the Ritz value,
     its unit vector, the number of ``B_apply`` calls, whether it converged and
     the residual norm.  An operator that maps the start vector to exactly zero
     is taken to be zero after one application, since ARPACK needs a nontrivial
@@ -110,7 +156,8 @@ def _lanczos_top(
     # Imported here so that runs which never solve do not load ARPACK.
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
 
-    v0 = np.random.default_rng(seed).standard_normal(n)
+    rng = np.random.default_rng(seed)
+    v0 = rng.standard_normal(n)
     v0 /= np.linalg.norm(v0)
     calls = 0
 
@@ -124,7 +171,7 @@ def _lanczos_top(
         return 0.0, v0, calls, True, 0.0
     B = LinearOperator((n, n), matvec=counted, dtype=float)
     try:
-        lams, vecs = eigsh(B, k=1, which="LA", v0=v0, tol=tol, maxiter=maxiter)
+        lams, vecs = eigsh(B, k=1, which="LA", v0=v0, tol=tol, maxiter=maxiter, rng=rng)
         ok = True
     except ArpackNoConvergence as exc:
         lams, vecs = exc.eigenvalues, exc.eigenvectors
@@ -141,10 +188,8 @@ def _lanczos_top(
 
 def rk_tail(
     A: DiscreteOperator | np.ndarray,
-    S: scipy.sparse.csr_matrix,
-    fgrid: FrameGrid,
+    S_tail: scipy.sparse.csr_matrix,
     grid: SpatialGrid,
-    R: float,
     tol: float = 1e-6,
     maxiter: int = 500,
     seed: int = 0,
@@ -152,16 +197,15 @@ def rk_tail(
     """Sup over the L2 unit ball of tail coefficient energy of Tf.
 
     ``A`` is the sample-space operator (a matrix is taken as the dense
-    operator) and ``S`` the analysis operator from
-    :func:`analysis_operator` (pass it in so sweeps over R reuse the
-    assembly).  Lanczos (ARPACK ``eigsh``) runs on the normal
-    matrix of the composite map from a seeded start vector, with tolerance
-    ``tol`` and at most ``maxiter`` restarts; on non-convergence the best
-    Ritz value found is still reported, with ``converged=False``.
+    operator) and ``S_tail`` the rows of the analysis operator at the tail
+    nodes: a view from :func:`tail_views`, or
+    ``analysis_operator(psi, fgrid, grid)[tail_nodes(fgrid, R)]``.  Lanczos
+    (ARPACK ``eigsh``) runs on the normal matrix of the composite map from a
+    seeded start vector, with tolerance ``tol`` and at most ``maxiter``
+    restarts; on non-convergence the best Ritz value found is still reported,
+    with ``converged=False``.
     """
     A = as_operator(A)
-    mask = tail_nodes(fgrid, R)
-    S_tail = S[mask]
     root_h = np.sqrt(grid.h)
 
     def B_apply(u: np.ndarray) -> np.ndarray:
@@ -178,6 +222,11 @@ def rk_tail(
     )
 
 
+def _sweep_workers(n_solves: int) -> int:
+    """Threads for a radius sweep: one per usable core, at most one per solve."""
+    return min(len(os.sched_getaffinity(0)), n_solves)
+
+
 def tail_functional(
     A: DiscreteOperator | np.ndarray,
     psi,
@@ -188,12 +237,25 @@ def tail_functional(
     keep_witnesses: bool = True,
     **kwargs,
 ) -> TailFunctional:
-    """rk_tail profile over a radii sweep with a trend verdict."""
+    """rk_tail profile over a radii sweep with a trend verdict.
+
+    Each radius is one :func:`rk_tail` solve on its view from
+    :func:`tail_views`.  The solves run on a thread pool and are collected
+    in radius order; an exception raised in a solve is raised here.
+    """
+    # Imported here so that runs which never sweep do not load the executor.
+    from concurrent.futures import ThreadPoolExecutor
+
     radii = np.asarray(radii, dtype=float)
     if np.any(np.diff(radii) <= 0.0):
         raise ValueError("radii must be strictly increasing")
-    S = analysis_operator(psi, fgrid, grid)
-    solves = [rk_tail(A, S, fgrid, grid, float(r), **kwargs) for r in radii]
+    A = as_operator(A)
+    _, tails = tail_views(psi, fgrid, grid, radii)
+    pool = ThreadPoolExecutor(_sweep_workers(len(tails)))
+    try:
+        solves = list(pool.map(lambda S_tail: rk_tail(A, S_tail, grid, **kwargs), tails))
+    finally:
+        pool.shutdown(cancel_futures=True)
     values = np.array([res.value for res in solves])
     return TailFunctional(
         operator_label=label,

@@ -11,7 +11,9 @@ a :class:`DiscreteOperator` (Tf)(x_i) = sum_j K(x_i, x_j) f(x_j) h applied
 matrix-free: a Toeplitz matrix by circulant-embedded FFT for convolution
 kernels K(x, y) = k(x - y) (Chan & Ng, SIAM Rev. 38, 1996), else the dense
 :func:`kernel_matrix`, which is also the Toeplitz backend's oracle.  T1 and
-T*1 are the operator's symmetric-window row and column sums.
+T*1 are the operator's symmetric-window row and column sums.  An operator
+given by sparse factors A = Psi^T diag(d) Phi (a paraproduct) is one more
+backend behind the same interface.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
+import scipy.sparse
 
 from .geometry import GroupPoint
 from .grids import SampledFunction, SpatialGrid, smooth_bump
@@ -172,19 +175,32 @@ class DiscreteOperator:
 
     ``matvec`` applies A and ``rmatvec`` applies A^T, to a vector or column by
     column to an N x k array; the quadrature weight h is part of A.  The
-    operator holds either the dense matrix A or, for a Toeplitz A[i, j] =
-    c[i - j], the length-2N circulant column (c[0..N-1], 0, c[-(N-1)..-1])
-    and its rfft, so each application is one rfft/irfft pair.  Exactly one
-    of ``matrix`` and ``column`` is given.  ``dense()`` returns A.
+    operator holds exactly one backend:
+
+    - ``matrix``: the dense matrix A;
+    - ``column``: for a Toeplitz A[i, j] = c[i - j], the length-2N circulant
+      column (c[0..N-1], 0, c[-(N-1)..-1]) and its rfft, so each application
+      is one rfft/irfft pair;
+    - ``factors``: a triple (Psi, d, Phi) of sparse matrices and a weight
+      vector with A = Psi^T diag(d) Phi, so ``matvec`` is Psi^T (d * Phi f)
+      and ``rmatvec`` is Phi^T (d * Psi f); both transposes are built as CSR
+      once, here.
+
+    ``dense()`` returns A.
     """
 
-    def __init__(self, n: int, *, matrix: np.ndarray | None = None, column: np.ndarray | None = None):
-        if (matrix is None) == (column is None):
-            raise ValueError("DiscreteOperator needs exactly one of matrix and column")
+    def __init__(self, n: int, *, matrix: np.ndarray | None = None,
+                 column: np.ndarray | None = None, factors: tuple | None = None):
+        if sum(b is not None for b in (matrix, column, factors)) != 1:
+            raise ValueError("DiscreteOperator needs exactly one of matrix, column and factors")
         self.n = n
         self.matrix = matrix
         self.column = column
         self.symbol = None if column is None else np.fft.rfft(column)
+        self.factors = factors
+        if factors is not None:
+            Psi, _, Phi = factors
+            self._transposes = (Psi.T.tocsr(), Phi.T.tocsr())
 
     def _circulant(self, x: np.ndarray, symbol: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
@@ -192,20 +208,31 @@ class DiscreteOperator:
         s = symbol if x.ndim == 1 else symbol[:, None]
         return np.fft.irfft(np.fft.rfft(x, m, axis=0) * s, m, axis=0)[: self.n]
 
+    def _factored(self, x: np.ndarray, inner, outer_t) -> np.ndarray:
+        d = self.factors[1]
+        return outer_t @ ((d if np.ndim(x) == 1 else d[:, None]) * (inner @ x))
+
     def matvec(self, x: np.ndarray) -> np.ndarray:
         if self.matrix is not None:
             return self.matrix @ x
+        if self.factors is not None:
+            return self._factored(x, self.factors[2], self._transposes[0])
         return self._circulant(x, self.symbol)
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
         if self.matrix is not None:
             return self.matrix.T @ x
+        if self.factors is not None:
+            return self._factored(x, self.factors[0], self._transposes[1])
         # c[-m] embeds as the time reversal of c[m]'s column: conjugate symbol
         return self._circulant(x, np.conj(self.symbol))
 
     def dense(self) -> np.ndarray:
         if self.matrix is not None:
             return self.matrix
+        if self.factors is not None:
+            _, d, Phi = self.factors
+            return (self._transposes[0] @ (scipy.sparse.diags(d) @ Phi)).toarray()
         return self.matvec(np.eye(self.n))
 
     def window_sums(self, transpose: bool = False) -> np.ndarray:
@@ -218,10 +245,11 @@ class DiscreteOperator:
         n = self.n
         idx = np.arange(n)
         w = np.minimum(idx, n - 1 - idx)
-        if self.matrix is None:
+        if self.column is not None:
             c = self.column
             return c[0] + np.concatenate([[0.0], np.cumsum(c[1:n] + c[:n:-1])])[w]
-        csum = np.cumsum(self.matrix.T if transpose else self.matrix, axis=1)
+        A = self.dense()
+        csum = np.cumsum(A.T if transpose else A, axis=1)
         return csum[idx, idx + w] - np.where(idx > w, csum[idx, idx - w - 1], 0.0)
 
 

@@ -511,7 +511,7 @@ def _diag_rk_tail(cfg: SuiteConfig, ctx: _Context):
     small, sfg, meta = _side_lattice(32.0, 256, 0.5, 64.0, s=0.25)
     S = compactness_mod.analysis_operator(ctx.psi, sfg, small)
     A = compactness_mod.operator_matrix(get_model("damped_hilbert_1").kernel, small)
-    res = compactness_mod.rk_tail(A, S, sfg, small, 0.0, seed=cfg.seed)
+    res = compactness_mod.rk_tail(A, S, small, seed=cfg.seed)  # R = 0: every row
     M = np.asarray(S @ A) / math.sqrt(small.h)
     dense = float(scipy.linalg.svdvals(M)[0] ** 2)
     records.append(_record(

@@ -1,11 +1,15 @@
 """Tail coefficient-energy functional via Lanczos (ARPACK `eigsh`), and spectra."""
 
+import dataclasses
 import math
+import sys
 
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
+from czframe import compactness
 from czframe.compactness import (
     analysis_operator,
     operator_matrix,
@@ -13,8 +17,9 @@ from czframe.compactness import (
     singular_spectrum,
     tail_functional,
     tail_verdict,
+    tail_views,
 )
-from czframe.grids import SpatialGrid, make_frame_grid
+from czframe.grids import SpatialGrid, make_frame_grid, tail_nodes
 from czframe.operators import discretize, get_model
 from czframe.wavelets import make_mother_wavelet
 
@@ -47,13 +52,27 @@ def test_analysis_operator_rows_are_scaled_frame_elements(psi, small_grid, small
         assert np.allclose(S[i].toarray().ravel(), expected, atol=1e-14)
 
 
+@pytest.mark.parametrize("block", [1, 7, 4096])
+def test_analysis_operator_scales_every_row_block(psi, small_grid, small_fgrid, monkeypatch, block):
+    # oracle: the frame rows times the diagonal weight matrix, in node and in
+    # permuted order; the Haar weights vary here, so each row needs its own
+    monkeypatch.setattr(compactness, "_ROW_BLOCK", block)
+    rng = np.random.default_rng(0)
+    fg = dataclasses.replace(small_fgrid, dlam=rng.uniform(0.5, 2.0, small_fgrid.n_nodes))
+    rows = compactness.frame_rows(psi, fg, small_grid)
+    expected = (scipy.sparse.diags(np.sqrt(fg.dlam) * small_grid.h) @ rows).toarray()
+    assert np.array_equal(analysis_operator(psi, fg, small_grid).toarray(), expected)
+    order = rng.permutation(fg.n_nodes)
+    assert np.array_equal(analysis_operator(psi, fg, small_grid, order).toarray(), expected[order])
+
+
 @pytest.mark.parametrize("R", [0.0, 1.0])
 @pytest.mark.parametrize("label", ["hilbert", "damped_hilbert_1", "finite_rank"])
 def test_rk_value_matches_dense_svd(psi, small_grid, small_fgrid, label, R):
     # oracle: sigma_max^2 of the explicitly assembled composite tail matrix
     A = operator_matrix(get_model(label).kernel, small_grid)
     S = analysis_operator(psi, small_fgrid, small_grid)
-    res = rk_tail(A, S, small_fgrid, small_grid, R)
+    res = rk_tail(A, S[tail_nodes(small_fgrid, R)], small_grid)
     M = np.asarray(S[np.asarray(small_fgrid.dist0 >= R)] @ A) / math.sqrt(small_grid.h)
     dense = float(scipy.linalg.svdvals(M)[0] ** 2)
     assert res.converged
@@ -68,7 +87,7 @@ def test_rk_value_matches_dense_svd(psi, small_grid, small_fgrid, label, R):
 def test_rk_zero_operator_short_circuits(psi, small_grid, small_fgrid):
     A = operator_matrix(get_model("zero").kernel, small_grid)
     S = analysis_operator(psi, small_fgrid, small_grid)
-    res = rk_tail(A, S, small_fgrid, small_grid, 0.0)
+    res = rk_tail(A, S[tail_nodes(small_fgrid, 0.0)], small_grid)
     assert res.value == 0.0
     assert res.iterations == 1
     assert res.converged
@@ -78,7 +97,7 @@ def test_rk_reports_non_convergence(psi, small_grid, small_fgrid):
     # one restart is far too few for Hilbert's clustered top spectrum
     A = operator_matrix(get_model("hilbert").kernel, small_grid)
     S = analysis_operator(psi, small_fgrid, small_grid)
-    res = rk_tail(A, S, small_fgrid, small_grid, 0.0, maxiter=1)
+    res = rk_tail(A, S[tail_nodes(small_fgrid, 0.0)], small_grid, maxiter=1)
     assert res.converged is False
     assert res.residual > 1e-6 * res.value
 
@@ -87,7 +106,7 @@ def test_rk_witness_is_extremal(psi, small_grid, small_fgrid):
     # the returned witness attains the reported value up to tolerance
     A = operator_matrix(get_model("damped_hilbert_1").kernel, small_grid)
     S = analysis_operator(psi, small_fgrid, small_grid)
-    res = rk_tail(A, S, small_fgrid, small_grid, 1.0)
+    res = rk_tail(A, S[tail_nodes(small_fgrid, 1.0)], small_grid)
     u = res.witness.values
     norm2 = float(u @ u) * small_grid.h
     c = S[np.asarray(small_fgrid.dist0 >= 1.0)] @ (A @ u)
@@ -98,8 +117,8 @@ def test_rk_witness_is_extremal(psi, small_grid, small_fgrid):
 def test_rk_seed_determinism(psi, small_grid, small_fgrid):
     A = operator_matrix(get_model("damped_hilbert_1").kernel, small_grid)
     S = analysis_operator(psi, small_fgrid, small_grid)
-    r1 = rk_tail(A, S, small_fgrid, small_grid, 0.5, seed=3)
-    r2 = rk_tail(A, S, small_fgrid, small_grid, 0.5, seed=3)
+    r1 = rk_tail(A, S[tail_nodes(small_fgrid, 0.5)], small_grid, seed=3)
+    r2 = rk_tail(A, S[tail_nodes(small_fgrid, 0.5)], small_grid, seed=3)
     assert r1.value == r2.value
     assert np.array_equal(r1.witness.values, r2.witness.values)
 
@@ -169,7 +188,7 @@ def test_rk_zero_fft_operator_short_circuits(psi, small_grid, small_fgrid):
     A = discretize(get_model("zero").kernel, small_grid)
     assert A.matrix is None
     S = analysis_operator(psi, small_fgrid, small_grid)
-    res = rk_tail(A, S, small_fgrid, small_grid, 0.0)
+    res = rk_tail(A, S[tail_nodes(small_fgrid, 0.0)], small_grid)
     assert res.value == 0.0
     assert res.iterations == 1
     assert res.converged
@@ -196,3 +215,62 @@ def test_tail_functional_repeats_bitwise_in_process(psi, small_grid, small_fgrid
     assert np.array_equal(first.iterations, second.iterations)
     assert np.array_equal(first.values, second.values)
     assert np.array_equal(first.witnesses[-1].values, second.witnesses[-1].values)
+
+
+SWEEP_RADII = [0.0, 0.5, 1.0, 2.0, 3.0]
+
+
+@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("label", ["hilbert", "finite_rank"])
+def test_sweep_equals_plain_loop_bitwise(psi, small_grid, small_fgrid, monkeypatch, workers, label):
+    # the pooled sweep returns exactly what one rk_tail call per view returns
+    A = discretize(get_model(label).kernel, small_grid)
+    _, views = tail_views(psi, small_fgrid, small_grid, SWEEP_RADII)
+    loop = [rk_tail(A, S_tail, small_grid, seed=1) for S_tail in views]
+    asked = []
+    monkeypatch.setattr(compactness, "_sweep_workers", lambda n: asked.append(n) or workers)
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the workers as often as possible
+    try:
+        tf = tail_functional(A, psi, small_fgrid, small_grid, SWEEP_RADII, seed=1)
+    finally:
+        sys.setswitchinterval(switch)
+    assert asked == [len(SWEEP_RADII)]
+    assert np.array_equal(tf.values, [r.value for r in loop])
+    assert np.array_equal(tf.iterations, [r.iterations for r in loop])
+    assert np.array_equal(tf.residuals, [r.residual for r in loop])
+    assert np.array_equal(tf.converged, [r.converged for r in loop])
+    for got, want in zip(tf.witnesses, loop):
+        assert np.array_equal(got.values, want.witness.values)
+
+
+def test_sweep_workers_follow_usable_cores(monkeypatch):
+    monkeypatch.setattr(compactness.os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    assert compactness._sweep_workers(9) == 3
+    assert compactness._sweep_workers(2) == 2
+
+
+def test_tail_views_are_row_prefixes_of_one_sorted_matrix(psi, small_grid, small_fgrid):
+    S_sorted, views = tail_views(psi, small_fgrid, small_grid, SWEEP_RADII)
+    order = np.argsort(-small_fgrid.dist0, kind="stable")
+    S = analysis_operator(psi, small_fgrid, small_grid)
+    assert np.all(np.diff(small_fgrid.dist0[order]) <= 0.0)
+    for R, view in zip(SWEEP_RADII, views):
+        for part in ("data", "indices", "indptr"):
+            assert np.shares_memory(getattr(view, part), getattr(S_sorted, part))
+        mask = tail_nodes(small_fgrid, R)
+        n = view.shape[0]
+        assert n == np.count_nonzero(mask) and view.shape[1] == small_grid.N
+        # permuted back to node order, the view is the masked analysis operator
+        back = np.zeros((small_fgrid.n_nodes, small_grid.N))
+        back[order[:n]] = view.toarray()
+        assert np.array_equal(back[mask], S[mask].toarray())
+        assert not back[~mask].any()
+
+
+def test_tail_views_reject_negative_radius(psi, small_grid, small_fgrid):
+    with pytest.raises(ValueError):
+        tail_views(psi, small_fgrid, small_grid, [-0.5, 1.0])
+    A = discretize(get_model("zero").kernel, small_grid)
+    with pytest.raises(ValueError):
+        tail_functional(A, psi, small_fgrid, small_grid, [-0.5, 1.0])

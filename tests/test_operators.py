@@ -5,6 +5,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from czframe.geometry import GroupPoint
 from czframe.grids import SampledFunction, SpatialGrid
@@ -221,3 +222,9 @@ def test_discrete_operator_needs_exactly_one_backend():
         DiscreteOperator(4)
     with pytest.raises(ValueError):
         DiscreteOperator(4, matrix=np.eye(4), column=np.ones(8))
+    factors = (scipy.sparse.identity(4, format="csr"), np.ones(4), scipy.sparse.identity(4, format="csr"))
+    assert np.array_equal(DiscreteOperator(4, factors=factors).dense(), np.eye(4))
+    with pytest.raises(ValueError):
+        DiscreteOperator(4, matrix=np.eye(4), factors=factors)
+    with pytest.raises(ValueError):
+        DiscreteOperator(4, column=np.ones(8), factors=factors)

@@ -4,7 +4,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse
 
+from czframe.compactness import tail_functional
 from czframe.grids import SampledFunction, SpatialGrid, inner_product, l2_norm, make_frame_grid
 from czframe.operators import get_model
 from czframe.paraproducts import (
@@ -18,8 +20,9 @@ from czframe.paraproducts import (
     paraproduct_apply_to_constant,
     paraproduct_compactness,
     paraproduct_matrix,
+    paraproduct_operator,
 )
-from czframe.wavelets import analyze, make_mother_wavelet, synthesize
+from czframe.wavelets import analyze, frame_rows, make_mother_wavelet, synthesize
 
 
 @pytest.fixture(scope="module")
@@ -106,10 +109,55 @@ def test_matrix_matches_apply(psi, phi, fgrid):
     assert np.max(np.abs(A @ f.values - direct.values)) < 1e-10
 
 
-def test_compactness_dichotomy(psi, phi):
-    # smooth compactly supported symbol -> vanishing tails; log symbol -> not
+def test_factored_operator_matches_paraproduct_matrix(psi, phi):
+    # oracle: the sparse product Psi^T diag(coeff * dlambda) Phi h, densified
+    small = SpatialGrid(32.0, 512)
+    sfg = make_frame_grid(small, 0.25, 16.0, s=0.25)
+    sym = make_symbol(SampledFunction.from_callable(small, _bump(0.0, 2.0)), psi, sfg)
+    Psi = frame_rows(psi, sfg, small)
+    Phi = frame_rows(phi, sfg, small, "L1") * small.h
+    D = scipy.sparse.diags(sym.coefficients.values * sfg.dlam)
+    expected = (Psi.T @ (D @ Phi)).toarray()
+    P = paraproduct_operator(sym, phi, psi, small)
+    scale = np.max(np.abs(expected))
+    X = np.random.default_rng(0).standard_normal((small.N, 3))
+    for got, want in (
+        (paraproduct_matrix(sym, phi, psi, small), expected),
+        (P.dense(), expected),
+        (P.matvec(X), expected @ X),
+        (P.rmatvec(X), expected.T @ X),
+        (P.matvec(X[:, 0]), expected @ X[:, 0]),
+        (P.rmatvec(X[:, 0]), expected.T @ X[:, 0]),
+    ):
+        assert got.shape == want.shape
+        assert np.max(np.abs(got - want)) <= 1e-12 * scale * max(1.0, np.max(np.abs(X)))
+
+
+@pytest.fixture(scope="module")
+def wide():
+    # the paraproduct diagnostic's lattice
     big = SpatialGrid(2048.0, 4096)
-    pfg = make_frame_grid(big, 2.0, 1024.0, s=0.25, L_b=1024.0, cone_factor=0.0)
+    return big, make_frame_grid(big, 2.0, 1024.0, s=0.25, L_b=1024.0, cone_factor=0.0)
+
+
+def test_factored_and_dense_tail_sweeps_agree(psi, phi, wide):
+    big, pfg = wide
+    radii = np.arange(0.0, 5.5, 0.5)
+    sym = make_symbol(SampledFunction.from_callable(big, _bump(0.0, 2.0)), psi, pfg)
+    factored = tail_functional(
+        paraproduct_operator(sym, phi, psi, big), psi, pfg, big, radii, keep_witnesses=False
+    )
+    dense = tail_functional(
+        paraproduct_matrix(sym, phi, psi, big), psi, pfg, big, radii, keep_witnesses=False
+    )
+    assert factored.converged.all() and dense.converged.all()
+    assert np.array_equal(factored.iterations, dense.iterations)
+    np.testing.assert_allclose(factored.values, dense.values, rtol=1e-12, atol=0.0)
+
+
+def test_compactness_dichotomy(psi, phi, wide):
+    # smooth compactly supported symbol -> vanishing tails; log symbol -> not
+    big, pfg = wide
     radii = np.arange(0.0, 5.5, 1.0)
     beta_c = SampledFunction.from_callable(big, _bump(0.0, 2.0))
     tf_c, spec_c = paraproduct_compactness(beta_c, phi, psi, pfg, radii, keep_witnesses=False)

@@ -4,15 +4,19 @@ import dataclasses
 import json
 import os
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from czframe.grids import tail_nodes
+from czframe.operators import DiscreteOperator
 from czframe.reporting import (
     DEFAULT_TOLERANCES,
     DIAGNOSTIC_NAMES,
     ConfigError,
     SuiteConfig,
+    _Context,
     emit,
     run_suite,
 )
@@ -173,7 +177,7 @@ RK_SMALL = {
 
 
 def _rk_records(cfg):
-    from czframe.reporting import _Context, _diag_rk_tail
+    from czframe.reporting import _diag_rk_tail
 
     records, _ = _diag_rk_tail(cfg, _Context(cfg))
     return {r["name"]: r for r in records}
@@ -191,18 +195,47 @@ def test_unconverged_radius_fails_rk_tail_record(monkeypatch):
     from czframe import compactness
 
     solve = compactness.rk_tail
+    cfg = SuiteConfig.from_dict(RK_SMALL)
+    n_at_one = int(np.count_nonzero(tail_nodes(_Context(cfg).fgrid, 1.0)))
 
-    def stalls_at_one(A, S, fgrid, grid, R, **kwargs):
-        res = solve(A, S, fgrid, grid, R, **kwargs)
-        return dataclasses.replace(res, converged=False) if R == 1.0 else res
+    def stalls_at_one(A, S_tail, grid, **kwargs):
+        res = solve(A, S_tail, grid, **kwargs)
+        return dataclasses.replace(res, converged=False) if S_tail.shape[0] == n_at_one else res
 
     monkeypatch.setattr(compactness, "rk_tail", stalls_at_one)
-    records = _rk_records(SuiteConfig.from_dict(RK_SMALL))
+    records = _rk_records(cfg)
     rec = records["rk_tail"]
     assert rec["values"]["converged"] == [True, False, True]
     assert rec["values"]["ratio"] > DEFAULT_TOLERANCES["rk_hilbert_ratio"]  # the value check alone passes
     assert rec["verdict"] == "FAIL"
     assert records["rk_power_vs_svd"]["verdict"] == "PASS"
+
+
+class _MatvecFails(DiscreteOperator):
+    def matvec(self, x):
+        raise FloatingPointError("matvec failed in a worker")
+
+
+def test_worker_failure_reaches_the_caller_and_becomes_one_fail_record(monkeypatch):
+    from czframe import compactness, reporting
+
+    cfg = SuiteConfig.from_dict({**RK_SMALL, "diagnostics": ["rk_tail", "decomposition"]})
+    ctx = _Context(cfg)
+    failing = _MatvecFails(ctx.grid.N, matrix=np.eye(ctx.grid.N))
+    with pytest.raises(FloatingPointError):
+        compactness.tail_functional(failing, ctx.psi, ctx.fgrid, ctx.grid, [0.0, 1.0, 2.0])
+
+    monkeypatch.setattr(
+        reporting, "discretize", lambda kernel, grid: _MatvecFails(grid.N, matrix=np.eye(grid.N))
+    )
+    rep = run_suite(cfg)
+    names = [r["name"] for r in rep.records]
+    assert names.count("rk_tail") == 1 and "rk_power_vs_svd" not in names
+    rk = rep.records[names.index("rk_tail")]
+    assert rk["verdict"] == "FAIL"
+    assert rk["values"] == {"error": "FloatingPointError: matvec failed in a worker"}
+    later = names[names.index("rk_tail") + 1:]
+    assert later and all(n == "decomposition" for n in later)  # the next diagnostic still ran
 
 
 def test_raising_diagnostic_becomes_fail_record(monkeypatch):
