@@ -13,11 +13,11 @@ Discretized operators A with (Tf)(x_i) = (A f)_i for sample vectors f are
 applied only through ``matvec``/``rmatvec`` of a
 :class:`~czframe.operators.DiscreteOperator`; for a CZ kernel it comes from
 :func:`~czframe.operators.discretize` (A = kernel_matrix * h, Toeplitz/FFT
-for convolution kernels), and a plain matrix is taken as the dense
-operator; :func:`operator_matrix` is the dense A (SVD cross-check, test
-oracle).  The analysis operator is the lattice's cached
-:func:`~czframe.wavelets.frame_rows` matrix with rows scaled by
-sqrt(dlambda) * h.
+for convolution kernels, sparse factors for rank-one kernels).
+:func:`operator_matrix` is the dense A (SVD cross-check, test oracle); wrap it
+as ``DiscreteOperator(N, matrix=A)`` to solve on it.  The analysis operator
+is the lattice's cached :func:`~czframe.wavelets.frame_rows` matrix with rows
+scaled by sqrt(dlambda) * h.
 
 A sweep over radii builds that matrix once, with its rows in decreasing
 ``fgrid.dist0`` order, so every tail(R) is a zero-copy row prefix of it
@@ -36,7 +36,7 @@ import numpy as np
 import scipy.sparse
 
 from .grids import FrameGrid, SampledFunction, SpatialGrid, tail_nodes
-from .operators import CZKernel, DiscreteOperator, as_operator, kernel_matrix
+from .operators import CZKernel, DiscreteOperator, kernel_matrix
 from .wavelets import frame_rows
 
 __all__ = [
@@ -187,7 +187,7 @@ def _lanczos_top(
 
 
 def rk_tail(
-    A: DiscreteOperator | np.ndarray,
+    A: DiscreteOperator,
     S_tail: scipy.sparse.csr_matrix,
     grid: SpatialGrid,
     tol: float = 1e-6,
@@ -196,16 +196,14 @@ def rk_tail(
 ) -> LanczosResult:
     """Sup over the L2 unit ball of tail coefficient energy of Tf.
 
-    ``A`` is the sample-space operator (a matrix is taken as the dense
-    operator) and ``S_tail`` the rows of the analysis operator at the tail
-    nodes: a view from :func:`tail_views`, or
+    ``A`` is the sample-space operator and ``S_tail`` the rows of the
+    analysis operator at the tail nodes: a view from :func:`tail_views`, or
     ``analysis_operator(psi, fgrid, grid)[tail_nodes(fgrid, R)]``.  Lanczos
     (ARPACK ``eigsh``) runs on the normal matrix of the composite map from a
     seeded start vector, with tolerance ``tol`` and at most ``maxiter``
     restarts; on non-convergence the best Ritz value found is still reported,
     with ``converged=False``.
     """
-    A = as_operator(A)
     root_h = np.sqrt(grid.h)
 
     def B_apply(u: np.ndarray) -> np.ndarray:
@@ -228,7 +226,7 @@ def _sweep_workers(n_solves: int) -> int:
 
 
 def tail_functional(
-    A: DiscreteOperator | np.ndarray,
+    A: DiscreteOperator,
     psi,
     fgrid: FrameGrid,
     grid: SpatialGrid,
@@ -249,7 +247,6 @@ def tail_functional(
     radii = np.asarray(radii, dtype=float)
     if np.any(np.diff(radii) <= 0.0):
         raise ValueError("radii must be strictly increasing")
-    A = as_operator(A)
     _, tails = tail_views(psi, fgrid, grid, radii)
     pool = ThreadPoolExecutor(_sweep_workers(len(tails)))
     try:

@@ -13,6 +13,10 @@ identity anchor against the reference lattice, and the weight ratio
 ``w(a,b)/w(a',b')`` turns into the reference weight.  Dilation/translation
 invariant kernels (the Hilbert transform) are fixed points of the
 conjugation, so their Schur value is anchor-independent by construction.
+
+Every kernel is applied through :func:`~czframe.operators.discretize`.  The
+weak-compactness pairings discretize a bounded kernel once, on a reference
+grid, and a singular kernel once per node, conjugated to the node.
 """
 
 from __future__ import annotations
@@ -25,7 +29,9 @@ import numpy as np
 
 from .geometry import GroupPoint, IDENTITY
 from .grids import FrameGrid, SampledFunction, SpatialGrid, inner_product, smooth_bump
-from .operators import CZKernel, apply_kernel, conjugate, discretize, kernel_matrix
+from .operators import CZKernel, apply_kernel, conjugate, discretize
+# Never called here; perfbench's tracer test still expects this binding.
+from .operators import kernel_matrix  # noqa: F401
 from .wavelets import CoefficientField, analyze, frame_element
 
 __all__ = [
@@ -292,20 +298,6 @@ def _max_pairing(F: np.ndarray, TF: np.ndarray, h: float) -> float:
     return float(np.max(np.abs(F.T @ TF))) * h
 
 
-def _windowed_pairing(K: np.ndarray, F: np.ndarray, h: float) -> float:
-    """:func:`_max_pairing` with T = K h, restricted to the rows where F is nonzero.
-
-    The columns of F are compactly supported, so every row outside the
-    contiguous window from the first to the last nonzero row is exactly zero
-    and contributes nothing to F^T K F.
-    """
-    nz = np.flatnonzero(F.any(axis=1))
-    if nz.size == 0:
-        return 0.0
-    w = slice(nz[0], nz[-1] + 1)
-    return _max_pairing(F[w], K[w, w] @ F[w], h) * h
-
-
 def weak_compactness_profile(
     kernel: CZKernel,
     psi,
@@ -330,7 +322,7 @@ def weak_compactness_profile(
         local = SpatialGrid(8.0, 512)
     if reference is None:
         reference = SpatialGrid(32.0, 2048)
-    K_ref = kernel_matrix(kernel, reference) if kernel.bounded else None
+    T_ref = discretize(kernel, reference) if kernel.bounded else None
     samples = np.column_stack([f(local.x) for f in bundle]).astype(float)
     dist = fgrid.dist0
     out = np.zeros(len(radii))
@@ -348,7 +340,7 @@ def weak_compactness_profile(
                 # are smooth: <T f_node, g_node> = a^-1 <T f(.-b)/a, g(.-b)/a>.
                 u = (reference.x - node.b) / node.a
                 F = np.column_stack([f(u) for f in bundle])
-                val = _windowed_pairing(K_ref, F, reference.h) / node.a
+                val = _max_pairing(F, T_ref.matvec(F), reference.h) / node.a
             else:
                 # Conjugate the operator to the node; the test functions stay
                 # at unit scale on a fixed local grid, so the quadrature is

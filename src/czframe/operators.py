@@ -8,12 +8,12 @@ symmetric exclusion realizes the PV limit with O(h^2) consistency.
 
 :func:`discretize` is the one way a kernel becomes a sample-space operator,
 a :class:`DiscreteOperator` (Tf)(x_i) = sum_j K(x_i, x_j) f(x_j) h applied
-matrix-free: a Toeplitz matrix by circulant-embedded FFT for convolution
-kernels K(x, y) = k(x - y) (Chan & Ng, SIAM Rev. 38, 1996), else the dense
-:func:`kernel_matrix`, which is also the Toeplitz backend's oracle.  T1 and
-T*1 are the operator's symmetric-window row and column sums.  An operator
-given by sparse factors A = Psi^T diag(d) Phi (a paraproduct) is one more
-backend behind the same interface.
+matrix-free where the kernel declares structure: a Toeplitz matrix by
+circulant-embedded FFT for convolution kernels K(x, y) = k(x - y) (Chan & Ng,
+SIAM Rev. 38, 1996), sparse factors A = Psi^T diag(d) Phi for rank-one kernels
+K(x, y) = u(x) v(y), else the dense :func:`kernel_matrix`, which is also the
+oracle of both structured backends.  Paraproducts use the factored backend
+too.  T1 and T*1 are the operator's symmetric-window row and column sums.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ __all__ = [
     "get_model",
     "kernel_matrix",
     "discretize",
-    "as_operator",
     "apply_kernel",
     "compute_T1",
     "compute_T1star",
@@ -50,6 +49,7 @@ class CZKernel:
     """Off-diagonal kernel with its CZ constants and structural flags.
 
     ``profile`` is set for convolution kernels only: K(x, y) = profile(x - y).
+    ``factors`` is set for rank-one kernels only: K(x, y) = u(x) v(y), (u, v) = factors.
     """
 
     label: str
@@ -60,6 +60,7 @@ class CZKernel:
     bounded: bool = False
     exact_cancellation: bool = False
     profile: Callable[[np.ndarray], np.ndarray] | None = None
+    factors: tuple[Callable[[np.ndarray], np.ndarray], ...] | None = None
 
     def __call__(self, x, y):
         return self.fn(x, y)
@@ -72,13 +73,6 @@ class ModelOperator:
     kernel: CZKernel
     known_compact: bool | None = None  # None: not asserted
     description: str = ""
-
-
-def finite_rank_factors():
-    """Smooth compactly supported factors u, v of the rank-one model kernel."""
-    u = lambda x: smooth_bump(x, center=0.0, width=2.0)
-    v = lambda y: smooth_bump(y, center=0.5, width=1.5)
-    return u, v
 
 
 def _hilbert(x, y):
@@ -96,11 +90,6 @@ def _damped_hilbert(alpha):
     return fn
 
 
-def _finite_rank(x, y):
-    u, v = finite_rank_factors()
-    return u(x) * v(y)
-
-
 def _zero(x, y):
     return np.zeros(np.broadcast(x, y).shape)
 
@@ -111,9 +100,11 @@ def _zero_profile(d):
 
 def model_zoo() -> dict[str, ModelOperator]:
     """The fixed model operators, keyed by CLI label."""
-    u, v = finite_rank_factors()
-    sup_uv = float(np.max(smooth_bump(np.linspace(-2, 2, 4001), 0, 2.0))) * float(
-        np.max(smooth_bump(np.linspace(-1, 2, 4001), 0.5, 1.5))
+    # smooth compactly supported factors of the rank-one kernel
+    u = lambda x: smooth_bump(x, center=0.0, width=2.0)
+    v = lambda y: smooth_bump(y, center=0.5, width=1.5)
+    sup_uv = float(np.max(u(np.linspace(-2, 2, 4001)))) * float(
+        np.max(v(np.linspace(-1, 2, 4001)))
     )
     return {
         "hilbert": ModelOperator(
@@ -135,7 +126,8 @@ def model_zoo() -> dict[str, ModelOperator]:
             description="Hilbert kernel damped by (1+x^2+y^2)^{-1/2}",
         ),
         "finite_rank": ModelOperator(
-            CZKernel("finite_rank", _finite_rank, c_k=8.0 * sup_uv, delta=1.0, bounded=True),
+            CZKernel("finite_rank", lambda x, y: u(x) * v(y), c_k=8.0 * sup_uv, delta=1.0,
+                     bounded=True, factors=(u, v)),
             known_compact=True,
             description="rank-one kernel u(x) v(y) with smooth compactly supported factors",
         ),
@@ -259,12 +251,18 @@ def discretize(kernel: CZKernel, grid: SpatialGrid) -> DiscreteOperator:
     A kernel neither antisymmetric nor bounded has no diagonal-excluding PV
     quadrature and raises ``ValueError``.  A convolution ``profile`` gives the
     Toeplitz backend: c[m] = profile(m h) h, m = -(N-1) .. N-1, with the same
-    diagonal policy as :func:`kernel_matrix` at m = 0; else the dense backend.
+    diagonal policy as :func:`kernel_matrix` at m = 0.  Rank-one ``factors``
+    (u, v) give the factored backend (U, [1], V h) with the 1 x N CSR rows U and
+    V of u(x) and v(x).  Any other kernel gets the dense backend.
     """
     if not (kernel.antisymmetric or kernel.bounded):
         raise ValueError(f"kernel {kernel.label!r} is neither antisymmetric nor bounded; "
                          "PV quadrature with diagonal exclusion is unsupported")
     N, h = grid.N, grid.h
+    if kernel.factors is not None:
+        U, V = (scipy.sparse.csr_matrix(np.asarray(w(grid.x), dtype=float)[None, :])
+                for w in kernel.factors)
+        return DiscreteOperator(N, factors=(U, np.ones(1), V * h))
     if kernel.profile is None:
         A = kernel_matrix(kernel, grid)
         A *= h  # in place: bitwise kernel_matrix * h, without a second N x N array
@@ -274,14 +272,6 @@ def discretize(kernel: CZKernel, grid: SpatialGrid) -> DiscreteOperator:
         c = np.asarray(kernel.profile(m * h), dtype=float)
     c[N - 1] = np.nan_to_num(c[N - 1]) if kernel.bounded else 0.0
     return DiscreteOperator(N, column=np.concatenate([c[N - 1:], [0.0], c[: N - 1]]) * h)
-
-
-def as_operator(A) -> DiscreteOperator:
-    """``A`` itself if it is a :class:`DiscreteOperator`, else the dense operator of the matrix."""
-    if isinstance(A, DiscreteOperator):
-        return A
-    A = np.asarray(A)
-    return DiscreteOperator(A.shape[0], matrix=A)
 
 
 def apply_kernel(kernel: CZKernel, f: SampledFunction) -> SampledFunction:
@@ -299,22 +289,23 @@ def compute_T1(kernel: CZKernel, grid: SpatialGrid,
     """T1 as the symmetric-window PV sums ``T.window_sums()``, with the analytic tail bound.
 
     Antisymmetric kernels cancel pairwise exactly (the PV limit).  ``T``
-    defaults to the dense discretization, the reference for the Toeplitz
-    sums; perfbench's tracer test counts its kernel assembly.
+    defaults to the dense discretization, the reference for the Toeplitz and
+    factored sums; perfbench's tracer test counts its kernel assembly.
     """
     if T is None:
-        T = discretize(replace(kernel, profile=None), grid)
+        T = discretize(replace(kernel, profile=None, factors=None), grid)
     return SampledFunction(grid, T.window_sums()), truncation_tail_bound(kernel, grid)
 
 
 def transpose(kernel: CZKernel) -> CZKernel:
-    """Kernel of the adjoint, K~(x, y) = K(y, x)."""
-    fn, k = kernel.fn, kernel.profile
+    """Kernel of the adjoint, K~(x, y) = K(y, x); rank-one factors swap."""
+    fn, k, uv = kernel.fn, kernel.profile, kernel.factors
     return replace(
         kernel,
         label=kernel.label + "_transpose",
         fn=lambda x, y: fn(y, x),
         profile=None if k is None else (lambda d: k(-d)),
+        factors=None if uv is None else uv[::-1],
     )
 
 
@@ -322,7 +313,7 @@ def compute_T1star(kernel: CZKernel, grid: SpatialGrid,
                    T: DiscreteOperator | None = None) -> tuple[SampledFunction, float]:
     """T*1, the window sums of A^T: T1 of the transposed kernel; ``T`` as in :func:`compute_T1`."""
     if T is None:
-        T = discretize(replace(kernel, profile=None), grid)
+        T = discretize(replace(kernel, profile=None, factors=None), grid)
     return SampledFunction(grid, T.window_sums(True)), truncation_tail_bound(kernel, grid)
 
 
@@ -330,12 +321,15 @@ def conjugate(kernel: CZKernel, g: GroupPoint) -> CZKernel:
     """Conjugated kernel K_{(a,b)}(x, y) = a K(a x + b, a y + b); same constants.
 
     A convolution profile k becomes d |-> a k(a d); translation drops out.
+    Rank-one factors (u, v) become (x |-> a u(a x + b), y |-> v(a y + b)).
     """
     a, b = g.a, g.b
-    fn, k = kernel.fn, kernel.profile
+    fn, k, uv = kernel.fn, kernel.profile, kernel.factors
     return replace(
         kernel,
         label=f"{kernel.label}@({a:g},{b:g})",
         fn=lambda x, y: a * fn(a * x + b, a * y + b),
         profile=None if k is None else (lambda d: a * k(a * d)),
+        factors=None if uv is None else (lambda x: a * uv[0](a * x + b),
+                                         lambda y: uv[1](a * y + b)),
     )

@@ -37,7 +37,7 @@ from . import paraproducts as paraproducts_mod
 from .geometry import GroupPoint
 from .grids import SampledFunction, SpatialGrid, inner_product, l2_norm, make_frame_grid
 from .grids import smooth_bump, validate_frame_grid
-from .operators import apply_kernel, discretize, get_model, model_zoo
+from .operators import DiscreteOperator, apply_kernel, discretize, get_model, model_zoo
 from .wavelets import analyze, frame_element, make_mother_wavelet, synthesize
 
 __all__ = [
@@ -363,7 +363,9 @@ def _test_family(grid: SpatialGrid) -> dict:
 
 def _diag_frame(cfg: SuiteConfig, ctx: _Context):
     history = []
-    for s in sorted({max(cfg.s * 4, 1.0 / 2), cfg.s * 2, cfg.s}, reverse=True):
+    # coarser spacings clipped to the largest valid one, 1; s = 1 leaves one level
+    for s in sorted({min(c, 1.0) for c in (max(cfg.s * 4, 1.0 / 2), cfg.s * 2, cfg.s)},
+                    reverse=True):
         fg = ctx.lattice(ctx.grid, s)
         worst_p, worst_r = 0.0, 0.0
         for vals in _test_family(ctx.grid).values():
@@ -383,7 +385,8 @@ def _diag_frame(cfg: SuiteConfig, ctx: _Context):
         ctx.grid_meta(),
         ("parseval_error", "<=", "parseval"),
         ("roundtrip_error", "<=", "roundtrip"),
-        ok=all(x > y for h in (ps, rs) for x, y in zip(h, h[1:])),  # refinement helps
+        # refinement helps; a one-level ladder shows no refinement
+        ok=len(ss) > 1 and all(x > y for h in (ps, rs) for x, y in zip(h, h[1:])),
     )
     profile = _profile(["s", "parseval_error", "roundtrip_error"], ss, ps, rs)
     return [record], {"frame_refinement": profile}
@@ -511,7 +514,8 @@ def _diag_rk_tail(cfg: SuiteConfig, ctx: _Context):
     small, sfg, meta = _side_lattice(32.0, 256, 0.5, 64.0, s=0.25)
     S = compactness_mod.analysis_operator(ctx.psi, sfg, small)
     A = compactness_mod.operator_matrix(get_model("damped_hilbert_1").kernel, small)
-    res = compactness_mod.rk_tail(A, S, small, seed=cfg.seed)  # R = 0: every row
+    res = compactness_mod.rk_tail(DiscreteOperator(small.N, matrix=A), S, small,
+                                  seed=cfg.seed)  # R = 0: every row
     M = np.asarray(S @ A) / math.sqrt(small.h)
     dense = float(scipy.linalg.svdvals(M)[0] ** 2)
     records.append(_record(

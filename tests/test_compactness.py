@@ -20,8 +20,13 @@ from czframe.compactness import (
     tail_views,
 )
 from czframe.grids import SpatialGrid, make_frame_grid, tail_nodes
-from czframe.operators import discretize, get_model
+from czframe.operators import DiscreteOperator, discretize, get_model
 from czframe.wavelets import make_mother_wavelet
+
+
+def _dense_operator(label, grid):
+    """The dense oracle matrix of a zoo kernel as a :class:`DiscreteOperator`."""
+    return DiscreteOperator(grid.N, matrix=operator_matrix(get_model(label).kernel, grid))
 
 
 @pytest.fixture(scope="module")
@@ -72,7 +77,8 @@ def test_rk_value_matches_dense_svd(psi, small_grid, small_fgrid, label, R):
     # oracle: sigma_max^2 of the explicitly assembled composite tail matrix
     A = operator_matrix(get_model(label).kernel, small_grid)
     S = analysis_operator(psi, small_fgrid, small_grid)
-    res = rk_tail(A, S[tail_nodes(small_fgrid, R)], small_grid)
+    res = rk_tail(DiscreteOperator(small_grid.N, matrix=A), S[tail_nodes(small_fgrid, R)],
+                  small_grid)
     M = np.asarray(S[np.asarray(small_fgrid.dist0 >= R)] @ A) / math.sqrt(small_grid.h)
     dense = float(scipy.linalg.svdvals(M)[0] ** 2)
     assert res.converged
@@ -85,7 +91,7 @@ def test_rk_value_matches_dense_svd(psi, small_grid, small_fgrid, label, R):
 
 
 def test_rk_zero_operator_short_circuits(psi, small_grid, small_fgrid):
-    A = operator_matrix(get_model("zero").kernel, small_grid)
+    A = _dense_operator("zero", small_grid)
     S = analysis_operator(psi, small_fgrid, small_grid)
     res = rk_tail(A, S[tail_nodes(small_fgrid, 0.0)], small_grid)
     assert res.value == 0.0
@@ -95,7 +101,7 @@ def test_rk_zero_operator_short_circuits(psi, small_grid, small_fgrid):
 
 def test_rk_reports_non_convergence(psi, small_grid, small_fgrid):
     # one restart is far too few for Hilbert's clustered top spectrum
-    A = operator_matrix(get_model("hilbert").kernel, small_grid)
+    A = _dense_operator("hilbert", small_grid)
     S = analysis_operator(psi, small_fgrid, small_grid)
     res = rk_tail(A, S[tail_nodes(small_fgrid, 0.0)], small_grid, maxiter=1)
     assert res.converged is False
@@ -106,7 +112,8 @@ def test_rk_witness_is_extremal(psi, small_grid, small_fgrid):
     # the returned witness attains the reported value up to tolerance
     A = operator_matrix(get_model("damped_hilbert_1").kernel, small_grid)
     S = analysis_operator(psi, small_fgrid, small_grid)
-    res = rk_tail(A, S[tail_nodes(small_fgrid, 1.0)], small_grid)
+    res = rk_tail(DiscreteOperator(small_grid.N, matrix=A), S[tail_nodes(small_fgrid, 1.0)],
+                  small_grid)
     u = res.witness.values
     norm2 = float(u @ u) * small_grid.h
     c = S[np.asarray(small_fgrid.dist0 >= 1.0)] @ (A @ u)
@@ -115,7 +122,7 @@ def test_rk_witness_is_extremal(psi, small_grid, small_fgrid):
 
 
 def test_rk_seed_determinism(psi, small_grid, small_fgrid):
-    A = operator_matrix(get_model("damped_hilbert_1").kernel, small_grid)
+    A = _dense_operator("damped_hilbert_1", small_grid)
     S = analysis_operator(psi, small_fgrid, small_grid)
     r1 = rk_tail(A, S[tail_nodes(small_fgrid, 0.5)], small_grid, seed=3)
     r2 = rk_tail(A, S[tail_nodes(small_fgrid, 0.5)], small_grid, seed=3)
@@ -125,25 +132,25 @@ def test_rk_seed_determinism(psi, small_grid, small_fgrid):
 
 def test_tail_functional_profiles(psi, small_grid, small_fgrid):
     radii = np.arange(0.0, 6.5, 0.5)
-    A0 = operator_matrix(get_model("zero").kernel, small_grid)
+    A0 = _dense_operator("zero", small_grid)
     tz = tail_functional(A0, psi, small_fgrid, small_grid, radii, label="zero")
     assert np.all(tz.values == 0.0)
     assert tz.verdict == "vanishing"
 
-    Af = operator_matrix(get_model("finite_rank").kernel, small_grid)
+    Af = _dense_operator("finite_rank", small_grid)
     tf = tail_functional(Af, psi, small_fgrid, small_grid, radii, label="finite_rank")
     assert tf.values[0] > 0.0
     assert tf.ratio() < 1e-2
     assert tf.verdict == "vanishing"
 
-    Ah = operator_matrix(get_model("hilbert").kernel, small_grid)
+    Ah = _dense_operator("hilbert", small_grid)
     th = tail_functional(Ah, psi, small_fgrid, small_grid, radii, label="hilbert")
     assert th.ratio() > 0.1
     assert th.verdict == "non-vanishing"
 
 
 def test_tail_functional_radii_validation(psi, small_grid, small_fgrid):
-    A = operator_matrix(get_model("zero").kernel, small_grid)
+    A = _dense_operator("zero", small_grid)
     with pytest.raises(ValueError):
         tail_functional(A, psi, small_fgrid, small_grid, [0.0, 0.0, 1.0])
 
@@ -199,7 +206,8 @@ def test_rk_fft_backend_matches_dense(psi, small_grid, small_fgrid):
     kern = get_model("hilbert").kernel
     radii = [0.0, 2.0, 4.0]
     fft = tail_functional(discretize(kern, small_grid), psi, small_fgrid, small_grid, radii)
-    dense = tail_functional(operator_matrix(kern, small_grid), psi, small_fgrid, small_grid, radii)
+    A = DiscreteOperator(small_grid.N, matrix=operator_matrix(kern, small_grid))
+    dense = tail_functional(A, psi, small_fgrid, small_grid, radii)
     assert discretize(kern, small_grid).matrix is None
     assert np.array_equal(fft.iterations, dense.iterations)
     assert fft.converged.all() and dense.converged.all()

@@ -8,8 +8,6 @@ import pytest
 from czframe.geometry import GroupPoint, IDENTITY
 from czframe.grids import SpatialGrid, make_frame_grid
 from czframe.localization import (
-    _max_pairing,
-    _windowed_pairing,
     DecayBound,
     LocalizationWeight,
     default_anchor_lattice,
@@ -22,7 +20,7 @@ from czframe.localization import (
     verify_decay,
     weak_compactness_profile,
 )
-from czframe.operators import conjugate, get_model, kernel_matrix
+from czframe.operators import conjugate, discretize, get_model, kernel_matrix
 from czframe.wavelets import make_mother_wavelet
 
 
@@ -116,17 +114,22 @@ def test_schur_tail_monotone_and_decaying(psi, grid, fgrid):
 def test_origin_tail_finite_rank_vanishes(psi, grid, fgrid, monkeypatch):
     # a fixed-rank smooth kernel localizes near the identity: the fixed-disk
     # tail at radius 6 is negligible against the full value
+    import czframe.localization as localization_mod
     import czframe.operators as operators_mod
 
     kern = get_model("finite_rank").kernel
-    calls = []
+    ops, mats = [], []
     monkeypatch.setattr(
-        operators_mod, "kernel_matrix", lambda *a: calls.append(a) or kernel_matrix(*a)
+        localization_mod, "discretize", lambda *a: ops.append(a) or discretize(*a)
+    )
+    monkeypatch.setattr(
+        operators_mod, "kernel_matrix", lambda *a: mats.append(a) or kernel_matrix(*a)
     )
     full = origin_tail(kern, psi, fgrid, grid, 0.0)
     monkeypatch.undo()
-    # one assembly serves all nine default anchors
-    assert len(calls) == 1 and len(default_anchor_lattice()) == 9
+    # one factored discretization serves all nine default anchors
+    assert len(ops) == 1 and len(default_anchor_lattice()) == 9
+    assert mats == []
     tail = origin_tail(kern, psi, fgrid, grid, 8.0)
     assert tail / full < 1e-3
     assert origin_tail(kern, psi, fgrid, grid, 6.0) < full
@@ -178,17 +181,3 @@ def test_batched_pairings_match_per_pair_path(psi, label):
         expected.append(best)
     assert max(expected) > 0.0
     np.testing.assert_allclose(prof, expected, rtol=1e-12, atol=0.0)
-
-
-def test_windowed_pairing_equals_full_pairing(psi):
-    # the bundle rows outside the support window are exact zeros
-    kernel = get_model("finite_rank").kernel
-    reference = SpatialGrid(8.0, 256)
-    K = kernel_matrix(kernel, reference)
-    bundle = default_test_bundle(psi)
-    for a, b in ((0.3, -1.0), (1.0, 0.0), (2.0, 5.5), (1.0, 40.0)):
-        F = np.column_stack([f((reference.x - b) / a) for f in bundle])
-        full = _max_pairing(F, K @ F, reference.h) * reference.h
-        windowed = _windowed_pairing(K, F, reference.h)
-        assert windowed == pytest.approx(full, rel=1e-14, abs=0.0)
-    assert windowed == 0.0  # bundle entirely outside the box

@@ -13,12 +13,10 @@ from czframe.operators import (
     CZKernel,
     DiscreteOperator,
     apply_kernel,
-    as_operator,
     compute_T1,
     compute_T1star,
     conjugate,
     discretize,
-    finite_rank_factors,
     get_model,
     kernel_matrix,
     model_zoo,
@@ -56,7 +54,7 @@ def test_kernel_matrix_diagonal_policy(grid):
     sing = kernel_matrix(get_model("hilbert").kernel, grid)
     assert np.all(np.diag(sing) == 0.0)
     fr = kernel_matrix(get_model("finite_rank").kernel, grid)
-    u, v = finite_rank_factors()
+    u, v = get_model("finite_rank").kernel.factors
     assert np.allclose(np.diag(fr), u(grid.x) * v(grid.x))
     # bounded diagonal keeps the kernel exactly rank one
     assert np.linalg.matrix_rank(fr, tol=1e-10) == 1
@@ -81,7 +79,7 @@ def test_apply_kernel_matches_dense_quadrature(grid, label):
 
 def test_finite_rank_application_factorizes(grid):
     kern = get_model("finite_rank").kernel
-    u, v = finite_rank_factors()
+    u, v = kern.factors
     f = SampledFunction.from_callable(grid, lambda x: np.exp(-(x**2)))
     Tf = apply_kernel(kern, f)
     scalar = np.sum(v(grid.x) * f.values) * grid.h
@@ -96,12 +94,26 @@ def test_t1_hilbert_vanishes(grid):
 
 def test_t1_finite_rank_is_integral_times_factor(grid):
     kern = get_model("finite_rank").kernel
-    u, v = finite_rank_factors()
+    u, v = kern.factors
     t1, _ = compute_T1(kern, grid)
     iv = np.sum(v(grid.x)) * grid.h
     # away from box edges the symmetric window covers supp v entirely
     mask = np.abs(grid.x) <= 16.0
     assert np.max(np.abs(t1.values[mask] - iv * u(grid.x)[mask])) < 1e-12
+
+
+@pytest.mark.parametrize("t1", [compute_T1, compute_T1star])
+def test_default_t1_is_the_dense_reference(t1, monkeypatch):
+    # without an operator, T1 and T*1 assemble the dense matrix for every kernel
+    import czframe.operators as operators_mod
+
+    calls = []
+    monkeypatch.setattr(
+        operators_mod, "kernel_matrix", lambda *a: calls.append(a) or kernel_matrix(*a)
+    )
+    for label in ("hilbert", "finite_rank"):
+        t1(get_model(label).kernel, SpatialGrid(8.0, 128))
+    assert len(calls) == 2
 
 
 def test_t1star_is_t1_of_transpose(grid):
@@ -188,11 +200,11 @@ def test_toeplitz_backend_matches_dense_oracle(label):
         assert not op.matvec(rng.standard_normal(grid.N)).any()
 
 
-@pytest.mark.parametrize("label", ["damped_hilbert_1", "finite_rank"])
+@pytest.mark.parametrize("label", ["damped_hilbert_1"])
 def test_non_convolution_kernels_get_the_dense_backend(label):
     grid = SpatialGrid(8.0, 128)
     kern = get_model(label).kernel
-    assert kern.profile is None
+    assert kern.profile is None and kern.factors is None
     op = discretize(kern, grid)
     A = kernel_matrix(kern, grid) * grid.h
     assert np.array_equal(op.dense(), A)
@@ -207,14 +219,45 @@ def test_non_convolution_kernels_get_the_dense_backend(label):
     assert conjugate(kern, GroupPoint(2.0, 1.0)).profile is None
 
 
-def test_as_operator_wraps_matrices_once():
-    A = np.arange(16.0).reshape(4, 4)
-    op = as_operator(A)
-    assert isinstance(op, DiscreteOperator) and op.matrix is A
-    assert as_operator(op) is op
-    x = np.array([1.0, -2.0, 0.5, 3.0])
-    assert np.array_equal(op.matvec(x), A @ x)
-    assert np.array_equal(op.rmatvec(x), A.T @ x)
+def _assert_factored_matches_dense(op, A):
+    """The factored ``op`` against the dense oracle A: applications, dense() and T1/T*1."""
+    assert op.matrix is None and op.column is None and op.factors is not None
+    rng = np.random.default_rng(6)
+    for x in (rng.standard_normal(op.n), rng.standard_normal((op.n, 2))):
+        assert op.matvec(x).shape == x.shape
+        np.testing.assert_allclose(op.matvec(x), A @ x, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(op.rmatvec(x), A.T @ x, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(op.dense(), A, rtol=0, atol=1e-12)
+    for transpose_ in (False, True):
+        np.testing.assert_allclose(
+            op.window_sums(transpose_), _window_sums_oracle(A.T if transpose_ else A),
+            rtol=0, atol=1e-12,
+        )
+
+
+def test_rank_one_kernel_gets_the_factored_backend():
+    grid = SpatialGrid(8.0, 128)
+    kern = get_model("finite_rank").kernel
+    assert kern.profile is None and kern.factors is not None
+    op = discretize(kern, grid)
+    U, d, Vh = op.factors
+    assert U.shape == Vh.shape == (1, grid.N) and np.array_equal(d, [1.0])
+    # compactly supported factors: the rows store only the support
+    assert 0 < U.nnz < grid.N and 0 < Vh.nnz < grid.N
+    _assert_factored_matches_dense(op, kernel_matrix(kern, grid) * grid.h)
+
+
+@pytest.mark.parametrize("g", [GroupPoint(2.0, 1.0), GroupPoint(0.37, -2.5)])
+def test_transformed_rank_one_kernels_keep_consistent_factors(g):
+    grid = SpatialGrid(8.0, 128)
+    kern = get_model("finite_rank").kernel
+    for k in (transpose(kern), conjugate(kern, g), transpose(conjugate(kern, g))):
+        _assert_factored_matches_dense(discretize(k, grid), kernel_matrix(k, grid) * grid.h)
+    # the transpose's oracle is the transposed matrix of the original kernel
+    np.testing.assert_allclose(
+        discretize(transpose(kern), grid).dense(), (kernel_matrix(kern, grid) * grid.h).T,
+        rtol=0, atol=1e-12,
+    )
 
 
 def test_discrete_operator_needs_exactly_one_backend():

@@ -8,7 +8,7 @@ import scipy.sparse
 
 from czframe.compactness import tail_functional
 from czframe.grids import SampledFunction, SpatialGrid, inner_product, l2_norm, make_frame_grid
-from czframe.operators import get_model
+from czframe.operators import DiscreteOperator, get_model
 from czframe.paraproducts import (
     Decomposition,
     decompose,
@@ -147,9 +147,8 @@ def test_factored_and_dense_tail_sweeps_agree(psi, phi, wide):
     factored = tail_functional(
         paraproduct_operator(sym, phi, psi, big), psi, pfg, big, radii, keep_witnesses=False
     )
-    dense = tail_functional(
-        paraproduct_matrix(sym, phi, psi, big), psi, pfg, big, radii, keep_witnesses=False
-    )
+    A = DiscreteOperator(big.N, matrix=paraproduct_matrix(sym, phi, psi, big))
+    dense = tail_functional(A, psi, pfg, big, radii, keep_witnesses=False)
     assert factored.converged.all() and dense.converged.all()
     assert np.array_equal(factored.iterations, dense.iterations)
     np.testing.assert_allclose(factored.values, dense.values, rtol=1e-12, atol=0.0)

@@ -254,6 +254,21 @@ def test_raising_diagnostic_becomes_fail_record(monkeypatch):
     assert rep.verdict == "FAIL"
 
 
+@pytest.mark.parametrize("s", [0.5, 1.0])
+def test_frame_ladder_clips_coarse_spacings(s):
+    # the coarser levels 4s and 2s are clipped to 1, the largest valid spacing;
+    # loose error bounds leave the verdict to the refinement check alone
+    cfg = SuiteConfig.from_dict({**QUICK, "frame": {**QUICK["frame"], "s": s},
+                                 "diagnostics": ["frame"],
+                                 "tolerances": {"parseval": 10.0, "roundtrip": 10.0}})
+    (rec,) = run_suite(cfg).records
+    assert rec["name"] == "frame_identities"
+    history = rec["values"]["parseval_history"]
+    assert len(history) == len(rec["values"]["roundtrip_history"]) == (2 if s == 0.5 else 1)
+    # one level shows no refinement, so that record cannot pass
+    assert rec["verdict"] == ("PASS" if s == 0.5 else "FAIL")
+
+
 # Any JSON value; objects shaped like a config whose entries are any numbers;
 # and such objects with one entry replaced by any JSON value.  Python's json
 # module also reads NaN, +-Infinity and integers of any size, so those are

@@ -5,8 +5,8 @@ module-level ``from .x import y`` must be used in the module or re-exported
 through its ``__all__``, unless its line carries ``# noqa: F401`` (the
 pyflakes marker for an import kept on purpose); every ``__all__`` entry must
 be defined there.  A dense N x N ``kernel_matrix`` is assembled only where
-``DENSE_ASSEMBLY`` allows it; every other kernel application goes through
-``operators.discretize``.
+``DENSE_ASSEMBLY`` allows it, and every entry there still assembles one; every
+other kernel application goes through ``operators.discretize``.
 """
 
 import ast
@@ -16,12 +16,11 @@ import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "czframe"
 MODULES = sorted(SRC.glob("*.py"))
-# (module, top-level function): the dense backend of discretize, the dense
-# oracle matrix, and the bounded weak-compactness reference grid.
+# (module, top-level function): the dense backend of discretize and the dense
+# oracle matrix.
 DENSE_ASSEMBLY = {
     ("operators", "discretize"),
     ("compactness", "operator_matrix"),
-    ("localization", "weak_compactness_profile"),
 }
 
 
@@ -94,11 +93,21 @@ def test_checker_sees_an_unused_import_and_a_stale_export(tmp_path):
     assert set(exported) - defined == {"gone"}
 
 
+def _assembly_errors(trees, allowed):
+    """kernel_matrix calls in ``{module: tree}`` outside ``allowed``; entries making none."""
+    sites = [(mod, owner, line) for mod, tree in trees.items()
+             for owner, line in _calls(tree, "kernel_matrix")]
+    stray = [f"{mod}.{owner} (line {line})" for mod, owner, line in sites
+             if (mod, owner) not in allowed]
+    stale = sorted(allowed - {(mod, owner) for mod, owner, _ in sites})
+    return stray, stale
+
+
 def test_dense_kernel_assembly_is_confined():
-    stray = [f"{p.stem}.{owner} (line {line})" for p in MODULES
-             for owner, line in _calls(ast.parse(p.read_text()), "kernel_matrix")
-             if (p.stem, owner) not in DENSE_ASSEMBLY]
+    stray, stale = _assembly_errors({p.stem: ast.parse(p.read_text()) for p in MODULES},
+                                    DENSE_ASSEMBLY)
     assert not stray, f"kernel_matrix called outside {sorted(DENSE_ASSEMBLY)}: {stray}"
+    assert not stale, f"DENSE_ASSEMBLY entries that no longer call kernel_matrix: {stale}"
 
 
 def test_checker_sees_kernel_matrix_calls():
@@ -111,3 +120,18 @@ def test_checker_sees_kernel_matrix_calls():
         "        return kernel_matrix\n"
     )
     assert list(_calls(tree, "kernel_matrix")) == [(None, 1), ("f", 3)]
+
+
+def test_checker_sees_stray_calls_and_stale_entries():
+    trees = {
+        "m": ast.parse(
+            "def dense(k, g):\n"
+            "    return kernel_matrix(k, g)\n"
+            "def fast(k, g):\n"
+            "    return discretize(k, g)\n"
+        )
+    }
+    assert _assembly_errors(trees, {("m", "dense")}) == ([], [])
+    stray, stale = _assembly_errors(trees, {("m", "fast"), ("n", "gone")})
+    assert stray == ["m.dense (line 2)"]
+    assert stale == [("m", "fast"), ("n", "gone")]
