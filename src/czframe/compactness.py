@@ -1,4 +1,4 @@
-"""Riesz-Kolmogorov tail functionals and singular-value compactness proxies.
+"""Riesz-Kolmogorov tail functionals and their dense singular-value oracle.
 
 The tail functional at radius R is the squared operator norm of the
 composite map f |-> (sqrt(dlambda) <Tf, psi_node>)_{node in tail(R)}: the
@@ -15,9 +15,11 @@ applied only through ``matvec``/``rmatvec`` of a
 :func:`~czframe.operators.discretize` (A = kernel_matrix * h, Toeplitz/FFT
 for convolution kernels, sparse factors for rank-one kernels).
 :func:`operator_matrix` is the dense A (SVD cross-check, test oracle); wrap it
-as ``DiscreteOperator(N, matrix=A)`` to solve on it.  The analysis operator
-is the lattice's cached :func:`~czframe.wavelets.frame_rows` matrix with rows
-scaled by sqrt(dlambda) * h.
+as ``DiscreteOperator(N, matrix=A)`` to solve on it.
+:func:`singular_spectrum` is the one dense SVD, the oracle a Lanczos solve is
+checked against.  The analysis operator is the lattice's cached
+:func:`~czframe.wavelets.frame_rows` matrix with rows scaled by
+sqrt(dlambda) * h.
 
 A sweep over radii builds that matrix once, with its rows in decreasing
 ``fgrid.dist0`` order, so every tail(R) is a zero-copy row prefix of it
@@ -284,15 +286,15 @@ def tail_verdict(values: np.ndarray) -> str:
 
 
 def singular_spectrum(A: np.ndarray, k: int) -> np.ndarray:
-    """Top-k singular values of the discretized operator matrix, descending.
+    """Top-k singular values of a dense matrix (square or not), descending.
 
-    ``A`` acts on sample vectors; its singular values equal those of the
-    induced operator on the discrete L2 space (the h-weighting cancels
-    under the natural isometry).
+    This is the package's one dense SVD: the oracle that Lanczos tail solves
+    are checked against.  For an operator matrix acting on sample vectors the
+    singular values equal those of the induced operator on the discrete L2
+    space (the h-weighting cancels under the natural isometry).
     """
-    n = A.shape[0]
-    if not 1 <= k <= n:
-        raise ValueError("k must satisfy 1 <= k <= N")
+    if not 1 <= k <= min(A.shape):
+        raise ValueError("k must satisfy 1 <= k <= min(A.shape)")
     # Imported here so that runs which never take a dense SVD do not load it.
     import scipy.linalg
 

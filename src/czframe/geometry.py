@@ -20,7 +20,6 @@ __all__ = [
     "mul",
     "inv",
     "dist",
-    "dist_to_identity",
     "node_distances",
     "haar_ball_volume",
 ]
@@ -51,31 +50,21 @@ def inv(g: GroupPoint) -> GroupPoint:
     return GroupPoint(1.0 / g.a, -g.b / g.a)
 
 
-def _dist_from_q(q):
-    # d = arccosh(1 + q); log1p form stays accurate for q near 0.
-    return np.log1p(q + np.sqrt(q * (q + 2.0)))
-
-
 def dist(g: GroupPoint, h: GroupPoint) -> float:
-    """Hyperbolic distance, closed form cosh d = 1 + (|b-b'|^2 + (a-a')^2) / (2 a a')."""
-    q = ((g.b - h.b) ** 2 + (g.a - h.a) ** 2) / (2.0 * g.a * h.a)
-    return float(_dist_from_q(q))
-
-
-def dist_to_identity(a, b):
-    """Vectorized hyperbolic distance from (a, b) arrays to the identity (1, 0)."""
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    q = (b * b + (a - 1.0) ** 2) / (2.0 * a)
-    return _dist_from_q(q)
+    """Hyperbolic distance between two group points."""
+    return float(node_distances(h.a, h.b, g))
 
 
 def node_distances(a, b, anchor: GroupPoint):
-    """Vectorized hyperbolic distance from (a, b) arrays to an anchor point."""
+    """Vectorized hyperbolic distance from (a, b) arrays to an anchor point.
+
+    Closed form cosh d = 1 + (|b - b'|^2 + (a - a')^2) / (2 a a').
+    """
     a = np.asarray(a, dtype=float)
     b = np.asarray(b, dtype=float)
     q = ((b - anchor.b) ** 2 + (a - anchor.a) ** 2) / (2.0 * a * anchor.a)
-    return _dist_from_q(q)
+    # d = arccosh(1 + q); log1p form stays accurate for q near 0.
+    return np.log1p(q + np.sqrt(q * (q + 2.0)))
 
 
 def haar_ball_volume(R: float, n_quad: int = 4096) -> tuple[float, float]:

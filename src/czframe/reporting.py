@@ -509,15 +509,13 @@ def _diag_rk_tail(cfg: SuiteConfig, ctx: _Context):
             profiles["rk_witness_hilbert"] = _profile(["x", "value"], ctx.grid.x, witness)
         profiles[f"rk_tail_{label}"] = _profile(["R", "value"], tf.radii, tf.values)
     # downsampled dense-SVD cross-check
-    import scipy.linalg
-
     small, sfg, meta = _side_lattice(32.0, 256, 0.5, 64.0, s=0.25)
     S = compactness_mod.analysis_operator(ctx.psi, sfg, small)
     A = compactness_mod.operator_matrix(get_model("damped_hilbert_1").kernel, small)
     res = compactness_mod.rk_tail(DiscreteOperator(small.N, matrix=A), S, small,
                                   seed=cfg.seed)  # R = 0: every row
     M = np.asarray(S @ A) / math.sqrt(small.h)
-    dense = float(scipy.linalg.svdvals(M)[0] ** 2)
+    dense = float(compactness_mod.singular_spectrum(M, 1)[0] ** 2)
     records.append(_record(
         cfg, "rk_power_vs_svd", "damped_hilbert_1",
         {"power": res.value, "dense_svd": dense, "relative_gap": abs(res.value - dense) / dense,
@@ -609,7 +607,7 @@ def _diag_paraproduct(cfg: SuiteConfig, ctx: _Context):
         if ex.label == "zero":
             continue
         f = SampledFunction.from_callable(pgrid, ex.evaluator)
-        tf, _spec = paraproducts_mod.paraproduct_compactness(
+        tf = paraproducts_mod.paraproduct_compactness(
             f, phi, psi, pfg, radii, label=ex.label, keep_witnesses=False, seed=cfg.seed
         )
         records.append(_record(

@@ -171,6 +171,14 @@ def test_singular_spectrum_finite_rank(small_grid):
         singular_spectrum(A, 0)
 
 
+def test_singular_spectrum_rectangular():
+    # the rk_power_vs_svd cross-check takes it of a tall composite map
+    M = np.random.default_rng(1).standard_normal((7, 3))
+    np.testing.assert_array_equal(singular_spectrum(M, 3), scipy.linalg.svdvals(M))
+    with pytest.raises(ValueError):
+        singular_spectrum(M, 4)
+
+
 def test_singular_spectrum_hilbert_flat(small_grid):
     # discretized Hilbert transform is near-unitary: flat leading spectrum
     A = operator_matrix(get_model("hilbert").kernel, small_grid)

@@ -9,7 +9,6 @@ from czframe.geometry import (
     GroupPoint,
     IDENTITY,
     dist,
-    dist_to_identity,
     haar_ball_volume,
     inv,
     mul,
@@ -87,13 +86,36 @@ def test_vectorized_distance_consistency():
     rng = np.random.default_rng(3)
     a = np.exp(rng.uniform(-2, 2, 64))
     b = rng.uniform(-10, 10, 64)
-    d = dist_to_identity(a, b)
+    d = node_distances(a, b, IDENTITY)
     for i in range(64):
         assert _close(d[i], dist(IDENTITY, GroupPoint(a[i], b[i])), 1e-12)
     anchor = GroupPoint(2.0, -3.0)
     da = node_distances(a, b, anchor)
     for i in range(64):
         assert _close(da[i], dist(anchor, GroupPoint(a[i], b[i])), 1e-12)
+
+
+def _q_distance(q):
+    return np.log1p(q + np.sqrt(q * (q + 2.0)))
+
+
+def test_one_distance_formula_keeps_every_bit():
+    # tail_views orders rows by dist0, so a last-bit change would reorder ties
+    from czframe.grids import SpatialGrid, make_frame_grid
+    from czframe.reporting import SuiteConfig
+
+    cfg = SuiteConfig.from_dict({})
+    fg = make_frame_grid(SpatialGrid(cfg.grid_L, cfg.grid_N), cfg.a_min, cfg.a_max,
+                         s=cfg.s, L_b=cfg.L_b, cone_factor=cfg.cone_factor)
+    assert fg.n_nodes == 66_630
+    q0 = (fg.b * fg.b + (fg.a - 1.0) ** 2) / (2.0 * fg.a)
+    assert np.array_equal(fg.dist0, _q_distance(q0))
+    rng = np.random.default_rng(7)
+    a = np.exp(rng.uniform(-4.0, 4.0, size=(20_000, 2)))
+    b = rng.uniform(-100.0, 100.0, size=(20_000, 2))
+    for (ga, ha), (gb, hb) in zip(a.tolist(), b.tolist()):
+        q = ((gb - hb) ** 2 + (ga - ha) ** 2) / (2.0 * ga * ha)
+        assert dist(GroupPoint(ga, gb), GroupPoint(ha, hb)) == float(_q_distance(q))
 
 
 @pytest.mark.parametrize("R", [0.5, 1.0, 2.0])

@@ -6,7 +6,8 @@ through its ``__all__``, unless its line carries ``# noqa: F401`` (the
 pyflakes marker for an import kept on purpose); every ``__all__`` entry must
 be defined there.  A dense N x N ``kernel_matrix`` is assembled only where
 ``DENSE_ASSEMBLY`` allows it, and every entry there still assembles one; every
-other kernel application goes through ``operators.discretize``.
+other kernel application goes through ``operators.discretize``.  Likewise a
+dense SVD (``svdvals``) is taken only where ``DENSE_SVD`` allows it.
 """
 
 import ast
@@ -22,6 +23,8 @@ DENSE_ASSEMBLY = {
     ("operators", "discretize"),
     ("compactness", "operator_matrix"),
 }
+# The one dense SVD, the oracle of the Lanczos tail solves.
+DENSE_SVD = {("compactness", "singular_spectrum")}
 
 
 def _parse(path: Path):
@@ -93,21 +96,29 @@ def test_checker_sees_an_unused_import_and_a_stale_export(tmp_path):
     assert set(exported) - defined == {"gone"}
 
 
-def _assembly_errors(trees, allowed):
-    """kernel_matrix calls in ``{module: tree}`` outside ``allowed``; entries making none."""
+def _assembly_errors(trees, callee, allowed):
+    """``callee`` calls in ``{module: tree}`` outside ``allowed``; entries making none."""
     sites = [(mod, owner, line) for mod, tree in trees.items()
-             for owner, line in _calls(tree, "kernel_matrix")]
+             for owner, line in _calls(tree, callee)]
     stray = [f"{mod}.{owner} (line {line})" for mod, owner, line in sites
              if (mod, owner) not in allowed]
     stale = sorted(allowed - {(mod, owner) for mod, owner, _ in sites})
     return stray, stale
 
 
-def test_dense_kernel_assembly_is_confined():
+def _assert_confined(callee, allowed):
     stray, stale = _assembly_errors({p.stem: ast.parse(p.read_text()) for p in MODULES},
-                                    DENSE_ASSEMBLY)
-    assert not stray, f"kernel_matrix called outside {sorted(DENSE_ASSEMBLY)}: {stray}"
-    assert not stale, f"DENSE_ASSEMBLY entries that no longer call kernel_matrix: {stale}"
+                                    callee, allowed)
+    assert not stray, f"{callee} called outside {sorted(allowed)}: {stray}"
+    assert not stale, f"allowed sites that no longer call {callee}: {stale}"
+
+
+def test_dense_kernel_assembly_is_confined():
+    _assert_confined("kernel_matrix", DENSE_ASSEMBLY)
+
+
+def test_dense_svd_is_confined():
+    _assert_confined("svdvals", DENSE_SVD)
 
 
 def test_checker_sees_kernel_matrix_calls():
@@ -129,9 +140,15 @@ def test_checker_sees_stray_calls_and_stale_entries():
             "    return kernel_matrix(k, g)\n"
             "def fast(k, g):\n"
             "    return discretize(k, g)\n"
+            "def spectrum(A):\n"
+            "    return scipy.linalg.svdvals(A)\n"
         )
     }
-    assert _assembly_errors(trees, {("m", "dense")}) == ([], [])
-    stray, stale = _assembly_errors(trees, {("m", "fast"), ("n", "gone")})
+    assert _assembly_errors(trees, "kernel_matrix", {("m", "dense")}) == ([], [])
+    stray, stale = _assembly_errors(trees, "kernel_matrix", {("m", "fast"), ("n", "gone")})
     assert stray == ["m.dense (line 2)"]
     assert stale == [("m", "fast"), ("n", "gone")]
+    assert _assembly_errors(trees, "svdvals", {("m", "spectrum")}) == ([], [])
+    stray, stale = _assembly_errors(trees, "svdvals", {("m", "dense")})
+    assert stray == ["m.spectrum (line 6)"]
+    assert stale == [("m", "dense")]

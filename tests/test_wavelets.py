@@ -170,7 +170,7 @@ def test_analysis_operator_matches_dense_assembly(psi, tiny):
 
 def test_paraproduct_matrix_matches_dense_assembly(psi, tiny):
     # P_beta = sum_k psi_k (x) coeff_k dlam_k a_k^-1 phi((y - b_k)/a_k) h
-    from czframe.paraproducts import make_bump_phi, make_symbol, paraproduct_matrix
+    from czframe.paraproducts import make_bump_phi, make_symbol, paraproduct_operator
 
     grid, fg = tiny
     phi = make_bump_phi()
@@ -180,7 +180,7 @@ def test_paraproduct_matrix_matches_dense_assembly(psi, tiny):
     Psi = psi(u) / np.sqrt(fg.a)[:, None]
     Phi = phi(u) / fg.a[:, None]
     expected = Psi.T @ ((sym.coefficients.values * fg.dlam)[:, None] * Phi) * grid.h
-    A = paraproduct_matrix(sym, phi, psi, grid)
+    A = paraproduct_operator(sym, phi, psi, grid).dense()
     assert np.max(np.abs(A - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
