@@ -38,7 +38,6 @@ __all__ = [
     "stein_inequality_check",
     "BMOExample",
     "bmo_examples",
-    "bmo_norm",
 ]
 
 
@@ -55,9 +54,6 @@ class CoefficientMeasure:
             raise ValueError("one mass per lattice node required")
         if np.any(self.masses < 0.0):
             raise ValueError("masses must be nonnegative")
-
-    def total(self) -> float:
-        return float(np.sum(self.masses))
 
 
 def coefficient_measure(f: SampledFunction, psi, fgrid: FrameGrid) -> CoefficientMeasure:
@@ -178,13 +174,12 @@ def stein_inequality_check(
     phi,
     mu: CoefficientMeasure,
     p: float,
-    n_base_points: int = 257,
 ) -> float:
     """Audit integral |<f, phi_(a,b)>|^p dmu <= C * integral Mf^p * Cmu dx.
 
     Returns the ratio LHS/RHS, which the caller bounds by its slack C (a
     slack audit, not a sharp constant).  The base-space integral is a
-    midpoint sum over ``n_base_points`` positions spanning the spatial box.
+    midpoint sum over 257 equispaced positions spanning the spatial box.
     A zero RHS gives 0 if the LHS is zero too and ``inf`` otherwise.
     """
     if p <= 0.0:
@@ -193,7 +188,7 @@ def stein_inequality_check(
     coeffs = _phi_coefficients(f, phi, fg)
     lhs = float(np.sum(np.abs(coeffs) ** p * mu.masses))
     masses = tent_masses(mu)
-    xs = np.linspace(-f.grid.L, f.grid.L, n_base_points)
+    xs = np.linspace(-f.grid.L, f.grid.L, 257)
     dx = xs[1] - xs[0]
     rhs = 0.0
     for x in xs:
@@ -241,19 +236,3 @@ def bmo_examples(grid: SpatialGrid) -> tuple[BMOExample, ...]:
             "BMO-not-CMO",
         ),
     )
-
-
-def bmo_norm(f: SampledFunction, n_scales: int = 8) -> float:
-    """Cross-check utility: max mean oscillation over a dyadic ball sweep."""
-    grid = f.grid
-    best = 0.0
-    for k in range(n_scales):
-        r = grid.L / 2.0**k
-        w = min(max(int(round(r / grid.h)), 1), (grid.N - 1) // 2)
-        kernel = np.ones(2 * w + 1) / (2 * w + 1)
-        means = np.convolve(f.values, kernel, mode="same")
-        osc = np.convolve(np.abs(f.values - means), kernel, mode="same")
-        interior = slice(w, grid.N - w)
-        if osc[interior].size:
-            best = max(best, float(np.max(osc[interior])))
-    return best

@@ -47,7 +47,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         with open(args.config) as fh:
             raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError, RecursionError) as exc:  # ValueError: bad JSON or encoding
         print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
         return 2
     try:

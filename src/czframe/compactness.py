@@ -17,9 +17,9 @@ for convolution kernels, sparse factors for rank-one kernels).
 :func:`operator_matrix` is the dense A (SVD cross-check, test oracle); wrap it
 as ``DiscreteOperator(N, matrix=A)`` to solve on it.
 :func:`singular_spectrum` is the one dense SVD, the oracle a Lanczos solve is
-checked against.  The analysis operator is the lattice's cached
-:func:`~czframe.wavelets.frame_rows` matrix with rows scaled by
-sqrt(dlambda) * h.
+checked against.  The analysis operator is a copy of the lattice's cached
+:func:`~czframe.wavelets.frame_rows` matrix scaled by sqrt(dlambda) * h, one
+number for the whole lattice.
 
 A sweep over radii builds that matrix once, with its rows in decreasing
 ``fgrid.dist0`` order, so every tail(R) is a zero-copy row prefix of it
@@ -55,9 +55,8 @@ __all__ = [
 
 VANISHING_THRESHOLD = 1e-2
 NON_VANISHING_THRESHOLD = 0.1
-# Rows scaled per step by analysis_operator: bounds its temporary to the
-# nonzeros of this many rows.
-_ROW_BLOCK = 4096
+# Relative tolerance of every Lanczos tail solve.
+_TOL = 1e-6
 
 
 def operator_matrix(kernel: CZKernel, grid: SpatialGrid) -> np.ndarray:
@@ -68,21 +67,19 @@ def operator_matrix(kernel: CZKernel, grid: SpatialGrid) -> np.ndarray:
 def analysis_operator(
     psi, fgrid: FrameGrid, grid: SpatialGrid, order: np.ndarray | None = None
 ) -> scipy.sparse.csr_matrix:
-    """Sparse map g |-> (sqrt(dlambda_node) <g, psi_node>)_node.
+    """Sparse map g |-> (sqrt(dlambda) <g, psi_node>)_node.
 
-    Row ``k`` holds sqrt(dlambda_k) * h * psi_k(x_i) over the grid window
+    Row ``k`` holds sqrt(dlambda) * h * psi_k(x_i) over the grid window
     intersecting the support of the frame element at node k: one copy of the
     cached :func:`~czframe.wavelets.frame_rows` matrix, its rows taken in
-    ``order`` (node order by default) and scaled in place, a block of rows at
-    a time, so no second matrix-sized array is made.
+    ``order`` (node order by default) and its data scaled in place by the one
+    number sqrt(dlambda) * h, so no second matrix-sized array is made and the
+    cache stays unscaled.
     """
     if order is None:
         order = np.arange(fgrid.n_nodes)
     S = frame_rows(psi, fgrid, grid)[order]
-    weights = (np.sqrt(fgrid.dlam) * grid.h)[order]
-    for lo in range(0, S.shape[0], _ROW_BLOCK):
-        ptr = S.indptr[lo:lo + _ROW_BLOCK + 1]
-        S.data[ptr[0]:ptr[-1]] *= np.repeat(weights[lo:lo + _ROW_BLOCK], np.diff(ptr))
+    S.data *= np.sqrt(fgrid.dlam) * grid.h
     return S
 
 
@@ -115,7 +112,7 @@ class LanczosResult:
     ``iterations`` counts applications of the normal operator, ``residual``
     is ``||B u - value u||`` for the unit witness direction ``u``, and
     ``converged`` holds only when ARPACK converged and that residual is at
-    most ``tol * |value|``.
+    most ``1e-6 * |value|``.
     """
 
     value: float
@@ -129,13 +126,12 @@ class LanczosResult:
 class TailFunctional:
     """rk_tail profile of one operator over a radii list, with per-radius solver stats."""
 
-    operator_label: str
     radii: np.ndarray
     values: np.ndarray
     iterations: np.ndarray
     converged: np.ndarray
     residuals: np.ndarray
-    witnesses: list[SampledFunction] = field(default_factory=list, repr=False)
+    witnesses: list[SampledFunction] = field(repr=False)
     verdict: str = "inconclusive"
 
     def ratio(self) -> float:
@@ -143,7 +139,7 @@ class TailFunctional:
 
 
 def _lanczos_top(
-    B_apply, n: int, tol: float, maxiter: int, seed: int
+    B_apply, n: int, maxiter: int, seed: int
 ) -> tuple[float, np.ndarray, int, bool, float]:
     """Top eigenpair of the symmetric PSD map ``B_apply`` by ARPACK Lanczos.
 
@@ -173,7 +169,7 @@ def _lanczos_top(
         return 0.0, v0, calls, True, 0.0
     B = LinearOperator((n, n), matvec=counted, dtype=float)
     try:
-        lams, vecs = eigsh(B, k=1, which="LA", v0=v0, tol=tol, maxiter=maxiter, rng=rng)
+        lams, vecs = eigsh(B, k=1, which="LA", v0=v0, tol=_TOL, maxiter=maxiter, rng=rng)
         ok = True
     except ArpackNoConvergence as exc:
         lams, vecs = exc.eigenvalues, exc.eigenvectors
@@ -185,14 +181,13 @@ def _lanczos_top(
         lam, u = float(v0 @ w), v0
         r = w - lam * v0
     residual = float(np.linalg.norm(r))
-    return lam, u, calls, ok and residual <= tol * abs(lam), residual
+    return lam, u, calls, ok and residual <= _TOL * abs(lam), residual
 
 
 def rk_tail(
     A: DiscreteOperator,
     S_tail: scipy.sparse.csr_matrix,
     grid: SpatialGrid,
-    tol: float = 1e-6,
     maxiter: int = 500,
     seed: int = 0,
 ) -> LanczosResult:
@@ -202,7 +197,7 @@ def rk_tail(
     analysis operator at the tail nodes: a view from :func:`tail_views`, or
     ``analysis_operator(psi, fgrid, grid)[tail_nodes(fgrid, R)]``.  Lanczos
     (ARPACK ``eigsh``) runs on the normal matrix of the composite map from a
-    seeded start vector, with tolerance ``tol`` and at most ``maxiter``
+    seeded start vector, with relative tolerance 1e-6 and at most ``maxiter``
     restarts; on non-convergence the best Ritz value found is still reported,
     with ``converged=False``.
     """
@@ -212,7 +207,7 @@ def rk_tail(
         c = S_tail @ A.matvec(u / root_h)
         return A.rmatvec(S_tail.T @ c) / root_h
 
-    lam, u, calls, ok, residual = _lanczos_top(B_apply, grid.N, tol, maxiter, seed)
+    lam, u, calls, ok, residual = _lanczos_top(B_apply, grid.N, maxiter, seed)
     return LanczosResult(
         value=max(lam, 0.0),
         witness=SampledFunction(grid, u / root_h),
@@ -233,8 +228,6 @@ def tail_functional(
     fgrid: FrameGrid,
     grid: SpatialGrid,
     radii,
-    label: str = "",
-    keep_witnesses: bool = True,
     **kwargs,
 ) -> TailFunctional:
     """rk_tail profile over a radii sweep with a trend verdict.
@@ -257,13 +250,12 @@ def tail_functional(
         pool.shutdown(cancel_futures=True)
     values = np.array([res.value for res in solves])
     return TailFunctional(
-        operator_label=label,
         radii=radii,
         values=values,
         iterations=np.array([res.iterations for res in solves]),
         converged=np.array([res.converged for res in solves]),
         residuals=np.array([res.residual for res in solves]),
-        witnesses=[res.witness for res in solves] if keep_witnesses else [],
+        witnesses=[res.witness for res in solves],
         verdict=tail_verdict(values),
     )
 

@@ -2,8 +2,9 @@
 
 The frame lattice discretizes the upper half-plane with log-uniform scales and
 translation spacing proportional to scale, which makes the node density nearly
-uniform in the Haar measure dlam = da db / a^2.  Each node carries the Haar
-quadrature weight of its cell, dlam = (dlog a) * (db / a) = du * s per node.
+uniform in the Haar measure dlam = da db / a^2.  Every cell has the same Haar
+quadrature weight, dlam = (dlog a) * (db / a) = du * s, so the lattice carries
+it as one number.
 """
 
 from __future__ import annotations
@@ -97,10 +98,10 @@ def smooth_bump(x, center: float = 0.0, width: float = 1.0) -> np.ndarray:
 
 @dataclass
 class FrameGrid:
-    """Hyperbolic lattice with per-node Haar weights.
+    """Hyperbolic lattice with one Haar weight ``dlam`` shared by every node.
 
     Nodes are grouped by scale: scale j has value ``scales[j]`` and occupies
-    ``slice(offsets[j], offsets[j+1])`` in the flat ``a``/``b``/``dlam`` arrays.
+    ``slice(offsets[j], offsets[j+1])`` in the flat ``a``/``b`` arrays.
     Scales are log-uniform with step du; translations are spaced s * a_j and,
     when ``cone_factor > 0``, extend to |b| <= L_b + cone_factor * a_j so the
     lattice keeps covering frame coefficients of box-supported functions at
@@ -111,7 +112,7 @@ class FrameGrid:
 
     a: np.ndarray
     b: np.ndarray
-    dlam: np.ndarray
+    dlam: float
     scales: np.ndarray
     offsets: np.ndarray
     s: float
@@ -162,6 +163,26 @@ def validate_frame_grid(
         raise ValueError("translation half-width L_b must be positive")
     if cone_factor < 0:
         raise ValueError("cone_factor must be nonnegative")
+    # make_frame_grid's scale count and widest translation count (at an end
+    # scale: the count falls with the scale, and only the ends can overflow)
+    n_scales = math.log(a_max / a_min) / s
+    if not math.isfinite(n_scales):
+        raise ValueError(f"scale count log(a_max / a_min) / s = {n_scales} is not finite")
+    with np.errstate(over="ignore"):
+        ends = _scales(a_min, s, np.array([0.0, max(1, round(n_scales)) - 1.0]))
+    L_b = spatial.L if L_b is None else L_b
+    if not all(math.isfinite(_half_count(float(aj), s, L_b, cone_factor)) for aj in ends):
+        raise ValueError("the per-scale translation count is not finite")
+
+
+def _scales(a_min: float, du: float, j) -> np.ndarray:
+    """Scale of log-uniform cell j: the midpoint exp(log a_min + du (j + 1/2))."""
+    return np.exp(math.log(a_min) + du * (j + 0.5))
+
+
+def _half_count(aj, s: float, L_b: float, cone_factor: float):
+    """Translation steps s * aj that fit in L_b + cone_factor * aj, before flooring."""
+    return (L_b + cone_factor * aj) / (s * aj)
 
 
 def make_frame_grid(
@@ -176,7 +197,7 @@ def make_frame_grid(
 
     Scale nodes are midpoints of log-uniform cells on [a_min, a_max] with step
     du = s; translation nodes at scale a are spaced s * a, symmetric about 0.
-    Haar weight per node: dlam = du * s (n = 1).
+    Haar weight of every node: dlam = du * s (n = 1).
 
     Raises ValueError as :func:`validate_frame_grid` does, e.g. when
     a_min < 2h (scales below spatial resolution).
@@ -186,16 +207,14 @@ def make_frame_grid(
         L_b = spatial.L
 
     du = s
-    n_scales = max(1, int(round(math.log(a_max / a_min) / du)))
-    u = math.log(a_min) + du * (np.arange(n_scales) + 0.5)
-    scales = np.exp(u)
+    n_scales = max(1, round(math.log(a_max / a_min) / du))
+    scales = _scales(a_min, du, np.arange(n_scales))
 
     a_parts, b_parts = [], []
     offsets = [0]
     for aj in scales:
-        bmax = L_b + cone_factor * aj
         step = s * aj
-        k = int(math.floor(bmax / step))
+        k = int(math.floor(_half_count(aj, s, L_b, cone_factor)))
         bj = step * np.arange(-k, k + 1)
         a_parts.append(np.full(bj.size, aj))
         b_parts.append(bj)
@@ -203,11 +222,10 @@ def make_frame_grid(
 
     a = np.concatenate(a_parts)
     b = np.concatenate(b_parts)
-    dlam = np.full(a.size, du * s)
     return FrameGrid(
         a=a,
         b=b,
-        dlam=dlam,
+        dlam=float(du * s),
         scales=scales,
         offsets=np.asarray(offsets),
         s=s,

@@ -36,29 +36,17 @@ from .wavelets import CoefficientField, analyze, frame_element
 
 __all__ = [
     "DecayBound",
-    "LocalizationWeight",
     "decay_majorant",
     "matrix_coefficient",
     "coefficient_field",
     "verify_decay",
     "DecayReport",
     "default_anchor_lattice",
-    "schur_value",
     "schur_tail",
     "origin_tail",
     "default_test_bundle",
     "weak_compactness_profile",
 ]
-
-
-@dataclass(frozen=True)
-class LocalizationWeight:
-    """Positive weight w(a, b) = a**exponent on the upper half-plane."""
-
-    exponent: float = 0.5  # a**(n/2) with n = 1
-
-    def __call__(self, a):
-        return np.asarray(a, dtype=float) ** self.exponent
 
 
 @dataclass(frozen=True)
@@ -74,9 +62,6 @@ class DecayBound:
             raise ValueError("delta must lie in (0, 1]")
         if self.c < 0.0:
             raise ValueError("constant must be nonnegative")
-
-    def __call__(self, a, b):
-        return decay_majorant(self, a, b)
 
 
 def decay_majorant(d: DecayBound, a, b):
@@ -163,36 +148,21 @@ class DecayReport:
     """Fit of frame coefficients against the decay majorant."""
 
     fitted_c: float
-    max_node: GroupPoint
     ratios: np.ndarray = field(repr=False)
-    bound: DecayBound = DecayBound()
 
 
-def verify_decay(
-    kernel: CZKernel,
-    psi,
-    fgrid: FrameGrid,
-    grid: SpatialGrid,
-    delta: float | None = None,
-) -> DecayReport:
-    """Fit the smallest C with |coeff(a,b)| <= C * bound(a,b) over the lattice."""
+def verify_decay(kernel: CZKernel, psi, fgrid: FrameGrid, grid: SpatialGrid) -> DecayReport:
+    """Fit the smallest C with |coeff(a,b)| <= C * bound(a,b), delta = kernel.delta."""
     if not kernel.exact_cancellation:
         warnings.warn(
             f"kernel {kernel.label!r} lacks exact cancellation; the decay "
             "majorant is not guaranteed",
             stacklevel=2,
         )
-    d = DecayBound(n=1, delta=kernel.delta if delta is None else delta, c=1.0)
+    d = DecayBound(n=1, delta=kernel.delta, c=1.0)
     coeffs = np.abs(coefficient_field(kernel, psi, fgrid, grid).values)
-    bounds = decay_majorant(d, fgrid.a, fgrid.b)
-    ratios = coeffs / bounds
-    k = int(np.argmax(ratios))
-    return DecayReport(
-        fitted_c=float(ratios[k]),
-        max_node=GroupPoint(float(fgrid.a[k]), float(fgrid.b[k])),
-        ratios=ratios,
-        bound=d,
-    )
+    ratios = coeffs / decay_majorant(d, fgrid.a, fgrid.b)
+    return DecayReport(fitted_c=float(np.max(ratios)), ratios=ratios)
 
 
 def default_anchor_lattice() -> tuple[GroupPoint, ...]:
@@ -202,34 +172,10 @@ def default_anchor_lattice() -> tuple[GroupPoint, ...]:
     )
 
 
-def _weighted_sum(
-    values: np.ndarray,
-    fgrid: FrameGrid,
-    weight: LocalizationWeight,
-    mask: np.ndarray | None = None,
-) -> float:
-    integrand = np.abs(values) * weight(fgrid.a) * fgrid.dlam
-    if mask is not None:
-        integrand = integrand[mask]
-    return float(np.sum(integrand))
-
-
-def schur_value(
-    kernel: CZKernel,
-    psi,
-    fgrid: FrameGrid,
-    grid: SpatialGrid,
-    anchor: GroupPoint = IDENTITY,
-    weight: LocalizationWeight = LocalizationWeight(),
-) -> float:
-    """Weighted Schur functional at one anchor.
-
-    Computes w(a',b')^-1 * sum |<T psi_anchor, psi_(a,b)>| w(a,b) dlambda,
-    reduced by covariance to the identity anchor of the reference lattice
-    (the weight ratio is absorbed exactly by the substitution).
-    """
-    fld = coefficient_field(kernel, psi, fgrid, grid, anchor)
-    return _weighted_sum(fld.values, fgrid, weight)
+def _weighted_sum(values: np.ndarray, fgrid: FrameGrid, mask: np.ndarray) -> float:
+    """Sum over the masked nodes of |values| w(a) dlambda, weight w(a) = a^(n/2), n = 1."""
+    integrand = np.abs(values) * fgrid.a**0.5 * fgrid.dlam
+    return float(np.sum(integrand[mask]))
 
 
 def schur_tail(
@@ -239,13 +185,19 @@ def schur_tail(
     grid: SpatialGrid,
     R: float,
     anchor: GroupPoint = IDENTITY,
-    weight: LocalizationWeight = LocalizationWeight(),
 ) -> float:
-    """Schur functional restricted to nodes at hyperbolic distance >= R."""
+    """Weighted Schur functional at one anchor, over nodes at distance >= R.
+
+    Computes w(a',b')^-1 * sum |<T psi_anchor, psi_(a,b)>| w(a,b) dlambda,
+    w(a, b) = a^(1/2), over the nodes at hyperbolic distance >= R from the
+    identity, reduced by covariance to the identity anchor of the reference
+    lattice (the substitution absorbs the weight ratio exactly).  At R = 0
+    every node counts: that is the Schur value.
+    """
     if R < 0.0:
         raise ValueError("R must be nonnegative")
     fld = coefficient_field(kernel, psi, fgrid, grid, anchor)
-    return _weighted_sum(fld.values, fgrid, weight, mask=fgrid.dist0 >= R)
+    return _weighted_sum(fld.values, fgrid, fgrid.dist0 >= R)
 
 
 def origin_tail(
@@ -254,29 +206,24 @@ def origin_tail(
     fgrid: FrameGrid,
     grid: SpatialGrid,
     R: float,
-    anchors: tuple[GroupPoint, ...] | None = None,
-    weight: LocalizationWeight = LocalizationWeight(),
 ) -> float:
     """Tail functional with the excluded disk fixed at the identity.
 
-    sup over anchors of w(anchor)^-1 * sum over nodes with d(node, e) >= R
-    of |<T psi_anchor, psi_(a,b)>| w(a,b) dlambda.  No conjugation is
-    possible here because the disk does not move with the anchor.
+    sup over the anchors of :func:`default_anchor_lattice` of
+    w(anchor)^-1 * sum over nodes with d(node, e) >= R of
+    |<T psi_anchor, psi_(a,b)>| w(a,b) dlambda, w(a, b) = a^(1/2).  No
+    conjugation is possible here because the disk does not move with the
+    anchor.
     """
     if R < 0.0:
         raise ValueError("R must be nonnegative")
-    if anchors is None:
-        anchors = default_anchor_lattice()
     mask = fgrid.dist0 >= R
     T = discretize(kernel, grid)
     best = 0.0
-    for p in anchors:
+    for p in default_anchor_lattice():
         f = frame_element(psi, p, grid)
         fld = analyze(SampledFunction(grid, T.matvec(f.values)), psi, fgrid)
-        val = _weighted_sum(fld.values, fgrid, weight, mask=mask) / float(
-            weight(p.a)
-        )
-        best = max(best, val)
+        best = max(best, _weighted_sum(fld.values, fgrid, mask) / math.sqrt(p.a))
     return best
 
 
@@ -293,6 +240,10 @@ def default_test_bundle(psi) -> tuple:
     return (psi, bump(0.0, 2.0), bump(0.5, 1.0))
 
 
+# Width of the hyperbolic distance bins of weak_compactness_profile.
+_BIN_WIDTH = 0.5
+
+
 def _max_pairing(F: np.ndarray, TF: np.ndarray, h: float) -> float:
     """max |<T f, g>| over the columns f, g of F, given TF = T F on a grid of step h."""
     return float(np.max(np.abs(F.T @ TF))) * h
@@ -303,21 +254,18 @@ def weak_compactness_profile(
     psi,
     fgrid: FrameGrid,
     radii: np.ndarray,
-    bundle: tuple | None = None,
-    delta_r: float = 0.5,
     max_nodes_per_bin: int = 24,
     local: SpatialGrid | None = None,
     reference: SpatialGrid | None = None,
 ) -> np.ndarray:
     """Profile R -> sup |<T f_(a,b), g_(a,b)>| over distance bins.
 
-    For each radius the supremum runs over ordered pairs from the test
-    bundle and over lattice nodes with d((a,b), e) in [R, R + delta_r),
-    deterministically subsampled to at most ``max_nodes_per_bin`` nodes
-    (evenly spaced in node index).
+    For each radius the supremum runs over ordered pairs from
+    :func:`default_test_bundle` and over lattice nodes with d((a,b), e) in
+    [R, R + 1/2), deterministically subsampled to at most
+    ``max_nodes_per_bin`` nodes (evenly spaced in node index).
     """
-    if bundle is None:
-        bundle = default_test_bundle(psi)
+    bundle = default_test_bundle(psi)
     if local is None:
         local = SpatialGrid(8.0, 512)
     if reference is None:
@@ -327,7 +275,7 @@ def weak_compactness_profile(
     dist = fgrid.dist0
     out = np.zeros(len(radii))
     for i, r in enumerate(radii):
-        idx = np.flatnonzero((dist >= r) & (dist < r + delta_r))
+        idx = np.flatnonzero((dist >= r) & (dist < r + _BIN_WIDTH))
         if idx.size > max_nodes_per_bin:
             sel = np.linspace(0, idx.size - 1, max_nodes_per_bin).astype(int)
             idx = idx[sel]

@@ -68,10 +68,9 @@ class CZKernel:
 
 @dataclass(frozen=True)
 class ModelOperator:
-    """Zoo entry: kernel plus analytically known metadata."""
+    """Zoo entry: a kernel and its one-line description."""
 
     kernel: CZKernel
-    known_compact: bool | None = None  # None: not asserted
     description: str = ""
 
 
@@ -110,31 +109,26 @@ def model_zoo() -> dict[str, ModelOperator]:
         "hilbert": ModelOperator(
             CZKernel("hilbert", _hilbert, c_k=1.0 / math.pi, delta=1.0,
                      antisymmetric=True, exact_cancellation=True, profile=_hilbert_profile),
-            known_compact=False,
             description="Hilbert transform kernel 1/(pi (x-y)); bounded, not compact",
         ),
         "damped_hilbert_05": ModelOperator(
             CZKernel("damped_hilbert_05", _damped_hilbert(0.5), c_k=2.0 / math.pi, delta=1.0,
                      antisymmetric=True),
-            known_compact=None,
             description="Hilbert kernel damped by (1+x^2+y^2)^{-1/4}",
         ),
         "damped_hilbert_1": ModelOperator(
             CZKernel("damped_hilbert_1", _damped_hilbert(1.0), c_k=2.0 / math.pi, delta=1.0,
                      antisymmetric=True),
-            known_compact=None,
             description="Hilbert kernel damped by (1+x^2+y^2)^{-1/2}",
         ),
         "finite_rank": ModelOperator(
             CZKernel("finite_rank", lambda x, y: u(x) * v(y), c_k=8.0 * sup_uv, delta=1.0,
                      bounded=True, factors=(u, v)),
-            known_compact=True,
             description="rank-one kernel u(x) v(y) with smooth compactly supported factors",
         ),
         "zero": ModelOperator(
             CZKernel("zero", _zero, c_k=0.0, delta=1.0, antisymmetric=True,
                      bounded=True, exact_cancellation=True, profile=_zero_profile),
-            known_compact=True,
             description="zero operator",
         ),
     }

@@ -75,10 +75,10 @@ class BumpPhi:
         return 1.0 - _transition(2.0 * u - 1.0)
 
 
-def make_bump_phi(n_quad: int = 100001) -> BumpPhi:
-    """Construct phi and its mass m_phi = integral phi (1 <= m_phi <= 2)."""
+def make_bump_phi() -> BumpPhi:
+    """Construct phi and its mass m_phi = integral phi (1 <= m_phi <= 2), by the trapezoid rule."""
     probe = BumpPhi(m_phi=math.nan)
-    xs = np.linspace(-1.0, 1.0, n_quad)
+    xs = np.linspace(-1.0, 1.0, 100001)
     m = float(np.trapezoid(probe(xs), xs))
     return BumpPhi(m_phi=m)
 
@@ -110,19 +110,17 @@ def paraproduct_apply(
 
 
 def paraproduct_apply_to_constant(
-    symbol: ParaproductSymbol, phi: BumpPhi, psi, grid: SpatialGrid, c: float = 1.0
+    symbol: ParaproductSymbol, phi: BumpPhi, psi, grid: SpatialGrid
 ) -> SampledFunction:
-    """P_beta applied to the constant c, with the pairing taken analytically.
+    """P_beta applied to the constant 1, with the pairing taken analytically.
 
     The constant is not square integrable and any box truncation distorts
     its bump pairings at scales comparable to the box, so the exact value
-    <c, phitilde_(a,b)> = c * m_phi is used at every node; the result is
-    c * m_phi times the lattice reconstruction of beta.
+    <1, phitilde_(a,b)> = m_phi is used at every node; the result is m_phi
+    times the lattice reconstruction of beta.
     """
     fgrid = symbol.coefficients.fgrid
-    weighted = CoefficientField(
-        fgrid, (c * phi.m_phi) * symbol.coefficients.values
-    )
+    weighted = CoefficientField(fgrid, phi.m_phi * symbol.coefficients.values)
     return synthesize(weighted, psi, grid)
 
 
@@ -165,13 +163,12 @@ def paraproduct_compactness(
     psi,
     fgrid: FrameGrid,
     radii,
-    label: str = "",
     **kwargs,
 ) -> TailFunctional:
     """Tail functional of P_beta, swept on its factored operator."""
     symbol = make_symbol(beta, psi, fgrid)
     P = paraproduct_operator(symbol, phi, psi, beta.grid)
-    return tail_functional(P, psi, fgrid, beta.grid, radii, label=label, **kwargs)
+    return tail_functional(P, psi, fgrid, beta.grid, radii, **kwargs)
 
 
 @dataclass

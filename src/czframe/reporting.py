@@ -435,7 +435,7 @@ def _diag_schur(cfg: SuiteConfig, ctx: _Context):
     grid, fgrid, psi = ctx.grid, ctx.fgrid, ctx.psi
     H = get_model("hilbert").kernel
     anchors = (GroupPoint(1.0, 0.0), GroupPoint(2.0, 0.0), GroupPoint(1.0, 5.0))
-    vals = [localization_mod.schur_value(H, psi, fgrid, grid, anchor=p) for p in anchors]
+    vals = [localization_mod.schur_tail(H, psi, fgrid, grid, 0.0, anchor=p) for p in anchors]
     tail_1, tail_6 = (localization_mod.schur_tail(H, psi, fgrid, grid, r) for r in (1.0, 6.0))
     r_big = max(6.0, max(cfg.radii) if cfg.radii else 6.0)
     ft = localization_mod.origin_tail(get_model("finite_rank").kernel, psi, fgrid, grid, r_big)
@@ -491,9 +491,7 @@ def _diag_rk_tail(cfg: SuiteConfig, ctx: _Context):
         if label not in cfg.operators:
             continue
         A = discretize(get_model(label).kernel, ctx.grid)
-        tf = compactness_mod.tail_functional(
-            A, ctx.psi, ctx.fgrid, ctx.grid, radii, label=label, seed=cfg.seed
-        )
+        tf = compactness_mod.tail_functional(A, ctx.psi, ctx.fgrid, ctx.grid, radii, seed=cfg.seed)
         tail_0 = float(tf.values[0])
         records.append(_record(
             cfg, "rk_tail", label,
@@ -607,9 +605,7 @@ def _diag_paraproduct(cfg: SuiteConfig, ctx: _Context):
         if ex.label == "zero":
             continue
         f = SampledFunction.from_callable(pgrid, ex.evaluator)
-        tf = paraproducts_mod.paraproduct_compactness(
-            f, phi, psi, pfg, radii, label=ex.label, keep_witnesses=False, seed=cfg.seed
-        )
+        tf = paraproducts_mod.paraproduct_compactness(f, phi, psi, pfg, radii, seed=cfg.seed)
         records.append(_record(
             cfg, "paraproduct_compactness", ex.label,
             {"ratio": tf.ratio(), "expected_class": ex.expected_class, "verdict_trend": tf.verdict},

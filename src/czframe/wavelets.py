@@ -30,7 +30,6 @@ __all__ = [
     "CoefficientField",
     "make_mother_wavelet",
     "frame_element",
-    "coefficient",
     "frame_rows",
     "analyze",
     "synthesize",
@@ -153,19 +152,6 @@ def frame_element(psi, point: GroupPoint, grid: SpatialGrid) -> SampledFunction:
     _check_resolution(point.a, grid)
     u = (grid.x - point.b) / point.a
     return SampledFunction(grid, psi(u) / math.sqrt(point.a))
-
-
-def coefficient(f: SampledFunction, psi, point: GroupPoint, support_radius: float = 1.0) -> complex:
-    """<f, psi_{(a,b)}> for one arbitrary group point, via the support window."""
-    grid = f.grid
-    a, b = point.a, point.b
-    i0 = max(0, int(math.ceil((b - a * support_radius + grid.L) / grid.h)))
-    i1 = min(grid.N, int(math.floor((b + a * support_radius + grid.L) / grid.h)) + 1)
-    if i0 >= i1:
-        return 0.0
-    x = -grid.L + grid.h * np.arange(i0, i1)
-    w = psi((x - b) / a) / math.sqrt(a)
-    return complex(np.sum(f.values[i0:i1] * w) * grid.h)
 
 
 def frame_rows(fn, fgrid: FrameGrid, grid: SpatialGrid, norm: str = "L2") -> scipy.sparse.csr_matrix:

@@ -41,6 +41,12 @@ def test_unreadable_config_exit_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    bad.write_bytes(b'{"seed": 1}\xff')  # not UTF-8: UnicodeDecodeError
+    assert main(["--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    bad.write_text("[" * 200000 + "]" * 200000)  # nested past the recursion limit
+    assert main(["--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+    assert "Traceback" not in "".join(capsys.readouterr())
+    assert not (tmp_path / "o").exists()
 
 
 def test_invalid_config_exit_2(tmp_path, capsys):
@@ -103,6 +109,8 @@ def test_non_integer_seed_exit_2(tmp_path, capsys, seed):
         {"frame": {"a_max": "big"}},
         {"frame": {"cone_factor": -1}},
         {"frame": [0.1]},
+        {"frame": {"cone_factor": 1e308}},
+        {"grid": {"L": 1e-300}, "frame": {"a_min": 1e-300, "a_max": 1e308}},
         {"operators": "hilbert"},
     ],
 )

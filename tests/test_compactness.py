@@ -1,13 +1,11 @@
 """Tail coefficient-energy functional via Lanczos (ARPACK `eigsh`), and spectra."""
 
-import dataclasses
 import math
 import sys
 
 import numpy as np
 import pytest
 import scipy.linalg
-import scipy.sparse
 
 from czframe import compactness
 from czframe.compactness import (
@@ -53,22 +51,22 @@ def test_analysis_operator_rows_are_scaled_frame_elements(psi, small_grid, small
     for i in (0, small_fgrid.n_nodes // 2, small_fgrid.n_nodes - 1):
         pt = GroupPoint(float(small_fgrid.a[i]), float(small_fgrid.b[i]))
         el = frame_element(psi, pt, small_grid)
-        expected = math.sqrt(small_fgrid.dlam[i]) * small_grid.h * el.values
+        expected = math.sqrt(small_fgrid.dlam) * small_grid.h * el.values
         assert np.allclose(S[i].toarray().ravel(), expected, atol=1e-14)
 
 
-@pytest.mark.parametrize("block", [1, 7, 4096])
-def test_analysis_operator_scales_every_row_block(psi, small_grid, small_fgrid, monkeypatch, block):
-    # oracle: the frame rows times the diagonal weight matrix, in node and in
-    # permuted order; the Haar weights vary here, so each row needs its own
-    monkeypatch.setattr(compactness, "_ROW_BLOCK", block)
-    rng = np.random.default_rng(0)
-    fg = dataclasses.replace(small_fgrid, dlam=rng.uniform(0.5, 2.0, small_fgrid.n_nodes))
+def test_analysis_operator_scales_a_copy_of_the_cached_rows(psi, small_grid):
+    # oracle: sqrt(dlam) * h times the frame rows, in node and in permuted
+    # order; the cached frame-row matrix must come out unscaled
+    fg = make_frame_grid(small_grid, 0.5, 64.0, s=0.25)  # a fresh cache
     rows = compactness.frame_rows(psi, fg, small_grid)
-    expected = (scipy.sparse.diags(np.sqrt(fg.dlam) * small_grid.h) @ rows).toarray()
+    cached = rows.toarray()
+    expected = math.sqrt(fg.dlam) * small_grid.h * cached
     assert np.array_equal(analysis_operator(psi, fg, small_grid).toarray(), expected)
-    order = rng.permutation(fg.n_nodes)
+    order = np.random.default_rng(0).permutation(fg.n_nodes)
     assert np.array_equal(analysis_operator(psi, fg, small_grid, order).toarray(), expected[order])
+    assert compactness.frame_rows(psi, fg, small_grid) is rows
+    assert np.array_equal(rows.toarray(), cached)
 
 
 @pytest.mark.parametrize("R", [0.0, 1.0])
@@ -133,18 +131,18 @@ def test_rk_seed_determinism(psi, small_grid, small_fgrid):
 def test_tail_functional_profiles(psi, small_grid, small_fgrid):
     radii = np.arange(0.0, 6.5, 0.5)
     A0 = _dense_operator("zero", small_grid)
-    tz = tail_functional(A0, psi, small_fgrid, small_grid, radii, label="zero")
+    tz = tail_functional(A0, psi, small_fgrid, small_grid, radii)
     assert np.all(tz.values == 0.0)
     assert tz.verdict == "vanishing"
 
     Af = _dense_operator("finite_rank", small_grid)
-    tf = tail_functional(Af, psi, small_fgrid, small_grid, radii, label="finite_rank")
+    tf = tail_functional(Af, psi, small_fgrid, small_grid, radii)
     assert tf.values[0] > 0.0
     assert tf.ratio() < 1e-2
     assert tf.verdict == "vanishing"
 
     Ah = _dense_operator("hilbert", small_grid)
-    th = tail_functional(Ah, psi, small_fgrid, small_grid, radii, label="hilbert")
+    th = tail_functional(Ah, psi, small_fgrid, small_grid, radii)
     assert th.ratio() > 0.1
     assert th.verdict == "non-vanishing"
 

@@ -13,6 +13,7 @@ from czframe.grids import (
     make_frame_grid,
     smooth_bump,
     tail_nodes,
+    validate_frame_grid,
 )
 
 
@@ -70,16 +71,30 @@ def test_frame_grid_preconditions(grid):
         make_frame_grid(grid, 0.25, 16.0, cone_factor=-1.0)
 
 
+@pytest.mark.parametrize(
+    "L, a_min, a_max, cone_factor",
+    [
+        (32.0, 0.25, 16.0, 1e308),  # L_b + cone_factor * a overflows at the top scale
+        (1e-300, 1e-300, 1e308, 1.0),  # a_max / a_min overflows: infinitely many scales
+    ],
+)
+def test_frame_grid_rejects_non_finite_counts(L, a_min, a_max, cone_factor):
+    spatial = SpatialGrid(L, 2048)
+    with pytest.raises(ValueError, match="not finite"):
+        validate_frame_grid(spatial, a_min, a_max, cone_factor=cone_factor)
+    with pytest.raises(ValueError, match="not finite"):
+        make_frame_grid(spatial, a_min, a_max, cone_factor=cone_factor)
+
+
 def test_frame_grid_structure(grid):
     fg = make_frame_grid(grid, 0.25, 16.0, s=0.25)
-    assert fg.n_nodes == len(fg.a) == len(fg.b) == len(fg.dlam)
+    assert fg.n_nodes == len(fg.a) == len(fg.b)
     assert np.all(fg.a >= 0.25) and np.all(fg.a <= 16.0)
-    assert np.all(fg.dlam > 0.0)
     # scale_slice partitions the nodes
     total = sum(fg.scale_slice(j).stop - fg.scale_slice(j).start for j in range(len(fg.scales)))
     assert total == fg.n_nodes
-    # per-node Haar weight is du * s at every node
-    assert np.allclose(fg.dlam, fg.du * fg.s)
+    # one Haar weight, du * s, shared by every node
+    assert isinstance(fg.dlam, float) and fg.dlam == fg.du * fg.s > 0.0
 
 
 def test_tail_nodes_nested(grid):

@@ -9,14 +9,13 @@ from czframe.geometry import GroupPoint, IDENTITY
 from czframe.grids import SpatialGrid, make_frame_grid
 from czframe.localization import (
     DecayBound,
-    LocalizationWeight,
+    coefficient_field,
     default_anchor_lattice,
     decay_majorant,
     default_test_bundle,
     matrix_coefficient,
     origin_tail,
     schur_tail,
-    schur_value,
     verify_decay,
     weak_compactness_profile,
 )
@@ -95,9 +94,12 @@ def test_schur_anchor_invariance_hilbert(psi, grid, fgrid):
     # the Hilbert kernel is a fixed point of conjugation, so the reduced Schur
     # functional is bitwise identical at every anchor
     kern = get_model("hilbert").kernel
-    base = schur_value(kern, psi, fgrid, grid, IDENTITY)
+    base = schur_tail(kern, psi, fgrid, grid, 0.0, IDENTITY)
+    # at R = 0 the tail is the Schur value: the weighted sum over every node
+    coeffs = coefficient_field(kern, psi, fgrid, grid).values
+    assert base == float(np.sum(np.abs(coeffs) * fgrid.a**0.5 * fgrid.dlam))
     for anchor in default_anchor_lattice():
-        assert schur_value(kern, psi, fgrid, grid, anchor) == base
+        assert schur_tail(kern, psi, fgrid, grid, 0.0, anchor) == base
 
 
 def test_schur_tail_monotone_and_decaying(psi, grid, fgrid):
@@ -133,12 +135,6 @@ def test_origin_tail_finite_rank_vanishes(psi, grid, fgrid, monkeypatch):
     tail = origin_tail(kern, psi, fgrid, grid, 8.0)
     assert tail / full < 1e-3
     assert origin_tail(kern, psi, fgrid, grid, 6.0) < full
-
-
-def test_weight():
-    w = LocalizationWeight()
-    assert w(4.0) == 2.0
-    assert np.allclose(w(np.array([1.0, 9.0])), [1.0, 3.0])
 
 
 def test_weak_compactness_profiles(psi, grid, fgrid):

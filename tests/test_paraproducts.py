@@ -143,10 +143,10 @@ def test_factored_and_dense_tail_sweeps_agree(psi, phi, wide):
     radii = np.arange(0.0, 5.5, 0.5)
     sym = make_symbol(SampledFunction.from_callable(big, _bump(0.0, 2.0)), psi, pfg)
     factored = tail_functional(
-        paraproduct_operator(sym, phi, psi, big), psi, pfg, big, radii, keep_witnesses=False
+        paraproduct_operator(sym, phi, psi, big), psi, pfg, big, radii
     )
     A = DiscreteOperator(big.N, matrix=paraproduct_operator(sym, phi, psi, big).dense())
-    dense = tail_functional(A, psi, pfg, big, radii, keep_witnesses=False)
+    dense = tail_functional(A, psi, pfg, big, radii)
     assert factored.converged.all() and dense.converged.all()
     assert np.array_equal(factored.iterations, dense.iterations)
     np.testing.assert_allclose(factored.values, dense.values, rtol=1e-12, atol=0.0)
@@ -157,11 +157,11 @@ def test_compactness_dichotomy(psi, phi, wide):
     big, pfg = wide
     radii = np.arange(0.0, 5.5, 1.0)
     beta_c = SampledFunction.from_callable(big, _bump(0.0, 2.0))
-    tf_c = paraproduct_compactness(beta_c, phi, psi, pfg, radii, keep_witnesses=False)
+    tf_c = paraproduct_compactness(beta_c, phi, psi, pfg, radii)
     assert tf_c.ratio() < 1e-2
     x0 = big.h / 3.0
     beta_l = SampledFunction.from_callable(big, lambda x: np.log(np.abs(x - x0)))
-    tf_l = paraproduct_compactness(beta_l, phi, psi, pfg, radii, keep_witnesses=False)
+    tf_l = paraproduct_compactness(beta_l, phi, psi, pfg, radii)
     assert tf_l.ratio() > 0.1
     assert tf_c.values[0] > 0.0 and tf_l.values[0] > 0.0
 
