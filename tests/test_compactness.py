@@ -69,6 +69,22 @@ def test_analysis_operator_scales_a_copy_of_the_cached_rows(psi, small_grid):
     assert np.array_equal(rows.toarray(), cached)
 
 
+@pytest.mark.parametrize("block", [1, 7, 4096])
+def test_analysis_operator_scales_every_row_block(psi, small_grid, small_fgrid, block):
+    # oracle: sqrt(dlam) * h times the frame rows; every block of `block`
+    # nodes of a permuted order, taken as its own `order`, gets exactly its
+    # rows, and the cached frame rows stay unscaled however often it is copied
+    rows = compactness.frame_rows(psi, small_fgrid, small_grid)
+    cached = rows.toarray()
+    expected = math.sqrt(small_fgrid.dlam) * small_grid.h * cached
+    order = np.random.default_rng(0).permutation(small_fgrid.n_nodes)
+    for start in range(0, small_fgrid.n_nodes, block):
+        idx = order[start:start + block]
+        S = analysis_operator(psi, small_fgrid, small_grid, idx)
+        assert np.array_equal(S.toarray(), expected[idx])
+    assert np.array_equal(rows.toarray(), cached)
+
+
 @pytest.mark.parametrize("R", [0.0, 1.0])
 @pytest.mark.parametrize("label", ["hilbert", "damped_hilbert_1", "finite_rank"])
 def test_rk_value_matches_dense_svd(psi, small_grid, small_fgrid, label, R):
