@@ -3,8 +3,8 @@
 The frame lattice discretizes the upper half-plane with log-uniform scales and
 translation spacing proportional to scale, which makes the node density nearly
 uniform in the Haar measure dlam = da db / a^2.  Every cell has the same Haar
-quadrature weight, dlam = (dlog a) * (db / a) = du * s, so the lattice carries
-it as one number.
+quadrature weight, dlam = (dlog a) * (db / a) = s * s (the log-scale step
+equals the translation ratio s), so the lattice carries it as one number.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ __all__ = [
     "FrameGrid",
     "make_frame_grid",
     "validate_frame_grid",
+    "row_nonzero_estimates",
     "inner_product",
     "l2_norm",
     "smooth_bump",
@@ -102,7 +103,7 @@ class FrameGrid:
 
     Nodes are grouped by scale: scale j has value ``scales[j]`` and occupies
     ``slice(offsets[j], offsets[j+1])`` in the flat ``a``/``b`` arrays.
-    Scales are log-uniform with step du; translations are spaced s * a_j and,
+    Scales are log-uniform with step s; translations are spaced s * a_j and,
     when ``cone_factor > 0``, extend to |b| <= L_b + cone_factor * a_j so the
     lattice keeps covering frame coefficients of box-supported functions at
     scales much larger than the box.  ``_rows`` caches the sparse frame-row
@@ -116,7 +117,6 @@ class FrameGrid:
     scales: np.ndarray
     offsets: np.ndarray
     s: float
-    du: float
     L_b: float
     cone_factor: float
     _dist0: np.ndarray = field(default=None, repr=False)
@@ -175,6 +175,11 @@ def validate_frame_grid(
         raise ValueError("the per-scale translation count is not finite")
 
 
+def _scale_count(a_min: float, a_max: float, s: float) -> int:
+    """Number of log-uniform scale cells of step s on [a_min, a_max], at least one."""
+    return max(1, round(math.log(a_max / a_min) / s))
+
+
 def _scales(a_min: float, du: float, j) -> np.ndarray:
     """Scale of log-uniform cell j: the midpoint exp(log a_min + du (j + 1/2))."""
     return np.exp(math.log(a_min) + du * (j + 0.5))
@@ -196,8 +201,8 @@ def make_frame_grid(
     """Build the frame lattice for a spatial grid.
 
     Scale nodes are midpoints of log-uniform cells on [a_min, a_max] with step
-    du = s; translation nodes at scale a are spaced s * a, symmetric about 0.
-    Haar weight of every node: dlam = du * s (n = 1).
+    s; translation nodes at scale a are spaced s * a, symmetric about 0.
+    Haar weight of every node: dlam = s * s (n = 1).
 
     Raises ValueError as :func:`validate_frame_grid` does, e.g. when
     a_min < 2h (scales below spatial resolution).
@@ -206,9 +211,7 @@ def make_frame_grid(
     if L_b is None:
         L_b = spatial.L
 
-    du = s
-    n_scales = max(1, round(math.log(a_max / a_min) / du))
-    scales = _scales(a_min, du, np.arange(n_scales))
+    scales = _scales(a_min, s, np.arange(_scale_count(a_min, a_max, s)))
 
     a_parts, b_parts = [], []
     offsets = [0]
@@ -225,14 +228,43 @@ def make_frame_grid(
     return FrameGrid(
         a=a,
         b=b,
-        dlam=float(du * s),
+        dlam=float(s * s),
         scales=scales,
         offsets=np.asarray(offsets),
         s=s,
-        du=du,
         L_b=float(L_b),
         cone_factor=cone_factor,
     )
+
+
+# Scales summed at a time by row_nonzero_estimates.
+_SCALE_BLOCK = 1 << 18
+
+
+def row_nonzero_estimates(
+    spatial: SpatialGrid,
+    a_min: float,
+    a_max: float,
+    s: float = 0.25,
+    L_b: float | None = None,
+    cone_factor: float = 1.0,
+):
+    """Estimated frame-row nonzeros of :func:`make_frame_grid`'s lattice, from the arguments alone.
+
+    A scale contributes its node count, 2 floor(half count) + 1, times the
+    window of a function supported in [-1, 1] at that scale,
+    min(2 a / h + 1, N) grid points.  Yields one sum per block of
+    consecutive scales, so a caller can stop at a budget without visiting
+    every scale.  Call it only with arguments :func:`validate_frame_grid`
+    accepts.
+    """
+    L_b = spatial.L if L_b is None else L_b
+    n_scales = _scale_count(a_min, a_max, s)
+    for j0 in range(0, n_scales, _SCALE_BLOCK):
+        aj = _scales(a_min, s, np.arange(j0, min(j0 + _SCALE_BLOCK, n_scales)))
+        with np.errstate(over="ignore"):  # a sum past the float range is inf, and too large
+            nodes = 2.0 * np.floor(_half_count(aj, s, L_b, cone_factor)) + 1.0
+            yield float(np.sum(nodes * np.minimum(2.0 * aj / spatial.h + 1.0, float(spatial.N))))
 
 
 def tail_nodes(fgrid: FrameGrid, R: float) -> np.ndarray:

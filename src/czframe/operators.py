@@ -65,6 +65,11 @@ class CZKernel:
     def __call__(self, x, y):
         return self.fn(x, y)
 
+    @property
+    def dense(self) -> bool:
+        """Whether :func:`discretize` stores this kernel as a dense N x N matrix."""
+        return self.profile is None and self.factors is None
+
 
 @dataclass(frozen=True)
 class ModelOperator:
@@ -257,7 +262,7 @@ def discretize(kernel: CZKernel, grid: SpatialGrid) -> DiscreteOperator:
         U, V = (scipy.sparse.csr_matrix(np.asarray(w(grid.x), dtype=float)[None, :])
                 for w in kernel.factors)
         return DiscreteOperator(N, factors=(U, np.ones(1), V * h))
-    if kernel.profile is None:
+    if kernel.dense:
         A = kernel_matrix(kernel, grid)
         A *= h  # in place: bitwise kernel_matrix * h, without a second N x N array
         return DiscreteOperator(N, matrix=A)

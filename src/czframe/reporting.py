@@ -36,7 +36,7 @@ from . import localization as localization_mod
 from . import paraproducts as paraproducts_mod
 from .geometry import GroupPoint
 from .grids import SampledFunction, SpatialGrid, inner_product, l2_norm, make_frame_grid
-from .grids import smooth_bump, validate_frame_grid
+from .grids import row_nonzero_estimates, smooth_bump, validate_frame_grid
 from .operators import DiscreteOperator, apply_kernel, discretize, get_model, model_zoo
 from .wavelets import analyze, frame_element, make_mother_wavelet, synthesize
 
@@ -125,6 +125,10 @@ def _section(raw: dict, name: str, keys: set) -> dict:
     if unknown:
         raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
     return sec
+
+
+def _physical_memory() -> int:
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
 
 
 @dataclass(frozen=True)
@@ -225,6 +229,33 @@ class SuiteConfig:
             raise ConfigError(f"grid/frame: {exc}") from None
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
+        memory = _physical_memory()
+        if self.resident_bytes() > memory:
+            raise ConfigError(
+                f"the run's largest arrays need more than the {memory / 2**30:.1f} GiB "
+                "of physical memory; reduce grid.N or the lattice"
+            )
+
+    def resident_bytes(self) -> float:
+        """Estimated bytes of the run's largest resident arrays, from the config alone.
+
+        The configured lattice's frame rows at 12 B a nonzero (a float64 value
+        and an int32 column index), plus 8 N^2 B when a selected operator
+        takes the dense backend of ``discretize``.  Summing stops as soon as
+        the estimate exceeds the physical memory, so a lattice with more
+        scales than fit is never visited in full.  Call it only on a
+        validated grid and frame.
+        """
+        spatial = SpatialGrid(self.grid_L, self.grid_N)
+        memory = _physical_memory()
+        n = float(self.grid_N)
+        total = 8.0 * n * n if any(get_model(op).kernel.dense for op in self.operators) else 0.0
+        for nnz in row_nonzero_estimates(spatial, self.a_min, self.a_max, self.s,
+                                         self.L_b, self.cone_factor):
+            total += 12.0 * nnz
+            if total > memory:
+                break
+        return total
 
     def tol(self, key: str) -> float:
         return float(self.tolerances.get(key, DEFAULT_TOLERANCES[key]))
@@ -415,13 +446,9 @@ def _diag_pv(cfg: SuiteConfig, ctx: _Context):
 
 def _diag_decay(cfg: SuiteConfig, ctx: _Context):
     H = get_model("hilbert").kernel
-    # rep and fg2 stay bound until the record is built: freeing them sooner
-    # raised the peak RSS of repeated suites in one process by ~8 MB.
-    rep = localization_mod.verify_decay(H, ctx.psi, ctx.fgrid, ctx.grid)
+    fit = localization_mod.verify_decay(H, ctx.psi, ctx.fgrid, ctx.grid).fitted_c
     grid2 = SpatialGrid(cfg.grid_L, cfg.grid_N * 2)
-    fg2 = ctx.lattice(grid2, cfg.s / 2)
-    rep2 = localization_mod.verify_decay(H, ctx.psi, fg2, grid2)
-    fit, fit2 = rep.fitted_c, rep2.fitted_c
+    fit2 = localization_mod.verify_decay(H, ctx.psi, ctx.lattice(grid2, cfg.s / 2), grid2).fitted_c
     record = _record(  # a non-finite fit fails the record through its values
         cfg, "decay_bound", "hilbert",
         {"fitted_c": fit, "fitted_c_refined": fit2, "relative_change": abs(fit2 - fit) / fit},

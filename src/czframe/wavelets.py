@@ -9,7 +9,11 @@ coefficients reproduces the function.
 
 Every lattice-wide operation (analysis, synthesis, and the analysis operator,
 bump pairings and paraproduct factors built on them elsewhere) is a product
-with one sparse matrix from :func:`frame_rows`, cached on the lattice.
+with one sparse matrix from :func:`frame_rows`, cached on the lattice.  A
+caller that needs the coefficients only once, such as the decay fit, streams
+them with :func:`_analysis_blocks` in blocks of whole scales instead, so the
+full matrix is never resident.  Both build their rows with
+:func:`_scale_rows`.
 """
 
 from __future__ import annotations
@@ -154,6 +158,47 @@ def frame_element(psi, point: GroupPoint, grid: SpatialGrid) -> SampledFunction:
     return SampledFunction(grid, psi(u) / math.sqrt(point.a))
 
 
+# Nonzeros per block of :func:`_analysis_blocks`: about 25 MB of CSR at 12 B a
+# nonzero (a float64 value and an int32 column index).
+_BLOCK_NNZ = 1 << 21
+
+
+def _windows(fn, fgrid: FrameGrid, grid: SpatialGrid, nodes: slice):
+    """First grid index and width of the sampling window of each node in ``nodes``."""
+    radius = fgrid.a[nodes] * getattr(fn, "support_radius", 1.0)
+    b, h, L, N = fgrid.b[nodes], grid.h, grid.L, grid.N
+    i_lo = np.clip(np.ceil((b - radius + L) / h).astype(int), 0, N)
+    i_hi = np.clip(np.floor((b + radius + L) / h).astype(int) + 1, 0, N)
+    return i_lo, np.maximum(i_hi - i_lo, 0)
+
+
+def _scale_rows(fn, fgrid: FrameGrid, grid: SpatialGrid, norm: str, j0: int, j1: int):
+    """The :func:`frame_rows` rows of the nodes of scales [j0, j1), uncached."""
+    n0, n1 = int(fgrid.offsets[j0]), int(fgrid.offsets[j1])
+    i_lo, widths = _windows(fn, fgrid, grid, slice(n0, n1))
+    b = fgrid.b[n0:n1]
+    # Fill one preallocated CSR scale by scale (a scale's nodes share one
+    # dilation), so peak memory is the finished rows plus one scale's
+    # temporaries; collecting per-scale blocks and concatenating doubles it.
+    indptr = np.zeros(n1 - n0 + 1, dtype=np.int32)
+    np.cumsum(widths, out=indptr[1:])
+    data = np.empty(indptr[-1])
+    indices = np.empty(indptr[-1], dtype=np.int32)
+    x = grid.x
+    for j in range(j0, j1):
+        aj = fgrid.scales[j]
+        sl = slice(int(fgrid.offsets[j]) - n0, int(fgrid.offsets[j + 1]) - n0)
+        p0, p1 = indptr[sl.start], indptr[sl.stop]
+        if p0 == p1:
+            continue
+        w = widths[sl]
+        cols = np.arange(p0, p1) - np.repeat(indptr[sl] - i_lo[sl], w)
+        indices[p0:p1] = cols
+        vals = fn((x[cols] - np.repeat(b[sl], w)) / aj)
+        data[p0:p1] = vals / (math.sqrt(aj) if norm == "L2" else aj)
+    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(n1 - n0, grid.N))
+
+
 def frame_rows(fn, fgrid: FrameGrid, grid: SpatialGrid, norm: str = "L2") -> scipy.sparse.csr_matrix:
     """Sparse matrix whose row k samples the dilate of ``fn`` at lattice node k.
 
@@ -163,40 +208,35 @@ def frame_rows(fn, fgrid: FrameGrid, grid: SpatialGrid, norm: str = "L2") -> sci
     (1 if absent).  Frame analysis, synthesis, the analysis operator, bump
     pairings and paraproduct factors are all products with this matrix.  It is
     cached on ``fgrid`` under ``(fn, grid, norm)``, so it lives exactly as long
-    as the lattice.  ``fn`` must be hashable.
+    as the lattice; a single product on a lattice that is dropped next should
+    stream :func:`_analysis_blocks` instead.  ``fn`` must be hashable.
     """
     key = (fn, grid, norm)
-    cached = fgrid._rows.get(key)
-    if cached is not None:
-        return cached
-    if norm not in ("L2", "L1"):
-        raise ValueError(f"norm must be 'L2' or 'L1', not {norm!r}")
-    radius = fgrid.a * getattr(fn, "support_radius", 1.0)
-    b, h, L, N = fgrid.b, grid.h, grid.L, grid.N
-    i_lo = np.clip(np.ceil((b - radius + L) / h).astype(int), 0, N)
-    i_hi = np.clip(np.floor((b + radius + L) / h).astype(int) + 1, 0, N)
-    widths = np.maximum(i_hi - i_lo, 0)
-    # Fill one preallocated CSR scale by scale (a scale's nodes share one
-    # dilation), so peak memory is the finished matrix plus one scale's
-    # temporaries; collecting per-scale blocks and concatenating doubles it.
-    indptr = np.zeros(fgrid.n_nodes + 1, dtype=np.int32)
-    np.cumsum(widths, out=indptr[1:])
-    data = np.empty(indptr[-1])
-    indices = np.empty(indptr[-1], dtype=np.int32)
-    x = grid.x
-    for j, aj in enumerate(fgrid.scales):
-        sl = fgrid.scale_slice(j)
-        p0, p1 = indptr[sl.start], indptr[sl.stop]
-        if p0 == p1:
-            continue
-        w = widths[sl]
-        cols = np.arange(p0, p1) - np.repeat(indptr[sl] - i_lo[sl], w)
-        indices[p0:p1] = cols
-        vals = fn((x[cols] - np.repeat(b[sl], w)) / aj)
-        data[p0:p1] = vals / (math.sqrt(aj) if norm == "L2" else aj)
-    rows = scipy.sparse.csr_matrix((data, indices, indptr), shape=(fgrid.n_nodes, N))
-    fgrid._rows[key] = rows
+    rows = fgrid._rows.get(key)
+    if rows is None:
+        if norm not in ("L2", "L1"):
+            raise ValueError(f"norm must be 'L2' or 'L1', not {norm!r}")
+        rows = fgrid._rows[key] = _scale_rows(fn, fgrid, grid, norm, 0, fgrid.scales.size)
     return rows
+
+
+def _analysis_blocks(f: SampledFunction, psi, fgrid: FrameGrid):
+    """Yield ``(nodes, coefficients)`` of :func:`analyze`, a block of whole scales at a time.
+
+    ``nodes`` is the block's slice of the lattice.  A block holds at most
+    ``_BLOCK_NNZ`` row nonzeros, unless one scale alone has more; its rows
+    are built, applied once and dropped, never cached on ``fgrid``.  A CSR
+    product sums each row in index order, so the coefficients are bitwise
+    those of :func:`analyze`.
+    """
+    _, widths = _windows(psi, fgrid, f.grid, slice(None))
+    starts = np.concatenate([[0], np.cumsum(widths)])[fgrid.offsets]  # nonzeros before each scale
+    j0 = 0
+    while j0 < fgrid.scales.size:
+        j1 = max(j0 + 1, int(np.searchsorted(starts, starts[j0] + _BLOCK_NNZ, side="right")) - 1)
+        nodes = slice(int(fgrid.offsets[j0]), int(fgrid.offsets[j1]))
+        yield nodes, (_scale_rows(psi, fgrid, f.grid, "L2", j0, j1) @ f.values) * f.grid.h
+        j0 = j1
 
 
 def analyze(f: SampledFunction, psi, fgrid: FrameGrid) -> CoefficientField:

@@ -122,6 +122,15 @@ def test_bad_grid_or_frame_exit_2(tmp_path, capsys, payload):
     assert not out.exists()  # rejected at config loading, before any work
 
 
+def test_config_beyond_physical_memory_exit_2(tmp_path, capsys):
+    # rejected by the pre-flight estimate: nothing of the 140 TB is allocated
+    cfgp = _write_config(tmp_path, {"grid": {"N": 4194304}, "operators": ["damped_hilbert_1"]})
+    out = tmp_path / "o"
+    assert main(["--config", cfgp, "--out", str(out)]) == 2
+    assert "physical memory" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("tol", [float("inf"), -float("inf"), float("nan"), 10**400, 0.0, "1"])
 def test_non_finite_or_non_positive_tolerance_exit_2(tmp_path, capsys, tol):
     # json writes inf/nan as the bare tokens Infinity/NaN, which json.load reads back

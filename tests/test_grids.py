@@ -93,8 +93,8 @@ def test_frame_grid_structure(grid):
     # scale_slice partitions the nodes
     total = sum(fg.scale_slice(j).stop - fg.scale_slice(j).start for j in range(len(fg.scales)))
     assert total == fg.n_nodes
-    # one Haar weight, du * s, shared by every node
-    assert isinstance(fg.dlam, float) and fg.dlam == fg.du * fg.s > 0.0
+    # one Haar weight, s * s, shared by every node
+    assert isinstance(fg.dlam, float) and fg.dlam == fg.s * fg.s > 0.0
 
 
 def test_tail_nodes_nested(grid):

@@ -1,6 +1,7 @@
 """Decay majorant, weighted Schur functionals, and weak-compactness pairings."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -19,8 +20,8 @@ from czframe.localization import (
     verify_decay,
     weak_compactness_profile,
 )
-from czframe.operators import conjugate, discretize, get_model, kernel_matrix
-from czframe.wavelets import make_mother_wavelet
+from czframe.operators import apply_kernel, conjugate, discretize, get_model, kernel_matrix
+from czframe.wavelets import frame_element, frame_rows, make_mother_wavelet
 
 
 @pytest.fixture(scope="module")
@@ -39,7 +40,7 @@ def fgrid(grid):
 
 
 def test_decay_majorant_regimes():
-    d = DecayBound(n=1, delta=1.0, c=1.0)
+    d = DecayBound(delta=1.0, c=1.0)
     # one closed-form value per regime
     assert decay_majorant(d, 4.0, 2.0) == pytest.approx(4.0 ** (-1.5))
     assert decay_majorant(d, 4.0, 16.0) == pytest.approx(math.sqrt(4.0) / 16.0**2)
@@ -48,7 +49,7 @@ def test_decay_majorant_regimes():
 
 
 def test_decay_majorant_continuity_across_seams():
-    d = DecayBound(n=1, delta=0.7, c=2.0)
+    d = DecayBound(delta=0.7, c=2.0)
     for a, b in [(1.0, 0.5), (2.0, 2.0), (0.5, 1.0)]:
         lo = decay_majorant(d, a - 1e-9, b)
         hi = decay_majorant(d, a + 1e-9, b)
@@ -87,7 +88,41 @@ def test_matrix_coefficient_disjoint_supports_match_direct(psi, grid):
 def test_verify_decay_fitted_constant_finite(psi, grid, fgrid):
     rep = verify_decay(get_model("hilbert").kernel, psi, fgrid, grid)
     assert 0.0 < rep.fitted_c < 10.0
-    assert np.all(np.isfinite(rep.ratios))
+    assert math.isfinite(rep.fitted_c)
+
+
+def test_verify_decay_caches_no_frame_rows(psi, grid):
+    fg = make_frame_grid(grid, 0.0625, 512.0, s=0.125, cone_factor=1.0)
+    verify_decay(get_model("hilbert").kernel, psi, fg, grid)
+    assert fg._rows == {}
+
+
+def test_verify_decay_streams_blocks_of_the_full_rows(psi):
+    # 9.4M row nonzeros (113 MB): several blocks, so the full matrix must
+    # never be resident, and the fit must still be the whole-lattice maximum
+    from czframe.wavelets import _analysis_blocks, _BLOCK_NNZ
+
+    kern = get_model("hilbert").kernel
+    grid = SpatialGrid(32.0, 8192)
+    fg = make_frame_grid(grid, 0.0625, 512.0, s=0.125, cone_factor=1.0)
+    tracemalloc.start()
+    try:
+        fit = verify_decay(kern, psi, fg, grid).fitted_c
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    other = make_frame_grid(grid, 0.0625, 512.0, s=0.125, cone_factor=1.0)
+    rows = frame_rows(psi, other, grid)
+    assert peak < 0.5 * (rows.data.nbytes + rows.indices.nbytes)
+    Tpsi = apply_kernel(kern, frame_element(psi, IDENTITY, grid))
+    coeffs = rows @ Tpsi.values * grid.h
+    d = DecayBound(delta=kern.delta)
+    assert fit == float(np.max(np.abs(coeffs) / decay_majorant(d, other.a, other.b)))
+    blocks = list(_analysis_blocks(Tpsi, psi, fg))
+    assert len(blocks) > 2
+    assert all(rows.indptr[nodes.stop] - rows.indptr[nodes.start] <= _BLOCK_NNZ
+               for nodes, _ in blocks)
+    assert np.concatenate([c for _, c in blocks]).tobytes() == coeffs.tobytes()
 
 
 def test_schur_anchor_invariance_hilbert(psi, grid, fgrid):

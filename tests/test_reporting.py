@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from czframe.grids import tail_nodes
+from czframe.grids import SpatialGrid, make_frame_grid, tail_nodes
 from czframe.operators import DiscreteOperator
 from czframe.reporting import (
     DEFAULT_TOLERANCES,
@@ -20,6 +20,7 @@ from czframe.reporting import (
     emit,
     run_suite,
 )
+from czframe.wavelets import frame_rows, make_mother_wavelet
 
 
 QUICK = {
@@ -37,6 +38,32 @@ def test_default_config_valid():
     cfg.validate()
     assert cfg.diagnostics == DIAGNOSTIC_NAMES
     assert cfg.tol("parseval") == DEFAULT_TOLERANCES["parseval"]
+
+
+def test_resident_bytes_estimated_from_config_alone():
+    # under 1 GB by default: frame rows plus damped_hilbert_1's dense N x N matrix
+    cfg = SuiteConfig()
+    assert cfg.resident_bytes() < 2**30
+    no_dense = dataclasses.replace(cfg, operators=("hilbert", "finite_rank", "zero"))
+    assert cfg.resident_bytes() - no_dense.resident_bytes() == 8.0 * cfg.grid_N**2
+    # the row term bounds the built rows from above, clipped windows included
+    small = SuiteConfig(grid_N=1024, a_min=0.25, a_max=64.0, s=0.25, operators=("zero",))
+    grid = SpatialGrid(small.grid_L, small.grid_N)
+    rows = frame_rows(make_mother_wavelet(), make_frame_grid(grid, 0.25, 64.0, s=0.25), grid)
+    assert rows.nnz <= small.resident_bytes() / 12 <= 1.5 * rows.nnz
+    # summing stops past the physical memory, so 1e302 scales are never visited
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    assert SuiteConfig(s=1e-300).resident_bytes() > memory
+
+
+@pytest.mark.parametrize("raw", [
+    {"grid": {"N": 4194304}},  # 140 TB for damped_hilbert_1's dense matrix
+    {"grid": {"N": 4194304}, "operators": ["damped_hilbert_1"]},
+    {"frame": {"s": 1e-300}},  # scales beyond count
+])
+def test_config_beyond_physical_memory_rejected(raw):
+    with pytest.raises(ConfigError, match="physical memory"):
+        SuiteConfig.from_dict(raw)
 
 
 def test_from_dict_roundtrip():

@@ -7,7 +7,8 @@ pyflakes marker for an import kept on purpose); every ``__all__`` entry must
 be defined there.  A dense N x N ``kernel_matrix`` is assembled only where
 ``DENSE_ASSEMBLY`` allows it, and every entry there still assembles one; every
 other kernel application goes through ``operators.discretize``.  Likewise a
-dense SVD (``svdvals``) is taken only where ``DENSE_SVD`` allows it.
+dense SVD (``svdvals``) is taken only where ``DENSE_SVD`` allows it, and frame
+rows are built (``_scale_rows``) only where ``ROW_BUILDS`` allows it.
 """
 
 import ast
@@ -25,6 +26,9 @@ DENSE_ASSEMBLY = {
 }
 # The one dense SVD, the oracle of the Lanczos tail solves.
 DENSE_SVD = {("compactness", "singular_spectrum")}
+# Frame rows are built one way: the cached whole-lattice matrix and the
+# uncached scale blocks of the decay fit.
+ROW_BUILDS = {("wavelets", "frame_rows"), ("wavelets", "_analysis_blocks")}
 
 
 def _parse(path: Path):
@@ -119,6 +123,10 @@ def test_dense_kernel_assembly_is_confined():
 
 def test_dense_svd_is_confined():
     _assert_confined("svdvals", DENSE_SVD)
+
+
+def test_frame_row_builder_is_confined():
+    _assert_confined("_scale_rows", ROW_BUILDS)
 
 
 def test_checker_sees_kernel_matrix_calls():

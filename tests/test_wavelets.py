@@ -166,6 +166,32 @@ def test_frame_rows_cached_per_function_grid_and_norm(psi, tiny):
         frame_rows(psi, fg, grid, "Linf")
 
 
+def test_scale_blocks_match_frame_rows_bitwise(psi, tiny):
+    # the block path builds the rows of any scale range exactly as frame_rows
+    # builds the whole lattice, so every coefficient is the same float
+    from czframe.wavelets import _analysis_blocks, _scale_rows
+
+    grid, fg = tiny
+    n = fg.scales.size
+    assert n >= 6
+    for norm in ("L2", "L1"):
+        whole, full = _scale_rows(psi, fg, grid, norm, 0, n), frame_rows(psi, fg, grid, norm)
+        for part in ("data", "indices", "indptr"):
+            assert getattr(whole, part).tobytes() == getattr(full, part).tobytes()
+    v = np.random.default_rng(5).standard_normal(grid.N)
+    full = frame_rows(psi, fg, grid) @ v * grid.h
+    one_scale = [(j, j + 1) for j in range(n)]
+    several = [(0, 3), (3, 5), (5, n)]
+    for cuts in (one_scale, several, [(0, n)]):
+        for j0, j1 in cuts:
+            got = _scale_rows(psi, fg, grid, "L2", j0, j1) @ v * grid.h
+            assert got.tobytes() == full[fg.offsets[j0] : fg.offsets[j1]].tobytes()
+    blocks = list(_analysis_blocks(SampledFunction(grid, v), psi, fg))
+    assert [nodes.start for nodes, _ in blocks] == [0] + [nodes.stop for nodes, _ in blocks[:-1]]
+    assert blocks[-1][0].stop == fg.n_nodes
+    assert np.concatenate([c for _, c in blocks]).tobytes() == full.tobytes()
+
+
 def test_analysis_operator_matches_dense_assembly(psi, tiny):
     from czframe.compactness import analysis_operator
 
