@@ -13,8 +13,9 @@ Tents are closed on the lattice: the tent over B(b, a) collects nodes
 contains it.  The cone over x is open: the nodes with |b - x| < a.  These
 are the package's only tent and cone conventions.
 
-Wavelet and bump pairings over the lattice are products with the cached
-:func:`~czframe.wavelets.frame_rows` matrices of psi and phi.
+Wavelet pairings over the lattice are products with the cached
+:func:`~czframe.wavelets.frame_rows` matrix of psi; the bump pairings of phi
+are streamed in blocks of whole scales and never cached.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .grids import FrameGrid, SampledFunction, SpatialGrid, smooth_bump
-from .wavelets import analyze, frame_rows
+from .wavelets import _analysis_blocks, analyze
 
 __all__ = [
     "CoefficientMeasure",
@@ -143,10 +144,14 @@ def vanishing_profile(mu: CoefficientMeasure, radii) -> np.ndarray:
 def _phi_coefficients(f: SampledFunction, phi, fgrid: FrameGrid) -> np.ndarray:
     """<Re f, phi_(a,b)> with the L2-normalized dilation a^-1/2 phi((x-b)/a).
 
-    A product with the cached :func:`~czframe.wavelets.frame_rows` matrix of
-    ``phi``.
+    Gathered from :func:`~czframe.wavelets._analysis_blocks`, so phi's rows
+    are never cached on ``fgrid``; bitwise the product with the
+    :func:`~czframe.wavelets.frame_rows` matrix of ``phi``.
     """
-    return (frame_rows(phi, fgrid, f.grid) @ f.values.real) * f.grid.h
+    out = np.empty(fgrid.n_nodes)
+    for nodes, c in _analysis_blocks(SampledFunction(f.grid, f.values.real), phi, fgrid):
+        out[nodes] = c
+    return out
 
 
 def nontangential_max(

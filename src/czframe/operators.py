@@ -146,16 +146,36 @@ def get_model(label: str) -> ModelOperator:
     return zoo[label]
 
 
+# Entries per row block of :func:`kernel_matrix` and of the dense
+# ``DiscreteOperator.window_sums``: 512 kB of float64, so the temporaries of a
+# block stay small next to the N x N matrix it fills or reads.
+_BLOCK_ENTRIES = 1 << 16
+
+
+def _row_blocks(n: int):
+    """Consecutive row slices of an n x n matrix, each of about ``_BLOCK_ENTRIES`` entries."""
+    m = max(1, _BLOCK_ENTRIES // n)
+    return (slice(i, min(i + m, n)) for i in range(0, n, m))
+
+
 def kernel_matrix(kernel: CZKernel, grid: SpatialGrid) -> np.ndarray:
     """Dense kernel matrix on the grid.
 
     For singular kernels the diagonal cell is zeroed (the PV exclusion);
     bounded kernels are evaluated on the diagonal as well, so e.g. a
-    rank-one kernel stays exactly rank one after discretization.
+    rank-one kernel stays exactly rank one after discretization.  K is
+    filled a block of rows at a time (:func:`_row_blocks`), so the kernel's
+    arithmetic temporaries are block-sized and the peak is K itself; the
+    evaluation is elementwise, so K is bitwise the one-broadcast matrix.
     """
     x = grid.x
+    K = None
     with np.errstate(divide="ignore", invalid="ignore"):
-        K = kernel(x[:, None], x[None, :])
+        for rows in _row_blocks(x.size):
+            block = kernel(x[rows, None], x[None, :])
+            if K is None:
+                K = np.empty((x.size, x.size), dtype=block.dtype)
+            K[rows] = block
     diag = np.nan_to_num(np.asarray(kernel(x, x), dtype=float)) if kernel.bounded else 0.0
     np.fill_diagonal(K, diag)
     return K
@@ -232,6 +252,10 @@ class DiscreteOperator:
         Each window is the largest one centred on node i inside the box.  A
         Toeplitz row or column window holds c[0] and the pairs c[m] + c[-m]:
         one prefix sum serves both, exactly 0 for an antisymmetric profile.
+        Otherwise the rows of ``dense()`` (its columns if ``transpose``) are
+        prefix-summed a block of rows at a time (:func:`_row_blocks`), so no
+        second N x N array is made; a row's prefix sum does not depend on the
+        other rows, so the sums are bitwise those of one whole-matrix cumsum.
         """
         n = self.n
         idx = np.arange(n)
@@ -240,8 +264,14 @@ class DiscreteOperator:
             c = self.column
             return c[0] + np.concatenate([[0.0], np.cumsum(c[1:n] + c[:n:-1])])[w]
         A = self.dense()
-        csum = np.cumsum(A.T if transpose else A, axis=1)
-        return csum[idx, idx + w] - np.where(idx > w, csum[idx, idx - w - 1], 0.0)
+        M = A.T if transpose else A
+        out = np.empty(n, dtype=A.dtype)
+        for rows in _row_blocks(n):
+            csum = np.cumsum(M[rows], axis=1)
+            i, wi = idx[rows], w[rows]
+            r = i - rows.start
+            out[rows] = csum[r, i + wi] - np.where(i > wi, csum[r, i - wi - 1], 0.0)
+        return out
 
 
 def discretize(kernel: CZKernel, grid: SpatialGrid) -> DiscreteOperator:

@@ -241,7 +241,11 @@ class SuiteConfig:
 
         The configured lattice's frame rows at 12 B a nonzero (a float64 value
         and an int32 column index), plus 8 N^2 B when a selected operator
-        takes the dense backend of ``discretize``.  Summing stops as soon as
+        takes the dense backend of ``discretize``.  That term is the dense
+        backend's actual peak: ``kernel_matrix`` and the dense
+        ``window_sums`` go by row blocks, so their temporaries are small
+        (before, assembly and T1 made them about as large again, which the
+        term undercounted).  Summing stops as soon as
         the estimate exceeds the physical memory, so a lattice with more
         scales than fit is never visited in full.  Call it only on a
         validated grid and frame.
@@ -397,6 +401,9 @@ def _diag_frame(cfg: SuiteConfig, ctx: _Context):
     # coarser spacings clipped to the largest valid one, 1; s = 1 leaves one level
     for s in sorted({min(c, 1.0) for c in (max(cfg.s * 4, 1.0 / 2), cfg.s * 2, cfg.s)},
                     reverse=True):
+        # a lattice of its own even at s = cfg.s: psi rows cached on ctx.fgrid
+        # this early stay live through decay, whose freed blocks the allocator
+        # then keeps, and the frame_local peak RSS rises by about 10 MB
         fg = ctx.lattice(ctx.grid, s)
         worst_p, worst_r = 0.0, 0.0
         for vals in _test_family(ctx.grid).values():
@@ -552,7 +559,12 @@ def _diag_rk_tail(cfg: SuiteConfig, ctx: _Context):
     return records, profiles
 
 
-def _diag_carleson(cfg: SuiteConfig, ctx: _Context):
+def _carleson_profiles(cfg: SuiteConfig, ctx: _Context):
+    """The tent-ratio profile of each BMO example on the wide side lattice.
+
+    A function of its own, so the side lattice and its cached psi rows are
+    freed before the rest of :func:`_diag_carleson` runs.
+    """
     records, profiles = [], {}
     wide, wfg, meta = _side_lattice(2048.0, 16384, 0.5, 1024.0, s=0.25, L_b=1024.0, cone_factor=0.0)
     radii = np.arange(0.0, 8.5, 0.5)
@@ -570,6 +582,11 @@ def _diag_carleson(cfg: SuiteConfig, ctx: _Context):
                 ex.expected_class, "carleson_vanishing_ratio", "carleson_nonvanishing_ratio"
             ),
         ))
+    return records, profiles
+
+
+def _diag_carleson(cfg: SuiteConfig, ctx: _Context):
+    records, profiles = _carleson_profiles(cfg, ctx)
     # constant annihilation on a well-resolved interior lattice
     half = ctx.grid.L / 2.0
     fg_int = make_frame_grid(ctx.grid, 0.5, half, s=0.125, L_b=half, cone_factor=0.0)

@@ -12,8 +12,8 @@ bump pairings and paraproduct factors built on them elsewhere) is a product
 with one sparse matrix from :func:`frame_rows`, cached on the lattice.  A
 caller that needs the coefficients only once, such as the decay fit, streams
 them with :func:`_analysis_blocks` in blocks of whole scales instead, so the
-full matrix is never resident.  Both build their rows with
-:func:`_scale_rows`.
+full matrix is never resident; so do the Stein audit's bump pairings.  Both
+build their rows with :func:`_scale_rows`.
 """
 
 from __future__ import annotations
@@ -220,22 +220,24 @@ def frame_rows(fn, fgrid: FrameGrid, grid: SpatialGrid, norm: str = "L2") -> sci
     return rows
 
 
-def _analysis_blocks(f: SampledFunction, psi, fgrid: FrameGrid):
-    """Yield ``(nodes, coefficients)`` of :func:`analyze`, a block of whole scales at a time.
+def _analysis_blocks(f: SampledFunction, fn, fgrid: FrameGrid):
+    """Yield ``(nodes, pairings)`` of f with the L2 dilates of ``fn``, a block of whole scales at a time.
 
-    ``nodes`` is the block's slice of the lattice.  A block holds at most
-    ``_BLOCK_NNZ`` row nonzeros, unless one scale alone has more; its rows
-    are built, applied once and dropped, never cached on ``fgrid``.  A CSR
-    product sums each row in index order, so the coefficients are bitwise
-    those of :func:`analyze`.
+    The pairings are ``frame_rows(fn, fgrid, f.grid) @ f.values * h`` (for
+    ``fn = psi`` the coefficients of :func:`analyze`), and ``fn`` is any
+    generator :func:`frame_rows` accepts.  ``nodes`` is the block's slice of
+    the lattice.  A block holds at most ``_BLOCK_NNZ`` row nonzeros, unless
+    one scale alone has more; its rows are built, applied once and dropped,
+    never cached on ``fgrid``.  A CSR product sums each row in index order,
+    so the pairings are bitwise those of the cached matrix.
     """
-    _, widths = _windows(psi, fgrid, f.grid, slice(None))
+    _, widths = _windows(fn, fgrid, f.grid, slice(None))
     starts = np.concatenate([[0], np.cumsum(widths)])[fgrid.offsets]  # nonzeros before each scale
     j0 = 0
     while j0 < fgrid.scales.size:
         j1 = max(j0 + 1, int(np.searchsorted(starts, starts[j0] + _BLOCK_NNZ, side="right")) - 1)
         nodes = slice(int(fgrid.offsets[j0]), int(fgrid.offsets[j1]))
-        yield nodes, (_scale_rows(psi, fgrid, f.grid, "L2", j0, j1) @ f.values) * f.grid.h
+        yield nodes, (_scale_rows(fn, fgrid, f.grid, "L2", j0, j1) @ f.values) * f.grid.h
         j0 = j1
 
 

@@ -5,6 +5,8 @@ import math
 import numpy as np
 import pytest
 
+import czframe.carleson as carleson_mod
+import czframe.wavelets as wavelets_mod
 from czframe.carleson import (
     CoefficientMeasure,
     bmo_examples,
@@ -18,7 +20,7 @@ from czframe.carleson import (
 )
 from czframe.grids import SampledFunction, SpatialGrid, make_frame_grid
 from czframe.paraproducts import make_bump_phi
-from czframe.wavelets import make_mother_wavelet
+from czframe.wavelets import frame_rows, make_mother_wavelet
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +101,39 @@ def test_nontangential_max_bounds_phi_coefficients(grid, fgrid):
     k = int(np.argmax(np.abs(coeffs)))
     val = nontangential_max(f, phi, float(fgrid.b[k]), fgrid, coeffs=coeffs)
     assert val >= abs(coeffs[k])
+
+
+def _cached_phi_coefficients(f, phi, fgrid):
+    """The pairings as one product with the cached phi rows."""
+    return (frame_rows(phi, fgrid, f.grid) @ f.values.real) * f.grid.h
+
+
+def test_phi_coefficients_stream_blocks_of_the_cached_product(grid, monkeypatch):
+    phi = make_bump_phi()
+    fg, other = (make_frame_grid(grid, 0.5, 32.0, s=0.25, L_b=32.0, cone_factor=0.0)
+                 for _ in range(2))
+    f = SampledFunction(grid, np.exp(-((grid.x / 4.0) ** 2)) + 1j * np.sin(grid.x))
+    rows = frame_rows(phi, other, grid)
+    expected = (rows @ f.values.real) * grid.h
+    # a quarter of the rows' nonzeros a block: the lattice needs at least 3 blocks
+    monkeypatch.setattr(wavelets_mod, "_BLOCK_NNZ", rows.nnz // 4)
+    coeffs = carleson_mod._phi_coefficients(f, phi, fg)
+    assert fg._rows == {}
+    assert coeffs.tobytes() == expected.tobytes()
+    blocks = list(wavelets_mod._analysis_blocks(SampledFunction(grid, f.values.real), phi, fg))
+    assert len(blocks) >= 3
+    assert np.concatenate([c for _, c in blocks]).tobytes() == expected.tobytes()
+
+
+def test_stein_audit_matches_the_cached_rows(psi, grid, monkeypatch):
+    phi = make_bump_phi()
+    fg = make_frame_grid(grid, 0.5, 32.0, s=0.25, L_b=32.0, cone_factor=0.0)
+    f = SampledFunction.from_callable(grid, lambda x: np.exp(-((x / 4.0) ** 2)))
+    mu = coefficient_measure(f, psi, fg)
+    ratio = stein_inequality_check(f, phi, mu, p=2.0)
+    assert list(fg._rows) == [(psi, grid, "L2")]  # the measure's psi rows only
+    monkeypatch.setattr(carleson_mod, "_phi_coefficients", _cached_phi_coefficients)
+    assert stein_inequality_check(f, phi, mu, p=2.0) == ratio
 
 
 def test_stein_inequality_gaussian(psi, grid, fgrid):

@@ -2,6 +2,7 @@
 discrete operator backends checked against the dense kernel matrix."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -217,6 +218,57 @@ def test_non_convolution_kernels_get_the_dense_backend(label):
             rtol=0, atol=1e-12,
         )
     assert conjugate(kern, GroupPoint(2.0, 1.0)).profile is None
+
+
+def _kernel_matrix_oracle(kernel, grid):
+    """The dense matrix of a singular kernel in one N x N broadcast."""
+    x = grid.x
+    with np.errstate(divide="ignore", invalid="ignore"):
+        K = kernel(x[:, None], x[None, :])
+    np.fill_diagonal(K, 0.0)
+    return K
+
+
+def _one_cumsum_window_sums(A):
+    """The window sums from one prefix sum over the whole matrix."""
+    n = A.shape[0]
+    idx = np.arange(n)
+    w = np.minimum(idx, n - 1 - idx)
+    csum = np.cumsum(A, axis=1)
+    return csum[idx, idx + w] - np.where(idx > w, csum[idx, idx - w - 1], 0.0)
+
+
+def _traced(fn, *args):
+    """``fn(*args)`` and the peak bytes it allocated, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# None: the default block; 3 * 2048 + 5 entries: 3 rows a block, a ragged last one
+@pytest.mark.parametrize("block_entries", [None, 3 * 2048 + 5], ids=["default", "ragged"])
+def test_dense_assembly_and_window_sums_go_by_row_blocks(grid, block_entries, monkeypatch):
+    import czframe.operators as operators_mod
+
+    if block_entries is not None:
+        monkeypatch.setattr(operators_mod, "_BLOCK_ENTRIES", block_entries)
+        assert grid.N % (block_entries // grid.N) != 0
+    kern = get_model("damped_hilbert_1").kernel
+    dense_bytes = 8.0 * grid.N**2
+    K, peak = _traced(kernel_matrix, kern, grid)
+    assert peak < 1.25 * dense_bytes
+    assert K.tobytes() == _kernel_matrix_oracle(kern, grid).tobytes()
+    K *= grid.h
+    op = DiscreteOperator(grid.N, matrix=K)
+    for transpose_ in (False, True):
+        sums, peak = _traced(op.window_sums, transpose_)
+        assert peak < dense_bytes / 4
+        M = K.T if transpose_ else K
+        assert sums.tobytes() == _one_cumsum_window_sums(M).tobytes()
+        np.testing.assert_allclose(sums, _window_sums_oracle(M), rtol=0, atol=1e-12)
 
 
 def _assert_factored_matches_dense(op, A):
