@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -35,7 +36,6 @@ __all__ = [
     "tent_masses",
     "carleson_function",
     "vanishing_profile",
-    "nontangential_max",
     "stein_inequality_check",
     "BMOExample",
     "bmo_examples",
@@ -63,10 +63,10 @@ def coefficient_measure(f: SampledFunction, psi, fgrid: FrameGrid) -> Coefficien
     return CoefficientMeasure(fgrid, np.abs(fld.values) ** 2 * fgrid.dlam)
 
 
-def point_mass(fgrid: FrameGrid, node_index: int, mass: float = 1.0) -> CoefficientMeasure:
-    """Synthetic measure with a single atom at one lattice node."""
+def point_mass(fgrid: FrameGrid, node_index: int) -> CoefficientMeasure:
+    """Synthetic measure with a single unit atom at one lattice node."""
     m = np.zeros(fgrid.n_nodes)
-    m[node_index] = mass
+    m[node_index] = 1.0
     return CoefficientMeasure(fgrid, m)
 
 
@@ -104,25 +104,15 @@ def _cone_mask(x: float, fgrid: FrameGrid) -> np.ndarray:
     return np.abs(x - fgrid.b) < fgrid.a
 
 
-def carleson_function(
-    mu: CoefficientMeasure,
-    x: float,
-    masses: np.ndarray | None = None,
-) -> float:
-    """C mu(x): sup over cone nodes above x of tent mass / |B(b, a)|.
-
-    |B(b, a)| = 2a in one dimension.  Pass precomputed ``masses`` from
-    :func:`tent_masses` when sweeping many x.
-    """
+def carleson_function(mu: CoefficientMeasure, x: float) -> float:
+    """C mu(x): sup over cone nodes above x of tent mass / |B(b, a)|, with |B(b, a)| = 2a."""
     fg = mu.fgrid
     if abs(x) > fg.L_b:
         raise ValueError("x outside the translation box")
-    if masses is None:
-        masses = tent_masses(mu)
     sel = _cone_mask(x, fg)
     if not np.any(sel):
         return 0.0
-    return float(np.max(masses[sel] / (2.0 * fg.a[sel])))
+    return float(np.max(tent_masses(mu)[sel] / (2.0 * fg.a[sel])))
 
 
 def vanishing_profile(mu: CoefficientMeasure, radii) -> np.ndarray:
@@ -154,44 +144,19 @@ def _phi_coefficients(f: SampledFunction, phi, fgrid: FrameGrid) -> np.ndarray:
     return out
 
 
-def nontangential_max(
-    f: SampledFunction,
-    phi,
-    x: float,
-    fgrid: FrameGrid,
-    coeffs: np.ndarray | None = None,
-) -> float:
-    """Mf(x): sup over cone nodes of |<f, phi_(a,b)>|.
+def stein_inequality_check(f: SampledFunction, phi, mu: CoefficientMeasure) -> float:
+    """Audit integral |<f, phi_(a,b)>|^2 dmu <= C * integral Mf^2 * Cmu dx.
 
-    ``phi`` must be radial (even), non-increasing in |x|, bounded and
-    compactly supported; pass precomputed ``coeffs`` when sweeping x.
+    Mf(x) is the nontangential maximum, the sup of |<f, phi_(a,b)>| over the
+    cone nodes above x.  Returns the ratio LHS/RHS, which the caller bounds
+    by its slack C (a slack audit, not a sharp constant).  The base-space
+    integral is a Riemann sum over 257 equispaced positions on [-L, L], both
+    endpoints included, each weighted by their spacing dx.  A zero RHS gives
+    0 if the LHS is zero too and ``inf`` otherwise.
     """
-    if coeffs is None:
-        coeffs = _phi_coefficients(f, phi, fgrid)
-    sel = _cone_mask(x, fgrid)
-    if not np.any(sel):
-        return 0.0
-    return float(np.max(np.abs(coeffs[sel])))
-
-
-def stein_inequality_check(
-    f: SampledFunction,
-    phi,
-    mu: CoefficientMeasure,
-    p: float,
-) -> float:
-    """Audit integral |<f, phi_(a,b)>|^p dmu <= C * integral Mf^p * Cmu dx.
-
-    Returns the ratio LHS/RHS, which the caller bounds by its slack C (a
-    slack audit, not a sharp constant).  The base-space integral is a
-    midpoint sum over 257 equispaced positions spanning the spatial box.
-    A zero RHS gives 0 if the LHS is zero too and ``inf`` otherwise.
-    """
-    if p <= 0.0:
-        raise ValueError("p must be positive")
     fg = mu.fgrid
     coeffs = _phi_coefficients(f, phi, fg)
-    lhs = float(np.sum(np.abs(coeffs) ** p * mu.masses))
+    lhs = float(np.sum(np.abs(coeffs) ** 2 * mu.masses))
     masses = tent_masses(mu)
     xs = np.linspace(-f.grid.L, f.grid.L, 257)
     dx = xs[1] - xs[0]
@@ -202,7 +167,7 @@ def stein_inequality_check(
             continue
         mf = float(np.max(np.abs(coeffs[sel])))
         cmu = float(np.max(masses[sel] / (2.0 * fg.a[sel])))
-        rhs += mf**p * cmu * dx
+        rhs += mf**2 * cmu * dx
     if rhs == 0.0:
         return 0.0 if lhs == 0.0 else math.inf
     return lhs / rhs
@@ -224,17 +189,10 @@ def bmo_examples(grid: SpatialGrid) -> tuple[BMOExample, ...]:
     node, so all samples are finite.
     """
     x0 = grid.h / 3.0
-
-    def bump(center, width):
-        def f(x):
-            return smooth_bump(x, center, width)
-
-        return f
-
     return (
         BMOExample("zero", lambda x: np.zeros_like(np.asarray(x, dtype=float)), "CMO"),
-        BMOExample("bump", bump(0.0, 2.0), "CMO"),
-        BMOExample("bump_shifted", bump(-8.0, 1.5), "CMO"),
+        BMOExample("bump", partial(smooth_bump, center=0.0, width=2.0), "CMO"),
+        BMOExample("bump_shifted", partial(smooth_bump, center=-8.0, width=1.5), "CMO"),
         BMOExample(
             "log_singular",
             lambda x: np.log(np.abs(np.asarray(x, dtype=float) - x0)),

@@ -228,11 +228,11 @@ def tail_functional(
     fgrid: FrameGrid,
     grid: SpatialGrid,
     radii,
-    **kwargs,
+    seed: int = 0,
 ) -> TailFunctional:
     """rk_tail profile over a radii sweep with a trend verdict.
 
-    Each radius is one :func:`rk_tail` solve on its view from
+    Each radius is one :func:`rk_tail` solve, from ``seed``, on its view from
     :func:`tail_views`.  The solves run on a thread pool and are collected
     in radius order; an exception raised in a solve is raised here.
     """
@@ -245,7 +245,7 @@ def tail_functional(
     _, tails = tail_views(psi, fgrid, grid, radii)
     pool = ThreadPoolExecutor(_sweep_workers(len(tails)))
     try:
-        solves = list(pool.map(lambda S_tail: rk_tail(A, S_tail, grid, **kwargs), tails))
+        solves = list(pool.map(lambda S_tail: rk_tail(A, S_tail, grid, seed=seed), tails))
     finally:
         pool.shutdown(cancel_futures=True)
     values = np.array([res.value for res in solves])

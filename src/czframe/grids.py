@@ -103,12 +103,12 @@ class FrameGrid:
 
     Nodes are grouped by scale: scale j has value ``scales[j]`` and occupies
     ``slice(offsets[j], offsets[j+1])`` in the flat ``a``/``b`` arrays.
-    Scales are log-uniform with step s; translations are spaced s * a_j and,
-    when ``cone_factor > 0``, extend to |b| <= L_b + cone_factor * a_j so the
-    lattice keeps covering frame coefficients of box-supported functions at
-    scales much larger than the box.  ``_rows`` caches the sparse frame-row
-    matrices built by ``wavelets.frame_rows``, so they live as long as the
-    lattice does.
+    Scales are log-uniform with step s; translations are spaced s * a_j and
+    extend to |b| <= L_b + cone_factor * a_j, where :func:`make_frame_grid`
+    takes ``cone_factor``; a positive one keeps the lattice covering frame
+    coefficients of box-supported functions at scales much larger than the
+    box.  ``_rows`` caches the sparse frame-row matrices built by
+    ``wavelets.frame_rows``, so they live as long as the lattice does.
     """
 
     a: np.ndarray
@@ -118,7 +118,6 @@ class FrameGrid:
     offsets: np.ndarray
     s: float
     L_b: float
-    cone_factor: float
     _dist0: np.ndarray = field(default=None, repr=False)
     _rows: dict = field(default_factory=dict, repr=False, compare=False)
 
@@ -233,7 +232,6 @@ def make_frame_grid(
         offsets=np.asarray(offsets),
         s=s,
         L_b=float(L_b),
-        cone_factor=cone_factor,
     )
 
 

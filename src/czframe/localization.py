@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -35,12 +35,10 @@ from .operators import kernel_matrix  # noqa: F401
 from .wavelets import CoefficientField, _analysis_blocks, analyze, frame_element
 
 __all__ = [
-    "DecayBound",
     "decay_majorant",
     "matrix_coefficient",
     "coefficient_field",
     "verify_decay",
-    "DecayReport",
     "default_anchor_lattice",
     "schur_tail",
     "origin_tail",
@@ -49,33 +47,21 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class DecayBound:
-    """Four-regime coefficient majorant for cancellative CZ operators, dimension n = 1."""
+def decay_majorant(delta: float, a, b):
+    """The four-regime coefficient majorant of cancellative CZ operators, n = 1, delta in (0, 1].
 
-    delta: float = 1.0
-    c: float = 1.0
-
-    def __post_init__(self):
-        if not 0.0 < self.delta <= 1.0:
-            raise ValueError("delta must lie in (0, 1]")
-        if self.c < 0.0:
-            raise ValueError("constant must be nonnegative")
-
-
-def decay_majorant(d: DecayBound, a, b):
-    """Evaluate the piecewise decay majorant C * bound(a, b).
-
-    Regimes (n = 1): a >= 1 with |b| <= a gives a**-(1/2+delta); a >= 1 with
+    Regimes: a >= 1 with |b| <= a gives a**-(1/2+delta); a >= 1 with
     |b| > a gives a**(1/2) / |b|**(1+delta); a < 1 with |b| <= 1 gives
     a**(1/2+delta); a < 1 with |b| > 1 gives a**(1/2+delta) / |b|**(1+delta).
     """
+    if not 0.0 < delta <= 1.0:
+        raise ValueError("delta must lie in (0, 1]")
     a = np.asarray(a, dtype=float)
     b = np.abs(np.asarray(b, dtype=float))
     if np.any(a <= 0.0):
         raise ValueError("scale must be positive")
-    p = 0.5 + d.delta
-    q = 1.0 + d.delta
+    p = 0.5 + delta
+    q = 1.0 + delta
     with np.errstate(divide="ignore"):
         out = np.select(
             [
@@ -86,7 +72,7 @@ def decay_majorant(d: DecayBound, a, b):
             [a ** (-p), a**0.5 / b**q, a**p],
             default=a**p / np.where(b > 1.0, b, 1.0) ** q,
         )
-    return d.c * out
+    return out
 
 
 def _supports_disjoint(p: GroupPoint, q: GroupPoint, grid: SpatialGrid) -> bool:
@@ -141,14 +127,7 @@ def coefficient_field(
     return analyze(apply_kernel(k, f), psi, fgrid)
 
 
-@dataclass
-class DecayReport:
-    """Fit of frame coefficients against the decay majorant."""
-
-    fitted_c: float
-
-
-def verify_decay(kernel: CZKernel, psi, fgrid: FrameGrid, grid: SpatialGrid) -> DecayReport:
+def verify_decay(kernel: CZKernel, psi, fgrid: FrameGrid, grid: SpatialGrid) -> float:
     """Fit the smallest C with |coeff(a,b)| <= C * bound(a,b), delta = kernel.delta.
 
     The coefficients are those of :func:`coefficient_field` at the identity
@@ -163,11 +142,10 @@ def verify_decay(kernel: CZKernel, psi, fgrid: FrameGrid, grid: SpatialGrid) -> 
             "majorant is not guaranteed",
             stacklevel=2,
         )
-    d = DecayBound(delta=kernel.delta, c=1.0)
     Tpsi = apply_kernel(kernel, frame_element(psi, IDENTITY, grid))
-    block_max = [np.max(np.abs(c) / decay_majorant(d, fgrid.a[nodes], fgrid.b[nodes]))
+    block_max = [np.max(np.abs(c) / decay_majorant(kernel.delta, fgrid.a[nodes], fgrid.b[nodes]))
                  for nodes, c in _analysis_blocks(Tpsi, psi, fgrid)]
-    return DecayReport(fitted_c=float(np.max(block_max)))  # np.max propagates NaN
+    return float(np.max(block_max))  # np.max propagates NaN
 
 
 def default_anchor_lattice() -> tuple[GroupPoint, ...]:
@@ -234,15 +212,8 @@ def origin_tail(
 
 def default_test_bundle(psi) -> tuple:
     """Smooth compactly supported test functions with uniform bounds."""
-
-    def bump(center, width):
-        def f(x):
-            return smooth_bump(x, center, width)
-
-        f.support_radius = abs(center) + width
-        return f
-
-    return (psi, bump(0.0, 2.0), bump(0.5, 1.0))
+    return (psi, partial(smooth_bump, center=0.0, width=2.0),
+            partial(smooth_bump, center=0.5, width=1.0))
 
 
 # Width of the hyperbolic distance bins of weak_compactness_profile.

@@ -169,13 +169,10 @@ def kernel_matrix(kernel: CZKernel, grid: SpatialGrid) -> np.ndarray:
     evaluation is elementwise, so K is bitwise the one-broadcast matrix.
     """
     x = grid.x
-    K = None
+    K = np.empty((x.size, x.size))
     with np.errstate(divide="ignore", invalid="ignore"):
         for rows in _row_blocks(x.size):
-            block = kernel(x[rows, None], x[None, :])
-            if K is None:
-                K = np.empty((x.size, x.size), dtype=block.dtype)
-            K[rows] = block
+            K[rows] = kernel(x[rows, None], x[None, :])
     diag = np.nan_to_num(np.asarray(kernel(x, x), dtype=float)) if kernel.bounded else 0.0
     np.fill_diagonal(K, diag)
     return K

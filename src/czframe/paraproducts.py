@@ -6,7 +6,9 @@ a^-1 phi((. - b)/a) of a smooth plateau bump phi (phi = 1 on B(0, 1/2),
 phi = 0 off B(0, 1), radial and non-increasing).  Pairing a symbol's
 wavelet coefficients with a unit-mass bump makes P_beta 1 = m_phi * beta
 up to reproducing-formula error, with m_phi = integral of phi reported
-explicitly rather than silently renormalized.
+explicitly rather than silently renormalized.  A symbol beta is passed as
+its coefficient field ``analyze(beta, psi, fgrid)``, except to
+:func:`paraproduct_compactness`, which takes beta itself.
 
 The decomposition T = S + P_1 + P_2* takes the computed T1 and T*1 as
 symbols, scaled by 1/m_phi so the paraproducts carry the symbols exactly
@@ -38,8 +40,6 @@ from .wavelets import CoefficientField, analyze, frame_rows, synthesize
 __all__ = [
     "BumpPhi",
     "make_bump_phi",
-    "ParaproductSymbol",
-    "make_symbol",
     "paraproduct_apply",
     "paraproduct_adjoint_apply",
     "paraproduct_apply_to_constant",
@@ -68,7 +68,6 @@ class BumpPhi:
     """Radial non-increasing plateau bump: 1 on B(0, 1/2), 0 off B(0, 1)."""
 
     m_phi: float
-    support_radius: float = 1.0
 
     def __call__(self, x):
         u = np.abs(np.asarray(x, dtype=float))
@@ -83,34 +82,18 @@ def make_bump_phi() -> BumpPhi:
     return BumpPhi(m_phi=m)
 
 
-@dataclass
-class ParaproductSymbol:
-    """Symbol beta with its cached wavelet coefficient field."""
-
-    beta: SampledFunction
-    coefficients: CoefficientField = field(repr=False)
-
-    def __post_init__(self):
-        if self.coefficients.fgrid.n_nodes != len(self.coefficients.values):
-            raise ValueError("coefficient cache inconsistent with its lattice")
-
-
-def make_symbol(beta: SampledFunction, psi, fgrid: FrameGrid) -> ParaproductSymbol:
-    return ParaproductSymbol(beta=beta, coefficients=analyze(beta, psi, fgrid))
-
-
 def paraproduct_apply(
-    symbol: ParaproductSymbol, f: SampledFunction, phi: BumpPhi, psi
+    symbol: CoefficientField, f: SampledFunction, phi: BumpPhi, psi
 ) -> SampledFunction:
     """P_beta f: bump pairings times symbol coefficients, resynthesized."""
-    fgrid = symbol.coefficients.fgrid
+    fgrid = symbol.fgrid
     pair = (frame_rows(phi, fgrid, f.grid, "L1") @ f.values) * f.grid.h
-    weighted = CoefficientField(fgrid, pair * symbol.coefficients.values)
+    weighted = CoefficientField(fgrid, pair * symbol.values)
     return synthesize(weighted, psi, f.grid)
 
 
 def paraproduct_apply_to_constant(
-    symbol: ParaproductSymbol, phi: BumpPhi, psi, grid: SpatialGrid
+    symbol: CoefficientField, phi: BumpPhi, psi, grid: SpatialGrid
 ) -> SampledFunction:
     """P_beta applied to the constant 1, with the pairing taken analytically.
 
@@ -119,42 +102,39 @@ def paraproduct_apply_to_constant(
     <1, phitilde_(a,b)> = m_phi is used at every node; the result is m_phi
     times the lattice reconstruction of beta.
     """
-    fgrid = symbol.coefficients.fgrid
-    weighted = CoefficientField(fgrid, phi.m_phi * symbol.coefficients.values)
+    weighted = CoefficientField(symbol.fgrid, phi.m_phi * symbol.values)
     return synthesize(weighted, psi, grid)
 
 
 def paraproduct_adjoint_apply_to_constant(
-    symbol: ParaproductSymbol, phi: BumpPhi, psi, grid: SpatialGrid, c: float = 1.0
+    symbol: CoefficientField, phi: BumpPhi, psi, grid: SpatialGrid
 ) -> SampledFunction:
-    """P*_beta applied to the constant: identically zero since integral psi = 0."""
+    """P*_beta applied to the constant 1: identically zero since integral psi = 0."""
     return SampledFunction(grid, np.zeros(grid.N))
 
 
 def paraproduct_adjoint_apply(
-    symbol: ParaproductSymbol, g: SampledFunction, phi: BumpPhi, psi
+    symbol: CoefficientField, g: SampledFunction, phi: BumpPhi, psi
 ) -> SampledFunction:
     """P*_beta g = sum <g, psi_node> conj(symbol coeff) phitilde_node dlambda."""
-    fgrid = symbol.coefficients.fgrid
+    fgrid = symbol.fgrid
     wav_coeffs = analyze(g, psi, fgrid).values
-    weights = wav_coeffs * np.conj(symbol.coefficients.values) * fgrid.dlam
+    weights = wav_coeffs * np.conj(symbol.values) * fgrid.dlam
     return SampledFunction(g.grid, frame_rows(phi, fgrid, g.grid, "L1").T @ weights)
 
 
 def paraproduct_operator(
-    symbol: ParaproductSymbol, phi: BumpPhi, psi, grid: SpatialGrid
+    symbol: CoefficientField, phi: BumpPhi, psi, grid: SpatialGrid
 ) -> DiscreteOperator:
     """P_beta on sample vectors as the factored operator Psi^T diag(d) Phi.
 
     Psi is the :func:`frame_rows` matrix of psi, Phi that of phi
     (L1-normalized) times h, and d = symbol coefficients * dlambda.
     """
-    fgrid = symbol.coefficients.fgrid
+    fgrid = symbol.fgrid
     Phi = frame_rows(phi, fgrid, grid, "L1") * grid.h
     Psi = frame_rows(psi, fgrid, grid)
-    return DiscreteOperator(
-        grid.N, factors=(Psi, symbol.coefficients.values * fgrid.dlam, Phi)
-    )
+    return DiscreteOperator(grid.N, factors=(Psi, symbol.values * fgrid.dlam, Phi))
 
 
 def paraproduct_compactness(
@@ -163,21 +143,19 @@ def paraproduct_compactness(
     psi,
     fgrid: FrameGrid,
     radii,
-    **kwargs,
+    seed: int = 0,
 ) -> TailFunctional:
     """Tail functional of P_beta, swept on its factored operator."""
-    symbol = make_symbol(beta, psi, fgrid)
-    P = paraproduct_operator(symbol, phi, psi, beta.grid)
-    return tail_functional(P, psi, fgrid, beta.grid, radii, **kwargs)
+    P = paraproduct_operator(analyze(beta, psi, fgrid), phi, psi, beta.grid)
+    return tail_functional(P, psi, fgrid, beta.grid, radii, seed=seed)
 
 
 @dataclass
 class Decomposition:
     """Handles for T = S + P_1 + P_2* with 1/m_phi folded into the symbols."""
 
-    kernel: CZKernel
-    symbol_t1: ParaproductSymbol
-    symbol_t1star: ParaproductSymbol
+    symbol_t1: CoefficientField
+    symbol_t1star: CoefficientField
     phi: BumpPhi
     psi: object
     t1: SampledFunction
@@ -223,12 +201,9 @@ def decompose(
     T = discretize(kernel, grid)
     t1, err = compute_T1(kernel, grid, T)
     t1s, _ = compute_T1star(kernel, grid, T)
-    sym1 = make_symbol(SampledFunction(grid, t1.values / phi.m_phi), psi, fgrid)
-    sym2 = make_symbol(SampledFunction(grid, t1s.values / phi.m_phi), psi, fgrid)
     return Decomposition(
-        kernel=kernel,
-        symbol_t1=sym1,
-        symbol_t1star=sym2,
+        symbol_t1=analyze(SampledFunction(grid, t1.values / phi.m_phi), psi, fgrid),
+        symbol_t1star=analyze(SampledFunction(grid, t1s.values / phi.m_phi), psi, fgrid),
         phi=phi,
         psi=psi,
         t1=t1,

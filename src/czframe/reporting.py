@@ -207,9 +207,11 @@ class SuiteConfig:
                 raise ConfigError(
                     f"unknown diagnostic {d!r}; known: {list(DIAGNOSTIC_NAMES)}"
                 )
+        if not self.radii:
+            raise ConfigError("radii must be a nonempty list")
         if not all(math.isfinite(r) and r >= 0.0 for r in self.radii):
             raise ConfigError("radii must be finite and nonnegative")
-        if len(self.radii) and np.any(np.diff(self.radii) <= 0.0):
+        if np.any(np.diff(self.radii) <= 0.0):
             raise ConfigError("radii must be strictly increasing")
         for key, val in self.tolerances.items():
             if key not in DEFAULT_TOLERANCES:
@@ -243,11 +245,9 @@ class SuiteConfig:
         and an int32 column index), plus 8 N^2 B when a selected operator
         takes the dense backend of ``discretize``.  That term is the dense
         backend's actual peak: ``kernel_matrix`` and the dense
-        ``window_sums`` go by row blocks, so their temporaries are small
-        (before, assembly and T1 made them about as large again, which the
-        term undercounted).  Summing stops as soon as
-        the estimate exceeds the physical memory, so a lattice with more
-        scales than fit is never visited in full.  Call it only on a
+        ``window_sums`` go by row blocks, so their temporaries are small.
+        Summing stops as soon as the estimate exceeds the physical memory, so
+        a lattice with more scales than fit is never visited in full.  Call it only on a
         validated grid and frame.
         """
         spatial = SpatialGrid(self.grid_L, self.grid_N)
@@ -326,14 +326,15 @@ class _Context:
         }
 
 
-def _side_lattice(L: float, N: int, a_min: float, a_max: float, **frame):
-    """A fixed auxiliary lattice as ``(grid, fgrid, meta)``.
+def _side_lattice(L: float, N: int, a_min: float, a_max: float,
+                  L_b: float | None = None, cone_factor: float = 1.0):
+    """A fixed auxiliary lattice at spacing ratio 1/4 as ``(grid, fgrid, meta)``.
 
     ``meta`` records the requested ``a_min``/``a_max``, not the realized
     extreme scales.
     """
     grid = SpatialGrid(L, N)
-    fgrid = make_frame_grid(grid, a_min, a_max, **frame)
+    fgrid = make_frame_grid(grid, a_min, a_max, s=0.25, L_b=L_b, cone_factor=cone_factor)
     meta = {"L": grid.L, "N": grid.N, "a_min": a_min, "a_max": a_max}
     return grid, fgrid, {**meta, "s": fgrid.s, "n_nodes": fgrid.n_nodes}
 
@@ -453,9 +454,9 @@ def _diag_pv(cfg: SuiteConfig, ctx: _Context):
 
 def _diag_decay(cfg: SuiteConfig, ctx: _Context):
     H = get_model("hilbert").kernel
-    fit = localization_mod.verify_decay(H, ctx.psi, ctx.fgrid, ctx.grid).fitted_c
+    fit = localization_mod.verify_decay(H, ctx.psi, ctx.fgrid, ctx.grid)
     grid2 = SpatialGrid(cfg.grid_L, cfg.grid_N * 2)
-    fit2 = localization_mod.verify_decay(H, ctx.psi, ctx.lattice(grid2, cfg.s / 2), grid2).fitted_c
+    fit2 = localization_mod.verify_decay(H, ctx.psi, ctx.lattice(grid2, cfg.s / 2), grid2)
     record = _record(  # a non-finite fit fails the record through its values
         cfg, "decay_bound", "hilbert",
         {"fitted_c": fit, "fitted_c_refined": fit2, "relative_change": abs(fit2 - fit) / fit},
@@ -471,7 +472,7 @@ def _diag_schur(cfg: SuiteConfig, ctx: _Context):
     anchors = (GroupPoint(1.0, 0.0), GroupPoint(2.0, 0.0), GroupPoint(1.0, 5.0))
     vals = [localization_mod.schur_tail(H, psi, fgrid, grid, 0.0, anchor=p) for p in anchors]
     tail_1, tail_6 = (localization_mod.schur_tail(H, psi, fgrid, grid, r) for r in (1.0, 6.0))
-    r_big = max(6.0, max(cfg.radii) if cfg.radii else 6.0)
+    r_big = max(6.0, max(cfg.radii))
     ft = localization_mod.origin_tail(get_model("finite_rank").kernel, psi, fgrid, grid, r_big)
     record = _record(
         cfg, "schur_localization", "hilbert",
@@ -489,7 +490,7 @@ def _diag_schur(cfg: SuiteConfig, ctx: _Context):
 
 
 def _diag_weak_compactness(cfg: SuiteConfig, ctx: _Context):
-    radii = np.arange(0.0, (max(cfg.radii) if cfg.radii else 8.0) + 0.5, 0.5)
+    radii = np.arange(0.0, max(cfg.radii) + 0.5, 0.5)
     records, profiles = [], {}
     for label in ("hilbert", "finite_rank"):
         if label not in cfg.operators:
@@ -520,7 +521,7 @@ _RK_BOUNDS = {
 
 def _diag_rk_tail(cfg: SuiteConfig, ctx: _Context):
     records, profiles = [], {}
-    radii = list(cfg.radii) if cfg.radii else [float(r) for r in range(0, 9)]
+    radii = list(cfg.radii)
     for label, bound in _RK_BOUNDS.items():
         if label not in cfg.operators:
             continue
@@ -541,7 +542,7 @@ def _diag_rk_tail(cfg: SuiteConfig, ctx: _Context):
             profiles["rk_witness_hilbert"] = _profile(["x", "value"], ctx.grid.x, witness)
         profiles[f"rk_tail_{label}"] = _profile(["R", "value"], tf.radii, tf.values)
     # downsampled dense-SVD cross-check
-    small, sfg, meta = _side_lattice(32.0, 256, 0.5, 64.0, s=0.25)
+    small, sfg, meta = _side_lattice(32.0, 256, 0.5, 64.0)
     S = compactness_mod.analysis_operator(ctx.psi, sfg, small)
     A = compactness_mod.operator_matrix(get_model("damped_hilbert_1").kernel, small)
     res = compactness_mod.rk_tail(DiscreteOperator(small.N, matrix=A), S, small,
@@ -566,7 +567,7 @@ def _carleson_profiles(cfg: SuiteConfig, ctx: _Context):
     freed before the rest of :func:`_diag_carleson` runs.
     """
     records, profiles = [], {}
-    wide, wfg, meta = _side_lattice(2048.0, 16384, 0.5, 1024.0, s=0.25, L_b=1024.0, cone_factor=0.0)
+    wide, wfg, meta = _side_lattice(2048.0, 16384, 0.5, 1024.0, L_b=1024.0, cone_factor=0.0)
     radii = np.arange(0.0, 8.5, 0.5)
     for ex in carleson_mod.bmo_examples(wide):
         f = SampledFunction.from_callable(wide, ex.evaluator)
@@ -603,10 +604,10 @@ def _diag_carleson(cfg: SuiteConfig, ctx: _Context):
         frame_element(ctx.psi, GroupPoint(1.0, 0.0), ctx.grid), ctx.psi, ctx.fgrid
     )
     gauss = SampledFunction(ctx.grid, np.exp(-ctx.grid.x**2))
-    r1 = carleson_mod.stein_inequality_check(gauss, ctx.phi, mu_psi, 2.0)
+    r1 = carleson_mod.stein_inequality_check(gauss, ctx.phi, mu_psi)
     mu_pt = carleson_mod.point_mass(ctx.fgrid, int(np.argmin(ctx.fgrid.dist0)))
     shifted = SampledFunction(ctx.grid, smooth_bump(ctx.grid.x, 3.0, 1.5))
-    r2 = carleson_mod.stein_inequality_check(shifted, ctx.phi, mu_pt, 2.0)
+    r2 = carleson_mod.stein_inequality_check(shifted, ctx.phi, mu_pt)
     records.append(_record(
         cfg, "stein_inequality", None,
         {"ratio_gaussian": r1, "ratio_point_mass": r2},
@@ -620,7 +621,7 @@ def _diag_paraproduct(cfg: SuiteConfig, ctx: _Context):
     records, profiles = [], {}
     grid, fgrid, psi, phi = ctx.grid, ctx.fgrid, ctx.psi, ctx.phi
     beta = SampledFunction(grid, smooth_bump(grid.x, 0.0, 2.0))
-    sym = paraproducts_mod.make_symbol(beta, psi, fgrid)
+    sym = analyze(beta, psi, fgrid)
     pb1 = paraproducts_mod.paraproduct_apply_to_constant(sym, phi, psi, grid)
     target = phi.m_phi * beta.values
     rel = float(np.linalg.norm(pb1.values - target) / np.linalg.norm(target))
@@ -643,7 +644,7 @@ def _diag_paraproduct(cfg: SuiteConfig, ctx: _Context):
         ("adjointness_gap", "<=", "pp_adjointness"),
     ))
     # compactness dichotomy on a wide coarse lattice
-    pgrid, pfg, meta = _side_lattice(2048.0, 4096, 2.0, 1024.0, s=0.25, L_b=1024.0, cone_factor=0.0)
+    pgrid, pfg, meta = _side_lattice(2048.0, 4096, 2.0, 1024.0, L_b=1024.0, cone_factor=0.0)
     radii = np.arange(0.0, 5.5, 0.5)
     for ex in carleson_mod.bmo_examples(pgrid):
         if ex.label == "zero":

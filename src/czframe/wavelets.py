@@ -105,7 +105,6 @@ class MotherWavelet:
     admissibility: float
     l2_norm: float
     deriv_bound: float
-    support_radius: float = 1.0
 
     def __call__(self, x):
         return self.norm_const * _bump_derivative(x)
@@ -165,7 +164,7 @@ _BLOCK_NNZ = 1 << 21
 
 def _windows(fn, fgrid: FrameGrid, grid: SpatialGrid, nodes: slice):
     """First grid index and width of the sampling window of each node in ``nodes``."""
-    radius = fgrid.a[nodes] * getattr(fn, "support_radius", 1.0)
+    radius = fgrid.a[nodes]  # fn is supported in [-1, 1]
     b, h, L, N = fgrid.b[nodes], grid.h, grid.L, grid.N
     i_lo = np.clip(np.ceil((b - radius + L) / h).astype(int), 0, N)
     i_hi = np.clip(np.floor((b + radius + L) / h).astype(int) + 1, 0, N)
@@ -204,8 +203,8 @@ def frame_rows(fn, fgrid: FrameGrid, grid: SpatialGrid, norm: str = "L2") -> sci
 
     Row k holds a_k^{-1/2} fn((x_i - b_k)/a_k) (``norm="L2"``) or
     a_k^{-1} fn((x_i - b_k)/a_k) (``norm="L1"``) on the grid window
-    [b_k - r a_k, b_k + r a_k] clipped to the box, r = ``fn.support_radius``
-    (1 if absent).  Frame analysis, synthesis, the analysis operator, bump
+    [b_k - a_k, b_k + a_k] clipped to the box; ``fn`` must be supported in
+    [-1, 1].  Frame analysis, synthesis, the analysis operator, bump
     pairings and paraproduct factors are all products with this matrix.  It is
     cached on ``fgrid`` under ``(fn, grid, norm)``, so it lives exactly as long
     as the lattice; a single product on a lattice that is dropped next should

@@ -12,7 +12,6 @@ from czframe.carleson import (
     bmo_examples,
     carleson_function,
     coefficient_measure,
-    nontangential_max,
     point_mass,
     stein_inequality_check,
     tent_masses,
@@ -60,11 +59,11 @@ def test_point_mass_carleson_function(fgrid):
     # one atom at node k: C mu(x) = sup over tents containing the atom of
     # mass / (2a); for x in the atom's cone the sup is attained and positive
     k = fgrid.n_nodes // 3
-    mu = point_mass(fgrid, k, 2.0)
+    mu = point_mass(fgrid, k)
     a_k, b_k = float(fgrid.a[k]), float(fgrid.b[k])
     val = carleson_function(mu, b_k)
     # the smallest tent containing the atom is the node's own: mass/(2 a_k)
-    assert val == pytest.approx(2.0 / (2.0 * a_k))
+    assert val == pytest.approx(1.0 / (2.0 * a_k))
     with pytest.raises(ValueError):
         carleson_function(mu, 1e9)
 
@@ -89,18 +88,6 @@ def test_log_singular_profile_does_not_vanish(psi):
     mu = coefficient_measure(f, psi, wfg)
     prof = vanishing_profile(mu, np.arange(0.0, 5.5, 0.5))
     assert prof[-1] / prof[0] > 0.2
-
-
-def test_nontangential_max_bounds_phi_coefficients(grid, fgrid):
-    phi = make_bump_phi()
-    f = SampledFunction.from_callable(grid, lambda x: np.exp(-((x / 4.0) ** 2)))
-    # Mf at a node's own translation dominates the self-coefficient there
-    from czframe.carleson import _phi_coefficients
-
-    coeffs = _phi_coefficients(f, phi, fgrid)
-    k = int(np.argmax(np.abs(coeffs)))
-    val = nontangential_max(f, phi, float(fgrid.b[k]), fgrid, coeffs=coeffs)
-    assert val >= abs(coeffs[k])
 
 
 def _cached_phi_coefficients(f, phi, fgrid):
@@ -130,17 +117,17 @@ def test_stein_audit_matches_the_cached_rows(psi, grid, monkeypatch):
     fg = make_frame_grid(grid, 0.5, 32.0, s=0.25, L_b=32.0, cone_factor=0.0)
     f = SampledFunction.from_callable(grid, lambda x: np.exp(-((x / 4.0) ** 2)))
     mu = coefficient_measure(f, psi, fg)
-    ratio = stein_inequality_check(f, phi, mu, p=2.0)
+    ratio = stein_inequality_check(f, phi, mu)
     assert list(fg._rows) == [(psi, grid, "L2")]  # the measure's psi rows only
     monkeypatch.setattr(carleson_mod, "_phi_coefficients", _cached_phi_coefficients)
-    assert stein_inequality_check(f, phi, mu, p=2.0) == ratio
+    assert stein_inequality_check(f, phi, mu) == ratio
 
 
 def test_stein_inequality_gaussian(psi, grid, fgrid):
     phi = make_bump_phi()
     f = SampledFunction.from_callable(grid, lambda x: np.exp(-((x / 4.0) ** 2)))
     mu = coefficient_measure(f, psi, fgrid)
-    ratio = stein_inequality_check(f, phi, mu, p=2.0)
+    ratio = stein_inequality_check(f, phi, mu)
     assert 0.0 <= ratio <= 10.0
 
 
@@ -148,16 +135,8 @@ def test_stein_inequality_point_mass(grid, fgrid):
     phi = make_bump_phi()
     f = SampledFunction.from_callable(grid, lambda x: np.exp(-(((x + 8.0) / 2.0) ** 2)))
     mu = point_mass(fgrid, fgrid.n_nodes // 2)
-    ratio = stein_inequality_check(f, phi, mu, p=2.0)
+    ratio = stein_inequality_check(f, phi, mu)
     assert ratio <= 10.0
-
-
-def test_stein_p_validation(grid, fgrid):
-    phi = make_bump_phi()
-    f = SampledFunction.from_callable(grid, lambda x: np.exp(-(x**2)))
-    mu = point_mass(fgrid, 0)
-    with pytest.raises(ValueError):
-        stein_inequality_check(f, phi, mu, p=0.0)
 
 
 def test_bmo_examples_and_norms(grid):

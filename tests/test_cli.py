@@ -80,7 +80,7 @@ def test_seed_flag_overrides_config(tmp_path, capsys):
         assert json.load(fh)["seed"] == 7
 
 
-@pytest.mark.parametrize("radii", ["abc", 3, {"R": 1}, ["a", 1], [-1, 0], [0, 10**400]])
+@pytest.mark.parametrize("radii", ["abc", 3, {"R": 1}, ["a", 1], [-1, 0], [0, 10**400], []])
 def test_bad_radii_exit_2(tmp_path, capsys, radii):
     cfgp = _write_config(tmp_path, {"diagnostics": ["frame"], "radii": radii})
     assert main(["--config", cfgp, "--out", str(tmp_path / "o")]) == 2

@@ -9,7 +9,6 @@ import pytest
 from czframe.geometry import GroupPoint, IDENTITY
 from czframe.grids import SpatialGrid, make_frame_grid
 from czframe.localization import (
-    DecayBound,
     coefficient_field,
     default_anchor_lattice,
     decay_majorant,
@@ -40,7 +39,7 @@ def fgrid(grid):
 
 
 def test_decay_majorant_regimes():
-    d = DecayBound(delta=1.0, c=1.0)
+    d = 1.0
     # one closed-form value per regime
     assert decay_majorant(d, 4.0, 2.0) == pytest.approx(4.0 ** (-1.5))
     assert decay_majorant(d, 4.0, 16.0) == pytest.approx(math.sqrt(4.0) / 16.0**2)
@@ -49,7 +48,7 @@ def test_decay_majorant_regimes():
 
 
 def test_decay_majorant_continuity_across_seams():
-    d = DecayBound(delta=0.7, c=2.0)
+    d = 0.7
     for a, b in [(1.0, 0.5), (2.0, 2.0), (0.5, 1.0)]:
         lo = decay_majorant(d, a - 1e-9, b)
         hi = decay_majorant(d, a + 1e-9, b)
@@ -61,11 +60,11 @@ def test_decay_majorant_continuity_across_seams():
 
 def test_decay_bound_validation():
     with pytest.raises(ValueError):
-        DecayBound(delta=0.0)
+        decay_majorant(0.0, 1.0, 0.0)
     with pytest.raises(ValueError):
-        DecayBound(delta=2.0)
+        decay_majorant(2.0, 1.0, 0.0)
     with pytest.raises(ValueError):
-        decay_majorant(DecayBound(), -1.0, 0.0)
+        decay_majorant(1.0, -1.0, 0.0)
 
 
 def test_matrix_coefficient_disjoint_supports_match_direct(psi, grid):
@@ -86,9 +85,9 @@ def test_matrix_coefficient_disjoint_supports_match_direct(psi, grid):
 
 
 def test_verify_decay_fitted_constant_finite(psi, grid, fgrid):
-    rep = verify_decay(get_model("hilbert").kernel, psi, fgrid, grid)
-    assert 0.0 < rep.fitted_c < 10.0
-    assert math.isfinite(rep.fitted_c)
+    fit = verify_decay(get_model("hilbert").kernel, psi, fgrid, grid)
+    assert 0.0 < fit < 10.0
+    assert math.isfinite(fit)
 
 
 def test_verify_decay_caches_no_frame_rows(psi, grid):
@@ -107,7 +106,7 @@ def test_verify_decay_streams_blocks_of_the_full_rows(psi):
     fg = make_frame_grid(grid, 0.0625, 512.0, s=0.125, cone_factor=1.0)
     tracemalloc.start()
     try:
-        fit = verify_decay(kern, psi, fg, grid).fitted_c
+        fit = verify_decay(kern, psi, fg, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -116,8 +115,7 @@ def test_verify_decay_streams_blocks_of_the_full_rows(psi):
     assert peak < 0.5 * (rows.data.nbytes + rows.indices.nbytes)
     Tpsi = apply_kernel(kern, frame_element(psi, IDENTITY, grid))
     coeffs = rows @ Tpsi.values * grid.h
-    d = DecayBound(delta=kern.delta)
-    assert fit == float(np.max(np.abs(coeffs) / decay_majorant(d, other.a, other.b)))
+    assert fit == float(np.max(np.abs(coeffs) / decay_majorant(kern.delta, other.a, other.b)))
     blocks = list(_analysis_blocks(Tpsi, psi, fg))
     assert len(blocks) > 2
     assert all(rows.indptr[nodes.stop] - rows.indptr[nodes.start] <= _BLOCK_NNZ

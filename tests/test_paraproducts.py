@@ -13,7 +13,6 @@ from czframe.paraproducts import (
     Decomposition,
     decompose,
     make_bump_phi,
-    make_symbol,
     paraproduct_adjoint_apply,
     paraproduct_adjoint_apply_to_constant,
     paraproduct_apply,
@@ -68,10 +67,10 @@ def test_bump_phi_shape(phi):
 
 def test_apply_to_constant_reproduces_scaled_symbol(psi, phi, grid, fgrid):
     beta = SampledFunction.from_callable(grid, _bump(0.0, 2.0))
-    sym = make_symbol(beta, psi, fgrid)
+    sym = analyze(beta, psi, fgrid)
     out = paraproduct_apply_to_constant(sym, phi, psi, grid)
     # P_beta 1 = m_phi * (lattice reconstruction of beta) exactly
-    rec = synthesize(analyze(beta, psi, fgrid), psi, grid)
+    rec = synthesize(sym, psi, grid)
     assert np.max(np.abs(out.values - phi.m_phi * rec.values)) < 1e-12
     # and approximately m_phi * beta at frame accuracy
     rel = l2_norm(SampledFunction(grid, out.values - phi.m_phi * beta.values)) / (
@@ -82,14 +81,14 @@ def test_apply_to_constant_reproduces_scaled_symbol(psi, phi, grid, fgrid):
 
 def test_adjoint_kills_constants(psi, phi, grid, fgrid):
     beta = SampledFunction.from_callable(grid, _bump(0.0, 2.0))
-    sym = make_symbol(beta, psi, fgrid)
+    sym = analyze(beta, psi, fgrid)
     out = paraproduct_adjoint_apply_to_constant(sym, phi, psi, grid)
     assert np.max(np.abs(out.values)) <= 1e-9
 
 
 def test_adjointness(psi, phi, grid, fgrid):
     beta = SampledFunction.from_callable(grid, _bump(0.0, 2.0))
-    sym = make_symbol(beta, psi, fgrid)
+    sym = analyze(beta, psi, fgrid)
     f = SampledFunction.from_callable(grid, lambda x: np.exp(-(x**2)))
     g = SampledFunction.from_callable(grid, lambda x: np.exp(-(((x - 1.0) / 2.0) ** 2)))
     lhs = inner_product(paraproduct_apply(sym, f, phi, psi), g)
@@ -101,7 +100,7 @@ def test_matrix_matches_apply(psi, phi, fgrid):
     small = SpatialGrid(32.0, 512)
     sfg = make_frame_grid(small, 0.25, 16.0, s=0.25)
     beta = SampledFunction.from_callable(small, _bump(0.0, 2.0))
-    sym = make_symbol(beta, psi, sfg)
+    sym = analyze(beta, psi, sfg)
     A = paraproduct_operator(sym, phi, psi, small).dense()
     f = SampledFunction.from_callable(small, lambda x: np.exp(-(x**2)))
     direct = paraproduct_apply(sym, f, phi, psi)
@@ -112,10 +111,10 @@ def test_factored_operator_matches_paraproduct_matrix(psi, phi):
     # oracle: the sparse product Psi^T diag(coeff * dlambda) Phi h, densified
     small = SpatialGrid(32.0, 512)
     sfg = make_frame_grid(small, 0.25, 16.0, s=0.25)
-    sym = make_symbol(SampledFunction.from_callable(small, _bump(0.0, 2.0)), psi, sfg)
+    sym = analyze(SampledFunction.from_callable(small, _bump(0.0, 2.0)), psi, sfg)
     Psi = frame_rows(psi, sfg, small)
     Phi = frame_rows(phi, sfg, small, "L1") * small.h
-    D = scipy.sparse.diags(sym.coefficients.values * sfg.dlam)
+    D = scipy.sparse.diags(sym.values * sfg.dlam)
     expected = (Psi.T @ (D @ Phi)).toarray()
     P = paraproduct_operator(sym, phi, psi, small)
     scale = np.max(np.abs(expected))
@@ -141,7 +140,7 @@ def wide():
 def test_factored_and_dense_tail_sweeps_agree(psi, phi, wide):
     big, pfg = wide
     radii = np.arange(0.0, 5.5, 0.5)
-    sym = make_symbol(SampledFunction.from_callable(big, _bump(0.0, 2.0)), psi, pfg)
+    sym = analyze(SampledFunction.from_callable(big, _bump(0.0, 2.0)), psi, pfg)
     factored = tail_functional(
         paraproduct_operator(sym, phi, psi, big), psi, pfg, big, radii
     )

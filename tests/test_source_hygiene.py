@@ -8,7 +8,8 @@ be defined there.  A dense N x N ``kernel_matrix`` is assembled only where
 ``DENSE_ASSEMBLY`` allows it, and every entry there still assembles one; every
 other kernel application goes through ``operators.discretize``.  Likewise a
 dense SVD (``svdvals``) is taken only where ``DENSE_SVD`` allows it, and frame
-rows are built (``_scale_rows``) only where ``ROW_BUILDS`` allows it.
+rows are built (``_scale_rows``) only where ``ROW_BUILDS`` allows it.  No
+function declares ``**kwargs``: every parameter a caller may pass is named.
 """
 
 import ast
@@ -98,6 +99,32 @@ def test_checker_sees_an_unused_import_and_a_stale_export(tmp_path):
     imported, defined, exported, used = _parse(bad)
     assert {n for n in imported if n not in used and n not in exported} == {"dist"}
     assert set(exported) - defined == {"gone"}
+
+
+def _kwargs_functions(tree):
+    """(name, line) of every function or lambda in ``tree`` that declares ``**kwargs``."""
+    return [(getattr(node, "name", "<lambda>"), node.lineno) for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+            and node.args.kwarg is not None]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_declares_kwargs(path):
+    found = _kwargs_functions(ast.parse(path.read_text()))
+    assert not found, f"{path.name}: functions declaring **kwargs {found}"
+
+
+def test_checker_sees_kwargs_declarations():
+    tree = ast.parse(
+        "def f(a, *args, seed=0):\n"
+        "    return g(a, **opts)\n"
+        "def g(a, **opts):\n"
+        "    h = lambda **kw: kw\n"
+        "class C:\n"
+        "    async def m(self, **kw):\n"
+        "        pass\n"
+    )
+    assert set(_kwargs_functions(tree)) == {("g", 3), ("<lambda>", 4), ("m", 6)}
 
 
 def _assembly_errors(trees, callee, allowed):

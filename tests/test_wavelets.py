@@ -20,8 +20,8 @@ from czframe.wavelets import (
 def _coefficient(f: SampledFunction, psi, point: GroupPoint) -> complex:
     """Per-node oracle: <f, psi_(a,b)> summed over the support window alone."""
     grid, a, b = f.grid, point.a, point.b
-    i0 = max(0, int(math.ceil((b - a * psi.support_radius + grid.L) / grid.h)))
-    i1 = min(grid.N, int(math.floor((b + a * psi.support_radius + grid.L) / grid.h)) + 1)
+    i0 = max(0, int(math.ceil((b - a + grid.L) / grid.h)))  # psi is supported in [-1, 1]
+    i1 = min(grid.N, int(math.floor((b + a + grid.L) / grid.h)) + 1)
     if i0 >= i1:
         return 0.0
     x = -grid.L + grid.h * np.arange(i0, i1)
@@ -207,16 +207,16 @@ def test_analysis_operator_matches_dense_assembly(psi, tiny):
 
 def test_paraproduct_matrix_matches_dense_assembly(psi, tiny):
     # P_beta = sum_k psi_k (x) coeff_k dlam_k a_k^-1 phi((y - b_k)/a_k) h
-    from czframe.paraproducts import make_bump_phi, make_symbol, paraproduct_operator
+    from czframe.paraproducts import make_bump_phi, paraproduct_operator
 
     grid, fg = tiny
     phi = make_bump_phi()
     beta = SampledFunction.from_callable(grid, lambda x: np.exp(-(x**2)))
-    sym = make_symbol(beta, psi, fg)
+    sym = analyze(beta, psi, fg)
     u = (grid.x[None, :] - fg.b[:, None]) / fg.a[:, None]
     Psi = psi(u) / np.sqrt(fg.a)[:, None]
     Phi = phi(u) / fg.a[:, None]
-    expected = Psi.T @ ((sym.coefficients.values * fg.dlam)[:, None] * Phi) * grid.h
+    expected = Psi.T @ ((sym.values * fg.dlam)[:, None] * Phi) * grid.h
     A = paraproduct_operator(sym, phi, psi, grid).dense()
     assert np.max(np.abs(A - expected)) <= 1e-12 * np.max(np.abs(expected))
 
