@@ -13,9 +13,10 @@ Tents are closed on the lattice: the tent over B(b, a) collects nodes
 contains it.  The cone over x is open: the nodes with |b - x| < a.  These
 are the package's only tent and cone conventions.
 
-Wavelet pairings over the lattice are products with the cached
-:func:`~czframe.wavelets.frame_rows` matrix of psi; the bump pairings of phi
-are streamed in blocks of whole scales and never cached.
+Wavelet and bump pairings over the lattice both go through
+:func:`~czframe.wavelets.analyze`, a product with the cached
+:func:`~czframe.wavelets.frame_rows` matrix of psi or of phi; phi's matrix is
+the one the paraproducts use on the same lattice.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from functools import partial
 import numpy as np
 
 from .grids import FrameGrid, SampledFunction, SpatialGrid, smooth_bump
-from .wavelets import _analysis_blocks, analyze
+from .wavelets import analyze
 
 __all__ = [
     "CoefficientMeasure",
@@ -131,22 +132,10 @@ def vanishing_profile(mu: CoefficientMeasure, radii) -> np.ndarray:
     return out
 
 
-def _phi_coefficients(f: SampledFunction, phi, fgrid: FrameGrid) -> np.ndarray:
-    """<Re f, phi_(a,b)> with the L2-normalized dilation a^-1/2 phi((x-b)/a).
-
-    Gathered from :func:`~czframe.wavelets._analysis_blocks`, so phi's rows
-    are never cached on ``fgrid``; bitwise the product with the
-    :func:`~czframe.wavelets.frame_rows` matrix of ``phi``.
-    """
-    out = np.empty(fgrid.n_nodes)
-    for nodes, c in _analysis_blocks(SampledFunction(f.grid, f.values.real), phi, fgrid):
-        out[nodes] = c
-    return out
-
-
 def stein_inequality_check(f: SampledFunction, phi, mu: CoefficientMeasure) -> float:
     """Audit integral |<f, phi_(a,b)>|^2 dmu <= C * integral Mf^2 * Cmu dx.
 
+    The pairings are <Re f, phi_(a,b)> with the L2 dilates a^-1/2 phi((x-b)/a).
     Mf(x) is the nontangential maximum, the sup of |<f, phi_(a,b)>| over the
     cone nodes above x.  Returns the ratio LHS/RHS, which the caller bounds
     by its slack C (a slack audit, not a sharp constant).  The base-space
@@ -155,9 +144,9 @@ def stein_inequality_check(f: SampledFunction, phi, mu: CoefficientMeasure) -> f
     0 if the LHS is zero too and ``inf`` otherwise.
     """
     fg = mu.fgrid
-    coeffs = _phi_coefficients(f, phi, fg)
+    coeffs = analyze(SampledFunction(f.grid, f.values.real), phi, fg).values
     lhs = float(np.sum(np.abs(coeffs) ** 2 * mu.masses))
-    masses = tent_masses(mu)
+    ratios = tent_masses(mu) / (2.0 * fg.a)
     xs = np.linspace(-f.grid.L, f.grid.L, 257)
     dx = xs[1] - xs[0]
     rhs = 0.0
@@ -166,7 +155,7 @@ def stein_inequality_check(f: SampledFunction, phi, mu: CoefficientMeasure) -> f
         if not np.any(sel):
             continue
         mf = float(np.max(np.abs(coeffs[sel])))
-        cmu = float(np.max(masses[sel] / (2.0 * fg.a[sel])))
+        cmu = float(np.max(ratios[sel]))
         rhs += mf**2 * cmu * dx
     if rhs == 0.0:
         return 0.0 if lhs == 0.0 else math.inf

@@ -108,7 +108,8 @@ class FrameGrid:
     takes ``cone_factor``; a positive one keeps the lattice covering frame
     coefficients of box-supported functions at scales much larger than the
     box.  ``_rows`` caches the sparse frame-row matrices built by
-    ``wavelets.frame_rows``, so they live as long as the lattice does.
+    ``wavelets.frame_rows``, one per generator and spatial grid, so they live
+    as long as the lattice does.
     """
 
     a: np.ndarray

@@ -16,10 +16,11 @@ and S1 pairs to zero; S is a handle acting by Sf = Tf - P_1 f - P_2* f,
 which makes the reconstruction identity exact by construction.  One
 discretization of T gives T1, T*1 (its window sums) and Tf.
 
-Bump pairings <f, phitilde_node> and the adjoint's bump synthesis are
-products with the cached L1-normalized :func:`~czframe.wavelets.frame_rows`
-matrix of phi; the wavelet side goes through ``analyze``/``synthesize``.
-On sample vectors P_beta is the factored operator Psi^T diag(d) Phi of
+phi is paired exactly as psi is, through ``analyze``/``synthesize`` with the
+cached :func:`~czframe.wavelets.frame_rows` matrix of phi, whose rows are the
+L2 dilates a^-1/2 phi((. - b)/a); the L1 dilate phitilde is a^-1/2 times
+that, so the factor a^-1/2 rides on the coefficients.  On sample vectors
+P_beta is the factored operator Psi^T diag(d) Phi of
 :func:`paraproduct_operator`, whose tail sweeps need no dense matrix.
 """
 
@@ -87,9 +88,8 @@ def paraproduct_apply(
 ) -> SampledFunction:
     """P_beta f: bump pairings times symbol coefficients, resynthesized."""
     fgrid = symbol.fgrid
-    pair = (frame_rows(phi, fgrid, f.grid, "L1") @ f.values) * f.grid.h
-    weighted = CoefficientField(fgrid, pair * symbol.values)
-    return synthesize(weighted, psi, f.grid)
+    pair = analyze(f, phi, fgrid).values / np.sqrt(fgrid.a)
+    return synthesize(CoefficientField(fgrid, pair * symbol.values), psi, f.grid)
 
 
 def paraproduct_apply_to_constant(
@@ -118,9 +118,8 @@ def paraproduct_adjoint_apply(
 ) -> SampledFunction:
     """P*_beta g = sum <g, psi_node> conj(symbol coeff) phitilde_node dlambda."""
     fgrid = symbol.fgrid
-    wav_coeffs = analyze(g, psi, fgrid).values
-    weights = wav_coeffs * np.conj(symbol.values) * fgrid.dlam
-    return SampledFunction(g.grid, frame_rows(phi, fgrid, g.grid, "L1").T @ weights)
+    weights = analyze(g, psi, fgrid).values * np.conj(symbol.values) / np.sqrt(fgrid.a)
+    return synthesize(CoefficientField(fgrid, weights), phi, g.grid)
 
 
 def paraproduct_operator(
@@ -128,13 +127,14 @@ def paraproduct_operator(
 ) -> DiscreteOperator:
     """P_beta on sample vectors as the factored operator Psi^T diag(d) Phi.
 
-    Psi is the :func:`frame_rows` matrix of psi, Phi that of phi
-    (L1-normalized) times h, and d = symbol coefficients * dlambda.
+    Psi and Phi are the cached :func:`frame_rows` matrices of psi and phi,
+    and d = symbol coefficients * dlambda * h a^-1/2, which folds the
+    quadrature weight and the L1 normalization of phi into the diagonal.
     """
     fgrid = symbol.fgrid
-    Phi = frame_rows(phi, fgrid, grid, "L1") * grid.h
-    Psi = frame_rows(psi, fgrid, grid)
-    return DiscreteOperator(grid.N, factors=(Psi, symbol.values * fgrid.dlam, Phi))
+    d = symbol.values * fgrid.dlam * grid.h / np.sqrt(fgrid.a)
+    Psi, Phi = frame_rows(psi, fgrid, grid), frame_rows(phi, fgrid, grid)
+    return DiscreteOperator(grid.N, factors=(Psi, d, Phi))
 
 
 def paraproduct_compactness(

@@ -242,10 +242,13 @@ class SuiteConfig:
         """Estimated bytes of the run's largest resident arrays, from the config alone.
 
         The configured lattice's frame rows at 12 B a nonzero (a float64 value
-        and an int32 column index), plus 8 N^2 B when a selected operator
-        takes the dense backend of ``discretize``.  That term is the dense
-        backend's actual peak: ``kernel_matrix`` and the dense
-        ``window_sums`` go by row blocks, so their temporaries are small.
+        and an int32 column index), plus 8 N^2 B when the ``decomposition``
+        diagnostic runs: it discretizes ``damped_hilbert_1`` on the dense
+        backend of ``discretize`` whatever ``operators`` selects, and it is
+        the one N x N matrix of a run (``rk_tail`` selects no dense kernel).
+        That term is the dense backend's actual peak: ``kernel_matrix`` and
+        the dense ``window_sums`` go by row blocks, so their temporaries are
+        small.
         Summing stops as soon as the estimate exceeds the physical memory, so
         a lattice with more scales than fit is never visited in full.  Call it only on a
         validated grid and frame.
@@ -253,7 +256,7 @@ class SuiteConfig:
         spatial = SpatialGrid(self.grid_L, self.grid_N)
         memory = _physical_memory()
         n = float(self.grid_N)
-        total = 8.0 * n * n if any(get_model(op).kernel.dense for op in self.operators) else 0.0
+        total = 8.0 * n * n if "decomposition" in self.diagnostics else 0.0
         for nnz in row_nonzero_estimates(spatial, self.a_min, self.a_max, self.s,
                                          self.L_b, self.cone_factor):
             total += 12.0 * nnz

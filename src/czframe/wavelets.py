@@ -9,10 +9,11 @@ coefficients reproduces the function.
 
 Every lattice-wide operation (analysis, synthesis, and the analysis operator,
 bump pairings and paraproduct factors built on them elsewhere) is a product
-with one sparse matrix from :func:`frame_rows`, cached on the lattice.  A
-caller that needs the coefficients only once, such as the decay fit, streams
-them with :func:`_analysis_blocks` in blocks of whole scales instead, so the
-full matrix is never resident; so do the Stein audit's bump pairings.  Both
+with one sparse matrix per generator from :func:`frame_rows`, cached on the
+lattice.  Its rows are always the L2 dilates a^{-1/2} fn((x - b)/a); an L1
+pairing is the L2 one times a^{-1/2}.  A caller that needs the coefficients
+only once, the decay fit, streams them with :func:`_analysis_blocks` in
+blocks of whole scales instead, so the full matrix is never resident.  Both
 build their rows with :func:`_scale_rows`.
 """
 
@@ -162,19 +163,19 @@ def frame_element(psi, point: GroupPoint, grid: SpatialGrid) -> SampledFunction:
 _BLOCK_NNZ = 1 << 21
 
 
-def _windows(fn, fgrid: FrameGrid, grid: SpatialGrid, nodes: slice):
+def _windows(fgrid: FrameGrid, grid: SpatialGrid, nodes: slice):
     """First grid index and width of the sampling window of each node in ``nodes``."""
-    radius = fgrid.a[nodes]  # fn is supported in [-1, 1]
+    radius = fgrid.a[nodes]  # generators are supported in [-1, 1]
     b, h, L, N = fgrid.b[nodes], grid.h, grid.L, grid.N
     i_lo = np.clip(np.ceil((b - radius + L) / h).astype(int), 0, N)
     i_hi = np.clip(np.floor((b + radius + L) / h).astype(int) + 1, 0, N)
     return i_lo, np.maximum(i_hi - i_lo, 0)
 
 
-def _scale_rows(fn, fgrid: FrameGrid, grid: SpatialGrid, norm: str, j0: int, j1: int):
+def _scale_rows(fn, fgrid: FrameGrid, grid: SpatialGrid, j0: int, j1: int):
     """The :func:`frame_rows` rows of the nodes of scales [j0, j1), uncached."""
     n0, n1 = int(fgrid.offsets[j0]), int(fgrid.offsets[j1])
-    i_lo, widths = _windows(fn, fgrid, grid, slice(n0, n1))
+    i_lo, widths = _windows(fgrid, grid, slice(n0, n1))
     b = fgrid.b[n0:n1]
     # Fill one preallocated CSR scale by scale (a scale's nodes share one
     # dilation), so peak memory is the finished rows plus one scale's
@@ -194,49 +195,45 @@ def _scale_rows(fn, fgrid: FrameGrid, grid: SpatialGrid, norm: str, j0: int, j1:
         cols = np.arange(p0, p1) - np.repeat(indptr[sl] - i_lo[sl], w)
         indices[p0:p1] = cols
         vals = fn((x[cols] - np.repeat(b[sl], w)) / aj)
-        data[p0:p1] = vals / (math.sqrt(aj) if norm == "L2" else aj)
+        data[p0:p1] = vals / math.sqrt(aj)
     return scipy.sparse.csr_matrix((data, indices, indptr), shape=(n1 - n0, grid.N))
 
 
-def frame_rows(fn, fgrid: FrameGrid, grid: SpatialGrid, norm: str = "L2") -> scipy.sparse.csr_matrix:
-    """Sparse matrix whose row k samples the dilate of ``fn`` at lattice node k.
+def frame_rows(fn, fgrid: FrameGrid, grid: SpatialGrid) -> scipy.sparse.csr_matrix:
+    """Sparse matrix whose row k samples the L2 dilate of ``fn`` at lattice node k.
 
-    Row k holds a_k^{-1/2} fn((x_i - b_k)/a_k) (``norm="L2"``) or
-    a_k^{-1} fn((x_i - b_k)/a_k) (``norm="L1"``) on the grid window
+    Row k holds a_k^{-1/2} fn((x_i - b_k)/a_k) on the grid window
     [b_k - a_k, b_k + a_k] clipped to the box; ``fn`` must be supported in
-    [-1, 1].  Frame analysis, synthesis, the analysis operator, bump
-    pairings and paraproduct factors are all products with this matrix.  It is
-    cached on ``fgrid`` under ``(fn, grid, norm)``, so it lives exactly as long
-    as the lattice; a single product on a lattice that is dropped next should
+    [-1, 1].  :func:`analyze`, :func:`synthesize`, the analysis operator and
+    the paraproduct factors are all products with this matrix; an
+    L1-normalized pairing is the L2 one times a_k^{-1/2}.  It is cached on
+    ``fgrid`` under ``(fn, grid)``, so it lives exactly as long as the
+    lattice; a single product on a lattice that is dropped next should
     stream :func:`_analysis_blocks` instead.  ``fn`` must be hashable.
     """
-    key = (fn, grid, norm)
+    key = (fn, grid)
     rows = fgrid._rows.get(key)
     if rows is None:
-        if norm not in ("L2", "L1"):
-            raise ValueError(f"norm must be 'L2' or 'L1', not {norm!r}")
-        rows = fgrid._rows[key] = _scale_rows(fn, fgrid, grid, norm, 0, fgrid.scales.size)
+        rows = fgrid._rows[key] = _scale_rows(fn, fgrid, grid, 0, fgrid.scales.size)
     return rows
 
 
-def _analysis_blocks(f: SampledFunction, fn, fgrid: FrameGrid):
-    """Yield ``(nodes, pairings)`` of f with the L2 dilates of ``fn``, a block of whole scales at a time.
+def _analysis_blocks(f: SampledFunction, psi, fgrid: FrameGrid):
+    """Yield ``(nodes, coefficients)`` of :func:`analyze`, a block of whole scales at a time.
 
-    The pairings are ``frame_rows(fn, fgrid, f.grid) @ f.values * h`` (for
-    ``fn = psi`` the coefficients of :func:`analyze`), and ``fn`` is any
-    generator :func:`frame_rows` accepts.  ``nodes`` is the block's slice of
-    the lattice.  A block holds at most ``_BLOCK_NNZ`` row nonzeros, unless
-    one scale alone has more; its rows are built, applied once and dropped,
-    never cached on ``fgrid``.  A CSR product sums each row in index order,
-    so the pairings are bitwise those of the cached matrix.
+    ``nodes`` is the block's slice of the lattice.  A block holds at most
+    ``_BLOCK_NNZ`` row nonzeros, unless one scale alone has more; its rows
+    are built, applied once and dropped, never cached on ``fgrid``.  A CSR
+    product sums each row in index order, so the coefficients are bitwise
+    those of the cached matrix.
     """
-    _, widths = _windows(fn, fgrid, f.grid, slice(None))
+    _, widths = _windows(fgrid, f.grid, slice(None))
     starts = np.concatenate([[0], np.cumsum(widths)])[fgrid.offsets]  # nonzeros before each scale
     j0 = 0
     while j0 < fgrid.scales.size:
         j1 = max(j0 + 1, int(np.searchsorted(starts, starts[j0] + _BLOCK_NNZ, side="right")) - 1)
         nodes = slice(int(fgrid.offsets[j0]), int(fgrid.offsets[j1]))
-        yield nodes, (_scale_rows(fn, fgrid, f.grid, "L2", j0, j1) @ f.values) * f.grid.h
+        yield nodes, (_scale_rows(psi, fgrid, f.grid, j0, j1) @ f.values) * f.grid.h
         j0 = j1
 
 
@@ -244,6 +241,8 @@ def analyze(f: SampledFunction, psi, fgrid: FrameGrid) -> CoefficientField:
     """Frame coefficients <f, psi_{(a,b)}> at every lattice node, ``R f h``.
 
     ``R`` is the cached :func:`frame_rows` matrix of ``psi`` on the lattice.
+    ``psi`` may be any generator :func:`frame_rows` accepts; the paraproducts
+    and the Stein audit pass the bump phi.
     """
     rows = frame_rows(psi, fgrid, f.grid)
     return CoefficientField(fgrid, (rows @ f.values) * f.grid.h)

@@ -18,8 +18,9 @@ from czframe.carleson import (
     vanishing_profile,
 )
 from czframe.grids import SampledFunction, SpatialGrid, make_frame_grid
-from czframe.paraproducts import make_bump_phi
-from czframe.wavelets import frame_rows, make_mother_wavelet
+from czframe.operators import get_model
+from czframe.paraproducts import decompose, make_bump_phi
+from czframe.wavelets import CoefficientField, make_mother_wavelet
 
 
 @pytest.fixture(scope="module")
@@ -90,37 +91,40 @@ def test_log_singular_profile_does_not_vanish(psi):
     assert prof[-1] / prof[0] > 0.2
 
 
-def _cached_phi_coefficients(f, phi, fgrid):
-    """The pairings as one product with the cached phi rows."""
-    return (frame_rows(phi, fgrid, f.grid) @ f.values.real) * f.grid.h
-
-
-def test_phi_coefficients_stream_blocks_of_the_cached_product(grid, monkeypatch):
-    phi = make_bump_phi()
-    fg, other = (make_frame_grid(grid, 0.5, 32.0, s=0.25, L_b=32.0, cone_factor=0.0)
-                 for _ in range(2))
-    f = SampledFunction(grid, np.exp(-((grid.x / 4.0) ** 2)) + 1j * np.sin(grid.x))
-    rows = frame_rows(phi, other, grid)
-    expected = (rows @ f.values.real) * grid.h
-    # a quarter of the rows' nonzeros a block: the lattice needs at least 3 blocks
-    monkeypatch.setattr(wavelets_mod, "_BLOCK_NNZ", rows.nnz // 4)
-    coeffs = carleson_mod._phi_coefficients(f, phi, fg)
-    assert fg._rows == {}
-    assert coeffs.tobytes() == expected.tobytes()
-    blocks = list(wavelets_mod._analysis_blocks(SampledFunction(grid, f.values.real), phi, fg))
-    assert len(blocks) >= 3
-    assert np.concatenate([c for _, c in blocks]).tobytes() == expected.tobytes()
-
-
 def test_stein_audit_matches_the_cached_rows(psi, grid, monkeypatch):
+    # the audit pairs Re f with the cached L2 phi rows; oracle: per-node
+    # samples a^-1/2 phi((x - b)/a), summed against Re f
     phi = make_bump_phi()
     fg = make_frame_grid(grid, 0.5, 32.0, s=0.25, L_b=32.0, cone_factor=0.0)
-    f = SampledFunction.from_callable(grid, lambda x: np.exp(-((x / 4.0) ** 2)))
-    mu = coefficient_measure(f, psi, fg)
+    f = SampledFunction(grid, np.exp(-((grid.x / 4.0) ** 2)) + 1j * np.sin(grid.x))
+    mu = coefficient_measure(SampledFunction(grid, f.values.real), psi, fg)
     ratio = stein_inequality_check(f, phi, mu)
-    assert list(fg._rows) == [(psi, grid, "L2")]  # the measure's psi rows only
-    monkeypatch.setattr(carleson_mod, "_phi_coefficients", _cached_phi_coefficients)
-    assert stein_inequality_check(f, phi, mu) == ratio
+    assert set(fg._rows) == {(psi, grid), (phi, grid)}
+    u = (grid.x[None, :] - fg.b[:, None]) / fg.a[:, None]
+    oracle = (phi(u) / np.sqrt(fg.a)[:, None]) @ f.values.real * grid.h
+    monkeypatch.setattr(carleson_mod, "analyze",
+                        lambda g, fn, fgrid: CoefficientField(fgrid, oracle))
+    assert stein_inequality_check(f, phi, mu) == pytest.approx(ratio, rel=1e-12)
+
+
+def test_phi_rows_built_once_per_lattice(psi, grid, monkeypatch):
+    # the Stein audits and the paraproducts share one cached phi dictionary
+    phi = make_bump_phi()
+    fg = make_frame_grid(grid, 0.5, 32.0, s=0.25, L_b=32.0, cone_factor=0.0)
+    built = []
+    scale_rows = wavelets_mod._scale_rows
+
+    def counting(fn, *args):
+        built.append(fn)
+        return scale_rows(fn, *args)
+
+    monkeypatch.setattr(wavelets_mod, "_scale_rows", counting)
+    mu = coefficient_measure(SampledFunction.from_callable(grid, lambda x: np.exp(-(x**2))), psi, fg)
+    for f in (np.exp(-(grid.x**2)), np.exp(-(((grid.x - 3.0) / 1.5) ** 2))):
+        stein_inequality_check(SampledFunction(grid, f), phi, mu)
+    dec = decompose(get_model("damped_hilbert_1").kernel, make_bump_phi(), psi, fg, grid)
+    dec.apply_p1(SampledFunction(grid, np.exp(-(grid.x**2))))
+    assert built.count(phi) == 1
 
 
 def test_stein_inequality_gaussian(psi, grid, fgrid):

@@ -4,7 +4,6 @@ import math
 
 import numpy as np
 import pytest
-import scipy.sparse
 
 from czframe.compactness import tail_functional
 from czframe.grids import SampledFunction, SpatialGrid, inner_product, l2_norm, make_frame_grid
@@ -20,7 +19,7 @@ from czframe.paraproducts import (
     paraproduct_compactness,
     paraproduct_operator,
 )
-from czframe.wavelets import analyze, frame_rows, make_mother_wavelet, synthesize
+from czframe.wavelets import analyze, make_mother_wavelet, synthesize
 
 
 @pytest.fixture(scope="module")
@@ -108,14 +107,15 @@ def test_matrix_matches_apply(psi, phi, fgrid):
 
 
 def test_factored_operator_matches_paraproduct_matrix(psi, phi):
-    # oracle: the sparse product Psi^T diag(coeff * dlambda) Phi h, densified
+    # oracle: Psi^T diag(coeff * dlambda) Phi h from per-node samples, with
+    # the L2 dilates a^-1/2 psi((x - b)/a) and the L1 dilates a^-1 phi((x - b)/a)
     small = SpatialGrid(32.0, 512)
     sfg = make_frame_grid(small, 0.25, 16.0, s=0.25)
     sym = analyze(SampledFunction.from_callable(small, _bump(0.0, 2.0)), psi, sfg)
-    Psi = frame_rows(psi, sfg, small)
-    Phi = frame_rows(phi, sfg, small, "L1") * small.h
-    D = scipy.sparse.diags(sym.values * sfg.dlam)
-    expected = (Psi.T @ (D @ Phi)).toarray()
+    u = (small.x[None, :] - sfg.b[:, None]) / sfg.a[:, None]
+    Psi = psi(u) / np.sqrt(sfg.a)[:, None]
+    Phi = phi(u) / sfg.a[:, None] * small.h
+    expected = Psi.T @ ((sym.values * sfg.dlam)[:, None] * Phi)
     P = paraproduct_operator(sym, phi, psi, small)
     scale = np.max(np.abs(expected))
     X = np.random.default_rng(0).standard_normal((small.N, 3))

@@ -41,13 +41,16 @@ def test_default_config_valid():
 
 
 def test_resident_bytes_estimated_from_config_alone():
-    # under 1 GB by default: frame rows plus damped_hilbert_1's dense N x N matrix
+    # under 1 GB by default: frame rows plus the decomposition's dense N x N
+    # damped_hilbert_1, which it builds whatever the selected operators
     cfg = SuiteConfig()
     assert cfg.resident_bytes() < 2**30
-    no_dense = dataclasses.replace(cfg, operators=("hilbert", "finite_rank", "zero"))
+    no_dense = dataclasses.replace(cfg, diagnostics=("frame", "pv", "rk_tail", "paraproduct"))
     assert cfg.resident_bytes() - no_dense.resident_bytes() == 8.0 * cfg.grid_N**2
+    no_dense_ops = dataclasses.replace(cfg, operators=("hilbert",))
+    assert no_dense_ops.resident_bytes() == cfg.resident_bytes()
     # the row term bounds the built rows from above, clipped windows included
-    small = SuiteConfig(grid_N=1024, a_min=0.25, a_max=64.0, s=0.25, operators=("zero",))
+    small = SuiteConfig(grid_N=1024, a_min=0.25, a_max=64.0, s=0.25, diagnostics=("frame",))
     grid = SpatialGrid(small.grid_L, small.grid_N)
     rows = frame_rows(make_mother_wavelet(), make_frame_grid(grid, 0.25, 64.0, s=0.25), grid)
     assert rows.nnz <= small.resident_bytes() / 12 <= 1.5 * rows.nnz
@@ -64,6 +67,24 @@ def test_resident_bytes_estimated_from_config_alone():
 def test_config_beyond_physical_memory_rejected(raw):
     with pytest.raises(ConfigError, match="physical memory"):
         SuiteConfig.from_dict(raw)
+
+
+@pytest.mark.parametrize("raw, fits", [
+    # the decomposition builds an 11.9 GiB dense damped_hilbert_1 whatever the operators
+    ({"grid": {"N": 40000}, "operators": ["hilbert"], "diagnostics": ["decomposition"]}, False),
+    # pv discretizes no dense N x N kernel, whichever operators are selected
+    ({"grid": {"N": 40000}, "operators": ["damped_hilbert_1"], "diagnostics": ["pv"]}, True),
+])
+def test_dense_term_follows_the_decomposition_diagnostic(monkeypatch, raw, fits):
+    # validated only, never run
+    from czframe import reporting
+
+    monkeypatch.setattr(reporting, "_physical_memory", lambda: 8 * 2**30)
+    if fits:
+        assert SuiteConfig.from_dict(raw).resident_bytes() < 2**30
+    else:
+        with pytest.raises(ConfigError, match="physical memory"):
+            SuiteConfig.from_dict(raw)
 
 
 def test_from_dict_roundtrip():

@@ -7,9 +7,11 @@ pyflakes marker for an import kept on purpose); every ``__all__`` entry must
 be defined there.  A dense N x N ``kernel_matrix`` is assembled only where
 ``DENSE_ASSEMBLY`` allows it, and every entry there still assembles one; every
 other kernel application goes through ``operators.discretize``.  Likewise a
-dense SVD (``svdvals``) is taken only where ``DENSE_SVD`` allows it, and frame
-rows are built (``_scale_rows``) only where ``ROW_BUILDS`` allows it.  No
-function declares ``**kwargs``: every parameter a caller may pass is named.
+dense SVD (``svdvals``) is taken only where ``DENSE_SVD`` allows it, frame
+rows are built (``_scale_rows``) only where ``ROW_BUILDS`` allows it, and the
+cached frame-row matrix (``frame_rows``) is taken only where
+``FRAME_ROWS_CALLERS`` allows it.  No function declares ``**kwargs``: every
+parameter a caller may pass is named.
 """
 
 import ast
@@ -30,6 +32,14 @@ DENSE_SVD = {("compactness", "singular_spectrum")}
 # Frame rows are built one way: the cached whole-lattice matrix and the
 # uncached scale blocks of the decay fit.
 ROW_BUILDS = {("wavelets", "frame_rows"), ("wavelets", "_analysis_blocks")}
+# Every pairing, with psi or the bump phi, goes through analyze/synthesize;
+# only the analysis operator and the factored paraproduct take the matrix.
+FRAME_ROWS_CALLERS = {
+    ("wavelets", "analyze"),
+    ("wavelets", "synthesize"),
+    ("compactness", "analysis_operator"),
+    ("paraproducts", "paraproduct_operator"),
+}
 
 
 def _parse(path: Path):
@@ -154,6 +164,24 @@ def test_dense_svd_is_confined():
 
 def test_frame_row_builder_is_confined():
     _assert_confined("_scale_rows", ROW_BUILDS)
+
+
+def test_frame_rows_callers_are_confined():
+    _assert_confined("frame_rows", FRAME_ROWS_CALLERS)
+
+
+def test_checker_sees_a_paraproduct_taking_frame_rows():
+    trees = {
+        "paraproducts": ast.parse(
+            "def paraproduct_apply(symbol, f, phi, psi):\n"
+            "    return frame_rows(phi, symbol.fgrid, f.grid) @ f.values\n"
+            "def paraproduct_operator(symbol, phi, psi, grid):\n"
+            "    return wavelets.frame_rows(psi, symbol.fgrid, grid)\n"
+        )
+    }
+    stray, stale = _assembly_errors(trees, "frame_rows", FRAME_ROWS_CALLERS)
+    assert stray == ["paraproducts.paraproduct_apply (line 2)"]
+    assert stale == sorted(FRAME_ROWS_CALLERS - {("paraproducts", "paraproduct_operator")})
 
 
 def test_checker_sees_kernel_matrix_calls():

@@ -154,16 +154,23 @@ def test_synthesize_is_adjoint_of_analyze(psi, tiny):
     assert abs(lhs - rhs) <= 1e-12 * abs(lhs)
 
 
-def test_frame_rows_cached_per_function_grid_and_norm(psi, tiny):
+def test_frame_rows_cached_per_function_and_grid(psi, tiny):
     grid, fg = tiny
     rows = frame_rows(psi, fg, grid)
-    assert frame_rows(psi, fg, SpatialGrid(4.0, 64), "L2") is rows
-    assert frame_rows(psi, fg, grid, "L1") is not rows
+    assert frame_rows(psi, fg, SpatialGrid(4.0, 64)) is rows
+    assert frame_rows(make_mother_wavelet(), fg, grid) is rows
     assert frame_rows(psi, fg, SpatialGrid(4.0, 128)) is not rows
     other = make_frame_grid(grid, 0.25, 16.0, s=0.5, cone_factor=1.0)
     assert frame_rows(psi, other, grid) is not rows
-    with pytest.raises(ValueError):
-        frame_rows(psi, fg, grid, "Linf")
+    # a second generator gets its own matrix, of its L2 dilates
+    from czframe.paraproducts import make_bump_phi
+
+    phi = make_bump_phi()
+    phi_rows = frame_rows(phi, fg, grid)
+    assert phi_rows is not rows and frame_rows(make_bump_phi(), fg, grid) is phi_rows
+    k = fg.n_nodes - 1
+    u = (grid.x - fg.b[k]) / fg.a[k]
+    np.testing.assert_allclose(phi_rows[k].toarray()[0], phi(u) / np.sqrt(fg.a[k]), rtol=0, atol=1e-15)
 
 
 def test_scale_blocks_match_frame_rows_bitwise(psi, tiny):
@@ -174,17 +181,16 @@ def test_scale_blocks_match_frame_rows_bitwise(psi, tiny):
     grid, fg = tiny
     n = fg.scales.size
     assert n >= 6
-    for norm in ("L2", "L1"):
-        whole, full = _scale_rows(psi, fg, grid, norm, 0, n), frame_rows(psi, fg, grid, norm)
-        for part in ("data", "indices", "indptr"):
-            assert getattr(whole, part).tobytes() == getattr(full, part).tobytes()
+    whole, full = _scale_rows(psi, fg, grid, 0, n), frame_rows(psi, fg, grid)
+    for part in ("data", "indices", "indptr"):
+        assert getattr(whole, part).tobytes() == getattr(full, part).tobytes()
     v = np.random.default_rng(5).standard_normal(grid.N)
     full = frame_rows(psi, fg, grid) @ v * grid.h
     one_scale = [(j, j + 1) for j in range(n)]
     several = [(0, 3), (3, 5), (5, n)]
     for cuts in (one_scale, several, [(0, n)]):
         for j0, j1 in cuts:
-            got = _scale_rows(psi, fg, grid, "L2", j0, j1) @ v * grid.h
+            got = _scale_rows(psi, fg, grid, j0, j1) @ v * grid.h
             assert got.tobytes() == full[fg.offsets[j0] : fg.offsets[j1]].tobytes()
     blocks = list(_analysis_blocks(SampledFunction(grid, v), psi, fg))
     assert [nodes.start for nodes, _ in blocks] == [0] + [nodes.stop for nodes, _ in blocks[:-1]]
