@@ -10,7 +10,8 @@ and paraproduct decompositions.
 from .geometry import GroupPoint, IDENTITY, dist, haar_ball_volume
 from .grids import FrameGrid, SampledFunction, SpatialGrid, make_frame_grid
 from .operators import apply_kernel, get_model, model_zoo
-from .reporting import Report, SuiteConfig, emit, run_suite
+from .config import SuiteConfig
+from .reporting import Report, emit, run_suite
 from .wavelets import analyze, frame_element, make_mother_wavelet, synthesize
 
 __version__ = "0.1.0"

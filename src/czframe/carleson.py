@@ -168,7 +168,7 @@ class BMOExample:
 
     label: str
     evaluator: object
-    expected_class: str  # "CMO", "BMO-not-CMO", or "neither-claimed"
+    expected_class: str  # "CMO" or "BMO-not-CMO"
 
 
 def bmo_examples(grid: SpatialGrid) -> tuple[BMOExample, ...]:

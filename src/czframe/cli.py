@@ -13,7 +13,8 @@ import json
 import sys
 
 from .operators import model_zoo
-from .reporting import ConfigError, SuiteConfig, emit, run_suite
+from .config import ConfigError, SuiteConfig
+from .reporting import emit, run_suite
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,19 +1,19 @@
-"""Suite orchestration and deterministic report emission.
+"""Suite orchestration, the check table and deterministic report emission.
 
-A suite is described by one JSON config document; running it executes the
-selected diagnostics in dependency order (grids, frame identities, then
-operator diagnostics), never aborting on a diagnostic failure, and returns
-a Report whose serialization is byte-stable: emitting the same Report
-twice produces identical files.
+Running a suite executes the selected diagnostics in dependency order
+(grids, frame identities, then operator diagnostics), never aborting on a
+diagnostic failure, and returns a Report whose serialization is
+byte-stable: emitting the same Report twice produces identical files.
 
-Diagnostics only compute values. Each record's checks are declared once, as
-``(value key, comparator, tolerance key)`` bounds handed to ``_record``,
-which derives both the verdict and the record's ``tolerances`` echo from
-them; its ``ok`` argument carries the conditions that are not tolerance
-checks (solver convergence, monotone refinement, finite Schur values, an
-exactly zero tail for the zero operator). A non-finite value fails its
-record and is stored as the string ``"nan"``, ``"inf"`` or ``"-inf"``, so
-report.json is strict JSON.
+Diagnostics only compute values. Every record's checks are declared once,
+in ``CHECKS``, as ``(value key, comparator, tolerance key)`` bounds;
+``_record`` looks a record's bounds up there and derives both its verdict
+and its ``tolerances`` echo from them. Its ``ok`` argument carries the
+conditions that are not tolerance checks (solver convergence, monotone
+refinement, finite Schur values, an exactly zero tail for the zero
+operator). A non-finite value fails its record and is stored as the string
+``"nan"``, ``"inf"`` or ``"-inf"``, so report.json is strict JSON. The
+configuration these read lives in :mod:`czframe.config`.
 
 Outputs: report.json (machine summary with per-record tolerances and grid
 metadata), one CSV per exported profile (9 significant digits), and a
@@ -34,255 +34,14 @@ from . import carleson as carleson_mod
 from . import compactness as compactness_mod
 from . import localization as localization_mod
 from . import paraproducts as paraproducts_mod
+from .config import DIAGNOSTIC_NAMES, SuiteConfig
 from .geometry import GroupPoint
 from .grids import SampledFunction, SpatialGrid, inner_product, l2_norm, make_frame_grid
-from .grids import row_nonzero_estimates, smooth_bump, validate_frame_grid
-from .operators import DiscreteOperator, apply_kernel, discretize, get_model, model_zoo
+from .grids import smooth_bump
+from .operators import DiscreteOperator, apply_kernel, discretize, get_model
 from .wavelets import analyze, frame_element, make_mother_wavelet, synthesize
 
-__all__ = [
-    "ConfigError",
-    "SuiteConfig",
-    "Report",
-    "run_suite",
-    "emit",
-    "DEFAULT_TOLERANCES",
-    "DIAGNOSTIC_NAMES",
-]
-
-
-class ConfigError(ValueError):
-    """Invalid suite configuration; nothing is executed."""
-
-
-DEFAULT_TOLERANCES = {
-    "parseval": 0.02,
-    "roundtrip": 0.05,
-    "pv_rel": 0.02,
-    "dual_path": 1e-4,
-    "decay_stability": 0.2,
-    "schur_anchor": 1e-10,
-    "schur_tail_factor": 5.0,
-    "origin_tail_finite_rank": 1e-3,
-    "wc_hilbert_constancy": 1e-8,
-    "wc_finite_rank_tail": 1e-4,
-    "rk_finite_rank_ratio": 1e-3,
-    "rk_hilbert_ratio": 0.1,
-    "rk_svd_agreement": 1e-3,
-    "carleson_vanishing_ratio": 1e-2,
-    "carleson_nonvanishing_ratio": 0.2,
-    "carleson_constant": 1e-6,
-    "stein_slack": 10.0,
-    "pp_symbol_rel": 0.05,
-    "pp_adjoint_constant": 1e-9,
-    "pp_adjointness": 1e-10,
-    "pp_vanishing_ratio": 1e-2,
-    "pp_nonvanishing_ratio": 0.1,
-    "decomp_reconstruction": 1e-10,
-    "decomp_s1_rel": 0.05,
-    "decomp_hilbert": 1e-9,
-}
-
-DIAGNOSTIC_NAMES = (
-    "frame",
-    "pv",
-    "decay",
-    "schur",
-    "weak_compactness",
-    "rk_tail",
-    "carleson",
-    "paraproduct",
-    "decomposition",
-)
-
-DEFAULT_OPERATORS = ("hilbert", "damped_hilbert_1", "finite_rank", "zero")
-
-
-def _is_number(v) -> bool:
-    return isinstance(v, (int, float)) and not isinstance(v, bool)
-
-
-def _finite(v, name: str) -> float:
-    try:
-        if _is_number(v) and math.isfinite(v):
-            return float(v)
-    except OverflowError:  # an integer beyond the float range
-        pass
-    raise ConfigError(f"{name} must be a finite number")
-
-
-def _integer(v, name: str) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{name} must be an integer")
-    return v
-
-
-def _section(raw: dict, name: str, keys: set) -> dict:
-    sec = raw.get(name, {})
-    if not isinstance(sec, dict):
-        raise ConfigError(f"{name} must be an object")
-    unknown = set(sec) - keys
-    if unknown:
-        raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
-    return sec
-
-
-def _physical_memory() -> int:
-    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
-
-
-@dataclass(frozen=True)
-class SuiteConfig:
-    """Validated suite configuration."""
-
-    grid_L: float = 32.0
-    grid_N: int = 2048
-    a_min: float = 0.0625
-    a_max: float = 512.0
-    s: float = 0.125
-    L_b: float | None = None
-    cone_factor: float = 1.0
-    operators: tuple[str, ...] = DEFAULT_OPERATORS
-    diagnostics: tuple[str, ...] = DIAGNOSTIC_NAMES
-    radii: tuple[float, ...] = tuple(float(r) for r in range(0, 9))
-    tolerances: dict = field(default_factory=dict)
-    seed: int = 0
-
-    @classmethod
-    def from_dict(cls, raw: dict) -> "SuiteConfig":
-        if not isinstance(raw, dict):
-            raise ConfigError("config root must be a JSON object")
-        known = {
-            "grid",
-            "frame",
-            "operators",
-            "diagnostics",
-            "radii",
-            "tolerances",
-            "seed",
-        }
-        unknown = set(raw) - known
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        kwargs: dict = {}
-        grid = _section(raw, "grid", {"L", "N"})
-        if "L" in grid:
-            kwargs["grid_L"] = _finite(grid["L"], "grid.L")
-        if "N" in grid:
-            kwargs["grid_N"] = _integer(grid["N"], "grid.N")
-        frame = _section(raw, "frame", {"a_min", "a_max", "s", "L_b", "cone_factor"})
-        for key, val in frame.items():
-            if val is not None:
-                kwargs[key] = _finite(val, f"frame.{key}")
-        for key in ("operators", "diagnostics"):
-            if key in raw:
-                names = raw[key]
-                if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
-                    raise ConfigError(f"{key} must be a list of strings")
-                kwargs[key] = tuple(names)
-        if "radii" in raw:
-            radii = raw["radii"]
-            if not isinstance(radii, list):
-                raise ConfigError("radii must be a list of numbers")
-            kwargs["radii"] = tuple(_finite(r, "radii") for r in radii)
-        if "tolerances" in raw:
-            if not isinstance(raw["tolerances"], dict):
-                raise ConfigError("tolerances must be an object")
-            kwargs["tolerances"] = dict(raw["tolerances"])
-        if "seed" in raw:
-            kwargs["seed"] = _integer(raw["seed"], "seed")
-        cfg = cls(**kwargs)
-        cfg.validate()
-        return cfg
-
-    def validate(self) -> None:
-        zoo = set(model_zoo())
-        for op in self.operators:
-            if op not in zoo:
-                raise ConfigError(
-                    f"unknown operator label {op!r}; known: {sorted(zoo)}"
-                )
-        for d in self.diagnostics:
-            if d not in DIAGNOSTIC_NAMES:
-                raise ConfigError(
-                    f"unknown diagnostic {d!r}; known: {list(DIAGNOSTIC_NAMES)}"
-                )
-        if not self.radii:
-            raise ConfigError("radii must be a nonempty list")
-        if not all(math.isfinite(r) and r >= 0.0 for r in self.radii):
-            raise ConfigError("radii must be finite and nonnegative")
-        if np.any(np.diff(self.radii) <= 0.0):
-            raise ConfigError("radii must be strictly increasing")
-        for key, val in self.tolerances.items():
-            if key not in DEFAULT_TOLERANCES:
-                raise ConfigError(f"unknown tolerance {key!r}")
-            if not _finite(val, f"tolerance {key!r}") > 0.0:
-                raise ConfigError(f"tolerance {key!r} must be positive")
-        try:
-            validate_frame_grid(
-                SpatialGrid(self.grid_L, self.grid_N),
-                self.a_min,
-                self.a_max,
-                s=self.s,
-                L_b=self.L_b,
-                cone_factor=self.cone_factor,
-            )
-        except (ValueError, OverflowError) as exc:  # OverflowError: grid.N beyond the float range
-            raise ConfigError(f"grid/frame: {exc}") from None
-        if self.seed < 0:
-            raise ConfigError("seed must be nonnegative")
-        memory = _physical_memory()
-        if self.resident_bytes() > memory:
-            raise ConfigError(
-                f"the run's largest arrays need more than the {memory / 2**30:.1f} GiB "
-                "of physical memory; reduce grid.N or the lattice"
-            )
-
-    def resident_bytes(self) -> float:
-        """Estimated bytes of the run's largest resident arrays, from the config alone.
-
-        The configured lattice's frame rows at 12 B a nonzero (a float64 value
-        and an int32 column index), plus 8 N^2 B when the ``decomposition``
-        diagnostic runs: it discretizes ``damped_hilbert_1`` on the dense
-        backend of ``discretize`` whatever ``operators`` selects, and it is
-        the one N x N matrix of a run (``rk_tail`` selects no dense kernel).
-        That term is the dense backend's actual peak: ``kernel_matrix`` and
-        the dense ``window_sums`` go by row blocks, so their temporaries are
-        small.
-        Summing stops as soon as the estimate exceeds the physical memory, so
-        a lattice with more scales than fit is never visited in full.  Call it only on a
-        validated grid and frame.
-        """
-        spatial = SpatialGrid(self.grid_L, self.grid_N)
-        memory = _physical_memory()
-        n = float(self.grid_N)
-        total = 8.0 * n * n if "decomposition" in self.diagnostics else 0.0
-        for nnz in row_nonzero_estimates(spatial, self.a_min, self.a_max, self.s,
-                                         self.L_b, self.cone_factor):
-            total += 12.0 * nnz
-            if total > memory:
-                break
-        return total
-
-    def tol(self, key: str) -> float:
-        return float(self.tolerances.get(key, DEFAULT_TOLERANCES[key]))
-
-    def to_dict(self) -> dict:
-        return {
-            "grid": {"L": self.grid_L, "N": self.grid_N},
-            "frame": {
-                "a_min": self.a_min,
-                "a_max": self.a_max,
-                "s": self.s,
-                "L_b": self.L_b,
-                "cone_factor": self.cone_factor,
-            },
-            "operators": list(self.operators),
-            "diagnostics": list(self.diagnostics),
-            "radii": list(self.radii),
-            "tolerances": dict(self.tolerances),
-            "seed": self.seed,
-        }
+__all__ = ["CHECKS", "Report", "run_suite", "emit"]
 
 
 @dataclass
@@ -344,6 +103,37 @@ def _side_lattice(L: float, N: int, a_min: float, a_max: float,
 
 _COMPARATORS = {"<=": le, "<": lt, ">=": ge, ">": gt}
 
+# Every record's checks, as (value key or keys, comparator, tolerance key).
+# Keyed by record name, or by (name, case) where the bounds depend on the
+# record's operator or on its BMO example's expected class.
+CHECKS = {
+    "frame_identities": (("parseval_error", "<=", "parseval"),
+                         ("roundtrip_error", "<=", "roundtrip")),
+    "pv_application": (("relative_error", "<=", "pv_rel"), ("dual_path_gap", "<=", "dual_path")),
+    "decay_bound": (("relative_change", "<=", "decay_stability"),),
+    "schur_localization": (("anchor_spread", "<=", "schur_anchor"),
+                           ("tail_factor", ">=", "schur_tail_factor"),
+                           ("finite_rank_origin_tail", "<=", "origin_tail_finite_rank")),
+    ("weak_compactness_profile", "hilbert"): (("metric", "<=", "wc_hilbert_constancy"),),
+    ("weak_compactness_profile", "finite_rank"): (("metric", "<=", "wc_finite_rank_tail"),),
+    ("rk_tail", "hilbert"): (("ratio", ">", "rk_hilbert_ratio"),),
+    ("rk_tail", "finite_rank"): (("ratio", "<", "rk_finite_rank_ratio"),),
+    ("rk_tail", "zero"): (("ratio", "<", "rk_finite_rank_ratio"),),
+    "rk_power_vs_svd": (("relative_gap", "<=", "rk_svd_agreement"),),
+    ("carleson_profile", "CMO"): (("ratio", "<", "carleson_vanishing_ratio"),),
+    ("carleson_profile", "BMO-not-CMO"): (("ratio", ">", "carleson_nonvanishing_ratio"),),
+    "carleson_constant": (("carleson_at_0", "<=", "carleson_constant"),),
+    "stein_inequality": ((("ratio_gaussian", "ratio_point_mass"), "<=", "stein_slack"),),
+    "paraproduct_identities": (("symbol_rel_error", "<=", "pp_symbol_rel"),
+                               ("adjoint_constant_max", "<=", "pp_adjoint_constant"),
+                               ("adjointness_gap", "<=", "pp_adjointness")),
+    ("paraproduct_compactness", "CMO"): (("ratio", "<", "pp_vanishing_ratio"),),
+    ("paraproduct_compactness", "BMO-not-CMO"): (("ratio", ">", "pp_nonvanishing_ratio"),),
+    "decomposition": (("hilbert_s_minus_t", "<=", "decomp_hilbert"),
+                      ("reconstruction_gap", "<=", "decomp_reconstruction"),
+                      ("paired_s1_ratio", "<=", "decomp_s1_rel")),
+}
+
 
 def _nonfinite(v) -> bool:
     return isinstance(v, float) and not math.isfinite(v)
@@ -356,15 +146,17 @@ def _strict(v):
     return str(float(v)) if _nonfinite(v) else v
 
 
-def _record(cfg: SuiteConfig, name, operator, values: dict, grid_meta: dict, *bounds, ok=True):
-    """One PASS/FAIL record, its checks declared once in ``bounds``.
+def _record(cfg: SuiteConfig, name, operator, values: dict, grid_meta: dict,
+            case=None, ok=True):
+    """One PASS/FAIL record, checked against its ``CHECKS`` entry.
 
-    Each bound is ``(value key, comparator, tolerance key)``, the value key
-    possibly a tuple of keys checked against the same tolerance; the
-    comparator is one of ``<=``, ``<``, ``>=``, ``>``. The record PASSes when
-    ``ok`` holds, every bound holds and every value (list entries included)
-    is finite. ``tolerances`` echoes exactly the bounds' tolerance keys.
+    The entry is ``CHECKS[name]``, or ``CHECKS[(name, case)]`` when a case
+    is given; a value key may be a tuple of keys checked against the same
+    tolerance. The record PASSes when ``ok`` holds, every bound holds and
+    every value (list entries included) is finite. ``tolerances`` echoes
+    exactly the bounds' tolerance keys.
     """
+    bounds = CHECKS[name if case is None else (name, case)]
     tolerances = {tol_key: cfg.tol(tol_key) for _, _, tol_key in bounds}
     for keys, cmp, tol_key in bounds:
         for key in (keys,) if isinstance(keys, str) else keys:
@@ -383,11 +175,6 @@ def _record(cfg: SuiteConfig, name, operator, values: dict, grid_meta: dict, *bo
 def _profile(columns: list, *cols) -> dict:
     """An exported profile: ``columns`` over the zipped value sequences."""
     return {"columns": columns, "rows": [[float(v) for v in row] for row in zip(*cols)]}
-
-
-def _class_bound(expected_class: str, vanishing: str, nonvanishing: str) -> tuple:
-    """The ratio bound of a BMO example: vanishing for CMO, else non-vanishing."""
-    return ("ratio", "<", vanishing) if expected_class == "CMO" else ("ratio", ">", nonvanishing)
 
 
 def _test_family(grid: SpatialGrid) -> dict:
@@ -425,8 +212,6 @@ def _diag_frame(cfg: SuiteConfig, ctx: _Context):
         {"parseval_error": ps[-1], "roundtrip_error": rs[-1],
          "parseval_history": ps, "roundtrip_history": rs},
         ctx.grid_meta(),
-        ("parseval_error", "<=", "parseval"),
-        ("roundtrip_error", "<=", "roundtrip"),
         # refinement helps; a one-level ladder shows no refinement
         ok=len(ss) > 1 and all(x > y for h in (ps, rs) for x, y in zip(h, h[1:])),
     )
@@ -449,8 +234,6 @@ def _diag_pv(cfg: SuiteConfig, ctx: _Context):
         cfg, "pv_application", "hilbert",
         {"relative_error": rel, "dual_path_gap": abs(direct - via_apply)},
         ctx.grid_meta(),
-        ("relative_error", "<=", "pv_rel"),
-        ("dual_path_gap", "<=", "dual_path"),
     )
     return [record], {}
 
@@ -464,7 +247,6 @@ def _diag_decay(cfg: SuiteConfig, ctx: _Context):
         cfg, "decay_bound", "hilbert",
         {"fitted_c": fit, "fitted_c_refined": fit2, "relative_change": abs(fit2 - fit) / fit},
         ctx.grid_meta(),
-        ("relative_change", "<=", "decay_stability"),
     )
     return [record], {}
 
@@ -484,9 +266,6 @@ def _diag_schur(cfg: SuiteConfig, ctx: _Context):
          "tail_factor": tail_1 / tail_6 if tail_6 > 0.0 else math.inf,
          "finite_rank_origin_tail": ft, "origin_tail_radius": r_big},
         ctx.grid_meta(),
-        ("anchor_spread", "<=", "schur_anchor"),
-        ("tail_factor", ">=", "schur_tail_factor"),
-        ("finite_rank_origin_tail", "<=", "origin_tail_finite_rank"),
         ok=all(math.isfinite(v) for v in vals),
     )
     return [record], {}
@@ -500,32 +279,21 @@ def _diag_weak_compactness(cfg: SuiteConfig, ctx: _Context):
             continue
         k = get_model(label).kernel
         prof = localization_mod.weak_compactness_profile(k, ctx.psi, ctx.fgrid, radii)
-        if label == "hilbert":
-            metric, tol_key = float(prof.max() - prof.min()), "wc_hilbert_constancy"
-        else:
-            metric, tol_key = float(prof[-1]), "wc_finite_rank_tail"
+        # Hilbert's profile must stay constant, finite_rank's must vanish
+        metric = float(prof.max() - prof.min()) if label == "hilbert" else float(prof[-1])
         records.append(_record(
             cfg, "weak_compactness_profile", label,
             {"metric": metric, "profile_start": float(prof[0]), "profile_end": float(prof[-1])},
-            ctx.grid_meta(),
-            ("metric", "<=", tol_key),
+            ctx.grid_meta(), case=label,
         ))
         profiles[f"weak_compactness_{label}"] = _profile(["R", "value"], radii, prof)
     return records, profiles
 
 
-# The zero operator's record also requires tail_0 == 0 exactly.
-_RK_BOUNDS = {
-    "hilbert": ("ratio", ">", "rk_hilbert_ratio"),
-    "finite_rank": ("ratio", "<", "rk_finite_rank_ratio"),
-    "zero": ("ratio", "<", "rk_finite_rank_ratio"),
-}
-
-
 def _diag_rk_tail(cfg: SuiteConfig, ctx: _Context):
     records, profiles = [], {}
     radii = list(cfg.radii)
-    for label, bound in _RK_BOUNDS.items():
+    for label in ("hilbert", "finite_rank", "zero"):
         if label not in cfg.operators:
             continue
         A = discretize(get_model(label).kernel, ctx.grid)
@@ -536,8 +304,8 @@ def _diag_rk_tail(cfg: SuiteConfig, ctx: _Context):
             {"ratio": tf.ratio(), "tail_0": tail_0, "tail_max": float(tf.values[-1]),
              "verdict_trend": tf.verdict, "iterations": tf.iterations.tolist(),
              "converged": tf.converged.tolist(), "residual": tf.residuals.tolist()},
-            ctx.grid_meta(),
-            bound,
+            ctx.grid_meta(), case=label,
+            # the zero operator's tail must also vanish exactly
             ok=bool(tf.converged.all()) and (label != "zero" or tail_0 == 0.0),
         ))
         if label == "hilbert":
@@ -557,7 +325,6 @@ def _diag_rk_tail(cfg: SuiteConfig, ctx: _Context):
         {"power": res.value, "dense_svd": dense, "relative_gap": abs(res.value - dense) / dense,
          "iterations": res.iterations, "converged": res.converged, "residual": res.residual},
         meta,
-        ("relative_gap", "<=", "rk_svd_agreement"),
         ok=res.converged,
     ))
     return records, profiles
@@ -581,10 +348,7 @@ def _carleson_profiles(cfg: SuiteConfig, ctx: _Context):
         records.append(_record(
             cfg, "carleson_profile", ex.label,
             {"ratio": ratio, "expected_class": ex.expected_class},
-            meta,
-            _class_bound(
-                ex.expected_class, "carleson_vanishing_ratio", "carleson_nonvanishing_ratio"
-            ),
+            meta, case=ex.expected_class,
         ))
     return records, profiles
 
@@ -600,22 +364,20 @@ def _diag_carleson(cfg: SuiteConfig, ctx: _Context):
         cfg, "carleson_constant", None,
         {"carleson_at_0": carleson_mod.carleson_function(mu1, 0.0)},
         ctx.grid_meta(fgrid=fg_int),
-        ("carleson_at_0", "<=", "carleson_constant"),
     ))
-    # slack inequality audit; the stein_slack bound below makes the verdict
+    # slack inequality audit; the point-mass test bump meets phi's window at the atom
     mu_psi = carleson_mod.coefficient_measure(
         frame_element(ctx.psi, GroupPoint(1.0, 0.0), ctx.grid), ctx.psi, ctx.fgrid
     )
     gauss = SampledFunction(ctx.grid, np.exp(-ctx.grid.x**2))
     r1 = carleson_mod.stein_inequality_check(gauss, ctx.phi, mu_psi)
     mu_pt = carleson_mod.point_mass(ctx.fgrid, int(np.argmin(ctx.fgrid.dist0)))
-    shifted = SampledFunction(ctx.grid, smooth_bump(ctx.grid.x, 3.0, 1.5))
-    r2 = carleson_mod.stein_inequality_check(shifted, ctx.phi, mu_pt)
+    bump = SampledFunction(ctx.grid, smooth_bump(ctx.grid.x, 0.0, 1.5))
+    r2 = carleson_mod.stein_inequality_check(bump, ctx.phi, mu_pt)
     records.append(_record(
         cfg, "stein_inequality", None,
         {"ratio_gaussian": r1, "ratio_point_mass": r2},
         ctx.grid_meta(),
-        (("ratio_gaussian", "ratio_point_mass"), "<=", "stein_slack"),
     ))
     return records, profiles
 
@@ -642,9 +404,6 @@ def _diag_paraproduct(cfg: SuiteConfig, ctx: _Context):
         {"symbol_rel_error": rel, "adjoint_constant_max": float(np.max(np.abs(pstar1.values))),
          "adjointness_gap": gap, "m_phi": phi.m_phi},
         ctx.grid_meta(),
-        ("symbol_rel_error", "<=", "pp_symbol_rel"),
-        ("adjoint_constant_max", "<=", "pp_adjoint_constant"),
-        ("adjointness_gap", "<=", "pp_adjointness"),
     ))
     # compactness dichotomy on a wide coarse lattice
     pgrid, pfg, meta = _side_lattice(2048.0, 4096, 2.0, 1024.0, L_b=1024.0, cone_factor=0.0)
@@ -657,8 +416,7 @@ def _diag_paraproduct(cfg: SuiteConfig, ctx: _Context):
         records.append(_record(
             cfg, "paraproduct_compactness", ex.label,
             {"ratio": tf.ratio(), "expected_class": ex.expected_class, "verdict_trend": tf.verdict},
-            meta,
-            _class_bound(ex.expected_class, "pp_vanishing_ratio", "pp_nonvanishing_ratio"),
+            meta, case=ex.expected_class,
         ))
         profiles[f"paraproduct_tail_{ex.label}"] = _profile(["R", "value"], tf.radii, tf.values)
     return records, profiles
@@ -697,9 +455,6 @@ def _diag_decomposition(cfg: SuiteConfig, ctx: _Context):
         {"hilbert_s_minus_t": s_minus_t, "reconstruction_gap": gap, "paired_s1_ratio": worst,
          "t1_truncation_error": dec.t1_truncation_error, "m_phi": phi.m_phi},
         ctx.grid_meta(),
-        ("hilbert_s_minus_t", "<=", "decomp_hilbert"),
-        ("reconstruction_gap", "<=", "decomp_reconstruction"),
-        ("paired_s1_ratio", "<=", "decomp_s1_rel"),
     )
     return [record], {}
 
@@ -721,8 +476,10 @@ def run_suite(cfg: SuiteConfig) -> Report:
     """Execute the selected diagnostics; failures never abort the run.
 
     A diagnostic that raises contributes one FAIL record named after it, whose
-    ``values`` hold ``error`` ("<Type>: <message>"), and the later diagnostics
-    still run.
+    ``values`` hold ``error`` ("<Type>: <message>") and whose ``tolerances``
+    are empty, and the later diagnostics still run. It bypasses ``CHECKS``:
+    no record's bounds apply to an error, though ``decomposition`` and
+    ``rk_tail`` name records too.
     """
     cfg.validate()
     report = Report(config=cfg.to_dict(), seed=cfg.seed)
@@ -736,7 +493,8 @@ def run_suite(cfg: SuiteConfig) -> Report:
             records, profiles = _DIAGNOSTICS[name](cfg, ctx)
         except Exception as exc:  # the suite boundary: report it, keep running
             error = f"{type(exc).__name__}: {exc}"
-            records = [_record(cfg, name, None, {"error": error}, ctx.grid_meta(), ok=False)]
+            records = [{"name": name, "operator": None, "verdict": "FAIL",
+                        "values": {"error": error}, "tolerances": {}, "grid": ctx.grid_meta()}]
             profiles = {}
         report.records.extend(records)
         report.profiles.update(profiles)

@@ -101,8 +101,8 @@ def _q_distance(q):
 
 def test_one_distance_formula_keeps_every_bit():
     # tail_views orders rows by dist0, so a last-bit change would reorder ties
+    from czframe.config import SuiteConfig
     from czframe.grids import SpatialGrid, make_frame_grid
-    from czframe.reporting import SuiteConfig
 
     cfg = SuiteConfig.from_dict({})
     fg = make_frame_grid(SpatialGrid(cfg.grid_L, cfg.grid_N), cfg.a_min, cfg.a_max,

@@ -9,17 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from czframe.config import DEFAULT_TOLERANCES, DIAGNOSTIC_NAMES, ConfigError, SuiteConfig
 from czframe.grids import SpatialGrid, make_frame_grid, tail_nodes
 from czframe.operators import DiscreteOperator
-from czframe.reporting import (
-    DEFAULT_TOLERANCES,
-    DIAGNOSTIC_NAMES,
-    ConfigError,
-    SuiteConfig,
-    _Context,
-    emit,
-    run_suite,
-)
+from czframe.reporting import _Context, emit, run_suite
 from czframe.wavelets import frame_rows, make_mother_wavelet
 
 
@@ -77,9 +70,9 @@ def test_config_beyond_physical_memory_rejected(raw):
 ])
 def test_dense_term_follows_the_decomposition_diagnostic(monkeypatch, raw, fits):
     # validated only, never run
-    from czframe import reporting
+    from czframe import config
 
-    monkeypatch.setattr(reporting, "_physical_memory", lambda: 8 * 2**30)
+    monkeypatch.setattr(config, "_physical_memory", lambda: 8 * 2**30)
     if fits:
         assert SuiteConfig.from_dict(raw).resident_bytes() < 2**30
     else:
@@ -179,15 +172,16 @@ def test_csv_format(quick_report, tmp_path):
                 float(c)  # every data cell is numeric
 
 
-def test_record_verdict_and_echo_come_from_its_bounds():
-    from czframe.reporting import _record
+def test_record_verdict_and_echo_come_from_its_bounds(monkeypatch):
+    from czframe import reporting
 
     cfg = SuiteConfig()
     values = {"err": 0.01, "gain": 7.0, "pair": [0.5, 0.25]}
     bounds = (("err", "<=", "parseval"), ("gain", ">", "schur_tail_factor"))
 
-    def rec(*bounds, **kw):
-        return _record(cfg, "check", "hilbert", dict(values), {"N": 8}, *bounds, **kw)
+    def rec(*checks, case=None, ok=True):
+        monkeypatch.setitem(reporting.CHECKS, "check" if case is None else ("check", case), checks)
+        return reporting._record(cfg, "check", "hilbert", dict(values), {"N": 8}, case=case, ok=ok)
 
     ok = rec(*bounds)
     assert ok["verdict"] == "PASS"
@@ -199,12 +193,19 @@ def test_record_verdict_and_echo_come_from_its_bounds():
     assert rec()["tolerances"] == {}
     assert rec((("err", "gain"), "<", "stein_slack"))["verdict"] == "PASS"
     assert rec((("err", "gain"), "<", "roundtrip"))["verdict"] == "FAIL"
+    # a case picks the (name, case) entry; the name's own entry would FAIL
+    assert rec(("gain", "<", "roundtrip"))["verdict"] == "FAIL"
+    assert rec(("gain", ">", "roundtrip"), case="CMO")["verdict"] == "PASS"
+    with pytest.raises(KeyError):  # an unknown case has no bounds, so it raises
+        reporting._record(cfg, "check", None, dict(values), {}, case="neither-claimed")
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
-def test_record_non_finite_value_fails_and_is_spelled_out(bad):
+def test_record_non_finite_value_fails_and_is_spelled_out(monkeypatch, bad):
+    from czframe import reporting
     from czframe.reporting import _record
 
+    monkeypatch.setitem(reporting.CHECKS, "check", ())
     cfg = SuiteConfig()
     top = _record(cfg, "check", None, {"x": bad, "n": 3}, {}, ok=True)
     assert top["verdict"] == "FAIL"
@@ -286,19 +287,26 @@ def test_worker_failure_reaches_the_caller_and_becomes_one_fail_record(monkeypat
     assert later and all(n == "decomposition" for n in later)  # the next diagnostic still ran
 
 
-def test_raising_diagnostic_becomes_fail_record(monkeypatch):
+@pytest.mark.parametrize("name", ["frame", "decomposition"])
+def test_raising_diagnostic_becomes_fail_record(monkeypatch, name):
+    # "decomposition" also names a record with CHECKS bounds; its error record
+    # must not be checked against them. It is the last diagnostic, so pv runs
+    # before it rather than after.
     from czframe import reporting
 
     def broken(cfg, ctx):
         raise ZeroDivisionError("no lattice today")
 
-    monkeypatch.setitem(reporting._DIAGNOSTICS, "frame", broken)
-    rep = run_suite(SuiteConfig.from_dict(QUICK))
-    first, *rest = rep.records
-    assert first["name"] == "frame"
-    assert first["verdict"] == "FAIL"
-    assert first["values"] == {"error": "ZeroDivisionError: no lattice today"}
-    assert rest and all(r["name"].startswith("pv") for r in rest)  # the next diagnostic still ran
+    monkeypatch.setitem(reporting._DIAGNOSTICS, name, broken)
+    rep = run_suite(SuiteConfig.from_dict({**QUICK, "diagnostics": sorted({name, "pv"})}))
+    failed = [r for r in rep.records if r["verdict"] == "FAIL"]
+    assert [r["name"] for r in failed] == [name]
+    assert failed[0]["values"] == {"error": "ZeroDivisionError: no lattice today"}
+    assert failed[0]["tolerances"] == {}
+    # the other diagnostic still ran, in the suite's order
+    names = [r["name"] for r in rep.records]
+    assert names == (["frame", "pv_application"] if name == "frame"
+                     else ["pv_application", "decomposition"])
     assert rep.verdict == "FAIL"
 
 

@@ -11,7 +11,8 @@ dense SVD (``svdvals``) is taken only where ``DENSE_SVD`` allows it, frame
 rows are built (``_scale_rows``) only where ``ROW_BUILDS`` allows it, and the
 cached frame-row matrix (``frame_rows``) is taken only where
 ``FRAME_ROWS_CALLERS`` allows it.  No function declares ``**kwargs``: every
-parameter a caller may pass is named.
+parameter a caller may pass is named.  In ``reporting.py`` a bound is spelled
+only in ``BOUND_TABLES``: no comparator or tolerance key appears elsewhere.
 """
 
 import ast
@@ -40,6 +41,11 @@ FRAME_ROWS_CALLERS = {
     ("compactness", "analysis_operator"),
     ("paraproducts", "paraproduct_operator"),
 }
+
+# The reporting.py assignments that may spell a bound: the check table and the
+# comparator map.
+BOUND_TABLES = {"CHECKS", "_COMPARATORS"}
+COMPARATOR_LITERALS = {"<=", "<", ">=", ">"}
 
 
 def _parse(path: Path):
@@ -215,3 +221,49 @@ def test_checker_sees_stray_calls_and_stale_entries():
     stray, stale = _assembly_errors(trees, "svdvals", {("m", "dense")})
     assert stray == ["m.spectrum (line 6)"]
     assert stale == [("m", "dense")]
+
+
+def _module_literal(path: Path, name: str):
+    """The literal value assigned to ``name`` at the top level of ``path``."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == name for t in node.targets):
+            return ast.literal_eval(node.value)
+    raise LookupError(f"{path.name} assigns no {name}")
+
+
+def _stray_bounds(tree, tolerance_keys):
+    """(line, literal) of every comparator or tolerance key spelled outside ``BOUND_TABLES``.
+
+    A record's name, the second argument of ``_record``, is not a bound even
+    where it equals a tolerance key (``carleson_constant``).
+    """
+    allowed = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) in BOUND_TABLES
+                                                for t in node.targets):
+            allowed.update(id(n) for n in ast.walk(node))
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_record":
+            allowed.update(id(arg) for arg in node.args[1:2])
+    banned = COMPARATOR_LITERALS | set(tolerance_keys)
+    return sorted((n.lineno, n.value) for n in ast.walk(tree)
+                  if isinstance(n, ast.Constant) and isinstance(n.value, str)
+                  and n.value in banned and id(n) not in allowed)
+
+
+def test_bounds_live_only_in_checks():
+    source = (SRC / "reporting.py").read_text()
+    tolerances = _module_literal(SRC / "config.py", "DEFAULT_TOLERANCES")
+    stray = _stray_bounds(ast.parse(source), tolerances)
+    assert not stray, f"reporting.py spells bounds outside {sorted(BOUND_TABLES)}: {stray}"
+    assert source.count("cfg.tol(") == 1  # the one read, in _record
+
+
+def test_checker_sees_an_inline_bound():
+    tree = ast.parse(
+        "CHECKS = {'carleson_constant': (('x', '<=', 'carleson_constant'),)}\n"
+        "_COMPARATORS = {'<=': le, '<': lt}\n"
+        "def _diag(cfg):\n"
+        "    rec = _record(cfg, 'carleson_constant', None, {}, {})\n"
+        "    return rec, _record(cfg, 'x', None, {}, {}, ('metric', '<', 'parseval'))\n"
+    )
+    assert _stray_bounds(tree, {"parseval", "carleson_constant"}) == [(5, "<"), (5, "parseval")]
