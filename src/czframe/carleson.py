@@ -27,7 +27,7 @@ from functools import partial
 
 import numpy as np
 
-from .grids import FrameGrid, SampledFunction, SpatialGrid, smooth_bump
+from .grids import FrameGrid, SampledFunction, SpatialGrid, smooth_bump, tail_nodes
 from .wavelets import analyze
 
 __all__ = [
@@ -124,10 +124,9 @@ def vanishing_profile(mu: CoefficientMeasure, radii) -> np.ndarray:
     fg = mu.fgrid
     radii = np.asarray(radii, dtype=float)
     ratios = tent_masses(mu) / (2.0 * fg.a)
-    dist = fg.dist0
     out = np.zeros(len(radii))
     for i, r in enumerate(radii):
-        sel = dist >= r
+        sel = tail_nodes(fg, r)
         out[i] = float(np.max(ratios[sel])) if np.any(sel) else 0.0
     return out
 

@@ -156,6 +156,8 @@ class SuiteConfig:
         for op in self.operators:
             if op not in zoo:
                 raise ConfigError(f"unknown operator label {op!r}; known: {sorted(zoo)}")
+        if not self.diagnostics:
+            raise ConfigError("diagnostics must be a nonempty list")
         for d in self.diagnostics:
             if d not in DIAGNOSTIC_NAMES:
                 raise ConfigError(f"unknown diagnostic {d!r}; known: {list(DIAGNOSTIC_NAMES)}")

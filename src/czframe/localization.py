@@ -28,7 +28,7 @@ from functools import partial
 import numpy as np
 
 from .geometry import GroupPoint, IDENTITY
-from .grids import FrameGrid, SampledFunction, SpatialGrid, inner_product, smooth_bump
+from .grids import FrameGrid, SampledFunction, SpatialGrid, inner_product, smooth_bump, tail_nodes
 from .operators import CZKernel, apply_kernel, conjugate, discretize
 # Never called here; perfbench's tracer test still expects this binding.
 from .operators import kernel_matrix  # noqa: F401
@@ -177,10 +177,9 @@ def schur_tail(
     lattice (the substitution absorbs the weight ratio exactly).  At R = 0
     every node counts: that is the Schur value.
     """
-    if R < 0.0:
-        raise ValueError("R must be nonnegative")
+    mask = tail_nodes(fgrid, R)
     fld = coefficient_field(kernel, psi, fgrid, grid, anchor)
-    return _weighted_sum(fld.values, fgrid, fgrid.dist0 >= R)
+    return _weighted_sum(fld.values, fgrid, mask)
 
 
 def origin_tail(
@@ -198,9 +197,7 @@ def origin_tail(
     conjugation is possible here because the disk does not move with the
     anchor.
     """
-    if R < 0.0:
-        raise ValueError("R must be nonnegative")
-    mask = fgrid.dist0 >= R
+    mask = tail_nodes(fgrid, R)
     T = discretize(kernel, grid)
     best = 0.0
     for p in default_anchor_lattice():

@@ -191,8 +191,8 @@ class DiscreteOperator:
       is one rfft/irfft pair;
     - ``factors``: a triple (Psi, d, Phi) of sparse matrices and a weight
       vector with A = Psi^T diag(d) Phi, so ``matvec`` is Psi^T (d * Phi f)
-      and ``rmatvec`` is Phi^T (d * Psi f); both transposes are built as CSR
-      once, here.
+      and ``rmatvec`` is Phi^T (d * Psi f); both transposes are the
+      zero-copy ``.T`` views of the factors.
 
     ``dense()`` returns A.
     """
@@ -206,9 +206,6 @@ class DiscreteOperator:
         self.column = column
         self.symbol = None if column is None else np.fft.rfft(column)
         self.factors = factors
-        if factors is not None:
-            Psi, _, Phi = factors
-            self._transposes = (Psi.T.tocsr(), Phi.T.tocsr())
 
     def _circulant(self, x: np.ndarray, symbol: np.ndarray) -> np.ndarray:
         x = np.asarray(x)
@@ -216,22 +213,22 @@ class DiscreteOperator:
         s = symbol if x.ndim == 1 else symbol[:, None]
         return np.fft.irfft(np.fft.rfft(x, m, axis=0) * s, m, axis=0)[: self.n]
 
-    def _factored(self, x: np.ndarray, inner, outer_t) -> np.ndarray:
+    def _factored(self, x: np.ndarray, inner, outer) -> np.ndarray:
         d = self.factors[1]
-        return outer_t @ ((d if np.ndim(x) == 1 else d[:, None]) * (inner @ x))
+        return outer.T @ ((d if np.ndim(x) == 1 else d[:, None]) * (inner @ x))
 
     def matvec(self, x: np.ndarray) -> np.ndarray:
         if self.matrix is not None:
             return self.matrix @ x
         if self.factors is not None:
-            return self._factored(x, self.factors[2], self._transposes[0])
+            return self._factored(x, self.factors[2], self.factors[0])
         return self._circulant(x, self.symbol)
 
     def rmatvec(self, x: np.ndarray) -> np.ndarray:
         if self.matrix is not None:
             return self.matrix.T @ x
         if self.factors is not None:
-            return self._factored(x, self.factors[0], self._transposes[1])
+            return self._factored(x, self.factors[0], self.factors[2])
         # c[-m] embeds as the time reversal of c[m]'s column: conjugate symbol
         return self._circulant(x, np.conj(self.symbol))
 
@@ -239,8 +236,8 @@ class DiscreteOperator:
         if self.matrix is not None:
             return self.matrix
         if self.factors is not None:
-            _, d, Phi = self.factors
-            return (self._transposes[0] @ (scipy.sparse.diags(d) @ Phi)).toarray()
+            Psi, d, Phi = self.factors
+            return (Psi.T @ (scipy.sparse.diags(d) @ Phi)).toarray()
         return self.matvec(np.eye(self.n))
 
     def window_sums(self, transpose: bool = False) -> np.ndarray:

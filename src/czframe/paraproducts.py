@@ -16,12 +16,13 @@ and S1 pairs to zero; S is a handle acting by Sf = Tf - P_1 f - P_2* f,
 which makes the reconstruction identity exact by construction.  One
 discretization of T gives T1, T*1 (its window sums) and Tf.
 
-phi is paired exactly as psi is, through ``analyze``/``synthesize`` with the
-cached :func:`~czframe.wavelets.frame_rows` matrix of phi, whose rows are the
-L2 dilates a^-1/2 phi((. - b)/a); the L1 dilate phitilde is a^-1/2 times
-that, so the factor a^-1/2 rides on the coefficients.  On sample vectors
-P_beta is the factored operator Psi^T diag(d) Phi of
-:func:`paraproduct_operator`, whose tail sweeps need no dense matrix.
+On sample vectors P_beta is the factored operator Psi^T diag(d) Phi of
+:func:`paraproduct_operator`, the one place P_beta is formed:
+:func:`paraproduct_apply` and :func:`paraproduct_adjoint_apply` are its
+``matvec`` and ``rmatvec``, and its tail sweeps need no dense matrix.  Psi
+and Phi are the cached :func:`~czframe.wavelets.frame_rows` matrices of psi
+and phi, whose rows are the L2 dilates a^-1/2 phi((. - b)/a); the L1 dilate
+phitilde is a^-1/2 times that, so the factor a^-1/2 rides on d.
 """
 
 from __future__ import annotations
@@ -86,10 +87,8 @@ def make_bump_phi() -> BumpPhi:
 def paraproduct_apply(
     symbol: CoefficientField, f: SampledFunction, phi: BumpPhi, psi
 ) -> SampledFunction:
-    """P_beta f: bump pairings times symbol coefficients, resynthesized."""
-    fgrid = symbol.fgrid
-    pair = analyze(f, phi, fgrid).values / np.sqrt(fgrid.a)
-    return synthesize(CoefficientField(fgrid, pair * symbol.values), psi, f.grid)
+    """P_beta f, the ``matvec`` of :func:`paraproduct_operator`."""
+    return SampledFunction(f.grid, paraproduct_operator(symbol, phi, psi, f.grid).matvec(f.values))
 
 
 def paraproduct_apply_to_constant(
@@ -116,10 +115,12 @@ def paraproduct_adjoint_apply_to_constant(
 def paraproduct_adjoint_apply(
     symbol: CoefficientField, g: SampledFunction, phi: BumpPhi, psi
 ) -> SampledFunction:
-    """P*_beta g = sum <g, psi_node> conj(symbol coeff) phitilde_node dlambda."""
-    fgrid = symbol.fgrid
-    weights = analyze(g, psi, fgrid).values * np.conj(symbol.values) / np.sqrt(fgrid.a)
-    return synthesize(CoefficientField(fgrid, weights), phi, g.grid)
+    """P*_beta g = sum <g, psi_node> symbol coeff phitilde_node dlambda, the ``rmatvec``.
+
+    Symbols are the analysis of real data, so their coefficients are real and
+    the adjoint is the transpose of :func:`paraproduct_operator`.
+    """
+    return SampledFunction(g.grid, paraproduct_operator(symbol, phi, psi, g.grid).rmatvec(g.values))
 
 
 def paraproduct_operator(

@@ -55,7 +55,9 @@ class Report:
 
     @property
     def verdict(self) -> str:
-        return "PASS" if all(r["verdict"] == "PASS" for r in self.records) else "FAIL"
+        """PASS when there are records and every one passes; no record certifies nothing."""
+        passed = bool(self.records) and all(r["verdict"] == "PASS" for r in self.records)
+        return "PASS" if passed else "FAIL"
 
 
 class _Context:
@@ -483,8 +485,6 @@ def run_suite(cfg: SuiteConfig) -> Report:
     """
     cfg.validate()
     report = Report(config=cfg.to_dict(), seed=cfg.seed)
-    if not cfg.diagnostics:
-        return report
     ctx = _Context(cfg)
     for name in DIAGNOSTIC_NAMES:
         if name not in cfg.diagnostics:

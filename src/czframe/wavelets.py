@@ -100,12 +100,9 @@ def _admissibility(norm_const: float, n_x: int = 8192, n_t: int = 4096, t_max: f
 
 @dataclass(frozen=True)
 class MotherWavelet:
-    """Admissibility-normalized mother wavelet with its numeric certificates."""
+    """Admissibility-normalized mother wavelet."""
 
     norm_const: float
-    admissibility: float
-    l2_norm: float
-    deriv_bound: float
 
     def __call__(self, x):
         return self.norm_const * _bump_derivative(x)
@@ -117,22 +114,13 @@ def make_mother_wavelet() -> MotherWavelet:
 
     Zero mean and support in [-1, 1] hold by construction (derivative of a
     compactly supported bump); the admissibility constant is brought to 1 by
-    rescaling and then re-measured as a certificate.  Both quadratures (the
-    raw constant and the certificate) go through the two-level phase table of
-    :func:`_admissibility`; the result is cached, so a process pays for them
-    once.
+    rescaling by the raw constant's quadrature, :func:`_admissibility`.  The
+    result is cached, so a process pays for it once.
     """
     c_raw = _admissibility(1.0)
     if not c_raw > 0:
         raise RuntimeError("degenerate admissibility integral for the fixed generator")
-    norm = 1.0 / math.sqrt(c_raw)
-    admissibility = _admissibility(norm)
-
-    xs = np.linspace(-1.0, 1.0, 200001)
-    vals = norm * _bump_derivative(xs)
-    l2 = float(np.sqrt(np.trapezoid(vals * vals, xs)))
-    deriv = float(np.max(np.abs(np.gradient(vals, xs))))
-    return MotherWavelet(norm_const=norm, admissibility=admissibility, l2_norm=l2, deriv_bound=deriv)
+    return MotherWavelet(norm_const=1.0 / math.sqrt(c_raw))
 
 
 @dataclass

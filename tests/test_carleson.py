@@ -1,6 +1,7 @@
 """Coefficient measures, tent masses, Carleson function, and max-function audit."""
 
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from czframe.carleson import (
     tent_masses,
     vanishing_profile,
 )
-from czframe.grids import SampledFunction, SpatialGrid, make_frame_grid
+from czframe.grids import SampledFunction, SpatialGrid, make_frame_grid, smooth_bump
 from czframe.operators import get_model
 from czframe.paraproducts import decompose, make_bump_phi
 from czframe.wavelets import CoefficientField, make_mother_wavelet
@@ -70,9 +71,7 @@ def test_point_mass_carleson_function(fgrid):
 
 
 def test_vanishing_profile_monotone_and_compact_support(psi, grid, fgrid):
-    f = SampledFunction.from_callable(
-        grid, lambda x: np.where(np.abs(x) < 2.0, np.exp(-1.0 / np.maximum(1.0 - (x / 2.0) ** 2, 1e-300)), 0.0)
-    )
+    f = SampledFunction.from_callable(grid, partial(smooth_bump, center=0.0, width=2.0))
     mu = coefficient_measure(f, psi, fgrid)
     radii = np.arange(0.0, 5.5, 0.5)
     prof = vanishing_profile(mu, radii)

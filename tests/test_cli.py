@@ -72,6 +72,16 @@ def test_failing_suite_exit_1(tmp_path, capsys):
         assert json.load(fh)["verdict"] == "FAIL"
 
 
+def test_suite_without_records_exit_1(tmp_path, capsys):
+    cfgp = _write_config(tmp_path, {**QUICK, "diagnostics": ["weak_compactness"], "operators": []})
+    out = tmp_path / "results"
+    assert main(["--config", cfgp, "--out", str(out)]) == 1
+    assert "suite verdict: FAIL (0 records)" in capsys.readouterr().out
+    with open(out / "report.json") as fh:
+        report = json.load(fh)
+    assert report["verdict"] == "FAIL" and report["records"] == []
+
+
 def test_seed_flag_overrides_config(tmp_path, capsys):
     cfgp = _write_config(tmp_path, {**QUICK, "seed": 1})
     out = tmp_path / "r"
@@ -178,7 +188,7 @@ def test_report_json_is_strict(tmp_path, capsys, monkeypatch, case):
         ).read_text()
 
 
-@pytest.mark.parametrize("diagnostics", [3, "frame", [1], None])
+@pytest.mark.parametrize("diagnostics", [3, "frame", [1], None, []])
 def test_bad_diagnostics_exit_2(tmp_path, capsys, diagnostics):
     cfgp = _write_config(tmp_path, {"diagnostics": diagnostics})
     out = tmp_path / "o"

@@ -1,12 +1,20 @@
 """Paraproduct identities, adjointness, compactness dichotomy, decomposition."""
 
-import math
+import tracemalloc
+from functools import partial
 
 import numpy as np
 import pytest
 
 from czframe.compactness import tail_functional
-from czframe.grids import SampledFunction, SpatialGrid, inner_product, l2_norm, make_frame_grid
+from czframe.grids import (
+    SampledFunction,
+    SpatialGrid,
+    inner_product,
+    l2_norm,
+    make_frame_grid,
+    smooth_bump,
+)
 from czframe.operators import DiscreteOperator, get_model
 from czframe.paraproducts import (
     Decomposition,
@@ -19,7 +27,7 @@ from czframe.paraproducts import (
     paraproduct_compactness,
     paraproduct_operator,
 )
-from czframe.wavelets import analyze, make_mother_wavelet, synthesize
+from czframe.wavelets import analyze, frame_rows, make_mother_wavelet, synthesize
 
 
 @pytest.fixture(scope="module")
@@ -42,15 +50,8 @@ def fgrid(grid):
     return make_frame_grid(grid, 0.0625, 512.0, s=0.125, cone_factor=1.0)
 
 
-def _bump(center, width):
-    def f(x):
-        u = (np.asarray(x, dtype=float) - center) / width
-        out = np.zeros_like(u)
-        inside = np.abs(u) < 1.0
-        out[inside] = np.exp(-1.0 / (1.0 - u[inside] ** 2))
-        return out
-
-    return f
+# The compact symbol of these tests: the smooth bump on [-2, 2].
+_bump = partial(smooth_bump, center=0.0, width=2.0)
 
 
 def test_bump_phi_shape(phi):
@@ -65,7 +66,7 @@ def test_bump_phi_shape(phi):
 
 
 def test_apply_to_constant_reproduces_scaled_symbol(psi, phi, grid, fgrid):
-    beta = SampledFunction.from_callable(grid, _bump(0.0, 2.0))
+    beta = SampledFunction.from_callable(grid, _bump)
     sym = analyze(beta, psi, fgrid)
     out = paraproduct_apply_to_constant(sym, phi, psi, grid)
     # P_beta 1 = m_phi * (lattice reconstruction of beta) exactly
@@ -79,14 +80,14 @@ def test_apply_to_constant_reproduces_scaled_symbol(psi, phi, grid, fgrid):
 
 
 def test_adjoint_kills_constants(psi, phi, grid, fgrid):
-    beta = SampledFunction.from_callable(grid, _bump(0.0, 2.0))
+    beta = SampledFunction.from_callable(grid, _bump)
     sym = analyze(beta, psi, fgrid)
     out = paraproduct_adjoint_apply_to_constant(sym, phi, psi, grid)
     assert np.max(np.abs(out.values)) <= 1e-9
 
 
 def test_adjointness(psi, phi, grid, fgrid):
-    beta = SampledFunction.from_callable(grid, _bump(0.0, 2.0))
+    beta = SampledFunction.from_callable(grid, _bump)
     sym = analyze(beta, psi, fgrid)
     f = SampledFunction.from_callable(grid, lambda x: np.exp(-(x**2)))
     g = SampledFunction.from_callable(grid, lambda x: np.exp(-(((x - 1.0) / 2.0) ** 2)))
@@ -95,23 +96,12 @@ def test_adjointness(psi, phi, grid, fgrid):
     assert abs(lhs - rhs) < 1e-10
 
 
-def test_matrix_matches_apply(psi, phi, fgrid):
-    small = SpatialGrid(32.0, 512)
-    sfg = make_frame_grid(small, 0.25, 16.0, s=0.25)
-    beta = SampledFunction.from_callable(small, _bump(0.0, 2.0))
-    sym = analyze(beta, psi, sfg)
-    A = paraproduct_operator(sym, phi, psi, small).dense()
-    f = SampledFunction.from_callable(small, lambda x: np.exp(-(x**2)))
-    direct = paraproduct_apply(sym, f, phi, psi)
-    assert np.max(np.abs(A @ f.values - direct.values)) < 1e-10
-
-
 def test_factored_operator_matches_paraproduct_matrix(psi, phi):
     # oracle: Psi^T diag(coeff * dlambda) Phi h from per-node samples, with
     # the L2 dilates a^-1/2 psi((x - b)/a) and the L1 dilates a^-1 phi((x - b)/a)
     small = SpatialGrid(32.0, 512)
     sfg = make_frame_grid(small, 0.25, 16.0, s=0.25)
-    sym = analyze(SampledFunction.from_callable(small, _bump(0.0, 2.0)), psi, sfg)
+    sym = analyze(SampledFunction.from_callable(small, _bump), psi, sfg)
     u = (small.x[None, :] - sfg.b[:, None]) / sfg.a[:, None]
     Psi = psi(u) / np.sqrt(sfg.a)[:, None]
     Phi = phi(u) / sfg.a[:, None] * small.h
@@ -130,6 +120,20 @@ def test_factored_operator_matches_paraproduct_matrix(psi, phi):
         assert np.max(np.abs(got - want)) <= 1e-12 * scale * max(1.0, np.max(np.abs(X)))
 
 
+def test_building_the_operator_copies_no_rows(psi, phi, grid, fgrid):
+    # the factored backend applies Psi^T and Phi^T as views of the cached
+    # rows, so building P_beta allocates only its diagonal d
+    sym = analyze(SampledFunction.from_callable(grid, _bump), psi, fgrid)
+    frame_rows(phi, fgrid, grid)
+    tracemalloc.start()
+    try:
+        P = paraproduct_operator(sym, phi, psi, grid)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert P.factors[1].nbytes < peak < 4 * 2**20
+
+
 @pytest.fixture(scope="module")
 def wide():
     # the paraproduct diagnostic's lattice
@@ -140,7 +144,7 @@ def wide():
 def test_factored_and_dense_tail_sweeps_agree(psi, phi, wide):
     big, pfg = wide
     radii = np.arange(0.0, 5.5, 0.5)
-    sym = analyze(SampledFunction.from_callable(big, _bump(0.0, 2.0)), psi, pfg)
+    sym = analyze(SampledFunction.from_callable(big, _bump), psi, pfg)
     factored = tail_functional(
         paraproduct_operator(sym, phi, psi, big), psi, pfg, big, radii
     )
@@ -155,7 +159,7 @@ def test_compactness_dichotomy(psi, phi, wide):
     # smooth compactly supported symbol -> vanishing tails; log symbol -> not
     big, pfg = wide
     radii = np.arange(0.0, 5.5, 1.0)
-    beta_c = SampledFunction.from_callable(big, _bump(0.0, 2.0))
+    beta_c = SampledFunction.from_callable(big, _bump)
     tf_c = paraproduct_compactness(beta_c, phi, psi, pfg, radii)
     assert tf_c.ratio() < 1e-2
     x0 = big.h / 3.0

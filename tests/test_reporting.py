@@ -95,6 +95,8 @@ def test_from_dict_rejects_bad_input():
         SuiteConfig.from_dict({"bogus_key": 1})
     with pytest.raises(ConfigError):
         SuiteConfig.from_dict({"diagnostics": ["no_such_diag"]})
+    with pytest.raises(ConfigError, match="diagnostics"):
+        SuiteConfig.from_dict({"diagnostics": []})
     with pytest.raises(ConfigError):
         SuiteConfig.from_dict({"operators": ["no_such_op"]})
     with pytest.raises(ConfigError):
@@ -108,11 +110,12 @@ def test_from_dict_rejects_bad_input():
         SuiteConfig.from_dict({"seed": -1})
 
 
-def test_empty_diagnostics_gives_empty_pass():
-    cfg = SuiteConfig.from_dict({**QUICK, "diagnostics": []})
+def test_suite_without_records_fails():
+    # a selection that yields no record certifies nothing, so it cannot PASS
+    cfg = SuiteConfig.from_dict({**QUICK, "diagnostics": ["weak_compactness"], "operators": []})
     rep = run_suite(cfg)
     assert rep.records == []
-    assert rep.verdict == "PASS"
+    assert rep.verdict == "FAIL"
 
 
 @pytest.fixture(scope="module")

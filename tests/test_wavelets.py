@@ -57,9 +57,9 @@ def test_wavelet_shape_properties(psi):
 
 def test_admissibility_certificate(psi):
     # normalization target: squared Fourier admissibility integral equals 1
-    assert abs(psi.admissibility - 1.0) < 1e-6
-    assert psi.l2_norm > 0.0
-    assert psi.deriv_bound > 0.0
+    from czframe import wavelets
+
+    assert abs(wavelets._admissibility(psi.norm_const) - 1.0) < 1e-6
 
 
 def test_frame_element_norm_scale_invariance(psi, grid):
@@ -69,7 +69,8 @@ def test_frame_element_norm_scale_invariance(psi, grid):
         for a, b in [(1.0, 0.0), (2.0, 3.0), (4.0, -5.0)]
     ]
     assert max(norms) - min(norms) < 1e-5
-    assert abs(norms[0] - psi.l2_norm) < 1e-3
+    xs = np.linspace(-1.0, 1.0, 200001)
+    assert abs(norms[0] - math.sqrt(np.trapezoid(psi(xs) ** 2, xs))) < 1e-3
 
 
 def test_coefficient_matches_inner_product(psi, grid):
