@@ -15,8 +15,9 @@ are the package's only tent and cone conventions.
 
 Wavelet and bump pairings over the lattice both go through
 :func:`~czframe.wavelets.analyze`, a product with the cached
-:func:`~czframe.wavelets.frame_rows` matrix of psi or of phi; phi's matrix is
-the one the paraproducts use on the same lattice.
+:func:`~czframe.wavelets.frame_rows` matrix of the fixed generator psi or
+:func:`~czframe.wavelets.bump_phi`; phi's matrix is the one the paraproducts
+use on the same lattice.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from functools import partial
 import numpy as np
 
 from .grids import FrameGrid, SampledFunction, SpatialGrid, smooth_bump, tail_nodes
-from .wavelets import analyze
+from .wavelets import analyze, bump_phi, make_mother_wavelet
 
 __all__ = [
     "CoefficientMeasure",
@@ -58,9 +59,9 @@ class CoefficientMeasure:
             raise ValueError("masses must be nonnegative")
 
 
-def coefficient_measure(f: SampledFunction, psi, fgrid: FrameGrid) -> CoefficientMeasure:
+def coefficient_measure(f: SampledFunction, fgrid: FrameGrid) -> CoefficientMeasure:
     """mu_f: mass |<f, psi_(a,b)>|^2 * dlambda at each node."""
-    fld = analyze(f, psi, fgrid)
+    fld = analyze(f, make_mother_wavelet(), fgrid)
     return CoefficientMeasure(fgrid, np.abs(fld.values) ** 2 * fgrid.dlam)
 
 
@@ -131,7 +132,7 @@ def vanishing_profile(mu: CoefficientMeasure, radii) -> np.ndarray:
     return out
 
 
-def stein_inequality_check(f: SampledFunction, phi, mu: CoefficientMeasure) -> float:
+def stein_inequality_check(f: SampledFunction, mu: CoefficientMeasure) -> float:
     """Audit integral |<f, phi_(a,b)>|^2 dmu <= C * integral Mf^2 * Cmu dx.
 
     The pairings are <Re f, phi_(a,b)> with the L2 dilates a^-1/2 phi((x-b)/a).
@@ -143,7 +144,7 @@ def stein_inequality_check(f: SampledFunction, phi, mu: CoefficientMeasure) -> f
     0 if the LHS is zero too and ``inf`` otherwise.
     """
     fg = mu.fgrid
-    coeffs = analyze(SampledFunction(f.grid, f.values.real), phi, fg).values
+    coeffs = analyze(SampledFunction(f.grid, f.values.real), bump_phi, fg).values
     lhs = float(np.sum(np.abs(coeffs) ** 2 * mu.masses))
     ratios = tent_masses(mu) / (2.0 * fg.a)
     xs = np.linspace(-f.grid.L, f.grid.L, 257)

@@ -18,8 +18,8 @@ for convolution kernels, sparse factors for rank-one kernels).
 as ``DiscreteOperator(N, matrix=A)`` to solve on it.
 :func:`singular_spectrum` is the one dense SVD, the oracle a Lanczos solve is
 checked against.  The analysis operator is a copy of the lattice's cached
-:func:`~czframe.wavelets.frame_rows` matrix scaled by sqrt(dlambda) * h, one
-number for the whole lattice.
+:func:`~czframe.wavelets.frame_rows` matrix of the fixed mother wavelet,
+scaled by sqrt(dlambda) * h, one number for the whole lattice.
 
 A sweep over radii builds that matrix once, with its rows in decreasing
 ``fgrid.dist0`` order, so every tail(R) is a zero-copy row prefix of it
@@ -39,7 +39,7 @@ import scipy.sparse
 
 from .grids import FrameGrid, SampledFunction, SpatialGrid, tail_nodes
 from .operators import CZKernel, DiscreteOperator, kernel_matrix
-from .wavelets import frame_rows
+from .wavelets import frame_rows, make_mother_wavelet
 
 __all__ = [
     "LanczosResult",
@@ -65,7 +65,7 @@ def operator_matrix(kernel: CZKernel, grid: SpatialGrid) -> np.ndarray:
 
 
 def analysis_operator(
-    psi, fgrid: FrameGrid, grid: SpatialGrid, order: np.ndarray | None = None
+    fgrid: FrameGrid, grid: SpatialGrid, order: np.ndarray | None = None
 ) -> scipy.sparse.csr_matrix:
     """Sparse map g |-> (sqrt(dlambda) <g, psi_node>)_node.
 
@@ -78,13 +78,13 @@ def analysis_operator(
     """
     if order is None:
         order = np.arange(fgrid.n_nodes)
-    S = frame_rows(psi, fgrid, grid)[order]
+    S = frame_rows(make_mother_wavelet(), fgrid, grid)[order]
     S.data *= np.sqrt(fgrid.dlam) * grid.h
     return S
 
 
 def tail_views(
-    psi, fgrid: FrameGrid, grid: SpatialGrid, radii
+    fgrid: FrameGrid, grid: SpatialGrid, radii
 ) -> tuple[scipy.sparse.csr_matrix, list[scipy.sparse.csr_matrix]]:
     """The analysis operator sorted by distance, and each tail(R) as a view of it.
 
@@ -94,7 +94,7 @@ def tail_views(
     each radius is a CSR row prefix sharing ``data``, ``indices`` and
     ``indptr`` with it.  A negative radius raises ``ValueError``.
     """
-    S = analysis_operator(psi, fgrid, grid, np.argsort(-fgrid.dist0, kind="stable"))
+    S = analysis_operator(fgrid, grid, np.argsort(-fgrid.dist0, kind="stable"))
     views = []
     for r in radii:
         n = int(np.count_nonzero(tail_nodes(fgrid, float(r))))
@@ -195,7 +195,7 @@ def rk_tail(
 
     ``A`` is the sample-space operator and ``S_tail`` the rows of the
     analysis operator at the tail nodes: a view from :func:`tail_views`, or
-    ``analysis_operator(psi, fgrid, grid)[tail_nodes(fgrid, R)]``.  Lanczos
+    ``analysis_operator(fgrid, grid)[tail_nodes(fgrid, R)]``.  Lanczos
     (ARPACK ``eigsh``) runs on the normal matrix of the composite map from a
     seeded start vector, with relative tolerance 1e-6 and at most ``maxiter``
     restarts; on non-convergence the best Ritz value found is still reported,
@@ -224,7 +224,6 @@ def _sweep_workers(n_solves: int) -> int:
 
 def tail_functional(
     A: DiscreteOperator,
-    psi,
     fgrid: FrameGrid,
     grid: SpatialGrid,
     radii,
@@ -242,7 +241,7 @@ def tail_functional(
     radii = np.asarray(radii, dtype=float)
     if np.any(np.diff(radii) <= 0.0):
         raise ValueError("radii must be strictly increasing")
-    _, tails = tail_views(psi, fgrid, grid, radii)
+    _, tails = tail_views(fgrid, grid, radii)
     pool = ThreadPoolExecutor(_sweep_workers(len(tails)))
     try:
         solves = list(pool.map(lambda S_tail: rk_tail(A, S_tail, grid, seed=seed), tails))

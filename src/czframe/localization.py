@@ -14,6 +14,7 @@ identity anchor against the reference lattice, and the weight ratio
 invariant kernels (the Hilbert transform) are fixed points of the
 conjugation, so their Schur value is anchor-independent by construction.
 
+Coefficients are taken against the mother wavelet fixed in :mod:`czframe.wavelets`.
 Every kernel is applied through :func:`~czframe.operators.discretize`.  The
 weak-compactness pairings discretize a bounded kernel once, on a reference
 grid, and a singular kernel once per node, conjugated to the node.
@@ -32,7 +33,8 @@ from .grids import FrameGrid, SampledFunction, SpatialGrid, inner_product, smoot
 from .operators import CZKernel, apply_kernel, conjugate, discretize
 # Never called here; perfbench's tracer test still expects this binding.
 from .operators import kernel_matrix  # noqa: F401
-from .wavelets import CoefficientField, _analysis_blocks, analyze, frame_element
+from .wavelets import (CoefficientField, _analysis_blocks, analyze, frame_element,
+                       make_mother_wavelet)
 
 __all__ = [
     "decay_majorant",
@@ -84,7 +86,6 @@ def matrix_coefficient(
     source: GroupPoint,
     target: GroupPoint,
     grid: SpatialGrid,
-    psi,
 ) -> float:
     """Frame matrix coefficient <T psi_source, psi_target>.
 
@@ -94,8 +95,8 @@ def matrix_coefficient(
     operator is applied by principal-value quadrature on the full grid and
     paired with the target element.
     """
-    f_src = frame_element(psi, source, grid)
-    f_tgt = frame_element(psi, target, grid)
+    f_src = frame_element(source, grid)
+    f_tgt = frame_element(target, grid)
     if _supports_disjoint(source, target, grid):
         x = grid.x
         tgt_idx = np.flatnonzero(f_tgt.values)
@@ -111,7 +112,6 @@ def matrix_coefficient(
 
 def coefficient_field(
     kernel: CZKernel,
-    psi,
     fgrid: FrameGrid,
     grid: SpatialGrid,
     anchor: GroupPoint = IDENTITY,
@@ -123,11 +123,11 @@ def coefficient_field(
     anchor-translated lattice.
     """
     k = kernel if anchor == IDENTITY else conjugate(kernel, anchor)
-    f = frame_element(psi, IDENTITY, grid)
-    return analyze(apply_kernel(k, f), psi, fgrid)
+    f = frame_element(IDENTITY, grid)
+    return analyze(apply_kernel(k, f), make_mother_wavelet(), fgrid)
 
 
-def verify_decay(kernel: CZKernel, psi, fgrid: FrameGrid, grid: SpatialGrid) -> float:
+def verify_decay(kernel: CZKernel, fgrid: FrameGrid, grid: SpatialGrid) -> float:
     """Fit the smallest C with |coeff(a,b)| <= C * bound(a,b), delta = kernel.delta.
 
     The coefficients are those of :func:`coefficient_field` at the identity
@@ -142,9 +142,9 @@ def verify_decay(kernel: CZKernel, psi, fgrid: FrameGrid, grid: SpatialGrid) -> 
             "majorant is not guaranteed",
             stacklevel=2,
         )
-    Tpsi = apply_kernel(kernel, frame_element(psi, IDENTITY, grid))
+    Tpsi = apply_kernel(kernel, frame_element(IDENTITY, grid))
     block_max = [np.max(np.abs(c) / decay_majorant(kernel.delta, fgrid.a[nodes], fgrid.b[nodes]))
-                 for nodes, c in _analysis_blocks(Tpsi, psi, fgrid)]
+                 for nodes, c in _analysis_blocks(Tpsi, fgrid)]
     return float(np.max(block_max))  # np.max propagates NaN
 
 
@@ -163,7 +163,6 @@ def _weighted_sum(values: np.ndarray, fgrid: FrameGrid, mask: np.ndarray) -> flo
 
 def schur_tail(
     kernel: CZKernel,
-    psi,
     fgrid: FrameGrid,
     grid: SpatialGrid,
     R: float,
@@ -178,13 +177,12 @@ def schur_tail(
     every node counts: that is the Schur value.
     """
     mask = tail_nodes(fgrid, R)
-    fld = coefficient_field(kernel, psi, fgrid, grid, anchor)
+    fld = coefficient_field(kernel, fgrid, grid, anchor)
     return _weighted_sum(fld.values, fgrid, mask)
 
 
 def origin_tail(
     kernel: CZKernel,
-    psi,
     fgrid: FrameGrid,
     grid: SpatialGrid,
     R: float,
@@ -199,17 +197,18 @@ def origin_tail(
     """
     mask = tail_nodes(fgrid, R)
     T = discretize(kernel, grid)
+    psi = make_mother_wavelet()
     best = 0.0
     for p in default_anchor_lattice():
-        f = frame_element(psi, p, grid)
+        f = frame_element(p, grid)
         fld = analyze(SampledFunction(grid, T.matvec(f.values)), psi, fgrid)
         best = max(best, _weighted_sum(fld.values, fgrid, mask) / math.sqrt(p.a))
     return best
 
 
-def default_test_bundle(psi) -> tuple:
-    """Smooth compactly supported test functions with uniform bounds."""
-    return (psi, partial(smooth_bump, center=0.0, width=2.0),
+def default_test_bundle() -> tuple:
+    """Smooth compactly supported test functions with uniform bounds: psi and two bumps."""
+    return (make_mother_wavelet(), partial(smooth_bump, center=0.0, width=2.0),
             partial(smooth_bump, center=0.5, width=1.0))
 
 
@@ -224,7 +223,6 @@ def _max_pairing(F: np.ndarray, TF: np.ndarray, h: float) -> float:
 
 def weak_compactness_profile(
     kernel: CZKernel,
-    psi,
     fgrid: FrameGrid,
     radii: np.ndarray,
     max_nodes_per_bin: int = 24,
@@ -238,7 +236,7 @@ def weak_compactness_profile(
     [R, R + 1/2), deterministically subsampled to at most
     ``max_nodes_per_bin`` nodes (evenly spaced in node index).
     """
-    bundle = default_test_bundle(psi)
+    bundle = default_test_bundle()
     if local is None:
         local = SpatialGrid(8.0, 512)
     if reference is None:

@@ -2,12 +2,12 @@
 
 P_beta f = sum over lattice nodes of <f, phitilde_(a,b)> <beta, psi_(a,b)>
 psi_(a,b) dlambda, where phitilde is the L1-normalized dilation
-a^-1 phi((. - b)/a) of a smooth plateau bump phi (phi = 1 on B(0, 1/2),
-phi = 0 off B(0, 1), radial and non-increasing).  Pairing a symbol's
-wavelet coefficients with a unit-mass bump makes P_beta 1 = m_phi * beta
-up to reproducing-formula error, with m_phi = integral of phi reported
-explicitly rather than silently renormalized.  A symbol beta is passed as
-its coefficient field ``analyze(beta, psi, fgrid)``, except to
+a^-1 phi((. - b)/a) of the plateau bump phi; psi and phi are the generators
+fixed in :mod:`czframe.wavelets`.  Pairing with phitilde makes P_beta 1 =
+m_phi * beta up to reproducing-formula error, with m_phi = integral of phi
+= 3/2 (:data:`~czframe.wavelets.M_PHI`) reported explicitly rather than
+silently renormalized.  A symbol beta is passed as its coefficient field
+``analyze(beta, make_mother_wavelet(), fgrid)``, except to
 :func:`paraproduct_compactness`, which takes beta itself.
 
 The decomposition T = S + P_1 + P_2* takes the computed T1 and T*1 as
@@ -27,7 +27,6 @@ phitilde is a^-1/2 times that, so the factor a^-1/2 rides on d.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,11 +36,10 @@ from .compactness import TailFunctional, tail_functional
 from .compactness import operator_matrix, singular_spectrum  # noqa: F401
 from .grids import FrameGrid, SampledFunction, SpatialGrid
 from .operators import CZKernel, DiscreteOperator, compute_T1, compute_T1star, discretize
-from .wavelets import CoefficientField, analyze, frame_rows, synthesize
+from .wavelets import (M_PHI, CoefficientField, analyze, bump_phi, frame_rows, make_mother_wavelet,
+                       synthesize)
 
 __all__ = [
-    "BumpPhi",
-    "make_bump_phi",
     "paraproduct_apply",
     "paraproduct_adjoint_apply",
     "paraproduct_apply_to_constant",
@@ -53,46 +51,15 @@ __all__ = [
 ]
 
 
-def _transition(t):
-    """C-infinity step: 0 for t <= 0, 1 for t >= 1, monotone between."""
-    t = np.asarray(t, dtype=float)
-    g0 = np.zeros_like(t)
-    pos = t > 0.0
-    g0[pos] = np.exp(-1.0 / t[pos])
-    g1 = np.zeros_like(t)
-    neg = t < 1.0
-    g1[neg] = np.exp(-1.0 / (1.0 - t[neg]))
-    return g0 / (g0 + g1)
-
-
-@dataclass(frozen=True)
-class BumpPhi:
-    """Radial non-increasing plateau bump: 1 on B(0, 1/2), 0 off B(0, 1)."""
-
-    m_phi: float
-
-    def __call__(self, x):
-        u = np.abs(np.asarray(x, dtype=float))
-        return 1.0 - _transition(2.0 * u - 1.0)
-
-
-def make_bump_phi() -> BumpPhi:
-    """Construct phi and its mass m_phi = integral phi (1 <= m_phi <= 2), by the trapezoid rule."""
-    probe = BumpPhi(m_phi=math.nan)
-    xs = np.linspace(-1.0, 1.0, 100001)
-    m = float(np.trapezoid(probe(xs), xs))
-    return BumpPhi(m_phi=m)
-
-
 def paraproduct_apply(
-    symbol: CoefficientField, f: SampledFunction, phi: BumpPhi, psi
+    symbol: CoefficientField, f: SampledFunction
 ) -> SampledFunction:
     """P_beta f, the ``matvec`` of :func:`paraproduct_operator`."""
-    return SampledFunction(f.grid, paraproduct_operator(symbol, phi, psi, f.grid).matvec(f.values))
+    return SampledFunction(f.grid, paraproduct_operator(symbol, f.grid).matvec(f.values))
 
 
 def paraproduct_apply_to_constant(
-    symbol: CoefficientField, phi: BumpPhi, psi, grid: SpatialGrid
+    symbol: CoefficientField, grid: SpatialGrid
 ) -> SampledFunction:
     """P_beta applied to the constant 1, with the pairing taken analytically.
 
@@ -101,30 +68,30 @@ def paraproduct_apply_to_constant(
     <1, phitilde_(a,b)> = m_phi is used at every node; the result is m_phi
     times the lattice reconstruction of beta.
     """
-    weighted = CoefficientField(symbol.fgrid, phi.m_phi * symbol.values)
-    return synthesize(weighted, psi, grid)
+    weighted = CoefficientField(symbol.fgrid, M_PHI * symbol.values)
+    return synthesize(weighted, make_mother_wavelet(), grid)
 
 
 def paraproduct_adjoint_apply_to_constant(
-    symbol: CoefficientField, phi: BumpPhi, psi, grid: SpatialGrid
+    symbol: CoefficientField, grid: SpatialGrid
 ) -> SampledFunction:
     """P*_beta applied to the constant 1: identically zero since integral psi = 0."""
     return SampledFunction(grid, np.zeros(grid.N))
 
 
 def paraproduct_adjoint_apply(
-    symbol: CoefficientField, g: SampledFunction, phi: BumpPhi, psi
+    symbol: CoefficientField, g: SampledFunction
 ) -> SampledFunction:
     """P*_beta g = sum <g, psi_node> symbol coeff phitilde_node dlambda, the ``rmatvec``.
 
     Symbols are the analysis of real data, so their coefficients are real and
     the adjoint is the transpose of :func:`paraproduct_operator`.
     """
-    return SampledFunction(g.grid, paraproduct_operator(symbol, phi, psi, g.grid).rmatvec(g.values))
+    return SampledFunction(g.grid, paraproduct_operator(symbol, g.grid).rmatvec(g.values))
 
 
 def paraproduct_operator(
-    symbol: CoefficientField, phi: BumpPhi, psi, grid: SpatialGrid
+    symbol: CoefficientField, grid: SpatialGrid
 ) -> DiscreteOperator:
     """P_beta on sample vectors as the factored operator Psi^T diag(d) Phi.
 
@@ -134,21 +101,19 @@ def paraproduct_operator(
     """
     fgrid = symbol.fgrid
     d = symbol.values * fgrid.dlam * grid.h / np.sqrt(fgrid.a)
-    Psi, Phi = frame_rows(psi, fgrid, grid), frame_rows(phi, fgrid, grid)
+    Psi, Phi = frame_rows(make_mother_wavelet(), fgrid, grid), frame_rows(bump_phi, fgrid, grid)
     return DiscreteOperator(grid.N, factors=(Psi, d, Phi))
 
 
 def paraproduct_compactness(
     beta: SampledFunction,
-    phi: BumpPhi,
-    psi,
     fgrid: FrameGrid,
     radii,
     seed: int = 0,
 ) -> TailFunctional:
     """Tail functional of P_beta, swept on its factored operator."""
-    P = paraproduct_operator(analyze(beta, psi, fgrid), phi, psi, beta.grid)
-    return tail_functional(P, psi, fgrid, beta.grid, radii, seed=seed)
+    P = paraproduct_operator(analyze(beta, make_mother_wavelet(), fgrid), beta.grid)
+    return tail_functional(P, fgrid, beta.grid, radii, seed=seed)
 
 
 @dataclass
@@ -157,18 +122,16 @@ class Decomposition:
 
     symbol_t1: CoefficientField
     symbol_t1star: CoefficientField
-    phi: BumpPhi
-    psi: object
     t1: SampledFunction
     t1star: SampledFunction
     t1_truncation_error: float
     T: DiscreteOperator = field(repr=False)  # T on the grid, discretized once
 
     def apply_p1(self, f: SampledFunction) -> SampledFunction:
-        return paraproduct_apply(self.symbol_t1, f, self.phi, self.psi)
+        return paraproduct_apply(self.symbol_t1, f)
 
     def apply_p2_adjoint(self, f: SampledFunction) -> SampledFunction:
-        return paraproduct_adjoint_apply(self.symbol_t1star, f, self.phi, self.psi)
+        return paraproduct_adjoint_apply(self.symbol_t1star, f)
 
     def apply_t(self, f: SampledFunction) -> SampledFunction:
         return SampledFunction(f.grid, self.T.matvec(f.values))
@@ -186,12 +149,12 @@ class Decomposition:
         the paraproduct has absorbed the symbol.
         """
         grid = self.t1.grid
-        p1 = paraproduct_apply_to_constant(self.symbol_t1, self.phi, self.psi, grid)
+        p1 = paraproduct_apply_to_constant(self.symbol_t1, grid)
         return SampledFunction(grid, self.t1.values - p1.values)
 
 
 def decompose(
-    kernel: CZKernel, phi: BumpPhi, psi, fgrid: FrameGrid, grid: SpatialGrid
+    kernel: CZKernel, fgrid: FrameGrid, grid: SpatialGrid
 ) -> Decomposition:
     """Split T into a cancellative part and two symbol paraproducts.
 
@@ -202,11 +165,10 @@ def decompose(
     T = discretize(kernel, grid)
     t1, err = compute_T1(kernel, grid, T)
     t1s, _ = compute_T1star(kernel, grid, T)
+    psi = make_mother_wavelet()
     return Decomposition(
-        symbol_t1=analyze(SampledFunction(grid, t1.values / phi.m_phi), psi, fgrid),
-        symbol_t1star=analyze(SampledFunction(grid, t1s.values / phi.m_phi), psi, fgrid),
-        phi=phi,
-        psi=psi,
+        symbol_t1=analyze(SampledFunction(grid, t1.values / M_PHI), psi, fgrid),
+        symbol_t1star=analyze(SampledFunction(grid, t1s.values / M_PHI), psi, fgrid),
         t1=t1,
         t1star=t1s,
         t1_truncation_error=err,

@@ -35,11 +35,11 @@ from . import compactness as compactness_mod
 from . import localization as localization_mod
 from . import paraproducts as paraproducts_mod
 from .config import DIAGNOSTIC_NAMES, SuiteConfig
-from .geometry import GroupPoint
+from .geometry import IDENTITY, GroupPoint
 from .grids import SampledFunction, SpatialGrid, inner_product, l2_norm, make_frame_grid
 from .grids import smooth_bump
 from .operators import DiscreteOperator, apply_kernel, discretize, get_model
-from .wavelets import analyze, frame_element, make_mother_wavelet, synthesize
+from .wavelets import M_PHI, analyze, frame_element, make_mother_wavelet, synthesize
 
 __all__ = ["CHECKS", "Report", "run_suite", "emit"]
 
@@ -61,12 +61,10 @@ class Report:
 
 
 class _Context:
-    """Shared grids, lattice and generators for the suite."""
+    """The suite's configuration, grid and lattice, shared by every diagnostic."""
 
     def __init__(self, cfg: SuiteConfig):
         self.cfg = cfg
-        self.psi = make_mother_wavelet()
-        self.phi = paraproducts_mod.make_bump_phi()
         self.grid = SpatialGrid(cfg.grid_L, cfg.grid_N)
         self.fgrid = self.lattice(self.grid, cfg.s)
 
@@ -189,7 +187,8 @@ def _test_family(grid: SpatialGrid) -> dict:
     }
 
 
-def _diag_frame(cfg: SuiteConfig, ctx: _Context):
+def _diag_frame(ctx: _Context):
+    cfg, psi = ctx.cfg, make_mother_wavelet()
     history = []
     # coarser spacings clipped to the largest valid one, 1; s = 1 leaves one level
     for s in sorted({min(c, 1.0) for c in (max(cfg.s * 4, 1.0 / 2), cfg.s * 2, cfg.s)},
@@ -201,10 +200,10 @@ def _diag_frame(cfg: SuiteConfig, ctx: _Context):
         worst_p, worst_r = 0.0, 0.0
         for vals in _test_family(ctx.grid).values():
             f = SampledFunction(ctx.grid, vals)
-            fld = analyze(f, ctx.psi, fg)
+            fld = analyze(f, psi, fg)
             norm2 = l2_norm(f) ** 2
             worst_p = max(worst_p, abs(fld.energy() - norm2) / norm2)
-            rec = synthesize(fld, ctx.psi, ctx.grid)
+            rec = synthesize(fld, psi, ctx.grid)
             r_err = np.linalg.norm(rec.values - f.values) / np.linalg.norm(f.values)
             worst_r = max(worst_r, float(r_err))
         history.append((s, worst_p, worst_r))
@@ -221,30 +220,31 @@ def _diag_frame(cfg: SuiteConfig, ctx: _Context):
     return [record], {"frame_refinement": profile}
 
 
-def _diag_pv(cfg: SuiteConfig, ctx: _Context):
-    grid, psi = ctx.grid, ctx.psi
+def _diag_pv(ctx: _Context):
+    grid = ctx.grid
     H = get_model("hilbert").kernel
     hf = apply_kernel(H, SampledFunction(grid, 1.0 / (1.0 + grid.x**2)))
     target = grid.x / (1.0 + grid.x**2)
     m = np.abs(grid.x) <= 16.0
     rel = float(np.linalg.norm(hf.values[m] - target[m]) / np.linalg.norm(target[m]))
     src, tgt = GroupPoint(1.0, 0.0), GroupPoint(1.0, 8.0)
-    direct = localization_mod.matrix_coefficient(H, src, tgt, grid, psi)
-    applied = apply_kernel(H, frame_element(psi, src, grid))
-    via_apply = complex(inner_product(applied, frame_element(psi, tgt, grid))).real
+    direct = localization_mod.matrix_coefficient(H, src, tgt, grid)
+    applied = apply_kernel(H, frame_element(src, grid))
+    via_apply = complex(inner_product(applied, frame_element(tgt, grid))).real
     record = _record(
-        cfg, "pv_application", "hilbert",
+        ctx.cfg, "pv_application", "hilbert",
         {"relative_error": rel, "dual_path_gap": abs(direct - via_apply)},
         ctx.grid_meta(),
     )
     return [record], {}
 
 
-def _diag_decay(cfg: SuiteConfig, ctx: _Context):
+def _diag_decay(ctx: _Context):
+    cfg = ctx.cfg
     H = get_model("hilbert").kernel
-    fit = localization_mod.verify_decay(H, ctx.psi, ctx.fgrid, ctx.grid)
+    fit = localization_mod.verify_decay(H, ctx.fgrid, ctx.grid)
     grid2 = SpatialGrid(cfg.grid_L, cfg.grid_N * 2)
-    fit2 = localization_mod.verify_decay(H, ctx.psi, ctx.lattice(grid2, cfg.s / 2), grid2)
+    fit2 = localization_mod.verify_decay(H, ctx.lattice(grid2, cfg.s / 2), grid2)
     record = _record(  # a non-finite fit fails the record through its values
         cfg, "decay_bound", "hilbert",
         {"fitted_c": fit, "fitted_c_refined": fit2, "relative_change": abs(fit2 - fit) / fit},
@@ -253,14 +253,14 @@ def _diag_decay(cfg: SuiteConfig, ctx: _Context):
     return [record], {}
 
 
-def _diag_schur(cfg: SuiteConfig, ctx: _Context):
-    grid, fgrid, psi = ctx.grid, ctx.fgrid, ctx.psi
+def _diag_schur(ctx: _Context):
+    cfg, grid, fgrid = ctx.cfg, ctx.grid, ctx.fgrid
     H = get_model("hilbert").kernel
     anchors = (GroupPoint(1.0, 0.0), GroupPoint(2.0, 0.0), GroupPoint(1.0, 5.0))
-    vals = [localization_mod.schur_tail(H, psi, fgrid, grid, 0.0, anchor=p) for p in anchors]
-    tail_1, tail_6 = (localization_mod.schur_tail(H, psi, fgrid, grid, r) for r in (1.0, 6.0))
+    vals = [localization_mod.schur_tail(H, fgrid, grid, 0.0, anchor=p) for p in anchors]
+    tail_1, tail_6 = (localization_mod.schur_tail(H, fgrid, grid, r) for r in (1.0, 6.0))
     r_big = max(6.0, max(cfg.radii))
-    ft = localization_mod.origin_tail(get_model("finite_rank").kernel, psi, fgrid, grid, r_big)
+    ft = localization_mod.origin_tail(get_model("finite_rank").kernel, fgrid, grid, r_big)
     record = _record(
         cfg, "schur_localization", "hilbert",
         {"schur_value": vals[0], "anchor_spread": max(vals) - min(vals),
@@ -273,14 +273,15 @@ def _diag_schur(cfg: SuiteConfig, ctx: _Context):
     return [record], {}
 
 
-def _diag_weak_compactness(cfg: SuiteConfig, ctx: _Context):
+def _diag_weak_compactness(ctx: _Context):
+    cfg = ctx.cfg
     radii = np.arange(0.0, max(cfg.radii) + 0.5, 0.5)
     records, profiles = [], {}
     for label in ("hilbert", "finite_rank"):
         if label not in cfg.operators:
             continue
         k = get_model(label).kernel
-        prof = localization_mod.weak_compactness_profile(k, ctx.psi, ctx.fgrid, radii)
+        prof = localization_mod.weak_compactness_profile(k, ctx.fgrid, radii)
         # Hilbert's profile must stay constant, finite_rank's must vanish
         metric = float(prof.max() - prof.min()) if label == "hilbert" else float(prof[-1])
         records.append(_record(
@@ -292,14 +293,15 @@ def _diag_weak_compactness(cfg: SuiteConfig, ctx: _Context):
     return records, profiles
 
 
-def _diag_rk_tail(cfg: SuiteConfig, ctx: _Context):
+def _diag_rk_tail(ctx: _Context):
+    cfg = ctx.cfg
     records, profiles = [], {}
     radii = list(cfg.radii)
     for label in ("hilbert", "finite_rank", "zero"):
         if label not in cfg.operators:
             continue
         A = discretize(get_model(label).kernel, ctx.grid)
-        tf = compactness_mod.tail_functional(A, ctx.psi, ctx.fgrid, ctx.grid, radii, seed=cfg.seed)
+        tf = compactness_mod.tail_functional(A, ctx.fgrid, ctx.grid, radii, seed=cfg.seed)
         tail_0 = float(tf.values[0])
         records.append(_record(
             cfg, "rk_tail", label,
@@ -316,7 +318,7 @@ def _diag_rk_tail(cfg: SuiteConfig, ctx: _Context):
         profiles[f"rk_tail_{label}"] = _profile(["R", "value"], tf.radii, tf.values)
     # downsampled dense-SVD cross-check
     small, sfg, meta = _side_lattice(32.0, 256, 0.5, 64.0)
-    S = compactness_mod.analysis_operator(ctx.psi, sfg, small)
+    S = compactness_mod.analysis_operator(sfg, small)
     A = compactness_mod.operator_matrix(get_model("damped_hilbert_1").kernel, small)
     res = compactness_mod.rk_tail(DiscreteOperator(small.N, matrix=A), S, small,
                                   seed=cfg.seed)  # R = 0: every row
@@ -332,7 +334,7 @@ def _diag_rk_tail(cfg: SuiteConfig, ctx: _Context):
     return records, profiles
 
 
-def _carleson_profiles(cfg: SuiteConfig, ctx: _Context):
+def _carleson_profiles(ctx: _Context):
     """The tent-ratio profile of each BMO example on the wide side lattice.
 
     A function of its own, so the side lattice and its cached psi rows are
@@ -343,68 +345,66 @@ def _carleson_profiles(cfg: SuiteConfig, ctx: _Context):
     radii = np.arange(0.0, 8.5, 0.5)
     for ex in carleson_mod.bmo_examples(wide):
         f = SampledFunction.from_callable(wide, ex.evaluator)
-        mu = carleson_mod.coefficient_measure(f, ctx.psi, wfg)
+        mu = carleson_mod.coefficient_measure(f, wfg)
         prof = carleson_mod.vanishing_profile(mu, radii)
         ratio = float(prof[-1] / prof[0]) if prof[0] > 0.0 else 0.0
         profiles[f"carleson_profile_{ex.label}"] = _profile(["R", "value"], radii, prof)
         records.append(_record(
-            cfg, "carleson_profile", ex.label,
+            ctx.cfg, "carleson_profile", ex.label,
             {"ratio": ratio, "expected_class": ex.expected_class},
             meta, case=ex.expected_class,
         ))
     return records, profiles
 
 
-def _diag_carleson(cfg: SuiteConfig, ctx: _Context):
-    records, profiles = _carleson_profiles(cfg, ctx)
+def _diag_carleson(ctx: _Context):
+    records, profiles = _carleson_profiles(ctx)
     # constant annihilation on a well-resolved interior lattice
     half = ctx.grid.L / 2.0
     fg_int = make_frame_grid(ctx.grid, 0.5, half, s=0.125, L_b=half, cone_factor=0.0)
     one = SampledFunction(ctx.grid, np.ones(ctx.grid.N))
-    mu1 = carleson_mod.coefficient_measure(one, ctx.psi, fg_int)
+    mu1 = carleson_mod.coefficient_measure(one, fg_int)
     records.append(_record(
-        cfg, "carleson_constant", None,
+        ctx.cfg, "carleson_constant", None,
         {"carleson_at_0": carleson_mod.carleson_function(mu1, 0.0)},
         ctx.grid_meta(fgrid=fg_int),
     ))
     # slack inequality audit; the point-mass test bump meets phi's window at the atom
-    mu_psi = carleson_mod.coefficient_measure(
-        frame_element(ctx.psi, GroupPoint(1.0, 0.0), ctx.grid), ctx.psi, ctx.fgrid
-    )
+    mu_psi = carleson_mod.coefficient_measure(frame_element(IDENTITY, ctx.grid), ctx.fgrid)
     gauss = SampledFunction(ctx.grid, np.exp(-ctx.grid.x**2))
-    r1 = carleson_mod.stein_inequality_check(gauss, ctx.phi, mu_psi)
+    r1 = carleson_mod.stein_inequality_check(gauss, mu_psi)
     mu_pt = carleson_mod.point_mass(ctx.fgrid, int(np.argmin(ctx.fgrid.dist0)))
     bump = SampledFunction(ctx.grid, smooth_bump(ctx.grid.x, 0.0, 1.5))
-    r2 = carleson_mod.stein_inequality_check(bump, ctx.phi, mu_pt)
+    r2 = carleson_mod.stein_inequality_check(bump, mu_pt)
     records.append(_record(
-        cfg, "stein_inequality", None,
+        ctx.cfg, "stein_inequality", None,
         {"ratio_gaussian": r1, "ratio_point_mass": r2},
         ctx.grid_meta(),
     ))
     return records, profiles
 
 
-def _diag_paraproduct(cfg: SuiteConfig, ctx: _Context):
+def _diag_paraproduct(ctx: _Context):
     records, profiles = [], {}
-    grid, fgrid, psi, phi = ctx.grid, ctx.fgrid, ctx.psi, ctx.phi
+    cfg, grid = ctx.cfg, ctx.grid
     beta = SampledFunction(grid, smooth_bump(grid.x, 0.0, 2.0))
-    sym = analyze(beta, psi, fgrid)
-    pb1 = paraproducts_mod.paraproduct_apply_to_constant(sym, phi, psi, grid)
-    target = phi.m_phi * beta.values
+    sym = analyze(beta, make_mother_wavelet(), ctx.fgrid)
+    pb1 = paraproducts_mod.paraproduct_apply_to_constant(sym, grid)
+    target = M_PHI * beta.values
     rel = float(np.linalg.norm(pb1.values - target) / np.linalg.norm(target))
-    pstar1 = paraproducts_mod.paraproduct_adjoint_apply_to_constant(sym, phi, psi, grid)
+    pstar1 = paraproducts_mod.paraproduct_adjoint_apply_to_constant(sym, grid)
     rng = np.random.default_rng(cfg.seed)
     gap = 0.0
     for _ in range(3):
         f = SampledFunction(grid, rng.standard_normal(grid.N))
         g = SampledFunction(grid, rng.standard_normal(grid.N))
-        lhs = inner_product(paraproducts_mod.paraproduct_apply(sym, f, phi, psi), g)
-        rhs = inner_product(f, paraproducts_mod.paraproduct_adjoint_apply(sym, g, phi, psi))
+        lhs = inner_product(paraproducts_mod.paraproduct_apply(sym, f), g)
+        rhs = inner_product(f, paraproducts_mod.paraproduct_adjoint_apply(sym, g))
         gap = max(gap, abs(complex(lhs) - complex(rhs)))
     records.append(_record(
         cfg, "paraproduct_identities", None,
         {"symbol_rel_error": rel, "adjoint_constant_max": float(np.max(np.abs(pstar1.values))),
-         "adjointness_gap": gap, "m_phi": phi.m_phi},
+         "adjointness_gap": gap, "m_phi": M_PHI},
         ctx.grid_meta(),
     ))
     # compactness dichotomy on a wide coarse lattice
@@ -414,7 +414,7 @@ def _diag_paraproduct(cfg: SuiteConfig, ctx: _Context):
         if ex.label == "zero":
             continue
         f = SampledFunction.from_callable(pgrid, ex.evaluator)
-        tf = paraproducts_mod.paraproduct_compactness(f, phi, psi, pfg, radii, seed=cfg.seed)
+        tf = paraproducts_mod.paraproduct_compactness(f, pfg, radii, seed=cfg.seed)
         records.append(_record(
             cfg, "paraproduct_compactness", ex.label,
             {"ratio": tf.ratio(), "expected_class": ex.expected_class, "verdict_trend": tf.verdict},
@@ -424,15 +424,15 @@ def _diag_paraproduct(cfg: SuiteConfig, ctx: _Context):
     return records, profiles
 
 
-def _diag_decomposition(cfg: SuiteConfig, ctx: _Context):
-    grid, fgrid, psi, phi = ctx.grid, ctx.fgrid, ctx.psi, ctx.phi
-    rng = np.random.default_rng(cfg.seed)
+def _diag_decomposition(ctx: _Context):
+    grid, fgrid = ctx.grid, ctx.fgrid
+    rng = np.random.default_rng(ctx.cfg.seed)
     # Hilbert degenerates to S = T
-    dec_h = paraproducts_mod.decompose(get_model("hilbert").kernel, phi, psi, fgrid, grid)
+    dec_h = paraproducts_mod.decompose(get_model("hilbert").kernel, fgrid, grid)
     f = SampledFunction(grid, rng.standard_normal(grid.N))
     s_minus_t = float(np.max(np.abs(dec_h.apply_s(f).values - dec_h.apply_t(f).values)))
     # reconstruction for the damped model
-    dec = paraproducts_mod.decompose(get_model("damped_hilbert_1").kernel, phi, psi, fgrid, grid)
+    dec = paraproducts_mod.decompose(get_model("damped_hilbert_1").kernel, fgrid, grid)
     gap = 0.0
     for _ in range(3):
         fv = SampledFunction(grid, rng.standard_normal(grid.N))
@@ -449,13 +449,13 @@ def _diag_decomposition(cfg: SuiteConfig, ctx: _Context):
     t1_inf = float(np.max(np.abs(dec.t1.values)))
     worst = 0.0
     for a, b in ((1.0, 0.0), (0.5, 2.0), (2.0, -4.0), (1.0, 6.0), (4.0, 0.0)):
-        w = frame_element(psi, GroupPoint(a, b), grid)
+        w = frame_element(GroupPoint(a, b), grid)
         l1 = float(np.sum(np.abs(w.values)) * grid.h)
         worst = max(worst, abs(complex(inner_product(s1, w))) / (l1 * t1_inf))
     record = _record(
-        cfg, "decomposition", "damped_hilbert_1",
+        ctx.cfg, "decomposition", "damped_hilbert_1",
         {"hilbert_s_minus_t": s_minus_t, "reconstruction_gap": gap, "paired_s1_ratio": worst,
-         "t1_truncation_error": dec.t1_truncation_error, "m_phi": phi.m_phi},
+         "t1_truncation_error": dec.t1_truncation_error, "m_phi": M_PHI},
         ctx.grid_meta(),
     )
     return [record], {}
@@ -490,7 +490,7 @@ def run_suite(cfg: SuiteConfig) -> Report:
         if name not in cfg.diagnostics:
             continue
         try:
-            records, profiles = _DIAGNOSTICS[name](cfg, ctx)
+            records, profiles = _DIAGNOSTICS[name](ctx)
         except Exception as exc:  # the suite boundary: report it, keep running
             error = f"{type(exc).__name__}: {exc}"
             records = [{"name": name, "operator": None, "verdict": "FAIL",

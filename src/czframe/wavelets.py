@@ -1,11 +1,14 @@
-"""Mother wavelet, frame elements, and the analysis/synthesis pair.
+"""The two frame generators, frame elements, and the analysis/synthesis pair.
 
-The mother wavelet is the derivative of the standard smooth bump
-exp(-1/(1-x^2)), rescaled so that the squared Calderon admissibility constant
-int_0^inf |psihat(t)|^2 dt/t equals 1.  With that normalization the family
-psi_{(a,b)} = a^{-1/2} psi((x-b)/a) is a continuous Parseval frame: coefficient
-energy against the Haar measure reproduces the L^2 norm, and synthesis of the
-coefficients reproduces the function.
+The mother wavelet psi (:func:`make_mother_wavelet`) is the derivative of the
+standard smooth bump exp(-1/(1-x^2)), rescaled so that the squared Calderon
+admissibility constant int_0^inf |psihat(t)|^2 dt/t equals 1.  With that
+normalization the family psi_{(a,b)} = a^{-1/2} psi((x-b)/a) is a continuous
+Parseval frame: coefficient energy against the Haar measure reproduces the
+L^2 norm, and synthesis of the coefficients reproduces the function.  The
+plateau bump phi (:func:`bump_phi`, mass :data:`M_PHI`) is what the
+paraproducts and the Stein audit pair with.  No other module takes either
+generator as an argument.
 
 Every lattice-wide operation (analysis, synthesis, and the analysis operator,
 bump pairings and paraproduct factors built on them elsewhere) is a product
@@ -34,6 +37,8 @@ __all__ = [
     "MotherWavelet",
     "CoefficientField",
     "make_mother_wavelet",
+    "M_PHI",
+    "bump_phi",
     "frame_element",
     "frame_rows",
     "analyze",
@@ -123,6 +128,29 @@ def make_mother_wavelet() -> MotherWavelet:
     return MotherWavelet(norm_const=1.0 / math.sqrt(c_raw))
 
 
+def _transition(t):
+    """C-infinity step: 0 for t <= 0, 1 for t >= 1, and T(t) + T(1 - t) = 1."""
+    t = np.asarray(t, dtype=float)
+    g0 = np.zeros_like(t)
+    pos = t > 0.0
+    g0[pos] = np.exp(-1.0 / t[pos])
+    g1 = np.zeros_like(t)
+    neg = t < 1.0
+    g1[neg] = np.exp(-1.0 / (1.0 - t[neg]))
+    return g0 / (g0 + g1)
+
+
+# Mass of bump_phi: 1 from the plateau, and 1/4 from each shoulder, since the
+# symmetry of _transition gives int_0^1 (1 - _transition) = 1/2.
+M_PHI = 1.5
+
+
+def bump_phi(x):
+    """The plateau bump phi: radial, non-increasing, 1 on B(0, 1/2), 0 off B(0, 1)."""
+    u = np.abs(np.asarray(x, dtype=float))
+    return 1.0 - _transition(2.0 * u - 1.0)
+
+
 @dataclass
 class CoefficientField:
     """Frame coefficients attached to the lattice nodes."""
@@ -139,11 +167,11 @@ def _check_resolution(a: float, grid: SpatialGrid):
         warnings.warn(f"frame element at scale a={a} is under-resolved (a < 2h)", stacklevel=3)
 
 
-def frame_element(psi, point: GroupPoint, grid: SpatialGrid) -> SampledFunction:
+def frame_element(point: GroupPoint, grid: SpatialGrid) -> SampledFunction:
     """Sample psi_{(a,b)} = a^{-1/2} psi((x - b)/a) on the grid."""
     _check_resolution(point.a, grid)
     u = (grid.x - point.b) / point.a
-    return SampledFunction(grid, psi(u) / math.sqrt(point.a))
+    return SampledFunction(grid, make_mother_wavelet()(u) / math.sqrt(point.a))
 
 
 # Nonzeros per block of :func:`_analysis_blocks`: about 25 MB of CSR at 12 B a
@@ -206,8 +234,8 @@ def frame_rows(fn, fgrid: FrameGrid, grid: SpatialGrid) -> scipy.sparse.csr_matr
     return rows
 
 
-def _analysis_blocks(f: SampledFunction, psi, fgrid: FrameGrid):
-    """Yield ``(nodes, coefficients)`` of :func:`analyze`, a block of whole scales at a time.
+def _analysis_blocks(f: SampledFunction, fgrid: FrameGrid):
+    """Yield ``(nodes, coefficients)`` of psi's :func:`analyze`, a block of whole scales at a time.
 
     ``nodes`` is the block's slice of the lattice.  A block holds at most
     ``_BLOCK_NNZ`` row nonzeros, unless one scale alone has more; its rows
@@ -217,6 +245,7 @@ def _analysis_blocks(f: SampledFunction, psi, fgrid: FrameGrid):
     """
     _, widths = _windows(fgrid, f.grid, slice(None))
     starts = np.concatenate([[0], np.cumsum(widths)])[fgrid.offsets]  # nonzeros before each scale
+    psi = make_mother_wavelet()
     j0 = 0
     while j0 < fgrid.scales.size:
         j1 = max(j0 + 1, int(np.searchsorted(starts, starts[j0] + _BLOCK_NNZ, side="right")) - 1)
@@ -225,18 +254,19 @@ def _analysis_blocks(f: SampledFunction, psi, fgrid: FrameGrid):
         j0 = j1
 
 
-def analyze(f: SampledFunction, psi, fgrid: FrameGrid) -> CoefficientField:
-    """Frame coefficients <f, psi_{(a,b)}> at every lattice node, ``R f h``.
+def analyze(f: SampledFunction, fn, fgrid: FrameGrid) -> CoefficientField:
+    """Frame coefficients <f, fn_{(a,b)}> at every lattice node, ``R f h``.
 
-    ``R`` is the cached :func:`frame_rows` matrix of ``psi`` on the lattice.
-    ``psi`` may be any generator :func:`frame_rows` accepts; the paraproducts
-    and the Stein audit pass the bump phi.
+    ``R`` is the cached :func:`frame_rows` matrix of the generator ``fn`` on
+    the lattice: ``make_mother_wavelet()`` for wavelet coefficients, or
+    :func:`bump_phi` for the bump pairings of the paraproducts and the Stein
+    audit.
     """
-    rows = frame_rows(psi, fgrid, f.grid)
+    rows = frame_rows(fn, fgrid, f.grid)
     return CoefficientField(fgrid, (rows @ f.values) * f.grid.h)
 
 
-def synthesize(field: CoefficientField, psi, grid: SpatialGrid) -> SampledFunction:
-    """Sum of coefficient * psi_{(a,b)} * dlam over the lattice, ``R^T (c dlam)``."""
-    rows = frame_rows(psi, field.fgrid, grid)
+def synthesize(field: CoefficientField, fn, grid: SpatialGrid) -> SampledFunction:
+    """Sum of coefficient * fn_{(a,b)} * dlam over the lattice, ``R^T (c dlam)``."""
+    rows = frame_rows(fn, field.fgrid, grid)
     return SampledFunction(grid, rows.T @ (field.values * field.fgrid.dlam))

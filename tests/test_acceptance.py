@@ -222,6 +222,72 @@ def test_readme_check_table_matches_records(full_suite):
             assert COMPARE[cmp](r["values"][value], r["tolerances"][tol]), (r["name"], value)
 
 
+# Checked values that the default suite computes as exactly 0.0, and why. A
+# zero can mean the check never exercised what it names, so every one must be
+# explained here, and an entry whose value is no longer zero must go.
+EXACT_ZEROS = {
+    ("carleson_profile", "bump", "ratio"):
+        "vacuous: the side lattice's tents over the bump end before the last radius",
+    ("carleson_profile", "bump_shifted", "ratio"):
+        "vacuous: the side lattice's tents over the bump end before the last radius",
+    ("paraproduct_identities", None, "adjoint_constant_max"):
+        "vacuous: P*_beta 1 is returned as zeros, not computed",
+    ("schur_localization", "hilbert", "anchor_spread"):
+        "by construction: every anchor is conjugated to the identity, and Hilbert's "
+        "conjugate is Hilbert, so the Schur values are bitwise equal",
+    ("weak_compactness_profile", "hilbert", "metric"):
+        "by construction: every node is conjugated to one fixed-grid pairing, and "
+        "Hilbert's conjugate is Hilbert",
+    ("schur_localization", "hilbert", "finite_rank_origin_tail"):
+        "exact: no wavelet at the origin-tail radius meets the finite-rank kernel's support",
+    ("weak_compactness_profile", "finite_rank", "metric"):
+        "exact: no test function at the last radius meets the finite-rank kernel's support",
+    ("rk_tail", "finite_rank", "ratio"):
+        "exact: no tail wavelet at the last radius meets the finite-rank operator's range",
+    ("rk_tail", "zero", "ratio"): "exact: T = 0",
+    ("rk_tail", "zero", "tail_0"): "exact: T = 0",
+    ("carleson_profile", "zero", "ratio"): "exact: the zero symbol has the zero measure",
+    ("rk_power_vs_svd", "damped_hilbert_1", "relative_gap"):
+        "exact: Lanczos matches the dense SVD to the last bit",
+    ("decomposition", "damped_hilbert_1", "hilbert_s_minus_t"):
+        "exact: Hilbert's T1 and T*1 are 0, so both symbols vanish and S = T",
+}
+# Values that a record's ``ok`` checks, outside CHECKS: the zero operator's
+# tail must vanish exactly.
+OK_CHECKED = {("rk_tail", "zero", "tail_0")}
+
+
+def _zero_audit(records, allowed) -> tuple[list, list]:
+    """Checked values that are exactly 0.0 but not in ``allowed``, and stale ``allowed`` entries."""
+    zeros = set()
+    for r in records:
+        keys = {value for value, _, _ in _table_checks(r)}
+        keys |= {key for name, op, key in OK_CHECKED if (name, op) == (r["name"], r["operator"])}
+        zeros |= {(r["name"], r["operator"], key) for key in keys
+                  if isinstance(r["values"].get(key), float) and r["values"][key] == 0.0}
+    return sorted(zeros - set(allowed), key=str), sorted(set(allowed) - zeros, key=str)
+
+
+def test_every_exact_zero_is_explained(full_suite):
+    unexplained, stale = _zero_audit(full_suite["report"]["records"], EXACT_ZEROS)
+    assert not unexplained, f"checked values exactly 0.0 with no reason: {unexplained}"
+    assert not stale, f"explained zeros that are no longer 0.0: {stale}"
+
+
+def test_zero_audit_sees_unexplained_and_stale_zeros():
+    records = [
+        {"name": "rk_tail", "operator": "zero", "values": {"ratio": 0.0, "tail_0": 0.0}},
+        {"name": "rk_tail", "operator": "hilbert", "values": {"ratio": 0.0, "tail_0": 0.0}},
+        {"name": "carleson_profile", "operator": "bump",
+         "values": {"ratio": 1e-3, "expected_class": "CMO"}},
+    ]
+    allowed = {("rk_tail", "zero", "ratio"): "", ("carleson_profile", "bump", "ratio"): ""}
+    assert _zero_audit(records, allowed) == (
+        [("rk_tail", "hilbert", "ratio"), ("rk_tail", "zero", "tail_0")],
+        [("carleson_profile", "bump", "ratio")],
+    )
+
+
 # --- CLI contract --------------------------------------------
 
 

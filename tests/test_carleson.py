@@ -20,8 +20,8 @@ from czframe.carleson import (
 )
 from czframe.grids import SampledFunction, SpatialGrid, make_frame_grid, smooth_bump
 from czframe.operators import get_model
-from czframe.paraproducts import decompose, make_bump_phi
-from czframe.wavelets import CoefficientField, make_mother_wavelet
+from czframe.paraproducts import decompose
+from czframe.wavelets import CoefficientField, bump_phi, make_mother_wavelet
 
 
 @pytest.fixture(scope="module")
@@ -70,9 +70,9 @@ def test_point_mass_carleson_function(fgrid):
         carleson_function(mu, 1e9)
 
 
-def test_vanishing_profile_monotone_and_compact_support(psi, grid, fgrid):
+def test_vanishing_profile_monotone_and_compact_support(grid, fgrid):
     f = SampledFunction.from_callable(grid, partial(smooth_bump, center=0.0, width=2.0))
-    mu = coefficient_measure(f, psi, fgrid)
+    mu = coefficient_measure(f, fgrid)
     radii = np.arange(0.0, 5.5, 0.5)
     prof = vanishing_profile(mu, radii)
     assert np.all(np.diff(prof) <= 0.0)
@@ -80,12 +80,12 @@ def test_vanishing_profile_monotone_and_compact_support(psi, grid, fgrid):
     assert prof[-1] / prof[0] < 0.1
 
 
-def test_log_singular_profile_does_not_vanish(psi):
+def test_log_singular_profile_does_not_vanish():
     wide = SpatialGrid(512.0, 4096)
     wfg = make_frame_grid(wide, 0.5, 256.0, s=0.25, L_b=256.0, cone_factor=0.0)
     ex = [e for e in bmo_examples(wide) if e.label == "log_singular"][0]
     f = SampledFunction.from_callable(wide, ex.evaluator)
-    mu = coefficient_measure(f, psi, wfg)
+    mu = coefficient_measure(f, wfg)
     prof = vanishing_profile(mu, np.arange(0.0, 5.5, 0.5))
     assert prof[-1] / prof[0] > 0.2
 
@@ -93,22 +93,20 @@ def test_log_singular_profile_does_not_vanish(psi):
 def test_stein_audit_matches_the_cached_rows(psi, grid, monkeypatch):
     # the audit pairs Re f with the cached L2 phi rows; oracle: per-node
     # samples a^-1/2 phi((x - b)/a), summed against Re f
-    phi = make_bump_phi()
     fg = make_frame_grid(grid, 0.5, 32.0, s=0.25, L_b=32.0, cone_factor=0.0)
     f = SampledFunction(grid, np.exp(-((grid.x / 4.0) ** 2)) + 1j * np.sin(grid.x))
-    mu = coefficient_measure(SampledFunction(grid, f.values.real), psi, fg)
-    ratio = stein_inequality_check(f, phi, mu)
-    assert set(fg._rows) == {(psi, grid), (phi, grid)}
+    mu = coefficient_measure(SampledFunction(grid, f.values.real), fg)
+    ratio = stein_inequality_check(f, mu)
+    assert set(fg._rows) == {(psi, grid), (bump_phi, grid)}
     u = (grid.x[None, :] - fg.b[:, None]) / fg.a[:, None]
-    oracle = (phi(u) / np.sqrt(fg.a)[:, None]) @ f.values.real * grid.h
+    oracle = (bump_phi(u) / np.sqrt(fg.a)[:, None]) @ f.values.real * grid.h
     monkeypatch.setattr(carleson_mod, "analyze",
                         lambda g, fn, fgrid: CoefficientField(fgrid, oracle))
-    assert stein_inequality_check(f, phi, mu) == pytest.approx(ratio, rel=1e-12)
+    assert stein_inequality_check(f, mu) == pytest.approx(ratio, rel=1e-12)
 
 
-def test_phi_rows_built_once_per_lattice(psi, grid, monkeypatch):
+def test_phi_rows_built_once_per_lattice(grid, monkeypatch):
     # the Stein audits and the paraproducts share one cached phi dictionary
-    phi = make_bump_phi()
     fg = make_frame_grid(grid, 0.5, 32.0, s=0.25, L_b=32.0, cone_factor=0.0)
     built = []
     scale_rows = wavelets_mod._scale_rows
@@ -118,27 +116,25 @@ def test_phi_rows_built_once_per_lattice(psi, grid, monkeypatch):
         return scale_rows(fn, *args)
 
     monkeypatch.setattr(wavelets_mod, "_scale_rows", counting)
-    mu = coefficient_measure(SampledFunction.from_callable(grid, lambda x: np.exp(-(x**2))), psi, fg)
+    mu = coefficient_measure(SampledFunction.from_callable(grid, lambda x: np.exp(-(x**2))), fg)
     for f in (np.exp(-(grid.x**2)), np.exp(-(((grid.x - 3.0) / 1.5) ** 2))):
-        stein_inequality_check(SampledFunction(grid, f), phi, mu)
-    dec = decompose(get_model("damped_hilbert_1").kernel, make_bump_phi(), psi, fg, grid)
+        stein_inequality_check(SampledFunction(grid, f), mu)
+    dec = decompose(get_model("damped_hilbert_1").kernel, fg, grid)
     dec.apply_p1(SampledFunction(grid, np.exp(-(grid.x**2))))
-    assert built.count(phi) == 1
+    assert built.count(bump_phi) == 1
 
 
-def test_stein_inequality_gaussian(psi, grid, fgrid):
-    phi = make_bump_phi()
+def test_stein_inequality_gaussian(grid, fgrid):
     f = SampledFunction.from_callable(grid, lambda x: np.exp(-((x / 4.0) ** 2)))
-    mu = coefficient_measure(f, psi, fgrid)
-    ratio = stein_inequality_check(f, phi, mu)
+    mu = coefficient_measure(f, fgrid)
+    ratio = stein_inequality_check(f, mu)
     assert 0.0 <= ratio <= 10.0
 
 
 def test_stein_inequality_point_mass(grid, fgrid):
-    phi = make_bump_phi()
     f = SampledFunction.from_callable(grid, lambda x: np.exp(-(((x + 8.0) / 2.0) ** 2)))
     mu = point_mass(fgrid, fgrid.n_nodes // 2)
-    ratio = stein_inequality_check(f, phi, mu)
+    ratio = stein_inequality_check(f, mu)
     assert ratio <= 10.0
 
 

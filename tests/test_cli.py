@@ -166,7 +166,7 @@ def test_report_json_is_strict(tmp_path, capsys, monkeypatch, case):
     from czframe import reporting
 
     if case == "error_record":
-        monkeypatch.setitem(reporting._DIAGNOSTICS, "pv", lambda cfg, ctx: 1 / 0)
+        monkeypatch.setitem(reporting._DIAGNOSTICS, "pv", lambda ctx: 1 / 0)
     if case == "nan_value":
         monkeypatch.setattr(reporting, "apply_kernel", _nan_kernel_application)
     out = tmp_path / "results"
@@ -200,7 +200,7 @@ def test_bad_diagnostics_exit_2(tmp_path, capsys, diagnostics):
 def test_raising_diagnostic_exit_1_without_traceback(tmp_path, capsys, monkeypatch):
     from czframe import reporting
 
-    def broken(cfg, ctx):
+    def broken(ctx):
         raise RuntimeError("boom")
 
     monkeypatch.setitem(reporting._DIAGNOSTICS, "frame", broken)

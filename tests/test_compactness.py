@@ -42,15 +42,15 @@ def small_fgrid(small_grid):
     return make_frame_grid(small_grid, 0.5, 64.0, s=0.25)
 
 
-def test_analysis_operator_rows_are_scaled_frame_elements(psi, small_grid, small_fgrid):
+def test_analysis_operator_rows_are_scaled_frame_elements(small_grid, small_fgrid):
     from czframe.geometry import GroupPoint
     from czframe.wavelets import frame_element
 
-    S = analysis_operator(psi, small_fgrid, small_grid)
+    S = analysis_operator(small_fgrid, small_grid)
     assert S.shape == (small_fgrid.n_nodes, small_grid.N)
     for i in (0, small_fgrid.n_nodes // 2, small_fgrid.n_nodes - 1):
         pt = GroupPoint(float(small_fgrid.a[i]), float(small_fgrid.b[i]))
-        el = frame_element(psi, pt, small_grid)
+        el = frame_element(pt, small_grid)
         expected = math.sqrt(small_fgrid.dlam) * small_grid.h * el.values
         assert np.allclose(S[i].toarray().ravel(), expected, atol=1e-14)
 
@@ -62,9 +62,9 @@ def test_analysis_operator_scales_a_copy_of_the_cached_rows(psi, small_grid):
     rows = compactness.frame_rows(psi, fg, small_grid)
     cached = rows.toarray()
     expected = math.sqrt(fg.dlam) * small_grid.h * cached
-    assert np.array_equal(analysis_operator(psi, fg, small_grid).toarray(), expected)
+    assert np.array_equal(analysis_operator(fg, small_grid).toarray(), expected)
     order = np.random.default_rng(0).permutation(fg.n_nodes)
-    assert np.array_equal(analysis_operator(psi, fg, small_grid, order).toarray(), expected[order])
+    assert np.array_equal(analysis_operator(fg, small_grid, order).toarray(), expected[order])
     assert compactness.frame_rows(psi, fg, small_grid) is rows
     assert np.array_equal(rows.toarray(), cached)
 
@@ -80,17 +80,17 @@ def test_analysis_operator_scales_every_row_block(psi, small_grid, small_fgrid, 
     order = np.random.default_rng(0).permutation(small_fgrid.n_nodes)
     for start in range(0, small_fgrid.n_nodes, block):
         idx = order[start:start + block]
-        S = analysis_operator(psi, small_fgrid, small_grid, idx)
+        S = analysis_operator(small_fgrid, small_grid, idx)
         assert np.array_equal(S.toarray(), expected[idx])
     assert np.array_equal(rows.toarray(), cached)
 
 
 @pytest.mark.parametrize("R", [0.0, 1.0])
 @pytest.mark.parametrize("label", ["hilbert", "damped_hilbert_1", "finite_rank"])
-def test_rk_value_matches_dense_svd(psi, small_grid, small_fgrid, label, R):
+def test_rk_value_matches_dense_svd(small_grid, small_fgrid, label, R):
     # oracle: sigma_max^2 of the explicitly assembled composite tail matrix
     A = operator_matrix(get_model(label).kernel, small_grid)
-    S = analysis_operator(psi, small_fgrid, small_grid)
+    S = analysis_operator(small_fgrid, small_grid)
     res = rk_tail(DiscreteOperator(small_grid.N, matrix=A), S[tail_nodes(small_fgrid, R)],
                   small_grid)
     M = np.asarray(S[np.asarray(small_fgrid.dist0 >= R)] @ A) / math.sqrt(small_grid.h)
@@ -104,28 +104,28 @@ def test_rk_value_matches_dense_svd(psi, small_grid, small_fgrid, label, R):
     assert res.residual <= 1e-6 * res.value
 
 
-def test_rk_zero_operator_short_circuits(psi, small_grid, small_fgrid):
+def test_rk_zero_operator_short_circuits(small_grid, small_fgrid):
     A = _dense_operator("zero", small_grid)
-    S = analysis_operator(psi, small_fgrid, small_grid)
+    S = analysis_operator(small_fgrid, small_grid)
     res = rk_tail(A, S[tail_nodes(small_fgrid, 0.0)], small_grid)
     assert res.value == 0.0
     assert res.iterations == 1
     assert res.converged
 
 
-def test_rk_reports_non_convergence(psi, small_grid, small_fgrid):
+def test_rk_reports_non_convergence(small_grid, small_fgrid):
     # one restart is far too few for Hilbert's clustered top spectrum
     A = _dense_operator("hilbert", small_grid)
-    S = analysis_operator(psi, small_fgrid, small_grid)
+    S = analysis_operator(small_fgrid, small_grid)
     res = rk_tail(A, S[tail_nodes(small_fgrid, 0.0)], small_grid, maxiter=1)
     assert res.converged is False
     assert res.residual > 1e-6 * res.value
 
 
-def test_rk_witness_is_extremal(psi, small_grid, small_fgrid):
+def test_rk_witness_is_extremal(small_grid, small_fgrid):
     # the returned witness attains the reported value up to tolerance
     A = operator_matrix(get_model("damped_hilbert_1").kernel, small_grid)
-    S = analysis_operator(psi, small_fgrid, small_grid)
+    S = analysis_operator(small_fgrid, small_grid)
     res = rk_tail(DiscreteOperator(small_grid.N, matrix=A), S[tail_nodes(small_fgrid, 1.0)],
                   small_grid)
     u = res.witness.values
@@ -135,38 +135,38 @@ def test_rk_witness_is_extremal(psi, small_grid, small_fgrid):
     assert abs(energy / norm2 - res.value) / res.value < 1e-3
 
 
-def test_rk_seed_determinism(psi, small_grid, small_fgrid):
+def test_rk_seed_determinism(small_grid, small_fgrid):
     A = _dense_operator("damped_hilbert_1", small_grid)
-    S = analysis_operator(psi, small_fgrid, small_grid)
+    S = analysis_operator(small_fgrid, small_grid)
     r1 = rk_tail(A, S[tail_nodes(small_fgrid, 0.5)], small_grid, seed=3)
     r2 = rk_tail(A, S[tail_nodes(small_fgrid, 0.5)], small_grid, seed=3)
     assert r1.value == r2.value
     assert np.array_equal(r1.witness.values, r2.witness.values)
 
 
-def test_tail_functional_profiles(psi, small_grid, small_fgrid):
+def test_tail_functional_profiles(small_grid, small_fgrid):
     radii = np.arange(0.0, 6.5, 0.5)
     A0 = _dense_operator("zero", small_grid)
-    tz = tail_functional(A0, psi, small_fgrid, small_grid, radii)
+    tz = tail_functional(A0, small_fgrid, small_grid, radii)
     assert np.all(tz.values == 0.0)
     assert tz.verdict == "vanishing"
 
     Af = _dense_operator("finite_rank", small_grid)
-    tf = tail_functional(Af, psi, small_fgrid, small_grid, radii)
+    tf = tail_functional(Af, small_fgrid, small_grid, radii)
     assert tf.values[0] > 0.0
     assert tf.ratio() < 1e-2
     assert tf.verdict == "vanishing"
 
     Ah = _dense_operator("hilbert", small_grid)
-    th = tail_functional(Ah, psi, small_fgrid, small_grid, radii)
+    th = tail_functional(Ah, small_fgrid, small_grid, radii)
     assert th.ratio() > 0.1
     assert th.verdict == "non-vanishing"
 
 
-def test_tail_functional_radii_validation(psi, small_grid, small_fgrid):
+def test_tail_functional_radii_validation(small_grid, small_fgrid):
     A = _dense_operator("zero", small_grid)
     with pytest.raises(ValueError):
-        tail_functional(A, psi, small_fgrid, small_grid, [0.0, 0.0, 1.0])
+        tail_functional(A, small_fgrid, small_grid, [0.0, 0.0, 1.0])
 
 
 def test_tail_verdict_rules():
@@ -213,23 +213,23 @@ def test_damped_spectrum_shrinks_with_domain_enlargement(small_grid):
     assert ratios[1] < ratios[0]
 
 
-def test_rk_zero_fft_operator_short_circuits(psi, small_grid, small_fgrid):
+def test_rk_zero_fft_operator_short_circuits(small_grid, small_fgrid):
     A = discretize(get_model("zero").kernel, small_grid)
     assert A.matrix is None
-    S = analysis_operator(psi, small_fgrid, small_grid)
+    S = analysis_operator(small_fgrid, small_grid)
     res = rk_tail(A, S[tail_nodes(small_fgrid, 0.0)], small_grid)
     assert res.value == 0.0
     assert res.iterations == 1
     assert res.converged
 
 
-def test_rk_fft_backend_matches_dense(psi, small_grid, small_fgrid):
+def test_rk_fft_backend_matches_dense(small_grid, small_fgrid):
     # the Toeplitz/FFT Hilbert operator against its dense oracle matrix
     kern = get_model("hilbert").kernel
     radii = [0.0, 2.0, 4.0]
-    fft = tail_functional(discretize(kern, small_grid), psi, small_fgrid, small_grid, radii)
+    fft = tail_functional(discretize(kern, small_grid), small_fgrid, small_grid, radii)
     A = DiscreteOperator(small_grid.N, matrix=operator_matrix(kern, small_grid))
-    dense = tail_functional(A, psi, small_fgrid, small_grid, radii)
+    dense = tail_functional(A, small_fgrid, small_grid, radii)
     assert discretize(kern, small_grid).matrix is None
     assert np.array_equal(fft.iterations, dense.iterations)
     assert fft.converged.all() and dense.converged.all()
@@ -237,11 +237,11 @@ def test_rk_fft_backend_matches_dense(psi, small_grid, small_fgrid):
 
 
 @pytest.mark.parametrize("label", ["hilbert", "finite_rank"])
-def test_tail_functional_repeats_bitwise_in_process(psi, small_grid, small_fgrid, label):
+def test_tail_functional_repeats_bitwise_in_process(small_grid, small_fgrid, label):
     A = discretize(get_model(label).kernel, small_grid)
     radii = [0.0, 1.0, 3.0]
-    first = tail_functional(A, psi, small_fgrid, small_grid, radii, seed=2)
-    second = tail_functional(A, psi, small_fgrid, small_grid, radii, seed=2)
+    first = tail_functional(A, small_fgrid, small_grid, radii, seed=2)
+    second = tail_functional(A, small_fgrid, small_grid, radii, seed=2)
     assert np.array_equal(first.iterations, second.iterations)
     assert np.array_equal(first.values, second.values)
     assert np.array_equal(first.witnesses[-1].values, second.witnesses[-1].values)
@@ -252,17 +252,17 @@ SWEEP_RADII = [0.0, 0.5, 1.0, 2.0, 3.0]
 
 @pytest.mark.parametrize("workers", [1, 4])
 @pytest.mark.parametrize("label", ["hilbert", "finite_rank"])
-def test_sweep_equals_plain_loop_bitwise(psi, small_grid, small_fgrid, monkeypatch, workers, label):
+def test_sweep_equals_plain_loop_bitwise(small_grid, small_fgrid, monkeypatch, workers, label):
     # the pooled sweep returns exactly what one rk_tail call per view returns
     A = discretize(get_model(label).kernel, small_grid)
-    _, views = tail_views(psi, small_fgrid, small_grid, SWEEP_RADII)
+    _, views = tail_views(small_fgrid, small_grid, SWEEP_RADII)
     loop = [rk_tail(A, S_tail, small_grid, seed=1) for S_tail in views]
     asked = []
     monkeypatch.setattr(compactness, "_sweep_workers", lambda n: asked.append(n) or workers)
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # interleave the workers as often as possible
     try:
-        tf = tail_functional(A, psi, small_fgrid, small_grid, SWEEP_RADII, seed=1)
+        tf = tail_functional(A, small_fgrid, small_grid, SWEEP_RADII, seed=1)
     finally:
         sys.setswitchinterval(switch)
     assert asked == [len(SWEEP_RADII)]
@@ -280,10 +280,10 @@ def test_sweep_workers_follow_usable_cores(monkeypatch):
     assert compactness._sweep_workers(2) == 2
 
 
-def test_tail_views_are_row_prefixes_of_one_sorted_matrix(psi, small_grid, small_fgrid):
-    S_sorted, views = tail_views(psi, small_fgrid, small_grid, SWEEP_RADII)
+def test_tail_views_are_row_prefixes_of_one_sorted_matrix(small_grid, small_fgrid):
+    S_sorted, views = tail_views(small_fgrid, small_grid, SWEEP_RADII)
     order = np.argsort(-small_fgrid.dist0, kind="stable")
-    S = analysis_operator(psi, small_fgrid, small_grid)
+    S = analysis_operator(small_fgrid, small_grid)
     assert np.all(np.diff(small_fgrid.dist0[order]) <= 0.0)
     for R, view in zip(SWEEP_RADII, views):
         for part in ("data", "indices", "indptr"):
@@ -298,9 +298,9 @@ def test_tail_views_are_row_prefixes_of_one_sorted_matrix(psi, small_grid, small
         assert not back[~mask].any()
 
 
-def test_tail_views_reject_negative_radius(psi, small_grid, small_fgrid):
+def test_tail_views_reject_negative_radius(small_grid, small_fgrid):
     with pytest.raises(ValueError):
-        tail_views(psi, small_fgrid, small_grid, [-0.5, 1.0])
+        tail_views(small_fgrid, small_grid, [-0.5, 1.0])
     A = discretize(get_model("zero").kernel, small_grid)
     with pytest.raises(ValueError):
-        tail_functional(A, psi, small_fgrid, small_grid, [-0.5, 1.0])
+        tail_functional(A, small_fgrid, small_grid, [-0.5, 1.0])

@@ -72,7 +72,7 @@ def test_matrix_coefficient_disjoint_supports_match_direct(psi, grid):
     # a double integral of the kernel against the two windows
     kern = get_model("damped_hilbert_1").kernel
     p, q = GroupPoint(1.0, -10.0), GroupPoint(2.0, 12.0)
-    val = matrix_coefficient(kern, p, q, grid, psi)
+    val = matrix_coefficient(kern, p, q, grid)
     # direct dense quadrature oracle
     xs = grid.x
     wp = psi((xs - p.b) / p.a) / math.sqrt(p.a)
@@ -84,15 +84,15 @@ def test_matrix_coefficient_disjoint_supports_match_direct(psi, grid):
     assert abs(val - direct) / abs(direct) < 1e-6
 
 
-def test_verify_decay_fitted_constant_finite(psi, grid, fgrid):
-    fit = verify_decay(get_model("hilbert").kernel, psi, fgrid, grid)
+def test_verify_decay_fitted_constant_finite(grid, fgrid):
+    fit = verify_decay(get_model("hilbert").kernel, fgrid, grid)
     assert 0.0 < fit < 10.0
     assert math.isfinite(fit)
 
 
-def test_verify_decay_caches_no_frame_rows(psi, grid):
+def test_verify_decay_caches_no_frame_rows(grid):
     fg = make_frame_grid(grid, 0.0625, 512.0, s=0.125, cone_factor=1.0)
-    verify_decay(get_model("hilbert").kernel, psi, fg, grid)
+    verify_decay(get_model("hilbert").kernel, fg, grid)
     assert fg._rows == {}
 
 
@@ -106,47 +106,47 @@ def test_verify_decay_streams_blocks_of_the_full_rows(psi):
     fg = make_frame_grid(grid, 0.0625, 512.0, s=0.125, cone_factor=1.0)
     tracemalloc.start()
     try:
-        fit = verify_decay(kern, psi, fg, grid)
+        fit = verify_decay(kern, fg, grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     other = make_frame_grid(grid, 0.0625, 512.0, s=0.125, cone_factor=1.0)
     rows = frame_rows(psi, other, grid)
     assert peak < 0.5 * (rows.data.nbytes + rows.indices.nbytes)
-    Tpsi = apply_kernel(kern, frame_element(psi, IDENTITY, grid))
+    Tpsi = apply_kernel(kern, frame_element(IDENTITY, grid))
     coeffs = rows @ Tpsi.values * grid.h
     assert fit == float(np.max(np.abs(coeffs) / decay_majorant(kern.delta, other.a, other.b)))
-    blocks = list(_analysis_blocks(Tpsi, psi, fg))
+    blocks = list(_analysis_blocks(Tpsi, fg))
     assert len(blocks) > 2
     assert all(rows.indptr[nodes.stop] - rows.indptr[nodes.start] <= _BLOCK_NNZ
                for nodes, _ in blocks)
     assert np.concatenate([c for _, c in blocks]).tobytes() == coeffs.tobytes()
 
 
-def test_schur_anchor_invariance_hilbert(psi, grid, fgrid):
+def test_schur_anchor_invariance_hilbert(grid, fgrid):
     # the Hilbert kernel is a fixed point of conjugation, so the reduced Schur
     # functional is bitwise identical at every anchor
     kern = get_model("hilbert").kernel
-    base = schur_tail(kern, psi, fgrid, grid, 0.0, IDENTITY)
+    base = schur_tail(kern, fgrid, grid, 0.0, IDENTITY)
     # at R = 0 the tail is the Schur value: the weighted sum over every node
-    coeffs = coefficient_field(kern, psi, fgrid, grid).values
+    coeffs = coefficient_field(kern, fgrid, grid).values
     assert base == float(np.sum(np.abs(coeffs) * fgrid.a**0.5 * fgrid.dlam))
     for anchor in default_anchor_lattice():
-        assert schur_tail(kern, psi, fgrid, grid, 0.0, anchor) == base
+        assert schur_tail(kern, fgrid, grid, 0.0, anchor) == base
 
 
-def test_schur_tail_monotone_and_decaying(psi, grid, fgrid):
+def test_schur_tail_monotone_and_decaying(grid, fgrid):
     kern = get_model("hilbert").kernel
-    t0 = schur_tail(kern, psi, fgrid, grid, 0.0)
-    t1 = schur_tail(kern, psi, fgrid, grid, 1.0)
-    t6 = schur_tail(kern, psi, fgrid, grid, 6.0)
+    t0 = schur_tail(kern, fgrid, grid, 0.0)
+    t1 = schur_tail(kern, fgrid, grid, 1.0)
+    t6 = schur_tail(kern, fgrid, grid, 6.0)
     assert t0 >= t1 >= t6 > 0.0
     assert t1 / t6 >= 5.0
     with pytest.raises(ValueError):
-        schur_tail(kern, psi, fgrid, grid, -1.0)
+        schur_tail(kern, fgrid, grid, -1.0)
 
 
-def test_origin_tail_finite_rank_vanishes(psi, grid, fgrid, monkeypatch):
+def test_origin_tail_finite_rank_vanishes(grid, fgrid, monkeypatch):
     # a fixed-rank smooth kernel localizes near the identity: the fixed-disk
     # tail at radius 6 is negligible against the full value
     import czframe.localization as localization_mod
@@ -160,36 +160,36 @@ def test_origin_tail_finite_rank_vanishes(psi, grid, fgrid, monkeypatch):
     monkeypatch.setattr(
         operators_mod, "kernel_matrix", lambda *a: mats.append(a) or kernel_matrix(*a)
     )
-    full = origin_tail(kern, psi, fgrid, grid, 0.0)
+    full = origin_tail(kern, fgrid, grid, 0.0)
     monkeypatch.undo()
     # one factored discretization serves all nine default anchors
     assert len(ops) == 1 and len(default_anchor_lattice()) == 9
     assert mats == []
-    tail = origin_tail(kern, psi, fgrid, grid, 8.0)
+    tail = origin_tail(kern, fgrid, grid, 8.0)
     assert tail / full < 1e-3
-    assert origin_tail(kern, psi, fgrid, grid, 6.0) < full
+    assert origin_tail(kern, fgrid, grid, 6.0) < full
 
 
-def test_weak_compactness_profiles(psi, grid, fgrid):
+def test_weak_compactness_profiles(grid, fgrid):
     radii = np.arange(0.0, 8.5, 0.5)
-    hp = weak_compactness_profile(get_model("hilbert").kernel, psi, fgrid, radii)
+    hp = weak_compactness_profile(get_model("hilbert").kernel, fgrid, radii)
     # translation-dilation invariance: the profile is constant
     assert np.max(hp) - np.min(hp) < 1e-8
-    fp = weak_compactness_profile(get_model("finite_rank").kernel, psi, fgrid, radii)
+    fp = weak_compactness_profile(get_model("finite_rank").kernel, fgrid, radii)
     assert fp[-1] < 1e-4
     assert fp[0] > fp[-1]
 
 
 @pytest.mark.parametrize("label", ["finite_rank", "hilbert"])
-def test_batched_pairings_match_per_pair_path(psi, label):
+def test_batched_pairings_match_per_pair_path(label):
     # oracle: one matvec per ordered (f, g) pair at every sampled node
     kernel = get_model(label).kernel
     local, reference = SpatialGrid(4.0, 128), SpatialGrid(8.0, 256)
     fg = make_frame_grid(reference, 0.25, 16.0, s=0.5)
     radii = np.array([0.0, 1.0, 2.0, 3.0])
-    bundle = default_test_bundle(psi)
+    bundle = default_test_bundle()
     prof = weak_compactness_profile(
-        kernel, psi, fg, radii, max_nodes_per_bin=4, local=local, reference=reference
+        kernel, fg, radii, max_nodes_per_bin=4, local=local, reference=reference
     )
     expected = []
     for r in radii:

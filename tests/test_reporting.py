@@ -231,7 +231,7 @@ RK_SMALL = {
 def _rk_records(cfg):
     from czframe.reporting import _diag_rk_tail
 
-    records, _ = _diag_rk_tail(cfg, _Context(cfg))
+    records, _ = _diag_rk_tail(_Context(cfg))
     return {r["name"]: r for r in records}
 
 
@@ -275,7 +275,7 @@ def test_worker_failure_reaches_the_caller_and_becomes_one_fail_record(monkeypat
     ctx = _Context(cfg)
     failing = _MatvecFails(ctx.grid.N, matrix=np.eye(ctx.grid.N))
     with pytest.raises(FloatingPointError):
-        compactness.tail_functional(failing, ctx.psi, ctx.fgrid, ctx.grid, [0.0, 1.0, 2.0])
+        compactness.tail_functional(failing, ctx.fgrid, ctx.grid, [0.0, 1.0, 2.0])
 
     monkeypatch.setattr(
         reporting, "discretize", lambda kernel, grid: _MatvecFails(grid.N, matrix=np.eye(grid.N))
@@ -297,7 +297,7 @@ def test_raising_diagnostic_becomes_fail_record(monkeypatch, name):
     # before it rather than after.
     from czframe import reporting
 
-    def broken(cfg, ctx):
+    def broken(ctx):
         raise ZeroDivisionError("no lattice today")
 
     monkeypatch.setitem(reporting._DIAGNOSTICS, name, broken)

@@ -11,7 +11,9 @@ dense SVD (``svdvals``) is taken only where ``DENSE_SVD`` allows it, frame
 rows are built (``_scale_rows``) only where ``ROW_BUILDS`` allows it, and the
 cached frame-row matrix (``frame_rows``) is taken only where
 ``FRAME_ROWS_CALLERS`` allows it.  No function declares ``**kwargs``: every
-parameter a caller may pass is named.  In ``reporting.py`` a bound is spelled
+parameter a caller may pass is named.  No function, lambda or dataclass field
+is named ``psi`` or ``phi``: the two frame generators are fixed in
+``wavelets``, not passed around.  In ``reporting.py`` a bound is spelled
 only in ``BOUND_TABLES``: no comparator or tolerance key appears elsewhere.
 """
 
@@ -141,6 +143,62 @@ def test_checker_sees_kwargs_declarations():
         "        pass\n"
     )
     assert set(_kwargs_functions(tree)) == {("g", 3), ("<lambda>", 4), ("m", 6)}
+
+
+# The two frame generators are fixed in wavelets; frame_rows, analyze and
+# synthesize, which serve both, take one as ``fn``.
+GENERATOR_NAMES = {"psi", "phi"}
+
+
+def _is_dataclass(node):
+    """Whether ``node`` is decorated ``@dataclass``, ``@dataclasses.dataclass`` or a call of either."""
+    decorators = (d.func if isinstance(d, ast.Call) else d for d in node.decorator_list)
+    return any(getattr(d, "id", getattr(d, "attr", None)) == "dataclass" for d in decorators)
+
+
+def _generator_declarations(tree):
+    """(owner, name, line) of every parameter or dataclass field named psi or phi."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            params = [*a.posonlyargs, *a.args, *a.kwonlyargs, *filter(None, (a.vararg, a.kwarg))]
+            found += [(getattr(node, "name", "<lambda>"), p.arg, p.lineno) for p in params
+                      if p.arg in GENERATOR_NAMES]
+        elif isinstance(node, ast.ClassDef) and _is_dataclass(node):
+            found += [(node.name, f.target.id, f.lineno) for f in node.body
+                      if isinstance(f, ast.AnnAssign) and isinstance(f.target, ast.Name)
+                      and f.target.id in GENERATOR_NAMES]
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_function_or_field_takes_a_generator(path):
+    found = _generator_declarations(ast.parse(path.read_text()))
+    assert not found, f"{path.name}: psi/phi declared as parameters or fields {found}"
+
+
+def test_checker_sees_generator_declarations():
+    tree = ast.parse(
+        "def f(kernel, psi, grid):\n"
+        "    return lambda x, *, phi=None: x\n"
+        "@dataclass\n"
+        "class D:\n"
+        "    symbol: object\n"
+        "    phi: object\n"
+        "class C:\n"
+        "    psi = None\n"
+        "    def m(self, fn, /, *psi):\n"
+        "        pass\n"
+        "@dataclasses.dataclass(frozen=True)\n"
+        "class E:\n"
+        "    psi: object = None\n"
+        "def analyze(f, fn, fgrid):\n"
+        "    phi = fn\n"
+    )
+    assert sorted(_generator_declarations(tree)) == [
+        ("<lambda>", "phi", 2), ("D", "phi", 6), ("E", "psi", 13), ("f", "psi", 1), ("m", "psi", 9)
+    ]
 
 
 def _assembly_errors(trees, callee, allowed):

@@ -10,6 +10,7 @@ from czframe.grids import SampledFunction, SpatialGrid, inner_product, l2_norm, 
 from czframe.wavelets import (
     CoefficientField,
     analyze,
+    bump_phi,
     frame_element,
     frame_rows,
     make_mother_wavelet,
@@ -65,7 +66,7 @@ def test_admissibility_certificate(psi):
 def test_frame_element_norm_scale_invariance(psi, grid):
     # the a^{-1/2} normalization makes every frame element have the same L2 norm
     norms = [
-        l2_norm(frame_element(psi, GroupPoint(a, b), grid))
+        l2_norm(frame_element(GroupPoint(a, b), grid))
         for a, b in [(1.0, 0.0), (2.0, 3.0), (4.0, -5.0)]
     ]
     assert max(norms) - min(norms) < 1e-5
@@ -76,7 +77,7 @@ def test_frame_element_norm_scale_invariance(psi, grid):
 def test_coefficient_matches_inner_product(psi, grid):
     f = SampledFunction.from_callable(grid, lambda x: np.exp(-((x - 1.0) ** 2)))
     pt = GroupPoint(2.0, 0.5)
-    el = frame_element(psi, pt, grid)
+    el = frame_element(pt, grid)
     direct = inner_product(f, el)
     windowed = _coefficient(f, psi, pt)
     assert abs(direct - windowed) < 1e-12
@@ -117,7 +118,7 @@ def test_refinement_improves_parseval(psi, grid):
 
 def test_under_resolved_scale_warns(psi, grid):
     with pytest.warns(UserWarning):
-        frame_element(psi, GroupPoint(grid.h, 0.0), grid)
+        frame_element(GroupPoint(grid.h, 0.0), grid)
 
 
 @pytest.fixture(scope="module")
@@ -164,14 +165,12 @@ def test_frame_rows_cached_per_function_and_grid(psi, tiny):
     other = make_frame_grid(grid, 0.25, 16.0, s=0.5, cone_factor=1.0)
     assert frame_rows(psi, other, grid) is not rows
     # a second generator gets its own matrix, of its L2 dilates
-    from czframe.paraproducts import make_bump_phi
-
-    phi = make_bump_phi()
-    phi_rows = frame_rows(phi, fg, grid)
-    assert phi_rows is not rows and frame_rows(make_bump_phi(), fg, grid) is phi_rows
+    phi_rows = frame_rows(bump_phi, fg, grid)
+    assert phi_rows is not rows and frame_rows(bump_phi, fg, grid) is phi_rows
     k = fg.n_nodes - 1
     u = (grid.x - fg.b[k]) / fg.a[k]
-    np.testing.assert_allclose(phi_rows[k].toarray()[0], phi(u) / np.sqrt(fg.a[k]), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(phi_rows[k].toarray()[0], bump_phi(u) / np.sqrt(fg.a[k]),
+                               rtol=0, atol=1e-15)
 
 
 def test_scale_blocks_match_frame_rows_bitwise(psi, tiny):
@@ -193,7 +192,7 @@ def test_scale_blocks_match_frame_rows_bitwise(psi, tiny):
         for j0, j1 in cuts:
             got = _scale_rows(psi, fg, grid, j0, j1) @ v * grid.h
             assert got.tobytes() == full[fg.offsets[j0] : fg.offsets[j1]].tobytes()
-    blocks = list(_analysis_blocks(SampledFunction(grid, v), psi, fg))
+    blocks = list(_analysis_blocks(SampledFunction(grid, v), fg))
     assert [nodes.start for nodes, _ in blocks] == [0] + [nodes.stop for nodes, _ in blocks[:-1]]
     assert blocks[-1][0].stop == fg.n_nodes
     assert np.concatenate([c for _, c in blocks]).tobytes() == full.tobytes()
@@ -204,27 +203,26 @@ def test_analysis_operator_matches_dense_assembly(psi, tiny):
 
     grid, fg = tiny
     dense = np.array(
-        [frame_element(psi, GroupPoint(float(a), float(b)), grid).values for a, b in zip(fg.a, fg.b)]
+        [frame_element(GroupPoint(float(a), float(b)), grid).values for a, b in zip(fg.a, fg.b)]
     )
     expected = np.sqrt(fg.dlam) * grid.h * dense
     np.testing.assert_allclose(
-        analysis_operator(psi, fg, grid).toarray(), expected, rtol=0, atol=1e-14
+        analysis_operator(fg, grid).toarray(), expected, rtol=0, atol=1e-14
     )
 
 
 def test_paraproduct_matrix_matches_dense_assembly(psi, tiny):
     # P_beta = sum_k psi_k (x) coeff_k dlam_k a_k^-1 phi((y - b_k)/a_k) h
-    from czframe.paraproducts import make_bump_phi, paraproduct_operator
+    from czframe.paraproducts import paraproduct_operator
 
     grid, fg = tiny
-    phi = make_bump_phi()
     beta = SampledFunction.from_callable(grid, lambda x: np.exp(-(x**2)))
     sym = analyze(beta, psi, fg)
     u = (grid.x[None, :] - fg.b[:, None]) / fg.a[:, None]
     Psi = psi(u) / np.sqrt(fg.a)[:, None]
-    Phi = phi(u) / fg.a[:, None]
+    Phi = bump_phi(u) / fg.a[:, None]
     expected = Psi.T @ ((sym.values * fg.dlam)[:, None] * Phi) * grid.h
-    A = paraproduct_operator(sym, phi, psi, grid).dense()
+    A = paraproduct_operator(sym, grid).dense()
     assert np.max(np.abs(A - expected)) <= 1e-12 * np.max(np.abs(expected))
 
 
