@@ -135,7 +135,7 @@ def vanishing_profile(mu: CoefficientMeasure, radii) -> np.ndarray:
 def stein_inequality_check(f: SampledFunction, mu: CoefficientMeasure) -> float:
     """Audit integral |<f, phi_(a,b)>|^2 dmu <= C * integral Mf^2 * Cmu dx.
 
-    The pairings are <Re f, phi_(a,b)> with the L2 dilates a^-1/2 phi((x-b)/a).
+    The pairings are <f, phi_(a,b)> with the L2 dilates a^-1/2 phi((x-b)/a).
     Mf(x) is the nontangential maximum, the sup of |<f, phi_(a,b)>| over the
     cone nodes above x.  Returns the ratio LHS/RHS, which the caller bounds
     by its slack C (a slack audit, not a sharp constant).  The base-space
@@ -144,7 +144,7 @@ def stein_inequality_check(f: SampledFunction, mu: CoefficientMeasure) -> float:
     0 if the LHS is zero too and ``inf`` otherwise.
     """
     fg = mu.fgrid
-    coeffs = analyze(SampledFunction(f.grid, f.values.real), bump_phi, fg).values
+    coeffs = analyze(f, bump_phi, fg).values
     lhs = float(np.sum(np.abs(coeffs) ** 2 * mu.masses))
     ratios = tent_masses(mu) / (2.0 * fg.a)
     xs = np.linspace(-f.grid.L, f.grid.L, 257)

@@ -58,13 +58,15 @@ class SpatialGrid:
 
 @dataclass
 class SampledFunction:
-    """Function values on a spatial grid."""
+    """Real function values on a spatial grid; complex values raise ``TypeError``."""
 
     grid: SpatialGrid
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values)
+        if np.iscomplexobj(self.values):
+            raise TypeError("sampled functions are real-valued")
+        self.values = np.asarray(self.values, dtype=float)
         if self.values.shape != (self.grid.N,):
             raise GridMismatchError(
                 f"values length {self.values.shape} does not match grid size {self.grid.N}"
@@ -75,12 +77,11 @@ class SampledFunction:
         return cls(grid, np.asarray(fn(grid.x)))
 
 
-def inner_product(f: SampledFunction, g: SampledFunction) -> complex:
-    """L^2 inner product, sum f * conj(g) * h.  Grids must match."""
+def inner_product(f: SampledFunction, g: SampledFunction) -> float:
+    """L^2 inner product, sum f * g * h.  Grids must match."""
     if f.grid != g.grid:
         raise GridMismatchError("inner product requires a common grid")
-    v = np.sum(f.values * np.conj(g.values)) * f.grid.h
-    return complex(v)
+    return float(np.sum(f.values * g.values) * f.grid.h)
 
 
 def l2_norm(f: SampledFunction) -> float:

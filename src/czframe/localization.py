@@ -107,7 +107,7 @@ def matrix_coefficient(
         return float(
             f_tgt.values[tgt_idx] @ block @ f_src.values[src_idx] * grid.h**2
         )
-    return complex(inner_product(apply_kernel(kernel, f_src), f_tgt)).real
+    return inner_product(apply_kernel(kernel, f_src), f_tgt)
 
 
 def coefficient_field(

@@ -107,9 +107,7 @@ def model_zoo() -> dict[str, ModelOperator]:
     # smooth compactly supported factors of the rank-one kernel
     u = lambda x: smooth_bump(x, center=0.0, width=2.0)
     v = lambda y: smooth_bump(y, center=0.5, width=1.5)
-    sup_uv = float(np.max(u(np.linspace(-2, 2, 4001)))) * float(
-        np.max(v(np.linspace(-1, 2, 4001)))
-    )
+    sup_uv = math.exp(-2.0)  # each bump peaks at exp(-1), at its centre
     return {
         "hilbert": ModelOperator(
             CZKernel("hilbert", _hilbert, c_k=1.0 / math.pi, delta=1.0,

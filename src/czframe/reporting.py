@@ -230,7 +230,7 @@ def _diag_pv(ctx: _Context):
     src, tgt = GroupPoint(1.0, 0.0), GroupPoint(1.0, 8.0)
     direct = localization_mod.matrix_coefficient(H, src, tgt, grid)
     applied = apply_kernel(H, frame_element(src, grid))
-    via_apply = complex(inner_product(applied, frame_element(tgt, grid))).real
+    via_apply = inner_product(applied, frame_element(tgt, grid))
     record = _record(
         ctx.cfg, "pv_application", "hilbert",
         {"relative_error": rel, "dual_path_gap": abs(direct - via_apply)},
@@ -400,7 +400,7 @@ def _diag_paraproduct(ctx: _Context):
         g = SampledFunction(grid, rng.standard_normal(grid.N))
         lhs = inner_product(paraproducts_mod.paraproduct_apply(sym, f), g)
         rhs = inner_product(f, paraproducts_mod.paraproduct_adjoint_apply(sym, g))
-        gap = max(gap, abs(complex(lhs) - complex(rhs)))
+        gap = max(gap, abs(lhs - rhs))
     records.append(_record(
         cfg, "paraproduct_identities", None,
         {"symbol_rel_error": rel, "adjoint_constant_max": float(np.max(np.abs(pstar1.values))),
@@ -437,8 +437,8 @@ def _diag_decomposition(ctx: _Context):
     for _ in range(3):
         fv = SampledFunction(grid, rng.standard_normal(grid.N))
         gv = SampledFunction(grid, rng.standard_normal(grid.N))
-        lhs = complex(inner_product(dec.apply_t(fv), gv))
-        rhs = complex(
+        lhs = inner_product(dec.apply_t(fv), gv)
+        rhs = (
             inner_product(dec.apply_s(fv), gv)
             + inner_product(dec.apply_p1(fv), gv)
             + inner_product(dec.apply_p2_adjoint(fv), gv)
@@ -451,7 +451,7 @@ def _diag_decomposition(ctx: _Context):
     for a, b in ((1.0, 0.0), (0.5, 2.0), (2.0, -4.0), (1.0, 6.0), (4.0, 0.0)):
         w = frame_element(GroupPoint(a, b), grid)
         l1 = float(np.sum(np.abs(w.values)) * grid.h)
-        worst = max(worst, abs(complex(inner_product(s1, w))) / (l1 * t1_inf))
+        worst = max(worst, abs(inner_product(s1, w)) / (l1 * t1_inf))
     record = _record(
         ctx.cfg, "decomposition", "damped_hilbert_1",
         {"hilbert_s_minus_t": s_minus_t, "reconstruction_gap": gap, "paired_s1_ratio": worst,

@@ -1,14 +1,16 @@
 """The two frame generators, frame elements, and the analysis/synthesis pair.
 
 The mother wavelet psi (:func:`make_mother_wavelet`) is the derivative of the
-standard smooth bump exp(-1/(1-x^2)), rescaled so that the squared Calderon
-admissibility constant int_0^inf |psihat(t)|^2 dt/t equals 1.  With that
-normalization the family psi_{(a,b)} = a^{-1/2} psi((x-b)/a) is a continuous
-Parseval frame: coefficient energy against the Haar measure reproduces the
-L^2 norm, and synthesis of the coefficients reproduces the function.  The
+standard smooth bump theta(x) = exp(-1/(1-x^2)), times the fixed constant
+``_PSI_NORM`` that brings the squared Calderon admissibility constant
+int_0^inf |psihat(t)|^2 dt/t to 1.  With that normalization the family
+psi_{(a,b)} = a^{-1/2} psi((x-b)/a) is a continuous Parseval frame:
+coefficient energy against the Haar measure reproduces the L^2 norm, and
+synthesis of the coefficients reproduces the function.  The
 plateau bump phi (:func:`bump_phi`, mass :data:`M_PHI`) is what the
-paraproducts and the Stein audit pair with.  No other module takes either
-generator as an argument.
+paraproducts and the Stein audit pair with.  Both are fixed functions whose
+constants are literals, so building them costs nothing at start-up, and no
+other module takes either generator as an argument.
 
 Every lattice-wide operation (analysis, synthesis, and the analysis operator,
 bump pairings and paraproduct factors built on them elsewhere) is a product
@@ -25,7 +27,6 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 import scipy.sparse
@@ -34,7 +35,6 @@ from .geometry import GroupPoint
 from .grids import FrameGrid, SampledFunction, SpatialGrid
 
 __all__ = [
-    "MotherWavelet",
     "CoefficientField",
     "make_mother_wavelet",
     "M_PHI",
@@ -56,76 +56,25 @@ def _bump_derivative(x):
     return out
 
 
-# Block length of the two-level phase table: midpoint n = q B + r splits into
-# a fine offset r < B and a coarse block start q B.
-_PHASE_BLOCK = 64
-# Rows of t handled at a time.  At the default sizes every temporary of one
-# block is at most 256 x 128 complex (512 kB); whole-range tables of several
-# MB raise glibc's mmap threshold when freed, and with it the peak RSS.
-_T_BLOCK = 256
+# 1/sqrt of the raw admissibility integral int_0^inf |FT(theta')(t)|^2 dt/t:
+# the midpoint rule on 8192 points of [0, 1] for the sine transform and 4096
+# log-spaced t in [1e-4, 400].  tests/test_wavelets.py recomputes it.
+_PSI_NORM = 1.3323698345610664
 
 
-def _admissibility(norm_const: float, n_x: int = 8192, n_t: int = 4096, t_max: float = 400.0) -> float:
-    """int_0^inf |psihat(t)|^2 dt/t by log-spaced quadrature.
-
-    psi is real and odd, so psihat(t) = -2i int_0^1 psi(x) sin(tx) dx; the
-    integrand |psihat|^2/t vanishes like t at the origin, so truncating below
-    t_min is harmless.
-
-    The inner integral I(t) is the midpoint rule at x_n = (n + 1/2) h_x.  With
-    n = q B + r (B = ``_PHASE_BLOCK``) the phase factors as
-    e^{i t x_n} = e^{i t x_r} e^{i t q B h_x}, so
-
-        I(t) = h_x Im sum_q e^{i t q B h_x} sum_r psi(x_{qB+r}) e^{i t x_r}:
-
-    a fine table (t x B) times the samples laid out as a B x (n_x/B) matrix
-    (one GEMM), then a row-wise dot product with a coarse table
-    (t x n_x/B).  That is n_t (B + n_x/B) complex exponentials instead of
-    n_t n_x sines.  The samples are padded with exact zeros to a multiple of
-    B, so any ``n_x`` works.
-    """
-    hx = 1.0 / n_x
-    n_q = -(-n_x // _PHASE_BLOCK)
-    px = np.zeros(n_q * _PHASE_BLOCK)
-    px[:n_x] = norm_const * _bump_derivative(hx * (np.arange(n_x) + 0.5))
-    samples = px.reshape(n_q, _PHASE_BLOCK).T  # samples[r, q] = px[q B + r]
-    x_fine = hx * (np.arange(_PHASE_BLOCK) + 0.5)
-    x_coarse = hx * _PHASE_BLOCK * np.arange(n_q)
-    v = np.linspace(math.log(1e-4), math.log(t_max), n_t)
-    dv = v[1] - v[0]
-    t = np.exp(v)
-    I = np.empty(n_t)
-    for i in range(0, n_t, _T_BLOCK):
-        tb = t[i : i + _T_BLOCK, None]
-        inner = np.exp(1j * (tb * x_fine)) @ samples
-        I[i : i + _T_BLOCK] = np.einsum("tq,tq->t", np.exp(1j * (tb * x_coarse)), inner).imag * hx
-    # dt/t integral in v = log t: int |psihat|^2 dv
-    return float(np.sum(4.0 * I * I) * dv)
+def _mother_wavelet(x):
+    return _PSI_NORM * _bump_derivative(x)
 
 
-@dataclass(frozen=True)
-class MotherWavelet:
-    """Admissibility-normalized mother wavelet."""
-
-    norm_const: float
-
-    def __call__(self, x):
-        return self.norm_const * _bump_derivative(x)
-
-
-@lru_cache(maxsize=1)
-def make_mother_wavelet() -> MotherWavelet:
-    """Construct the normalized mother wavelet.
+def make_mother_wavelet():
+    """The normalized mother wavelet psi = _PSI_NORM * theta'.
 
     Zero mean and support in [-1, 1] hold by construction (derivative of a
-    compactly supported bump); the admissibility constant is brought to 1 by
-    rescaling by the raw constant's quadrature, :func:`_admissibility`.  The
-    result is cached, so a process pays for it once.
+    compactly supported bump); the factor _PSI_NORM brings the admissibility
+    constant to 1.  Every call returns the same function, so it keys one
+    :func:`frame_rows` matrix per lattice.
     """
-    c_raw = _admissibility(1.0)
-    if not c_raw > 0:
-        raise RuntimeError("degenerate admissibility integral for the fixed generator")
-    return MotherWavelet(norm_const=1.0 / math.sqrt(c_raw))
+    return _mother_wavelet
 
 
 def _transition(t):

@@ -288,6 +288,30 @@ def test_zero_audit_sees_unexplained_and_stale_zeros():
     )
 
 
+# --- refinement h -> h/2 -------------------------------------
+
+
+def _verdicts(report):
+    return {(r["name"], r["operator"]): (r["verdict"], r["values"].get("verdict_trend"))
+            for r in report["records"]}
+
+
+def test_verdicts_survive_refinement(full_suite):
+    # the whole default suite at N = 4096 (h halved, same lattices) keeps every
+    # record, every verdict and every tail trend of the N = 2048 run
+    cfgp = full_suite["base"] / "refined.json"
+    cfgp.write_text('{"grid": {"N": 4096}}\n')
+    out = full_suite["base"] / "refined"
+    assert main(["--config", str(cfgp), "--out", str(out)]) == 0
+    with open(out / "report.json") as fh:
+        refined = json.load(fh)
+    assert refined["config"]["grid"]["N"] == 4096
+    coarse = _verdicts(full_suite["report"])
+    assert len(refined["records"]) == len(full_suite["report"]["records"]) == len(coarse) == 21
+    assert {verdict for verdict, _ in coarse.values()} == {"PASS"}
+    assert _verdicts(refined) == coarse
+
+
 # --- CLI contract --------------------------------------------
 
 

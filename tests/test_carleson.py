@@ -91,15 +91,15 @@ def test_log_singular_profile_does_not_vanish():
 
 
 def test_stein_audit_matches_the_cached_rows(psi, grid, monkeypatch):
-    # the audit pairs Re f with the cached L2 phi rows; oracle: per-node
-    # samples a^-1/2 phi((x - b)/a), summed against Re f
+    # the audit pairs f with the cached L2 phi rows; oracle: per-node
+    # samples a^-1/2 phi((x - b)/a), summed against f
     fg = make_frame_grid(grid, 0.5, 32.0, s=0.25, L_b=32.0, cone_factor=0.0)
-    f = SampledFunction(grid, np.exp(-((grid.x / 4.0) ** 2)) + 1j * np.sin(grid.x))
-    mu = coefficient_measure(SampledFunction(grid, f.values.real), fg)
+    f = SampledFunction(grid, np.exp(-((grid.x / 4.0) ** 2)) + np.sin(grid.x))
+    mu = coefficient_measure(f, fg)
     ratio = stein_inequality_check(f, mu)
     assert set(fg._rows) == {(psi, grid), (bump_phi, grid)}
     u = (grid.x[None, :] - fg.b[:, None]) / fg.a[:, None]
-    oracle = (bump_phi(u) / np.sqrt(fg.a)[:, None]) @ f.values.real * grid.h
+    oracle = (bump_phi(u) / np.sqrt(fg.a)[:, None]) @ f.values * grid.h
     monkeypatch.setattr(carleson_mod, "analyze",
                         lambda g, fn, fgrid: CoefficientField(fgrid, oracle))
     assert stein_inequality_check(f, mu) == pytest.approx(ratio, rel=1e-12)

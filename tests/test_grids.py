@@ -58,6 +58,16 @@ def test_sampled_function_shape_validation(grid):
         SampledFunction(grid, np.zeros(17))
 
 
+def test_sampled_function_is_real(grid):
+    with pytest.raises(TypeError):
+        SampledFunction(grid, np.zeros(grid.N, dtype=complex))
+    with pytest.raises(TypeError):
+        SampledFunction.from_callable(grid, lambda x: np.exp(1j * x))
+    f = SampledFunction(grid, np.arange(grid.N))
+    assert f.values.dtype == np.float64
+    assert isinstance(inner_product(f, f), float)
+
+
 def test_frame_grid_preconditions(grid):
     with pytest.raises(ValueError):
         make_frame_grid(grid, grid.h, 16.0)  # below 2h resolution limit

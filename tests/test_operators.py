@@ -87,6 +87,14 @@ def test_finite_rank_application_factorizes(grid):
     assert np.allclose(Tf.values, scalar * u(grid.x), atol=1e-14)
 
 
+def test_finite_rank_constant_is_eight_sup_uv():
+    # each factor peaks at exp(-1), at its centre; the sampled sup is the oracle
+    kern = get_model("finite_rank").kernel
+    u, v = kern.factors
+    sup_uv = float(np.max(u(np.linspace(-2, 2, 4001)))) * float(np.max(v(np.linspace(-1, 2, 4001))))
+    assert kern.c_k == 8.0 * sup_uv == 8.0 * math.exp(-2.0)
+
+
 def test_t1_hilbert_vanishes(grid):
     t1, err = compute_T1(get_model("hilbert").kernel, grid)
     assert np.max(np.abs(t1.values)) < 1e-12

@@ -15,6 +15,8 @@ parameter a caller may pass is named.  No function, lambda or dataclass field
 is named ``psi`` or ``phi``: the two frame generators are fixed in
 ``wavelets``, not passed around.  In ``reporting.py`` a bound is spelled
 only in ``BOUND_TABLES``: no comparator or tolerance key appears elsewhere.
+Sampled data is real, so no module calls ``complex`` or ``conj`` or reads a
+``.real`` or ``.imag`` attribute, except where ``COMPLEX_ALLOWED`` says.
 """
 
 import ast
@@ -198,6 +200,64 @@ def test_checker_sees_generator_declarations():
     )
     assert sorted(_generator_declarations(tree)) == [
         ("<lambda>", "phi", 2), ("D", "phi", 6), ("E", "psi", 13), ("f", "psi", 1), ("m", "psi", 9)
+    ]
+
+
+# grids.SampledFunction rejects complex values.  The one complex site is the
+# time reversal of a real Toeplitz column: rmatvec conjugates its FFT symbol.
+COMPLEX_ALLOWED = {("operators", "DiscreteOperator.rmatvec", "conj()")}
+
+
+def _complex_uses(tree):
+    """(owner, use, line) of every ``complex``/``conj`` call and ``.real``/``.imag`` attribute.
+
+    ``owner`` is the dotted name of the enclosing function or class, ``None``
+    at module level.
+    """
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            inner = owner
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = child.name if owner is None else f"{owner}.{child.name}"
+            elif isinstance(child, ast.Call):
+                func = child.func
+                callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if callee in ("complex", "conj"):
+                    found.append((owner, f"{callee}()", child.lineno))
+            elif isinstance(child, ast.Attribute) and child.attr in ("real", "imag"):
+                found.append((owner, f".{child.attr}", child.lineno))
+            visit(child, inner)
+
+    visit(tree, None)
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_complex_arithmetic(path):
+    uses = _complex_uses(ast.parse(path.read_text()))
+    stray = [u for u in uses if (path.stem, u[0], u[1]) not in COMPLEX_ALLOWED]
+    assert not stray, f"{path.name}: complex arithmetic on real data {stray}"
+    stale = {(m, o, w) for m, o, w in COMPLEX_ALLOWED if m == path.stem} - {
+        (path.stem, o, w) for o, w, _ in uses}
+    assert not stale, f"allowed complex sites that are gone: {sorted(stale)}"
+
+
+def test_checker_sees_complex_arithmetic():
+    tree = ast.parse(
+        "v = complex(inner_product(f, g)).real\n"
+        "def pair(f, g):\n"
+        "    k = conjugate(kernel, g)\n"
+        "    return np.sum(f * np.conj(g)), np.iscomplexobj(f)\n"
+        "class Op:\n"
+        "    real = None\n"
+        "    def rmatvec(self, x):\n"
+        "        return np.real(x), x.imag, self.symbol.conj()\n"
+    )
+    assert sorted(_complex_uses(tree), key=lambda u: (u[2], u[1])) == [
+        (None, ".real", 1), (None, "complex()", 1), ("pair", "conj()", 4),
+        ("Op.rmatvec", ".imag", 8), ("Op.rmatvec", ".real", 8), ("Op.rmatvec", "conj()", 8),
     ]
 
 
