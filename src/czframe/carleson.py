@@ -11,7 +11,11 @@ bounds of the continuum suprema and are exactly monotone under nesting.
 Tents are closed on the lattice: the tent over B(b, a) collects nodes
 (a', b') with a' <= a and |b' - b| <= a - a', so a node's own minimal tent
 contains it.  The cone over x is open: the nodes with |b - x| < a.  These
-are the package's only tent and cone conventions.
+are the package's only tent and cone conventions.  Tent masses come from
+per-scale cumulative sums (:func:`tent_masses`); cone maxima, for
+:func:`carleson_function` and the Stein audit, from per-scale index ranges
+(:func:`_cone_maxima`): a scale's translations are sorted, so the cone
+nodes over x are a run of at most 2/s + 1 of them, found by binary search.
 
 Wavelet and bump pairings over the lattice both go through
 :func:`~czframe.wavelets.analyze`, a product with the cached
@@ -102,8 +106,31 @@ def tent_masses(mu: CoefficientMeasure) -> np.ndarray:
     return out
 
 
-def _cone_mask(x: float, fgrid: FrameGrid) -> np.ndarray:
-    return np.abs(x - fgrid.b) < fgrid.a
+def _cone_maxima(fgrid: FrameGrid, xs: np.ndarray, fields):
+    """Per position x in ``xs``, the max of each field over the open cone |x - b| < a.
+
+    Returns ``(maxima, covered)``: ``maxima[i, m]`` is the max of ``fields[i]``
+    over the cone nodes above ``xs[m]`` (-inf where there are none), and
+    ``covered[m]`` says whether any node is there.  Per scale, the
+    translations are sorted, so each position's candidates are an index
+    range found by ``searchsorted`` with a margin of one index on each side:
+    at most 2/s + 3 nodes, to which the open-cone test is applied exactly.
+    """
+    xs = np.asarray(xs, dtype=float)
+    maxima = np.full((len(fields), xs.size), -np.inf)
+    covered = np.zeros(xs.size, dtype=bool)
+    for j in range(fgrid.scales.size):
+        sl = fgrid.scale_slice(j)
+        b, a = fgrid.b[sl], fgrid.scales[j]
+        lo = np.maximum(np.searchsorted(b, xs - a, side="left") - 1, 0)
+        hi = np.minimum(np.searchsorted(b, xs + a, side="right") + 1, b.size)
+        idx = np.minimum(lo[:, None] + np.arange(np.max(hi - lo)), b.size - 1)
+        cone = (idx < hi[:, None]) & (np.abs(xs[:, None] - b[idx]) < a)
+        covered |= cone.any(axis=1)
+        for i, values in enumerate(fields):
+            block = np.where(cone, values[sl][idx], -np.inf)
+            np.maximum(maxima[i], block.max(axis=1, initial=-np.inf), out=maxima[i])
+    return maxima, covered
 
 
 def carleson_function(mu: CoefficientMeasure, x: float) -> float:
@@ -111,10 +138,8 @@ def carleson_function(mu: CoefficientMeasure, x: float) -> float:
     fg = mu.fgrid
     if abs(x) > fg.L_b:
         raise ValueError("x outside the translation box")
-    sel = _cone_mask(x, fg)
-    if not np.any(sel):
-        return 0.0
-    return float(np.max(tent_masses(mu)[sel] / (2.0 * fg.a[sel])))
+    maxima, covered = _cone_maxima(fg, [x], [tent_masses(mu) / (2.0 * fg.a)])
+    return float(maxima[0, 0]) if covered[0] else 0.0
 
 
 def vanishing_profile(mu: CoefficientMeasure, radii) -> np.ndarray:
@@ -140,8 +165,10 @@ def stein_inequality_check(f: SampledFunction, mu: CoefficientMeasure) -> float:
     cone nodes above x.  Returns the ratio LHS/RHS, which the caller bounds
     by its slack C (a slack audit, not a sharp constant).  The base-space
     integral is a Riemann sum over 257 equispaced positions on [-L, L], both
-    endpoints included, each weighted by their spacing dx.  A zero RHS gives
-    0 if the LHS is zero too and ``inf`` otherwise.
+    endpoints included, each weighted by their spacing dx; a position that
+    no cone covers adds nothing.  Mf and C mu at every position come from
+    one :func:`_cone_maxima` pass, and the sum runs in position order.  A
+    zero RHS gives 0 if the LHS is zero too and ``inf`` otherwise.
     """
     fg = mu.fgrid
     coeffs = analyze(f, bump_phi, fg).values
@@ -149,14 +176,11 @@ def stein_inequality_check(f: SampledFunction, mu: CoefficientMeasure) -> float:
     ratios = tent_masses(mu) / (2.0 * fg.a)
     xs = np.linspace(-f.grid.L, f.grid.L, 257)
     dx = xs[1] - xs[0]
+    (mfs, cmus), covered = _cone_maxima(fg, xs, [np.abs(coeffs), ratios])
     rhs = 0.0
-    for x in xs:
-        sel = _cone_mask(float(x), fg)
-        if not np.any(sel):
-            continue
-        mf = float(np.max(np.abs(coeffs[sel])))
-        cmu = float(np.max(ratios[sel]))
-        rhs += mf**2 * cmu * dx
+    for mf, cmu, hit in zip(mfs.tolist(), cmus.tolist(), covered.tolist()):
+        if hit:
+            rhs += mf**2 * cmu * dx
     if rhs == 0.0:
         return 0.0 if lhs == 0.0 else math.inf
     return lhs / rhs

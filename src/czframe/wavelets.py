@@ -19,7 +19,8 @@ lattice.  Its rows are always the L2 dilates a^{-1/2} fn((x - b)/a); an L1
 pairing is the L2 one times a^{-1/2}.  A caller that needs the coefficients
 only once, the decay fit, streams them with :func:`_analysis_blocks` in
 blocks of whole scales instead, so the full matrix is never resident.  Both
-build their rows with :func:`_scale_rows`.
+build their rows with :func:`_scale_rows`, which evaluates the generator in
+cache-sized chunks of whole rows.
 """
 
 from __future__ import annotations
@@ -47,12 +48,23 @@ __all__ = [
 
 
 def _bump_derivative(x):
+    """theta'(x) of the bump theta(x) = exp(-1/(1 - x^2)), and 0 wherever |x| < 1 fails.
+
+    Every point is evaluated, with x replaced by -0.0 off (-1, 1): there d =
+    1 - x^2 is 1, nothing overflows, and the product below is exactly +0.0.
+    No inside points are gathered or scattered, and NaN and +-inf map to 0.
+    Outputs go into arrays, so a 0-d x works too.
+    """
     x = np.asarray(x, dtype=float)
-    out = np.zeros_like(x)
-    inside = np.abs(x) < 1.0
-    xi = x[inside]
-    d = 1.0 - xi * xi
-    out[inside] = np.exp(-1.0 / d) * (-2.0 * xi / (d * d))
+    xi = np.where(np.abs(x) < 1.0, x, -0.0)
+    d = np.multiply(xi, xi, out=np.empty_like(xi))
+    np.subtract(1.0, d, out=d)
+    out = np.divide(-1.0, d, out=np.empty_like(xi))
+    np.exp(out, out=out)
+    d *= d
+    xi *= -2.0
+    xi /= d
+    out *= xi
     return out
 
 
@@ -127,40 +139,65 @@ def frame_element(point: GroupPoint, grid: SpatialGrid) -> SampledFunction:
 # nonzero (a float64 value and an int32 column index).
 _BLOCK_NNZ = 1 << 21
 
+# Target nonzeros per chunk of whole rows in :func:`_scale_rows`: a 256 kB
+# float64 argument, so the generator's few temporaries of that size stay in a
+# core's L2 cache.  Each chunk also costs some 20 small numpy calls, so a
+# scale is cut into round(nnz / _CHUNK_NNZ) chunks, never a tiny remainder.
+_CHUNK_NNZ = 1 << 15
+
 
 def _windows(fgrid: FrameGrid, grid: SpatialGrid, nodes: slice):
-    """First grid index and width of the sampling window of each node in ``nodes``."""
+    """First grid index and width (int32) of the sampling window of each node in ``nodes``."""
     radius = fgrid.a[nodes]  # generators are supported in [-1, 1]
     b, h, L, N = fgrid.b[nodes], grid.h, grid.L, grid.N
-    i_lo = np.clip(np.ceil((b - radius + L) / h).astype(int), 0, N)
-    i_hi = np.clip(np.floor((b + radius + L) / h).astype(int) + 1, 0, N)
+    i_lo = np.clip(np.ceil((b - radius + L) / h), 0, N).astype(np.int32)
+    i_hi = np.clip(np.floor((b + radius + L) / h) + 1, 0, N).astype(np.int32)
     return i_lo, np.maximum(i_hi - i_lo, 0)
 
 
 def _scale_rows(fn, fgrid: FrameGrid, grid: SpatialGrid, j0: int, j1: int):
-    """The :func:`frame_rows` rows of the nodes of scales [j0, j1), uncached."""
+    """The :func:`frame_rows` rows of the nodes of scales [j0, j1), uncached.
+
+    One CSR is preallocated and filled scale by scale (a scale's nodes share
+    one dilation).  A scale of n nonzeros is cut into round(n /
+    ``_CHUNK_NNZ``) chunks (at least one) of equally many whole rows, so a
+    chunk holds about ``_CHUNK_NNZ`` nonzeros unless one row is wider.  A
+    chunk's columns are written into ``indices`` and its arguments (x - b)/a
+    into one reused buffer, so peak memory is the finished rows plus
+    chunk-sized temporaries.  Every entry is the same elementwise expression
+    as in :func:`frame_element`, so the chunking does not change a bit.
+    """
     n0, n1 = int(fgrid.offsets[j0]), int(fgrid.offsets[j1])
     i_lo, widths = _windows(fgrid, grid, slice(n0, n1))
     b = fgrid.b[n0:n1]
-    # Fill one preallocated CSR scale by scale (a scale's nodes share one
-    # dilation), so peak memory is the finished rows plus one scale's
-    # temporaries; collecting per-scale blocks and concatenating doubles it.
     indptr = np.zeros(n1 - n0 + 1, dtype=np.int32)
     np.cumsum(widths, out=indptr[1:])
+    del widths  # each scale's widths come from indptr, so one node-sized array stays
+    shift = np.subtract(indptr[:-1], i_lo, out=i_lo)  # entry p of row k is column p - shift[k]
     data = np.empty(indptr[-1])
     indices = np.empty(indptr[-1], dtype=np.int32)
+    ramp, buf = np.arange(0, dtype=np.int32), np.empty(0)  # grown to the widest chunk
     x = grid.x
     for j in range(j0, j1):
-        aj = fgrid.scales[j]
-        sl = slice(int(fgrid.offsets[j]) - n0, int(fgrid.offsets[j + 1]) - n0)
-        p0, p1 = indptr[sl.start], indptr[sl.stop]
-        if p0 == p1:
-            continue
-        w = widths[sl]
-        cols = np.arange(p0, p1) - np.repeat(indptr[sl] - i_lo[sl], w)
-        indices[p0:p1] = cols
-        vals = fn((x[cols] - np.repeat(b[sl], w)) / aj)
-        data[p0:p1] = vals / math.sqrt(aj)
+        aj, root = fgrid.scales[j], math.sqrt(fgrid.scales[j])
+        r_start, r_end = int(fgrid.offsets[j]) - n0, int(fgrid.offsets[j + 1]) - n0
+        w_j = np.diff(indptr[r_start : r_end + 1])
+        runs = max(1, round(int(indptr[r_end] - indptr[r_start]) / _CHUNK_NNZ))
+        step = max(1, -(-(r_end - r_start) // runs))  # rows per chunk, rounded up
+        for r0 in range(r_start, r_end, step):
+            r1 = min(r0 + step, r_end)
+            p0, p1 = int(indptr[r0]), int(indptr[r1])
+            if p0 == p1:
+                continue
+            if buf.size < p1 - p0:
+                ramp, buf = np.arange(p1 - p0, dtype=np.int32), np.empty(p1 - p0)
+            w = w_j[r0 - r_start : r1 - r_start]
+            cols = np.add(ramp[: p1 - p0], p0, out=indices[p0:p1])
+            cols -= np.repeat(shift[r0:r1], w)
+            u = np.take(x, cols, out=buf[: p1 - p0], mode="clip")  # unbuffered; cols are in range
+            u -= np.repeat(b[r0:r1], w)
+            u /= aj
+            np.divide(fn(u), root, out=data[p0:p1])
     return scipy.sparse.csr_matrix((data, indices, indptr), shape=(n1 - n0, grid.N))
 
 

@@ -18,10 +18,11 @@ from czframe.carleson import (
     tent_masses,
     vanishing_profile,
 )
+from czframe.geometry import IDENTITY
 from czframe.grids import SampledFunction, SpatialGrid, make_frame_grid, smooth_bump
 from czframe.operators import get_model
 from czframe.paraproducts import decompose
-from czframe.wavelets import CoefficientField, bump_phi, make_mother_wavelet
+from czframe.wavelets import CoefficientField, bump_phi, frame_element, make_mother_wavelet
 
 
 @pytest.fixture(scope="module")
@@ -136,6 +137,113 @@ def test_stein_inequality_point_mass(grid, fgrid):
     mu = point_mass(fgrid, fgrid.n_nodes // 2)
     ratio = stein_inequality_check(f, mu)
     assert ratio <= 10.0
+
+
+def _oracle_cone(x, fgrid):
+    """The open cone over x as a mask over every lattice node."""
+    return np.abs(x - fgrid.b) < fgrid.a
+
+
+def _oracle_carleson_function(mu, x):
+    fg = mu.fgrid
+    sel = _oracle_cone(x, fg)
+    if not np.any(sel):
+        return 0.0
+    return float(np.max(tent_masses(mu)[sel] / (2.0 * fg.a[sel])))
+
+
+def _oracle_stein(f, mu):
+    """The Stein audit with one full-lattice cone mask per position."""
+    fg = mu.fgrid
+    coeffs = carleson_mod.analyze(f, bump_phi, fg).values
+    lhs = float(np.sum(np.abs(coeffs) ** 2 * mu.masses))
+    ratios = tent_masses(mu) / (2.0 * fg.a)
+    xs = np.linspace(-f.grid.L, f.grid.L, 257)
+    dx = xs[1] - xs[0]
+    rhs = 0.0
+    for x in xs:
+        sel = _oracle_cone(float(x), fg)
+        if not np.any(sel):
+            continue
+        mf = float(np.max(np.abs(coeffs[sel])))
+        cmu = float(np.max(ratios[sel]))
+        rhs += mf**2 * cmu * dx
+    if rhs == 0.0:
+        return 0.0 if lhs == 0.0 else math.inf
+    return lhs / rhs
+
+
+@pytest.fixture(scope="module")
+def lattices(grid, fgrid):
+    """The suite's default lattice and the cone_factor=0 one, each with its grid."""
+    default = SpatialGrid(32.0, 2048)
+    return {
+        "default": (default, make_frame_grid(default, 0.0625, 512.0, s=0.125, cone_factor=1.0)),
+        "cone_factor_0": (grid, fgrid),
+    }
+
+
+def _edge_positions(fg, count=6):
+    """Positions x = b +- a exactly, with |x - b| == a, inside the translation box."""
+    rng = np.random.default_rng(2)
+    out = []
+    for k in rng.permutation(fg.n_nodes):
+        for x in (fg.b[k] + fg.a[k], fg.b[k] - fg.a[k]):
+            if abs(x - fg.b[k]) == fg.a[k] and abs(x) <= fg.L_b:
+                out.append(float(x))
+        if len(out) >= count:
+            return out
+    raise AssertionError("no exact cone edges found")
+
+
+@pytest.mark.parametrize("name", ["default", "cone_factor_0"])
+def test_stein_audit_matches_the_mask_oracle(lattices, name):
+    grid, fg = lattices[name]
+    gauss = SampledFunction(grid, np.exp(-grid.x**2))
+    mu_psi = coefficient_measure(frame_element(IDENTITY, grid), fg)
+    bump = SampledFunction(grid, smooth_bump(grid.x, 0.0, 1.5))
+    mu_pt = point_mass(fg, int(np.argmin(fg.dist0)))
+    for f, mu in ((gauss, mu_psi), (bump, mu_pt)):
+        ratio = stein_inequality_check(f, mu)
+        assert ratio > 0.0
+        assert ratio == _oracle_stein(f, mu)
+    xs = np.linspace(-grid.L, grid.L, 257)
+    uncovered = [x for x in xs if not np.any(_oracle_cone(x, fg))]
+    assert bool(uncovered) == (name == "cone_factor_0")  # positions no cone covers are skipped
+
+
+@pytest.mark.parametrize("name", ["default", "cone_factor_0"])
+def test_carleson_function_matches_the_mask_oracle(lattices, name):
+    _, fg = lattices[name]
+    rng = np.random.default_rng(9)
+    mu = CoefficientMeasure(fg, rng.random(fg.n_nodes))
+    edges = _edge_positions(fg)
+    xs = [0.0, float(fg.b[fg.n_nodes // 3]), *edges, *rng.uniform(-fg.L_b, fg.L_b, 8)]
+    for x in xs:
+        assert carleson_function(mu, x) == _oracle_carleson_function(mu, x)
+
+
+@pytest.mark.parametrize("name", ["default", "cone_factor_0"])
+def test_cone_maxima_match_the_mask_oracle(lattices, name):
+    # the open cone excludes x = b +- a exactly; a position past every cone
+    # has no node at all
+    _, fg = lattices[name]
+    rng = np.random.default_rng(4)
+    fields = [rng.random(fg.n_nodes), rng.standard_normal(fg.n_nodes)]
+    edges = _edge_positions(fg)
+    far = fg.L_b + 2.0 * float(fg.a.max())
+    xs = np.array([*edges, far, -far, *rng.uniform(-fg.L_b, fg.L_b, 16)])
+    maxima, covered = carleson_mod._cone_maxima(fg, xs, fields)
+    for m, x in enumerate(xs):
+        sel = _oracle_cone(x, fg)
+        assert covered[m] == np.any(sel)
+        for i, values in enumerate(fields):
+            expected = np.max(values[sel]) if np.any(sel) else -np.inf
+            assert maxima[i, m] == expected
+    assert not covered[len(edges)] and not covered[len(edges) + 1]
+    # each edge position sits exactly on the boundary of some node's cone
+    for x in edges:
+        assert np.any(np.abs(x - fg.b) == fg.a)
 
 
 def test_bmo_examples_and_norms(grid):

@@ -16,7 +16,9 @@ is named ``psi`` or ``phi``: the two frame generators are fixed in
 ``wavelets``, not passed around.  In ``reporting.py`` a bound is spelled
 only in ``BOUND_TABLES``: no comparator or tolerance key appears elsewhere.
 Sampled data is real, so no module calls ``complex`` or ``conj`` or reads a
-``.real`` or ``.imag`` attribute, except where ``COMPLEX_ALLOWED`` says.
+``.real`` or ``.imag`` attribute, except where ``COMPLEX_ALLOWED`` says.  The
+open-cone test ``abs(x - b) < a`` is spelled in one function of
+``carleson.py``, and no ``_cone_mask`` is defined there.
 """
 
 import ast
@@ -385,3 +387,43 @@ def test_checker_sees_an_inline_bound():
         "    return rec, _record(cfg, 'x', None, {}, {}, ('metric', '<', 'parseval'))\n"
     )
     assert _stray_bounds(tree, {"parseval", "carleson_constant"}) == [(5, "<"), (5, "parseval")]
+
+
+def _open_cone_tests(tree):
+    """(top-level def, line) of every ``abs(u - v) < w`` comparison, and the defined names."""
+    found = []
+    for top in tree.body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Compare) and len(node.ops) == 1
+                    and isinstance(node.ops[0], ast.Lt) and isinstance(node.left, ast.Call)):
+                func = node.left.func
+                callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                args = node.left.args
+                if (callee == "abs" and len(args) == 1 and isinstance(args[0], ast.BinOp)
+                        and isinstance(args[0].op, ast.Sub)):
+                    found.append((getattr(top, "name", None), node.lineno))
+    defined = {n.name for n in ast.walk(tree)
+               if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))}
+    return found, defined
+
+
+def test_one_open_cone_convention():
+    found, defined = _open_cone_tests(ast.parse((SRC / "carleson.py").read_text()))
+    owners = {owner for owner, _ in found}
+    assert len(owners) == 1 and None not in owners, f"open-cone tests in {sorted(found, key=str)}"
+    assert "_cone_mask" not in defined
+
+
+def test_checker_sees_open_cone_tests():
+    tree = ast.parse(
+        "def _cone_mask(x, fgrid):\n"
+        "    return np.abs(x - fgrid.b) < fgrid.a\n"
+        "def carleson_function(mu, x):\n"
+        "    tent = np.abs(mu.b - x) <= mu.a\n"
+        "    near = abs(x - 1.0) > 2.0\n"
+        "    return [b for b in mu.b if abs(x - b) < mu.a[0]]\n"
+        "inside = np.abs(x + b) < a\n"
+    )
+    found, defined = _open_cone_tests(tree)
+    assert found == [("_cone_mask", 2), ("carleson_function", 6)]
+    assert "_cone_mask" in defined

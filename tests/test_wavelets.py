@@ -1,10 +1,12 @@
 """Mother wavelet certificates, frame analysis/synthesis identities, frame rows."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import czframe.wavelets as wavelets_mod
 from czframe.geometry import GroupPoint
 from czframe.grids import SampledFunction, SpatialGrid, inner_product, l2_norm, make_frame_grid
 from czframe.wavelets import (
@@ -189,6 +191,87 @@ def test_scale_blocks_match_frame_rows_bitwise(psi, tiny):
     assert [nodes.start for nodes, _ in blocks] == [0] + [nodes.stop for nodes, _ in blocks[:-1]]
     assert blocks[-1][0].stop == fg.n_nodes
     assert np.concatenate([c for _, c in blocks]).tobytes() == full.tobytes()
+
+
+def _masked_bump_derivative(x):
+    """theta' by gathering the points with |x| < 1 and scattering them back."""
+    x = np.asarray(x, dtype=float)
+    out = np.zeros_like(x)
+    inside = np.abs(x) < 1.0
+    xi = x[inside]
+    d = 1.0 - xi * xi
+    out[inside] = np.exp(-1.0 / d) * (-2.0 * xi / (d * d))
+    return out
+
+
+def test_bump_derivative_matches_the_masked_evaluation():
+    # every point is evaluated, with -0.0 standing in off (-1, 1): bitwise
+    # the gather/scatter evaluation, edges, signed zeros and non-finite points
+    # included
+    from czframe.wavelets import _bump_derivative
+
+    special = [1.0, -1.0, np.nextafter(1.0, 0.0), np.nextafter(-1.0, 0.0), 0.0, -0.0,
+               np.nan, np.inf, -np.inf]
+    x = np.concatenate([np.random.default_rng(11).uniform(-1.5, 1.5, 20001), special])
+    got = _bump_derivative(x)
+    assert got.tobytes() == _masked_bump_derivative(x).tobytes()
+    assert np.all(got[-4:] == 0.0) and got[-9] == got[-8] == 0.0
+    assert _bump_derivative(0.5).tobytes() == _masked_bump_derivative(0.5).tobytes()
+
+
+@pytest.mark.parametrize("chunk", [7, 45, None])
+def test_scale_rows_chunks_match_frame_elements_bitwise(psi, tiny, monkeypatch, chunk):
+    # chunks of whole rows (one row when it is wider than the chunk) give
+    # every row exactly the frame_element samples on its window, and 0 off it
+    from czframe.wavelets import _scale_rows
+
+    if chunk is not None:
+        monkeypatch.setattr(wavelets_mod, "_CHUNK_NNZ", chunk)
+    grid, fg = tiny
+    rows = _scale_rows(psi, fg, grid, 0, fg.scales.size)
+    for k in range(fg.n_nodes):
+        el = frame_element(GroupPoint(float(fg.a[k]), float(fg.b[k])), grid).values
+        p0, p1 = rows.indptr[k], rows.indptr[k + 1]
+        cols = rows.indices[p0:p1]
+        assert np.all(np.diff(cols) == 1)
+        assert rows.data[p0:p1].tobytes() == el[cols].tobytes()
+        assert not np.any(np.delete(el, cols))
+
+
+def test_scale_rows_do_not_depend_on_the_chunk(psi, grid, monkeypatch):
+    # one-row chunks, a few rows each, and the default on the full scale range
+    from czframe.wavelets import _scale_rows
+
+    fg = make_frame_grid(grid, 0.0625, 512.0, s=0.5, cone_factor=1.0)
+    built = {}
+    for chunk in (wavelets_mod._CHUNK_NNZ, 7, 1000):
+        monkeypatch.setattr(wavelets_mod, "_CHUNK_NNZ", chunk)
+        for fn in (psi, bump_phi):
+            rows = _scale_rows(fn, fg, grid, 0, fg.scales.size)
+            built.setdefault(fn, []).append(
+                b"".join(getattr(rows, p).tobytes() for p in ("data", "indices", "indptr")))
+    assert all(len(set(parts)) == 1 for parts in built.values())
+
+
+def test_decay_block_build_peaks_near_its_csr_bytes(psi):
+    # the first block of the decay fit on the refined lattice (N 4096, s 1/16):
+    # ~2M nonzeros, built with chunk-sized temporaries only
+    from czframe.wavelets import _analysis_blocks, _scale_rows
+
+    grid = SpatialGrid(32.0, 4096)
+    fg = make_frame_grid(grid, 0.0625, 512.0, s=0.0625, cone_factor=1.0)
+    nodes, _ = next(_analysis_blocks(SampledFunction(grid, np.zeros(grid.N)), fg))
+    j1 = int(np.searchsorted(fg.offsets, nodes.stop))
+    assert fg.offsets[j1] == nodes.stop
+    tracemalloc.start()
+    try:
+        rows = _scale_rows(psi, fg, grid, 0, j1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    csr = rows.data.nbytes + rows.indices.nbytes + rows.indptr.nbytes
+    assert rows.nnz > 1_900_000
+    assert peak <= 1.1 * csr
 
 
 def test_analysis_operator_matches_dense_assembly(psi, tiny):
