@@ -7,7 +7,8 @@ hyperbolic disk of radius R.  It is the top eigenvalue of the composite
 map's normal operator, computed by Lanczos (ARPACK ``eigsh``) from a seeded
 start vector.  Vanishing tails as R grows indicate a precompact image; the
 functional is reported together with the maximizing input (the witness) and
-the solver's statistics, so verdicts are auditable.
+the solver's statistics.  It returns numbers only; :mod:`czframe.reporting`
+classifies them against each record's check bounds.
 
 Discretized operators A with (Tf)(x_i) = (A f)_i for sample vectors f are
 applied only through ``matvec``/``rmatvec`` of a
@@ -50,11 +51,8 @@ __all__ = [
     "tail_functional",
     "tail_views",
     "singular_spectrum",
-    "tail_verdict",
 ]
 
-VANISHING_THRESHOLD = 1e-2
-NON_VANISHING_THRESHOLD = 0.1
 # Relative tolerance of every Lanczos tail solve.
 _TOL = 1e-6
 
@@ -132,10 +130,6 @@ class TailFunctional:
     converged: np.ndarray
     residuals: np.ndarray
     witnesses: list[SampledFunction] = field(repr=False)
-    verdict: str = "inconclusive"
-
-    def ratio(self) -> float:
-        return float(self.values[-1] / self.values[0]) if self.values[0] else 0.0
 
 
 def _lanczos_top(
@@ -229,7 +223,7 @@ def tail_functional(
     radii,
     seed: int = 0,
 ) -> TailFunctional:
-    """rk_tail profile over a radii sweep with a trend verdict.
+    """rk_tail profile over a radii sweep, with per-radius solver statistics.
 
     Each radius is one :func:`rk_tail` solve, from ``seed``, on its view from
     :func:`tail_views`.  The solves run on a thread pool and are collected
@@ -247,33 +241,14 @@ def tail_functional(
         solves = list(pool.map(lambda S_tail: rk_tail(A, S_tail, grid, seed=seed), tails))
     finally:
         pool.shutdown(cancel_futures=True)
-    values = np.array([res.value for res in solves])
     return TailFunctional(
         radii=radii,
-        values=values,
+        values=np.array([res.value for res in solves]),
         iterations=np.array([res.iterations for res in solves]),
         converged=np.array([res.converged for res in solves]),
         residuals=np.array([res.residual for res in solves]),
         witnesses=[res.witness for res in solves],
-        verdict=tail_verdict(values),
     )
-
-
-def tail_verdict(values: np.ndarray) -> str:
-    """Trend verdict: vanishing / non-vanishing / inconclusive.
-
-    A finite grid cannot certify the infinite-volume limit; the verdict
-    classifies the observed trend of tail(R_max)/tail(0) only, and callers
-    must read it together with the truncation box recorded in reports.
-    """
-    if values[0] <= 0.0:
-        return "vanishing"
-    ratio = values[-1] / values[0]
-    if ratio < VANISHING_THRESHOLD:
-        return "vanishing"
-    if ratio > NON_VANISHING_THRESHOLD:
-        return "non-vanishing"
-    return "inconclusive"
 
 
 def singular_spectrum(A: np.ndarray, k: int) -> np.ndarray:

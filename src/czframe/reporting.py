@@ -11,7 +11,9 @@ in ``CHECKS``, as ``(value key, comparator, tolerance key)`` bounds;
 and its ``tolerances`` echo from them. Its ``ok`` argument carries the
 conditions that are not tolerance checks (solver convergence, monotone
 refinement, finite Schur values, an exactly zero tail for the zero
-operator). A non-finite value fails its record and is stored as the string
+operator). A tail-ratio record's ``verdict_trend`` is read from the same
+table through ``TRENDS``, so a tolerance override moves it with the
+verdict. A non-finite value fails its record and is stored as the string
 ``"nan"``, ``"inf"`` or ``"-inf"``, so report.json is strict JSON. The
 configuration these read lives in :mod:`czframe.config`.
 
@@ -134,6 +136,18 @@ CHECKS = {
                       ("paired_s1_ratio", "<=", "decomp_s1_rel")),
 }
 
+# The verdict_trend of a tail-ratio record: the first label whose CHECKS case
+# holds for the record's values, else "inconclusive".
+TRENDS = {
+    "rk_tail": (("vanishing", "finite_rank"), ("non-vanishing", "hilbert")),
+    "paraproduct_compactness": (("vanishing", "CMO"), ("non-vanishing", "BMO-not-CMO")),
+}
+
+
+def _tail_ratio(values) -> float:
+    """tail(R_max) / tail(0) of a profile, 0.0 when tail(0) is 0; NaN stays NaN."""
+    return float(values[-1] / values[0]) if values[0] else 0.0
+
 
 def _nonfinite(v) -> bool:
     return isinstance(v, float) and not math.isfinite(v)
@@ -154,13 +168,21 @@ def _record(cfg: SuiteConfig, name, operator, values: dict, grid_meta: dict,
     is given; a value key may be a tuple of keys checked against the same
     tolerance. The record PASSes when ``ok`` holds, every bound holds and
     every value (list entries included) is finite. ``tolerances`` echoes
-    exactly the bounds' tolerance keys.
+    exactly the bounds' tolerance keys. A record named in ``TRENDS`` also
+    gets ``verdict_trend``, checked the same way against each label's case.
     """
-    bounds = CHECKS[name if case is None else (name, case)]
-    tolerances = {tol_key: cfg.tol(tol_key) for _, _, tol_key in bounds}
-    for keys, cmp, tol_key in bounds:
-        for key in (keys,) if isinstance(keys, str) else keys:
-            ok = ok and _COMPARATORS[cmp](values[key], tolerances[tol_key])
+    def check(bounds):
+        tolerances = {tol_key: cfg.tol(tol_key) for _, _, tol_key in bounds}
+        return all(_COMPARATORS[cmp](values[key], tolerances[tol_key])
+                   for keys, cmp, tol_key in bounds
+                   for key in ((keys,) if isinstance(keys, str) else keys)), tolerances
+
+    held, tolerances = check(CHECKS[name if case is None else (name, case)])
+    ok = ok and held
+    if name in TRENDS:
+        trend = next((label for label, c in TRENDS[name] if check(CHECKS[(name, c)])[0]),
+                     "inconclusive")
+        values = {**values, "verdict_trend": trend}
     flat = [x for v in values.values() for x in (v if isinstance(v, list) else [v])]
     return {
         "name": name,
@@ -305,8 +327,8 @@ def _diag_rk_tail(ctx: _Context):
         tail_0 = float(tf.values[0])
         records.append(_record(
             cfg, "rk_tail", label,
-            {"ratio": tf.ratio(), "tail_0": tail_0, "tail_max": float(tf.values[-1]),
-             "verdict_trend": tf.verdict, "iterations": tf.iterations.tolist(),
+            {"ratio": _tail_ratio(tf.values), "tail_0": tail_0, "tail_max": float(tf.values[-1]),
+             "iterations": tf.iterations.tolist(),
              "converged": tf.converged.tolist(), "residual": tf.residuals.tolist()},
             ctx.grid_meta(), case=label,
             # the zero operator's tail must also vanish exactly
@@ -347,11 +369,10 @@ def _carleson_profiles(ctx: _Context):
         f = SampledFunction.from_callable(wide, ex.evaluator)
         mu = carleson_mod.coefficient_measure(f, wfg)
         prof = carleson_mod.vanishing_profile(mu, radii)
-        ratio = float(prof[-1] / prof[0]) if prof[0] > 0.0 else 0.0
         profiles[f"carleson_profile_{ex.label}"] = _profile(["R", "value"], radii, prof)
         records.append(_record(
             ctx.cfg, "carleson_profile", ex.label,
-            {"ratio": ratio, "expected_class": ex.expected_class},
+            {"ratio": _tail_ratio(prof), "expected_class": ex.expected_class},
             meta, case=ex.expected_class,
         ))
     return records, profiles
@@ -417,7 +438,7 @@ def _diag_paraproduct(ctx: _Context):
         tf = paraproducts_mod.paraproduct_compactness(f, pfg, radii, seed=cfg.seed)
         records.append(_record(
             cfg, "paraproduct_compactness", ex.label,
-            {"ratio": tf.ratio(), "expected_class": ex.expected_class, "verdict_trend": tf.verdict},
+            {"ratio": _tail_ratio(tf.values), "expected_class": ex.expected_class},
             meta, case=ex.expected_class,
         ))
         profiles[f"paraproduct_tail_{ex.label}"] = _profile(["R", "value"], tf.radii, tf.values)

@@ -219,6 +219,62 @@ def test_record_non_finite_value_fails_and_is_spelled_out(monkeypatch, bad):
     assert str(bad) in ("nan", "inf", "-inf")
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("name, case, ratio, verdict, trend", [
+    ("rk_tail", "zero", 0.0, "PASS", "vanishing"),
+    ("rk_tail", "finite_rank", 5e-4, "PASS", "vanishing"),
+    ("rk_tail", "finite_rank", 5e-3, "FAIL", "inconclusive"),  # under 1e-2, over the 1e-3 bound
+    ("rk_tail", "hilbert", 0.5, "PASS", "non-vanishing"),
+    ("rk_tail", "hilbert", 0.05, "FAIL", "inconclusive"),
+    ("rk_tail", "hilbert", 5e-4, "FAIL", "vanishing"),  # the trend says what the ratio does
+    ("paraproduct_compactness", "CMO", 0.0044, "PASS", "vanishing"),
+    ("paraproduct_compactness", "CMO", 0.05, "FAIL", "inconclusive"),
+    ("paraproduct_compactness", "BMO-not-CMO", 0.541, "PASS", "non-vanishing"),
+    ("rk_tail", "finite_rank", NAN, "FAIL", "inconclusive"),
+    ("rk_tail", "hilbert", NAN, "FAIL", "inconclusive"),
+    ("paraproduct_compactness", "CMO", NAN, "FAIL", "inconclusive"),
+])
+def test_trend_comes_from_the_checks_bounds(name, case, ratio, verdict, trend):
+    from czframe.reporting import _record
+
+    rec = _record(SuiteConfig(), name, case, {"ratio": ratio}, {}, case=case)
+    assert (rec["verdict"], rec["values"]["verdict_trend"]) == (verdict, trend)
+
+
+def test_tolerance_override_moves_the_trend_with_the_verdict():
+    from czframe.reporting import _record
+
+    def rec(cfg):
+        r = _record(cfg, "paraproduct_compactness", "bump", {"ratio": 0.0044}, {}, case="CMO")
+        return r["verdict"], r["values"]["verdict_trend"]
+
+    assert rec(SuiteConfig()) == ("PASS", "vanishing")
+    strict = SuiteConfig.from_dict({"tolerances": {"pp_vanishing_ratio": 1e-3}})
+    assert rec(strict) == ("FAIL", "inconclusive")
+
+
+def test_only_trend_records_carry_a_trend():
+    from czframe.reporting import CHECKS, TRENDS, _record
+
+    for name, labels in TRENDS.items():  # every label reads a real CHECKS case
+        assert all((name, case) in CHECKS for _, case in labels)
+    rec = _record(SuiteConfig(), "carleson_profile", "bump", {"ratio": 0.0}, {}, case="CMO")
+    assert rec["verdict"] == "PASS" and "verdict_trend" not in rec["values"]
+
+
+def test_nan_carleson_profile_fails_every_record(monkeypatch):
+    from czframe import carleson
+    from czframe.reporting import _carleson_profiles
+
+    monkeypatch.setattr(carleson, "vanishing_profile",
+                        lambda mu, radii: np.full(len(radii), np.nan))
+    records, _ = _carleson_profiles(_Context(SuiteConfig()))
+    assert [r["operator"] for r in records] == ["zero", "bump", "bump_shifted", "log_singular"]
+    assert all(r["verdict"] == "FAIL" and r["values"]["ratio"] == "nan" for r in records)
+
+
 RK_SMALL = {
     "grid": {"L": 32, "N": 256},
     "frame": {"a_min": 0.5, "a_max": 64, "s": 0.25},

@@ -18,7 +18,10 @@ only in ``BOUND_TABLES``: no comparator or tolerance key appears elsewhere.
 Sampled data is real, so no module calls ``complex`` or ``conj`` or reads a
 ``.real`` or ``.imag`` attribute, except where ``COMPLEX_ALLOWED`` says.  The
 open-cone test ``abs(x - b) < a`` is spelled in one function of
-``carleson.py``, and no ``_cone_mask`` is defined there.
+``carleson.py``, and no ``_cone_mask`` is defined there.  The tail-trend
+labels are spelled only in ``reporting.TRENDS`` and its fallback, and no
+name ends in ``THRESHOLD``: a tail ratio is classified by its record's
+``CHECKS`` bounds alone.
 """
 
 import ast
@@ -427,3 +430,66 @@ def test_checker_sees_open_cone_tests():
     found, defined = _open_cone_tests(tree)
     assert found == [("_cone_mask", 2), ("carleson_function", 6)]
     assert "_cone_mask" in defined
+
+
+# A tail ratio is classified once: reporting reads verdict_trend from the
+# record's CHECKS bounds through TRENDS, with "inconclusive" as the fallback
+# of the one next() that reads it. No module keeps thresholds of its own.
+TREND_LABELS = {"vanishing", "non-vanishing", "inconclusive"}
+
+
+def _trend_spellings(tree, table=None):
+    """(line, label) of every trend label spelled outside ``table`` and its fallback.
+
+    The fallback is the default argument of a ``next`` call whose iterable
+    reads ``table``. With no table, every spelling is stray.
+    """
+    allowed = set()
+    for node in ast.walk(tree) if table else ():
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == table
+                                                for t in node.targets):
+            allowed.update(id(n) for n in ast.walk(node))
+        elif (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "next"
+              and len(node.args) == 2
+              and any(getattr(n, "id", None) == table for n in ast.walk(node.args[0]))):
+            allowed.add(id(node.args[1]))
+    return sorted((n.lineno, n.value) for n in ast.walk(tree)
+                  if isinstance(n, ast.Constant) and n.value in TREND_LABELS
+                  and id(n) not in allowed)
+
+
+def _threshold_names(tree):
+    """(name, line) of every variable, parameter, function or class named ``*THRESHOLD``."""
+    names = [(n.id, n.lineno) for n in ast.walk(tree)
+             if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)]
+    names += [(n.arg, n.lineno) for n in ast.walk(tree) if isinstance(n, ast.arg)]
+    names += [(n.name, n.lineno) for n in ast.walk(tree)
+              if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+    return sorted((name, line) for name, line in names if name.endswith("THRESHOLD"))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_one_tail_classifier(path):
+    tree = ast.parse(path.read_text())
+    stray = _trend_spellings(tree, "TRENDS" if path.stem == "reporting" else None)
+    assert not stray, f"{path.name}: trend labels spelled outside reporting.TRENDS {stray}"
+    assert not _threshold_names(tree), f"{path.name}: thresholds {_threshold_names(tree)}"
+
+
+def test_checker_sees_a_second_classifier():
+    tree = ast.parse(
+        "VANISHING_THRESHOLD = 1e-2\n"
+        "TRENDS = {'rk_tail': (('vanishing', 'finite_rank'), ('non-vanishing', 'hilbert'))}\n"
+        "def tail_verdict(values, NON_VANISHING_THRESHOLD=0.1):\n"
+        "    if values[0] <= 0.0:\n"
+        "        return 'vanishing'\n"
+        "    return next(iter(values), 'inconclusive')\n"
+        "def _record(name, ok):\n"
+        "    return next((label for label, c in TRENDS[name] if ok), 'inconclusive')\n"
+        "class TREND_THRESHOLD:\n"
+        "    pass\n"
+    )
+    assert _trend_spellings(tree, "TRENDS") == [(5, "vanishing"), (6, "inconclusive")]
+    assert [line for line, _ in _trend_spellings(tree)] == [2, 2, 5, 6, 8]
+    assert _threshold_names(tree) == [
+        ("NON_VANISHING_THRESHOLD", 3), ("TREND_THRESHOLD", 9), ("VANISHING_THRESHOLD", 1)]
