@@ -10,12 +10,14 @@ bounds of the continuum suprema and are exactly monotone under nesting.
 
 Tents are closed on the lattice: the tent over B(b, a) collects nodes
 (a', b') with a' <= a and |b' - b| <= a - a', so a node's own minimal tent
-contains it.  The cone over x is open: the nodes with |b - x| < a.  These
-are the package's only tent and cone conventions.  Tent masses come from
-per-scale cumulative sums (:func:`tent_masses`); cone maxima, for
-:func:`carleson_function` and the Stein audit, from per-scale index ranges
-(:func:`_cone_maxima`): a scale's translations are sorted, so the cone
-nodes over x are a run of at most 2/s + 1 of them, found by binary search.
+contains it; a node exactly on another tent's edge counts as rounding
+decides (:func:`tent_masses`).  The cone over x is open: the nodes with
+|b - x| < a.  These are the package's only tent and cone conventions.  Tent
+masses come from one pass per source scale over its cumulative sums
+(:func:`tent_masses`); cone maxima, for :func:`carleson_function` and the
+Stein audit, from per-scale index ranges (:func:`_cone_maxima`): a scale's
+translations are sorted, so the cone nodes over x are a run of at most
+2/s + 1 of them, found by binary search.
 
 Wavelet and bump pairings over the lattice both go through
 :func:`~czframe.wavelets.analyze`, a product with the cached
@@ -79,30 +81,26 @@ def point_mass(fgrid: FrameGrid, node_index: int) -> CoefficientMeasure:
 def tent_masses(mu: CoefficientMeasure) -> np.ndarray:
     """Mass of the tent over B(b, a) for every lattice node (a, b).
 
-    Per-scale cumulative sums plus binary search keep the sweep
-    O(n_scales^2 * n_b log n_b) instead of O(n_nodes^2).
+    One pass per source scale a_k: its masses are prefix-summed once, and
+    every node at a scale a >= a_k (the lattice from ``offsets[k]`` on, since
+    nodes are stored by increasing scale) adds the sum over its window
+    |b' - b| <= a - a_k, found by binary search in that scale's sorted
+    translations.  Each node adds its terms in increasing k.  A node exactly
+    on a tent's edge, such as (a', -a') under the tent over (a, -a), counts
+    only if the rounding of b +- (a - a_k) puts it inside.
     """
     fg = mu.fgrid
-    n_scales = len(fg.scales)
-    b_per = [fg.b[fg.scale_slice(k)] for k in range(n_scales)]
-    cums = [
-        np.concatenate(([0.0], np.cumsum(mu.masses[fg.scale_slice(k)])))
-        for k in range(n_scales)
-    ]
     out = np.zeros(fg.n_nodes)
-    for j in range(n_scales):
-        sl = fg.scale_slice(j)
-        a_j = fg.scales[j]
-        b_j = fg.b[sl]
-        acc = np.zeros(b_j.shape)
-        for k in range(j + 1):
-            r = a_j - fg.scales[k]
-            if r < 0.0:
-                continue
-            lo = np.searchsorted(b_per[k], b_j - r, side="left")
-            hi = np.searchsorted(b_per[k], b_j + r, side="right")
-            acc += cums[k][hi] - cums[k][lo]
-        out[sl] = acc
+    for k in range(fg.scales.size):
+        sl = fg.scale_slice(k)
+        b_k = fg.b[sl]
+        cum = np.concatenate(([0.0], np.cumsum(mu.masses[sl])))
+        above = slice(sl.start, None)
+        b, a = fg.b[above], fg.a[above]
+        # in place, so that at most three arrays of len(b) are live at once
+        window = cum[np.searchsorted(b_k, b + (a - fg.scales[k]), side="right")]
+        window -= cum[np.searchsorted(b_k, b - (a - fg.scales[k]), side="left")]
+        out[above] += window
     return out
 
 

@@ -53,8 +53,9 @@ __all__ = [
     "singular_spectrum",
 ]
 
-# Relative tolerance of every Lanczos tail solve.
+# Relative tolerance and restart cap of every Lanczos tail solve.
 _TOL = 1e-6
+_MAXITER = 500
 
 
 def operator_matrix(kernel: CZKernel, grid: SpatialGrid) -> np.ndarray:
@@ -132,9 +133,7 @@ class TailFunctional:
     witnesses: list[SampledFunction] = field(repr=False)
 
 
-def _lanczos_top(
-    B_apply, n: int, maxiter: int, seed: int
-) -> tuple[float, np.ndarray, int, bool, float]:
+def _lanczos_top(B_apply, n: int, seed: int) -> tuple[float, np.ndarray, int, bool, float]:
     """Top eigenpair of the symmetric PSD map ``B_apply`` by ARPACK Lanczos.
 
     The start vector comes from ``default_rng(seed)``, and so do the vectors
@@ -163,7 +162,7 @@ def _lanczos_top(
         return 0.0, v0, calls, True, 0.0
     B = LinearOperator((n, n), matvec=counted, dtype=float)
     try:
-        lams, vecs = eigsh(B, k=1, which="LA", v0=v0, tol=_TOL, maxiter=maxiter, rng=rng)
+        lams, vecs = eigsh(B, k=1, which="LA", v0=v0, tol=_TOL, maxiter=_MAXITER, rng=rng)
         ok = True
     except ArpackNoConvergence as exc:
         lams, vecs = exc.eigenvalues, exc.eigenvectors
@@ -182,7 +181,6 @@ def rk_tail(
     A: DiscreteOperator,
     S_tail: scipy.sparse.csr_matrix,
     grid: SpatialGrid,
-    maxiter: int = 500,
     seed: int = 0,
 ) -> LanczosResult:
     """Sup over the L2 unit ball of tail coefficient energy of Tf.
@@ -191,7 +189,7 @@ def rk_tail(
     analysis operator at the tail nodes: a view from :func:`tail_views`, or
     ``analysis_operator(fgrid, grid)[tail_nodes(fgrid, R)]``.  Lanczos
     (ARPACK ``eigsh``) runs on the normal matrix of the composite map from a
-    seeded start vector, with relative tolerance 1e-6 and at most ``maxiter``
+    seeded start vector, with relative tolerance 1e-6 and at most 500
     restarts; on non-convergence the best Ritz value found is still reported,
     with ``converged=False``.
     """
@@ -201,7 +199,7 @@ def rk_tail(
         c = S_tail @ A.matvec(u / root_h)
         return A.rmatvec(S_tail.T @ c) / root_h
 
-    lam, u, calls, ok, residual = _lanczos_top(B_apply, grid.N, maxiter, seed)
+    lam, u, calls, ok, residual = _lanczos_top(B_apply, grid.N, seed)
     return LanczosResult(
         value=max(lam, 0.0),
         witness=SampledFunction(grid, u / root_h),

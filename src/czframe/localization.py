@@ -212,8 +212,13 @@ def default_test_bundle() -> tuple:
             partial(smooth_bump, center=0.5, width=1.0))
 
 
-# Width of the hyperbolic distance bins of weak_compactness_profile.
+# Width of the hyperbolic distance bins of weak_compactness_profile, the most
+# nodes it pairs per bin, the fixed grid of a singular kernel's conjugated
+# pairings and the grid a bounded kernel is discretized on once.
 _BIN_WIDTH = 0.5
+_MAX_NODES_PER_BIN = 24
+_LOCAL = SpatialGrid(8.0, 512)
+_REFERENCE = SpatialGrid(32.0, 2048)
 
 
 def _max_pairing(F: np.ndarray, TF: np.ndarray, h: float) -> float:
@@ -221,34 +226,23 @@ def _max_pairing(F: np.ndarray, TF: np.ndarray, h: float) -> float:
     return float(np.max(np.abs(F.T @ TF))) * h
 
 
-def weak_compactness_profile(
-    kernel: CZKernel,
-    fgrid: FrameGrid,
-    radii: np.ndarray,
-    max_nodes_per_bin: int = 24,
-    local: SpatialGrid | None = None,
-    reference: SpatialGrid | None = None,
-) -> np.ndarray:
+def weak_compactness_profile(kernel: CZKernel, fgrid: FrameGrid, radii: np.ndarray) -> np.ndarray:
     """Profile R -> sup |<T f_(a,b), g_(a,b)>| over distance bins.
 
     For each radius the supremum runs over ordered pairs from
     :func:`default_test_bundle` and over lattice nodes with d((a,b), e) in
-    [R, R + 1/2), deterministically subsampled to at most
-    ``max_nodes_per_bin`` nodes (evenly spaced in node index).
+    [R, R + 1/2), deterministically subsampled to at most 24 nodes (evenly
+    spaced in node index).
     """
     bundle = default_test_bundle()
-    if local is None:
-        local = SpatialGrid(8.0, 512)
-    if reference is None:
-        reference = SpatialGrid(32.0, 2048)
-    T_ref = discretize(kernel, reference) if kernel.bounded else None
-    samples = np.column_stack([f(local.x) for f in bundle]).astype(float)
+    T_ref = discretize(kernel, _REFERENCE) if kernel.bounded else None
+    samples = np.column_stack([f(_LOCAL.x) for f in bundle]).astype(float)
     dist = fgrid.dist0
     out = np.zeros(len(radii))
     for i, r in enumerate(radii):
         idx = np.flatnonzero((dist >= r) & (dist < r + _BIN_WIDTH))
-        if idx.size > max_nodes_per_bin:
-            sel = np.linspace(0, idx.size - 1, max_nodes_per_bin).astype(int)
+        if idx.size > _MAX_NODES_PER_BIN:
+            sel = np.linspace(0, idx.size - 1, _MAX_NODES_PER_BIN).astype(int)
             idx = idx[sel]
         best = 0.0
         for k in idx:
@@ -257,15 +251,15 @@ def weak_compactness_profile(
                 # Bounded kernels stay resolved on the reference grid; pair in
                 # the original coordinates, where the dilated test functions
                 # are smooth: <T f_node, g_node> = a^-1 <T f(.-b)/a, g(.-b)/a>.
-                u = (reference.x - node.b) / node.a
+                u = (_REFERENCE.x - node.b) / node.a
                 F = np.column_stack([f(u) for f in bundle])
-                val = _max_pairing(F, T_ref.matvec(F), reference.h) / node.a
+                val = _max_pairing(F, T_ref.matvec(F), _REFERENCE.h) / node.a
             else:
                 # Conjugate the operator to the node; the test functions stay
                 # at unit scale on a fixed local grid, so the quadrature is
                 # node-independent.
-                T = discretize(conjugate(kernel, node), local)
-                val = _max_pairing(samples, T.matvec(samples), local.h)
+                T = discretize(conjugate(kernel, node), _LOCAL)
+                val = _max_pairing(samples, T.matvec(samples), _LOCAL.h)
             best = max(best, val)
         out[i] = best
     return out

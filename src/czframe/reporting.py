@@ -11,11 +11,13 @@ in ``CHECKS``, as ``(value key, comparator, tolerance key)`` bounds;
 and its ``tolerances`` echo from them. Its ``ok`` argument carries the
 conditions that are not tolerance checks (solver convergence, monotone
 refinement, finite Schur values, an exactly zero tail for the zero
-operator). A tail-ratio record's ``verdict_trend`` is read from the same
-table through ``TRENDS``, so a tolerance override moves it with the
-verdict. A non-finite value fails its record and is stored as the string
-``"nan"``, ``"inf"`` or ``"-inf"``, so report.json is strict JSON. The
-configuration these read lives in :mod:`czframe.config`.
+operator). Every record built on a tail sweep carries the sweep's solver
+statistics and fails if a radius did not converge. A tail-ratio record's
+``verdict_trend`` is read from the same table through ``TRENDS``, so a
+tolerance override moves it with the verdict. A non-finite value fails its
+record and is stored as the string ``"nan"``, ``"inf"`` or ``"-inf"``, so
+report.json is strict JSON. The configuration these read lives in
+:mod:`czframe.config`.
 
 Outputs: report.json (machine summary with per-record tolerances and grid
 metadata), one CSV per exported profile (9 significant digits), and a
@@ -147,6 +149,12 @@ TRENDS = {
 def _tail_ratio(values) -> float:
     """tail(R_max) / tail(0) of a profile, 0.0 when tail(0) is 0; NaN stays NaN."""
     return float(values[-1] / values[0]) if values[0] else 0.0
+
+
+def _solver_stats(tf) -> dict:
+    """A sweep's per-radius ``iterations``, ``converged`` and ``residual``, as record values."""
+    return {"iterations": tf.iterations.tolist(), "converged": tf.converged.tolist(),
+            "residual": tf.residuals.tolist()}
 
 
 def _nonfinite(v) -> bool:
@@ -328,8 +336,7 @@ def _diag_rk_tail(ctx: _Context):
         records.append(_record(
             cfg, "rk_tail", label,
             {"ratio": _tail_ratio(tf.values), "tail_0": tail_0, "tail_max": float(tf.values[-1]),
-             "iterations": tf.iterations.tolist(),
-             "converged": tf.converged.tolist(), "residual": tf.residuals.tolist()},
+             **_solver_stats(tf)},
             ctx.grid_meta(), case=label,
             # the zero operator's tail must also vanish exactly
             ok=bool(tf.converged.all()) and (label != "zero" or tail_0 == 0.0),
@@ -438,8 +445,9 @@ def _diag_paraproduct(ctx: _Context):
         tf = paraproducts_mod.paraproduct_compactness(f, pfg, radii, seed=cfg.seed)
         records.append(_record(
             cfg, "paraproduct_compactness", ex.label,
-            {"ratio": _tail_ratio(tf.values), "expected_class": ex.expected_class},
-            meta, case=ex.expected_class,
+            {"ratio": _tail_ratio(tf.values), "expected_class": ex.expected_class,
+             **_solver_stats(tf)},
+            meta, case=ex.expected_class, ok=bool(tf.converged.all()),
         ))
         profiles[f"paraproduct_tail_{ex.label}"] = _profile(["R", "value"], tf.radii, tf.values)
     return records, profiles

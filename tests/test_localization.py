@@ -2,10 +2,12 @@
 
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from czframe import localization
 from czframe.geometry import GroupPoint, IDENTITY
 from czframe.grids import SpatialGrid, make_frame_grid
 from czframe.localization import (
@@ -90,6 +92,17 @@ def test_verify_decay_fitted_constant_finite(grid, fgrid):
     assert math.isfinite(fit)
 
 
+def test_verify_decay_warns_only_without_exact_cancellation():
+    grid = SpatialGrid(8.0, 256)
+    fg = make_frame_grid(grid, 0.125, 8.0, s=0.5)
+    with pytest.warns(UserWarning, match="'damped_hilbert_1' lacks exact cancellation"):
+        verify_decay(get_model("damped_hilbert_1").kernel, fg, grid)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        verify_decay(get_model("hilbert").kernel, fg, grid)
+    assert not [w for w in caught if "exact cancellation" in str(w.message)]
+
+
 def test_verify_decay_caches_no_frame_rows(grid):
     fg = make_frame_grid(grid, 0.0625, 512.0, s=0.125, cone_factor=1.0)
     verify_decay(get_model("hilbert").kernel, fg, grid)
@@ -149,13 +162,12 @@ def test_schur_tail_monotone_and_decaying(grid, fgrid):
 def test_origin_tail_finite_rank_vanishes(grid, fgrid, monkeypatch):
     # a fixed-rank smooth kernel localizes near the identity: the fixed-disk
     # tail at radius 6 is negligible against the full value
-    import czframe.localization as localization_mod
     import czframe.operators as operators_mod
 
     kern = get_model("finite_rank").kernel
     ops, mats = [], []
     monkeypatch.setattr(
-        localization_mod, "discretize", lambda *a: ops.append(a) or discretize(*a)
+        localization, "discretize", lambda *a: ops.append(a) or discretize(*a)
     )
     monkeypatch.setattr(
         operators_mod, "kernel_matrix", lambda *a: mats.append(a) or kernel_matrix(*a)
@@ -181,16 +193,17 @@ def test_weak_compactness_profiles(grid, fgrid):
 
 
 @pytest.mark.parametrize("label", ["finite_rank", "hilbert"])
-def test_batched_pairings_match_per_pair_path(label):
+def test_batched_pairings_match_per_pair_path(label, monkeypatch):
     # oracle: one matvec per ordered (f, g) pair at every sampled node
     kernel = get_model(label).kernel
     local, reference = SpatialGrid(4.0, 128), SpatialGrid(8.0, 256)
+    monkeypatch.setattr(localization, "_MAX_NODES_PER_BIN", 4)
+    monkeypatch.setattr(localization, "_LOCAL", local)
+    monkeypatch.setattr(localization, "_REFERENCE", reference)
     fg = make_frame_grid(reference, 0.25, 16.0, s=0.5)
     radii = np.array([0.0, 1.0, 2.0, 3.0])
     bundle = default_test_bundle()
-    prof = weak_compactness_profile(
-        kernel, fg, radii, max_nodes_per_bin=4, local=local, reference=reference
-    )
+    prof = weak_compactness_profile(kernel, fg, radii)
     expected = []
     for r in radii:
         idx = np.flatnonzero((fg.dist0 >= r) & (fg.dist0 < r + 0.5))

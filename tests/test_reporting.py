@@ -319,6 +319,34 @@ def test_unconverged_radius_fails_rk_tail_record(monkeypatch):
     assert records["rk_power_vs_svd"]["verdict"] == "PASS"
 
 
+def test_paraproduct_record_carries_solver_stats_and_fails_unconverged(monkeypatch):
+    from czframe import compactness, reporting
+
+    solve, side = compactness.rk_tail, reporting._side_lattice
+    lattices = []
+
+    def recorded_side(*args, **kwargs):
+        lattices.append(side(*args, **kwargs))
+        return lattices[-1]
+
+    def stalls_at_one(A, S_tail, grid, **kwargs):
+        res = solve(A, S_tail, grid, **kwargs)
+        n_at_one = int(np.count_nonzero(tail_nodes(lattices[-1][1], 1.0)))
+        return dataclasses.replace(res, converged=False) if S_tail.shape[0] == n_at_one else res
+
+    monkeypatch.setattr(reporting, "_side_lattice", recorded_side)
+    monkeypatch.setattr(compactness, "rk_tail", stalls_at_one)
+    records, _ = reporting._diag_paraproduct(_Context(SuiteConfig.from_dict(RK_SMALL)))
+    compact = [r for r in records if r["name"] == "paraproduct_compactness"]
+    assert [r["operator"] for r in compact] == ["bump", "bump_shifted", "log_singular"]
+    for rec in compact:
+        v = rec["values"]
+        assert v["converged"] == [True, True, False] + [True] * 8  # radii 0, 0.5, ..., 5
+        assert len(v["iterations"]) == len(v["residual"]) == 11
+        assert v["verdict_trend"] != "inconclusive"  # the value check alone passes
+        assert rec["verdict"] == "FAIL"
+
+
 class _MatvecFails(DiscreteOperator):
     def matvec(self, x):
         raise FloatingPointError("matvec failed in a worker")
