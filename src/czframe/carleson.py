@@ -68,7 +68,7 @@ class CoefficientMeasure:
 def coefficient_measure(f: SampledFunction, fgrid: FrameGrid) -> CoefficientMeasure:
     """mu_f: mass |<f, psi_(a,b)>|^2 * dlambda at each node."""
     fld = analyze(f, make_mother_wavelet(), fgrid)
-    return CoefficientMeasure(fgrid, np.abs(fld.values) ** 2 * fgrid.dlam)
+    return CoefficientMeasure(fgrid, fld.values * fld.values * fgrid.dlam)
 
 
 def point_mass(fgrid: FrameGrid, node_index: int) -> CoefficientMeasure:
@@ -170,7 +170,7 @@ def stein_inequality_check(f: SampledFunction, mu: CoefficientMeasure) -> float:
     """
     fg = mu.fgrid
     coeffs = analyze(f, bump_phi, fg).values
-    lhs = float(np.sum(np.abs(coeffs) ** 2 * mu.masses))
+    lhs = float(np.sum(coeffs * coeffs * mu.masses))
     ratios = tent_masses(mu) / (2.0 * fg.a)
     xs = np.linspace(-f.grid.L, f.grid.L, 257)
     dx = xs[1] - xs[0]

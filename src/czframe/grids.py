@@ -5,11 +5,14 @@ translation spacing proportional to scale, which makes the node density nearly
 uniform in the Haar measure dlam = da db / a^2.  Every cell has the same Haar
 quadrature weight, dlam = (dlog a) * (db / a) = s * s (the log-scale step
 equals the translation ratio s), so the lattice carries it as one number.
+Every bump evaluates one step, e(t) = exp(-1/t) for t > 0 and 0 otherwise
+(:func:`_exp_neg_inv`): :func:`smooth_bump`, and theta' and phi in wavelets.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -85,17 +88,28 @@ def inner_product(f: SampledFunction, g: SampledFunction) -> float:
 
 
 def l2_norm(f: SampledFunction) -> float:
-    return float(np.sqrt(np.sum(np.abs(f.values) ** 2) * f.grid.h))
+    return float(np.sqrt(np.sum(f.values * f.values) * f.grid.h))
+
+
+def _exp_neg_inv(t, out=None) -> np.ndarray:
+    """exp(-1/t) for t > 0, else 0 (NaN too), elementwise with no mask; ``out`` may be ``t``.
+
+    fmax(t, tiny) sends t <= 0 and NaN to the smallest normal float, where
+    exp(-1/t) is already +0.0, so nothing divides by zero and no -0.0 (which
+    fmax may keep against +0.0) becomes exp(+inf).  A scalar gives a 0-d array.
+    """
+    if out is None:
+        out = np.empty_like(t, dtype=float)
+    np.fmax(t, sys.float_info.min, out=out)
+    np.divide(-1.0, out, out=out)
+    return np.exp(out, out=out)
 
 
 def smooth_bump(x, center: float = 0.0, width: float = 1.0) -> np.ndarray:
-    """The standard bump exp(-1/(1 - u^2)) at u = (x - center)/width, zero for |u| >= 1."""
+    """The standard bump exp(-1/(1 - u^2)) at u = (x - center)/width, zero unless |u| < 1."""
     u = (np.asarray(x, dtype=float) - center) / width
-    out = np.zeros_like(u)
-    inside = np.abs(u) < 1.0
-    ui = u[inside]
-    out[inside] = np.exp(-1.0 / (1.0 - ui * ui))
-    return out
+    with np.errstate(over="ignore"):  # |u| > 1e154 squares to inf, where e is 0
+        return _exp_neg_inv(1.0 - u * u)
 
 
 @dataclass

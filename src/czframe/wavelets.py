@@ -1,13 +1,13 @@
 """The two frame generators, frame elements, and the analysis/synthesis pair.
 
 The mother wavelet psi (:func:`make_mother_wavelet`) is the derivative of the
-standard smooth bump theta(x) = exp(-1/(1-x^2)), times the fixed constant
-``_PSI_NORM`` that brings the squared Calderon admissibility constant
-int_0^inf |psihat(t)|^2 dt/t to 1.  With that normalization the family
-psi_{(a,b)} = a^{-1/2} psi((x-b)/a) is a continuous Parseval frame:
+smooth bump theta(x) = e(1 - x^2), for grids' step e(t) = exp(-1/t), times
+the constant ``_PSI_NORM`` that brings the squared Calderon admissibility
+constant int_0^inf |psihat(t)|^2 dt/t to 1.  With that normalization the
+family psi_{(a,b)} = a^{-1/2} psi((x-b)/a) is a continuous Parseval frame:
 coefficient energy against the Haar measure reproduces the L^2 norm, and
-synthesis of the coefficients reproduces the function.  The
-plateau bump phi (:func:`bump_phi`, mass :data:`M_PHI`) is what the
+synthesis of the coefficients reproduces the function.  The plateau bump phi
+(:func:`bump_phi`, mass :data:`M_PHI`), built on e as well, is what the
 paraproducts and the Stein audit pair with.  Both are fixed functions whose
 constants are literals, so building them costs nothing at start-up, and no
 other module takes either generator as an argument.
@@ -33,7 +33,7 @@ import numpy as np
 import scipy.sparse
 
 from .geometry import GroupPoint
-from .grids import FrameGrid, SampledFunction, SpatialGrid
+from .grids import FrameGrid, SampledFunction, SpatialGrid, _exp_neg_inv
 
 __all__ = [
     "CoefficientField",
@@ -48,19 +48,18 @@ __all__ = [
 
 
 def _bump_derivative(x):
-    """theta'(x) of the bump theta(x) = exp(-1/(1 - x^2)), and 0 wherever |x| < 1 fails.
+    """theta'(x) = e(d) * (-2x / d^2) with d = 1 - x^2, and 0 unless |x| < 1.
 
-    Every point is evaluated, with x replaced by -0.0 off (-1, 1): there d =
-    1 - x^2 is 1, nothing overflows, and the product below is exactly +0.0.
-    No inside points are gathered or scattered, and NaN and +-inf map to 0.
-    Outputs go into arrays, so a 0-d x works too.
+    theta = e(1 - x^2), with e = :func:`grids._exp_neg_inv`.  Every point is
+    evaluated, with x replaced by -0.0 off (-1, 1): there d is 1, nothing
+    overflows, and the product below is exactly +0.0.  No point is gathered
+    or scattered, and NaN and +-inf map to 0.  A 0-d x works too.
     """
     x = np.asarray(x, dtype=float)
     xi = np.where(np.abs(x) < 1.0, x, -0.0)
     d = np.multiply(xi, xi, out=np.empty_like(xi))
     np.subtract(1.0, d, out=d)
-    out = np.divide(-1.0, d, out=np.empty_like(xi))
-    np.exp(out, out=out)
+    out = _exp_neg_inv(d)
     d *= d
     xi *= -2.0
     xi /= d
@@ -90,15 +89,9 @@ def make_mother_wavelet():
 
 
 def _transition(t):
-    """C-infinity step: 0 for t <= 0, 1 for t >= 1, and T(t) + T(1 - t) = 1."""
-    t = np.asarray(t, dtype=float)
-    g0 = np.zeros_like(t)
-    pos = t > 0.0
-    g0[pos] = np.exp(-1.0 / t[pos])
-    g1 = np.zeros_like(t)
-    neg = t < 1.0
-    g1[neg] = np.exp(-1.0 / (1.0 - t[neg]))
-    return g0 / (g0 + g1)
+    """C-infinity step e(t) / (e(t) + e(1 - t)): 0 for t <= 0, 1 for t >= 1, T(t) + T(1 - t) = 1."""
+    g0 = _exp_neg_inv(t)
+    return g0 / (g0 + _exp_neg_inv(1.0 - t))
 
 
 # Mass of bump_phi: 1 from the plateau, and 1/4 from each shoulder, since the
@@ -108,8 +101,7 @@ M_PHI = 1.5
 
 def bump_phi(x):
     """The plateau bump phi: radial, non-increasing, 1 on B(0, 1/2), 0 off B(0, 1)."""
-    u = np.abs(np.asarray(x, dtype=float))
-    return 1.0 - _transition(2.0 * u - 1.0)
+    return 1.0 - _transition(2.0 * np.abs(x) - 1.0)
 
 
 @dataclass
@@ -120,7 +112,7 @@ class CoefficientField:
     values: np.ndarray
 
     def energy(self) -> float:
-        return float(np.sum(np.abs(self.values) ** 2 * self.fgrid.dlam))
+        return float(np.sum(self.values * self.values * self.fgrid.dlam))
 
 
 def _check_resolution(a: float, grid: SpatialGrid):

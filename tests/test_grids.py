@@ -1,5 +1,7 @@
 """Spatial grid, sampled functions, and frame lattice construction."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from czframe.grids import (
     GridMismatchError,
     SampledFunction,
     SpatialGrid,
+    _exp_neg_inv,
     inner_product,
     l2_norm,
     make_frame_grid,
@@ -122,12 +125,36 @@ def test_cone_extension_widens_translation_range(grid):
 
 
 def test_smooth_bump_closed_form():
-    u = np.array([-2.5, -1.0, -0.999, -0.5, 0.0, 0.3, 0.999, 1.0, 1.0 + 1e-12, 7.0])
+    special = [np.nan, np.inf, -np.inf, 0.0, -0.0, np.nextafter(1.0, 0.0), np.nextafter(-1.0, 0.0),
+               1e200]
+    u = np.array([-2.5, -1.0, -0.999, -0.5, 0.0, 0.3, 0.999, 1.0, 1.0 + 1e-12, 7.0, *special])
     inside = np.abs(u) < 1.0
     want = np.where(inside, np.exp(-1.0 / (1.0 - np.where(inside, u, 0.0) ** 2)), 0.0)
-    assert np.array_equal(smooth_bump(u), want)  # bitwise, including u = +-1 and |u| > 1
-    assert smooth_bump(0.0) == np.exp(-1.0)  # scalar input
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no point, NaN and +-inf included, warns
+        got = smooth_bump(u)
+        zero_d = [smooth_bump(v) for v in (0.0, np.float64(0.3), np.array(-0.3), np.nan, np.inf)]
+    assert got.tobytes() == want.tobytes()  # bitwise, including u = +-1 and |u| > 1
+    assert all(np.shape(v) == () for v in zero_d)
+    assert [float(v) for v in zero_d] == [np.exp(-1.0), *[np.exp(-1.0 / (1.0 - 0.3 * 0.3))] * 2,
+                                          0.0, 0.0]
     # center and width act as x -> (x - center) / width, bitwise
     x = np.linspace(-9.0, 9.0, 1001)
     assert np.array_equal(smooth_bump(x, -8.0, 1.5), smooth_bump((x + 8.0) / 1.5))
     assert np.all(smooth_bump(x, 0.5, 1.5)[np.abs(x - 0.5) >= 1.5] == 0.0)
+
+
+def test_exp_neg_inv_is_the_one_step():
+    # e(t) = exp(-1/t) for t > 0 and +0.0 otherwise, NaN included, with no warning
+    t = np.array([-np.inf, -1.0, -0.0, 0.0, 5e-324, np.finfo(float).tiny, 1e-3, 0.5, 1.0, 1e300,
+                  np.inf, np.nan])
+    pos = t > 0.0
+    with np.errstate(over="ignore"):  # -1/5e-324 overflows to -inf
+        want = np.where(pos, np.exp(-1.0 / np.where(pos, t, 1.0)), 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = _exp_neg_inv(t)
+        buf = t.copy()
+        assert _exp_neg_inv(buf, out=buf) is buf
+    assert got.tobytes() == buf.tobytes() == want.tobytes()
+    assert _exp_neg_inv(0.5).shape == () and float(_exp_neg_inv(0.5)) == np.exp(-2.0)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 
 import numpy as np
@@ -289,6 +290,24 @@ def _rk_records(cfg):
 
     records, _ = _diag_rk_tail(_Context(cfg))
     return {r["name"]: r for r in records}
+
+
+def test_probe_gap_draws_f_then_g_and_keeps_a_nan():
+    # three (f, g) pairs, f drawn first, as the two loops it replaced drew them
+    from czframe.grids import inner_product
+    from czframe.reporting import _probe_gap
+
+    grid = SpatialGrid(8.0, 64)
+    rng = np.random.default_rng(3)
+    want = 0.0
+    for _ in range(3):
+        f, g = rng.standard_normal(grid.N), rng.standard_normal(grid.N)
+        want = max(want, abs(f[0] - 2.0 * g[-1]))
+    gap = _probe_gap(np.random.default_rng(3), grid, lambda f, g: f.values[0] - 2.0 * g.values[-1])
+    assert gap == want > 0.0
+    calls = iter([1.0, np.nan, 2.0])
+    assert math.isnan(_probe_gap(rng, grid, lambda f, g: next(calls)))
+    assert math.isnan(_probe_gap(rng, grid, lambda f, g: inner_product(f, g) * np.nan))
 
 
 def test_rk_tail_record_carries_solver_stats():

@@ -15,8 +15,10 @@ parameter a caller may pass is named.  No function, lambda or dataclass field
 is named ``psi`` or ``phi``: the two frame generators are fixed in
 ``wavelets``, not passed around.  In ``reporting.py`` a bound is spelled
 only in ``BOUND_TABLES``: no comparator or tolerance key appears elsewhere.
-Sampled data is real, so no module calls ``complex`` or ``conj`` or reads a
-``.real`` or ``.imag`` attribute, except where ``COMPLEX_ALLOWED`` says.  The
+Sampled data is real, so no module calls ``complex`` or ``conj``, reads a
+``.real`` or ``.imag`` attribute or squares an ``abs``, except where
+``COMPLEX_ALLOWED`` says.  exp(-1/t) is evaluated in one function,
+``grids._exp_neg_inv``, and the bump functions built on it index nothing.  The
 open-cone test ``abs(x - b) < a`` is spelled in one function of
 ``carleson.py``, and no ``_cone_mask`` is defined there.  The tail-trend
 labels are spelled only in ``reporting.TRENDS`` and its fallback, and no
@@ -213,29 +215,50 @@ def test_checker_sees_generator_declarations():
 COMPLEX_ALLOWED = {("operators", "DiscreteOperator.rmatvec", "conj()")}
 
 
-def _complex_uses(tree):
-    """(owner, use, line) of every ``complex``/``conj`` call and ``.real``/``.imag`` attribute.
+def _callee(node):
+    """The called name of a ``Call`` node (``f`` of ``f(...)`` or ``m.f(...)``), else ``None``."""
+    if not isinstance(node, ast.Call):
+        return None
+    return node.func.id if isinstance(node.func, ast.Name) else getattr(node.func, "attr", None)
 
-    ``owner`` is the dotted name of the enclosing function or class, ``None``
-    at module level.
+
+def _own_nodes(tree):
+    """{owner: nodes}: each node under the dotted name of its innermost function or class.
+
+    ``owner`` is ``None`` at module level.
     """
-    found = []
+    owned = {}
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
             inner = owner
             if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
                 inner = child.name if owner is None else f"{owner}.{child.name}"
-            elif isinstance(child, ast.Call):
-                func = child.func
-                callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-                if callee in ("complex", "conj"):
-                    found.append((owner, f"{callee}()", child.lineno))
-            elif isinstance(child, ast.Attribute) and child.attr in ("real", "imag"):
-                found.append((owner, f".{child.attr}", child.lineno))
+            else:
+                owned.setdefault(owner, []).append(child)
             visit(child, inner)
 
     visit(tree, None)
+    return owned
+
+
+def _complex_uses(tree):
+    """(owner, use, line) of each ``complex``/``conj`` call, ``.real``/``.imag``, ``abs(x) ** 2``.
+
+    ``owner`` is as in :func:`_own_nodes`.  ``abs(x) ** 2`` of real x is
+    bitwise ``x * x``; its ``abs`` is a leftover of complex data.
+    """
+    found = []
+    for owner, nodes in _own_nodes(tree).items():
+        for node in nodes:
+            if _callee(node) in ("complex", "conj"):
+                found.append((owner, f"{_callee(node)}()", node.lineno))
+            elif isinstance(node, ast.Attribute) and node.attr in ("real", "imag"):
+                found.append((owner, f".{node.attr}", node.lineno))
+            elif (isinstance(node, ast.BinOp) and isinstance(node.op, ast.Pow)
+                  and _callee(node.left) in ("abs", "absolute")
+                  and isinstance(node.right, ast.Constant) and node.right.value == 2):
+                found.append((owner, "abs()**2", node.lineno))
     return found
 
 
@@ -255,6 +278,8 @@ def test_checker_sees_complex_arithmetic():
         "def pair(f, g):\n"
         "    k = conjugate(kernel, g)\n"
         "    return np.sum(f * np.conj(g)), np.iscomplexobj(f)\n"
+        "def energy(v):\n"
+        "    return np.sum(np.abs(v) ** 2), abs(v) ** 3, np.abs(v * v), v**2\n"
         "class Op:\n"
         "    real = None\n"
         "    def rmatvec(self, x):\n"
@@ -262,7 +287,8 @@ def test_checker_sees_complex_arithmetic():
     )
     assert sorted(_complex_uses(tree), key=lambda u: (u[2], u[1])) == [
         (None, ".real", 1), (None, "complex()", 1), ("pair", "conj()", 4),
-        ("Op.rmatvec", ".imag", 8), ("Op.rmatvec", ".real", 8), ("Op.rmatvec", "conj()", 8),
+        ("energy", "abs()**2", 6),
+        ("Op.rmatvec", ".imag", 10), ("Op.rmatvec", ".real", 10), ("Op.rmatvec", "conj()", 10),
     ]
 
 
@@ -493,3 +519,93 @@ def test_checker_sees_a_second_classifier():
     assert [line for line, _ in _trend_spellings(tree)] == [2, 2, 5, 6, 8]
     assert _threshold_names(tree) == [
         ("NON_VANISHING_THRESHOLD", 3), ("TREND_THRESHOLD", 9), ("VANISHING_THRESHOLD", 1)]
+
+
+# exp(-1/t) is evaluated in one function, the step grids._exp_neg_inv; the
+# bump functions built on it evaluate every point and index nothing.
+BUMP_PRIMITIVE = ("grids", "_exp_neg_inv")
+BUMP_FUNCTIONS = {BUMP_PRIMITIVE, ("grids", "smooth_bump"), ("wavelets", "_bump_derivative"),
+                  ("wavelets", "_transition"), ("wavelets", "bump_phi")}
+
+
+def _is_unit(node):
+    """Whether ``node`` is a literal +-1."""
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
+        node = node.operand
+    return (isinstance(node, ast.Constant) and not isinstance(node.value, bool)
+            and isinstance(node.value, (int, float)) and abs(node.value) == 1)
+
+
+def _is_reciprocal(node):
+    """Whether ``node`` is ``+-1 / x``, ``divide(+-1, x)`` or ``reciprocal(x)``."""
+    if isinstance(node, ast.BinOp):
+        return isinstance(node.op, ast.Div) and _is_unit(node.left)
+    if _callee(node) in ("divide", "true_divide"):
+        return bool(node.args) and _is_unit(node.args[0])
+    return _callee(node) == "reciprocal"
+
+
+def _reciprocal_exps(tree):
+    """(owner, line) of every function that calls ``exp`` on a reciprocal, at its first such call.
+
+    An ``exp`` argument counts when it contains a reciprocal, or a name that
+    the same function assigns one to or passes as a reciprocal's ``out=``.
+    """
+    found = []
+    for owner, nodes in _own_nodes(tree).items():
+        held = set()
+        for n in nodes:
+            if isinstance(n, ast.Assign) and any(map(_is_reciprocal, ast.walk(n.value))):
+                held.update(t.id for t in n.targets if isinstance(t, ast.Name))
+            elif isinstance(n, ast.Call) and _is_reciprocal(n):
+                held.update(k.value.id for k in n.keywords
+                            if k.arg == "out" and isinstance(k.value, ast.Name))
+        lines = [n.lineno for n in nodes if _callee(n) == "exp"
+                 and any(_is_reciprocal(m) or getattr(m, "id", None) in held
+                         for arg in n.args for m in ast.walk(arg))]
+        if lines:
+            found.append((owner, min(lines)))
+    return sorted(found, key=lambda site: site[1])
+
+
+def test_one_bump_primitive():
+    sites = [(p.stem, owner) for p in MODULES
+             for owner, _ in _reciprocal_exps(ast.parse(p.read_text()))]
+    assert sites == [BUMP_PRIMITIVE], f"exp(-1/t) evaluated in {sites}"
+
+
+def test_bump_functions_index_nothing():
+    indexed = sorted((p.stem, top.name, n.lineno) for p in MODULES
+                     for top in ast.parse(p.read_text()).body
+                     if (p.stem, getattr(top, "name", None)) in BUMP_FUNCTIONS
+                     for n in ast.walk(top) if isinstance(n, ast.Subscript))
+    assert not indexed, f"bump functions index arrays: {indexed}"
+    defined = {(p.stem, top.name) for p in MODULES for top in ast.parse(p.read_text()).body
+               if isinstance(top, ast.FunctionDef)}
+    assert BUMP_FUNCTIONS <= defined
+
+
+def test_checker_sees_a_second_bump():
+    tree = ast.parse(
+        "def e(t, out):\n"
+        "    np.divide(-1.0, np.fmax(t, tiny, out=out), out=out)\n"
+        "    return np.exp(out, out=out)\n"
+        "def theta_prime(x):\n"
+        "    d = 1.0 - x * x\n"
+        "    out = np.divide(-1.0, d, out=np.empty_like(d))\n"
+        "    return np.exp(out, out=out) * (-2.0 * x / (d * d))\n"
+        "class Step:\n"
+        "    def g(self, t):\n"
+        "        return exp(-(1 / t)) + t\n"
+        "def zoo(x):\n"
+        "    c = 1.0 / math.pi\n"
+        "    return math.exp(-2.0) * c, np.exp(-x * x) / (1.0 + x)\n"
+        "def outer(t):\n"
+        "    def inner(s):\n"
+        "        r = np.reciprocal(s)\n"
+        "        return math.exp(-r)\n"
+        "    return np.exp(t), -1.0 / t\n"
+        "v = np.exp(-1 / x)\n"
+    )
+    assert _reciprocal_exps(tree) == [
+        ("e", 3), ("theta_prime", 7), ("Step.g", 10), ("outer.inner", 17), (None, 19)]

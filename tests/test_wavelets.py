@@ -219,6 +219,39 @@ def test_bump_derivative_matches_the_masked_evaluation():
     assert _bump_derivative(0.5).tobytes() == _masked_bump_derivative(0.5).tobytes()
 
 
+def _masked_transition(t):
+    """The C-infinity step with exp(-1/t) and exp(-1/(1 - t)) scattered into zeros through masks."""
+    t = np.asarray(t, dtype=float)
+    g0 = np.zeros_like(t)
+    pos = t > 0.0
+    g0[pos] = np.exp(-1.0 / t[pos])
+    g1 = np.zeros_like(t)
+    neg = t < 1.0
+    g1[neg] = np.exp(-1.0 / (1.0 - t[neg]))
+    return g0 / (g0 + g1)
+
+
+def test_transition_and_bump_phi_match_the_masked_evaluation():
+    # the step e(t) / (e(t) + e(1 - t)) and phi = 1 - step(2|x| - 1) are
+    # bitwise the masked evaluations, edges, signed zeros and non-finite
+    # points included; NaN gives 0/0 in both
+    from czframe.wavelets import _transition
+
+    special = [0.0, -0.0, 0.5, -0.5, np.nextafter(0.5, 0.0), 1.0, -1.0, np.nextafter(1.0, 0.0),
+               np.nextafter(-1.0, 0.0), 5e-324, np.finfo(float).tiny, 1e300, np.inf, -np.inf,
+               np.nan]
+    x = np.concatenate([np.random.default_rng(12).uniform(-1.5, 1.5, 20001), special])
+    with np.errstate(invalid="ignore", over="ignore"):  # masked: -1/5e-324 overflows
+        for t in (x, 0.75 * x + 0.5):
+            assert _transition(t).tobytes() == _masked_transition(t).tobytes()
+        assert bump_phi(x).tobytes() == (1.0 - _masked_transition(2.0 * np.abs(x) - 1.0)).tobytes()
+        for v in (0.25, -0.0, 1.0, np.nan):
+            want = np.asarray(_masked_transition(v)).tobytes()
+            assert np.asarray(_transition(v)).tobytes() == want
+            want = np.asarray(1.0 - _masked_transition(2.0 * abs(v) - 1.0)).tobytes()
+            assert np.asarray(bump_phi(v)).tobytes() == want
+
+
 @pytest.mark.parametrize("chunk", [7, 45, None])
 def test_scale_rows_chunks_match_frame_elements_bitwise(psi, tiny, monkeypatch, chunk):
     # chunks of whole rows (one row when it is wider than the chunk) give
