@@ -104,6 +104,11 @@ def tent_masses(mu: CoefficientMeasure) -> np.ndarray:
     return out
 
 
+def _tent_ratios(mu: CoefficientMeasure) -> np.ndarray:
+    """Tent mass over base-ball volume at every node, with |B(b, a)| = 2a."""
+    return tent_masses(mu) / (2.0 * mu.fgrid.a)
+
+
 def _cone_maxima(fgrid: FrameGrid, xs: np.ndarray, fields):
     """Per position x in ``xs``, the max of each field over the open cone |x - b| < a.
 
@@ -132,11 +137,11 @@ def _cone_maxima(fgrid: FrameGrid, xs: np.ndarray, fields):
 
 
 def carleson_function(mu: CoefficientMeasure, x: float) -> float:
-    """C mu(x): sup over cone nodes above x of tent mass / |B(b, a)|, with |B(b, a)| = 2a."""
+    """C mu(x): sup over cone nodes above x of tent mass / |B(b, a)|."""
     fg = mu.fgrid
     if abs(x) > fg.L_b:
         raise ValueError("x outside the translation box")
-    maxima, covered = _cone_maxima(fg, [x], [tent_masses(mu) / (2.0 * fg.a)])
+    maxima, covered = _cone_maxima(fg, [x], [_tent_ratios(mu)])
     return float(maxima[0, 0]) if covered[0] else 0.0
 
 
@@ -147,7 +152,7 @@ def vanishing_profile(mu: CoefficientMeasure, radii) -> np.ndarray:
     """
     fg = mu.fgrid
     radii = np.asarray(radii, dtype=float)
-    ratios = tent_masses(mu) / (2.0 * fg.a)
+    ratios = _tent_ratios(mu)
     out = np.zeros(len(radii))
     for i, r in enumerate(radii):
         sel = tail_nodes(fg, r)
@@ -171,10 +176,9 @@ def stein_inequality_check(f: SampledFunction, mu: CoefficientMeasure) -> float:
     fg = mu.fgrid
     coeffs = analyze(f, bump_phi, fg).values
     lhs = float(np.sum(coeffs * coeffs * mu.masses))
-    ratios = tent_masses(mu) / (2.0 * fg.a)
     xs = np.linspace(-f.grid.L, f.grid.L, 257)
     dx = xs[1] - xs[0]
-    (mfs, cmus), covered = _cone_maxima(fg, xs, [np.abs(coeffs), ratios])
+    (mfs, cmus), covered = _cone_maxima(fg, xs, [np.abs(coeffs), _tent_ratios(mu)])
     rhs = 0.0
     for mf, cmu, hit in zip(mfs.tolist(), cmus.tolist(), covered.tolist()):
         if hit:

@@ -165,20 +165,20 @@ def schur_tail(
     kernel: CZKernel,
     fgrid: FrameGrid,
     grid: SpatialGrid,
-    R: float,
+    radii,
     anchor: GroupPoint = IDENTITY,
-) -> float:
-    """Weighted Schur functional at one anchor, over nodes at distance >= R.
+) -> list[float]:
+    """Weighted Schur functional at one anchor over nodes at distance >= R, per R in ``radii``.
 
     Computes w(a',b')^-1 * sum |<T psi_anchor, psi_(a,b)>| w(a,b) dlambda,
     w(a, b) = a^(1/2), over the nodes at hyperbolic distance >= R from the
     identity, reduced by covariance to the identity anchor of the reference
-    lattice (the substitution absorbs the weight ratio exactly).  At R = 0
-    every node counts: that is the Schur value.
+    lattice (the substitution absorbs the weight ratio exactly), from one
+    coefficient field.  At R = 0 every node counts: that is the Schur value.
     """
-    mask = tail_nodes(fgrid, R)
+    masks = [tail_nodes(fgrid, R) for R in radii]
     fld = coefficient_field(kernel, fgrid, grid, anchor)
-    return _weighted_sum(fld.values, fgrid, mask)
+    return [_weighted_sum(fld.values, fgrid, mask) for mask in masks]
 
 
 def origin_tail(

@@ -6,18 +6,20 @@ diagnostic failure, and returns a Report whose serialization is
 byte-stable: emitting the same Report twice produces identical files.
 
 Diagnostics only compute values. Every record's checks are declared once,
-in ``CHECKS``, as ``(value key, comparator, tolerance key)`` bounds;
-``_record`` looks a record's bounds up there and derives both its verdict
-and its ``tolerances`` echo from them. Its ``ok`` argument carries the
-conditions that are not tolerance checks (solver convergence, monotone
-refinement, finite Schur values, an exactly zero tail for the zero
-operator). Every record built on a tail sweep carries the sweep's solver
-statistics and fails if a radius did not converge. A tail-ratio record's
-``verdict_trend`` is read from the same table through ``TRENDS``, so a
-tolerance override moves it with the verdict. A non-finite value fails its
-record and is stored as the string ``"nan"``, ``"inf"`` or ``"-inf"``, so
-report.json is strict JSON. The configuration these read lives in
-:mod:`czframe.config`.
+in ``CHECKS``, as ``(value key, comparator, tolerance key)`` bounds, keyed by
+the record's name alone or else by ``(name, case)``: the case is the record's
+``expected_class`` value if it has one, else its operator. ``_record`` derives
+a record's verdict and its ``tolerances`` echo from them; its ``ok`` argument
+carries the conditions that are not tolerance checks (solver convergence,
+monotone refinement, finite Schur values, an exactly zero tail for the zero
+operator). Every record is built by ``_Context.record``, and every profile
+sweep by ``_Context.sweep``, which exports its ``R,value`` CSV and alone adds a
+tail sweep's solver statistics and fails the record if a radius did not
+converge. A tail-ratio record's ``verdict_trend`` is read from the same table
+through ``TRENDS``, so a tolerance override moves it with the verdict. A
+non-finite value fails its record and is stored as the string ``"nan"``,
+``"inf"`` or ``"-inf"``, so report.json is strict JSON. The configuration
+these read lives in :mod:`czframe.config`.
 
 Outputs: report.json (machine summary with per-record tolerances and grid
 metadata), one CSV per exported profile (9 significant digits), and a
@@ -91,6 +93,23 @@ class _Context:
             "n_nodes": fgrid.n_nodes,
         }
 
+    def record(self, name, operator, values: dict, ok=True, grid=None):
+        """A checked record (:func:`_record`); ``grid`` defaults to this lattice's echo."""
+        return _record(self.cfg, name, operator, values, grid or self.grid_meta(), ok=ok)
+
+    def sweep(self, name, label, radii, profile, values, csv, tf=None, ok=True, grid=None):
+        """A profile's record and ``{csv: its R,value profile}``.
+
+        Given the tail sweep ``tf``, the record carries its solver statistics
+        and fails unless every radius converged.
+        """
+        if tf is not None:
+            values = {**values, "iterations": tf.iterations.tolist(),
+                      "converged": tf.converged.tolist(), "residual": tf.residuals.tolist()}
+            ok = ok and bool(tf.converged.all())
+        return (self.record(name, label, values, ok=ok, grid=grid),
+                {csv: _profile(["R", "value"], radii, profile)})
+
 
 def _side_lattice(L: float, N: int, a_min: float, a_max: float,
                   L_b: float | None = None, cone_factor: float = 1.0):
@@ -107,9 +126,9 @@ def _side_lattice(L: float, N: int, a_min: float, a_max: float,
 
 _COMPARATORS = {"<=": le, "<": lt, ">=": ge, ">": gt}
 
-# Every record's checks, as (value key or keys, comparator, tolerance key).
-# Keyed by record name, or by (name, case) where the bounds depend on the
-# record's operator or on its BMO example's expected class.
+# Every record's checks, as (value key or keys, comparator, tolerance key),
+# keyed by record name or, where the bounds depend on the record's operator
+# or its BMO example's expected class, by (name, case); never both ways.
 CHECKS = {
     "frame_identities": (("parseval_error", "<=", "parseval"),
                          ("roundtrip_error", "<=", "roundtrip")),
@@ -151,10 +170,10 @@ def _tail_ratio(values) -> float:
     return float(values[-1] / values[0]) if values[0] else 0.0
 
 
-def _solver_stats(tf) -> dict:
-    """A sweep's per-radius ``iterations``, ``converged`` and ``residual``, as record values."""
-    return {"iterations": tf.iterations.tolist(), "converged": tf.converged.tolist(),
-            "residual": tf.residuals.tolist()}
+def _cases(name: str, operators) -> list:
+    """``name``'s case-keyed ``CHECKS`` operators that ``operators`` selects, in table order."""
+    return [key[1] for key in CHECKS
+            if isinstance(key, tuple) and key[0] == name and key[1] in operators]
 
 
 def _probe_gap(rng, grid: SpatialGrid, gap) -> float:
@@ -174,16 +193,17 @@ def _strict(v):
     return str(float(v)) if _nonfinite(v) else v
 
 
-def _record(cfg: SuiteConfig, name, operator, values: dict, grid_meta: dict,
-            case=None, ok=True):
+def _record(cfg: SuiteConfig, name, operator, values: dict, grid_meta: dict, ok=True):
     """One PASS/FAIL record, checked against its ``CHECKS`` entry.
 
-    The entry is ``CHECKS[name]``, or ``CHECKS[(name, case)]`` when a case
-    is given; a value key may be a tuple of keys checked against the same
-    tolerance. The record PASSes when ``ok`` holds, every bound holds and
-    every value (list entries included) is finite. ``tolerances`` echoes
-    exactly the bounds' tolerance keys. A record named in ``TRENDS`` also
-    gets ``verdict_trend``, checked the same way against each label's case.
+    The entry is ``CHECKS[name]`` if the name is keyed alone, else
+    ``CHECKS[(name, case)]`` with the case ``values["expected_class"]`` if
+    given, else ``operator``; an unknown case raises ``KeyError``. A value key
+    may be a tuple of keys checked against the same tolerance. The record
+    PASSes when ``ok`` holds, every bound holds and every value (list entries
+    included) is finite. ``tolerances`` echoes exactly the bounds' tolerance
+    keys. A record named in ``TRENDS`` also gets ``verdict_trend``, checked the
+    same way against each label's case.
     """
     def check(bounds):
         tolerances = {tol_key: cfg.tol(tol_key) for _, _, tol_key in bounds}
@@ -191,7 +211,8 @@ def _record(cfg: SuiteConfig, name, operator, values: dict, grid_meta: dict,
                    for keys, cmp, tol_key in bounds
                    for key in ((keys,) if isinstance(keys, str) else keys)), tolerances
 
-    held, tolerances = check(CHECKS[name if case is None else (name, case)])
+    held, tolerances = check(CHECKS[name] if name in CHECKS
+                             else CHECKS[(name, values.get("expected_class", operator))])
     ok = ok and held
     if name in TRENDS:
         trend = next((label for label, c in TRENDS[name] if check(CHECKS[(name, c)])[0]),
@@ -244,11 +265,10 @@ def _diag_frame(ctx: _Context):
             worst_r = max(worst_r, float(r_err))
         history.append((s, worst_p, worst_r))
     ss, ps, rs = (list(col) for col in zip(*history))
-    record = _record(
-        cfg, "frame_identities", None,
+    record = ctx.record(
+        "frame_identities", None,
         {"parseval_error": ps[-1], "roundtrip_error": rs[-1],
          "parseval_history": ps, "roundtrip_history": rs},
-        ctx.grid_meta(),
         # refinement helps; a one-level ladder shows no refinement
         ok=len(ss) > 1 and all(x > y for h in (ps, rs) for x, y in zip(h, h[1:])),
     )
@@ -267,12 +287,8 @@ def _diag_pv(ctx: _Context):
     direct = localization_mod.matrix_coefficient(H, src, tgt, grid)
     applied = apply_kernel(H, frame_element(src, grid))
     via_apply = inner_product(applied, frame_element(tgt, grid))
-    record = _record(
-        ctx.cfg, "pv_application", "hilbert",
-        {"relative_error": rel, "dual_path_gap": abs(direct - via_apply)},
-        ctx.grid_meta(),
-    )
-    return [record], {}
+    return [ctx.record("pv_application", "hilbert",
+                       {"relative_error": rel, "dual_path_gap": abs(direct - via_apply)})], {}
 
 
 def _diag_decay(ctx: _Context):
@@ -281,76 +297,65 @@ def _diag_decay(ctx: _Context):
     fit = localization_mod.verify_decay(H, ctx.fgrid, ctx.grid)
     grid2 = SpatialGrid(cfg.grid_L, cfg.grid_N * 2)
     fit2 = localization_mod.verify_decay(H, ctx.lattice(grid2, cfg.s / 2), grid2)
-    record = _record(  # a non-finite fit fails the record through its values
-        cfg, "decay_bound", "hilbert",
+    return [ctx.record(  # a non-finite fit fails the record through its values
+        "decay_bound", "hilbert",
         {"fitted_c": fit, "fitted_c_refined": fit2, "relative_change": abs(fit2 - fit) / fit},
-        ctx.grid_meta(),
-    )
-    return [record], {}
+    )], {}
 
 
 def _diag_schur(ctx: _Context):
     cfg, grid, fgrid = ctx.cfg, ctx.grid, ctx.fgrid
     H = get_model("hilbert").kernel
-    anchors = (GroupPoint(1.0, 0.0), GroupPoint(2.0, 0.0), GroupPoint(1.0, 5.0))
-    vals = [localization_mod.schur_tail(H, fgrid, grid, 0.0, anchor=p) for p in anchors]
-    tail_1, tail_6 = (localization_mod.schur_tail(H, fgrid, grid, r) for r in (1.0, 6.0))
+    # one coefficient field per anchor; the other two give the Schur value (R = 0) alone
+    schur_0, tail_1, tail_6 = localization_mod.schur_tail(H, fgrid, grid, (0.0, 1.0, 6.0))
+    vals = [schur_0] + [localization_mod.schur_tail(H, fgrid, grid, (0.0,), anchor=p)[0]
+                        for p in (GroupPoint(2.0, 0.0), GroupPoint(1.0, 5.0))]
     r_big = max(6.0, max(cfg.radii))
     ft = localization_mod.origin_tail(get_model("finite_rank").kernel, fgrid, grid, r_big)
-    record = _record(
-        cfg, "schur_localization", "hilbert",
+    return [ctx.record(
+        "schur_localization", "hilbert",
         {"schur_value": vals[0], "anchor_spread": max(vals) - min(vals),
          "tail_1": tail_1, "tail_6": tail_6,
          "tail_factor": tail_1 / tail_6 if tail_6 > 0.0 else math.inf,
          "finite_rank_origin_tail": ft, "origin_tail_radius": r_big},
-        ctx.grid_meta(),
         ok=all(math.isfinite(v) for v in vals),
-    )
-    return [record], {}
+    )], {}
 
 
 def _diag_weak_compactness(ctx: _Context):
     cfg = ctx.cfg
     radii = np.arange(0.0, max(cfg.radii) + 0.5, 0.5)
     records, profiles = [], {}
-    for label in ("hilbert", "finite_rank"):
-        if label not in cfg.operators:
-            continue
-        k = get_model(label).kernel
-        prof = localization_mod.weak_compactness_profile(k, ctx.fgrid, radii)
+    for label in _cases("weak_compactness_profile", cfg.operators):
+        prof = localization_mod.weak_compactness_profile(get_model(label).kernel, ctx.fgrid, radii)
         # Hilbert's profile must stay constant, finite_rank's must vanish
         metric = float(prof.max() - prof.min()) if label == "hilbert" else float(prof[-1])
-        records.append(_record(
-            cfg, "weak_compactness_profile", label,
+        record, profile = ctx.sweep(
+            "weak_compactness_profile", label, radii, prof,
             {"metric": metric, "profile_start": float(prof[0]), "profile_end": float(prof[-1])},
-            ctx.grid_meta(), case=label,
-        ))
-        profiles[f"weak_compactness_{label}"] = _profile(["R", "value"], radii, prof)
+            f"weak_compactness_{label}")
+        records.append(record)
+        profiles.update(profile)
     return records, profiles
 
 
 def _diag_rk_tail(ctx: _Context):
     cfg = ctx.cfg
     records, profiles = [], {}
-    radii = list(cfg.radii)
-    for label in ("hilbert", "finite_rank", "zero"):
-        if label not in cfg.operators:
-            continue
+    for label in _cases("rk_tail", cfg.operators):
         A = discretize(get_model(label).kernel, ctx.grid)
-        tf = compactness_mod.tail_functional(A, ctx.fgrid, ctx.grid, radii, seed=cfg.seed)
+        tf = compactness_mod.tail_functional(A, ctx.fgrid, ctx.grid, list(cfg.radii), seed=cfg.seed)
         tail_0 = float(tf.values[0])
-        records.append(_record(
-            cfg, "rk_tail", label,
-            {"ratio": _tail_ratio(tf.values), "tail_0": tail_0, "tail_max": float(tf.values[-1]),
-             **_solver_stats(tf)},
-            ctx.grid_meta(), case=label,
-            # the zero operator's tail must also vanish exactly
-            ok=bool(tf.converged.all()) and (label != "zero" or tail_0 == 0.0),
-        ))
+        # the zero operator's tail must also vanish exactly
+        record, profile = ctx.sweep(
+            "rk_tail", label, tf.radii, tf.values,
+            {"ratio": _tail_ratio(tf.values), "tail_0": tail_0, "tail_max": float(tf.values[-1])},
+            f"rk_tail_{label}", tf=tf, ok=label != "zero" or tail_0 == 0.0)
+        records.append(record)
+        profiles.update(profile)
         if label == "hilbert":
             witness = tf.witnesses[-1].values
             profiles["rk_witness_hilbert"] = _profile(["x", "value"], ctx.grid.x, witness)
-        profiles[f"rk_tail_{label}"] = _profile(["R", "value"], tf.radii, tf.values)
     # downsampled dense-SVD cross-check
     small, sfg, meta = _side_lattice(32.0, 256, 0.5, 64.0)
     S = compactness_mod.analysis_operator(sfg, small)
@@ -359,12 +364,11 @@ def _diag_rk_tail(ctx: _Context):
                                   seed=cfg.seed)  # R = 0: every row
     M = np.asarray(S @ A) / math.sqrt(small.h)
     dense = float(compactness_mod.singular_spectrum(M, 1)[0] ** 2)
-    records.append(_record(
-        cfg, "rk_power_vs_svd", "damped_hilbert_1",
+    records.append(ctx.record(
+        "rk_power_vs_svd", "damped_hilbert_1",
         {"power": res.value, "dense_svd": dense, "relative_gap": abs(res.value - dense) / dense,
          "iterations": res.iterations, "converged": res.converged, "residual": res.residual},
-        meta,
-        ok=res.converged,
+        ok=res.converged, grid=meta,
     ))
     return records, profiles
 
@@ -382,12 +386,12 @@ def _carleson_profiles(ctx: _Context):
         f = SampledFunction.from_callable(wide, ex.evaluator)
         mu = carleson_mod.coefficient_measure(f, wfg)
         prof = carleson_mod.vanishing_profile(mu, radii)
-        profiles[f"carleson_profile_{ex.label}"] = _profile(["R", "value"], radii, prof)
-        records.append(_record(
-            ctx.cfg, "carleson_profile", ex.label,
+        record, profile = ctx.sweep(
+            "carleson_profile", ex.label, radii, prof,
             {"ratio": _tail_ratio(prof), "expected_class": ex.expected_class},
-            meta, case=ex.expected_class,
-        ))
+            f"carleson_profile_{ex.label}", grid=meta)
+        records.append(record)
+        profiles.update(profile)
     return records, profiles
 
 
@@ -398,11 +402,9 @@ def _diag_carleson(ctx: _Context):
     fg_int = make_frame_grid(ctx.grid, 0.5, half, s=0.125, L_b=half, cone_factor=0.0)
     one = SampledFunction(ctx.grid, np.ones(ctx.grid.N))
     mu1 = carleson_mod.coefficient_measure(one, fg_int)
-    records.append(_record(
-        ctx.cfg, "carleson_constant", None,
-        {"carleson_at_0": carleson_mod.carleson_function(mu1, 0.0)},
-        ctx.grid_meta(fgrid=fg_int),
-    ))
+    at_0 = carleson_mod.carleson_function(mu1, 0.0)
+    records.append(ctx.record("carleson_constant", None, {"carleson_at_0": at_0},
+                              grid=ctx.grid_meta(fgrid=fg_int)))
     # slack inequality audit; the point-mass test bump meets phi's window at the atom
     mu_psi = carleson_mod.coefficient_measure(frame_element(IDENTITY, ctx.grid), ctx.fgrid)
     gauss = SampledFunction(ctx.grid, np.exp(-ctx.grid.x**2))
@@ -410,11 +412,8 @@ def _diag_carleson(ctx: _Context):
     mu_pt = carleson_mod.point_mass(ctx.fgrid, int(np.argmin(ctx.fgrid.dist0)))
     bump = SampledFunction(ctx.grid, smooth_bump(ctx.grid.x, 0.0, 1.5))
     r2 = carleson_mod.stein_inequality_check(bump, mu_pt)
-    records.append(_record(
-        ctx.cfg, "stein_inequality", None,
-        {"ratio_gaussian": r1, "ratio_point_mass": r2},
-        ctx.grid_meta(),
-    ))
+    records.append(ctx.record("stein_inequality", None,
+                              {"ratio_gaussian": r1, "ratio_point_mass": r2}))
     return records, profiles
 
 
@@ -430,11 +429,10 @@ def _diag_paraproduct(ctx: _Context):
     gap = _probe_gap(np.random.default_rng(cfg.seed), grid, lambda f, g: (
         inner_product(paraproducts_mod.paraproduct_apply(sym, f), g)
         - inner_product(f, paraproducts_mod.paraproduct_adjoint_apply(sym, g))))
-    records.append(_record(
-        cfg, "paraproduct_identities", None,
+    records.append(ctx.record(
+        "paraproduct_identities", None,
         {"symbol_rel_error": rel, "adjoint_constant_max": float(np.max(np.abs(pstar1.values))),
          "adjointness_gap": gap, "m_phi": M_PHI},
-        ctx.grid_meta(),
     ))
     # compactness dichotomy on a wide coarse lattice
     pgrid, pfg, meta = _side_lattice(2048.0, 4096, 2.0, 1024.0, L_b=1024.0, cone_factor=0.0)
@@ -444,13 +442,12 @@ def _diag_paraproduct(ctx: _Context):
             continue
         f = SampledFunction.from_callable(pgrid, ex.evaluator)
         tf = paraproducts_mod.paraproduct_compactness(f, pfg, radii, seed=cfg.seed)
-        records.append(_record(
-            cfg, "paraproduct_compactness", ex.label,
-            {"ratio": _tail_ratio(tf.values), "expected_class": ex.expected_class,
-             **_solver_stats(tf)},
-            meta, case=ex.expected_class, ok=bool(tf.converged.all()),
-        ))
-        profiles[f"paraproduct_tail_{ex.label}"] = _profile(["R", "value"], tf.radii, tf.values)
+        record, profile = ctx.sweep(
+            "paraproduct_compactness", ex.label, tf.radii, tf.values,
+            {"ratio": _tail_ratio(tf.values), "expected_class": ex.expected_class},
+            f"paraproduct_tail_{ex.label}", tf=tf, grid=meta)
+        records.append(record)
+        profiles.update(profile)
     return records, profiles
 
 
@@ -474,13 +471,11 @@ def _diag_decomposition(ctx: _Context):
         w = frame_element(GroupPoint(a, b), grid)
         l1 = float(np.sum(np.abs(w.values)) * grid.h)
         worst = max(worst, abs(inner_product(s1, w)) / (l1 * t1_inf))
-    record = _record(
-        ctx.cfg, "decomposition", "damped_hilbert_1",
+    return [ctx.record(
+        "decomposition", "damped_hilbert_1",
         {"hilbert_s_minus_t": s_minus_t, "reconstruction_gap": gap, "paired_s1_ratio": worst,
          "t1_truncation_error": dec.t1_truncation_error, "m_phi": M_PHI},
-        ctx.grid_meta(),
-    )
-    return [record], {}
+    )], {}
 
 
 _DIAGNOSTICS = {

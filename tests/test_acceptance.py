@@ -5,6 +5,7 @@ entry point on the default configuration; the individual tests then assert the
 recorded diagnostics at their contracted tolerances.
 """
 
+import importlib.util
 import json
 import math
 import operator
@@ -331,3 +332,42 @@ def test_cli_reemission_byte_identical(full_suite):
     for name in names1:
         with open(full_suite["out"] / name, "rb") as f1, open(out2 / name, "rb") as f2:
             assert f1.read() == f2.read(), f"re-emission differs for {name}"
+
+
+# --- benchmark references ------------------------------------
+
+PERFBENCH_REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.py"
+# Records each benchmark workload's reference pins, out of the default 21.
+REFERENCE_RECORDS = {"frame_local": 13, "paraproduct": 4, "tail_solve": 4}
+
+
+def _perfbench_reference():
+    """perfbench/reference.py, loaded from its file without running it as a script."""
+    spec = importlib.util.spec_from_file_location("perfbench_reference", PERFBENCH_REFERENCE)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_references_partition_the_default_report(full_suite):
+    # a record reorder, rename or grid change would zero a workload's
+    # records_passed; the default run must hold each workload's reference
+    ref = _perfbench_reference()
+    got = ref.summarize(full_suite["out"])
+    assert len(got["records"]) == 21 and len(got["profiles"]) == 14
+    wants = {p.stem: ref.load_reference(p.stem) for p in sorted(ref.REFERENCE_DIR.glob("*.json"))}
+    assert {name: len(want["records"]) for name, want in wants.items()} == REFERENCE_RECORDS
+    records, profiles = [], {}
+    for name, want in wants.items():
+        remaining = iter(got["records"])  # an ordered subsequence of the default report
+        assert all(record in remaining for record in want["records"]), name
+        assert not set(profiles) & set(want["profiles"]), name
+        records += want["records"]
+        profiles.update(want["profiles"])
+        config = {key: v for key, v in want["config"].items() if key != "diagnostics"}
+        assert config == {key: v for key, v in got["config"].items() if key != "diagnostics"}
+    def canonical(rows):
+        return sorted(json.dumps(row, sort_keys=True) for row in rows)
+
+    assert canonical(records) == canonical(got["records"])
+    assert profiles == got["profiles"]  # the same CSVs, each with its header and row count

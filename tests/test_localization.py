@@ -140,23 +140,42 @@ def test_schur_anchor_invariance_hilbert(grid, fgrid):
     # the Hilbert kernel is a fixed point of conjugation, so the reduced Schur
     # functional is bitwise identical at every anchor
     kern = get_model("hilbert").kernel
-    base = schur_tail(kern, fgrid, grid, 0.0, IDENTITY)
+    (base,) = schur_tail(kern, fgrid, grid, [0.0], IDENTITY)
     # at R = 0 the tail is the Schur value: the weighted sum over every node
     coeffs = coefficient_field(kern, fgrid, grid).values
     assert base == float(np.sum(np.abs(coeffs) * fgrid.a**0.5 * fgrid.dlam))
     for anchor in default_anchor_lattice():
-        assert schur_tail(kern, fgrid, grid, 0.0, anchor) == base
+        assert schur_tail(kern, fgrid, grid, [0.0], anchor) == [base]
 
 
 def test_schur_tail_monotone_and_decaying(grid, fgrid):
     kern = get_model("hilbert").kernel
-    t0 = schur_tail(kern, fgrid, grid, 0.0)
-    t1 = schur_tail(kern, fgrid, grid, 1.0)
-    t6 = schur_tail(kern, fgrid, grid, 6.0)
+    t0, t1, t6 = schur_tail(kern, fgrid, grid, [0.0, 1.0, 6.0])
     assert t0 >= t1 >= t6 > 0.0
     assert t1 / t6 >= 5.0
+    # one field serves every radius: each value is bitwise its single-radius one
+    assert [schur_tail(kern, fgrid, grid, [r])[0] for r in (6.0, 0.0, 1.0)] == [t6, t0, t1]
     with pytest.raises(ValueError):
-        schur_tail(kern, fgrid, grid, -1.0)
+        schur_tail(kern, fgrid, grid, [1.0, -1.0])
+
+
+def test_schur_diagnostic_builds_one_field_per_anchor(monkeypatch):
+    from czframe import reporting
+    from czframe.config import SuiteConfig
+
+    calls = []
+    field = localization.coefficient_field
+
+    def counted(kernel, fgrid, grid, anchor=IDENTITY):
+        calls.append(anchor)
+        return field(kernel, fgrid, grid, anchor)
+
+    monkeypatch.setattr(localization, "coefficient_field", counted)
+    cfg = SuiteConfig.from_dict({"grid": {"L": 32, "N": 512}, "diagnostics": ["schur"],
+                                 "frame": {"a_min": 0.5, "a_max": 64, "s": 0.25}})
+    (rec,), _ = reporting._diag_schur(reporting._Context(cfg))
+    assert len(calls) == len(set(calls)) == 3
+    assert rec["values"]["schur_value"] > rec["values"]["tail_1"] > rec["values"]["tail_6"] > 0.0
 
 
 def test_origin_tail_finite_rank_vanishes(grid, fgrid, monkeypatch):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from czframe.config import DEFAULT_TOLERANCES, DIAGNOSTIC_NAMES, ConfigError, SuiteConfig
 from czframe.grids import SpatialGrid, make_frame_grid, tail_nodes
 from czframe.operators import DiscreteOperator
-from czframe.reporting import _Context, emit, run_suite
+from czframe.reporting import _Context, _diag_rk_tail, emit, run_suite
 from czframe.wavelets import frame_rows, make_mother_wavelet
 
 
@@ -183,9 +183,9 @@ def test_record_verdict_and_echo_come_from_its_bounds(monkeypatch):
     values = {"err": 0.01, "gain": 7.0, "pair": [0.5, 0.25]}
     bounds = (("err", "<=", "parseval"), ("gain", ">", "schur_tail_factor"))
 
-    def rec(*checks, case=None, ok=True):
-        monkeypatch.setitem(reporting.CHECKS, "check" if case is None else ("check", case), checks)
-        return reporting._record(cfg, "check", "hilbert", dict(values), {"N": 8}, case=case, ok=ok)
+    def rec(*checks, ok=True):
+        monkeypatch.setitem(reporting.CHECKS, "check", checks)
+        return reporting._record(cfg, "check", "hilbert", dict(values), {"N": 8}, ok=ok)
 
     ok = rec(*bounds)
     assert ok["verdict"] == "PASS"
@@ -197,11 +197,38 @@ def test_record_verdict_and_echo_come_from_its_bounds(monkeypatch):
     assert rec()["tolerances"] == {}
     assert rec((("err", "gain"), "<", "stein_slack"))["verdict"] == "PASS"
     assert rec((("err", "gain"), "<", "roundtrip"))["verdict"] == "FAIL"
-    # a case picks the (name, case) entry; the name's own entry would FAIL
-    assert rec(("gain", "<", "roundtrip"))["verdict"] == "FAIL"
-    assert rec(("gain", ">", "roundtrip"), case="CMO")["verdict"] == "PASS"
+    # a name not keyed alone picks (name, case): the case is the record's
+    # expected_class if it has one, else its operator
+    monkeypatch.setitem(reporting.CHECKS, ("cased", "hilbert"), (("gain", "<", "roundtrip"),))
+    monkeypatch.setitem(reporting.CHECKS, ("cased", "CMO"), (("gain", ">", "roundtrip"),))
+    assert reporting._record(cfg, "cased", "hilbert", dict(values), {})["verdict"] == "FAIL"
+    classed = {**values, "expected_class": "CMO"}
+    assert reporting._record(cfg, "cased", "hilbert", classed, {})["verdict"] == "PASS"
     with pytest.raises(KeyError):  # an unknown case has no bounds, so it raises
-        reporting._record(cfg, "check", None, dict(values), {}, case="neither-claimed")
+        reporting._record(cfg, "cased", None, dict(values), {})
+    with pytest.raises(KeyError):
+        reporting._record(cfg, "cased", "hilbert", {**values, "expected_class": "neither"}, {})
+
+
+def test_no_check_name_is_keyed_both_ways():
+    from czframe.reporting import CHECKS
+
+    alone = {key for key in CHECKS if isinstance(key, str)}
+    cased = {key[0] for key in CHECKS if isinstance(key, tuple)}
+    assert alone and cased and not alone & cased
+    assert all(isinstance(key, str) or len(key) == 2 for key in CHECKS)
+
+
+@pytest.mark.parametrize("name, operator", [
+    ("rk_tail", "damped_hilbert_1"),
+    ("weak_compactness_profile", "zero"),
+    ("weak_compactness_profile", None),
+])
+def test_unknown_operator_of_a_case_keyed_name_raises(name, operator):
+    from czframe.reporting import _record
+
+    with pytest.raises(KeyError):
+        _record(SuiteConfig(), name, operator, {"ratio": 0.5, "metric": 0.0}, {})
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
@@ -240,7 +267,7 @@ NAN = float("nan")
 def test_trend_comes_from_the_checks_bounds(name, case, ratio, verdict, trend):
     from czframe.reporting import _record
 
-    rec = _record(SuiteConfig(), name, case, {"ratio": ratio}, {}, case=case)
+    rec = _record(SuiteConfig(), name, case, {"ratio": ratio}, {})  # the case as the operator
     assert (rec["verdict"], rec["values"]["verdict_trend"]) == (verdict, trend)
 
 
@@ -248,7 +275,8 @@ def test_tolerance_override_moves_the_trend_with_the_verdict():
     from czframe.reporting import _record
 
     def rec(cfg):
-        r = _record(cfg, "paraproduct_compactness", "bump", {"ratio": 0.0044}, {}, case="CMO")
+        r = _record(cfg, "paraproduct_compactness", "bump",
+                    {"ratio": 0.0044, "expected_class": "CMO"}, {})
         return r["verdict"], r["values"]["verdict_trend"]
 
     assert rec(SuiteConfig()) == ("PASS", "vanishing")
@@ -261,7 +289,8 @@ def test_only_trend_records_carry_a_trend():
 
     for name, labels in TRENDS.items():  # every label reads a real CHECKS case
         assert all((name, case) in CHECKS for _, case in labels)
-    rec = _record(SuiteConfig(), "carleson_profile", "bump", {"ratio": 0.0}, {}, case="CMO")
+    rec = _record(SuiteConfig(), "carleson_profile", "bump",
+                  {"ratio": 0.0, "expected_class": "CMO"}, {})
     assert rec["verdict"] == "PASS" and "verdict_trend" not in rec["values"]
 
 
@@ -286,8 +315,6 @@ RK_SMALL = {
 
 
 def _rk_records(cfg):
-    from czframe.reporting import _diag_rk_tail
-
     records, _ = _diag_rk_tail(_Context(cfg))
     return {r["name"]: r for r in records}
 
@@ -308,6 +335,42 @@ def test_probe_gap_draws_f_then_g_and_keeps_a_nan():
     calls = iter([1.0, np.nan, 2.0])
     assert math.isnan(_probe_gap(rng, grid, lambda f, g: next(calls)))
     assert math.isnan(_probe_gap(rng, grid, lambda f, g: inner_product(f, g) * np.nan))
+
+
+def test_sweeps_cover_the_selected_cases_in_checks_order():
+    from czframe.reporting import _diag_weak_compactness
+
+    cfg = SuiteConfig.from_dict({**RK_SMALL, "operators": ["zero", "hilbert"]})
+    records, profiles = _diag_rk_tail(_Context(cfg))
+    assert [(r["name"], r["operator"]) for r in records] == [
+        ("rk_tail", "hilbert"), ("rk_tail", "zero"), ("rk_power_vs_svd", "damped_hilbert_1")]
+    assert sorted(profiles) == ["rk_tail_hilbert", "rk_tail_zero", "rk_witness_hilbert"]
+    cfg = SuiteConfig.from_dict({**RK_SMALL, "diagnostics": ["weak_compactness"],
+                                 "operators": ["finite_rank"]})
+    records, profiles = _diag_weak_compactness(_Context(cfg))
+    assert [r["operator"] for r in records] == ["finite_rank"]
+    assert list(profiles) == ["weak_compactness_finite_rank"]
+
+
+def test_sweep_record_and_profile_come_from_one_helper():
+    from czframe.compactness import TailFunctional
+
+    ctx = _Context(SuiteConfig.from_dict(RK_SMALL))
+    radii, prof = [0.0, 1.0], np.array([2.0, 0.5])
+    rec, csv = ctx.sweep("rk_tail", "hilbert", radii, prof, {"ratio": 0.25}, "rk_tail_x")
+    assert csv == {"rk_tail_x": {"columns": ["R", "value"], "rows": [[0.0, 2.0], [1.0, 0.5]]}}
+    assert rec["verdict"] == "PASS" and "converged" not in rec["values"]
+    assert rec["grid"] == ctx.grid_meta()
+    tf = TailFunctional(radii=np.array(radii), values=prof, witnesses=[None, None],
+                        iterations=np.array([3, 4]), converged=np.array([True, False]),
+                        residuals=np.array([1e-12, 1e-3]))
+    rec, _ = ctx.sweep("rk_tail", "hilbert", radii, prof, {"ratio": 0.25}, "x", tf=tf,
+                       grid={"N": 1})
+    assert rec["values"]["converged"] == [True, False] and rec["values"]["iterations"] == [3, 4]
+    assert rec["verdict"] == "FAIL" and rec["grid"] == {"N": 1}
+    tf.converged[1] = True
+    assert ctx.sweep("rk_tail", "hilbert", radii, prof, {"ratio": 0.25}, "x", tf=tf,
+                     ok=False)[0]["verdict"] == "FAIL"
 
 
 def test_rk_tail_record_carries_solver_stats():

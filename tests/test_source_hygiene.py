@@ -23,7 +23,11 @@ open-cone test ``abs(x - b) < a`` is spelled in one function of
 ``carleson.py``, and no ``_cone_mask`` is defined there.  The tail-trend
 labels are spelled only in ``reporting.TRENDS`` and its fallback, and no
 name ends in ``THRESHOLD``: a tail ratio is classified by its record's
-``CHECKS`` bounds alone.
+``CHECKS`` bounds alone.  ``reporting.py`` has one record path
+(``RECORD_PATH``): ``_record`` is called only by ``_Context.record``, and a
+tail sweep's solver statistics, its convergence rule and every ``R,value``
+profile live only in ``_Context.sweep``; ``_record`` takes no case, and the
+diagnostics in ``CASE_COVERED`` read their operators from ``CHECKS``.
 """
 
 import ast
@@ -57,6 +61,8 @@ FRAME_ROWS_CALLERS = {
 # comparator map.
 BOUND_TABLES = {"CHECKS", "_COMPARATORS"}
 COMPARATOR_LITERALS = {"<=", "<", ">=", ">"}
+# The two _Context methods through which reporting.py builds its records.
+RECORD_BUILDERS = {"record", "sweep"}
 
 
 def _parse(path: Path):
@@ -383,16 +389,17 @@ def _module_literal(path: Path, name: str):
 def _stray_bounds(tree, tolerance_keys):
     """(line, literal) of every comparator or tolerance key spelled outside ``BOUND_TABLES``.
 
-    A record's name, the second argument of ``_record``, is not a bound even
-    where it equals a tolerance key (``carleson_constant``).
+    A record's name, the first argument of ``.record`` or ``.sweep``, is not a
+    bound even where it equals a tolerance key (``carleson_constant``).
     """
     allowed = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Assign) and any(getattr(t, "id", None) in BOUND_TABLES
                                                 for t in node.targets):
             allowed.update(id(n) for n in ast.walk(node))
-        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_record":
-            allowed.update(id(arg) for arg in node.args[1:2])
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and node.func.attr in RECORD_BUILDERS):
+            allowed.update(id(arg) for arg in node.args[:1])
     banned = COMPARATOR_LITERALS | set(tolerance_keys)
     return sorted((n.lineno, n.value) for n in ast.walk(tree)
                   if isinstance(n, ast.Constant) and isinstance(n.value, str)
@@ -412,10 +419,118 @@ def test_checker_sees_an_inline_bound():
         "CHECKS = {'carleson_constant': (('x', '<=', 'carleson_constant'),)}\n"
         "_COMPARATORS = {'<=': le, '<': lt}\n"
         "def _diag(cfg):\n"
-        "    rec = _record(cfg, 'carleson_constant', None, {}, {})\n"
-        "    return rec, _record(cfg, 'x', None, {}, {}, ('metric', '<', 'parseval'))\n"
+        "    rec = ctx.record('carleson_constant', None, {})\n"
+        "    swept = ctx.sweep('carleson_constant', 'x', [0.0], [1.0], {}, 'csv')\n"
+        "    inline = ctx.record('x', None, {}, ('metric', '<', 'parseval'))\n"
+        "    return rec, swept, inline, _record(cfg, 'carleson_constant', None, {}, {})\n"
     )
-    assert _stray_bounds(tree, {"parseval", "carleson_constant"}) == [(5, "<"), (5, "parseval")]
+    assert _stray_bounds(tree, {"parseval", "carleson_constant"}) == [
+        (6, "<"), (6, "parseval"), (7, "carleson_constant")]
+
+
+# reporting.py has one record path: each kind of record-path construct lives
+# only in the functions named here, and every kind is still spelled in one of
+# them. A record literal is a dict with "name" and "verdict" keys; run_suite's
+# error record bypasses CHECKS on purpose.
+RECORD_PATH = {
+    "_record()": {"_Context.record"},
+    "record literal": {"_record", "run_suite"},
+    "convergence rule": {"_Context.sweep"},
+    "R,value profile": {"_Context.sweep"},
+}
+# The diagnostics whose operators are read from CHECKS, not spelled out.
+CASE_COVERED = {"_diag_rk_tail", "_diag_weak_compactness"}
+
+
+def _record_path_sites(tree):
+    """(line, kind, owner) of every record-path construct in ``tree``.
+
+    The kinds are the keys of ``RECORD_PATH``: a ``_record`` call, a record
+    literal, the convergence rule (a ``_solver_stats`` call or any
+    ``x.converged.all()``) and a ``_profile(["R", "value"], ...)`` call.
+    ``owner`` is as in :func:`_own_nodes`.
+    """
+    found = []
+    for owner, nodes in _own_nodes(tree).items():
+        for node in nodes:
+            callee, kind = _callee(node), None
+            if callee == "_record":
+                kind = "_record()"
+            elif isinstance(node, ast.Dict) and {"name", "verdict"} <= {
+                    getattr(k, "value", None) for k in node.keys}:
+                kind = "record literal"
+            elif callee == "_solver_stats" or (
+                    callee == "all"
+                    and getattr(getattr(node.func, "value", None), "attr", None) == "converged"):
+                kind = "convergence rule"
+            elif (callee == "_profile" and node.args and isinstance(node.args[0], ast.List)
+                  and [getattr(e, "value", None) for e in node.args[0].elts] == ["R", "value"]):
+                kind = "R,value profile"
+            if kind:
+                found.append((node.lineno, kind, owner))
+    return sorted(found)
+
+
+def _record_path_errors(tree):
+    """The sites outside their ``RECORD_PATH`` owners, and the kinds no owner spells."""
+    sites = _record_path_sites(tree)
+    stray = [site for site in sites if site[2] not in RECORD_PATH[site[1]]]
+    missing = sorted(set(RECORD_PATH) - {kind for _, kind, owner in sites
+                                         if owner in RECORD_PATH[kind]})
+    return stray, missing
+
+
+def _label_tuples(tree, functions, labels):
+    """(function, line) of each literal string tuple, list or set in ``functions`` with a label."""
+    return [(top.name, node.lineno) for top in tree.body
+            if getattr(top, "name", None) in functions for node in ast.walk(top)
+            if isinstance(node, (ast.Tuple, ast.List, ast.Set)) and node.elts
+            and all(isinstance(e, ast.Constant) and isinstance(e.value, str) for e in node.elts)
+            and any(e.value in labels for e in node.elts)]
+
+
+def test_one_record_path():
+    tree = ast.parse((SRC / "reporting.py").read_text())
+    stray, missing = _record_path_errors(tree)
+    assert not stray, f"record-path constructs outside {RECORD_PATH}: {stray}"
+    assert not missing, f"record-path kinds no allowed function spells: {missing}"
+    (record,) = [n for n in tree.body if isinstance(n, ast.FunctionDef) and n.name == "_record"]
+    assert "case" not in {a.arg for a in ast.walk(record.args) if isinstance(a, ast.arg)}
+    checks = _module_literal(SRC / "reporting.py", "CHECKS")
+    labels = {key[1] for key in checks if isinstance(key, tuple)}
+    assert not _label_tuples(tree, CASE_COVERED, labels)
+
+
+def test_checker_sees_a_second_record_path():
+    tree = ast.parse(
+        "class _Context:\n"
+        "    def record(self, name, operator, values):\n"
+        "        return _record(self.cfg, name, operator, values, {})\n"
+        "    def sweep(self, name, tf, radii, prof):\n"
+        "        ok = bool(tf.converged.all())\n"
+        "        return self.record(name, None, {}), _profile(['R', 'value'], radii, prof)\n"
+        "def _record(cfg, name, operator, values, grid_meta):\n"
+        "    return {'name': name, 'verdict': 'PASS', **values}\n"
+        "def _diag_rk_tail(ctx):\n"
+        "    for label in ('hilbert', 'finite_rank'):\n"
+        "        rec = _record(ctx.cfg, 'rk_tail', label, {**_solver_stats(tf)}, {})\n"
+        "    ok = tf.converged.all() and all(ok) and label in ['zero']\n"
+        "    return [rec, {'name': 'x', 'verdict': 'FAIL'}], {\n"
+        "        'x': _profile(['R', 'value'], r, v), 'w': _profile(['x', 'value'], x, w),\n"
+        "        'v': {'verdict': 'FAIL'}}\n"
+    )
+    stray, missing = _record_path_errors(tree)
+    assert stray == [
+        (11, "_record()", "_diag_rk_tail"), (11, "convergence rule", "_diag_rk_tail"),
+        (12, "convergence rule", "_diag_rk_tail"),
+        (13, "record literal", "_diag_rk_tail"), (14, "R,value profile", "_diag_rk_tail"),
+    ]
+    assert missing == []
+    assert _label_tuples(tree, CASE_COVERED, {"hilbert", "zero"}) == [
+        ("_diag_rk_tail", 10), ("_diag_rk_tail", 12)]
+    stray, missing = _record_path_errors(ast.parse("def f(ctx):\n    return _record(ctx)\n"))
+    assert stray == [(2, "_record()", "f")]
+    assert missing == sorted(RECORD_PATH)
 
 
 def _open_cone_tests(tree):
