@@ -9,15 +9,15 @@ suprema run over the frame lattice only, so reported values are lower
 bounds of the continuum suprema and are exactly monotone under nesting.
 
 Tents are closed on the lattice: the tent over B(b, a) collects nodes
-(a', b') with a' <= a and |b' - b| <= a - a', so a node's own minimal tent
-contains it; a node exactly on another tent's edge counts as rounding
-decides (:func:`tent_masses`).  The cone over x is open: the nodes with
-|b - x| < a.  These are the package's only tent and cone conventions.  Tent
-masses come from one pass per source scale over its cumulative sums
-(:func:`tent_masses`); cone maxima, for :func:`carleson_function` and the
-Stein audit, from per-scale index ranges (:func:`_cone_maxima`): a scale's
-translations are sorted, so the cone nodes over x are a run of at most
-2/s + 1 of them, found by binary search.
+(a', b') with a' <= a and |b' - b| <= a - a', both sides rounded once, so a
+node's own minimal tent contains it and a node exactly on another tent's
+edge, such as (a', -a') under the tent over (a, -a), counts.  The cone over
+x is open: the nodes with |b - x| < a.  These are the package's only tent
+and cone conventions.  Tent masses come from one pass per source scale over
+its cumulative sums (:func:`tent_masses`); cone maxima, for
+:func:`carleson_function` and the Stein audit, from per-scale index ranges
+(:func:`_cone_maxima`): a scale's translations are sorted, so the cone nodes
+over x are a run of at most 2/s + 1 of them, found by binary search.
 
 Wavelet and bump pairings over the lattice both go through
 :func:`~czframe.wavelets.analyze`, a product with the cached
@@ -79,27 +79,37 @@ def point_mass(fgrid: FrameGrid, node_index: int) -> CoefficientMeasure:
 
 
 def tent_masses(mu: CoefficientMeasure) -> np.ndarray:
-    """Mass of the tent over B(b, a) for every lattice node (a, b).
+    """Mass of the closed tent over B(b, a) for every lattice node (a, b).
 
     One pass per source scale a_k: its masses are prefix-summed once, and
     every node at a scale a >= a_k (the lattice from ``offsets[k]`` on, since
     nodes are stored by increasing scale) adds the sum over its window
-    |b' - b| <= a - a_k, found by binary search in that scale's sorted
-    translations.  Each node adds its terms in increasing k.  A node exactly
-    on a tent's edge, such as (a', -a') under the tent over (a, -a), counts
-    only if the rounding of b +- (a - a_k) puts it inside.
+    fl(|b' - b|) <= r with r = fl(a - a_k), decided node by node as the
+    brute-force sum decides it.  Each node adds its terms in increasing k.
     """
     fg = mu.fgrid
     out = np.zeros(fg.n_nodes)
     for k in range(fg.scales.size):
         sl = fg.scale_slice(k)
         b_k = fg.b[sl]
+        pad = np.concatenate(([-np.inf], b_k, [np.inf]))  # pad[i + 1] is b_k[i]
         cum = np.concatenate(([0.0], np.cumsum(mu.masses[sl])))
         above = slice(sl.start, None)
-        b, a = fg.b[above], fg.a[above]
-        # in place, so that at most three arrays of len(b) are live at once
-        window = cum[np.searchsorted(b_k, b + (a - fg.scales[k]), side="right")]
-        window -= cum[np.searchsorted(b_k, b - (a - fg.scales[k]), side="left")]
+        b = fg.b[above]
+        r = fg.a[above] - fg.scales[k]
+        # the window is b_k[lo:hi], hi counting the b' with fl(b' - b) <= r and lo
+        # those with fl(b - b') > r, each a prefix of b_k.  A search for b +- r
+        # misses its end by at most one node, so the next node, then the last
+        # one, decides; in place, so that at most three arrays of len(b) and
+        # two temporaries are live at once
+        edge = np.searchsorted(b_k, b + r)
+        edge += pad[edge + 1] - b <= r
+        edge -= pad[edge] - b > r
+        window = cum[edge]
+        edge = np.searchsorted(b_k, b - r)
+        edge += b - pad[edge + 1] > r
+        edge -= b - pad[edge] <= r
+        window -= cum[edge]
         out[above] += window
     return out
 

@@ -227,25 +227,21 @@ def make_frame_grid(
         L_b = spatial.L
 
     scales = _scales(a_min, s, np.arange(_scale_count(a_min, a_max, s)))
-
-    a_parts, b_parts = [], []
-    offsets = [0]
-    for aj in scales:
-        step = s * aj
-        k = int(math.floor(_half_count(aj, s, L_b, cone_factor)))
-        bj = step * np.arange(-k, k + 1)
-        a_parts.append(np.full(bj.size, aj))
-        b_parts.append(bj)
-        offsets.append(offsets[-1] + bj.size)
-
-    a = np.concatenate(a_parts)
-    b = np.concatenate(b_parts)
+    k = np.floor(_half_count(scales, s, L_b, cone_factor)).astype(np.int64)
+    counts = 2 * k + 1
+    offsets = np.concatenate(([0], np.cumsum(counts)))
+    # each node's integer translation index m = -k ... k within its scale;
+    # in place, so that at most three lattice-sized arrays are live at once
+    m = np.arange(offsets[-1])
+    m -= np.repeat(offsets[:-1] + k, counts)
+    b = np.repeat(s * scales, counts)
+    b *= m
     return FrameGrid(
-        a=a,
+        a=np.repeat(scales, counts),
         b=b,
         dlam=float(s * s),
         scales=scales,
-        offsets=np.asarray(offsets),
+        offsets=offsets,
         s=s,
         L_b=float(L_b),
     )

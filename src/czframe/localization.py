@@ -29,7 +29,7 @@ from functools import partial
 import numpy as np
 
 from .geometry import GroupPoint, IDENTITY
-from .grids import FrameGrid, SampledFunction, SpatialGrid, inner_product, smooth_bump, tail_nodes
+from .grids import FrameGrid, SampledFunction, SpatialGrid, smooth_bump, tail_nodes
 from .operators import CZKernel, apply_kernel, conjugate, discretize
 # Never called here; perfbench's tracer test still expects this binding.
 from .operators import kernel_matrix  # noqa: F401
@@ -77,37 +77,30 @@ def decay_majorant(delta: float, a, b):
     return out
 
 
-def _supports_disjoint(p: GroupPoint, q: GroupPoint, grid: SpatialGrid) -> bool:
-    return abs(p.b - q.b) >= p.a + q.a + grid.h
-
-
 def matrix_coefficient(
     kernel: CZKernel,
     source: GroupPoint,
     target: GroupPoint,
     grid: SpatialGrid,
 ) -> float:
-    """Frame matrix coefficient <T psi_source, psi_target>.
+    """Frame matrix coefficient <T psi_source, psi_target> of wavelets with disjoint supports.
 
-    When the wavelet supports are separated by at least one grid cell the
-    kernel is regular between them and the coefficient is evaluated as a
-    direct double integral restricted to the two supports.  Otherwise the
-    operator is applied by principal-value quadrature on the full grid and
-    paired with the target element.
+    The supports must be separated by at least one grid cell, so the kernel
+    is regular between them; the coefficient is the direct double integral
+    restricted to the two supports.  Raises ValueError otherwise: pair
+    ``apply_kernel(kernel, psi_source)`` with ``psi_target`` instead.
     """
+    if abs(source.b - target.b) < source.a + target.a + grid.h:
+        raise ValueError("wavelet supports must be separated by a grid cell")
     f_src = frame_element(source, grid)
     f_tgt = frame_element(target, grid)
-    if _supports_disjoint(source, target, grid):
-        x = grid.x
-        tgt_idx = np.flatnonzero(f_tgt.values)
-        src_idx = np.flatnonzero(f_src.values)
-        if tgt_idx.size == 0 or src_idx.size == 0:
-            return 0.0
-        block = kernel(x[tgt_idx][:, None], x[src_idx][None, :])
-        return float(
-            f_tgt.values[tgt_idx] @ block @ f_src.values[src_idx] * grid.h**2
-        )
-    return inner_product(apply_kernel(kernel, f_src), f_tgt)
+    x = grid.x
+    tgt_idx = np.flatnonzero(f_tgt.values)
+    src_idx = np.flatnonzero(f_src.values)
+    if tgt_idx.size == 0 or src_idx.size == 0:
+        return 0.0
+    block = kernel(x[tgt_idx][:, None], x[src_idx][None, :])
+    return float(f_tgt.values[tgt_idx] @ block @ f_src.values[src_idx] * grid.h**2)
 
 
 def coefficient_field(

@@ -5,21 +5,22 @@ Running a suite executes the selected diagnostics in dependency order
 diagnostic failure, and returns a Report whose serialization is
 byte-stable: emitting the same Report twice produces identical files.
 
-Diagnostics only compute values. Every record's checks are declared once,
-in ``CHECKS``, as ``(value key, comparator, tolerance key)`` bounds, keyed by
-the record's name alone or else by ``(name, case)``: the case is the record's
+Diagnostics only compute values. Every record's checks are declared once, in
+``CHECKS``, as ``(value key, comparator, tolerance key)`` bounds, keyed by the
+record's name alone or else by ``(name, case)``: the case is the record's
 ``expected_class`` value if it has one, else its operator. ``_record`` derives
 a record's verdict and its ``tolerances`` echo from them; its ``ok`` argument
 carries the conditions that are not tolerance checks (solver convergence,
 monotone refinement, finite Schur values, an exactly zero tail for the zero
-operator). Every record is built by ``_Context.record``, and every profile
-sweep by ``_Context.sweep``, which exports its ``R,value`` CSV and alone adds a
-tail sweep's solver statistics and fails the record if a radius did not
-converge. A tail-ratio record's ``verdict_trend`` is read from the same table
-through ``TRENDS``, so a tolerance override moves it with the verdict. A
-non-finite value fails its record and is stored as the string ``"nan"``,
-``"inf"`` or ``"-inf"``, so report.json is strict JSON. The configuration
-these read lives in :mod:`czframe.config`.
+operator). A diagnostic returns nothing: ``_Context`` is the one output path.
+Every record goes through ``_Context.record``, which alone adds a solver's
+statistics and fails the record unless every solve converged; every profile
+sweep and its ``R,value`` CSV through ``_Context.sweep``; any other CSV through
+``_Context.profile``. A tail-ratio record's ``verdict_trend`` is read from the
+same table through ``TRENDS``, so a tolerance override moves it with the
+verdict. A non-finite value fails its record and is stored as the string
+``"nan"``, ``"inf"`` or ``"-inf"``, so report.json is strict JSON. The
+configuration these read lives in :mod:`czframe.config`.
 
 Outputs: report.json (machine summary with per-record tolerances and grid
 metadata), one CSV per exported profile (9 significant digits), and a
@@ -67,12 +68,16 @@ class Report:
 
 
 class _Context:
-    """The suite's configuration, grid and lattice, shared by every diagnostic."""
+    """The suite's configuration, grid and lattice, shared by every diagnostic.
+
+    ``records`` and ``profiles`` buffer what the running diagnostic writes.
+    """
 
     def __init__(self, cfg: SuiteConfig):
         self.cfg = cfg
         self.grid = SpatialGrid(cfg.grid_L, cfg.grid_N)
         self.fgrid = self.lattice(self.grid, cfg.s)
+        self.records, self.profiles = [], {}
 
     def lattice(self, grid: SpatialGrid, s: float):
         """The configured frame lattice on ``grid`` at spacing ratio ``s``."""
@@ -93,22 +98,29 @@ class _Context:
             "n_nodes": fgrid.n_nodes,
         }
 
-    def record(self, name, operator, values: dict, ok=True, grid=None):
-        """A checked record (:func:`_record`); ``grid`` defaults to this lattice's echo."""
-        return _record(self.cfg, name, operator, values, grid or self.grid_meta(), ok=ok)
+    def record(self, name, operator, values: dict, ok=True, grid=None, solve=None):
+        """Append a checked record (:func:`_record`); ``grid`` defaults to this lattice's echo.
+
+        ``solve`` is a solver's ``(iterations, converged, residual)``, scalars or one
+        entry per radius; the record carries them and fails unless all converged.
+        """
+        if solve is not None:
+            iterations, converged, residual = map(np.asarray, solve)
+            values = {**values, "iterations": iterations.tolist(),
+                      "converged": converged.tolist(), "residual": residual.tolist()}
+            ok = ok and bool(np.all(converged))
+        self.records.append(_record(self.cfg, name, operator, values,
+                                    grid or self.grid_meta(), ok=ok))
 
     def sweep(self, name, label, radii, profile, values, csv, tf=None, ok=True, grid=None):
-        """A profile's record and ``{csv: its R,value profile}``.
+        """Append a profile's record and its ``R,value`` CSV; a tail sweep ``tf`` adds solves."""
+        solve = None if tf is None else (tf.iterations, tf.converged, tf.residuals)
+        self.record(name, label, values, ok=ok, grid=grid, solve=solve)
+        self.profiles[csv] = _profile(["R", "value"], radii, profile)
 
-        Given the tail sweep ``tf``, the record carries its solver statistics
-        and fails unless every radius converged.
-        """
-        if tf is not None:
-            values = {**values, "iterations": tf.iterations.tolist(),
-                      "converged": tf.converged.tolist(), "residual": tf.residuals.tolist()}
-            ok = ok and bool(tf.converged.all())
-        return (self.record(name, label, values, ok=ok, grid=grid),
-                {csv: _profile(["R", "value"], radii, profile)})
+    def profile(self, name, columns: list, *cols):
+        """Store the exported profile ``name`` (:func:`_profile`)."""
+        self.profiles[name] = _profile(columns, *cols)
 
 
 def _side_lattice(L: float, N: int, a_min: float, a_max: float,
@@ -265,15 +277,14 @@ def _diag_frame(ctx: _Context):
             worst_r = max(worst_r, float(r_err))
         history.append((s, worst_p, worst_r))
     ss, ps, rs = (list(col) for col in zip(*history))
-    record = ctx.record(
+    ctx.record(
         "frame_identities", None,
         {"parseval_error": ps[-1], "roundtrip_error": rs[-1],
          "parseval_history": ps, "roundtrip_history": rs},
         # refinement helps; a one-level ladder shows no refinement
         ok=len(ss) > 1 and all(x > y for h in (ps, rs) for x, y in zip(h, h[1:])),
     )
-    profile = _profile(["s", "parseval_error", "roundtrip_error"], ss, ps, rs)
-    return [record], {"frame_refinement": profile}
+    ctx.profile("frame_refinement", ["s", "parseval_error", "roundtrip_error"], ss, ps, rs)
 
 
 def _diag_pv(ctx: _Context):
@@ -287,8 +298,8 @@ def _diag_pv(ctx: _Context):
     direct = localization_mod.matrix_coefficient(H, src, tgt, grid)
     applied = apply_kernel(H, frame_element(src, grid))
     via_apply = inner_product(applied, frame_element(tgt, grid))
-    return [ctx.record("pv_application", "hilbert",
-                       {"relative_error": rel, "dual_path_gap": abs(direct - via_apply)})], {}
+    ctx.record("pv_application", "hilbert",
+               {"relative_error": rel, "dual_path_gap": abs(direct - via_apply)})
 
 
 def _diag_decay(ctx: _Context):
@@ -297,10 +308,10 @@ def _diag_decay(ctx: _Context):
     fit = localization_mod.verify_decay(H, ctx.fgrid, ctx.grid)
     grid2 = SpatialGrid(cfg.grid_L, cfg.grid_N * 2)
     fit2 = localization_mod.verify_decay(H, ctx.lattice(grid2, cfg.s / 2), grid2)
-    return [ctx.record(  # a non-finite fit fails the record through its values
+    ctx.record(  # a non-finite fit fails the record through its values
         "decay_bound", "hilbert",
         {"fitted_c": fit, "fitted_c_refined": fit2, "relative_change": abs(fit2 - fit) / fit},
-    )], {}
+    )
 
 
 def _diag_schur(ctx: _Context):
@@ -312,50 +323,42 @@ def _diag_schur(ctx: _Context):
                         for p in (GroupPoint(2.0, 0.0), GroupPoint(1.0, 5.0))]
     r_big = max(6.0, max(cfg.radii))
     ft = localization_mod.origin_tail(get_model("finite_rank").kernel, fgrid, grid, r_big)
-    return [ctx.record(
+    ctx.record(
         "schur_localization", "hilbert",
         {"schur_value": vals[0], "anchor_spread": max(vals) - min(vals),
          "tail_1": tail_1, "tail_6": tail_6,
          "tail_factor": tail_1 / tail_6 if tail_6 > 0.0 else math.inf,
          "finite_rank_origin_tail": ft, "origin_tail_radius": r_big},
         ok=all(math.isfinite(v) for v in vals),
-    )], {}
+    )
 
 
 def _diag_weak_compactness(ctx: _Context):
     cfg = ctx.cfg
     radii = np.arange(0.0, max(cfg.radii) + 0.5, 0.5)
-    records, profiles = [], {}
     for label in _cases("weak_compactness_profile", cfg.operators):
         prof = localization_mod.weak_compactness_profile(get_model(label).kernel, ctx.fgrid, radii)
         # Hilbert's profile must stay constant, finite_rank's must vanish
         metric = float(prof.max() - prof.min()) if label == "hilbert" else float(prof[-1])
-        record, profile = ctx.sweep(
+        ctx.sweep(
             "weak_compactness_profile", label, radii, prof,
             {"metric": metric, "profile_start": float(prof[0]), "profile_end": float(prof[-1])},
             f"weak_compactness_{label}")
-        records.append(record)
-        profiles.update(profile)
-    return records, profiles
 
 
 def _diag_rk_tail(ctx: _Context):
     cfg = ctx.cfg
-    records, profiles = [], {}
     for label in _cases("rk_tail", cfg.operators):
         A = discretize(get_model(label).kernel, ctx.grid)
         tf = compactness_mod.tail_functional(A, ctx.fgrid, ctx.grid, list(cfg.radii), seed=cfg.seed)
         tail_0 = float(tf.values[0])
         # the zero operator's tail must also vanish exactly
-        record, profile = ctx.sweep(
+        ctx.sweep(
             "rk_tail", label, tf.radii, tf.values,
             {"ratio": _tail_ratio(tf.values), "tail_0": tail_0, "tail_max": float(tf.values[-1])},
             f"rk_tail_{label}", tf=tf, ok=label != "zero" or tail_0 == 0.0)
-        records.append(record)
-        profiles.update(profile)
         if label == "hilbert":
-            witness = tf.witnesses[-1].values
-            profiles["rk_witness_hilbert"] = _profile(["x", "value"], ctx.grid.x, witness)
+            ctx.profile("rk_witness_hilbert", ["x", "value"], ctx.grid.x, tf.witnesses[-1].values)
     # downsampled dense-SVD cross-check
     small, sfg, meta = _side_lattice(32.0, 256, 0.5, 64.0)
     S = compactness_mod.analysis_operator(sfg, small)
@@ -364,13 +367,11 @@ def _diag_rk_tail(ctx: _Context):
                                   seed=cfg.seed)  # R = 0: every row
     M = np.asarray(S @ A) / math.sqrt(small.h)
     dense = float(compactness_mod.singular_spectrum(M, 1)[0] ** 2)
-    records.append(ctx.record(
+    ctx.record(
         "rk_power_vs_svd", "damped_hilbert_1",
-        {"power": res.value, "dense_svd": dense, "relative_gap": abs(res.value - dense) / dense,
-         "iterations": res.iterations, "converged": res.converged, "residual": res.residual},
-        ok=res.converged, grid=meta,
-    ))
-    return records, profiles
+        {"power": res.value, "dense_svd": dense, "relative_gap": abs(res.value - dense) / dense},
+        grid=meta, solve=(res.iterations, res.converged, res.residual),
+    )
 
 
 def _carleson_profiles(ctx: _Context):
@@ -379,32 +380,28 @@ def _carleson_profiles(ctx: _Context):
     A function of its own, so the side lattice and its cached psi rows are
     freed before the rest of :func:`_diag_carleson` runs.
     """
-    records, profiles = [], {}
     wide, wfg, meta = _side_lattice(2048.0, 16384, 0.5, 1024.0, L_b=1024.0, cone_factor=0.0)
     radii = np.arange(0.0, 8.5, 0.5)
     for ex in carleson_mod.bmo_examples(wide):
         f = SampledFunction.from_callable(wide, ex.evaluator)
         mu = carleson_mod.coefficient_measure(f, wfg)
         prof = carleson_mod.vanishing_profile(mu, radii)
-        record, profile = ctx.sweep(
+        ctx.sweep(
             "carleson_profile", ex.label, radii, prof,
             {"ratio": _tail_ratio(prof), "expected_class": ex.expected_class},
             f"carleson_profile_{ex.label}", grid=meta)
-        records.append(record)
-        profiles.update(profile)
-    return records, profiles
 
 
 def _diag_carleson(ctx: _Context):
-    records, profiles = _carleson_profiles(ctx)
+    _carleson_profiles(ctx)
     # constant annihilation on a well-resolved interior lattice
     half = ctx.grid.L / 2.0
     fg_int = make_frame_grid(ctx.grid, 0.5, half, s=0.125, L_b=half, cone_factor=0.0)
     one = SampledFunction(ctx.grid, np.ones(ctx.grid.N))
     mu1 = carleson_mod.coefficient_measure(one, fg_int)
     at_0 = carleson_mod.carleson_function(mu1, 0.0)
-    records.append(ctx.record("carleson_constant", None, {"carleson_at_0": at_0},
-                              grid=ctx.grid_meta(fgrid=fg_int)))
+    ctx.record("carleson_constant", None, {"carleson_at_0": at_0},
+               grid=ctx.grid_meta(fgrid=fg_int))
     # slack inequality audit; the point-mass test bump meets phi's window at the atom
     mu_psi = carleson_mod.coefficient_measure(frame_element(IDENTITY, ctx.grid), ctx.fgrid)
     gauss = SampledFunction(ctx.grid, np.exp(-ctx.grid.x**2))
@@ -412,13 +409,10 @@ def _diag_carleson(ctx: _Context):
     mu_pt = carleson_mod.point_mass(ctx.fgrid, int(np.argmin(ctx.fgrid.dist0)))
     bump = SampledFunction(ctx.grid, smooth_bump(ctx.grid.x, 0.0, 1.5))
     r2 = carleson_mod.stein_inequality_check(bump, mu_pt)
-    records.append(ctx.record("stein_inequality", None,
-                              {"ratio_gaussian": r1, "ratio_point_mass": r2}))
-    return records, profiles
+    ctx.record("stein_inequality", None, {"ratio_gaussian": r1, "ratio_point_mass": r2})
 
 
 def _diag_paraproduct(ctx: _Context):
-    records, profiles = [], {}
     cfg, grid = ctx.cfg, ctx.grid
     beta = SampledFunction(grid, smooth_bump(grid.x, 0.0, 2.0))
     sym = analyze(beta, make_mother_wavelet(), ctx.fgrid)
@@ -429,11 +423,11 @@ def _diag_paraproduct(ctx: _Context):
     gap = _probe_gap(np.random.default_rng(cfg.seed), grid, lambda f, g: (
         inner_product(paraproducts_mod.paraproduct_apply(sym, f), g)
         - inner_product(f, paraproducts_mod.paraproduct_adjoint_apply(sym, g))))
-    records.append(ctx.record(
+    ctx.record(
         "paraproduct_identities", None,
         {"symbol_rel_error": rel, "adjoint_constant_max": float(np.max(np.abs(pstar1.values))),
          "adjointness_gap": gap, "m_phi": M_PHI},
-    ))
+    )
     # compactness dichotomy on a wide coarse lattice
     pgrid, pfg, meta = _side_lattice(2048.0, 4096, 2.0, 1024.0, L_b=1024.0, cone_factor=0.0)
     radii = np.arange(0.0, 5.5, 0.5)
@@ -442,13 +436,10 @@ def _diag_paraproduct(ctx: _Context):
             continue
         f = SampledFunction.from_callable(pgrid, ex.evaluator)
         tf = paraproducts_mod.paraproduct_compactness(f, pfg, radii, seed=cfg.seed)
-        record, profile = ctx.sweep(
+        ctx.sweep(
             "paraproduct_compactness", ex.label, tf.radii, tf.values,
             {"ratio": _tail_ratio(tf.values), "expected_class": ex.expected_class},
             f"paraproduct_tail_{ex.label}", tf=tf, grid=meta)
-        records.append(record)
-        profiles.update(profile)
-    return records, profiles
 
 
 def _diag_decomposition(ctx: _Context):
@@ -471,11 +462,11 @@ def _diag_decomposition(ctx: _Context):
         w = frame_element(GroupPoint(a, b), grid)
         l1 = float(np.sum(np.abs(w.values)) * grid.h)
         worst = max(worst, abs(inner_product(s1, w)) / (l1 * t1_inf))
-    return [ctx.record(
+    ctx.record(
         "decomposition", "damped_hilbert_1",
         {"hilbert_s_minus_t": s_minus_t, "reconstruction_gap": gap, "paired_s1_ratio": worst,
          "t1_truncation_error": dec.t1_truncation_error, "m_phi": M_PHI},
-    )], {}
+    )
 
 
 _DIAGNOSTICS = {
@@ -494,11 +485,12 @@ _DIAGNOSTICS = {
 def run_suite(cfg: SuiteConfig) -> Report:
     """Execute the selected diagnostics; failures never abort the run.
 
-    A diagnostic that raises contributes one FAIL record named after it, whose
-    ``values`` hold ``error`` ("<Type>: <message>") and whose ``tolerances``
-    are empty, and the later diagnostics still run. It bypasses ``CHECKS``:
-    no record's bounds apply to an error, though ``decomposition`` and
-    ``rk_tail`` name records too.
+    Each diagnostic writes into the context's emptied buffers, merged into the
+    Report after it. One that raises leaves instead one FAIL record named after
+    it, dropping what it wrote: ``values`` hold ``error`` ("<Type>: <message>"),
+    ``tolerances`` are empty, and the later diagnostics still run. It bypasses
+    ``CHECKS``: no record's bounds apply to an error, though ``decomposition``
+    and ``rk_tail`` name records too.
     """
     cfg.validate()
     report = Report(config=cfg.to_dict(), seed=cfg.seed)
@@ -506,15 +498,16 @@ def run_suite(cfg: SuiteConfig) -> Report:
     for name in DIAGNOSTIC_NAMES:
         if name not in cfg.diagnostics:
             continue
+        ctx.records, ctx.profiles = [], {}
         try:
-            records, profiles = _DIAGNOSTICS[name](ctx)
+            _DIAGNOSTICS[name](ctx)
         except Exception as exc:  # the suite boundary: report it, keep running
             error = f"{type(exc).__name__}: {exc}"
-            records = [{"name": name, "operator": None, "verdict": "FAIL",
-                        "values": {"error": error}, "tolerances": {}, "grid": ctx.grid_meta()}]
-            profiles = {}
-        report.records.extend(records)
-        report.profiles.update(profiles)
+            ctx.records, ctx.profiles = [{"name": name, "operator": None, "verdict": "FAIL",
+                                          "values": {"error": error}, "tolerances": {},
+                                          "grid": ctx.grid_meta()}], {}
+        report.records.extend(ctx.records)
+        report.profiles.update(ctx.profiles)
     return report
 
 

@@ -336,14 +336,15 @@ def test_cli_reemission_byte_identical(full_suite):
 
 # --- benchmark references ------------------------------------
 
-PERFBENCH_REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.py"
+ROOT = Path(__file__).resolve().parent.parent
 # Records each benchmark workload's reference pins, out of the default 21.
 REFERENCE_RECORDS = {"frame_local": 13, "paraproduct": 4, "tail_solve": 4}
 
 
-def _perfbench_reference():
-    """perfbench/reference.py, loaded from its file without running it as a script."""
-    spec = importlib.util.spec_from_file_location("perfbench_reference", PERFBENCH_REFERENCE)
+def _perfbench(name):
+    """perfbench/<name>.py, loaded from its file without running it as a script."""
+    path = ROOT / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
@@ -352,7 +353,7 @@ def _perfbench_reference():
 def test_benchmark_references_partition_the_default_report(full_suite):
     # a record reorder, rename or grid change would zero a workload's
     # records_passed; the default run must hold each workload's reference
-    ref = _perfbench_reference()
+    ref = _perfbench("reference")
     got = ref.summarize(full_suite["out"])
     assert len(got["records"]) == 21 and len(got["profiles"]) == 14
     wants = {p.stem: ref.load_reference(p.stem) for p in sorted(ref.REFERENCE_DIR.glob("*.json"))}
@@ -371,3 +372,29 @@ def test_benchmark_references_partition_the_default_report(full_suite):
 
     assert canonical(records) == canonical(got["records"])
     assert profiles == got["profiles"]  # the same CSVs, each with its header and row count
+
+
+# A small config on which each benchmark workload's diagnostics still reach
+# every function the traced benchmark expects a call to.
+TRACED_SMALL = {
+    "grid": {"L": 32, "N": 512},
+    "frame": {"a_min": 0.5, "a_max": 64, "s": 0.25},
+    "radii": [0, 1, 2],
+    "operators": ["hilbert", "finite_rank", "zero"],
+}
+
+
+@pytest.mark.parametrize(
+    "workload", [w["name"] for w in json.loads((ROOT / "BENCHMARK.json").read_text())["workloads"]])
+def test_traced_benchmark_workload_calls_every_expected_function(workload, tmp_path):
+    # a --trace 1 run fails its check when a listed function records no call,
+    # so a change that stops calling one must update perfbench/workloads.py
+    workloads, tracer = _perfbench("workloads"), _perfbench("tracer")
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({**TRACED_SMALL, **workloads.WORKLOADS[workload]}))
+    with tracer.Tracer() as traced:
+        code = main(["--config", str(config), "--out", str(tmp_path / "out")])
+    assert code in (0, 1)
+    diagnostics = [f"reporting.diag.{d}" for d in workloads.WORKLOADS[workload]["diagnostics"]]
+    expected = (*workloads.EXPECTED_CALLS[workload], *diagnostics)
+    assert [name for name in expected if traced.fn_calls[name] == 0] == []

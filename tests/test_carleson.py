@@ -205,7 +205,7 @@ def _on_exact_ties(fg):
 @pytest.mark.parametrize("name", ["default", "cone_factor_0"])
 def test_tent_masses_against_brute_force(lattices, name):
     # every node of the last scale, both ends of the first and a random
-    # subsample; the nodes on exact ties have a test of their own below
+    # subsample, tied nodes included; the tied nodes have a test of their own
     _, fg = lattices[name]
     mu = _integer_measure(fg)
     fast = tent_masses(mu)
@@ -213,14 +213,11 @@ def test_tent_masses_against_brute_force(lattices, name):
     rng = np.random.default_rng(1)
     nodes = [first.start, first.stop - 1, *range(last.start, last.stop),
              *rng.choice(fg.n_nodes, size=40, replace=False)]
-    nodes = [i for i in nodes if not _on_exact_ties(fg)[i]]
-    assert first.start in nodes and any(i >= last.start for i in nodes)
+    assert any(_on_exact_ties(fg)[i] for i in nodes)
     for i in nodes:
         assert fast[i] == _brute_tent(mu, i)
 
 
-@pytest.mark.xfail(strict=True, reason="the sweep's window edges b -+ (a - a') round "
-                   "differently from |b' - b| <= a - a' on exact ties; see CHANGES.md")
 @pytest.mark.parametrize("name", ["default", "cone_factor_0"])
 def test_tent_masses_closed_on_exact_ties(lattices, name):
     _, fg = lattices[name]

@@ -86,6 +86,15 @@ def test_matrix_coefficient_disjoint_supports_match_direct(psi, grid):
     assert abs(val - direct) / abs(direct) < 1e-6
 
 
+@pytest.mark.parametrize("q", [GroupPoint(1.0, 0.0), GroupPoint(2.0, 3.0), GroupPoint(0.5, -1.5)])
+def test_matrix_coefficient_rejects_overlapping_supports(grid, q):
+    # supports closer than a grid cell have no regular kernel block: the
+    # caller applies the operator and pairs instead, as the pv diagnostic does
+    kern = get_model("hilbert").kernel
+    with pytest.raises(ValueError, match="separated"):
+        matrix_coefficient(kern, GroupPoint(1.0, 0.0), q, grid)
+
+
 def test_verify_decay_fitted_constant_finite(grid, fgrid):
     fit = verify_decay(get_model("hilbert").kernel, fgrid, grid)
     assert 0.0 < fit < 10.0
@@ -173,7 +182,10 @@ def test_schur_diagnostic_builds_one_field_per_anchor(monkeypatch):
     monkeypatch.setattr(localization, "coefficient_field", counted)
     cfg = SuiteConfig.from_dict({"grid": {"L": 32, "N": 512}, "diagnostics": ["schur"],
                                  "frame": {"a_min": 0.5, "a_max": 64, "s": 0.25}})
-    (rec,), _ = reporting._diag_schur(reporting._Context(cfg))
+    ctx = reporting._Context(cfg)
+    reporting._diag_schur(ctx)
+    (rec,) = ctx.records
+    assert ctx.profiles == {}
     assert len(calls) == len(set(calls)) == 3
     assert rec["values"]["schur_value"] > rec["values"]["tail_1"] > rec["values"]["tail_6"] > 0.0
 

@@ -300,7 +300,9 @@ def test_nan_carleson_profile_fails_every_record(monkeypatch):
 
     monkeypatch.setattr(carleson, "vanishing_profile",
                         lambda mu, radii: np.full(len(radii), np.nan))
-    records, _ = _carleson_profiles(_Context(SuiteConfig()))
+    ctx = _Context(SuiteConfig())
+    _carleson_profiles(ctx)
+    records = ctx.records
     assert [r["operator"] for r in records] == ["zero", "bump", "bump_shifted", "log_singular"]
     assert all(r["verdict"] == "FAIL" and r["values"]["ratio"] == "nan" for r in records)
 
@@ -315,8 +317,9 @@ RK_SMALL = {
 
 
 def _rk_records(cfg):
-    records, _ = _diag_rk_tail(_Context(cfg))
-    return {r["name"]: r for r in records}
+    ctx = _Context(cfg)
+    _diag_rk_tail(ctx)
+    return {r["name"]: r for r in ctx.records}
 
 
 def test_probe_gap_draws_f_then_g_and_keeps_a_nan():
@@ -340,16 +343,16 @@ def test_probe_gap_draws_f_then_g_and_keeps_a_nan():
 def test_sweeps_cover_the_selected_cases_in_checks_order():
     from czframe.reporting import _diag_weak_compactness
 
-    cfg = SuiteConfig.from_dict({**RK_SMALL, "operators": ["zero", "hilbert"]})
-    records, profiles = _diag_rk_tail(_Context(cfg))
-    assert [(r["name"], r["operator"]) for r in records] == [
+    ctx = _Context(SuiteConfig.from_dict({**RK_SMALL, "operators": ["zero", "hilbert"]}))
+    _diag_rk_tail(ctx)
+    assert [(r["name"], r["operator"]) for r in ctx.records] == [
         ("rk_tail", "hilbert"), ("rk_tail", "zero"), ("rk_power_vs_svd", "damped_hilbert_1")]
-    assert sorted(profiles) == ["rk_tail_hilbert", "rk_tail_zero", "rk_witness_hilbert"]
-    cfg = SuiteConfig.from_dict({**RK_SMALL, "diagnostics": ["weak_compactness"],
-                                 "operators": ["finite_rank"]})
-    records, profiles = _diag_weak_compactness(_Context(cfg))
-    assert [r["operator"] for r in records] == ["finite_rank"]
-    assert list(profiles) == ["weak_compactness_finite_rank"]
+    assert sorted(ctx.profiles) == ["rk_tail_hilbert", "rk_tail_zero", "rk_witness_hilbert"]
+    ctx = _Context(SuiteConfig.from_dict({**RK_SMALL, "diagnostics": ["weak_compactness"],
+                                          "operators": ["finite_rank"]}))
+    _diag_weak_compactness(ctx)
+    assert [r["operator"] for r in ctx.records] == ["finite_rank"]
+    assert list(ctx.profiles) == ["weak_compactness_finite_rank"]
 
 
 def test_sweep_record_and_profile_come_from_one_helper():
@@ -357,20 +360,23 @@ def test_sweep_record_and_profile_come_from_one_helper():
 
     ctx = _Context(SuiteConfig.from_dict(RK_SMALL))
     radii, prof = [0.0, 1.0], np.array([2.0, 0.5])
-    rec, csv = ctx.sweep("rk_tail", "hilbert", radii, prof, {"ratio": 0.25}, "rk_tail_x")
-    assert csv == {"rk_tail_x": {"columns": ["R", "value"], "rows": [[0.0, 2.0], [1.0, 0.5]]}}
+    ctx.sweep("rk_tail", "hilbert", radii, prof, {"ratio": 0.25}, "rk_tail_x")
+    assert ctx.profiles == {
+        "rk_tail_x": {"columns": ["R", "value"], "rows": [[0.0, 2.0], [1.0, 0.5]]}}
+    (rec,) = ctx.records
     assert rec["verdict"] == "PASS" and "converged" not in rec["values"]
     assert rec["grid"] == ctx.grid_meta()
     tf = TailFunctional(radii=np.array(radii), values=prof, witnesses=[None, None],
                         iterations=np.array([3, 4]), converged=np.array([True, False]),
                         residuals=np.array([1e-12, 1e-3]))
-    rec, _ = ctx.sweep("rk_tail", "hilbert", radii, prof, {"ratio": 0.25}, "x", tf=tf,
-                       grid={"N": 1})
+    ctx.sweep("rk_tail", "hilbert", radii, prof, {"ratio": 0.25}, "x", tf=tf, grid={"N": 1})
+    rec = ctx.records[-1]
     assert rec["values"]["converged"] == [True, False] and rec["values"]["iterations"] == [3, 4]
     assert rec["verdict"] == "FAIL" and rec["grid"] == {"N": 1}
     tf.converged[1] = True
-    assert ctx.sweep("rk_tail", "hilbert", radii, prof, {"ratio": 0.25}, "x", tf=tf,
-                     ok=False)[0]["verdict"] == "FAIL"
+    ctx.sweep("rk_tail", "hilbert", radii, prof, {"ratio": 0.25}, "x", tf=tf, ok=False)
+    assert ctx.records[-1]["verdict"] == "FAIL"
+    assert len(ctx.records) == 3 and sorted(ctx.profiles) == ["rk_tail_x", "x"]
 
 
 def test_rk_tail_record_carries_solver_stats():
@@ -418,8 +424,9 @@ def test_paraproduct_record_carries_solver_stats_and_fails_unconverged(monkeypat
 
     monkeypatch.setattr(reporting, "_side_lattice", recorded_side)
     monkeypatch.setattr(compactness, "rk_tail", stalls_at_one)
-    records, _ = reporting._diag_paraproduct(_Context(SuiteConfig.from_dict(RK_SMALL)))
-    compact = [r for r in records if r["name"] == "paraproduct_compactness"]
+    ctx = _Context(SuiteConfig.from_dict(RK_SMALL))
+    reporting._diag_paraproduct(ctx)
+    compact = [r for r in ctx.records if r["name"] == "paraproduct_compactness"]
     assert [r["operator"] for r in compact] == ["bump", "bump_shifted", "log_singular"]
     for rec in compact:
         v = rec["values"]
@@ -477,6 +484,44 @@ def test_raising_diagnostic_becomes_fail_record(monkeypatch, name):
     assert names == (["frame", "pv_application"] if name == "frame"
                      else ["pv_application", "decomposition"])
     assert rep.verdict == "FAIL"
+
+
+def test_raising_diagnostic_drops_what_it_wrote(monkeypatch, tmp_path):
+    # a record and a profile written before the raise reach neither the
+    # Report nor the output directory; the next diagnostic still runs
+    from czframe import reporting
+
+    def writes_then_raises(ctx):
+        ctx.record("pv_application", "hilbert", {"relative_error": 0.0, "dual_path_gap": 0.0})
+        ctx.profile("half_written", ["x", "value"], [0.0], [1.0])
+        raise ValueError("late failure")
+
+    monkeypatch.setitem(reporting._DIAGNOSTICS, "frame", writes_then_raises)
+    rep = run_suite(SuiteConfig.from_dict({**QUICK, "diagnostics": ["frame", "pv"]}))
+    assert [(r["name"], r["verdict"]) for r in rep.records] == [
+        ("frame", "FAIL"), ("pv_application", "PASS")]
+    assert rep.records[0]["values"] == {"error": "ValueError: late failure"}
+    assert rep.profiles == {}
+    emit(rep, str(tmp_path))
+    assert sorted(os.listdir(tmp_path)) == ["report.json", "summary.txt"]
+
+
+def test_record_carries_one_solve_as_json_scalars():
+    # rk_power_vs_svd's single solve: the same helper as a sweep's, with
+    # numpy scalars stored as the Python int, bool and float they hold
+    ctx = _Context(SuiteConfig.from_dict(RK_SMALL))
+    values = {"power": 1.0, "dense_svd": 1.0, "relative_gap": 0.0}
+    ctx.record("rk_power_vs_svd", "damped_hilbert_1", values, solve=(7, True, 1e-13))
+    ctx.record("rk_power_vs_svd", "damped_hilbert_1", values,
+               solve=(np.int64(9), np.bool_(False), np.float64(0.5)))
+    converged, stalled = ctx.records
+    assert converged["verdict"] == "PASS" and stalled["verdict"] == "FAIL"
+    assert converged["values"]["iterations"] == 7 and stalled["values"]["residual"] == 0.5
+    for rec in ctx.records:
+        stats = [rec["values"][key] for key in ("iterations", "converged", "residual")]
+        assert [type(v) for v in stats] == [int, bool, float]
+    assert values == {"power": 1.0, "dense_svd": 1.0, "relative_gap": 0.0}  # not mutated
+    json.dumps(ctx.records, allow_nan=False)
 
 
 @pytest.mark.parametrize("s", [0.5, 1.0])

@@ -24,10 +24,13 @@ open-cone test ``abs(x - b) < a`` is spelled in one function of
 labels are spelled only in ``reporting.TRENDS`` and its fallback, and no
 name ends in ``THRESHOLD``: a tail ratio is classified by its record's
 ``CHECKS`` bounds alone.  ``reporting.py`` has one record path
-(``RECORD_PATH``): ``_record`` is called only by ``_Context.record``, and a
-tail sweep's solver statistics, its convergence rule and every ``R,value``
-profile live only in ``_Context.sweep``; ``_record`` takes no case, and the
-diagnostics in ``CASE_COVERED`` read their operators from ``CHECKS``.
+(``RECORD_PATH``): ``_record`` is called only by ``_Context.record``, which
+alone spells a solver's statistics and the convergence rule, and every
+``R,value`` profile lives only in ``_Context.sweep``; ``_record`` takes no
+case, and the diagnostics in ``CASE_COVERED`` read their operators from
+``CHECKS``.  ``_Context`` is its one output path: no diagnostic returns a
+value, and the ``records`` and ``profiles`` buffers are written only in
+``BUFFER_WRITERS``.
 """
 
 import ast
@@ -435,9 +438,11 @@ def test_checker_sees_an_inline_bound():
 RECORD_PATH = {
     "_record()": {"_Context.record"},
     "record literal": {"_record", "run_suite"},
-    "convergence rule": {"_Context.sweep"},
+    "solver statistics": {"_Context.record"},
+    "convergence rule": {"_Context.record"},
     "R,value profile": {"_Context.sweep"},
 }
+SOLVER_STATS = {"iterations", "converged", "residual"}
 # The diagnostics whose operators are read from CHECKS, not spelled out.
 CASE_COVERED = {"_diag_rk_tail", "_diag_weak_compactness"}
 
@@ -446,9 +451,11 @@ def _record_path_sites(tree):
     """(line, kind, owner) of every record-path construct in ``tree``.
 
     The kinds are the keys of ``RECORD_PATH``: a ``_record`` call, a record
-    literal, the convergence rule (a ``_solver_stats`` call or any
-    ``x.converged.all()``) and a ``_profile(["R", "value"], ...)`` call.
-    ``owner`` is as in :func:`_own_nodes`.
+    literal, a ``SOLVER_STATS`` string, the convergence rule (a
+    ``_solver_stats`` call, or any ``all`` call that reads a ``converged``
+    name or attribute, such as ``x.converged.all()`` or ``np.all(converged)``)
+    and a ``_profile(["R", "value"], ...)`` call.  ``owner`` is as in
+    :func:`_own_nodes`.
     """
     found = []
     for owner, nodes in _own_nodes(tree).items():
@@ -459,9 +466,11 @@ def _record_path_sites(tree):
             elif isinstance(node, ast.Dict) and {"name", "verdict"} <= {
                     getattr(k, "value", None) for k in node.keys}:
                 kind = "record literal"
-            elif callee == "_solver_stats" or (
-                    callee == "all"
-                    and getattr(getattr(node.func, "value", None), "attr", None) == "converged"):
+            elif isinstance(node, ast.Constant) and node.value in SOLVER_STATS:
+                kind = "solver statistics"
+            elif callee == "_solver_stats" or (callee == "all" and any(
+                    getattr(n, "id", getattr(n, "attr", None)) == "converged"
+                    for n in ast.walk(node))):
                 kind = "convergence rule"
             elif (callee == "_profile" and node.args and isinstance(node.args[0], ast.List)
                   and [getattr(e, "value", None) for e in node.args[0].elts] == ["R", "value"]):
@@ -504,10 +513,11 @@ def test_one_record_path():
 def test_checker_sees_a_second_record_path():
     tree = ast.parse(
         "class _Context:\n"
-        "    def record(self, name, operator, values):\n"
-        "        return _record(self.cfg, name, operator, values, {})\n"
+        "    def record(self, name, operator, values, solve):\n"
+        "        it, converged, res = solve\n"
+        "        ok = np.all(converged) and all(values)\n"
+        "        return _record(self.cfg, name, operator, {**values, 'iterations': it}, {})\n"
         "    def sweep(self, name, tf, radii, prof):\n"
-        "        ok = bool(tf.converged.all())\n"
         "        return self.record(name, None, {}), _profile(['R', 'value'], radii, prof)\n"
         "def _record(cfg, name, operator, values, grid_meta):\n"
         "    return {'name': name, 'verdict': 'PASS', **values}\n"
@@ -517,20 +527,112 @@ def test_checker_sees_a_second_record_path():
         "    ok = tf.converged.all() and all(ok) and label in ['zero']\n"
         "    return [rec, {'name': 'x', 'verdict': 'FAIL'}], {\n"
         "        'x': _profile(['R', 'value'], r, v), 'w': _profile(['x', 'value'], x, w),\n"
-        "        'v': {'verdict': 'FAIL'}}\n"
+        "        'v': {'verdict': 'FAIL', 'residual': res.residual}}\n"
+        "def _diag_power(ctx):\n"
+        "    ctx.record('p', None, {}, ok=bool(np.all(res.converged)))\n"
     )
     stray, missing = _record_path_errors(tree)
     assert stray == [
-        (11, "_record()", "_diag_rk_tail"), (11, "convergence rule", "_diag_rk_tail"),
-        (12, "convergence rule", "_diag_rk_tail"),
-        (13, "record literal", "_diag_rk_tail"), (14, "R,value profile", "_diag_rk_tail"),
+        (12, "_record()", "_diag_rk_tail"), (12, "convergence rule", "_diag_rk_tail"),
+        (13, "convergence rule", "_diag_rk_tail"),
+        (14, "record literal", "_diag_rk_tail"), (15, "R,value profile", "_diag_rk_tail"),
+        (16, "solver statistics", "_diag_rk_tail"), (18, "convergence rule", "_diag_power"),
     ]
     assert missing == []
     assert _label_tuples(tree, CASE_COVERED, {"hilbert", "zero"}) == [
-        ("_diag_rk_tail", 10), ("_diag_rk_tail", 12)]
+        ("_diag_rk_tail", 11), ("_diag_rk_tail", 13)]
     stray, missing = _record_path_errors(ast.parse("def f(ctx):\n    return _record(ctx)\n"))
     assert stray == [(2, "_record()", "f")]
     assert missing == sorted(RECORD_PATH)
+
+
+# The functions that may write the records and profiles buffers: _Context's
+# methods and run_suite, which empties them and merges them into the Report.
+BUFFER_WRITERS = {"_Context", "run_suite"}
+BUFFERS = {"records", "profiles"}
+MUTATORS = {"append", "extend", "insert", "update", "setdefault", "pop", "popitem",
+            "clear", "remove", "__setitem__"}
+
+
+def _output_path_errors(tree):
+    """(owner, line) of each diagnostic ``return <value>`` and each stray buffer write.
+
+    A diagnostic is a ``_diag_*`` function or ``_carleson_profiles``; a return
+    in a function nested in one belongs to that function.  A buffer write
+    assigns to ``x.records`` or ``x.profiles`` (or an item of one), or calls a
+    mutating method on one, outside ``BUFFER_WRITERS`` (a class's methods
+    count as the class).
+    """
+    def is_buffer(node):
+        return isinstance(node, ast.Attribute) and node.attr in BUFFERS
+
+    returns, writes = [], []
+    for owner, nodes in _own_nodes(tree).items():
+        top = (owner or "").split(".")[0]
+        for node in nodes:
+            if (isinstance(node, ast.Return) and node.value is not None and owner == top
+                    and (top.startswith("_diag_") or top == "_carleson_profiles")):
+                returns.append((owner, node.lineno))
+            targets = []
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            elif isinstance(node, ast.Delete):
+                targets = node.targets
+            targets = [e for t in targets
+                       for e in (t.elts if isinstance(t, ast.Tuple) else [t])]
+            written = any(is_buffer(t) or (isinstance(t, ast.Subscript) and is_buffer(t.value))
+                          for t in targets)
+            written |= (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                        and node.func.attr in MUTATORS and is_buffer(node.func.value))
+            if written and top not in BUFFER_WRITERS:
+                writes.append((owner, node.lineno))
+    def order(site):
+        return str(site[0]), site[1]
+
+    return sorted(returns, key=order), sorted(writes, key=order)
+
+
+def test_context_is_the_one_output_path():
+    returns, writes = _output_path_errors(ast.parse((SRC / "reporting.py").read_text()))
+    assert not returns, f"diagnostics that return a value: {returns}"
+    assert not writes, f"records/profiles written outside {BUFFER_WRITERS}: {writes}"
+
+
+def test_checker_sees_a_second_output_path():
+    tree = ast.parse(
+        "class _Context:\n"
+        "    def __init__(self):\n"
+        "        self.records, self.profiles = [], {}\n"
+        "    def profile(self, name, cols):\n"
+        "        self.profiles[name] = cols\n"
+        "def run_suite(ctx, report):\n"
+        "    ctx.records = []\n"
+        "    report.records.extend(ctx.records)\n"
+        "    return report\n"
+        "def _diag_a(ctx):\n"
+        "    def inner():\n"
+        "        return 1\n"
+        "    ctx.record('a', None, {})\n"
+        "    return\n"
+        "def _diag_b(ctx):\n"
+        "    ctx.records.append({})\n"
+        "    return [], {}\n"
+        "def _carleson_profiles(ctx):\n"
+        "    ctx.profiles['x'] = {}\n"
+        "    return ctx.records\n"
+        "def _helper(ctx, report):\n"
+        "    ctx.records += [1]\n"
+        "    report.profiles.update({})\n"
+        "    ctx.records, other = [], 0\n"
+        "    del ctx.profiles['x']\n"
+        "    return sorted(ctx.profiles), ctx.records[0]\n"
+    )
+    returns, writes = _output_path_errors(tree)
+    assert returns == [("_carleson_profiles", 20), ("_diag_b", 17)]
+    assert writes == [("_carleson_profiles", 19), ("_diag_b", 16), ("_helper", 22),
+                      ("_helper", 23), ("_helper", 24), ("_helper", 25)]
 
 
 def _open_cone_tests(tree):
