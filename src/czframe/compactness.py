@@ -22,12 +22,23 @@ checked against.  The analysis operator is a copy of the lattice's cached
 :func:`~czframe.wavelets.frame_rows` matrix of the fixed mother wavelet,
 scaled by sqrt(dlambda) * h, one number for the whole lattice.
 
-A sweep over radii builds that matrix once, with its rows in decreasing
-``fgrid.dist0`` order, so every tail(R) is a zero-copy row prefix of it
-(:func:`tail_views`).  The radii are independent solves from the same seeded
-start vector; :func:`tail_functional` runs them concurrently on a thread pool
-with one worker per usable core and collects them in radius order, so the
-result is bitwise independent of the worker count.
+A sweep over radii solves every operator on every distinct tail; two radii
+whose tails hold the same nodes share one solve.  It takes one of two
+routes, chosen by :func:`_use_gram` from the sizes alone.  When the N x N
+Gram matrix G_R = S_R^T S_R of the first tail has no more entries than its
+rows have nonzeros twice over, one G is accumulated in place from the
+largest radius down, each band of nodes added through bounded chunks of
+:func:`analysis_operator`, and after each band every operator is solved on
+v |-> A^T(G(Av))/h, one operator after another: each application is one
+BLAS matrix-vector product instead of two sparse ones.  Otherwise the
+analysis operator is built once, with its rows in decreasing ``fgrid.dist0``
+order, so every tail(R) is a zero-copy row prefix of it (:func:`tail_views`),
+and the solves run concurrently on a thread pool with one worker per usable
+core, collected in a fixed order, so that route's result is bitwise
+independent of the worker count.  The two routes agree to rounding.  The
+Gram route's products go through BLAS, whose rounding may depend on its
+thread count, so a report is byte-identical when re-run in the same
+environment.
 """
 
 from __future__ import annotations
@@ -40,7 +51,7 @@ import scipy.sparse
 
 from .grids import FrameGrid, SampledFunction, SpatialGrid, tail_nodes
 from .operators import CZKernel, DiscreteOperator, kernel_matrix
-from .wavelets import frame_rows, make_mother_wavelet
+from .wavelets import _windows, frame_rows, make_mother_wavelet
 
 __all__ = [
     "LanczosResult",
@@ -56,6 +67,27 @@ __all__ = [
 # Relative tolerance and restart cap of every Lanczos tail solve.
 _TOL = 1e-6
 _MAXITER = 500
+
+# Rows at least this many grid points wide enter a tail Gram matrix as dense
+# blocks, narrower ones through a sparse product.
+_WIDE = 128
+# Row nonzeros per chunk of narrow rows; rows per chunk of wide rows, whose
+# dense block is at most _WIDE_ROWS x N floats; Gram rows per dense panel.
+_NARROW_NNZ = 1 << 18
+_WIDE_ROWS = 128
+_PANEL = 128
+
+
+def _use_gram(n: int, nnz: float) -> bool:
+    """Whether a tail sweep on ``n`` samples runs on the N x N Gram matrix.
+
+    ``nnz`` is the row nonzeros of the first (largest) tail.  One application
+    of the Gram matrix reads its N^2 entries, one of the rows and their
+    transpose reads 2 nnz, so the Gram is taken when N^2 <= 2 nnz.
+    :class:`~czframe.config.SuiteConfig` applies the same rule to its row
+    estimate.
+    """
+    return n * n <= 2.0 * nnz
 
 
 def operator_matrix(kernel: CZKernel, grid: SpatialGrid) -> np.ndarray:
@@ -82,6 +114,67 @@ def analysis_operator(
     return S
 
 
+def _tail_counts(fgrid: FrameGrid, radii) -> list[int]:
+    """Node count of each tail(R), R in ``radii``; a negative radius raises ``ValueError``."""
+    return [int(np.count_nonzero(tail_nodes(fgrid, float(r)))) for r in radii]
+
+
+def _add_gram(G: np.ndarray, fgrid: FrameGrid, grid: SpatialGrid, nodes: np.ndarray) -> None:
+    """Add S^T S to ``G`` in place, S the analysis-operator rows of ``nodes``.
+
+    Every row is one contiguous window of columns (:func:`wavelets._windows`).
+    Rows narrower than ``_WIDE`` go in chunks of about ``_NARROW_NNZ``
+    nonzeros, each through one sparse product.  Wider rows are sorted by
+    window start and go ``_WIDE_ROWS`` at a time as one dense block; G is
+    updated from it ``_PANEL`` rows at a time, each panel from the block rows
+    that meet its columns, over the columns those rows span.  The left factor
+    is a copy, so numpy never takes the X^T X (syrk) route.
+    """
+    lo, widths = _windows(fgrid, grid, nodes)
+    narrow = widths < _WIDE
+    chunk = (np.cumsum(widths[narrow]) - widths[narrow]) // _NARROW_NNZ
+    for part in np.split(nodes[narrow], np.flatnonzero(np.diff(chunk)) + 1):
+        if part.size:
+            S = analysis_operator(fgrid, grid, part)
+            P = S.T.tocsr() @ S  # one entry per (row, column): += adds each once
+            G[np.repeat(np.arange(grid.N), np.diff(P.indptr)), P.indices] += P.data
+    wide = ~narrow
+    by_start = np.argsort(lo[wide], kind="stable")
+    rows, starts, ends = (x[wide][by_start] for x in (nodes, lo, lo + widths))
+    for r0 in range(0, rows.size, _WIDE_ROWS):
+        S = analysis_operator(fgrid, grid, rows[r0:r0 + _WIDE_ROWS])
+        first, last = starts[r0:r0 + _WIDE_ROWS], ends[r0:r0 + _WIDE_ROWS]
+        c0, c1 = int(first.min()), int(last.max())
+        block = np.zeros((S.shape[0], c1 - c0))
+        block[np.repeat(np.arange(S.shape[0]), np.diff(S.indptr)), S.indices - c0] = S.data
+        for p0 in range(c0, c1, _PANEL):
+            p1 = min(p0 + _PANEL, c1)
+            meet = (first < p1) & (last > p0)
+            if meet.any():  # the block's windows may leave a gap
+                j0, j1 = min(int(first[meet].min()), p0), max(int(last[meet].max()), p1)
+                D = block[meet, j0 - c0:j1 - c0]
+                G[p0:p1, j0:j1] += np.ascontiguousarray(D[:, p0 - j0:p1 - j0].T) @ D
+
+
+def _tail_grams(fgrid: FrameGrid, grid: SpatialGrid, counts):
+    """Yield the Gram matrix S_n^T S_n of the tail of each row count n in ``counts``.
+
+    S_n is the first n rows of the analysis operator in the stable order
+    ``argsort(-fgrid.dist0)``, as in :func:`tail_views`; ``counts`` must be
+    nondecreasing, that is radii from the largest down.  One N x N array is
+    yielded every time: each band of new rows is added to it in place by
+    :func:`_add_gram`, so it must be used before the next one is asked for.
+    """
+    order = np.argsort(-fgrid.dist0, kind="stable")
+    G = np.zeros((grid.N, grid.N))
+    done = 0
+    for n in counts:
+        if n > done:
+            _add_gram(G, fgrid, grid, order[done:n])
+            done = n
+        yield G
+
+
 def tail_views(
     fgrid: FrameGrid, grid: SpatialGrid, radii
 ) -> tuple[scipy.sparse.csr_matrix, list[scipy.sparse.csr_matrix]]:
@@ -95,8 +188,7 @@ def tail_views(
     """
     S = analysis_operator(fgrid, grid, np.argsort(-fgrid.dist0, kind="stable"))
     views = []
-    for r in radii:
-        n = int(np.count_nonzero(tail_nodes(fgrid, float(r))))
+    for n in _tail_counts(fgrid, radii):
         nnz = S.indptr[n]
         views.append(scipy.sparse.csr_matrix(
             (S.data[:nnz], S.indices[:nnz], S.indptr[:n + 1]), shape=(n, grid.N), copy=False
@@ -187,17 +279,24 @@ def rk_tail(
 
     ``A`` is the sample-space operator and ``S_tail`` the rows of the
     analysis operator at the tail nodes: a view from :func:`tail_views`, or
-    ``analysis_operator(fgrid, grid)[tail_nodes(fgrid, R)]``.  Lanczos
-    (ARPACK ``eigsh``) runs on the normal matrix of the composite map from a
-    seeded start vector, with relative tolerance 1e-6 and at most 500
+    ``analysis_operator(fgrid, grid)[tail_nodes(fgrid, R)]``.  It may also be
+    their N x N Gram matrix S_tail^T S_tail as a dense array, as
+    :func:`tail_functional` passes it, applied by one matrix-vector product.
+    Lanczos (ARPACK ``eigsh``) runs on the normal matrix of the composite map
+    from a seeded start vector, with relative tolerance 1e-6 and at most 500
     restarts; on non-convergence the best Ritz value found is still reported,
     with ``converged=False``.
     """
     root_h = np.sqrt(grid.h)
+    if isinstance(S_tail, np.ndarray):
+        def gram(x: np.ndarray) -> np.ndarray:
+            return S_tail @ x
+    else:
+        def gram(x: np.ndarray) -> np.ndarray:
+            return S_tail.T @ (S_tail @ x)
 
     def B_apply(u: np.ndarray) -> np.ndarray:
-        c = S_tail @ A.matvec(u / root_h)
-        return A.rmatvec(S_tail.T @ c) / root_h
+        return A.rmatvec(gram(A.matvec(u / root_h))) / root_h
 
     lam, u, calls, ok, residual = _lanczos_top(B_apply, grid.N, seed)
     return LanczosResult(
@@ -210,43 +309,68 @@ def rk_tail(
 
 
 def _sweep_workers(n_solves: int) -> int:
-    """Threads for a radius sweep: one per usable core, at most one per solve."""
+    """Threads for a pooled sweep: one per usable core, at most one per solve."""
     return min(len(os.sched_getaffinity(0)), n_solves)
 
 
 def tail_functional(
-    A: DiscreteOperator,
+    operators,
     fgrid: FrameGrid,
     grid: SpatialGrid,
     radii,
     seed: int = 0,
-) -> TailFunctional:
-    """rk_tail profile over a radii sweep, with per-radius solver statistics.
+) -> list[TailFunctional]:
+    """rk_tail profile of each operator over a radii sweep, with per-radius solver statistics.
 
-    Each radius is one :func:`rk_tail` solve, from ``seed``, on its view from
-    :func:`tail_views`.  The solves run on a thread pool and are collected
-    in radius order; an exception raised in a solve is raised here.
+    Returns one :class:`TailFunctional` per operator in ``operators``, in
+    order.  Each distinct tail is one :func:`rk_tail` solve per operator,
+    from ``seed``; radii whose tails hold the same nodes share it.  When
+    :func:`_use_gram` holds for the first tail, the solves run on the Gram
+    matrices of :func:`_tail_grams`, from the largest radius down and one
+    operator after another.  Otherwise they run on the views of
+    :func:`tail_views`, on a thread pool.  An exception raised in a solve is
+    raised here.  No operator means no work and an empty list.
     """
-    # Imported here so that runs which never sweep do not load the executor.
-    from concurrent.futures import ThreadPoolExecutor
-
     radii = np.asarray(radii, dtype=float)
     if np.any(np.diff(radii) <= 0.0):
         raise ValueError("radii must be strictly increasing")
-    _, tails = tail_views(fgrid, grid, radii)
-    pool = ThreadPoolExecutor(_sweep_workers(len(tails)))
-    try:
-        solves = list(pool.map(lambda S_tail: rk_tail(A, S_tail, grid, seed=seed), tails))
-    finally:
-        pool.shutdown(cancel_futures=True)
-    return TailFunctional(
-        radii=radii,
-        values=np.array([res.value for res in solves]),
-        iterations=np.array([res.iterations for res in solves]),
-        converged=np.array([res.converged for res in solves]),
-        residuals=np.array([res.residual for res in solves]),
-        witnesses=[res.witness for res in solves],
-    )
+    counts = _tail_counts(fgrid, radii)
+    operators = list(operators)
+    if not operators:
+        return []
+    distinct = sorted(set(counts))  # one solve per tail, the smallest tail first
+    _, widths = _windows(fgrid, grid, tail_nodes(fgrid, float(radii[0])))
+    if _use_gram(grid.N, int(widths.sum())):
+        solves = {}
+        for n, G in zip(distinct, _tail_grams(fgrid, grid, distinct)):
+            for k, A in enumerate(operators):
+                solves[k, n] = rk_tail(A, G, grid, seed=seed)
+    else:
+        # Imported here so that runs which never pool do not load the executor.
+        from concurrent.futures import ThreadPoolExecutor
+
+        _, tails = tail_views(fgrid, grid, radii)
+        views = dict(zip(counts, tails))
+        jobs = [(k, n) for k in range(len(operators)) for n in reversed(distinct)]  # radius order
+        pool = ThreadPoolExecutor(_sweep_workers(len(jobs)))
+        try:
+            solved = pool.map(lambda job: rk_tail(operators[job[0]], views[job[1]], grid, seed=seed),
+                              jobs)
+            solves = dict(zip(jobs, solved))
+        finally:
+            pool.shutdown(cancel_futures=True)
+    sweeps = []
+    for k in range(len(operators)):
+        res = [solves[k, n] for n in counts]
+        sweeps.append(TailFunctional(
+            radii=radii,
+            values=np.array([r.value for r in res]),
+            iterations=np.array([r.iterations for r in res]),
+            converged=np.array([r.converged for r in res]),
+            residuals=np.array([r.residual for r in res]),
+            witnesses=[r.witness for r in res],
+        ))
+    return sweeps
 
 
 def singular_spectrum(A: np.ndarray, k: int) -> np.ndarray:

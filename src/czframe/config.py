@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .compactness import _use_gram
 from .grids import SpatialGrid, row_nonzero_estimates, validate_frame_grid
 from .operators import model_zoo
 
@@ -190,27 +191,33 @@ class SuiteConfig:
         """Estimated bytes of the run's largest resident arrays, from the config alone.
 
         The configured lattice's frame rows at 12 B a nonzero (a float64 value
-        and an int32 column index), plus 8 N^2 B when the ``decomposition``
-        diagnostic runs: it discretizes ``damped_hilbert_1`` on the dense
-        backend of ``discretize`` whatever ``operators`` selects, and it is
-        the one N x N matrix of a run (``rk_tail`` selects no dense kernel).
-        That term is the dense backend's actual peak: ``kernel_matrix`` and
-        the dense ``window_sums`` go by row blocks, so their temporaries are
-        small.
+        and an int32 column index), plus 8 N^2 B for one dense N x N matrix.
+        The ``decomposition`` diagnostic discretizes ``damped_hilbert_1`` on
+        the dense backend of ``discretize`` whatever ``operators`` selects,
+        and ``rk_tail`` accumulates the tail Gram matrix when
+        ``compactness._use_gram`` holds on the row estimate.  The two never
+        live at once, so either one, or both, adds 8 N^2 B, not 16 N^2 B.
+        That term is the actual peak: ``kernel_matrix``, the dense
+        ``window_sums`` and the Gram build go by blocks, so their temporaries
+        are small.
         Summing stops as soon as the estimate exceeds the physical memory, so
         a lattice with more scales than fit is never visited in full.  Call it only on a
         validated grid and frame.
         """
         spatial = SpatialGrid(self.grid_L, self.grid_N)
         memory = _physical_memory()
-        n = float(self.grid_N)
-        total = 8.0 * n * n if "decomposition" in self.diagnostics else 0.0
+        dense = 8.0 * float(self.grid_N) ** 2
+        decomposition = "decomposition" in self.diagnostics
+        total = dense if decomposition else 0.0
+        rows = 0.0
         for nnz in row_nonzero_estimates(spatial, self.a_min, self.a_max, self.s,
                                          self.L_b, self.cone_factor):
-            total += 12.0 * nnz
-            if total > memory:
+            rows += nnz
+            if total + 12.0 * rows > memory:
                 break
-        return total
+        if not decomposition and "rk_tail" in self.diagnostics and _use_gram(self.grid_N, rows):
+            total += dense
+        return total + 12.0 * rows
 
     def tol(self, key: str) -> float:
         return float(self.tolerances.get(key, DEFAULT_TOLERANCES[key]))

@@ -113,7 +113,7 @@ def paraproduct_compactness(
 ) -> TailFunctional:
     """Tail functional of P_beta, swept on its factored operator."""
     P = paraproduct_operator(analyze(beta, make_mother_wavelet(), fgrid), beta.grid)
-    return tail_functional(P, fgrid, beta.grid, radii, seed=seed)
+    return tail_functional([P], fgrid, beta.grid, radii, seed=seed)[0]
 
 
 @dataclass

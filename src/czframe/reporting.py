@@ -348,9 +348,11 @@ def _diag_weak_compactness(ctx: _Context):
 
 def _diag_rk_tail(ctx: _Context):
     cfg = ctx.cfg
-    for label in _cases("rk_tail", cfg.operators):
-        A = discretize(get_model(label).kernel, ctx.grid)
-        tf = compactness_mod.tail_functional(A, ctx.fgrid, ctx.grid, list(cfg.radii), seed=cfg.seed)
+    labels = _cases("rk_tail", cfg.operators)
+    sweeps = compactness_mod.tail_functional(
+        [discretize(get_model(label).kernel, ctx.grid) for label in labels],
+        ctx.fgrid, ctx.grid, list(cfg.radii), seed=cfg.seed)
+    for label, tf in zip(labels, sweeps):
         tail_0 = float(tf.values[0])
         # the zero operator's tail must also vanish exactly
         ctx.sweep(

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 from czframe.cli import main
@@ -228,3 +229,46 @@ def test_import_loads_no_dense_or_sparse_linalg():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "[]"
+
+
+def _run_cli_with_blas_threads(tmp_path, threads, payload):
+    out = tmp_path / f"threads_{threads}"
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = {
+        **os.environ,
+        "OPENBLAS_NUM_THREADS": str(threads),
+        "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])),
+    }
+    config = _write_config(tmp_path, payload)
+    run = subprocess.run([sys.executable, "-m", "czframe.cli", "--config", config, "--out", str(out)],
+                         env=env, capture_output=True, text=True)
+    assert run.returncode in (0, 1), run.stderr  # a report was written, whatever its verdict
+    return json.loads((out / "report.json").read_text())["records"]
+
+
+def test_rk_tail_agrees_across_blas_thread_counts(tmp_path):
+    # The Gram path's BLAS products may round differently with another thread
+    # count. The records, verdicts and iteration counts must not move, and
+    # each value by at most 1e-12 times the record's scale (tail_0, or the
+    # cross-check's power). The lattice reaches distance 3, and N^2 <= 2 nnz,
+    # so the sweep runs on the Gram.
+    payload = {
+        "grid": {"L": 32, "N": 256},
+        "frame": {"a_min": 0.5, "a_max": 64},
+        "diagnostics": ["rk_tail"],
+        "radii": [0, 1, 2, 3],
+    }
+    one, two = (_run_cli_with_blas_threads(tmp_path, t, payload) for t in (1, 2))
+    assert [(r["name"], r["operator"], r["verdict"]) for r in one] == [
+        (r["name"], r["operator"], r["verdict"]) for r in two]
+    assert [r["name"] for r in one].count("rk_tail") == 3
+    for a, b in zip(one, two):
+        va, vb = a["values"], b["values"]
+        assert va.keys() == vb.keys()
+        assert va["iterations"] == vb["iterations"] and va["converged"] == vb["converged"]
+        scale = va["tail_0"] if a["name"] == "rk_tail" else va["power"]
+        for key, x in va.items():
+            if isinstance(x, str) or key in ("iterations", "converged"):
+                assert x == vb[key]
+            else:
+                assert np.allclose(x, vb[key], rtol=0.0, atol=1e-12 * scale), key

@@ -147,23 +147,23 @@ def test_rk_seed_determinism(small_grid, small_fgrid):
 def test_tail_functional_profiles(small_grid, small_fgrid):
     radii = np.arange(0.0, 6.5, 0.5)
     A0 = _dense_operator("zero", small_grid)
-    tz = tail_functional(A0, small_fgrid, small_grid, radii)
+    [tz] = tail_functional([A0], small_fgrid, small_grid, radii)
     assert np.all(tz.values == 0.0)
 
     Af = _dense_operator("finite_rank", small_grid)
-    tf = tail_functional(Af, small_fgrid, small_grid, radii)
+    [tf] = tail_functional([Af], small_fgrid, small_grid, radii)
     assert tf.values[0] > 0.0
     assert tf.values[-1] / tf.values[0] < 1e-2
 
     Ah = _dense_operator("hilbert", small_grid)
-    th = tail_functional(Ah, small_fgrid, small_grid, radii)
+    [th] = tail_functional([Ah], small_fgrid, small_grid, radii)
     assert th.values[-1] / th.values[0] > 0.1
 
 
 def test_tail_functional_radii_validation(small_grid, small_fgrid):
     A = _dense_operator("zero", small_grid)
     with pytest.raises(ValueError):
-        tail_functional(A, small_fgrid, small_grid, [0.0, 0.0, 1.0])
+        tail_functional([A], small_fgrid, small_grid, [0.0, 0.0, 1.0])
 
 
 def test_singular_spectrum_finite_rank(small_grid):
@@ -217,9 +217,9 @@ def test_rk_fft_backend_matches_dense(small_grid, small_fgrid):
     # the Toeplitz/FFT Hilbert operator against its dense oracle matrix
     kern = get_model("hilbert").kernel
     radii = [0.0, 2.0, 4.0]
-    fft = tail_functional(discretize(kern, small_grid), small_fgrid, small_grid, radii)
+    [fft] = tail_functional([discretize(kern, small_grid)], small_fgrid, small_grid, radii)
     A = DiscreteOperator(small_grid.N, matrix=operator_matrix(kern, small_grid))
-    dense = tail_functional(A, small_fgrid, small_grid, radii)
+    [dense] = tail_functional([A], small_fgrid, small_grid, radii)
     assert discretize(kern, small_grid).matrix is None
     assert np.array_equal(fft.iterations, dense.iterations)
     assert fft.converged.all() and dense.converged.all()
@@ -230,8 +230,8 @@ def test_rk_fft_backend_matches_dense(small_grid, small_fgrid):
 def test_tail_functional_repeats_bitwise_in_process(small_grid, small_fgrid, label):
     A = discretize(get_model(label).kernel, small_grid)
     radii = [0.0, 1.0, 3.0]
-    first = tail_functional(A, small_fgrid, small_grid, radii, seed=2)
-    second = tail_functional(A, small_fgrid, small_grid, radii, seed=2)
+    [first] = tail_functional([A], small_fgrid, small_grid, radii, seed=2)
+    [second] = tail_functional([A], small_fgrid, small_grid, radii, seed=2)
     assert np.array_equal(first.iterations, second.iterations)
     assert np.array_equal(first.values, second.values)
     assert np.array_equal(first.witnesses[-1].values, second.witnesses[-1].values)
@@ -244,6 +244,8 @@ SWEEP_RADII = [0.0, 0.5, 1.0, 2.0, 3.0]
 @pytest.mark.parametrize("label", ["hilbert", "finite_rank"])
 def test_sweep_equals_plain_loop_bitwise(small_grid, small_fgrid, monkeypatch, workers, label):
     # the pooled sweep returns exactly what one rk_tail call per view returns
+    # the small lattice selects the Gram path; the pool serves the other one
+    monkeypatch.setattr(compactness, "_use_gram", lambda n, nnz: False)
     A = discretize(get_model(label).kernel, small_grid)
     _, views = tail_views(small_fgrid, small_grid, SWEEP_RADII)
     loop = [rk_tail(A, S_tail, small_grid, seed=1) for S_tail in views]
@@ -252,7 +254,7 @@ def test_sweep_equals_plain_loop_bitwise(small_grid, small_fgrid, monkeypatch, w
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # interleave the workers as often as possible
     try:
-        tf = tail_functional(A, small_fgrid, small_grid, SWEEP_RADII, seed=1)
+        [tf] = tail_functional([A], small_fgrid, small_grid, SWEEP_RADII, seed=1)
     finally:
         sys.setswitchinterval(switch)
     assert asked == [len(SWEEP_RADII)]
@@ -262,6 +264,101 @@ def test_sweep_equals_plain_loop_bitwise(small_grid, small_fgrid, monkeypatch, w
     assert np.array_equal(tf.converged, [r.converged for r in loop])
     for got, want in zip(tf.witnesses, loop):
         assert np.array_equal(got.values, want.witness.values)
+
+
+# No node of the small lattice lies within 0.05 of the identity (its nearest
+# is at 0.068), so the band [0, 0.05) is empty and both radii hold one tail.
+GRAM_RADII = [0.0, 0.05, 0.5, 1.0, 2.0, 3.0]
+
+
+def _force_path(monkeypatch, gram):
+    monkeypatch.setattr(compactness, "_use_gram", lambda n, nnz: gram)
+
+
+def test_small_lattice_selects_the_gram_path(small_grid, small_fgrid):
+    # N^2 <= 2 nnz of the first tail, so the sweeps below run on the Gram
+    # unless a test forces the sparse path
+    _, (S,) = tail_views(small_fgrid, small_grid, [0.0])
+    assert small_grid.N**2 <= 2 * S.nnz
+    assert compactness._use_gram(small_grid.N, S.nnz)
+    assert not compactness._use_gram(small_grid.N, small_grid.N**2 / 2 - 1)
+
+
+@pytest.mark.parametrize("chunks", ["default", "small"])
+def test_tail_grams_equal_the_sparse_products(small_grid, small_fgrid, monkeypatch, chunks):
+    # oracle: S_R^T S_R of the row prefixes of tail_views, for each radius of
+    # the sweep, the empty band included; "small" cuts every band into many
+    # narrow chunks, wide chunks and panels
+    if chunks == "small":
+        monkeypatch.setattr(compactness, "_NARROW_NNZ", 1 << 10)
+        monkeypatch.setattr(compactness, "_WIDE_ROWS", 7)
+        monkeypatch.setattr(compactness, "_PANEL", 16)
+    _, views = tail_views(small_fgrid, small_grid, GRAM_RADII)
+    counts = [S.shape[0] for S in views]
+    assert counts[0] == counts[1] and len(set(counts)) == len(counts) - 1
+    ascending = counts[::-1]
+    seen = 0
+    for n, G in zip(ascending, compactness._tail_grams(small_fgrid, small_grid, ascending)):
+        S = views[counts.index(n)]
+        want = (S.T @ S).toarray()
+        np.testing.assert_allclose(G, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+        seen += 1
+    assert seen == len(GRAM_RADII)
+
+
+@pytest.mark.parametrize("label", ["hilbert", "damped_hilbert_1", "finite_rank"])
+def test_gram_and_sparse_paths_agree(small_grid, small_fgrid, monkeypatch, label):
+    # one backend each: Toeplitz, dense and factored
+    A = discretize(get_model(label).kernel, small_grid)
+    backend = {"hilbert": A.column, "damped_hilbert_1": A.matrix, "finite_rank": A.factors}
+    assert backend[label] is not None
+    sweeps = {}
+    for gram in (True, False):
+        _force_path(monkeypatch, gram)
+        [sweeps[gram]] = tail_functional([A], small_fgrid, small_grid, GRAM_RADII, seed=4)
+    fast, slow = sweeps[True], sweeps[False]
+    assert np.array_equal(fast.iterations, slow.iterations)
+    assert np.array_equal(fast.converged, slow.converged) and fast.converged.all()
+    np.testing.assert_allclose(fast.values, slow.values, rtol=1e-12, atol=0.0)
+
+
+@pytest.mark.parametrize("gram", [True, False])
+def test_operators_are_solved_independently(small_grid, small_fgrid, monkeypatch, gram):
+    # a sweep of several operators returns what one sweep per operator returns
+    _force_path(monkeypatch, gram)
+    ops = [discretize(get_model(label).kernel, small_grid) for label in ("hilbert", "finite_rank")]
+    both = tail_functional(ops, small_fgrid, small_grid, SWEEP_RADII, seed=2)
+    assert len(both) == 2
+    for A, got in zip(ops, both):
+        [want] = tail_functional([A], small_fgrid, small_grid, SWEEP_RADII, seed=2)
+        assert np.array_equal(got.values, want.values)
+        assert np.array_equal(got.iterations, want.iterations)
+        assert np.array_equal(got.witnesses[-1].values, want.witnesses[-1].values)
+
+
+@pytest.mark.parametrize("gram", [True, False])
+def test_repeated_tail_is_solved_once(small_grid, small_fgrid, monkeypatch, gram):
+    _force_path(monkeypatch, gram)
+    solve, calls = compactness.rk_tail, []
+    monkeypatch.setattr(compactness, "rk_tail", lambda *a, **k: calls.append(1) or solve(*a, **k))
+    A = discretize(get_model("hilbert").kernel, small_grid)
+    [tf] = tail_functional([A], small_fgrid, small_grid, GRAM_RADII, seed=1)
+    assert len(calls) == len(GRAM_RADII) - 1
+    assert tf.values[0] == tf.values[1] and tf.residuals[0] == tf.residuals[1]
+    assert tf.iterations[0] == tf.iterations[1] and tf.converged[0] == tf.converged[1]
+    assert np.array_equal(tf.witnesses[0].values, tf.witnesses[1].values)
+    # and the shared solve is the one a sweep without the repeated radius makes
+    [ref] = tail_functional([A], small_fgrid, small_grid, GRAM_RADII[1:], seed=1)
+    assert np.array_equal(tf.values[1:], ref.values)
+    assert np.array_equal(tf.iterations[1:], ref.iterations)
+
+
+def test_no_operator_builds_nothing(small_grid, small_fgrid, monkeypatch):
+    for name in ("_tail_grams", "tail_views", "analysis_operator"):
+        monkeypatch.setattr(compactness, name, lambda *a, name=name: pytest.fail(f"called {name}"))
+    assert tail_functional([], small_fgrid, small_grid, SWEEP_RADII) == []
+    with pytest.raises(ValueError):  # the radii are still checked
+        tail_functional([], small_fgrid, small_grid, [1.0, 0.0])
 
 
 def test_sweep_workers_follow_usable_cores(monkeypatch):
@@ -293,4 +390,4 @@ def test_tail_views_reject_negative_radius(small_grid, small_fgrid):
         tail_views(small_fgrid, small_grid, [-0.5, 1.0])
     A = discretize(get_model("zero").kernel, small_grid)
     with pytest.raises(ValueError):
-        tail_functional(A, small_fgrid, small_grid, [-0.5, 1.0])
+        tail_functional([A], small_fgrid, small_grid, [-0.5, 1.0])

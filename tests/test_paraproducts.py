@@ -151,9 +151,8 @@ def test_factored_and_dense_tail_sweeps_agree(psi, wide):
     big, pfg = wide
     radii = np.arange(0.0, 5.5, 0.5)
     sym = analyze(SampledFunction.from_callable(big, _bump), psi, pfg)
-    factored = tail_functional(paraproduct_operator(sym, big), pfg, big, radii)
     A = DiscreteOperator(big.N, matrix=paraproduct_operator(sym, big).dense())
-    dense = tail_functional(A, pfg, big, radii)
+    factored, dense = tail_functional([paraproduct_operator(sym, big), A], pfg, big, radii)
     assert factored.converged.all() and dense.converged.all()
     assert np.array_equal(factored.iterations, dense.iterations)
     np.testing.assert_allclose(factored.values, dense.values, rtol=1e-12, atol=0.0)

@@ -35,12 +35,20 @@ def test_default_config_valid():
 
 
 def test_resident_bytes_estimated_from_config_alone():
-    # under 1 GB by default: frame rows plus the decomposition's dense N x N
-    # damped_hilbert_1, which it builds whatever the selected operators
+    # under 1 GB by default: frame rows plus one dense N x N matrix, the
+    # decomposition's damped_hilbert_1 (built whatever the selected operators)
+    # or rk_tail's Gram, which never live at once
     cfg = SuiteConfig()
     assert cfg.resident_bytes() < 2**30
-    no_dense = dataclasses.replace(cfg, diagnostics=("frame", "pv", "rk_tail", "paraproduct"))
+    no_dense = dataclasses.replace(cfg, diagnostics=("frame", "pv", "paraproduct"))
     assert cfg.resident_bytes() - no_dense.resident_bytes() == 8.0 * cfg.grid_N**2
+    for one in ("rk_tail", "decomposition"):
+        alone = dataclasses.replace(no_dense, diagnostics=no_dense.diagnostics + (one,))
+        assert alone.resident_bytes() == cfg.resident_bytes()
+    # at N = 4096 the rows have fewer than N^2 / 2 nonzeros: no Gram, so rk_tail adds nothing
+    fine = dataclasses.replace(no_dense, grid_N=4096)
+    assert dataclasses.replace(fine, diagnostics=("rk_tail",)).resident_bytes() == (
+        dataclasses.replace(fine, diagnostics=("frame",)).resident_bytes())
     no_dense_ops = dataclasses.replace(cfg, operators=("hilbert",))
     assert no_dense_ops.resident_bytes() == cfg.resident_bytes()
     # the row term bounds the built rows from above, clipped windows included
@@ -392,11 +400,17 @@ def test_unconverged_radius_fails_rk_tail_record(monkeypatch):
 
     solve = compactness.rk_tail
     cfg = SuiteConfig.from_dict(RK_SMALL)
-    n_at_one = int(np.count_nonzero(tail_nodes(_Context(cfg).fgrid, 1.0)))
+    ctx = _Context(cfg)
+    S_one = compactness.analysis_operator(ctx.fgrid, ctx.grid)[tail_nodes(ctx.fgrid, 1.0)]
+    energy_at_one = S_one.multiply(S_one).sum()
 
     def stalls_at_one(A, S_tail, grid, **kwargs):
+        # the tail at R = 1 by its energy ||S||_F^2, the trace of its Gram
+        # matrix, so the rows and the Gram route alike are recognized
         res = solve(A, S_tail, grid, **kwargs)
-        return dataclasses.replace(res, converged=False) if S_tail.shape[0] == n_at_one else res
+        energy = np.trace(S_tail) if isinstance(S_tail, np.ndarray) else S_tail.multiply(S_tail).sum()
+        at_one = math.isclose(energy, energy_at_one, rel_tol=1e-12)
+        return dataclasses.replace(res, converged=False) if at_one else res
 
     monkeypatch.setattr(compactness, "rk_tail", stalls_at_one)
     records = _rk_records(cfg)
@@ -448,7 +462,7 @@ def test_worker_failure_reaches_the_caller_and_becomes_one_fail_record(monkeypat
     ctx = _Context(cfg)
     failing = _MatvecFails(ctx.grid.N, matrix=np.eye(ctx.grid.N))
     with pytest.raises(FloatingPointError):
-        compactness.tail_functional(failing, ctx.fgrid, ctx.grid, [0.0, 1.0, 2.0])
+        compactness.tail_functional([failing], ctx.fgrid, ctx.grid, [0.0, 1.0, 2.0])
 
     monkeypatch.setattr(
         reporting, "discretize", lambda kernel, grid: _MatvecFails(grid.N, matrix=np.eye(grid.N))
