@@ -488,11 +488,12 @@ def run_suite(cfg: SuiteConfig) -> Report:
     """Execute the selected diagnostics; failures never abort the run.
 
     Each diagnostic writes into the context's emptied buffers, merged into the
-    Report after it. One that raises leaves instead one FAIL record named after
-    it, dropping what it wrote: ``values`` hold ``error`` ("<Type>: <message>"),
-    ``tolerances`` are empty, and the later diagnostics still run. It bypasses
-    ``CHECKS``: no record's bounds apply to an error, though ``decomposition``
-    and ``rk_tail`` name records too.
+    Report after it. One that raises, or writes no record, leaves instead one
+    FAIL record named after it, dropping what it wrote: ``values`` hold
+    ``error`` ("<Type>: <message>", or "no record written"), ``tolerances``
+    are empty, and the later diagnostics still run. It bypasses ``CHECKS``: no
+    record's bounds apply to an error, though ``decomposition`` and ``rk_tail``
+    name records too.
     """
     cfg.validate()
     report = Report(config=cfg.to_dict(), seed=cfg.seed)
@@ -501,13 +502,15 @@ def run_suite(cfg: SuiteConfig) -> Report:
         if name not in cfg.diagnostics:
             continue
         ctx.records, ctx.profiles = [], {}
+        error = None
         try:
             _DIAGNOSTICS[name](ctx)
         except Exception as exc:  # the suite boundary: report it, keep running
             error = f"{type(exc).__name__}: {exc}"
+        if error or not ctx.records:  # a selected diagnostic that certifies nothing fails
             ctx.records, ctx.profiles = [{"name": name, "operator": None, "verdict": "FAIL",
-                                          "values": {"error": error}, "tolerances": {},
-                                          "grid": ctx.grid_meta()}], {}
+                                          "values": {"error": error or "no record written"},
+                                          "tolerances": {}, "grid": ctx.grid_meta()}], {}
         report.records.extend(ctx.records)
         report.profiles.update(ctx.profiles)
     return report

@@ -77,10 +77,28 @@ def test_suite_without_records_exit_1(tmp_path, capsys):
     cfgp = _write_config(tmp_path, {**QUICK, "diagnostics": ["weak_compactness"], "operators": []})
     out = tmp_path / "results"
     assert main(["--config", cfgp, "--out", str(out)]) == 1
-    assert "suite verdict: FAIL (0 records)" in capsys.readouterr().out
+    assert "suite verdict: FAIL (1 records)" in capsys.readouterr().out
     with open(out / "report.json") as fh:
         report = json.load(fh)
-    assert report["verdict"] == "FAIL" and report["records"] == []
+    assert report["verdict"] == "FAIL"
+    assert [(r["name"], r["verdict"]) for r in report["records"]] == [("weak_compactness", "FAIL")]
+
+
+@pytest.mark.parametrize("payload", [
+    {"operators": [], "diagnostics": ["weak_compactness", "pv"]},
+    {"operators": ["damped_hilbert_05"], "diagnostics": ["rk_tail", "weak_compactness", "pv"]},
+])
+def test_selected_diagnostic_without_records_exit_1(tmp_path, capsys, payload):
+    # the other diagnostics write passing records; weak_compactness, given none of
+    # the operators it reads, writes none and so certifies nothing
+    cfgp = _write_config(tmp_path, {**QUICK, **payload})
+    out = tmp_path / "results"
+    assert main(["--config", cfgp, "--out", str(out)]) == 1
+    with open(out / "report.json") as fh:
+        records = json.load(fh)["records"]
+    assert len(records) > 1
+    assert [(r["name"], r["values"]) for r in records if r["verdict"] == "FAIL"] == [
+        ("weak_compactness", {"error": "no record written"})]
 
 
 def test_seed_flag_overrides_config(tmp_path, capsys):

@@ -120,10 +120,11 @@ def test_from_dict_rejects_bad_input():
 
 
 def test_suite_without_records_fails():
-    # a selection that yields no record certifies nothing, so it cannot PASS
+    # a selected diagnostic that writes no record certifies nothing: it leaves a FAIL record
     cfg = SuiteConfig.from_dict({**QUICK, "diagnostics": ["weak_compactness"], "operators": []})
     rep = run_suite(cfg)
-    assert rep.records == []
+    assert [(r["name"], r["values"]) for r in rep.records] == [
+        ("weak_compactness", {"error": "no record written"})]
     assert rep.verdict == "FAIL"
 
 
