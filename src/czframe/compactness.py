@@ -29,8 +29,10 @@ Gram matrix G_R = S_R^T S_R of the first tail has no more entries than its
 rows have nonzeros twice over, one G is accumulated in place from the
 largest radius down, each band of nodes added through bounded chunks of
 :func:`analysis_operator`, and after each band every operator is solved on
-v |-> A^T(G(Av))/h, one operator after another: each application is one
-BLAS matrix-vector product instead of two sparse ones.  Otherwise the
+v |-> A^T(G(Av))/h, one operator after another.  Only G's upper triangle is
+kept (its lower one holds partial sums that are never read), and each
+application is one BLAS symmetric matrix-vector product (``dsymv``) over
+that half instead of two sparse products.  Otherwise the
 analysis operator is built once, with its rows in decreasing ``fgrid.dist0``
 order, so every tail(R) is a zero-copy row prefix of it (:func:`tail_views`),
 and the solves run concurrently on a thread pool with one worker per usable
@@ -82,8 +84,10 @@ def _use_gram(n: int, nnz: float) -> bool:
     """Whether a tail sweep on ``n`` samples runs on the N x N Gram matrix.
 
     ``nnz`` is the row nonzeros of the first (largest) tail.  One application
-    of the Gram matrix reads its N^2 entries, one of the rows and their
-    transpose reads 2 nnz, so the Gram is taken when N^2 <= 2 nnz.
+    of the rows and their transpose reads 2 nnz entries; one of the Gram
+    matrix reads the N^2/2 of its upper triangle, but the Gram is still taken
+    only when N^2 <= 2 nnz: a looser rule would move the N = 4096 refinement
+    run onto a 134 MB Gram that no workload measures.
     :class:`~czframe.config.SuiteConfig` applies the same rule to its row
     estimate.
     """
@@ -120,15 +124,18 @@ def _tail_counts(fgrid: FrameGrid, radii) -> list[int]:
 
 
 def _add_gram(G: np.ndarray, fgrid: FrameGrid, grid: SpatialGrid, nodes: np.ndarray) -> None:
-    """Add S^T S to ``G`` in place, S the analysis-operator rows of ``nodes``.
+    """Add S^T S to ``G``'s upper triangle in place, S the analysis rows of ``nodes``.
 
     Every row is one contiguous window of columns (:func:`wavelets._windows`).
     Rows narrower than ``_WIDE`` go in chunks of about ``_NARROW_NNZ``
-    nonzeros, each through one sparse product.  Wider rows are sorted by
-    window start and go ``_WIDE_ROWS`` at a time as one dense block; G is
-    updated from it ``_PANEL`` rows at a time, each panel from the block rows
-    that meet its columns, over the columns those rows span.  The left factor
-    is a copy, so numpy never takes the X^T X (syrk) route.
+    nonzeros, each through one sparse product, added whole.  Wider rows are
+    sorted by window start and go ``_WIDE_ROWS`` at a time as one dense
+    block; G is updated from it ``_PANEL`` rows at a time, each panel from the
+    block rows that meet its columns, over the columns from the panel's first
+    one to the last those rows span, so only the panel's diagonal block
+    reaches below the diagonal.  G's strict lower triangle is therefore not
+    S^T S and must not be read.  The left factor is a copy, so numpy never
+    takes the X^T X (syrk) route.
     """
     lo, widths = _windows(fgrid, grid, nodes)
     narrow = widths < _WIDE
@@ -151,9 +158,9 @@ def _add_gram(G: np.ndarray, fgrid: FrameGrid, grid: SpatialGrid, nodes: np.ndar
             p1 = min(p0 + _PANEL, c1)
             meet = (first < p1) & (last > p0)
             if meet.any():  # the block's windows may leave a gap
-                j0, j1 = min(int(first[meet].min()), p0), max(int(last[meet].max()), p1)
-                D = block[meet, j0 - c0:j1 - c0]
-                G[p0:p1, j0:j1] += np.ascontiguousarray(D[:, p0 - j0:p1 - j0].T) @ D
+                j1 = max(int(last[meet].max()), p1)
+                D = block[meet, p0 - c0:j1 - c0]
+                G[p0:p1, p0:j1] += np.ascontiguousarray(D[:, :p1 - p0].T) @ D
 
 
 def _tail_grams(fgrid: FrameGrid, grid: SpatialGrid, counts):
@@ -162,7 +169,8 @@ def _tail_grams(fgrid: FrameGrid, grid: SpatialGrid, counts):
     S_n is the first n rows of the analysis operator in the stable order
     ``argsort(-fgrid.dist0)``, as in :func:`tail_views`; ``counts`` must be
     nondecreasing, that is radii from the largest down.  One N x N array is
-    yielded every time: each band of new rows is added to it in place by
+    yielded every time, and only its upper triangle (the diagonal included)
+    holds S_n^T S_n: each band of new rows is added to it in place by
     :func:`_add_gram`, so it must be used before the next one is asked for.
     """
     order = np.argsort(-fgrid.dist0, kind="stable")
@@ -228,13 +236,22 @@ class TailFunctional:
 def _lanczos_top(B_apply, n: int, seed: int) -> tuple[float, np.ndarray, int, bool, float]:
     """Top eigenpair of the symmetric PSD map ``B_apply`` by ARPACK Lanczos.
 
-    The start vector comes from ``default_rng(seed)``, and so do the vectors
-    ARPACK draws when it restarts from an exhausted Krylov space (by default
-    it would draw them from fresh OS entropy).  Returns the Ritz value,
-    its unit vector, the number of ``B_apply`` calls, whether it converged and
-    the residual norm.  An operator that maps the start vector to exactly zero
-    is taken to be zero after one application, since ARPACK needs a nontrivial
-    Krylov space.
+    The start vector v0 comes from ``default_rng(seed)``, and so do the
+    vectors ARPACK draws when it restarts from an exhausted Krylov space (by
+    default it would draw them from fresh OS entropy).  Returns the Ritz
+    value, its unit vector, the number of ``B_apply`` calls, whether it
+    converged and the residual norm.
+
+    Two cases end before ARPACK, both sound for almost every random v0.  An
+    operator that maps v0 to exactly zero is taken to be zero after one
+    application, since ARPACK needs a nontrivial Krylov space.  Otherwise B
+    is applied once more, to u1 = B v0 / ||B v0||; if u1 is an eigenvector
+    to the tolerance (``||B u1 - l1 u1|| <= _TOL |l1|``, l1 = u1 . B u1), B v0
+    spans an invariant line, which for almost every v0 means that every
+    nonzero eigenvalue equals l1 (rank one, or a multiple of a projector),
+    and (l1, u1) is returned after two applications.  Any other solve runs
+    ARPACK from the same v0, so its result does not depend on that extra
+    application.
     """
     # Imported here so that runs which never solve do not load ARPACK.
     from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
@@ -252,6 +269,12 @@ def _lanczos_top(B_apply, n: int, seed: int) -> tuple[float, np.ndarray, int, bo
     w = counted(v0)
     if not w.any():
         return 0.0, v0, calls, True, 0.0
+    u1 = w / np.linalg.norm(w)
+    Bu1 = counted(u1)
+    lam1 = float(u1 @ Bu1)
+    residual = float(np.linalg.norm(Bu1 - lam1 * u1))
+    if residual <= _TOL * abs(lam1):  # u1 is an eigenvector: B v0 spans an invariant line
+        return lam1, u1, calls, True, residual
     B = LinearOperator((n, n), matvec=counted, dtype=float)
     try:
         lams, vecs = eigsh(B, k=1, which="LA", v0=v0, tol=_TOL, maxiter=_MAXITER, rng=rng)
@@ -281,16 +304,23 @@ def rk_tail(
     analysis operator at the tail nodes: a view from :func:`tail_views`, or
     ``analysis_operator(fgrid, grid)[tail_nodes(fgrid, R)]``.  It may also be
     their N x N Gram matrix S_tail^T S_tail as a dense array, as
-    :func:`tail_functional` passes it, applied by one matrix-vector product.
+    :func:`tail_functional` passes it, of which only the upper triangle is
+    read: it is applied by one BLAS ``dsymv``.
     Lanczos (ARPACK ``eigsh``) runs on the normal matrix of the composite map
     from a seeded start vector, with relative tolerance 1e-6 and at most 500
     restarts; on non-convergence the best Ritz value found is still reported,
-    with ``converged=False``.
+    with ``converged=False``.  A normal matrix whose nonzero eigenvalues are
+    all equal (``finite_rank``'s is rank one) ends after two applications,
+    before ARPACK starts (:func:`_lanczos_top`).
     """
     root_h = np.sqrt(grid.h)
     if isinstance(S_tail, np.ndarray):
+        # Imported here so that runs which never solve do not load scipy.linalg.
+        from scipy.linalg.blas import dsymv
+
         def gram(x: np.ndarray) -> np.ndarray:
-            return S_tail @ x
+            # G.T is F-contiguous, so BLAS reads G's upper triangle as its lower, uncopied
+            return dsymv(1.0, S_tail.T, x, lower=1)
     else:
         def gram(x: np.ndarray) -> np.ndarray:
             return S_tail.T @ (S_tail @ x)

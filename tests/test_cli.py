@@ -89,8 +89,8 @@ def test_suite_without_records_exit_1(tmp_path, capsys):
     {"operators": ["damped_hilbert_05"], "diagnostics": ["rk_tail", "weak_compactness", "pv"]},
 ])
 def test_selected_diagnostic_without_records_exit_1(tmp_path, capsys, payload):
-    # the other diagnostics write passing records; weak_compactness, given none of
-    # the operators it reads, writes none and so certifies nothing
+    # pv writes a passing record; weak_compactness and rk_tail, given none of
+    # the operators they read, write none and so certify nothing
     cfgp = _write_config(tmp_path, {**QUICK, **payload})
     out = tmp_path / "results"
     assert main(["--config", cfgp, "--out", str(out)]) == 1
@@ -98,7 +98,21 @@ def test_selected_diagnostic_without_records_exit_1(tmp_path, capsys, payload):
         records = json.load(fh)["records"]
     assert len(records) > 1
     assert [(r["name"], r["values"]) for r in records if r["verdict"] == "FAIL"] == [
-        ("weak_compactness", {"error": "no record written"})]
+        (name, {"error": "no record written"})
+        for name in ("weak_compactness", "rk_tail") if name in payload["diagnostics"]]
+
+
+def test_rk_tail_without_a_selected_operator_exit_1(tmp_path, capsys):
+    # the rk_power_vs_svd cross-check alone certifies no selected operator
+    payload = {"operators": ["damped_hilbert_05"], "diagnostics": ["rk_tail", "pv"]}
+    cfgp = _write_config(tmp_path, {**QUICK, **payload})
+    out = tmp_path / "results"
+    assert main(["--config", cfgp, "--out", str(out)]) == 1
+    with open(out / "report.json") as fh:
+        records = json.load(fh)["records"]
+    assert [(r["name"], r["verdict"]) for r in records] == [
+        ("pv_application", "PASS"), ("rk_tail", "FAIL")]
+    assert records[1]["values"] == {"error": "no record written"}
 
 
 def test_seed_flag_overrides_config(tmp_path, capsys):

@@ -287,8 +287,8 @@ def test_small_lattice_selects_the_gram_path(small_grid, small_fgrid):
 @pytest.mark.parametrize("chunks", ["default", "small"])
 def test_tail_grams_equal_the_sparse_products(small_grid, small_fgrid, monkeypatch, chunks):
     # oracle: S_R^T S_R of the row prefixes of tail_views, for each radius of
-    # the sweep, the empty band included; "small" cuts every band into many
-    # narrow chunks, wide chunks and panels
+    # the sweep, the empty band included, on the upper triangle that G stores;
+    # "small" cuts every band into many narrow chunks, wide chunks and panels
     if chunks == "small":
         monkeypatch.setattr(compactness, "_NARROW_NNZ", 1 << 10)
         monkeypatch.setattr(compactness, "_WIDE_ROWS", 7)
@@ -301,7 +301,9 @@ def test_tail_grams_equal_the_sparse_products(small_grid, small_fgrid, monkeypat
     for n, G in zip(ascending, compactness._tail_grams(small_fgrid, small_grid, ascending)):
         S = views[counts.index(n)]
         want = (S.T @ S).toarray()
-        np.testing.assert_allclose(G, want, rtol=1e-13, atol=1e-13 * np.abs(want).max())
+        # only the upper triangle is stored; the lower one is never read
+        np.testing.assert_allclose(np.triu(G), np.triu(want), rtol=1e-13,
+                                   atol=1e-13 * np.abs(want).max())
         seen += 1
     assert seen == len(GRAM_RADII)
 
@@ -320,6 +322,61 @@ def test_gram_and_sparse_paths_agree(small_grid, small_fgrid, monkeypatch, label
     assert np.array_equal(fast.iterations, slow.iterations)
     assert np.array_equal(fast.converged, slow.converged) and fast.converged.all()
     np.testing.assert_allclose(fast.values, slow.values, rtol=1e-12, atol=0.0)
+
+
+def test_gram_lower_triangle_is_never_read(small_grid, small_fgrid, monkeypatch):
+    # NaN below the diagonal of every yielded G must not reach any result
+    _force_path(monkeypatch, True)
+    ops = [discretize(get_model(label).kernel, small_grid) for label in ("hilbert", "finite_rank")]
+    clean = tail_functional(ops, small_fgrid, small_grid, GRAM_RADII, seed=5)
+    grams = compactness._tail_grams
+
+    def poisoned(*args):
+        for G in grams(*args):
+            G[np.tril_indices_from(G, -1)] = np.nan
+            yield G
+
+    monkeypatch.setattr(compactness, "_tail_grams", poisoned)
+    dirty = tail_functional(ops, small_fgrid, small_grid, GRAM_RADII, seed=5)
+    for want, got in zip(clean, dirty):
+        for key in ("values", "iterations", "converged", "residuals"):
+            assert np.array_equal(getattr(got, key), getattr(want, key)), key
+        for u, v in zip(got.witnesses, want.witnesses):
+            assert np.array_equal(u.values, v.values)
+
+
+@pytest.mark.parametrize("gram", [True, False])
+def test_rank_one_solve_ends_after_two_applications(small_grid, small_fgrid, monkeypatch, gram):
+    # finite_rank's normal operator has rank one: B v0 is its eigenvector
+    _force_path(monkeypatch, gram)
+    A = discretize(get_model("finite_rank").kernel, small_grid)
+    [tf] = tail_functional([A], small_fgrid, small_grid, SWEEP_RADII, seed=3)
+    assert tf.converged.all() and np.all(tf.iterations == 2)
+    S = analysis_operator(small_fgrid, small_grid)
+    dense = A.dense()
+    for R, value in zip(SWEEP_RADII, tf.values):
+        M = np.asarray(S[np.asarray(small_fgrid.dist0 >= R)] @ dense) / math.sqrt(small_grid.h)
+        assert value == pytest.approx(float(singular_spectrum(M, 1)[0] ** 2), rel=1e-12, abs=0.0)
+
+
+def _spectral_map(eigenvalues, n=40, seed=0):
+    """B v = Q diag(eigenvalues) Q^T v for a random Q with orthonormal columns."""
+    Q, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((n, len(eigenvalues))))
+    return lambda v: Q @ (np.asarray(eigenvalues) * (Q.T @ v))
+
+
+def test_rank_two_map_is_not_cut_short():
+    lam, _, calls, ok, _ = compactness._lanczos_top(_spectral_map([3.0, 1.0]), 40, seed=0)
+    assert calls > 2 and ok
+    assert lam == pytest.approx(3.0, rel=1e-12)
+
+
+def test_multiple_of_a_projector_ends_after_two_applications():
+    # every nonzero eigenvalue equal: B v0 spans an invariant line however big the range
+    mu = 2.5
+    lam, _, calls, ok, residual = compactness._lanczos_top(_spectral_map([mu, mu]), 40, seed=0)
+    assert calls == 2 and ok and residual <= 1e-12 * mu
+    assert lam == pytest.approx(mu, rel=1e-12)
 
 
 @pytest.mark.parametrize("gram", [True, False])
