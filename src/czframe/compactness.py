@@ -22,30 +22,32 @@ checked against.  The analysis operator is a copy of the lattice's cached
 :func:`~czframe.wavelets.frame_rows` matrix of the fixed mother wavelet,
 scaled by sqrt(dlambda) * h, one number for the whole lattice.
 
-A sweep over radii solves every operator on every distinct tail; two radii
-whose tails hold the same nodes share one solve.  It takes one of two
-routes, chosen by :func:`_use_gram` from the sizes alone.  When the N x N
-Gram matrix G_R = S_R^T S_R of the first tail has no more entries than its
-rows have nonzeros twice over, one G is accumulated in place from the
-largest radius down, each band of nodes added through bounded chunks of
-:func:`analysis_operator`, and after each band every operator is solved on
-v |-> A^T(G(Av))/h, one operator after another.  Only G's upper triangle is
-kept (its lower one holds partial sums that are never read), and each
-application is one BLAS symmetric matrix-vector product (``dsymv``) over
-that half instead of two sparse products.  Otherwise the
-analysis operator is built once, with its rows in decreasing ``fgrid.dist0``
-order, so every tail(R) is a zero-copy row prefix of it (:func:`tail_views`),
-and the solves run concurrently on a thread pool with one worker per usable
-core, collected in a fixed order, so that route's result is bitwise
-independent of the worker count.  The two routes agree to rounding.  The
-Gram route's products go through BLAS, whose rounding may depend on its
-thread count, so a report is byte-identical when re-run in the same
-environment.
+A sweep over radii (:func:`tail_functional`) solves every operator on every
+distinct tail; two radii whose tails hold the same nodes share one solve.
+One walk, :func:`_tails`, orders the nodes once by decreasing
+``fgrid.dist0``, so every tail(R) is a prefix of that order, and yields each
+tail's operand on one of two routes, chosen by :func:`_use_gram` from the
+sizes alone.  When the N x N Gram matrix G_R = S_R^T S_R of the first tail
+has no more entries than its rows have nonzeros twice over, one G is
+accumulated in place from the largest radius down, each band of nodes added
+in blocks of one size (:func:`_add_gram`), and after each band every
+operator is solved on v |-> A^T(G(Av))/h, one operator after another.  Only
+G's upper triangle is kept (its lower one holds partial sums that are never
+read), and each application is one BLAS symmetric matrix-vector product
+(``dsymv``) over that half instead of two sparse products.  Otherwise the
+first tail's rows are copied once, in that order, each tail is a zero-copy
+CSR row prefix of the copy, and the solves run concurrently on a thread pool
+with one worker per usable core, collected in a fixed order, so that route's
+result is bitwise independent of the worker count.  The two routes agree to
+rounding.  The Gram route's products go through BLAS, whose rounding may
+depend on its thread count, so a report is byte-identical when re-run in the
+same environment.
 """
 
 from __future__ import annotations
 
 import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -62,7 +64,6 @@ __all__ = [
     "operator_matrix",
     "rk_tail",
     "tail_functional",
-    "tail_views",
     "singular_spectrum",
 ]
 
@@ -70,13 +71,9 @@ __all__ = [
 _TOL = 1e-6
 _MAXITER = 500
 
-# Rows at least this many grid points wide enter a tail Gram matrix as dense
-# blocks, narrower ones through a sparse product.
-_WIDE = 128
-# Row nonzeros per chunk of narrow rows; rows per chunk of wide rows, whose
-# dense block is at most _WIDE_ROWS x N floats; Gram rows per dense panel.
-_NARROW_NNZ = 1 << 18
-_WIDE_ROWS = 128
+# The one block size of a tail Gram build: rows at least this many grid points
+# wide enter as dense blocks of this many rows, narrower ones in chunks of
+# _PANEL * N nonzeros, and G is updated this many rows at a time.
 _PANEL = 128
 
 
@@ -127,19 +124,19 @@ def _add_gram(G: np.ndarray, fgrid: FrameGrid, grid: SpatialGrid, nodes: np.ndar
     """Add S^T S to ``G``'s upper triangle in place, S the analysis rows of ``nodes``.
 
     Every row is one contiguous window of columns (:func:`wavelets._windows`).
-    Rows narrower than ``_WIDE`` go in chunks of about ``_NARROW_NNZ``
-    nonzeros, each through one sparse product, added whole.  Wider rows are
-    sorted by window start and go ``_WIDE_ROWS`` at a time as one dense
-    block; G is updated from it ``_PANEL`` rows at a time, each panel from the
-    block rows that meet its columns, over the columns from the panel's first
-    one to the last those rows span, so only the panel's diagonal block
-    reaches below the diagonal.  G's strict lower triangle is therefore not
-    S^T S and must not be read.  The left factor is a copy, so numpy never
-    takes the X^T X (syrk) route.
+    ``_PANEL`` is the one block size.  Rows narrower than it go in chunks of
+    about ``_PANEL * N`` nonzeros, each through one sparse product, added
+    whole.  Wider rows are sorted by window start and go ``_PANEL`` at a time
+    as one dense block; G is updated from it ``_PANEL`` rows at a time, each
+    panel from the block rows that meet its columns, over the columns from
+    the panel's first one to the last those rows span, so only the panel's
+    diagonal block reaches below the diagonal.  G's strict lower triangle is
+    therefore not S^T S and must not be read.  The left factor is a copy, so
+    numpy never takes the X^T X (syrk) route.
     """
     lo, widths = _windows(fgrid, grid, nodes)
-    narrow = widths < _WIDE
-    chunk = (np.cumsum(widths[narrow]) - widths[narrow]) // _NARROW_NNZ
+    narrow = widths < _PANEL
+    chunk = (np.cumsum(widths[narrow]) - widths[narrow]) // (_PANEL * grid.N)
     for part in np.split(nodes[narrow], np.flatnonzero(np.diff(chunk)) + 1):
         if part.size:
             S = analysis_operator(fgrid, grid, part)
@@ -148,9 +145,9 @@ def _add_gram(G: np.ndarray, fgrid: FrameGrid, grid: SpatialGrid, nodes: np.ndar
     wide = ~narrow
     by_start = np.argsort(lo[wide], kind="stable")
     rows, starts, ends = (x[wide][by_start] for x in (nodes, lo, lo + widths))
-    for r0 in range(0, rows.size, _WIDE_ROWS):
-        S = analysis_operator(fgrid, grid, rows[r0:r0 + _WIDE_ROWS])
-        first, last = starts[r0:r0 + _WIDE_ROWS], ends[r0:r0 + _WIDE_ROWS]
+    for r0 in range(0, rows.size, _PANEL):
+        S = analysis_operator(fgrid, grid, rows[r0:r0 + _PANEL])
+        first, last = starts[r0:r0 + _PANEL], ends[r0:r0 + _PANEL]
         c0, c1 = int(first.min()), int(last.max())
         block = np.zeros((S.shape[0], c1 - c0))
         block[np.repeat(np.arange(S.shape[0]), np.diff(S.indptr)), S.indices - c0] = S.data
@@ -163,17 +160,25 @@ def _add_gram(G: np.ndarray, fgrid: FrameGrid, grid: SpatialGrid, nodes: np.ndar
                 G[p0:p1, p0:j1] += np.ascontiguousarray(D[:, :p1 - p0].T) @ D
 
 
-def _tail_grams(fgrid: FrameGrid, grid: SpatialGrid, counts):
-    """Yield the Gram matrix S_n^T S_n of the tail of each row count n in ``counts``.
+def _tails(fgrid: FrameGrid, grid: SpatialGrid, counts, gram: bool):
+    """Yield the operand of the tail of each row count n in ``counts``, in order.
 
-    S_n is the first n rows of the analysis operator in the stable order
-    ``argsort(-fgrid.dist0)``, as in :func:`tail_views`; ``counts`` must be
-    nondecreasing, that is radii from the largest down.  One N x N array is
-    yielded every time, and only its upper triangle (the diagonal included)
-    holds S_n^T S_n: each band of new rows is added to it in place by
-    :func:`_add_gram`, so it must be used before the next one is asked for.
+    The nodes are ordered once, by the stable ``argsort(-fgrid.dist0)``, so a
+    tail's n nodes are the first n; ``counts`` must be nondecreasing (radii
+    from the largest down).  With ``gram``, one N x N array is yielded every
+    time, only its upper triangle holding S_n^T S_n: each band of new rows is
+    added to it in place by :func:`_add_gram`, so use it before asking for
+    the next.  Otherwise S_n is yielded as a zero-copy CSR row prefix of one
+    :func:`analysis_operator` copy of the largest tail's rows.
     """
     order = np.argsort(-fgrid.dist0, kind="stable")
+    if not gram:
+        S = analysis_operator(fgrid, grid, order[:counts[-1]])
+        for n in counts:
+            nnz = S.indptr[n]
+            yield scipy.sparse.csr_matrix(
+                (S.data[:nnz], S.indices[:nnz], S.indptr[:n + 1]), shape=(n, grid.N), copy=False)
+        return
     G = np.zeros((grid.N, grid.N))
     done = 0
     for n in counts:
@@ -181,27 +186,6 @@ def _tail_grams(fgrid: FrameGrid, grid: SpatialGrid, counts):
             _add_gram(G, fgrid, grid, order[done:n])
             done = n
         yield G
-
-
-def tail_views(
-    fgrid: FrameGrid, grid: SpatialGrid, radii
-) -> tuple[scipy.sparse.csr_matrix, list[scipy.sparse.csr_matrix]]:
-    """The analysis operator sorted by distance, and each tail(R) as a view of it.
-
-    The sorted matrix is :func:`analysis_operator` with its rows in the stable
-    order ``argsort(-fgrid.dist0)``.  The rows of the nodes in
-    ``tail_nodes(fgrid, R)`` are then its first n rows, so the tail matrix of
-    each radius is a CSR row prefix sharing ``data``, ``indices`` and
-    ``indptr`` with it.  A negative radius raises ``ValueError``.
-    """
-    S = analysis_operator(fgrid, grid, np.argsort(-fgrid.dist0, kind="stable"))
-    views = []
-    for n in _tail_counts(fgrid, radii):
-        nnz = S.indptr[n]
-        views.append(scipy.sparse.csr_matrix(
-            (S.data[:nnz], S.indices[:nnz], S.indptr[:n + 1]), shape=(n, grid.N), copy=False
-        ))
-    return S, views
 
 
 @dataclass
@@ -301,11 +285,12 @@ def rk_tail(
     """Sup over the L2 unit ball of tail coefficient energy of Tf.
 
     ``A`` is the sample-space operator and ``S_tail`` the rows of the
-    analysis operator at the tail nodes: a view from :func:`tail_views`, or
-    ``analysis_operator(fgrid, grid)[tail_nodes(fgrid, R)]``.  It may also be
-    their N x N Gram matrix S_tail^T S_tail as a dense array, as
-    :func:`tail_functional` passes it, of which only the upper triangle is
-    read: it is applied by one BLAS ``dsymv``.
+    analysis operator at the tail nodes, such as
+    ``analysis_operator(fgrid, grid)[tail_nodes(fgrid, R)]`` or a row view
+    from :func:`_tails`.  It may also be their N x N Gram matrix
+    S_tail^T S_tail as a dense array, as :func:`_tails` yields it on the Gram
+    route, of which only the upper triangle is read: it is applied by one
+    BLAS ``dsymv``.
     Lanczos (ARPACK ``eigsh``) runs on the normal matrix of the composite map
     from a seeded start vector, with relative tolerance 1e-6 and at most 500
     restarts; on non-convergence the best Ritz value found is still reported,
@@ -354,14 +339,18 @@ def tail_functional(
 
     Returns one :class:`TailFunctional` per operator in ``operators``, in
     order.  Each distinct tail is one :func:`rk_tail` solve per operator,
-    from ``seed``; radii whose tails hold the same nodes share it.  When
-    :func:`_use_gram` holds for the first tail, the solves run on the Gram
-    matrices of :func:`_tail_grams`, from the largest radius down and one
-    operator after another.  Otherwise they run on the views of
-    :func:`tail_views`, on a thread pool.  An exception raised in a solve is
-    raised here.  No operator means no work and an empty list.
+    from ``seed``; radii whose tails hold the same nodes share it.  The route
+    is picked once, by :func:`_use_gram` on the first tail, and
+    :func:`_tails` yields each tail's operand.  On the Gram route the solves
+    run from the largest radius down, one operator after another, each on
+    the one in-place Gram matrix.  Otherwise they run on the row views, all
+    at once on a thread pool.  An exception raised in a solve is raised here.
+    Empty or not strictly increasing radii raise ``ValueError`` before
+    anything is built; no operator means no work and an empty list.
     """
     radii = np.asarray(radii, dtype=float)
+    if radii.size == 0:
+        raise ValueError("radii must be nonempty")
     if np.any(np.diff(radii) <= 0.0):
         raise ValueError("radii must be strictly increasing")
     counts = _tail_counts(fgrid, radii)
@@ -370,17 +359,15 @@ def tail_functional(
         return []
     distinct = sorted(set(counts))  # one solve per tail, the smallest tail first
     _, widths = _windows(fgrid, grid, tail_nodes(fgrid, float(radii[0])))
-    if _use_gram(grid.N, int(widths.sum())):
+    gram = _use_gram(grid.N, int(widths.sum()))
+    tails = _tails(fgrid, grid, distinct, gram)
+    if gram:
         solves = {}
-        for n, G in zip(distinct, _tail_grams(fgrid, grid, distinct)):
+        for n, G in zip(distinct, tails):
             for k, A in enumerate(operators):
                 solves[k, n] = rk_tail(A, G, grid, seed=seed)
     else:
-        # Imported here so that runs which never pool do not load the executor.
-        from concurrent.futures import ThreadPoolExecutor
-
-        _, tails = tail_views(fgrid, grid, radii)
-        views = dict(zip(counts, tails))
+        views = dict(zip(distinct, tails))
         jobs = [(k, n) for k in range(len(operators)) for n in reversed(distinct)]  # radius order
         pool = ThreadPoolExecutor(_sweep_workers(len(jobs)))
         try:

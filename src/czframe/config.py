@@ -191,15 +191,16 @@ class SuiteConfig:
         """Estimated bytes of the run's largest resident arrays, from the config alone.
 
         The configured lattice's frame rows at 12 B a nonzero (a float64 value
-        and an int32 column index), plus 8 N^2 B for one dense N x N matrix.
-        The ``decomposition`` diagnostic discretizes ``damped_hilbert_1`` on
-        the dense backend of ``discretize`` whatever ``operators`` selects,
-        and ``rk_tail`` accumulates the tail Gram matrix when
-        ``compactness._use_gram`` holds on the row estimate.  The two never
-        live at once, so either one, or both, adds 8 N^2 B, not 16 N^2 B.
-        That term is the actual peak: ``kernel_matrix``, the dense
-        ``window_sums`` and the Gram build go by blocks, so their temporaries
-        are small.
+        and an int32 column index), plus the largest of the per-diagnostic
+        extras, which never live at once.  The ``decomposition`` diagnostic
+        discretizes ``damped_hilbert_1`` on the dense backend of
+        ``discretize`` whatever ``operators`` selects: 8 N^2 B.  ``rk_tail``
+        accumulates the 8 N^2 B tail Gram matrix when
+        ``compactness._use_gram`` holds on the row estimate, and otherwise
+        holds a sorted copy of the first tail's rows next to the cached ones:
+        12 B per row nonzero more.  The dense term is the actual peak:
+        ``kernel_matrix``, the dense ``window_sums`` and the Gram build go by
+        blocks, so their temporaries are small.
         Summing stops as soon as the estimate exceeds the physical memory, so
         a lattice with more scales than fit is never visited in full.  Call it only on a
         validated grid and frame.
@@ -215,8 +216,8 @@ class SuiteConfig:
             rows += nnz
             if total + 12.0 * rows > memory:
                 break
-        if not decomposition and "rk_tail" in self.diagnostics and _use_gram(self.grid_N, rows):
-            total += dense
+        if "rk_tail" in self.diagnostics:
+            total = max(total, dense if _use_gram(self.grid_N, rows) else 12.0 * rows)
         return total + 12.0 * rows
 
     def tol(self, key: str) -> float:

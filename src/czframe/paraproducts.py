@@ -8,7 +8,7 @@ m_phi * beta up to reproducing-formula error, with m_phi = integral of phi
 = 3/2 (:data:`~czframe.wavelets.M_PHI`) reported explicitly rather than
 silently renormalized.  A symbol beta is passed as its coefficient field
 ``analyze(beta, make_mother_wavelet(), fgrid)``, except to
-:func:`paraproduct_compactness`, which takes beta itself.
+:func:`paraproduct_compactness`, which takes the symbols themselves.
 
 The decomposition T = S + P_1 + P_2* takes the computed T1 and T*1 as
 symbols, scaled by 1/m_phi so the paraproducts carry the symbols exactly
@@ -106,14 +106,22 @@ def paraproduct_operator(
 
 
 def paraproduct_compactness(
-    beta: SampledFunction,
+    betas: list[SampledFunction],
     fgrid: FrameGrid,
     radii,
     seed: int = 0,
-) -> TailFunctional:
-    """Tail functional of P_beta, swept on its factored operator."""
-    P = paraproduct_operator(analyze(beta, make_mother_wavelet(), fgrid), beta.grid)
-    return tail_functional([P], fgrid, beta.grid, radii, seed=seed)[0]
+) -> list[TailFunctional]:
+    """Tail functional of P_beta for each symbol beta in ``betas``, in order.
+
+    The symbols share one grid, and their factored operators are swept in
+    one :func:`tail_functional` call.  No symbol means no work and an empty
+    list.
+    """
+    if not betas:
+        return []
+    grid, psi = betas[0].grid, make_mother_wavelet()
+    ops = [paraproduct_operator(analyze(beta, psi, fgrid), grid) for beta in betas]
+    return tail_functional(ops, fgrid, grid, radii, seed=seed)
 
 
 @dataclass

@@ -262,10 +262,7 @@ def _diag_frame(ctx: _Context):
     # coarser spacings clipped to the largest valid one, 1; s = 1 leaves one level
     for s in sorted({min(c, 1.0) for c in (max(cfg.s * 4, 1.0 / 2), cfg.s * 2, cfg.s)},
                     reverse=True):
-        # a lattice of its own even at s = cfg.s: psi rows cached on ctx.fgrid
-        # this early stay live through decay, whose freed blocks the allocator
-        # then keeps, and the frame_local peak RSS rises by about 10 MB
-        fg = ctx.lattice(ctx.grid, s)
+        fg = ctx.fgrid if s == cfg.s else ctx.lattice(ctx.grid, s)
         worst_p, worst_r = 0.0, 0.0
         for vals in _test_family(ctx.grid).values():
             f = SampledFunction(ctx.grid, vals)
@@ -435,11 +432,11 @@ def _diag_paraproduct(ctx: _Context):
     # compactness dichotomy on a wide coarse lattice
     pgrid, pfg, meta = _side_lattice(2048.0, 4096, 2.0, 1024.0, L_b=1024.0, cone_factor=0.0)
     radii = np.arange(0.0, 5.5, 0.5)
-    for ex in carleson_mod.bmo_examples(pgrid):
-        if ex.label == "zero":
-            continue
-        f = SampledFunction.from_callable(pgrid, ex.evaluator)
-        tf = paraproducts_mod.paraproduct_compactness(f, pfg, radii, seed=cfg.seed)
+    examples = [ex for ex in carleson_mod.bmo_examples(pgrid) if ex.label != "zero"]
+    sweeps = paraproducts_mod.paraproduct_compactness(
+        [SampledFunction.from_callable(pgrid, ex.evaluator) for ex in examples],
+        pfg, radii, seed=cfg.seed)
+    for ex, tf in zip(examples, sweeps):
         ctx.sweep(
             "paraproduct_compactness", ex.label, tf.radii, tf.values,
             {"ratio": _tail_ratio(tf.values), "expected_class": ex.expected_class},

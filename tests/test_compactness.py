@@ -14,7 +14,6 @@ from czframe.compactness import (
     rk_tail,
     singular_spectrum,
     tail_functional,
-    tail_views,
 )
 from czframe.grids import SpatialGrid, make_frame_grid, tail_nodes
 from czframe.operators import DiscreteOperator, discretize, get_model
@@ -160,10 +159,15 @@ def test_tail_functional_profiles(small_grid, small_fgrid):
     assert th.values[-1] / th.values[0] > 0.1
 
 
-def test_tail_functional_radii_validation(small_grid, small_fgrid):
+def test_tail_functional_radii_validation(small_grid, small_fgrid, monkeypatch):
+    # every check fails before a tail is built
+    for name in ("_tails", "analysis_operator"):
+        monkeypatch.setattr(compactness, name, lambda *a, name=name: pytest.fail(f"called {name}"))
     A = _dense_operator("zero", small_grid)
-    with pytest.raises(ValueError):
-        tail_functional([A], small_fgrid, small_grid, [0.0, 0.0, 1.0])
+    for radii, match in (([0.0, 0.0, 1.0], "strictly increasing"), ([], "nonempty"),
+                         ([-0.5, 1.0], "nonnegative")):
+        with pytest.raises(ValueError, match=match):
+            tail_functional([A], small_fgrid, small_grid, radii)
 
 
 def test_singular_spectrum_finite_rank(small_grid):
@@ -247,7 +251,8 @@ def test_sweep_equals_plain_loop_bitwise(small_grid, small_fgrid, monkeypatch, w
     # the small lattice selects the Gram path; the pool serves the other one
     monkeypatch.setattr(compactness, "_use_gram", lambda n, nnz: False)
     A = discretize(get_model(label).kernel, small_grid)
-    _, views = tail_views(small_fgrid, small_grid, SWEEP_RADII)
+    counts = compactness._tail_counts(small_fgrid, SWEEP_RADII)[::-1]
+    views = list(compactness._tails(small_fgrid, small_grid, counts, gram=False))[::-1]
     loop = [rk_tail(A, S_tail, small_grid, seed=1) for S_tail in views]
     asked = []
     monkeypatch.setattr(compactness, "_sweep_workers", lambda n: asked.append(n) or workers)
@@ -278,7 +283,7 @@ def _force_path(monkeypatch, gram):
 def test_small_lattice_selects_the_gram_path(small_grid, small_fgrid):
     # N^2 <= 2 nnz of the first tail, so the sweeps below run on the Gram
     # unless a test forces the sparse path
-    _, (S,) = tail_views(small_fgrid, small_grid, [0.0])
+    S = analysis_operator(small_fgrid, small_grid)[tail_nodes(small_fgrid, 0.0)]
     assert small_grid.N**2 <= 2 * S.nnz
     assert compactness._use_gram(small_grid.N, S.nnz)
     assert not compactness._use_gram(small_grid.N, small_grid.N**2 / 2 - 1)
@@ -286,20 +291,20 @@ def test_small_lattice_selects_the_gram_path(small_grid, small_fgrid):
 
 @pytest.mark.parametrize("chunks", ["default", "small"])
 def test_tail_grams_equal_the_sparse_products(small_grid, small_fgrid, monkeypatch, chunks):
-    # oracle: S_R^T S_R of the row prefixes of tail_views, for each radius of
-    # the sweep, the empty band included, on the upper triangle that G stores;
-    # "small" cuts every band into many narrow chunks, wide chunks and panels
+    # oracle: S_R^T S_R of the masked analysis rows, for each radius of the
+    # sweep, the empty band included, on the upper triangle that G stores;
+    # "small" gives every band narrow and wide rows, cut into several narrow
+    # chunks, wide blocks and panels
     if chunks == "small":
-        monkeypatch.setattr(compactness, "_NARROW_NNZ", 1 << 10)
-        monkeypatch.setattr(compactness, "_WIDE_ROWS", 7)
-        monkeypatch.setattr(compactness, "_PANEL", 16)
-    _, views = tail_views(small_fgrid, small_grid, GRAM_RADII)
-    counts = [S.shape[0] for S in views]
+        monkeypatch.setattr(compactness, "_PANEL", 8)
+    rows = analysis_operator(small_fgrid, small_grid)
+    counts = compactness._tail_counts(small_fgrid, GRAM_RADII)
     assert counts[0] == counts[1] and len(set(counts)) == len(counts) - 1
     ascending = counts[::-1]
     seen = 0
-    for n, G in zip(ascending, compactness._tail_grams(small_fgrid, small_grid, ascending)):
-        S = views[counts.index(n)]
+    tails = compactness._tails(small_fgrid, small_grid, ascending, gram=True)
+    for R, G in zip(GRAM_RADII[::-1], tails):
+        S = rows[tail_nodes(small_fgrid, R)]
         want = (S.T @ S).toarray()
         # only the upper triangle is stored; the lower one is never read
         np.testing.assert_allclose(np.triu(G), np.triu(want), rtol=1e-13,
@@ -329,14 +334,14 @@ def test_gram_lower_triangle_is_never_read(small_grid, small_fgrid, monkeypatch)
     _force_path(monkeypatch, True)
     ops = [discretize(get_model(label).kernel, small_grid) for label in ("hilbert", "finite_rank")]
     clean = tail_functional(ops, small_fgrid, small_grid, GRAM_RADII, seed=5)
-    grams = compactness._tail_grams
+    tails = compactness._tails
 
     def poisoned(*args):
-        for G in grams(*args):
+        for G in tails(*args):
             G[np.tril_indices_from(G, -1)] = np.nan
             yield G
 
-    monkeypatch.setattr(compactness, "_tail_grams", poisoned)
+    monkeypatch.setattr(compactness, "_tails", poisoned)
     dirty = tail_functional(ops, small_fgrid, small_grid, GRAM_RADII, seed=5)
     for want, got in zip(clean, dirty):
         for key in ("values", "iterations", "converged", "residuals"):
@@ -411,7 +416,7 @@ def test_repeated_tail_is_solved_once(small_grid, small_fgrid, monkeypatch, gram
 
 
 def test_no_operator_builds_nothing(small_grid, small_fgrid, monkeypatch):
-    for name in ("_tail_grams", "tail_views", "analysis_operator"):
+    for name in ("_tails", "analysis_operator"):
         monkeypatch.setattr(compactness, name, lambda *a, name=name: pytest.fail(f"called {name}"))
     assert tail_functional([], small_fgrid, small_grid, SWEEP_RADII) == []
     with pytest.raises(ValueError):  # the radii are still checked
@@ -424,12 +429,21 @@ def test_sweep_workers_follow_usable_cores(monkeypatch):
     assert compactness._sweep_workers(2) == 2
 
 
-def test_tail_views_are_row_prefixes_of_one_sorted_matrix(small_grid, small_fgrid):
-    S_sorted, views = tail_views(small_fgrid, small_grid, SWEEP_RADII)
+def test_sparse_tails_are_row_prefixes_of_one_sorted_copy(small_grid, small_fgrid, monkeypatch):
+    build, copies = compactness.analysis_operator, []
+
+    def recorded(*args):
+        copies.append(build(*args))
+        return copies[-1]
+
+    monkeypatch.setattr(compactness, "analysis_operator", recorded)
+    ascending = compactness._tail_counts(small_fgrid, SWEEP_RADII)[::-1]
+    views = list(compactness._tails(small_fgrid, small_grid, ascending, gram=False))
+    [S_sorted] = copies
     order = np.argsort(-small_fgrid.dist0, kind="stable")
-    S = analysis_operator(small_fgrid, small_grid)
+    S = build(small_fgrid, small_grid)
     assert np.all(np.diff(small_fgrid.dist0[order]) <= 0.0)
-    for R, view in zip(SWEEP_RADII, views):
+    for R, view in zip(SWEEP_RADII[::-1], views):
         for part in ("data", "indices", "indptr"):
             assert np.shares_memory(getattr(view, part), getattr(S_sorted, part))
         mask = tail_nodes(small_fgrid, R)
@@ -440,11 +454,14 @@ def test_tail_views_are_row_prefixes_of_one_sorted_matrix(small_grid, small_fgri
         back[order[:n]] = view.toarray()
         assert np.array_equal(back[mask], S[mask].toarray())
         assert not back[~mask].any()
-
-
-def test_tail_views_reject_negative_radius(small_grid, small_fgrid):
-    with pytest.raises(ValueError):
-        tail_views(small_fgrid, small_grid, [-0.5, 1.0])
+    # a sweep copies only its first tail's rows: fewer from radius 1 than from 0
+    _force_path(monkeypatch, False)
     A = discretize(get_model("zero").kernel, small_grid)
-    with pytest.raises(ValueError):
-        tail_functional([A], small_fgrid, small_grid, [-0.5, 1.0])
+    copied = []
+    for radii in (SWEEP_RADII, SWEEP_RADII[2:]):
+        copies.clear()
+        tail_functional([A], small_fgrid, small_grid, radii)
+        [copy] = copies
+        assert copy.shape[0] == np.count_nonzero(tail_nodes(small_fgrid, radii[0]))
+        copied.append(copy.shape[0])
+    assert copied[1] < copied[0] == small_fgrid.n_nodes

@@ -100,7 +100,7 @@ def _q_distance(q):
 
 
 def test_one_distance_formula_keeps_every_bit():
-    # tail_views orders rows by dist0, so a last-bit change would reorder ties
+    # a tail sweep orders nodes by dist0, so a last-bit change would reorder ties
     from czframe.config import SuiteConfig
     from czframe.grids import SpatialGrid, make_frame_grid
 

@@ -163,13 +163,26 @@ def test_compactness_dichotomy(wide):
     big, pfg = wide
     radii = np.arange(0.0, 5.5, 1.0)
     beta_c = SampledFunction.from_callable(big, _bump)
-    tf_c = paraproduct_compactness(beta_c, pfg, radii)
-    assert tf_c.values[-1] / tf_c.values[0] < 1e-2
     x0 = big.h / 3.0
     beta_l = SampledFunction.from_callable(big, lambda x: np.log(np.abs(x - x0)))
-    tf_l = paraproduct_compactness(beta_l, pfg, radii)
+    tf_c, tf_l = paraproduct_compactness([beta_c, beta_l], pfg, radii)
+    assert tf_c.values[-1] / tf_c.values[0] < 1e-2
     assert tf_l.values[-1] / tf_l.values[0] > 0.1
     assert tf_c.values[0] > 0.0 and tf_l.values[0] > 0.0
+    # one two-symbol sweep returns bitwise what two one-symbol sweeps return
+    for beta, got in ((beta_c, tf_c), (beta_l, tf_l)):
+        [want] = paraproduct_compactness([beta], pfg, radii)
+        for key in ("values", "iterations", "converged", "residuals"):
+            assert np.array_equal(getattr(got, key), getattr(want, key)), key
+        assert np.array_equal(got.witnesses[-1].values, want.witnesses[-1].values)
+
+
+def test_no_symbol_builds_nothing(wide, monkeypatch):
+    from czframe import paraproducts
+
+    for name in ("analyze", "paraproduct_operator", "tail_functional"):
+        monkeypatch.setattr(paraproducts, name, lambda *a, name=name, **k: pytest.fail(f"called {name}"))
+    assert paraproduct_compactness([], wide[1], np.arange(0.0, 5.5, 1.0)) == []
 
 
 def test_decompose_hilbert_s_equals_t(grid, fgrid):

@@ -45,10 +45,14 @@ def test_resident_bytes_estimated_from_config_alone():
     for one in ("rk_tail", "decomposition"):
         alone = dataclasses.replace(no_dense, diagnostics=no_dense.diagnostics + (one,))
         assert alone.resident_bytes() == cfg.resident_bytes()
-    # at N = 4096 the rows have fewer than N^2 / 2 nonzeros: no Gram, so rk_tail adds nothing
+    # at N = 4096 the rows have fewer than N^2 / 2 nonzeros: no Gram, but a
+    # sorted copy of the rows, so rk_tail doubles the row term; the dense
+    # matrix of the decomposition, larger still, is live at another time
     fine = dataclasses.replace(no_dense, grid_N=4096)
-    assert dataclasses.replace(fine, diagnostics=("rk_tail",)).resident_bytes() == (
-        dataclasses.replace(fine, diagnostics=("frame",)).resident_bytes())
+    rows_only = dataclasses.replace(fine, diagnostics=("frame",)).resident_bytes()
+    assert dataclasses.replace(fine, diagnostics=("rk_tail",)).resident_bytes() == 2 * rows_only
+    assert 2 * rows_only < 8.0 * fine.grid_N**2 + rows_only == dataclasses.replace(
+        fine, diagnostics=("rk_tail", "decomposition")).resident_bytes()
     no_dense_ops = dataclasses.replace(cfg, operators=("hilbert",))
     assert no_dense_ops.resident_bytes() == cfg.resident_bytes()
     # the row term bounds the built rows from above, clipped windows included
