@@ -170,6 +170,15 @@ def test_tail_functional_radii_validation(small_grid, small_fgrid, monkeypatch):
             tail_functional([A], small_fgrid, small_grid, radii)
 
 
+def test_tail_views_reject_negative_radius(small_grid, small_fgrid):
+    # the per-radius tail mask and the sweep over a discretized operator both refuse it
+    with pytest.raises(ValueError, match="nonnegative"):
+        tail_nodes(small_fgrid, -0.5)
+    A = discretize(get_model("zero").kernel, small_grid)
+    with pytest.raises(ValueError, match="nonnegative"):
+        tail_functional([A], small_fgrid, small_grid, [-0.5, 1.0])
+
+
 def test_singular_spectrum_finite_rank(small_grid):
     A = operator_matrix(get_model("finite_rank").kernel, small_grid)
     sv = singular_spectrum(A, 4)
