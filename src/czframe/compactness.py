@@ -34,7 +34,11 @@ in blocks of one size (:func:`_add_gram`), and after each band every
 operator is solved on v |-> A^T(G(Av))/h, one operator after another.  Only
 G's upper triangle is kept (its lower one holds partial sums that are never
 read), and each application is one BLAS symmetric matrix-vector product
-(``dsymv``) over that half instead of two sparse products.  Otherwise the
+(``dsymv``) over that half instead of two sparse products.  Both of the
+route's dense BLAS calls, the build's panel products (``dgemm``) and
+``dsymv``, go through ``scipy.linalg.blas``: numpy bundles an OpenBLAS of
+its own, whose thread pool would keep spinning between builds and compete
+with scipy's for the same cores.  Otherwise the
 first tail's rows are copied once, in that order, each tail is a zero-copy
 CSR row prefix of the copy, and the solves run concurrently on a thread pool
 with one worker per usable core, collected in a fixed order, so that route's
@@ -131,9 +135,15 @@ def _add_gram(G: np.ndarray, fgrid: FrameGrid, grid: SpatialGrid, nodes: np.ndar
     panel from the block rows that meet its columns, over the columns from
     the panel's first one to the last those rows span, so only the panel's
     diagonal block reaches below the diagonal.  G's strict lower triangle is
-    therefore not S^T S and must not be read.  The left factor is a copy, so
-    numpy never takes the X^T X (syrk) route.
+    therefore not S^T S and must not be read.  Each panel is one
+    ``scipy.linalg.blas.dgemm``, in the OpenBLAS that also runs the solves'
+    ``dsymv`` (see the module docstring), on operands f2py takes uncopied:
+    the block's transpose is F-contiguous, and only the panel's columns of
+    it are copied, as the left factor.
     """
+    # Imported here so that runs which never build a Gram do not load scipy.linalg.
+    from scipy.linalg.blas import dgemm
+
     lo, widths = _windows(fgrid, grid, nodes)
     narrow = widths < _PANEL
     chunk = (np.cumsum(widths[narrow]) - widths[narrow]) // (_PANEL * grid.N)
@@ -157,7 +167,9 @@ def _add_gram(G: np.ndarray, fgrid: FrameGrid, grid: SpatialGrid, nodes: np.ndar
             if meet.any():  # the block's windows may leave a gap
                 j1 = max(int(last[meet].max()), p1)
                 D = block[meet, p0 - c0:j1 - c0]
-                G[p0:p1, p0:j1] += np.ascontiguousarray(D[:, :p1 - p0].T) @ D
+                left = np.ascontiguousarray(D[:, :p1 - p0].T)
+                # (D^T left^T)^T = left D: both operands F-contiguous, the result's .T C-order
+                G[p0:p1, p0:j1] += dgemm(1.0, D.T, left.T).T
 
 
 def _tails(fgrid: FrameGrid, grid: SpatialGrid, counts, gram: bool):

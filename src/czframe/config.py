@@ -4,7 +4,9 @@ A suite is described by one JSON object. ``SuiteConfig.from_dict`` accepts
 exactly the keys that ``SuiteConfig().to_dict()`` emits, the ``grid`` and
 ``frame`` sections included, so the schema is spelled once, by ``to_dict``.
 Loading validates everything a run depends on: operator and diagnostic
-names, radii, tolerances, the grid and lattice preconditions, and an
+names, radii, tolerances, the grid and lattice preconditions, the box
+against the frame diagnostic's test functions (:func:`frame_test_family`,
+defined here so that the check and the diagnostic read one family), and an
 estimate of the run's largest arrays against physical memory. A bad config
 raises ``ConfigError`` before any work is done.
 """
@@ -18,7 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .compactness import _use_gram
-from .grids import SpatialGrid, row_nonzero_estimates, validate_frame_grid
+from .grids import (SampledFunction, SpatialGrid, l2_norm, row_nonzero_estimates, smooth_bump,
+                    validate_frame_grid)
 from .operators import model_zoo
 
 __all__ = ["ConfigError", "SuiteConfig", "DEFAULT_TOLERANCES", "DIAGNOSTIC_NAMES",
@@ -91,6 +94,17 @@ def _section(raw: dict, name: str, keys) -> dict:
     if unknown:
         raise ConfigError(f"unknown {name} keys: {sorted(unknown)}")
     return sec
+
+
+def frame_test_family(grid: SpatialGrid) -> dict:
+    """The ``frame`` diagnostic's test functions sampled on ``grid``, by name."""
+    x = grid.x
+    return {
+        "gauss": np.exp(-(x**2)),
+        "gauss_shift": np.exp(-((x - 10.0) ** 2)),
+        "bump_w2": smooth_bump(x, 0.0, 2.0),
+        "bump_shift": smooth_bump(x, -8.0, 1.5),
+    }
 
 
 def _physical_memory() -> int:
@@ -186,6 +200,14 @@ class SuiteConfig:
                 f"the run's largest arrays need more than the {memory / 2**30:.1f} GiB "
                 "of physical memory; reduce grid.N or the lattice"
             )
+        if "frame" in self.diagnostics:
+            grid = SpatialGrid(self.grid_L, self.grid_N)
+            for name, vals in frame_test_family(grid).items():
+                if l2_norm(SampledFunction(grid, vals)) ** 2 == 0.0:  # frame divides by it
+                    raise ConfigError(
+                        f"frame test function {name!r} samples to zero on the grid "
+                        f"(L={self.grid_L}, N={self.grid_N}); widen grid.L or refine grid.N"
+                    )
 
     def resident_bytes(self) -> float:
         """Estimated bytes of the run's largest resident arrays, from the config alone.

@@ -188,8 +188,9 @@ class DiscreteOperator:
 
     - ``matrix``: the dense matrix A;
     - ``column``: for a Toeplitz A[i, j] = c[i - j], the length-2N circulant
-      column (c[0..N-1], 0, c[-(N-1)..-1]) and its rfft, so each application
-      is one rfft/irfft pair;
+      column (c[0..N-1], 0, c[-(N-1)..-1]), its rfft and the rfft's
+      conjugate (the symbol of A^T), so each application is one rfft/irfft
+      pair;
     - ``factors``: a triple (Psi, d, Phi) of sparse matrices and a weight
       vector with A = Psi^T diag(d) Phi, so ``matvec`` is Psi^T (d * Phi f)
       and ``rmatvec`` is Phi^T (d * Psi f); both transposes are the
@@ -206,6 +207,8 @@ class DiscreteOperator:
         self.matrix = matrix
         self.column = column
         self.symbol = None if column is None else np.fft.rfft(column)
+        # c[-m] embeds as the time reversal of c[m]'s column: A^T has the conjugate symbol
+        self.conj_symbol = None if column is None else np.conj(self.symbol)
         self.factors = factors
 
     def _circulant(self, x: np.ndarray, symbol: np.ndarray) -> np.ndarray:
@@ -230,8 +233,7 @@ class DiscreteOperator:
             return self.matrix.T @ x
         if self.factors is not None:
             return self._factored(x, self.factors[0], self.factors[2])
-        # c[-m] embeds as the time reversal of c[m]'s column: conjugate symbol
-        return self._circulant(x, np.conj(self.symbol))
+        return self._circulant(x, self.conj_symbol)
 
     def dense(self) -> np.ndarray:
         if self.matrix is not None:

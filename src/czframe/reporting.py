@@ -41,7 +41,7 @@ from . import carleson as carleson_mod
 from . import compactness as compactness_mod
 from . import localization as localization_mod
 from . import paraproducts as paraproducts_mod
-from .config import DIAGNOSTIC_NAMES, SuiteConfig
+from .config import DIAGNOSTIC_NAMES, SuiteConfig, frame_test_family
 from .geometry import IDENTITY, GroupPoint
 from .grids import SampledFunction, SpatialGrid, inner_product, l2_norm, make_frame_grid
 from .grids import smooth_bump
@@ -246,16 +246,6 @@ def _profile(columns: list, *cols) -> dict:
     return {"columns": columns, "rows": [[float(v) for v in row] for row in zip(*cols)]}
 
 
-def _test_family(grid: SpatialGrid) -> dict:
-    x = grid.x
-    return {
-        "gauss": np.exp(-(x**2)),
-        "gauss_shift": np.exp(-((x - 10.0) ** 2)),
-        "bump_w2": smooth_bump(x, 0.0, 2.0),
-        "bump_shift": smooth_bump(x, -8.0, 1.5),
-    }
-
-
 def _diag_frame(ctx: _Context):
     cfg, psi = ctx.cfg, make_mother_wavelet()
     history = []
@@ -264,7 +254,7 @@ def _diag_frame(ctx: _Context):
                     reverse=True):
         fg = ctx.fgrid if s == cfg.s else ctx.lattice(ctx.grid, s)
         worst_p, worst_r = 0.0, 0.0
-        for vals in _test_family(ctx.grid).values():
+        for vals in frame_test_family(ctx.grid).values():
             f = SampledFunction(ctx.grid, vals)
             fld = analyze(f, psi, fg)
             norm2 = l2_norm(f) ** 2

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from czframe.cli import main
+from czframe.config import SuiteConfig
 
 QUICK = {
     "grid": {"L": 32, "N": 1024},
@@ -163,6 +164,19 @@ def test_bad_grid_or_frame_exit_2(tmp_path, capsys, payload):
     assert main(["--config", cfgp, "--out", str(out)]) == 2
     assert "invalid config" in capsys.readouterr().err
     assert not out.exists()  # rejected at config loading, before any work
+
+
+def test_box_missing_a_frame_test_function_exit_2(tmp_path, capsys):
+    # on [-0.001, 0.001) the test bump centred at -8 samples to all zeros, and the
+    # frame diagnostic would divide by its norm
+    payload = {"grid": {"L": 0.001}, "diagnostics": ["frame", "pv"]}
+    out = tmp_path / "o"
+    assert main(["--config", _write_config(tmp_path, payload), "--out", str(out)]) == 2
+    err = "".join(capsys.readouterr())
+    assert "invalid config" in err and "bump_shift" in err and "Traceback" not in err
+    assert not out.exists()
+    # the box is refused only for the frame diagnostic
+    assert SuiteConfig.from_dict({**payload, "diagnostics": ["pv"]}).grid_L == 0.001
 
 
 def test_config_beyond_physical_memory_exit_2(tmp_path, capsys):

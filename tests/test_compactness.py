@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.linalg.blas
 
 from czframe import compactness
 from czframe.compactness import (
@@ -320,6 +321,30 @@ def test_tail_grams_equal_the_sparse_products(small_grid, small_fgrid, monkeypat
                                    atol=1e-13 * np.abs(want).max())
         seen += 1
     assert seen == len(GRAM_RADII)
+
+
+def test_gram_panels_run_in_scipy_blas(small_grid, small_fgrid, monkeypatch):
+    # every dense panel product runs in scipy's BLAS, the one that applies G,
+    # and takes its operands as they are: an array f2py would copy first is
+    # not F-contiguous float64
+    monkeypatch.setattr(compactness, "_PANEL", 8)  # so that wide panels exist
+    blas_dgemm, calls = scipy.linalg.blas.dgemm, []
+
+    def counted(alpha, a, b, *args, **kwargs):
+        for x in (a, b):
+            assert x.dtype == np.float64 and x.flags.f_contiguous
+        calls.append(a.shape)
+        return blas_dgemm(alpha, a, b, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg.blas, "dgemm", counted)
+    rows = analysis_operator(small_fgrid, small_grid)
+    ascending = compactness._tail_counts(small_fgrid, GRAM_RADII)[::-1]
+    for R, G in zip(GRAM_RADII[::-1], compactness._tails(small_fgrid, small_grid, ascending, True)):
+        S = rows[tail_nodes(small_fgrid, R)]
+        want = (S.T @ S).toarray()
+        np.testing.assert_allclose(np.triu(G), np.triu(want), rtol=1e-13,
+                                   atol=1e-13 * np.abs(want).max())
+    assert calls
 
 
 @pytest.mark.parametrize("label", ["hilbert", "damped_hilbert_1", "finite_rank"])

@@ -26,8 +26,9 @@ ROW_BUILDS = {("wavelets", "frame_rows"), ("wavelets", "_analysis_blocks")}
 FRAME_ROWS_CALLERS = {("wavelets", "analyze"), ("wavelets", "synthesize"),
                       ("compactness", "analysis_operator"), ("paraproducts", "paraproduct_operator")}
 GENERATOR_NAMES = {"psi", "phi"}  # frame_rows, analyze and synthesize take one as ``fn``
-# rmatvec time-reverses a real Toeplitz column: it conjugates the column's FFT symbol.
-COMPLEX_ALLOWED = {("operators", "DiscreteOperator.rmatvec", "conj()")}
+# rmatvec time-reverses a real Toeplitz column: it applies the conjugate of the column's FFT
+# symbol, taken once when the operator is made.
+COMPLEX_ALLOWED = {("operators", "DiscreteOperator.__init__", "conj()")}
 # The tables that may spell a bound; the first argument of a record builder is a record's name.
 BOUND_TABLES, RECORD_BUILDERS = {"CHECKS", "_COMPARATORS"}, {"record", "sweep"}
 COMPARATOR_LITERALS = {"<=", "<", ">=", ">"}
