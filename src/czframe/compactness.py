@@ -4,11 +4,12 @@ The tail functional at radius R is the squared operator norm of the
 composite map f |-> (sqrt(dlambda) <Tf, psi_node>)_{node in tail(R)}: the
 supremum over the L2 unit ball of the coefficient energy of Tf outside the
 hyperbolic disk of radius R.  It is the top eigenvalue of the composite
-map's normal operator, computed by Lanczos (ARPACK ``eigsh``) from a seeded
-start vector.  Vanishing tails as R grows indicate a precompact image; the
-functional is reported together with the maximizing input (the witness) and
-the solver's statistics.  It returns numbers only; :mod:`czframe.reporting`
-classifies them against each record's check bounds.
+map's normal operator, computed by one Lanczos loop from a seeded start
+vector that stops once the top Ritz pair has converged
+(:func:`_lanczos_top`).  Vanishing tails as R grows indicate a precompact
+image; the functional is reported together with the maximizing input (the
+witness) and the solver's statistics.  It returns numbers only;
+:mod:`czframe.reporting` classifies them against each record's check bounds.
 
 Discretized operators A with (Tf)(x_i) = (A f)_i for sample vectors f are
 applied only through ``matvec``/``rmatvec`` of a
@@ -71,7 +72,8 @@ __all__ = [
     "singular_spectrum",
 ]
 
-# Relative tolerance and restart cap of every Lanczos tail solve.
+# Relative tolerance of every Lanczos tail solve, and its cap on applications
+# of the normal operator; the largest solve measured took 190 (Hilbert, N = 4096).
 _TOL = 1e-6
 _MAXITER = 500
 
@@ -206,8 +208,10 @@ class LanczosResult:
 
     ``iterations`` counts applications of the normal operator, ``residual``
     is ``||B u - value u||`` for the unit witness direction ``u``, and
-    ``converged`` holds only when ARPACK converged and that residual is at
-    most ``1e-6 * |value|``.
+    ``converged`` holds when that residual is at most ``1e-6 * |value|``.
+    A solve that reaches the cap of 500 applications without meeting its
+    stop rule reports the Ritz pair it has, and that residual decides
+    ``converged`` as for any other solve.
     """
 
     value: float
@@ -230,62 +234,53 @@ class TailFunctional:
 
 
 def _lanczos_top(B_apply, n: int, seed: int) -> tuple[float, np.ndarray, int, bool, float]:
-    """Top eigenpair of the symmetric PSD map ``B_apply`` by ARPACK Lanczos.
+    """Top eigenpair of the symmetric PSD map ``B_apply`` by one Lanczos loop.
 
-    The start vector v0 comes from ``default_rng(seed)``, and so do the
-    vectors ARPACK draws when it restarts from an exhausted Krylov space (by
-    default it would draw them from fresh OS entropy).  Returns the Ritz
-    value, its unit vector, the number of ``B_apply`` calls, whether it
-    converged and the residual norm.
-
-    Two cases end before ARPACK, both sound for almost every random v0.  An
-    operator that maps v0 to exactly zero is taken to be zero after one
-    application, since ARPACK needs a nontrivial Krylov space.  Otherwise B
-    is applied once more, to u1 = B v0 / ||B v0||; if u1 is an eigenvector
-    to the tolerance (``||B u1 - l1 u1|| <= _TOL |l1|``, l1 = u1 . B u1), B v0
-    spans an invariant line, which for almost every v0 means that every
-    nonzero eigenvalue equals l1 (rank one, or a multiple of a projector),
-    and (l1, u1) is returned after two applications.  Any other solve runs
-    ARPACK from the same v0, so its result does not depend on that extra
-    application.
+    From the unit v0 of ``default_rng(seed)``, step k applies B to q_k, takes
+    the three-term step and one classical Gram-Schmidt pass against every
+    kept q, and a second pass only when the first removed more than
+    1 - 1/sqrt(2) of the norm (Daniel, Gragg, Kaufman & Stewart, Math. Comp.
+    30 (1976)).  With beta_k the norm left, it stops once beta_k |y_k| <=
+    ``_TOL`` theta for the top pair (theta, y) of the tridiagonal matrix, or
+    after ``min(_MAXITER, n)`` applications.  A breakdown (beta_k = 0) meets
+    that rule, so the zero map ends after one application and a rank-one map
+    or a multiple of a projector after two.  The products B q_k are kept, so
+    the residual ``||B u - theta u||`` of the Ritz vector u costs no
+    application; ``converged`` means it is at most ``_TOL * |theta|``.
+    Returns theta, u, the number of applications, ``converged`` and that
+    residual.  Every BLAS call is scipy's (see the module docstring).
     """
-    # Imported here so that runs which never solve do not load ARPACK.
-    from scipy.sparse.linalg import ArpackNoConvergence, LinearOperator, eigsh
+    # Imported here so that runs which never solve do not load scipy.linalg.
+    from scipy.linalg.blas import ddot, dgemv, dnrm2
+    from scipy.linalg.lapack import dstemr
 
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(n)
-    v0 /= np.linalg.norm(v0)
-    calls = 0
-
-    def counted(v: np.ndarray) -> np.ndarray:
-        nonlocal calls
-        calls += 1
-        return B_apply(np.ravel(v))
-
-    w = counted(v0)
-    if not w.any():
-        return 0.0, v0, calls, True, 0.0
-    u1 = w / np.linalg.norm(w)
-    Bu1 = counted(u1)
-    lam1 = float(u1 @ Bu1)
-    residual = float(np.linalg.norm(Bu1 - lam1 * u1))
-    if residual <= _TOL * abs(lam1):  # u1 is an eigenvector: B v0 spans an invariant line
-        return lam1, u1, calls, True, residual
-    B = LinearOperator((n, n), matvec=counted, dtype=float)
-    try:
-        lams, vecs = eigsh(B, k=1, which="LA", v0=v0, tol=_TOL, maxiter=_MAXITER, rng=rng)
-        ok = True
-    except ArpackNoConvergence as exc:
-        lams, vecs = exc.eigenvalues, exc.eigenvectors
-        ok = False
-    if len(lams):
-        lam, u = float(lams[0]), vecs[:, 0]
-        r = counted(u) - lam * u
-    else:  # no Ritz pair converged: report the start vector's Rayleigh quotient
-        lam, u = float(v0 @ w), v0
-        r = w - lam * v0
-    residual = float(np.linalg.norm(r))
-    return lam, u, calls, ok and residual <= _TOL * abs(lam), residual
+    cap = min(_MAXITER, n)  # no more than n Lanczos vectors are orthogonal
+    Q, BQ = np.empty((cap, n)), np.empty((cap, n))  # rows q_k and B q_k, touched as filled
+    T = np.zeros((2, cap))  # the tridiagonal matrix: alpha_k, then beta_k
+    q = np.random.default_rng(seed).standard_normal(n)
+    q /= dnrm2(q)
+    for k in range(cap):
+        Q[k] = q
+        BQ[k] = B_apply(q)
+        T[0, k] = ddot(q, BQ[k])
+        r = BQ[k] - T[0, k] * q
+        if k:
+            r -= T[1, k - 1] * Q[k - 1]
+        basis = Q[:k + 1].T  # F-contiguous, so BLAS reads it uncopied
+        before = dnrm2(r)
+        r = dgemv(-1.0, basis, dgemv(1.0, basis, r, trans=1), 1.0, r, overwrite_y=1)
+        if dnrm2(r) < before / np.sqrt(2.0):
+            r = dgemv(-1.0, basis, dgemv(1.0, basis, r, trans=1), 1.0, r, overwrite_y=1)
+        T[1, k] = dnrm2(r)
+        # only the top (k+1-th) pair; dstemr overwrites its off-diagonal argument
+        _, theta, y, _ = dstemr(T[0, :k + 1], T[1, :k + 1].copy(), 3, 0.0, 0.0, k + 1, k + 1)
+        if T[1, k] * abs(y[k, 0]) <= _TOL * theta[0]:
+            break
+        q = r / T[1, k]
+    lam, y = float(theta[0]), y[:, 0]
+    u = dgemv(1.0, basis, y)
+    residual = float(dnrm2(dgemv(1.0, BQ[:k + 1].T, y) - lam * u))
+    return lam, u, k + 1, residual <= _TOL * abs(lam), residual
 
 
 def rk_tail(
@@ -303,12 +298,14 @@ def rk_tail(
     S_tail^T S_tail as a dense array, as :func:`_tails` yields it on the Gram
     route, of which only the upper triangle is read: it is applied by one
     BLAS ``dsymv``.
-    Lanczos (ARPACK ``eigsh``) runs on the normal matrix of the composite map
-    from a seeded start vector, with relative tolerance 1e-6 and at most 500
-    restarts; on non-convergence the best Ritz value found is still reported,
-    with ``converged=False``.  A normal matrix whose nonzero eigenvalues are
-    all equal (``finite_rank``'s is rank one) ends after two applications,
-    before ARPACK starts (:func:`_lanczos_top`).
+    One Lanczos loop (:func:`_lanczos_top`) runs on the normal matrix of the
+    composite map from a seeded start vector and stops once the residual
+    estimate of its top Ritz pair is at most 1e-6 times the Ritz value, or
+    after 500 applications with the Ritz pair it has; ``converged`` says
+    whether the explicit residual meets the same tolerance.  ``iterations``
+    counts the applications: one for the zero map, two for a normal matrix
+    whose nonzero eigenvalues are all equal (``finite_rank``'s is rank one),
+    since its Krylov space breaks down.
     """
     root_h = np.sqrt(grid.h)
     if isinstance(S_tail, np.ndarray):

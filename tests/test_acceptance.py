@@ -248,8 +248,6 @@ EXACT_ZEROS = {
     ("rk_tail", "zero", "ratio"): "exact: T = 0",
     ("rk_tail", "zero", "tail_0"): "exact: T = 0",
     ("carleson_profile", "zero", "ratio"): "exact: the zero symbol has the zero measure",
-    ("rk_power_vs_svd", "damped_hilbert_1", "relative_gap"):
-        "exact: Lanczos matches the dense SVD to the last bit",
     ("decomposition", "damped_hilbert_1", "hilbert_s_minus_t"):
         "exact: Hilbert's T1 and T*1 are 0, so both symbols vanish and S = T",
 }

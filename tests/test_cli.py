@@ -265,8 +265,8 @@ def test_raising_diagnostic_exit_1_without_traceback(tmp_path, capsys, monkeypat
 
 
 def test_import_loads_no_dense_or_sparse_linalg():
-    # scipy.linalg and ARPACK are imported on first use; a cold start that
-    # never takes a dense SVD or a Lanczos solve should not pay for them.
+    # scipy.linalg is imported on first use and the sparse eigensolvers never;
+    # a cold start that takes no dense SVD or Lanczos solve pays for neither.
     code = (
         "import sys, czframe, czframe.cli; "
         "print(sorted(m for m in ('scipy.linalg', 'scipy.sparse.linalg') if m in sys.modules))"

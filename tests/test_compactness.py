@@ -1,4 +1,8 @@
-"""Tail coefficient-energy functional via Lanczos (ARPACK `eigsh`), and spectra."""
+"""Tail coefficient-energy functional via Lanczos, and spectra.
+
+Every tail solve is one Lanczos loop that stops once the top Ritz pair has
+converged; ``iterations`` counts its applications of the normal operator.
+"""
 
 import math
 import sys
@@ -113,13 +117,29 @@ def test_rk_zero_operator_short_circuits(small_grid, small_fgrid):
 
 
 def test_rk_reports_non_convergence(small_grid, small_fgrid, monkeypatch):
-    # one restart is far too few for Hilbert's clustered top spectrum
+    # one application is far too few for Hilbert's clustered top spectrum
     monkeypatch.setattr(compactness, "_MAXITER", 1)
     A = _dense_operator("hilbert", small_grid)
     S = analysis_operator(small_fgrid, small_grid)
     res = rk_tail(A, S[tail_nodes(small_fgrid, 0.0)], small_grid)
+    assert res.iterations == 1
     assert res.converged is False
     assert res.residual > 1e-6 * res.value
+
+
+def test_solve_capped_one_application_short_is_not_converged(small_grid, small_fgrid,
+                                                              monkeypatch):
+    # the stop rule ends the solve at the first step it holds: one application
+    # fewer, at the cap, is reported with its Ritz pair and converged=False
+    A = _dense_operator("hilbert", small_grid)
+    S_tail = analysis_operator(small_fgrid, small_grid)[tail_nodes(small_fgrid, 0.0)]
+    full = rk_tail(A, S_tail, small_grid)
+    assert full.converged and 2 < full.iterations < compactness._MAXITER
+    monkeypatch.setattr(compactness, "_MAXITER", full.iterations - 1)
+    capped = rk_tail(A, S_tail, small_grid)
+    assert capped.iterations == full.iterations - 1
+    assert capped.converged is False
+    assert capped.residual > 1e-6 * capped.value
 
 
 def test_rk_witness_is_extremal(small_grid, small_fgrid):
@@ -386,7 +406,7 @@ def test_gram_lower_triangle_is_never_read(small_grid, small_fgrid, monkeypatch)
 
 @pytest.mark.parametrize("gram", [True, False])
 def test_rank_one_solve_ends_after_two_applications(small_grid, small_fgrid, monkeypatch, gram):
-    # finite_rank's normal operator has rank one: B v0 is its eigenvector
+    # finite_rank's normal operator has rank one: its Krylov space breaks down at step two
     _force_path(monkeypatch, gram)
     A = discretize(get_model("finite_rank").kernel, small_grid)
     [tf] = tail_functional([A], small_fgrid, small_grid, SWEEP_RADII, seed=3)
@@ -406,7 +426,8 @@ def _spectral_map(eigenvalues, n=40, seed=0):
 
 def test_rank_two_map_is_not_cut_short():
     lam, _, calls, ok, _ = compactness._lanczos_top(_spectral_map([3.0, 1.0]), 40, seed=0)
-    assert calls > 2 and ok
+    # the Krylov space of v0 is spanned by v0 and B's two-dimensional range
+    assert calls == 3 and ok
     assert lam == pytest.approx(3.0, rel=1e-12)
 
 
