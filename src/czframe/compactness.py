@@ -31,19 +31,19 @@ tail's operand on one of two routes, chosen by :func:`_use_gram` from the
 sizes alone.  When the N x N Gram matrix G_R = S_R^T S_R of the first tail
 has no more entries than its rows have nonzeros twice over, one G is
 accumulated in place from the largest radius down, each band of nodes added
-in blocks of one size (:func:`_add_gram`), and after each band every
-operator is solved on v |-> A^T(G(Av))/h, one operator after another.  Only
-G's upper triangle is kept (its lower one holds partial sums that are never
-read), and each application is one BLAS symmetric matrix-vector product
-(``dsymv``) over that half instead of two sparse products.  Both of the
-route's dense BLAS calls, the build's panel products (``dgemm``) and
-``dsymv``, go through ``scipy.linalg.blas``: numpy bundles an OpenBLAS of
-its own, whose thread pool would keep spinning between builds and compete
-with scipy's for the same cores.  Otherwise the
-first tail's rows are copied once, in that order, each tail is a zero-copy
-CSR row prefix of the copy, and the solves run concurrently on a thread pool
-with one worker per usable core, collected in a fixed order, so that route's
-result is bitwise independent of the worker count.  The two routes agree to
+in lattice order, in dense blocks of one size (:func:`_add_gram`), and after
+each band every operator is solved on v |-> A^T(G(Av))/h, one operator after
+another.  Only G's upper triangle is kept (its lower one holds partial sums
+that are never read), and each application is one BLAS symmetric
+matrix-vector product (``dsymv``) over that half instead of two sparse
+products.  Both of the route's dense BLAS calls, the build's panel products
+(``dgemm``) and ``dsymv``, go through ``scipy.linalg.blas``: numpy bundles
+an OpenBLAS of its own, whose thread pool would keep spinning between builds
+and compete with scipy's for the same cores.  Otherwise the first tail's
+rows are copied once, in that order, each tail is a zero-copy CSR row prefix
+of the copy, and the solves run concurrently on a thread pool with one
+worker per usable core, collected in a fixed order, so that route's result
+is bitwise independent of the worker count.  The two routes agree to
 rounding.  The Gram route's products go through BLAS, whose rounding may
 depend on its thread count, so a report is byte-identical when re-run in the
 same environment.
@@ -77,9 +77,9 @@ __all__ = [
 _TOL = 1e-6
 _MAXITER = 500
 
-# The one block size of a tail Gram build: rows at least this many grid points
-# wide enter as dense blocks of this many rows, narrower ones in chunks of
-# _PANEL * N nonzeros, and G is updated this many rows at a time.
+# The one block size of a tail Gram build: rows enter as dense blocks of this
+# many rows, copied in runs of whole blocks of about _PANEL * N nonzeros, and G
+# is updated this many rows at a time.
 _PANEL = 128
 
 
@@ -122,7 +122,7 @@ def analysis_operator(
 
 
 def _tail_counts(fgrid: FrameGrid, radii) -> list[int]:
-    """Node count of each tail(R), R in ``radii``; a negative radius raises ``ValueError``."""
+    """Node count of each tail(R), R in ``radii``; a negative or NaN R raises ``ValueError``."""
     return [int(np.count_nonzero(tail_nodes(fgrid, float(r)))) for r in radii]
 
 
@@ -130,14 +130,16 @@ def _add_gram(G: np.ndarray, fgrid: FrameGrid, grid: SpatialGrid, nodes: np.ndar
     """Add S^T S to ``G``'s upper triangle in place, S the analysis rows of ``nodes``.
 
     Every row is one contiguous window of columns (:func:`wavelets._windows`).
-    ``_PANEL`` is the one block size.  Rows narrower than it go in chunks of
-    about ``_PANEL * N`` nonzeros, each through one sparse product, added
-    whole.  Wider rows are sorted by window start and go ``_PANEL`` at a time
-    as one dense block; G is updated from it ``_PANEL`` rows at a time, each
-    panel from the block rows that meet its columns, over the columns from
-    the panel's first one to the last those rows span, so only the panel's
-    diagonal block reaches below the diagonal.  G's strict lower triangle is
-    therefore not S^T S and must not be read.  Each panel is one
+    Every row takes one path.  The nodes are taken in lattice order, by scale
+    and then by translation, so a scale's windows come left to right, and
+    ``_PANEL`` rows at a time form one dense block over the columns their
+    windows span.  :func:`analysis_operator` copies the rows a run of whole
+    blocks at a time, about ``_PANEL * N`` nonzeros plus at most one block.
+    G is updated from a block ``_PANEL`` rows at a time, each panel from the
+    block rows that meet its columns, over the columns from the panel's first
+    one to the last those rows span, so only the panel's diagonal block
+    reaches below the diagonal.  G's strict lower triangle is therefore not
+    S^T S and must not be read.  Each panel is one
     ``scipy.linalg.blas.dgemm``, in the OpenBLAS that also runs the solves'
     ``dsymv`` (see the module docstring), on operands f2py takes uncopied:
     the block's transpose is F-contiguous, and only the panel's columns of
@@ -146,32 +148,29 @@ def _add_gram(G: np.ndarray, fgrid: FrameGrid, grid: SpatialGrid, nodes: np.ndar
     # Imported here so that runs which never build a Gram do not load scipy.linalg.
     from scipy.linalg.blas import dgemm
 
+    nodes = np.sort(nodes)
     lo, widths = _windows(fgrid, grid, nodes)
-    narrow = widths < _PANEL
-    chunk = (np.cumsum(widths[narrow]) - widths[narrow]) // (_PANEL * grid.N)
-    for part in np.split(nodes[narrow], np.flatnonzero(np.diff(chunk)) + 1):
-        if part.size:
-            S = analysis_operator(fgrid, grid, part)
-            P = S.T.tocsr() @ S  # one entry per (row, column): += adds each once
-            G[np.repeat(np.arange(grid.N), np.diff(P.indptr)), P.indices] += P.data
-    wide = ~narrow
-    by_start = np.argsort(lo[wide], kind="stable")
-    rows, starts, ends = (x[wide][by_start] for x in (nodes, lo, lo + widths))
-    for r0 in range(0, rows.size, _PANEL):
-        S = analysis_operator(fgrid, grid, rows[r0:r0 + _PANEL])
-        first, last = starts[r0:r0 + _PANEL], ends[r0:r0 + _PANEL]
-        c0, c1 = int(first.min()), int(last.max())
-        block = np.zeros((S.shape[0], c1 - c0))
-        block[np.repeat(np.arange(S.shape[0]), np.diff(S.indptr)), S.indices - c0] = S.data
-        for p0 in range(c0, c1, _PANEL):
-            p1 = min(p0 + _PANEL, c1)
-            meet = (first < p1) & (last > p0)
-            if meet.any():  # the block's windows may leave a gap
-                j1 = max(int(last[meet].max()), p1)
-                D = block[meet, p0 - c0:j1 - c0]
-                left = np.ascontiguousarray(D[:, :p1 - p0].T)
-                # (D^T left^T)^T = left D: both operands F-contiguous, the result's .T C-order
-                G[p0:p1, p0:j1] += dgemm(1.0, D.T, left.T).T
+    nnz = np.add.reduceat(widths, np.arange(0, nodes.size, _PANEL))  # of each block
+    run = (np.cumsum(nnz) - nnz) // (_PANEL * grid.N)
+    cuts = (np.flatnonzero(np.diff(run)) + 1) * _PANEL
+    for part, starts, ends in zip(*(np.split(x, cuts) for x in (nodes, lo, lo + widths))):
+        S = analysis_operator(fgrid, grid, part)
+        for r0 in range(0, part.size, _PANEL):
+            first, last = starts[r0:r0 + _PANEL], ends[r0:r0 + _PANEL]
+            c0, c1 = int(first.min()), int(last.max())
+            p = S.indptr[r0:r0 + first.size + 1]
+            block = np.zeros((first.size, c1 - c0))
+            block[np.repeat(np.arange(first.size), np.diff(p)), S.indices[p[0]:p[-1]] - c0] = \
+                S.data[p[0]:p[-1]]
+            for p0 in range(c0, c1, _PANEL):
+                p1 = min(p0 + _PANEL, c1)
+                meet = (first < p1) & (last > p0)
+                if meet.any():  # the block's windows may leave a gap
+                    j1 = max(int(last[meet].max()), p1)
+                    D = block[meet, p0 - c0:j1 - c0]
+                    left = np.ascontiguousarray(D[:, :p1 - p0].T)
+                    # (D^T left^T)^T = left D: both operands F-contiguous, the result's .T C-order
+                    G[p0:p1, p0:j1] += dgemm(1.0, D.T, left.T).T
 
 
 def _tails(fgrid: FrameGrid, grid: SpatialGrid, counts, gram: bool):
@@ -233,6 +232,13 @@ class TailFunctional:
     witnesses: list[SampledFunction] = field(repr=False)
 
 
+def _doubled(X: np.ndarray, cap: int) -> np.ndarray:
+    """``X``'s rows atop as many unwritten ones (at most ``cap`` in all), C-order like ``X``."""
+    Y = np.empty((min(2 * len(X), cap), X.shape[1]))
+    Y[:len(X)] = X
+    return Y
+
+
 def _lanczos_top(B_apply, n: int, seed: int) -> tuple[float, np.ndarray, int, bool, float]:
     """Top eigenpair of the symmetric PSD map ``B_apply`` by one Lanczos loop.
 
@@ -244,8 +250,9 @@ def _lanczos_top(B_apply, n: int, seed: int) -> tuple[float, np.ndarray, int, bo
     ``_TOL`` theta for the top pair (theta, y) of the tridiagonal matrix, or
     after ``min(_MAXITER, n)`` applications.  A breakdown (beta_k = 0) meets
     that rule, so the zero map ends after one application and a rank-one map
-    or a multiple of a projector after two.  The products B q_k are kept, so
-    the residual ``||B u - theta u||`` of the Ritz vector u costs no
+    or a multiple of a projector after two.  The q_k and the products B q_k
+    are kept, as rows of two buffers that start at 16 rows and double when
+    full, so the residual ``||B u - theta u||`` of the Ritz vector u costs no
     application; ``converged`` means it is at most ``_TOL * |theta|``.
     Returns theta, u, the number of applications, ``converged`` and that
     residual.  Every BLAS call is scipy's (see the module docstring).
@@ -255,11 +262,14 @@ def _lanczos_top(B_apply, n: int, seed: int) -> tuple[float, np.ndarray, int, bo
     from scipy.linalg.lapack import dstemr
 
     cap = min(_MAXITER, n)  # no more than n Lanczos vectors are orthogonal
-    Q, BQ = np.empty((cap, n)), np.empty((cap, n))  # rows q_k and B q_k, touched as filled
+    Q, BQ = np.empty((min(16, cap), n)), np.empty((min(16, cap), n))  # rows q_k, B q_k
     T = np.zeros((2, cap))  # the tridiagonal matrix: alpha_k, then beta_k
     q = np.random.default_rng(seed).standard_normal(n)
     q /= dnrm2(q)
     for k in range(cap):
+        if k == len(Q):  # full: double both, one at a time; unwritten rows stay unresident
+            Q = _doubled(Q, cap)
+            BQ = _doubled(BQ, cap)
         Q[k] = q
         BQ[k] = B_apply(q)
         T[0, k] = ddot(q, BQ[k])
@@ -354,8 +364,9 @@ def tail_functional(
     run from the largest radius down, one operator after another, each on
     the one in-place Gram matrix.  Otherwise they run on the row views, all
     at once on a thread pool.  An exception raised in a solve is raised here.
-    Empty or not strictly increasing radii raise ``ValueError`` before
-    anything is built; no operator means no work and an empty list.
+    Empty, not strictly increasing, negative or NaN radii raise
+    ``ValueError`` before anything is built; no operator means no work and
+    an empty list.
     """
     radii = np.asarray(radii, dtype=float)
     if radii.size == 0:

@@ -278,7 +278,7 @@ def row_nonzero_estimates(
 
 
 def tail_nodes(fgrid: FrameGrid, R: float) -> np.ndarray:
-    """Boolean mask of nodes at hyperbolic distance >= R from the identity."""
-    if R < 0:
+    """Boolean mask of nodes at hyperbolic distance >= R from the identity (none at R = inf)."""
+    if not R >= 0:  # also refuses NaN, whose every comparison is False
         raise ValueError("R must be nonnegative")
     return fgrid.dist0 >= R

@@ -70,6 +70,14 @@ def test_vanishing_profile_monotone_and_compact_support(grid, fgrid):
     assert prof[-1] / prof[0] < 0.1
 
 
+def test_vanishing_profile_refuses_a_nan_radius(grid, fgrid):
+    f = SampledFunction.from_callable(grid, partial(smooth_bump, center=0.0, width=2.0))
+    mu = coefficient_measure(f, fgrid)
+    with pytest.raises(ValueError, match="nonnegative"):
+        vanishing_profile(mu, [0.0, np.nan])
+    assert vanishing_profile(mu, [np.inf])[0] == 0.0  # the empty tail
+
+
 def test_log_singular_profile_does_not_vanish():
     wide = SpatialGrid(512.0, 4096)
     wfg = make_frame_grid(wide, 0.5, 256.0, s=0.25, L_b=256.0, cone_factor=0.0)

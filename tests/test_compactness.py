@@ -6,6 +6,7 @@ converged; ``iterations`` counts its applications of the normal operator.
 
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -142,6 +143,19 @@ def test_solve_capped_one_application_short_is_not_converged(small_grid, small_f
     assert capped.residual > 1e-6 * capped.value
 
 
+def test_short_solve_reserves_no_basis_for_the_cap():
+    # the zero map ends after one application: the basis and product buffers
+    # grow as they fill instead of taking min(500, n) rows each up front
+    tracemalloc.start()
+    try:
+        lam, _, calls, ok, _ = compactness._lanczos_top(np.zeros_like, 2048, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (lam, calls, ok) == (0.0, 1, True)
+    assert peak < 2**20
+
+
 def test_rk_witness_is_extremal(small_grid, small_fgrid):
     # the returned witness attains the reported value up to tolerance
     A = operator_matrix(get_model("damped_hilbert_1").kernel, small_grid)
@@ -198,6 +212,19 @@ def test_tail_views_reject_negative_radius(small_grid, small_fgrid):
     A = discretize(get_model("zero").kernel, small_grid)
     with pytest.raises(ValueError, match="nonnegative"):
         tail_functional([A], small_fgrid, small_grid, [-0.5, 1.0])
+
+
+def test_nan_radius_is_refused_and_inf_is_empty(small_grid, small_fgrid):
+    # NaN fails every comparison, so a sign test alone would take it for an
+    # empty tail and report a vanishing functional from invalid input
+    with pytest.raises(ValueError, match="nonnegative"):
+        tail_nodes(small_fgrid, math.nan)
+    A = _dense_operator("hilbert", small_grid)
+    with pytest.raises(ValueError, match="nonnegative"):
+        tail_functional([A], small_fgrid, small_grid, [0.0, math.nan])
+    assert not tail_nodes(small_fgrid, math.inf).any()
+    [tf] = tail_functional([A], small_fgrid, small_grid, [0.0, math.inf])
+    assert tf.values[0] > 0.0 and tf.values[1] == 0.0 and tf.converged.all()
 
 
 def test_singular_spectrum_finite_rank(small_grid):
@@ -323,8 +350,8 @@ def test_small_lattice_selects_the_gram_path(small_grid, small_fgrid):
 def test_tail_grams_equal_the_sparse_products(small_grid, small_fgrid, monkeypatch, chunks):
     # oracle: S_R^T S_R of the masked analysis rows, for each radius of the
     # sweep, the empty band included, on the upper triangle that G stores;
-    # "small" gives every band narrow and wide rows, cut into several narrow
-    # chunks, wide blocks and panels
+    # "small" (_PANEL = 8) cuts the bands into several copies of many blocks,
+    # some of which span two scales, and a block into several panels
     if chunks == "small":
         monkeypatch.setattr(compactness, "_PANEL", 8)
     rows = analysis_operator(small_fgrid, small_grid)
@@ -343,11 +370,12 @@ def test_tail_grams_equal_the_sparse_products(small_grid, small_fgrid, monkeypat
     assert seen == len(GRAM_RADII)
 
 
-def test_gram_panels_run_in_scipy_blas(small_grid, small_fgrid, monkeypatch):
-    # every dense panel product runs in scipy's BLAS, the one that applies G,
-    # and takes its operands as they are: an array f2py would copy first is
-    # not F-contiguous float64
-    monkeypatch.setattr(compactness, "_PANEL", 8)  # so that wide panels exist
+def _checked_panel_products(grid, fgrid, monkeypatch):
+    """Shapes of the ``dgemm`` calls that build every tail Gram of the sweep.
+
+    Each call must take F-contiguous float64 operands, which f2py passes
+    uncopied, and each G must match the sparse product on its upper triangle.
+    """
     blas_dgemm, calls = scipy.linalg.blas.dgemm, []
 
     def counted(alpha, a, b, *args, **kwargs):
@@ -357,14 +385,53 @@ def test_gram_panels_run_in_scipy_blas(small_grid, small_fgrid, monkeypatch):
         return blas_dgemm(alpha, a, b, *args, **kwargs)
 
     monkeypatch.setattr(scipy.linalg.blas, "dgemm", counted)
-    rows = analysis_operator(small_fgrid, small_grid)
-    ascending = compactness._tail_counts(small_fgrid, GRAM_RADII)[::-1]
-    for R, G in zip(GRAM_RADII[::-1], compactness._tails(small_fgrid, small_grid, ascending, True)):
-        S = rows[tail_nodes(small_fgrid, R)]
+    rows = analysis_operator(fgrid, grid)
+    ascending = compactness._tail_counts(fgrid, GRAM_RADII)[::-1]
+    for R, G in zip(GRAM_RADII[::-1], compactness._tails(fgrid, grid, ascending, True)):
+        S = rows[tail_nodes(fgrid, R)]
         want = (S.T @ S).toarray()
         np.testing.assert_allclose(np.triu(G), np.triu(want), rtol=1e-13,
                                    atol=1e-13 * np.abs(want).max())
-    assert calls
+    return calls
+
+
+def test_gram_panels_run_in_scipy_blas(small_grid, small_fgrid, monkeypatch):
+    # every panel product runs in scipy's BLAS, the one that applies G, and
+    # takes its operands as they are
+    assert _checked_panel_products(small_grid, small_fgrid, monkeypatch)
+
+
+def test_rows_narrower_than_the_panel_still_run_in_dgemm(small_grid, small_fgrid, monkeypatch):
+    # one path for every row: with the panel wider than every window, each
+    # row still enters G through a dense block and its panel products
+    monkeypatch.setattr(compactness, "_PANEL", small_grid.N + 1)
+    assert _checked_panel_products(small_grid, small_fgrid, monkeypatch)
+
+
+def test_gram_build_copies_runs_of_whole_blocks_in_lattice_order(small_grid, small_fgrid,
+                                                                  monkeypatch):
+    # no band is copied whole: each analysis_operator copy holds whole blocks
+    # of _PANEL rows (a band's last one may be short), in increasing node
+    # order, and about _PANEL * N nonzeros, plus at most one block
+    panel = 8
+    monkeypatch.setattr(compactness, "_PANEL", panel)
+    copy, copies = compactness.analysis_operator, []
+
+    def recorded(fgrid, grid, order=None):
+        S = copy(fgrid, grid, order)
+        copies.append((order, S.nnz))
+        return S
+
+    monkeypatch.setattr(compactness, "analysis_operator", recorded)
+    ascending = compactness._tail_counts(small_fgrid, GRAM_RADII)[::-1]
+    for _ in compactness._tails(small_fgrid, small_grid, ascending, True):
+        pass
+    assert len(copies) > len(set(ascending))
+    for order, nnz in copies:
+        assert np.all(np.diff(order) > 0)
+        assert nnz <= 2 * panel * small_grid.N
+    assert sum(order.size % panel != 0 for order, _ in copies) <= len(set(ascending))
+    assert sum(order.size for order, _ in copies) == max(ascending)
 
 
 @pytest.mark.parametrize("label", ["hilbert", "damped_hilbert_1", "finite_rank"])

@@ -157,6 +157,11 @@ def test_schur_anchor_invariance_hilbert(grid, fgrid):
         assert schur_tail(kern, fgrid, grid, [0.0], anchor) == [base]
 
 
+def test_schur_tail_refuses_a_nan_radius(grid, fgrid):
+    with pytest.raises(ValueError, match="nonnegative"):
+        schur_tail(get_model("hilbert").kernel, fgrid, grid, [0.0, np.nan])
+
+
 def test_schur_tail_monotone_and_decaying(grid, fgrid):
     kern = get_model("hilbert").kernel
     t0, t1, t6 = schur_tail(kern, fgrid, grid, [0.0, 1.0, 6.0])
