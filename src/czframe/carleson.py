@@ -14,10 +14,13 @@ node's own minimal tent contains it and a node exactly on another tent's
 edge, such as (a', -a') under the tent over (a, -a), counts.  The cone over
 x is open: the nodes with |b - x| < a.  These are the package's only tent
 and cone conventions.  Tent masses come from one pass per source scale over
-its cumulative sums (:func:`tent_masses`); cone maxima, for
-:func:`carleson_function` and the Stein audit, from per-scale index ranges
-(:func:`_cone_maxima`): a scale's translations are sorted, so the cone nodes
-over x are a run of at most 2/s + 1 of them, found by binary search.
+its cumulative sums, shared by every measure on the lattice
+(:func:`tent_masses`); a scale's translations are evenly spaced, so each
+tent window's edges are computed from the spacing and then checked against
+the two nodes beside them.  Cone maxima, for :func:`carleson_function` and
+the Stein audit, come from per-scale index ranges (:func:`_cone_maxima`):
+a scale's translations are sorted, so the cone nodes over x are a run of at
+most 2/s + 1 of them, found by binary search.
 
 Wavelet and bump pairings over the lattice both go through
 :func:`~czframe.wavelets.analyze`, a product with the cached
@@ -78,45 +81,80 @@ def point_mass(fgrid: FrameGrid, node_index: int) -> CoefficientMeasure:
     return CoefficientMeasure(fgrid, m)
 
 
-def tent_masses(mu: CoefficientMeasure) -> np.ndarray:
-    """Mass of the closed tent over B(b, a) for every lattice node (a, b).
+def _same_lattice(mus) -> FrameGrid:
+    """The one lattice of the measures ``mus``; ``ValueError`` if they are on several."""
+    fg = mus[0].fgrid
+    if any(mu.fgrid is not fg for mu in mus):
+        raise ValueError("the measures must share one lattice")
+    return fg
 
-    One pass per source scale a_k: its masses are prefix-summed once, and
-    every node at a scale a >= a_k (the lattice from ``offsets[k]`` on, since
-    nodes are stored by increasing scale) adds the sum over its window
-    fl(|b' - b|) <= r with r = fl(a - a_k), decided node by node as the
-    brute-force sum decides it.  Each node adds its terms in increasing k.
+
+def _grid_count(x: np.ndarray, step: float, n: int) -> np.ndarray:
+    """Per edge x, the count of m = -K ... K (n = 2K + 1) with m < fl(x / step); overwrites x."""
+    q = np.divide(x, step, out=x)
+    np.ceil(q, out=q)
+    q += (n - 1) // 2
+    return np.clip(q, 0, n, out=q).astype(np.intp)
+
+
+def tent_masses(mus) -> list[np.ndarray]:
+    """Mass of the closed tent over B(b, a) at every lattice node (a, b), for each measure.
+
+    ``mus`` are measures on one lattice (``ValueError`` otherwise), and the
+    result holds one array per measure, in order; no measure means no work
+    and an empty list.  One pass per source scale a_k serves them all: each
+    measure's masses there are prefix-summed once, and every node at a scale
+    a >= a_k (the lattice from ``offsets[k]`` on, since nodes are stored by
+    increasing scale) adds the sum over its window fl(|b' - b|) <= r with
+    r = fl(a - a_k), decided node by node as the brute-force sum decides it.
+    Each node adds its terms in increasing k.
+
+    The window is b_k[lo:hi], hi counting the b' with fl(b' - b) <= r and lo
+    those with fl(b - b') > r, each a prefix of b_k.  :func:`make_frame_grid`
+    lays the scale out as b_k = fl(step * m), m = -K ... K, step = fl(s a_k),
+    so each edge is first guessed by arithmetic (:func:`_grid_count` of
+    fl(b +- r)), then the next node, then the last one, decides it exactly.
+    The guess is at most one node off.  Every rounding involved (in b', in
+    fl(b' - b), in fl(b +- r) and in its quotient by step) moves a decision
+    by at most 3u E, with u = 2^-53 and E = L_b + (cone_factor + 1) a_max
+    bounding every |b|, |b'| and r.  So the test and the guess can disagree
+    only on the m with |m step - (b +- r)| <= 3u E, and there is at most one
+    such m while 6u E < step, that is, unless E / (s a_k), about a scale's
+    translation count, exceeds 2^50.  The two checks fix a miss of one node
+    either way.
     """
-    fg = mu.fgrid
-    out = np.zeros(fg.n_nodes)
+    mus = list(mus)
+    if not mus:
+        return []
+    fg = _same_lattice(mus)
+    out = np.zeros((len(mus), fg.n_nodes))
+    cum = np.zeros((len(mus), int(np.max(np.diff(fg.offsets))) + 1))  # cum[i, 0] stays 0
     for k in range(fg.scales.size):
         sl = fg.scale_slice(k)
-        b_k = fg.b[sl]
-        pad = np.concatenate(([-np.inf], b_k, [np.inf]))  # pad[i + 1] is b_k[i]
-        cum = np.concatenate(([0.0], np.cumsum(mu.masses[sl])))
+        n = sl.stop - sl.start
+        for mu, c in zip(mus, cum):
+            np.cumsum(mu.masses[sl], out=c[1 : n + 1])
+        pad = np.concatenate(([-np.inf], fg.b[sl], [np.inf]))  # pad[i + 1] is b_k[i]
+        step = fg.s * fg.scales[k]
         above = slice(sl.start, None)
         b = fg.b[above]
         r = fg.a[above] - fg.scales[k]
-        # the window is b_k[lo:hi], hi counting the b' with fl(b' - b) <= r and lo
-        # those with fl(b - b') > r, each a prefix of b_k.  A search for b +- r
-        # misses its end by at most one node, so the next node, then the last
-        # one, decides; in place, so that at most three arrays of len(b) and
-        # two temporaries are live at once
-        edge = np.searchsorted(b_k, b + r)
-        edge += pad[edge + 1] - b <= r
-        edge -= pad[edge] - b > r
-        window = cum[edge]
-        edge = np.searchsorted(b_k, b - r)
-        edge += b - pad[edge + 1] > r
-        edge -= b - pad[edge] <= r
-        window -= cum[edge]
-        out[above] += window
-    return out
+        hi = _grid_count(b + r, step, n)
+        hi += pad[hi + 1] - b <= r
+        hi -= pad[hi] - b > r
+        lo = _grid_count(b - r, step, n)
+        lo += b - pad[lo + 1] > r
+        lo -= b - pad[lo] <= r
+        for total, c in zip(out, cum):
+            window = c[hi]
+            window -= c[lo]
+            total[above] += window
+    return list(out)
 
 
 def _tent_ratios(mu: CoefficientMeasure) -> np.ndarray:
     """Tent mass over base-ball volume at every node, with |B(b, a)| = 2a."""
-    return tent_masses(mu) / (2.0 * mu.fgrid.a)
+    return tent_masses([mu])[0] / (2.0 * mu.fgrid.a)
 
 
 def _cone_maxima(fgrid: FrameGrid, xs: np.ndarray, fields):
@@ -155,19 +193,29 @@ def carleson_function(mu: CoefficientMeasure, x: float) -> float:
     return float(maxima[0, 0]) if covered[0] else 0.0
 
 
-def vanishing_profile(mu: CoefficientMeasure, radii) -> np.ndarray:
-    """R -> sup of tent mass ratio over tents indexed at distance >= R.
+def vanishing_profile(mus, radii) -> list[np.ndarray]:
+    """R -> sup of tent mass ratio over tents indexed at distance >= R, for each measure.
 
-    Exactly non-increasing in R (nested node sets).
+    ``mus`` are measures on one lattice, as for :func:`tent_masses`, which
+    weighs them all in one pass; each radius's tail is selected once for
+    all of them.  Exactly non-increasing in R (nested node sets).
     """
-    fg = mu.fgrid
+    mus = list(mus)
+    if not mus:
+        return []
+    fg = _same_lattice(mus)
     radii = np.asarray(radii, dtype=float)
-    ratios = _tent_ratios(mu)
-    out = np.zeros(len(radii))
+    volume = 2.0 * fg.a
+    ratios = tent_masses(mus)
+    for ratio in ratios:
+        ratio /= volume
+    out = np.zeros((len(mus), len(radii)))
     for i, r in enumerate(radii):
         sel = tail_nodes(fg, r)
-        out[i] = float(np.max(ratios[sel])) if np.any(sel) else 0.0
-    return out
+        if np.any(sel):
+            for prof, ratio in zip(out, ratios):
+                prof[i] = np.max(ratio[sel])
+    return list(out)
 
 
 def stein_inequality_check(f: SampledFunction, mu: CoefficientMeasure) -> float:

@@ -124,10 +124,12 @@ def verify_decay(kernel: CZKernel, fgrid: FrameGrid, grid: SpatialGrid) -> float
     """Fit the smallest C with |coeff(a,b)| <= C * bound(a,b), delta = kernel.delta.
 
     The coefficients are those of :func:`coefficient_field` at the identity
-    anchor, streamed in blocks of whole scales: each block's ratios reduce to
-    their maximum and the block is dropped, so neither the full frame-row
-    matrix nor the per-node ratios are ever resident, and nothing is cached on
-    ``fgrid``.  The maximum is exact, so C is bitwise the whole-lattice one.
+    anchor, from :func:`~czframe.wavelets._analysis_blocks`: psi's frame rows
+    cached on ``fgrid`` when it holds them, and otherwise streamed in blocks
+    of whole scales, each block's ratios reduced to their maximum and the
+    block dropped, so that neither the full frame-row matrix nor the per-node
+    ratios are ever resident.  Nothing is cached on ``fgrid``.  The maximum
+    is exact, so C is bitwise the whole-lattice one either way.
     """
     if not kernel.exact_cancellation:
         warnings.warn(

@@ -249,10 +249,16 @@ class DiscreteOperator:
         Each window is the largest one centred on node i inside the box.  A
         Toeplitz row or column window holds c[0] and the pairs c[m] + c[-m]:
         one prefix sum serves both, exactly 0 for an antisymmetric profile.
-        Otherwise the rows of ``dense()`` (its columns if ``transpose``) are
-        prefix-summed a block of rows at a time (:func:`_row_blocks`), so no
-        second N x N array is made; a row's prefix sum does not depend on the
-        other rows, so the sums are bitwise those of one whole-matrix cumsum.
+        Otherwise the rows of ``dense()`` are prefix-summed a block of rows at
+        a time (:func:`_row_blocks`), so no second N x N array is made; a
+        row's prefix sum does not depend on the other rows, so the sums are
+        bitwise those of one whole-matrix cumsum.  For A^T the prefix sums of
+        the columns are taken in row order instead, row j of a block being the
+        sum of row j - 1 and A's row j, carried from block to block: each
+        column adds its entries in the same order as a cumsum along A^T's
+        strided rows, which it replaces.  Window i is its prefix sum at the
+        window's end less the one just before its start, 0 when that is
+        before the first entry.
         """
         n = self.n
         idx = np.arange(n)
@@ -261,14 +267,29 @@ class DiscreteOperator:
             c = self.column
             return c[0] + np.concatenate([[0.0], np.cumsum(c[1:n] + c[:n:-1])])[w]
         A = self.dense()
-        M = A.T if transpose else A
-        out = np.empty(n, dtype=A.dtype)
-        for rows in _row_blocks(n):
-            csum = np.cumsum(M[rows], axis=1)
-            i, wi = idx[rows], w[rows]
-            r = i - rows.start
-            out[rows] = csum[r, i + wi] - np.where(i > wi, csum[r, i - wi - 1], 0.0)
-        return out
+        if not transpose:
+            out = np.empty(n, dtype=A.dtype)
+            for rows in _row_blocks(n):
+                csum = np.cumsum(A[rows], axis=1)
+                i, wi = idx[rows], w[rows]
+                r = i - rows.start
+                out[rows] = csum[r, i + wi] - np.where(i > wi, csum[r, i - wi - 1], 0.0)
+            return out
+        # column i's prefix sums at row i + w[i] (hi) and row i - w[i] - 1 (lo, 0 if none)
+        hi, lo = np.empty(n, dtype=A.dtype), np.zeros(n, dtype=A.dtype)
+        blocks = list(_row_blocks(n))
+        buf = np.empty((blocks[0].stop, n), dtype=A.dtype)  # the first block is the tallest
+        last = np.zeros(n, dtype=A.dtype)  # a row of buf, read before the next block overwrites it
+        for rows in blocks:
+            csum = buf[: rows.stop - rows.start]
+            np.add(last, A[rows.start], out=csum[0])
+            for j in range(1, csum.shape[0]):
+                np.add(csum[j - 1], A[rows.start + j], out=csum[j])
+            last = csum[-1]
+            for row, sums in ((idx + w, hi), (idx - w - 1, lo)):
+                cols = np.flatnonzero((row >= rows.start) & (row < rows.stop))
+                sums[cols] = csum[row[cols] - rows.start, cols]
+        return hi - lo
 
 
 def discretize(kernel: CZKernel, grid: SpatialGrid) -> DiscreteOperator:

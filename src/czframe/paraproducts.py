@@ -144,11 +144,15 @@ class Decomposition:
     def apply_t(self, f: SampledFunction) -> SampledFunction:
         return SampledFunction(f.grid, self.T.matvec(f.values))
 
-    def apply_s(self, f: SampledFunction) -> SampledFunction:
+    def parts(self, f: SampledFunction) -> tuple[SampledFunction, ...]:
+        """(T f, S f, P_1 f, P_2* f), each operator applied once: S f = T f - P_1 f - P_2* f."""
         tf = self.apply_t(f)
         p1 = self.apply_p1(f)
         p2 = self.apply_p2_adjoint(f)
-        return SampledFunction(f.grid, tf.values - p1.values - p2.values)
+        return tf, SampledFunction(f.grid, tf.values - p1.values - p2.values), p1, p2
+
+    def apply_s(self, f: SampledFunction) -> SampledFunction:
+        return self.parts(f)[1]
 
     def s_applied_to_constant(self) -> SampledFunction:
         """S1 = T1 - P_1(1) - P_2*(1), constant paths taken analytically.

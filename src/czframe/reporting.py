@@ -366,17 +366,18 @@ def _diag_rk_tail(ctx: _Context):
 
 
 def _carleson_profiles(ctx: _Context):
-    """The tent-ratio profile of each BMO example on the wide side lattice.
+    """The tent-ratio profile of each BMO example on the wide side lattice, in one sweep.
 
     A function of its own, so the side lattice and its cached psi rows are
     freed before the rest of :func:`_diag_carleson` runs.
     """
     wide, wfg, meta = _side_lattice(2048.0, 16384, 0.5, 1024.0, L_b=1024.0, cone_factor=0.0)
     radii = np.arange(0.0, 8.5, 0.5)
-    for ex in carleson_mod.bmo_examples(wide):
-        f = SampledFunction.from_callable(wide, ex.evaluator)
-        mu = carleson_mod.coefficient_measure(f, wfg)
-        prof = carleson_mod.vanishing_profile(mu, radii)
+    examples = carleson_mod.bmo_examples(wide)
+    profiles = carleson_mod.vanishing_profile(
+        [carleson_mod.coefficient_measure(SampledFunction.from_callable(wide, ex.evaluator), wfg)
+         for ex in examples], radii)
+    for ex, prof in zip(examples, profiles):
         ctx.sweep(
             "carleson_profile", ex.label, radii, prof,
             {"ratio": _tail_ratio(prof), "expected_class": ex.expected_class},
@@ -438,13 +439,17 @@ def _diag_decomposition(ctx: _Context):
     rng = np.random.default_rng(ctx.cfg.seed)
     # Hilbert degenerates to S = T
     dec_h = paraproducts_mod.decompose(get_model("hilbert").kernel, fgrid, grid)
-    f = SampledFunction(grid, rng.standard_normal(grid.N))
-    s_minus_t = float(np.max(np.abs(dec_h.apply_s(f).values - dec_h.apply_t(f).values)))
+    tf, sf, _, _ = dec_h.parts(SampledFunction(grid, rng.standard_normal(grid.N)))
+    s_minus_t = float(np.max(np.abs(sf.values - tf.values)))
     # reconstruction for the damped model
     dec = paraproducts_mod.decompose(get_model("damped_hilbert_1").kernel, fgrid, grid)
-    gap = _probe_gap(rng, grid, lambda f, g: inner_product(dec.apply_t(f), g) - (
-        inner_product(dec.apply_s(f), g) + inner_product(dec.apply_p1(f), g)
-        + inner_product(dec.apply_p2_adjoint(f), g)))
+
+    def reconstruction_gap(f, g):
+        tf, sf, p1, p2 = dec.parts(f)
+        return inner_product(tf, g) - (
+            inner_product(sf, g) + inner_product(p1, g) + inner_product(p2, g))
+
+    gap = _probe_gap(rng, grid, reconstruction_gap)
     # paired S1 smallness
     s1 = dec.s_applied_to_constant()
     t1_inf = float(np.max(np.abs(dec.t1.values)))

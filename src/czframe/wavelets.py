@@ -18,7 +18,8 @@ with one sparse matrix per generator from :func:`frame_rows`, cached on the
 lattice.  Its rows are always the L2 dilates a^{-1/2} fn((x - b)/a); an L1
 pairing is the L2 one times a^{-1/2}.  A caller that needs the coefficients
 only once, the decay fit, streams them with :func:`_analysis_blocks` in
-blocks of whole scales instead, so the full matrix is never resident.  Both
+blocks of whole scales instead, so the full matrix is never built for it;
+a lattice that already caches psi's matrix serves it from the cache.  Both
 build their rows with :func:`_scale_rows`, which evaluates the generator in
 cache-sized chunks of whole rows.
 """
@@ -215,15 +216,21 @@ def frame_rows(fn, fgrid: FrameGrid, grid: SpatialGrid) -> scipy.sparse.csr_matr
 def _analysis_blocks(f: SampledFunction, fgrid: FrameGrid):
     """Yield ``(nodes, coefficients)`` of psi's :func:`analyze`, a block of whole scales at a time.
 
-    ``nodes`` is the block's slice of the lattice.  A block holds at most
+    ``nodes`` is the block's slice of the lattice.  When ``fgrid`` already
+    caches psi's :func:`frame_rows` matrix on this grid, the one block is the
+    whole lattice, applied with that matrix.  Otherwise a block holds at most
     ``_BLOCK_NNZ`` row nonzeros, unless one scale alone has more; its rows
     are built, applied once and dropped, never cached on ``fgrid``.  A CSR
     product sums each row in index order, so the coefficients are bitwise
-    those of the cached matrix.
+    the same either way.
     """
+    psi = make_mother_wavelet()
+    rows = fgrid._rows.get((psi, f.grid))
+    if rows is not None:
+        yield slice(0, fgrid.n_nodes), (rows @ f.values) * f.grid.h
+        return
     _, widths = _windows(fgrid, f.grid, slice(None))
     starts = np.concatenate([[0], np.cumsum(widths)])[fgrid.offsets]  # nonzeros before each scale
-    psi = make_mother_wavelet()
     j0 = 0
     while j0 < fgrid.scales.size:
         j1 = max(j0 + 1, int(np.searchsorted(starts, starts[j0] + _BLOCK_NNZ, side="right")) - 1)

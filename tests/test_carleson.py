@@ -5,6 +5,8 @@ from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import czframe.carleson as carleson_mod
 import czframe.wavelets as wavelets_mod
@@ -64,7 +66,7 @@ def test_vanishing_profile_monotone_and_compact_support(grid, fgrid):
     f = SampledFunction.from_callable(grid, partial(smooth_bump, center=0.0, width=2.0))
     mu = coefficient_measure(f, fgrid)
     radii = np.arange(0.0, 5.5, 0.5)
-    prof = vanishing_profile(mu, radii)
+    (prof,) = vanishing_profile([mu], radii)
     assert np.all(np.diff(prof) <= 0.0)
     assert prof[0] > 0.0
     assert prof[-1] / prof[0] < 0.1
@@ -74,8 +76,8 @@ def test_vanishing_profile_refuses_a_nan_radius(grid, fgrid):
     f = SampledFunction.from_callable(grid, partial(smooth_bump, center=0.0, width=2.0))
     mu = coefficient_measure(f, fgrid)
     with pytest.raises(ValueError, match="nonnegative"):
-        vanishing_profile(mu, [0.0, np.nan])
-    assert vanishing_profile(mu, [np.inf])[0] == 0.0  # the empty tail
+        vanishing_profile([mu], [0.0, np.nan])
+    assert vanishing_profile([mu], [np.inf])[0][0] == 0.0  # the empty tail
 
 
 def test_log_singular_profile_does_not_vanish():
@@ -84,7 +86,7 @@ def test_log_singular_profile_does_not_vanish():
     ex = [e for e in bmo_examples(wide) if e.label == "log_singular"][0]
     f = SampledFunction.from_callable(wide, ex.evaluator)
     mu = coefficient_measure(f, wfg)
-    prof = vanishing_profile(mu, np.arange(0.0, 5.5, 0.5))
+    (prof,) = vanishing_profile([mu], np.arange(0.0, 5.5, 0.5))
     assert prof[-1] / prof[0] > 0.2
 
 
@@ -146,7 +148,7 @@ def _oracle_carleson_function(mu, x):
     sel = _oracle_cone(x, fg)
     if not np.any(sel):
         return 0.0
-    return float(np.max(tent_masses(mu)[sel] / (2.0 * fg.a[sel])))
+    return float(np.max(tent_masses([mu])[0][sel] / (2.0 * fg.a[sel])))
 
 
 def _oracle_stein(f, mu):
@@ -154,7 +156,7 @@ def _oracle_stein(f, mu):
     fg = mu.fgrid
     coeffs = carleson_mod.analyze(f, bump_phi, fg).values
     lhs = float(np.sum(np.abs(coeffs) ** 2 * mu.masses))
-    ratios = tent_masses(mu) / (2.0 * fg.a)
+    ratios = tent_masses([mu])[0] / (2.0 * fg.a)
     xs = np.linspace(-f.grid.L, f.grid.L, 257)
     dx = xs[1] - xs[0]
     rhs = 0.0
@@ -216,7 +218,7 @@ def test_tent_masses_against_brute_force(lattices, name):
     # subsample, tied nodes included; the tied nodes have a test of their own
     _, fg = lattices[name]
     mu = _integer_measure(fg)
-    fast = tent_masses(mu)
+    (fast,) = tent_masses([mu])
     first, last = fg.scale_slice(0), fg.scale_slice(fg.scales.size - 1)
     rng = np.random.default_rng(1)
     nodes = [first.start, first.stop - 1, *range(last.start, last.stop),
@@ -230,10 +232,84 @@ def test_tent_masses_against_brute_force(lattices, name):
 def test_tent_masses_closed_on_exact_ties(lattices, name):
     _, fg = lattices[name]
     mu = _integer_measure(fg)
-    fast = tent_masses(mu)
+    (fast,) = tent_masses([mu])
     tied = np.flatnonzero(_on_exact_ties(fg))
     assert tied.size > 0
     assert [fast[i] for i in tied] == [_brute_tent(mu, i) for i in tied]
+
+
+def _searched_tent_masses(mu):
+    """The closed-tent masses with every window edge found by binary search over b_k."""
+    fg = mu.fgrid
+    out = np.zeros(fg.n_nodes)
+    for k in range(fg.scales.size):
+        sl = fg.scale_slice(k)
+        b_k = fg.b[sl]
+        pad = np.concatenate(([-np.inf], b_k, [np.inf]))
+        cum = np.concatenate(([0.0], np.cumsum(mu.masses[sl])))
+        above = slice(sl.start, None)
+        b, r = fg.b[above], fg.a[above] - fg.scales[k]
+        hi = np.searchsorted(b_k, b + r)
+        hi += pad[hi + 1] - b <= r
+        hi -= pad[hi] - b > r
+        lo = np.searchsorted(b_k, b - r)
+        lo += b - pad[lo + 1] > r
+        lo -= b - pad[lo] <= r
+        out[above] += cum[hi] - cum[lo]
+    return out
+
+
+# s = 1/m puts the nodes (a', +-a') on tent edges: exactly for a power of two, up to
+# rounding for 1/3; any s in [1/8, 1] otherwise
+_spacing = st.sampled_from([0.125, 0.25, 1.0 / 3.0, 0.5, 1.0]) | st.floats(0.125, 1.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(N=st.sampled_from([64, 128, 256]), L=st.floats(2.0, 64.0), span=st.floats(1.2, 300.0),
+       lift=st.floats(1.0, 3.0), s=_spacing, cone_factor=st.floats(0.0, 2.0),
+       L_b=st.none() | st.floats(0.5, 64.0), seed=st.integers(0, 2**16))
+# exact ties: each node (a, +-a)'s tent ends on the finer nodes (a', +-a')
+@example(N=128, L=8.0, span=64.0, lift=1.0, s=0.25, cone_factor=0.0, L_b=8.0, seed=0)
+# a lower edge that rounding moves past the guess: the check of the next node takes it
+@example(N=64, L=32.0, span=4.0, lift=2.0, s=1.0 / 3.0, cone_factor=1.0, L_b=2.0, seed=0)
+def test_arithmetic_tent_edges_match_the_searched_edges(N, L, span, lift, s, cone_factor, L_b,
+                                                         seed):
+    # integer masses make every window sum exact, so == compares the windows themselves
+    grid = SpatialGrid(L, N)
+    a_min = 2.0 * grid.h * lift
+    fg = make_frame_grid(grid, a_min, a_min * span, s=s, L_b=L_b, cone_factor=cone_factor)
+    rng = np.random.default_rng(seed)
+    mus = [CoefficientMeasure(fg, rng.integers(0, 10, fg.n_nodes) * 1.0) for _ in range(2)]
+    for mu, fast in zip(mus, tent_masses(mus)):
+        assert fast.tobytes() == _searched_tent_masses(mu).tobytes()
+
+
+def test_one_pass_serves_every_measure_as_if_alone(lattices):
+    _, fg = lattices["default"]
+    rng = np.random.default_rng(3)
+    mus = [CoefficientMeasure(fg, rng.random(fg.n_nodes)), point_mass(fg, fg.n_nodes // 5),
+           _integer_measure(fg)]
+    together = tent_masses(mus)
+    assert len(together) == 3
+    for mu, fast in zip(mus, together):
+        assert fast.tobytes() == tent_masses([mu])[0].tobytes()
+    radii = np.arange(0.0, 4.5, 0.5)
+    profiles = vanishing_profile(mus, radii)
+    for mu, prof in zip(mus, profiles):
+        assert prof.tobytes() == vanishing_profile([mu], radii)[0].tobytes()
+    assert tent_masses([]) == [] and vanishing_profile([], radii) == []
+
+
+def test_measures_on_several_lattices_are_refused(grid, fgrid, lattices):
+    _, other = lattices["default"]
+    mus = [point_mass(fgrid, 0), point_mass(other, 0)]
+    with pytest.raises(ValueError, match="one lattice"):
+        tent_masses(mus)
+    with pytest.raises(ValueError, match="one lattice"):
+        vanishing_profile(mus, [0.0, 1.0])
+    twin = make_frame_grid(grid, 0.5, 32.0, s=0.25, L_b=32.0, cone_factor=0.0)  # equal, not one
+    with pytest.raises(ValueError, match="one lattice"):
+        tent_masses([point_mass(fgrid, 0), point_mass(twin, 0)])
 
 
 @pytest.mark.parametrize("name", ["default", "cone_factor_0"])

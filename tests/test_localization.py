@@ -118,6 +118,26 @@ def test_verify_decay_caches_no_frame_rows(grid):
     assert fg._rows == {}
 
 
+def test_verify_decay_reads_cached_rows_bitwise(psi, grid, monkeypatch):
+    # a lattice that caches psi's rows gives the fit from them, building no
+    # rows; an uncached twin streams its blocks and stays uncached
+    import czframe.wavelets as wavelets_mod
+
+    kern = get_model("hilbert").kernel
+    cached = make_frame_grid(grid, 0.0625, 512.0, s=0.125, cone_factor=1.0)
+    frame_rows(psi, cached, grid)
+    streamed = make_frame_grid(grid, 0.0625, 512.0, s=0.125, cone_factor=1.0)
+    built = []
+    scale_rows = wavelets_mod._scale_rows
+    monkeypatch.setattr(wavelets_mod, "_scale_rows",
+                        lambda *a: built.append(a[0]) or scale_rows(*a))
+    fit = verify_decay(kern, cached, grid)
+    assert built == []
+    assert fit == verify_decay(kern, streamed, grid)
+    assert built and streamed._rows == {}
+    assert list(cached._rows) == [(psi, grid)]
+
+
 def test_verify_decay_streams_blocks_of_the_full_rows(psi):
     # 9.4M row nonzeros (113 MB): several blocks, so the full matrix must
     # never be resident, and the fit must still be the whole-lattice maximum

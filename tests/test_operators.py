@@ -279,6 +279,23 @@ def test_dense_assembly_and_window_sums_go_by_row_blocks(grid, block_entries, mo
         np.testing.assert_allclose(sums, _window_sums_oracle(M), rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("rows_per_block", [1, 2, 5, None])
+def test_transposed_window_sums_equal_the_strided_cumsum_bitwise(rows_per_block, monkeypatch):
+    # column prefix sums taken down the rows, carried across row blocks, add
+    # each column's entries in the order of a cumsum along A^T's rows; odd
+    # and even sizes, one-row blocks and a ragged last block included
+    import czframe.operators as operators_mod
+
+    rng = np.random.default_rng(11)
+    for n in (17, 64):
+        if rows_per_block is not None:
+            monkeypatch.setattr(operators_mod, "_BLOCK_ENTRIES", rows_per_block * n)
+        A = rng.standard_normal((n, n)) * 10.0 ** rng.integers(-8, 8, (n, n))
+        op = DiscreteOperator(n, matrix=A)
+        assert op.window_sums(True).tobytes() == _one_cumsum_window_sums(A.T).tobytes()
+        assert op.window_sums(False).tobytes() == _one_cumsum_window_sums(A).tobytes()
+
+
 def _assert_factored_matches_dense(op, A):
     """The factored ``op`` against the dense oracle A: applications, dense() and T1/T*1."""
     assert op.matrix is None and op.column is None and op.factors is not None

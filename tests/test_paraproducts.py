@@ -203,6 +203,28 @@ def test_decompose_reconstruction_exact(grid, fgrid):
     assert np.max(np.abs(total - dec.apply_t(f).values)) < 1e-12
 
 
+def test_decomposition_parts_apply_each_operator_once(grid, fgrid, monkeypatch):
+    # parts(f) is bitwise (T f, T f - P_1 f - P_2* f, P_1 f, P_2* f) from one
+    # application each of T, P_1 and P_2*; apply_s is its S f
+    from czframe import paraproducts
+
+    dec = decompose(get_model("damped_hilbert_1").kernel, fgrid, grid)
+    rng = np.random.default_rng(8)
+    f = SampledFunction(grid, rng.standard_normal(grid.N))
+    tf, p1, p2 = dec.apply_t(f), dec.apply_p1(f), dec.apply_p2_adjoint(f)
+    calls = []
+    matvec = dec.T.matvec
+    monkeypatch.setattr(dec.T, "matvec", lambda x: calls.append("T") or matvec(x))
+    operator = paraproducts.paraproduct_operator
+    monkeypatch.setattr(paraproducts, "paraproduct_operator",
+                        lambda *a: calls.append("P") or operator(*a))
+    parts = dec.parts(f)
+    assert sorted(calls) == ["P", "P", "T"]
+    expected = (tf.values, tf.values - p1.values - p2.values, p1.values, p2.values)
+    assert [part.values.tobytes() for part in parts] == [v.tobytes() for v in expected]
+    assert dec.apply_s(f).values.tobytes() == expected[1].tobytes()
+
+
 def test_decompose_s1_small_against_wavelets(grid, fgrid):
     # S1 pairs to near zero against well-resolved wavelets, relative to the
     # corresponding T1 pairings

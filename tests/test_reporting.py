@@ -312,7 +312,7 @@ def test_nan_carleson_profile_fails_every_record(monkeypatch):
     from czframe.reporting import _carleson_profiles
 
     monkeypatch.setattr(carleson, "vanishing_profile",
-                        lambda mu, radii: np.full(len(radii), np.nan))
+                        lambda mus, radii: [np.full(len(radii), np.nan) for _ in mus])
     ctx = _Context(SuiteConfig())
     _carleson_profiles(ctx)
     records = ctx.records

@@ -187,10 +187,15 @@ def test_scale_blocks_match_frame_rows_bitwise(psi, tiny):
         for j0, j1 in cuts:
             got = _scale_rows(psi, fg, grid, j0, j1) @ v * grid.h
             assert got.tobytes() == full[fg.offsets[j0] : fg.offsets[j1]].tobytes()
-    blocks = list(_analysis_blocks(SampledFunction(grid, v), fg))
-    assert [nodes.start for nodes, _ in blocks] == [0] + [nodes.stop for nodes, _ in blocks[:-1]]
-    assert blocks[-1][0].stop == fg.n_nodes
-    assert np.concatenate([c for _, c in blocks]).tobytes() == full.tobytes()
+    # fg caches psi's rows now, so the streamed blocks are those of an uncached twin
+    twin = make_frame_grid(grid, 0.25, 16.0, s=0.5, cone_factor=1.0)
+    for lattice in (twin, fg):
+        blocks = list(_analysis_blocks(SampledFunction(grid, v), lattice))
+        assert [nodes.start for nodes, _ in blocks] == [0] + [
+            nodes.stop for nodes, _ in blocks[:-1]]
+        assert blocks[-1][0].stop == fg.n_nodes
+        assert np.concatenate([c for _, c in blocks]).tobytes() == full.tobytes()
+    assert twin._rows == {}
 
 
 def _masked_bump_derivative(x):
