@@ -19,9 +19,11 @@ for convolution kernels, sparse factors for rank-one kernels).
 :func:`operator_matrix` is the dense A (SVD cross-check, test oracle); wrap it
 as ``DiscreteOperator(N, matrix=A)`` to solve on it.
 :func:`singular_spectrum` is the one dense SVD, the oracle a Lanczos solve is
-checked against.  The analysis operator is a copy of the lattice's cached
-:func:`~czframe.wavelets.frame_rows` matrix of the fixed mother wavelet,
-scaled by sqrt(dlambda) * h, one number for the whole lattice.
+checked against.  The analysis operator holds the rows of the fixed mother
+wavelet that it is asked for, from :func:`~czframe.wavelets.frame_rows`,
+scaled by sqrt(dlambda) * h, one number for the whole lattice: copied from
+the lattice's cached matrix when there is one, and otherwise built for that
+call and never cached, so a tail sweep alone leaves no rows on the lattice.
 
 A sweep over radii (:func:`tail_functional`) solves every operator on every
 distinct tail; two radii whose tails hold the same nodes share one solve.
@@ -108,15 +110,17 @@ def analysis_operator(
     """Sparse map g |-> (sqrt(dlambda) <g, psi_node>)_node.
 
     Row ``k`` holds sqrt(dlambda) * h * psi_k(x_i) over the grid window
-    intersecting the support of the frame element at node k: one copy of the
-    cached :func:`~czframe.wavelets.frame_rows` matrix, its rows taken in
-    ``order`` (node order by default) and its data scaled in place by the one
-    number sqrt(dlambda) * h, so no second matrix-sized array is made and the
-    cache stays unscaled.
+    intersecting the support of the frame element at node k, its rows taken
+    in ``order`` (node order by default): the new matrix of those rows from
+    :func:`~czframe.wavelets.frame_rows`, copied from the lattice's cached
+    psi matrix if it has one and built uncached otherwise, with its data
+    scaled in place by the one number sqrt(dlambda) * h.  So no second
+    matrix-sized array is made, a cache stays unscaled, and a lattice
+    without one is not made to hold one.
     """
     if order is None:
         order = np.arange(fgrid.n_nodes)
-    S = frame_rows(make_mother_wavelet(), fgrid, grid)[order]
+    S = frame_rows(make_mother_wavelet(), fgrid, grid, order)
     S.data *= np.sqrt(fgrid.dlam) * grid.h
     return S
 
@@ -133,8 +137,10 @@ def _add_gram(G: np.ndarray, fgrid: FrameGrid, grid: SpatialGrid, nodes: np.ndar
     Every row takes one path.  The nodes are taken in lattice order, by scale
     and then by translation, so a scale's windows come left to right, and
     ``_PANEL`` rows at a time form one dense block over the columns their
-    windows span.  :func:`analysis_operator` copies the rows a run of whole
-    blocks at a time, about ``_PANEL * N`` nonzeros plus at most one block.
+    windows span.  :func:`analysis_operator` gives the rows a run of whole
+    blocks at a time, about ``_PANEL * N`` nonzeros plus at most one block,
+    so each row is evaluated once and, on a lattice that caches no psi
+    matrix, the whole matrix is never held.
     G is updated from a block ``_PANEL`` rows at a time, each panel from the
     block rows that meet its columns, over the columns from the panel's first
     one to the last those rows span, so only the panel's diagonal block
@@ -182,7 +188,7 @@ def _tails(fgrid: FrameGrid, grid: SpatialGrid, counts, gram: bool):
     time, only its upper triangle holding S_n^T S_n: each band of new rows is
     added to it in place by :func:`_add_gram`, so use it before asking for
     the next.  Otherwise S_n is yielded as a zero-copy CSR row prefix of one
-    :func:`analysis_operator` copy of the largest tail's rows.
+    :func:`analysis_operator` matrix of the largest tail's rows.
     """
     order = np.argsort(-fgrid.dist0, kind="stable")
     if not gram:

@@ -220,9 +220,12 @@ class SuiteConfig:
         accumulates the 8 N^2 B tail Gram matrix when
         ``compactness._use_gram`` holds on the row estimate, and otherwise
         holds a sorted copy of the first tail's rows next to the cached ones:
-        12 B per row nonzero more.  The dense term is the actual peak:
-        ``kernel_matrix``, the dense ``window_sums`` and the Gram build go by
-        blocks, so their temporaries are small.
+        12 B per row nonzero more.  The row term is counted for every run,
+        an upper bound: rk_tail builds only the rows it uses and caches
+        none, so a run in which no other diagnostic caches psi's rows never
+        holds them all.  The dense term is the actual peak: ``kernel_matrix``,
+        the dense ``window_sums`` and the Gram build go by blocks, so their
+        temporaries are small.
         Summing stops as soon as the estimate exceeds the physical memory, so
         a lattice with more scales than fit is never visited in full.  Call it only on a
         validated grid and frame.

@@ -397,10 +397,9 @@ def _diag_carleson(ctx: _Context):
     # slack inequality audit; the point-mass test bump meets phi's window at the atom
     mu_psi = carleson_mod.coefficient_measure(frame_element(IDENTITY, ctx.grid), ctx.fgrid)
     gauss = SampledFunction(ctx.grid, np.exp(-ctx.grid.x**2))
-    r1 = carleson_mod.stein_inequality_check(gauss, mu_psi)
     mu_pt = carleson_mod.point_mass(ctx.fgrid, int(np.argmin(ctx.fgrid.dist0)))
     bump = SampledFunction(ctx.grid, smooth_bump(ctx.grid.x, 0.0, 1.5))
-    r2 = carleson_mod.stein_inequality_check(bump, mu_pt)
+    r1, r2 = carleson_mod.stein_inequality_check([(gauss, mu_psi), (bump, mu_pt)])
     ctx.record("stein_inequality", None, {"ratio_gaussian": r1, "ratio_point_mass": r2})
 
 

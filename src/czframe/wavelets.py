@@ -12,16 +12,20 @@ paraproducts and the Stein audit pair with.  Both are fixed functions whose
 constants are literals, so building them costs nothing at start-up, and no
 other module takes either generator as an argument.
 
-Every lattice-wide operation (analysis, synthesis, and the analysis operator,
-bump pairings and paraproduct factors built on them elsewhere) is a product
-with one sparse matrix per generator from :func:`frame_rows`, cached on the
-lattice.  Its rows are always the L2 dilates a^{-1/2} fn((x - b)/a); an L1
-pairing is the L2 one times a^{-1/2}.  A caller that needs the coefficients
-only once, the decay fit, streams them with :func:`_analysis_blocks` in
-blocks of whole scales instead, so the full matrix is never built for it;
-a lattice that already caches psi's matrix serves it from the cache.  Both
-build their rows with :func:`_scale_rows`, which evaluates the generator in
-cache-sized chunks of whole rows.
+Every lattice-wide operation (analysis, synthesis, and the bump pairings
+and paraproduct factors built on them elsewhere) is a product with one
+sparse matrix per generator from :func:`frame_rows`, cached on the lattice.
+Its rows are always the L2 dilates a^{-1/2} fn((x - b)/a); an L1 pairing is
+the L2 one times a^{-1/2}.  A caller that needs some rows only once asks
+:func:`frame_rows` for those nodes: the analysis operator of the tail
+sweeps takes them a run at a time, copied from the cache when there is one
+and built uncached otherwise.  A caller that needs the coefficients only
+once, the decay fit, streams them with :func:`_analysis_blocks` in blocks
+of whole scales, so the full matrix is never built for it; a lattice that
+already caches psi's matrix serves it from the cache.  Every row is built by
+:func:`_scale_rows`, for any node set in any order, which evaluates the
+generator in cache-sized chunks of whole rows, so a row is the same bits
+whichever way it is asked for.
 """
 
 from __future__ import annotations
@@ -139,7 +143,7 @@ _BLOCK_NNZ = 1 << 21
 _CHUNK_NNZ = 1 << 15
 
 
-def _windows(fgrid: FrameGrid, grid: SpatialGrid, nodes: slice):
+def _windows(fgrid: FrameGrid, grid: SpatialGrid, nodes):
     """First grid index and width (int32) of the sampling window of each node in ``nodes``."""
     radius = fgrid.a[nodes]  # generators are supported in [-1, 1]
     b, h, L, N = fgrid.b[nodes], grid.h, grid.L, grid.N
@@ -148,68 +152,104 @@ def _windows(fgrid: FrameGrid, grid: SpatialGrid, nodes: slice):
     return i_lo, np.maximum(i_hi - i_lo, 0)
 
 
-def _scale_rows(fn, fgrid: FrameGrid, grid: SpatialGrid, j0: int, j1: int):
-    """The :func:`frame_rows` rows of the nodes of scales [j0, j1), uncached.
+def _scale_rows(fn, fgrid: FrameGrid, grid: SpatialGrid, nodes):
+    """The :func:`frame_rows` rows of the lattice nodes ``nodes``, in that order, uncached.
 
-    One CSR is preallocated and filled scale by scale (a scale's nodes share
-    one dilation).  A scale of n nonzeros is cut into round(n /
+    ``nodes`` is a slice of the lattice or an array of node indices in any
+    order.  One CSR is preallocated and filled scale by scale (a scale's
+    nodes share one dilation), each scale's rows in their order in
+    ``nodes``.  A scale's rows of n nonzeros are cut into round(n /
     ``_CHUNK_NNZ``) chunks (at least one) of equally many whole rows, so a
-    chunk holds about ``_CHUNK_NNZ`` nonzeros unless one row is wider.  A
-    chunk's columns are written into ``indices`` and its arguments (x - b)/a
-    into one reused buffer, so peak memory is the finished rows plus
-    chunk-sized temporaries.  Every entry is the same elementwise expression
-    as in :func:`frame_element`, so the chunking does not change a bit.
+    chunk holds about ``_CHUNK_NNZ`` nonzeros unless one row is wider.  When
+    the nodes are in lattice order, a chunk's rows are consecutive in the
+    result: its columns are written into ``indices`` and its arguments
+    (x - b)/a into one reused buffer.  Otherwise each chunk scatters its
+    entries to their rows.  So peak memory is the finished rows, a few
+    node-sized arrays and chunk-sized temporaries.  Every entry is the same
+    elementwise expression as in :func:`frame_element`, so neither the
+    chunking nor the order changes a bit.
     """
-    n0, n1 = int(fgrid.offsets[j0]), int(fgrid.offsets[j1])
-    i_lo, widths = _windows(fgrid, grid, slice(n0, n1))
-    b = fgrid.b[n0:n1]
-    indptr = np.zeros(n1 - n0 + 1, dtype=np.int32)
+    i_lo, widths = _windows(fgrid, grid, nodes)
+    b = fgrid.b[nodes]
+    indptr = np.zeros(widths.size + 1, dtype=np.int32)
     np.cumsum(widths, out=indptr[1:])
-    del widths  # each scale's widths come from indptr, so one node-sized array stays
+    del widths  # each scale's widths come from indptr
     shift = np.subtract(indptr[:-1], i_lo, out=i_lo)  # entry p of row k is column p - shift[k]
+    if isinstance(nodes, slice):  # whole or partial scales, in lattice order
+        ends, by_scale = np.clip(fgrid.offsets[1:], nodes.start, nodes.stop) - nodes.start, None
+    else:  # each scale's rows, in their given order: ranges if that is lattice order
+        scale = np.searchsorted(fgrid.offsets, nodes, side="right") - 1
+        ends = np.cumsum(np.bincount(scale, minlength=fgrid.scales.size))
+        by_scale = None if np.all(scale[1:] >= scale[:-1]) else np.argsort(scale, kind="stable")
+        del scale
     data = np.empty(indptr[-1])
     indices = np.empty(indptr[-1], dtype=np.int32)
     ramp, buf = np.arange(0, dtype=np.int32), np.empty(0)  # grown to the widest chunk
     x = grid.x
-    for j in range(j0, j1):
+    start = 0
+    for j, end in enumerate(ends.tolist()):
+        if start == end:
+            continue
         aj, root = fgrid.scales[j], math.sqrt(fgrid.scales[j])
-        r_start, r_end = int(fgrid.offsets[j]) - n0, int(fgrid.offsets[j + 1]) - n0
-        w_j = np.diff(indptr[r_start : r_end + 1])
-        runs = max(1, round(int(indptr[r_end] - indptr[r_start]) / _CHUNK_NNZ))
-        step = max(1, -(-(r_end - r_start) // runs))  # rows per chunk, rounded up
-        for r0 in range(r_start, r_end, step):
-            r1 = min(r0 + step, r_end)
-            p0, p1 = int(indptr[r0]), int(indptr[r1])
-            if p0 == p1:
+        rows = slice(start, end) if by_scale is None else by_scale[start:end]
+        w_j = indptr[1:][rows] - indptr[:-1][rows]
+        runs = max(1, round(int(w_j.sum()) / _CHUNK_NNZ))
+        step = max(1, -(-(end - start) // runs))  # rows per chunk, rounded up
+        for c0 in range(start, end, step):
+            c1 = min(c0 + step, end)
+            w = w_j[c0 - start : c1 - start]
+            # in lattice order the chunk's rows are consecutive in the result
+            r = slice(c0, c1) if by_scale is None else by_scale[c0:c1]
+            n = int(indptr[c1] - indptr[c0]) if by_scale is None else int(w.sum())
+            if n == 0:
                 continue
-            if buf.size < p1 - p0:
-                ramp, buf = np.arange(p1 - p0, dtype=np.int32), np.empty(p1 - p0)
-            w = w_j[r0 - r_start : r1 - r_start]
-            cols = np.add(ramp[: p1 - p0], p0, out=indices[p0:p1])
-            cols -= np.repeat(shift[r0:r1], w)
-            u = np.take(x, cols, out=buf[: p1 - p0], mode="clip")  # unbuffered; cols are in range
-            u -= np.repeat(b[r0:r1], w)
+            if buf.size < n:
+                ramp, buf = np.arange(n, dtype=np.int32), np.empty(n)
+            if by_scale is None:
+                p0 = int(indptr[c0])
+                dst = slice(p0, p0 + n)
+                cols = np.add(ramp[:n], p0, out=indices[dst])
+                cols -= np.repeat(shift[r], w)
+            else:  # each entry goes to its own row's place
+                dst = np.repeat(indptr[r] - (np.cumsum(w) - w), w) + ramp[:n]
+                cols = dst - np.repeat(shift[r], w)
+                indices[dst] = cols
+            u = np.take(x, cols, out=buf[:n], mode="clip")  # unbuffered; cols are in range
+            u -= np.repeat(b[r], w)
             u /= aj
-            np.divide(fn(u), root, out=data[p0:p1])
-    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(n1 - n0, grid.N))
+            if by_scale is None:
+                np.divide(fn(u), root, out=data[dst])
+            else:
+                data[dst] = np.divide(fn(u), root, out=u)
+        start = end
+    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(b.size, grid.N))
 
 
-def frame_rows(fn, fgrid: FrameGrid, grid: SpatialGrid) -> scipy.sparse.csr_matrix:
+def frame_rows(fn, fgrid: FrameGrid, grid: SpatialGrid, nodes=None) -> scipy.sparse.csr_matrix:
     """Sparse matrix whose row k samples the L2 dilate of ``fn`` at lattice node k.
 
     Row k holds a_k^{-1/2} fn((x_i - b_k)/a_k) on the grid window
     [b_k - a_k, b_k + a_k] clipped to the box; ``fn`` must be supported in
-    [-1, 1].  :func:`analyze`, :func:`synthesize`, the analysis operator and
-    the paraproduct factors are all products with this matrix; an
-    L1-normalized pairing is the L2 one times a_k^{-1/2}.  It is cached on
-    ``fgrid`` under ``(fn, grid)``, so it lives exactly as long as the
-    lattice; a single product on a lattice that is dropped next should
-    stream :func:`_analysis_blocks` instead.  ``fn`` must be hashable.
+    [-1, 1].  :func:`analyze`, :func:`synthesize` and the paraproduct
+    factors are all products with this matrix; an L1-normalized pairing is
+    the L2 one times a_k^{-1/2}.  It is cached on ``fgrid`` under
+    ``(fn, grid)``, so it lives exactly as long as the lattice.  ``fn`` must
+    be hashable.
+
+    With ``nodes``, an array of node indices, the result is a new matrix of
+    those nodes' rows, in that order: copied from the cached matrix when
+    there is one, and otherwise built by :func:`_scale_rows` and not cached.
+    Either way it is the same bits, so a caller that needs some rows once,
+    such as the analysis operator, never makes the lattice hold them all.
+    A single product on a lattice that is dropped next should stream
+    :func:`_analysis_blocks` instead.
     """
     key = (fn, grid)
     rows = fgrid._rows.get(key)
+    if nodes is not None:
+        return _scale_rows(fn, fgrid, grid, nodes) if rows is None else rows[nodes]
     if rows is None:
-        rows = fgrid._rows[key] = _scale_rows(fn, fgrid, grid, 0, fgrid.scales.size)
+        rows = fgrid._rows[key] = _scale_rows(fn, fgrid, grid, slice(0, fgrid.n_nodes))
     return rows
 
 
@@ -220,9 +260,9 @@ def _analysis_blocks(f: SampledFunction, fgrid: FrameGrid):
     caches psi's :func:`frame_rows` matrix on this grid, the one block is the
     whole lattice, applied with that matrix.  Otherwise a block holds at most
     ``_BLOCK_NNZ`` row nonzeros, unless one scale alone has more; its rows
-    are built, applied once and dropped, never cached on ``fgrid``.  A CSR
-    product sums each row in index order, so the coefficients are bitwise
-    the same either way.
+    are built by :func:`_scale_rows`, applied once and dropped, never cached
+    on ``fgrid``.  A CSR product sums each row in index order, so the
+    coefficients are bitwise the same either way.
     """
     psi = make_mother_wavelet()
     rows = fgrid._rows.get((psi, f.grid))
@@ -235,7 +275,7 @@ def _analysis_blocks(f: SampledFunction, fgrid: FrameGrid):
     while j0 < fgrid.scales.size:
         j1 = max(j0 + 1, int(np.searchsorted(starts, starts[j0] + _BLOCK_NNZ, side="right")) - 1)
         nodes = slice(int(fgrid.offsets[j0]), int(fgrid.offsets[j1]))
-        yield nodes, (_scale_rows(psi, fgrid, f.grid, j0, j1) @ f.values) * f.grid.h
+        yield nodes, (_scale_rows(psi, fgrid, f.grid, nodes) @ f.values) * f.grid.h
         j0 = j1
 
 

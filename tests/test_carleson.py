@@ -96,13 +96,13 @@ def test_stein_audit_matches_the_cached_rows(psi, grid, monkeypatch):
     fg = make_frame_grid(grid, 0.5, 32.0, s=0.25, L_b=32.0, cone_factor=0.0)
     f = SampledFunction(grid, np.exp(-((grid.x / 4.0) ** 2)) + np.sin(grid.x))
     mu = coefficient_measure(f, fg)
-    ratio = stein_inequality_check(f, mu)
+    [ratio] = stein_inequality_check([(f, mu)])
     assert set(fg._rows) == {(psi, grid), (bump_phi, grid)}
     u = (grid.x[None, :] - fg.b[:, None]) / fg.a[:, None]
     oracle = (bump_phi(u) / np.sqrt(fg.a)[:, None]) @ f.values * grid.h
     monkeypatch.setattr(carleson_mod, "analyze",
                         lambda g, fn, fgrid: CoefficientField(fgrid, oracle))
-    assert stein_inequality_check(f, mu) == pytest.approx(ratio, rel=1e-12)
+    assert stein_inequality_check([(f, mu)])[0] == pytest.approx(ratio, rel=1e-12)
 
 
 def test_phi_rows_built_once_per_lattice(grid, monkeypatch):
@@ -118,7 +118,7 @@ def test_phi_rows_built_once_per_lattice(grid, monkeypatch):
     monkeypatch.setattr(wavelets_mod, "_scale_rows", counting)
     mu = coefficient_measure(SampledFunction.from_callable(grid, lambda x: np.exp(-(x**2))), fg)
     for f in (np.exp(-(grid.x**2)), np.exp(-(((grid.x - 3.0) / 1.5) ** 2))):
-        stein_inequality_check(SampledFunction(grid, f), mu)
+        stein_inequality_check([(SampledFunction(grid, f), mu)])
     dec = decompose(get_model("damped_hilbert_1").kernel, fg, grid)
     dec.apply_p1(SampledFunction(grid, np.exp(-(grid.x**2))))
     assert built.count(bump_phi) == 1
@@ -127,14 +127,14 @@ def test_phi_rows_built_once_per_lattice(grid, monkeypatch):
 def test_stein_inequality_gaussian(grid, fgrid):
     f = SampledFunction.from_callable(grid, lambda x: np.exp(-((x / 4.0) ** 2)))
     mu = coefficient_measure(f, fgrid)
-    ratio = stein_inequality_check(f, mu)
+    [ratio] = stein_inequality_check([(f, mu)])
     assert 0.0 <= ratio <= 10.0
 
 
 def test_stein_inequality_point_mass(grid, fgrid):
     f = SampledFunction.from_callable(grid, lambda x: np.exp(-(((x + 8.0) / 2.0) ** 2)))
     mu = point_mass(fgrid, fgrid.n_nodes // 2)
-    ratio = stein_inequality_check(f, mu)
+    [ratio] = stein_inequality_check([(f, mu)])
     assert ratio <= 10.0
 
 
@@ -300,6 +300,38 @@ def test_one_pass_serves_every_measure_as_if_alone(lattices):
     assert tent_masses([]) == [] and vanishing_profile([], radii) == []
 
 
+def test_one_stein_pass_serves_every_audit_as_if_alone(lattices, monkeypatch):
+    # one tent_masses call and one _cone_maxima pass for all the audits, each
+    # ratio bitwise its single-audit value; a function on a grid of another
+    # width brings positions of its own into the shared pass
+    grid, fg = lattices["default"]
+    wider = SpatialGrid(2.0 * grid.L, 2 * grid.N)  # same step
+    mu_psi = coefficient_measure(frame_element(IDENTITY, grid), fg)
+    mu_pt = point_mass(fg, int(np.argmin(fg.dist0)))
+    audits = [
+        (SampledFunction(grid, np.exp(-grid.x**2)), mu_psi),
+        (SampledFunction(grid, smooth_bump(grid.x, 0.0, 1.5)), mu_pt),
+        (SampledFunction(wider, np.exp(-((wider.x / 4.0) ** 2))), _integer_measure(fg)),
+    ]
+    alone = [stein_inequality_check([audit])[0] for audit in audits]
+    calls = []
+    for name in ("tent_masses", "_cone_maxima"):
+        wrapped = getattr(carleson_mod, name)
+        monkeypatch.setattr(carleson_mod, name,
+                            lambda *a, f=wrapped, name=name: calls.append(name) or f(*a))
+    together = stein_inequality_check(audits)
+    assert calls == ["tent_masses", "_cone_maxima"]
+    assert len(together) == 3
+    for (f, mu), got, want in zip(audits, together, alone):
+        assert got > 0.0
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        assert got == _oracle_stein(f, mu)
+    assert stein_inequality_check([]) == []
+    _, other = lattices["cone_factor_0"]
+    with pytest.raises(ValueError, match="one lattice"):
+        stein_inequality_check([audits[0], (audits[1][0], point_mass(other, 0))])
+
+
 def test_measures_on_several_lattices_are_refused(grid, fgrid, lattices):
     _, other = lattices["default"]
     mus = [point_mass(fgrid, 0), point_mass(other, 0)]
@@ -320,7 +352,7 @@ def test_stein_audit_matches_the_mask_oracle(lattices, name):
     bump = SampledFunction(grid, smooth_bump(grid.x, 0.0, 1.5))
     mu_pt = point_mass(fg, int(np.argmin(fg.dist0)))
     for f, mu in ((gauss, mu_psi), (bump, mu_pt)):
-        ratio = stein_inequality_check(f, mu)
+        [ratio] = stein_inequality_check([(f, mu)])
         assert ratio > 0.0
         assert ratio == _oracle_stein(f, mu)
     xs = np.linspace(-grid.L, grid.L, 257)

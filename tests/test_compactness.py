@@ -587,3 +587,48 @@ def test_sparse_tails_are_row_prefixes_of_one_sorted_copy(small_grid, small_fgri
         assert copy.shape[0] == np.count_nonzero(tail_nodes(small_fgrid, radii[0]))
         copied.append(copy.shape[0])
     assert copied[1] < copied[0] == small_fgrid.n_nodes
+
+
+@pytest.mark.parametrize("panel", [None, 8])
+def test_tails_are_bitwise_the_same_with_or_without_cached_rows(psi, small_grid, monkeypatch,
+                                                                panel):
+    # a lattice without psi's cached matrix builds each run of rows itself and
+    # keeps none, and every tail operand is bitwise the one the cache gives
+    if panel is not None:
+        monkeypatch.setattr(compactness, "_PANEL", panel)
+    cached, bare = (make_frame_grid(small_grid, 0.5, 64.0, s=0.25) for _ in range(2))
+    compactness.frame_rows(psi, cached, small_grid)
+    ascending = compactness._tail_counts(cached, GRAM_RADII)[::-1]
+    for gram in (True, False):
+        pairs = zip(*(compactness._tails(fg, small_grid, ascending, gram) for fg in (cached, bare)))
+        for want, got in pairs:
+            if gram:
+                assert got.tobytes() == want.tobytes()
+            else:
+                for part in ("data", "indices", "indptr"):
+                    assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
+    assert bare._rows == {}
+
+
+def test_gram_sweep_never_holds_the_lattice_rows(psi):
+    # on the default lattice, where psi's rows are about 9 runs of _PANEL * N
+    # nonzeros at 12 B each, a Gram sweep holds G and at most one copied part
+    # of two runs, its dense block, the block's scatter indices and a panel
+    # product, each no larger than a run: under 6 runs in all
+    grid = SpatialGrid(32.0, 2048)
+    fgrid = make_frame_grid(grid, 0.0625, 512.0, s=0.125, cone_factor=1.0)
+    A = discretize(get_model("zero").kernel, grid)
+    run = compactness._PANEL * grid.N * 12
+    rows = compactness.frame_rows(psi, make_frame_grid(grid, 0.0625, 512.0, s=0.125,
+                                                       cone_factor=1.0), grid)
+    assert compactness._use_gram(grid.N, rows.nnz) and 12 * rows.nnz > 8 * run
+    del rows
+    tracemalloc.start()
+    try:
+        [tf] = tail_functional([A], fgrid, grid, SWEEP_RADII)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.all(tf.values == 0.0)
+    assert peak < 8 * grid.N**2 + 6 * run
+    assert fgrid._rows == {}

@@ -335,6 +335,22 @@ def _rk_records(cfg):
     return {r["name"]: r for r in ctx.records}
 
 
+@pytest.mark.parametrize("gram", [True, False])
+def test_rk_tail_alone_leaves_no_frame_rows_on_its_lattices(monkeypatch, gram):
+    # the sweep and its dense cross-check build the rows they use uncached,
+    # so a run of rk_tail alone caches no frame-row matrix on any lattice
+    from czframe import compactness, reporting
+
+    monkeypatch.setattr(compactness, "_use_gram", lambda n, nnz: gram)
+    lattices, make = [], reporting.make_frame_grid
+    monkeypatch.setattr(reporting, "make_frame_grid",
+                        lambda *a, **k: lattices.append(make(*a, **k)) or lattices[-1])
+    rep = run_suite(SuiteConfig.from_dict(RK_SMALL))
+    assert [r["verdict"] for r in rep.records] == ["PASS", "PASS"]
+    assert len(lattices) == 2
+    assert all(fg._rows == {} for fg in lattices)
+
+
 def test_probe_gap_draws_f_then_g_and_keeps_a_nan():
     # three (f, g) pairs, f drawn first, as the two loops it replaced drew them
     from czframe.grids import inner_product

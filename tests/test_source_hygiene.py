@@ -18,8 +18,8 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "czframe"
 MODULES = sorted(SRC.glob("*.py"))
 DEFS, FUNCTIONS = "FunctionDef AsyncFunctionDef ClassDef", "FunctionDef AsyncFunctionDef Lambda"
 # The (module, top-level def) that may call kernel_matrix: discretize's dense backend and the
-# dense oracle; svdvals: the oracle of the tail solves; _scale_rows: the whole-lattice rows and
-# the decay fit's blocks; frame_rows: analyze/synthesize, the analysis operator, the paraproduct.
+# dense oracle; svdvals: the oracle of the tail solves; _scale_rows: the cached and node-set rows
+# and the decay fit's blocks; frame_rows: analyze/synthesize, the analysis operator, the paraproduct.
 DENSE_ASSEMBLY = {("operators", "discretize"), ("compactness", "operator_matrix")}
 DENSE_SVD = {("compactness", "singular_spectrum")}
 ROW_BUILDS = {("wavelets", "frame_rows"), ("wavelets", "_analysis_blocks")}

@@ -168,6 +168,11 @@ def test_frame_rows_cached_per_function_and_grid(psi, tiny):
                                rtol=0, atol=1e-15)
 
 
+def _scale_nodes(fg, j0, j1):
+    """The nodes of scales [j0, j1) as a slice of the lattice."""
+    return slice(int(fg.offsets[j0]), int(fg.offsets[j1]))
+
+
 def test_scale_blocks_match_frame_rows_bitwise(psi, tiny):
     # the block path builds the rows of any scale range exactly as frame_rows
     # builds the whole lattice, so every coefficient is the same float
@@ -176,7 +181,7 @@ def test_scale_blocks_match_frame_rows_bitwise(psi, tiny):
     grid, fg = tiny
     n = fg.scales.size
     assert n >= 6
-    whole, full = _scale_rows(psi, fg, grid, 0, n), frame_rows(psi, fg, grid)
+    whole, full = _scale_rows(psi, fg, grid, _scale_nodes(fg, 0, n)), frame_rows(psi, fg, grid)
     for part in ("data", "indices", "indptr"):
         assert getattr(whole, part).tobytes() == getattr(full, part).tobytes()
     v = np.random.default_rng(5).standard_normal(grid.N)
@@ -185,7 +190,7 @@ def test_scale_blocks_match_frame_rows_bitwise(psi, tiny):
     several = [(0, 3), (3, 5), (5, n)]
     for cuts in (one_scale, several, [(0, n)]):
         for j0, j1 in cuts:
-            got = _scale_rows(psi, fg, grid, j0, j1) @ v * grid.h
+            got = _scale_rows(psi, fg, grid, _scale_nodes(fg, j0, j1)) @ v * grid.h
             assert got.tobytes() == full[fg.offsets[j0] : fg.offsets[j1]].tobytes()
     # fg caches psi's rows now, so the streamed blocks are those of an uncached twin
     twin = make_frame_grid(grid, 0.25, 16.0, s=0.5, cone_factor=1.0)
@@ -196,6 +201,55 @@ def test_scale_blocks_match_frame_rows_bitwise(psi, tiny):
         assert blocks[-1][0].stop == fg.n_nodes
         assert np.concatenate([c for _, c in blocks]).tobytes() == full.tobytes()
     assert twin._rows == {}
+
+
+def _small_lattice(shape):
+    """A small lattice shaped like the suite's default one or its Carleson side lattice."""
+    if shape == "default":
+        grid = SpatialGrid(4.0, 256)
+        return grid, make_frame_grid(grid, 0.0625, 32.0, s=0.125, cone_factor=1.0)
+    grid = SpatialGrid(64.0, 1024)
+    return grid, make_frame_grid(grid, 0.5, 32.0, s=0.25, L_b=32.0, cone_factor=0.0)
+
+
+def _node_sets(fg):
+    """Node sets in and out of lattice order, empty, single, and across several scales."""
+    rng = np.random.default_rng(9)
+    tail = np.argsort(-fg.dist0, kind="stable")[: fg.n_nodes // 2]
+    several = np.arange(fg.offsets[2], fg.offsets[6])
+    return {
+        "sorted": np.sort(rng.choice(fg.n_nodes, fg.n_nodes // 3, replace=False)),
+        "unsorted": rng.permutation(fg.n_nodes)[: fg.n_nodes // 3],
+        "tail_order": tail,
+        "empty": np.array([], dtype=np.intp),
+        "single": np.array([fg.n_nodes // 2]),
+        "several_scales": several,
+        "several_scales_reversed": several[::-1].copy(),
+        "every_node": np.arange(fg.n_nodes),
+    }
+
+
+@pytest.mark.parametrize("shape", ["default", "carleson_side"])
+@pytest.mark.parametrize("chunk", [7, None])
+def test_uncached_node_rows_match_the_cached_matrix_bitwise(psi, shape, chunk, monkeypatch):
+    # frame_rows of a node set on an uncached lattice builds exactly the rows
+    # the cached matrix holds, in the given order, down to the sign of zero,
+    # and caches nothing; on the cached lattice it copies them
+    if chunk is not None:
+        monkeypatch.setattr(wavelets_mod, "_CHUNK_NNZ", chunk)
+    grid, cached = _small_lattice(shape)
+    _, bare = _small_lattice(shape)
+    for fn in (psi, bump_phi):
+        full = frame_rows(fn, cached, grid)
+        for name, nodes in _node_sets(cached).items():
+            want = full[nodes]
+            for got in (frame_rows(fn, bare, grid, nodes), frame_rows(fn, cached, grid, nodes)):
+                assert got.shape == (nodes.size, grid.N), name
+                for part in ("data", "indices", "indptr"):
+                    a, b = getattr(got, part), getattr(want, part)
+                    assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, part)
+                    assert not np.shares_memory(a, getattr(full, part))
+    assert bare._rows == {}
 
 
 def _masked_bump_derivative(x):
@@ -266,7 +320,7 @@ def test_scale_rows_chunks_match_frame_elements_bitwise(psi, tiny, monkeypatch, 
     if chunk is not None:
         monkeypatch.setattr(wavelets_mod, "_CHUNK_NNZ", chunk)
     grid, fg = tiny
-    rows = _scale_rows(psi, fg, grid, 0, fg.scales.size)
+    rows = _scale_rows(psi, fg, grid, _scale_nodes(fg, 0, fg.scales.size))
     for k in range(fg.n_nodes):
         el = frame_element(GroupPoint(float(fg.a[k]), float(fg.b[k])), grid).values
         p0, p1 = rows.indptr[k], rows.indptr[k + 1]
@@ -285,7 +339,7 @@ def test_scale_rows_do_not_depend_on_the_chunk(psi, grid, monkeypatch):
     for chunk in (wavelets_mod._CHUNK_NNZ, 7, 1000):
         monkeypatch.setattr(wavelets_mod, "_CHUNK_NNZ", chunk)
         for fn in (psi, bump_phi):
-            rows = _scale_rows(fn, fg, grid, 0, fg.scales.size)
+            rows = _scale_rows(fn, fg, grid, _scale_nodes(fg, 0, fg.scales.size))
             built.setdefault(fn, []).append(
                 b"".join(getattr(rows, p).tobytes() for p in ("data", "indices", "indptr")))
     assert all(len(set(parts)) == 1 for parts in built.values())
@@ -303,7 +357,7 @@ def test_decay_block_build_peaks_near_its_csr_bytes(psi):
     assert fg.offsets[j1] == nodes.stop
     tracemalloc.start()
     try:
-        rows = _scale_rows(psi, fg, grid, 0, j1)
+        rows = _scale_rows(psi, fg, grid, _scale_nodes(fg, 0, j1))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
