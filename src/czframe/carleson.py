@@ -221,43 +221,41 @@ def vanishing_profile(mus, radii) -> list[np.ndarray]:
 def stein_inequality_check(audits) -> list[float]:
     """Audit integral |<f, phi_(a,b)>|^2 dmu <= C * integral Mf^2 * Cmu dx, for each (f, mu).
 
-    ``audits`` are ``(f, mu)`` pairs whose measures share one lattice
-    (``ValueError`` otherwise); the result holds one ratio LHS/RHS per audit,
-    in order, which the caller bounds by its slack C (a slack audit, not a
-    sharp constant).  No audit means no work and an empty list.  The
-    pairings are <f, phi_(a,b)> with the L2 dilates a^-1/2 phi((x-b)/a).
-    Mf(x) is the nontangential maximum, the sup of |<f, phi_(a,b)>| over the
-    cone nodes above x.  The base-space integral is a Riemann sum over 257
-    equispaced positions on [-L, L] of f's grid, both endpoints included,
-    each weighted by their spacing dx; a position that no cone covers adds
-    nothing.  One :func:`tent_masses` call gives every C mu, and one
-    :func:`_cone_maxima` pass every Mf and C mu at the distinct positions of
-    all the audits; each audit's sum runs over its own positions in order.
-    A position's maxima do not depend on the other positions, so every ratio
-    is bitwise the one its audit gets alone.  A zero RHS gives 0 if the LHS
-    is zero too and ``inf`` otherwise.
+    ``audits`` are ``(f, mu)`` pairs whose functions share one grid and whose
+    measures share one lattice (``ValueError`` otherwise); the result holds
+    one ratio LHS/RHS per audit, in order, which the caller bounds by its
+    slack C (a slack audit, not a sharp constant).  No audit means no work
+    and an empty list.  The pairings are <f, phi_(a,b)> with the L2 dilates
+    a^-1/2 phi((x-b)/a).  Mf(x) is the nontangential maximum, the sup of
+    |<f, phi_(a,b)>| over the cone nodes above x.  The base-space integral
+    is a Riemann sum over 257 equispaced positions on [-L, L] of the grid,
+    both endpoints included, each weighted by their spacing dx; a position
+    that no cone covers adds nothing.  One :func:`tent_masses` call gives
+    every C mu, and one :func:`_cone_maxima` pass every Mf and C mu at those
+    positions; each audit's sum runs in position order, so every ratio is
+    bitwise the one its audit gets alone.  A zero RHS gives 0 if the LHS is
+    zero too and ``inf`` otherwise.
     """
     audits = list(audits)
     if not audits:
         return []
     mus = [mu for _, mu in audits]
     fg = _same_lattice(mus)
+    grid = audits[0][0].grid
+    if any(f.grid != grid for f, _ in audits):
+        raise ValueError("the audited functions must share one grid")
     # the tent pass before analyze, which may build and cache phi's rows: in the other order the
     # frame_local benchmark's peak RSS read 2 MB higher
     ratios = _tent_ratios(mus)
     coeffs = [analyze(f, bump_phi, fg).values for f, _ in audits]
-    positions = [np.linspace(-f.grid.L, f.grid.L, 257) for f, _ in audits]
-    xs = np.unique(np.concatenate(positions))
-    fields = [np.abs(c) for c in coeffs] + ratios
-    maxima, covered = _cone_maxima(fg, xs, fields)
+    xs = np.linspace(-grid.L, grid.L, 257)
+    dx = xs[1] - xs[0]
+    maxima, covered = _cone_maxima(fg, xs, [np.abs(c) for c in coeffs] + ratios)
     out = []
-    for i, ((_, mu), c, pos) in enumerate(zip(audits, coeffs, positions)):
+    for mu, c, mfs, cmus in zip(mus, coeffs, maxima, maxima[len(audits):]):
         lhs = float(np.sum(c * c * mu.masses))
-        at = np.searchsorted(xs, pos)
-        dx = pos[1] - pos[0]
         rhs = 0.0
-        for mf, cmu, hit in zip(maxima[i, at].tolist(), maxima[len(audits) + i, at].tolist(),
-                                covered[at].tolist()):
+        for mf, cmu, hit in zip(mfs.tolist(), cmus.tolist(), covered.tolist()):
             if hit:
                 rhs += mf**2 * cmu * dx
         if rhs == 0.0:

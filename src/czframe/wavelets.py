@@ -23,7 +23,7 @@ and built uncached otherwise.  A caller that needs the coefficients only
 once, the decay fit, streams them with :func:`_analysis_blocks` in blocks
 of whole scales, so the full matrix is never built for it; a lattice that
 already caches psi's matrix serves it from the cache.  Every row is built by
-:func:`_scale_rows`, for any node set in any order, which evaluates the
+:func:`_scale_rows`, for a node set in lattice order, which evaluates the
 generator in cache-sized chunks of whole rows, so a row is the same bits
 whichever way it is asked for.
 """
@@ -153,75 +153,54 @@ def _windows(fgrid: FrameGrid, grid: SpatialGrid, nodes):
 
 
 def _scale_rows(fn, fgrid: FrameGrid, grid: SpatialGrid, nodes):
-    """The :func:`frame_rows` rows of the lattice nodes ``nodes``, in that order, uncached.
+    """The :func:`frame_rows` rows of the lattice nodes ``nodes``, in lattice order, uncached.
 
-    ``nodes`` is a slice of the lattice or an array of node indices in any
-    order.  One CSR is preallocated and filled scale by scale (a scale's
-    nodes share one dilation), each scale's rows in their order in
-    ``nodes``.  A scale's rows of n nonzeros are cut into round(n /
-    ``_CHUNK_NNZ``) chunks (at least one) of equally many whole rows, so a
-    chunk holds about ``_CHUNK_NNZ`` nonzeros unless one row is wider.  When
-    the nodes are in lattice order, a chunk's rows are consecutive in the
-    result: its columns are written into ``indices`` and its arguments
-    (x - b)/a into one reused buffer.  Otherwise each chunk scatters its
-    entries to their rows.  So peak memory is the finished rows, a few
-    node-sized arrays and chunk-sized temporaries.  Every entry is the same
-    elementwise expression as in :func:`frame_element`, so neither the
-    chunking nor the order changes a bit.
+    ``nodes`` is a slice of the lattice or a sorted array of node indices, so
+    a scale's rows are consecutive.  One CSR is preallocated and filled scale
+    by scale (a scale's nodes share one dilation).  A scale's rows of n
+    nonzeros are cut into round(n / ``_CHUNK_NNZ``) chunks (at least one) of
+    equally many whole rows, so a chunk holds about ``_CHUNK_NNZ`` nonzeros
+    unless one row is wider.  A chunk's columns are written into ``indices``
+    and its arguments (x - b)/a into one reused buffer, so peak memory is the
+    finished rows plus chunk-sized temporaries.  Every entry is the same
+    elementwise expression as in :func:`frame_element`, so the chunking does
+    not change a bit.
     """
     i_lo, widths = _windows(fgrid, grid, nodes)
     b = fgrid.b[nodes]
     indptr = np.zeros(widths.size + 1, dtype=np.int32)
     np.cumsum(widths, out=indptr[1:])
-    del widths  # each scale's widths come from indptr
+    del widths  # each scale's widths come from indptr, so one node-sized array stays
     shift = np.subtract(indptr[:-1], i_lo, out=i_lo)  # entry p of row k is column p - shift[k]
-    if isinstance(nodes, slice):  # whole or partial scales, in lattice order
-        ends, by_scale = np.clip(fgrid.offsets[1:], nodes.start, nodes.stop) - nodes.start, None
-    else:  # each scale's rows, in their given order: ranges if that is lattice order
-        scale = np.searchsorted(fgrid.offsets, nodes, side="right") - 1
-        ends = np.cumsum(np.bincount(scale, minlength=fgrid.scales.size))
-        by_scale = None if np.all(scale[1:] >= scale[:-1]) else np.argsort(scale, kind="stable")
-        del scale
+    if isinstance(nodes, slice):
+        ends = np.clip(fgrid.offsets[1:], nodes.start, nodes.stop) - nodes.start
+    else:
+        ends = np.searchsorted(nodes, fgrid.offsets[1:])
     data = np.empty(indptr[-1])
     indices = np.empty(indptr[-1], dtype=np.int32)
     ramp, buf = np.arange(0, dtype=np.int32), np.empty(0)  # grown to the widest chunk
     x = grid.x
-    start = 0
-    for j, end in enumerate(ends.tolist()):
-        if start == end:
-            continue
+    r_start = 0
+    for j, r_end in enumerate(ends.tolist()):  # the rows of scale j are [r_start, r_end)
         aj, root = fgrid.scales[j], math.sqrt(fgrid.scales[j])
-        rows = slice(start, end) if by_scale is None else by_scale[start:end]
-        w_j = indptr[1:][rows] - indptr[:-1][rows]
-        runs = max(1, round(int(w_j.sum()) / _CHUNK_NNZ))
-        step = max(1, -(-(end - start) // runs))  # rows per chunk, rounded up
-        for c0 in range(start, end, step):
-            c1 = min(c0 + step, end)
-            w = w_j[c0 - start : c1 - start]
-            # in lattice order the chunk's rows are consecutive in the result
-            r = slice(c0, c1) if by_scale is None else by_scale[c0:c1]
-            n = int(indptr[c1] - indptr[c0]) if by_scale is None else int(w.sum())
-            if n == 0:
+        w_j = np.diff(indptr[r_start : r_end + 1])
+        runs = max(1, round(int(indptr[r_end] - indptr[r_start]) / _CHUNK_NNZ))
+        step = max(1, -(-(r_end - r_start) // runs))  # rows per chunk, rounded up
+        for r0 in range(r_start, r_end, step):
+            r1 = min(r0 + step, r_end)
+            p0, p1 = int(indptr[r0]), int(indptr[r1])
+            if p0 == p1:
                 continue
-            if buf.size < n:
-                ramp, buf = np.arange(n, dtype=np.int32), np.empty(n)
-            if by_scale is None:
-                p0 = int(indptr[c0])
-                dst = slice(p0, p0 + n)
-                cols = np.add(ramp[:n], p0, out=indices[dst])
-                cols -= np.repeat(shift[r], w)
-            else:  # each entry goes to its own row's place
-                dst = np.repeat(indptr[r] - (np.cumsum(w) - w), w) + ramp[:n]
-                cols = dst - np.repeat(shift[r], w)
-                indices[dst] = cols
-            u = np.take(x, cols, out=buf[:n], mode="clip")  # unbuffered; cols are in range
-            u -= np.repeat(b[r], w)
+            if buf.size < p1 - p0:
+                ramp, buf = np.arange(p1 - p0, dtype=np.int32), np.empty(p1 - p0)
+            w = w_j[r0 - r_start : r1 - r_start]
+            cols = np.add(ramp[: p1 - p0], p0, out=indices[p0:p1])
+            cols -= np.repeat(shift[r0:r1], w)
+            u = np.take(x, cols, out=buf[: p1 - p0], mode="clip")  # unbuffered; cols are in range
+            u -= np.repeat(b[r0:r1], w)
             u /= aj
-            if by_scale is None:
-                np.divide(fn(u), root, out=data[dst])
-            else:
-                data[dst] = np.divide(fn(u), root, out=u)
-        start = end
+            np.divide(fn(u), root, out=data[p0:p1])
+        r_start = r_end
     return scipy.sparse.csr_matrix((data, indices, indptr), shape=(b.size, grid.N))
 
 
@@ -238,16 +217,23 @@ def frame_rows(fn, fgrid: FrameGrid, grid: SpatialGrid, nodes=None) -> scipy.spa
 
     With ``nodes``, an array of node indices, the result is a new matrix of
     those nodes' rows, in that order: copied from the cached matrix when
-    there is one, and otherwise built by :func:`_scale_rows` and not cached.
-    Either way it is the same bits, so a caller that needs some rows once,
-    such as the analysis operator, never makes the lattice hold them all.
-    A single product on a lattice that is dropped next should stream
-    :func:`_analysis_blocks` instead.
+    there is one, and otherwise built by :func:`_scale_rows` and not cached,
+    for nodes out of lattice order as one sorted matrix whose rows are then
+    taken in the given order.  Either way it is the same bits, so a caller
+    that needs some rows once, such as the analysis operator, never makes
+    the lattice hold them all.  A single product on a lattice that is
+    dropped next should stream :func:`_analysis_blocks` instead.
     """
     key = (fn, grid)
     rows = fgrid._rows.get(key)
     if nodes is not None:
-        return _scale_rows(fn, fgrid, grid, nodes) if rows is None else rows[nodes]
+        if rows is not None:
+            return rows[nodes]
+        nodes = np.asarray(nodes)
+        if np.all(nodes[1:] >= nodes[:-1]):
+            return _scale_rows(fn, fgrid, grid, nodes)
+        ordered = np.sort(nodes)
+        return _scale_rows(fn, fgrid, grid, ordered)[np.searchsorted(ordered, nodes)]
     if rows is None:
         rows = fgrid._rows[key] = _scale_rows(fn, fgrid, grid, slice(0, fgrid.n_nodes))
     return rows

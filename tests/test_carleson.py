@@ -302,16 +302,14 @@ def test_one_pass_serves_every_measure_as_if_alone(lattices):
 
 def test_one_stein_pass_serves_every_audit_as_if_alone(lattices, monkeypatch):
     # one tent_masses call and one _cone_maxima pass for all the audits, each
-    # ratio bitwise its single-audit value; a function on a grid of another
-    # width brings positions of its own into the shared pass
+    # ratio bitwise its single-audit value
     grid, fg = lattices["default"]
-    wider = SpatialGrid(2.0 * grid.L, 2 * grid.N)  # same step
     mu_psi = coefficient_measure(frame_element(IDENTITY, grid), fg)
     mu_pt = point_mass(fg, int(np.argmin(fg.dist0)))
     audits = [
         (SampledFunction(grid, np.exp(-grid.x**2)), mu_psi),
         (SampledFunction(grid, smooth_bump(grid.x, 0.0, 1.5)), mu_pt),
-        (SampledFunction(wider, np.exp(-((wider.x / 4.0) ** 2))), _integer_measure(fg)),
+        (SampledFunction(grid, np.exp(-((grid.x / 4.0) ** 2))), _integer_measure(fg)),
     ]
     alone = [stein_inequality_check([audit])[0] for audit in audits]
     calls = []
@@ -330,6 +328,9 @@ def test_one_stein_pass_serves_every_audit_as_if_alone(lattices, monkeypatch):
     _, other = lattices["cone_factor_0"]
     with pytest.raises(ValueError, match="one lattice"):
         stein_inequality_check([audits[0], (audits[1][0], point_mass(other, 0))])
+    wider = SpatialGrid(2.0 * grid.L, 2 * grid.N)
+    with pytest.raises(ValueError, match="one grid"):
+        stein_inequality_check([audits[0], (SampledFunction(wider, np.exp(-wider.x**2)), mu_pt)])
 
 
 def test_measures_on_several_lattices_are_refused(grid, fgrid, lattices):
