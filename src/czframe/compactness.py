@@ -114,9 +114,9 @@ def analysis_operator(
     in ``order`` (node order by default): the new matrix of those rows from
     :func:`~czframe.wavelets.frame_rows`, copied from the lattice's cached
     psi matrix if it has one and built uncached otherwise, with its data
-    scaled in place by the one number sqrt(dlambda) * h.  So no second
-    matrix-sized array is made, a cache stays unscaled, and a lattice
-    without one is not made to hold one.
+    scaled in place by the one number sqrt(dlambda) * h.  So the scaling
+    makes no second matrix-sized array, a cache stays unscaled, and a
+    lattice without one is not made to hold one.
     """
     if order is None:
         order = np.arange(fgrid.n_nodes)

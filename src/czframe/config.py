@@ -222,8 +222,10 @@ class SuiteConfig:
         holds a sorted copy of the first tail's rows next to the cached ones:
         12 B per row nonzero more.  The row term is counted for every run,
         an upper bound: rk_tail builds only the rows it uses and caches
-        none, so a run in which no other diagnostic caches psi's rows never
-        holds them all.  The dense term is the actual peak: ``kernel_matrix``,
+        none, so in a run in which no other diagnostic caches psi's rows the
+        Gram route never holds them all, and the sparse route holds its
+        lattice-order build of the first tail's rows only while it takes the
+        copy.  The dense term is the actual peak: ``kernel_matrix``,
         the dense ``window_sums`` and the Gram build go by blocks, so their
         temporaries are small.
         Summing stops as soon as the estimate exceeds the physical memory, so
