@@ -188,9 +188,9 @@ def _cone_maxima(fgrid: FrameGrid, xs: np.ndarray, fields):
 
 
 def carleson_function(mu: CoefficientMeasure, x: float) -> float:
-    """C mu(x): sup over cone nodes above x of tent mass / |B(b, a)|."""
+    """C mu(x): sup over cone nodes above x of tent mass / |B(b, a)|; x off [-L_b, L_b] raises."""
     fg = mu.fgrid
-    if abs(x) > fg.L_b:
+    if not abs(x) <= fg.L_b:  # also refuses NaN, whose every comparison is False
         raise ValueError("x outside the translation box")
     maxima, covered = _cone_maxima(fg, [x], _tent_ratios([mu]))
     return float(maxima[0, 0]) if covered[0] else 0.0

@@ -28,26 +28,27 @@ call and never cached, so a tail sweep alone leaves no rows on the lattice.
 A sweep over radii (:func:`tail_functional`) solves every operator on every
 distinct tail; two radii whose tails hold the same nodes share one solve.
 One walk, :func:`_tails`, orders the nodes once by decreasing
-``fgrid.dist0``, so every tail(R) is a prefix of that order, and yields each
-tail's operand on one of two routes, chosen by :func:`_use_gram` from the
-sizes alone.  When the N x N Gram matrix G_R = S_R^T S_R of the first tail
-has no more entries than its rows have nonzeros twice over, one G is
-accumulated in place from the largest radius down, each band of nodes added
-in lattice order, in dense blocks of one size (:func:`_add_gram`), and after
-each band every operator is solved on v |-> A^T(G(Av))/h, one operator after
-another.  Only G's upper triangle is kept (its lower one holds partial sums
-that are never read), and each application is one BLAS symmetric
-matrix-vector product (``dsymv``) over that half instead of two sparse
-products.  Both of the route's dense BLAS calls, the build's panel products
-(``dgemm``) and ``dsymv``, go through ``scipy.linalg.blas``: numpy bundles
-an OpenBLAS of its own, whose thread pool would keep spinning between builds
-and compete with scipy's for the same cores.  Otherwise the first tail's
-rows are copied once, in that order, each tail is a zero-copy CSR row prefix
-of the copy, and the solves run concurrently on a thread pool with one
-worker per usable core, collected in a fixed order, so that route's result
-is bitwise independent of the worker count.  The two routes agree to
-rounding.  The Gram route's products go through BLAS, whose rounding may
-depend on its thread count, so a report is byte-identical when re-run in the
+``fgrid.dist0`` and each band (the nodes one tail adds to the next smaller
+one) in lattice order, so every tail(R) is a prefix of that one order, and
+yields each tail's operand on one of two routes, chosen by :func:`_use_gram`
+from the sizes alone.  When the N x N Gram matrix G_R = S_R^T S_R of the
+first tail has no more entries than its rows have nonzeros twice over, one G
+is accumulated in place from the largest radius down, band by band, in
+dense blocks of one size (:func:`_add_gram`), and after each band every
+operator is solved on v |-> A^T(G(Av))/h, one operator after another.  Only
+G's upper triangle is kept (its lower one holds partial sums that are never
+read), and each application is one BLAS symmetric matrix-vector product
+(``dsymv``) over that half instead of two sparse products.  Both of the
+route's dense BLAS calls, the build's panel products (``dgemm``) and
+``dsymv``, go through ``scipy.linalg.blas``: numpy bundles an OpenBLAS of
+its own, whose thread pool would keep spinning between builds and compete
+with scipy's for the same cores.  Otherwise the first tail's rows are copied
+once, in that order, each tail is a zero-copy CSR row prefix of the copy,
+and the solves run concurrently on a thread pool with one worker per usable
+core, collected in a fixed order, so that route's result is bitwise
+independent of the worker count.  The two routes agree to rounding.  The
+Gram route's products go through BLAS, whose rounding may depend on its
+thread count, so a report is byte-identical when re-run in the
 same environment.
 """
 
@@ -134,27 +135,25 @@ def _add_gram(G: np.ndarray, fgrid: FrameGrid, grid: SpatialGrid, nodes: np.ndar
     """Add S^T S to ``G``'s upper triangle in place, S the analysis rows of ``nodes``.
 
     Every row is one contiguous window of columns (:func:`wavelets._windows`).
-    Every row takes one path.  The nodes are taken in lattice order, by scale
-    and then by translation, so a scale's windows come left to right, and
-    ``_PANEL`` rows at a time form one dense block over the columns their
-    windows span.  :func:`analysis_operator` gives the rows a run of whole
-    blocks at a time, about ``_PANEL * N`` nonzeros plus at most one block,
-    so each row is evaluated once and, on a lattice that caches no psi
-    matrix, the whole matrix is never held.
-    G is updated from a block ``_PANEL`` rows at a time, each panel from the
-    block rows that meet its columns, over the columns from the panel's first
-    one to the last those rows span, so only the panel's diagonal block
-    reaches below the diagonal.  G's strict lower triangle is therefore not
-    S^T S and must not be read.  Each panel is one
-    ``scipy.linalg.blas.dgemm``, in the OpenBLAS that also runs the solves'
-    ``dsymv`` (see the module docstring), on operands f2py takes uncopied:
-    the block's transpose is F-contiguous, and only the panel's columns of
-    it are copied, as the left factor.
+    Every row takes one path.  ``nodes`` is in lattice order, by scale and then
+    by translation, as :func:`_tails` sorts each band, so a scale's windows
+    come left to right, and ``_PANEL`` rows at a time form one dense block over
+    the columns their windows span.  :func:`analysis_operator` gives the rows a
+    run of whole blocks at a time, about ``_PANEL * N`` nonzeros plus at most
+    one block, so each row is evaluated once and, on a lattice that caches no
+    psi matrix, the whole matrix is never held.  G is updated from a block
+    ``_PANEL`` rows at a time, each panel from the block rows that meet its
+    columns, over the columns from the panel's first one to the last those rows
+    span, so only the panel's diagonal block reaches below the diagonal.  G's
+    strict lower triangle is therefore not S^T S and must not be read.  Each
+    panel is one ``scipy.linalg.blas.dgemm``, in the OpenBLAS that also runs
+    the solves' ``dsymv`` (see the module docstring), on operands f2py takes
+    uncopied: the block's transpose is F-contiguous, and only the panel's
+    columns of it are copied, as the left factor.
     """
     # Imported here so that runs which never build a Gram do not load scipy.linalg.
     from scipy.linalg.blas import dgemm
 
-    nodes = np.sort(nodes)
     lo, widths = _windows(fgrid, grid, nodes)
     nnz = np.add.reduceat(widths, np.arange(0, nodes.size, _PANEL))  # of each block
     run = (np.cumsum(nnz) - nnz) // (_PANEL * grid.N)
@@ -182,15 +181,19 @@ def _add_gram(G: np.ndarray, fgrid: FrameGrid, grid: SpatialGrid, nodes: np.ndar
 def _tails(fgrid: FrameGrid, grid: SpatialGrid, counts, gram: bool):
     """Yield the operand of the tail of each row count n in ``counts``, in order.
 
-    The nodes are ordered once, by the stable ``argsort(-fgrid.dist0)``, so a
-    tail's n nodes are the first n; ``counts`` must be nondecreasing (radii
-    from the largest down).  With ``gram``, one N x N array is yielded every
-    time, only its upper triangle holding S_n^T S_n: each band of new rows is
-    added to it in place by :func:`_add_gram`, so use it before asking for
-    the next.  Otherwise S_n is yielded as a zero-copy CSR row prefix of one
-    :func:`analysis_operator` matrix of the largest tail's rows.
+    ``counts`` must be nondecreasing (radii from the largest down).  The nodes
+    are ordered once, by the stable ``argsort(-fgrid.dist0)`` with each band
+    (the nodes one tail adds to the one before) then sorted into lattice order,
+    so a tail's n nodes are the first n and both routes take the rows in that
+    one order.  With ``gram``, one N x N array is yielded every time, only its
+    upper triangle holding S_n^T S_n: each band is added to it in place by
+    :func:`_add_gram`, so use it before asking for the next.  Otherwise S_n is
+    yielded as a zero-copy CSR row prefix of one :func:`analysis_operator`
+    matrix of the largest tail's rows.
     """
     order = np.argsort(-fgrid.dist0, kind="stable")
+    for lo, hi in zip([0, *counts], counts):
+        order[lo:hi].sort()
     if not gram:
         S = analysis_operator(fgrid, grid, order[:counts[-1]])
         for n in counts:
@@ -199,11 +202,9 @@ def _tails(fgrid: FrameGrid, grid: SpatialGrid, counts, gram: bool):
                 (S.data[:nnz], S.indices[:nnz], S.indptr[:n + 1]), shape=(n, grid.N), copy=False)
         return
     G = np.zeros((grid.N, grid.N))
-    done = 0
-    for n in counts:
-        if n > done:
-            _add_gram(G, fgrid, grid, order[done:n])
-            done = n
+    for lo, hi in zip([0, *counts], counts):
+        if hi > lo:
+            _add_gram(G, fgrid, grid, order[lo:hi])
         yield G
 
 

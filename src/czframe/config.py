@@ -195,7 +195,7 @@ class SuiteConfig:
         if self.seed < 0:
             raise ConfigError("seed must be nonnegative")
         memory = _physical_memory()
-        if self.resident_bytes() > memory:
+        if max(self.resident_bytes(), 8.0 * self.grid_N) > memory:  # or one sample vector
             raise ConfigError(
                 f"the run's largest arrays need more than the {memory / 2**30:.1f} GiB "
                 "of physical memory; reduce grid.N or the lattice"

@@ -225,17 +225,16 @@ def weak_compactness_profile(kernel: CZKernel, fgrid: FrameGrid, radii: np.ndarr
     """Profile R -> sup |<T f_(a,b), g_(a,b)>| over distance bins.
 
     For each radius the supremum runs over ordered pairs from
-    :func:`default_test_bundle` and over lattice nodes with d((a,b), e) in
-    [R, R + 1/2), deterministically subsampled to at most 24 nodes (evenly
-    spaced in node index).
+    :func:`default_test_bundle` and over the bin tail(R) less tail(R + 1/2) of
+    :func:`~czframe.grids.tail_nodes` (a negative or NaN R raises), subsampled
+    deterministically to at most 24 nodes (evenly spaced in node index).
     """
     bundle = default_test_bundle()
     T_ref = discretize(kernel, _REFERENCE) if kernel.bounded else None
     samples = np.column_stack([f(_LOCAL.x) for f in bundle]).astype(float)
-    dist = fgrid.dist0
     out = np.zeros(len(radii))
     for i, r in enumerate(radii):
-        idx = np.flatnonzero((dist >= r) & (dist < r + _BIN_WIDTH))
+        idx = np.flatnonzero(tail_nodes(fgrid, r) & ~tail_nodes(fgrid, r + _BIN_WIDTH))
         if idx.size > _MAX_NODES_PER_BIN:
             sel = np.linspace(0, idx.size - 1, _MAX_NODES_PER_BIN).astype(int)
             idx = idx[sel]

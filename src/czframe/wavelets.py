@@ -17,13 +17,11 @@ and paraproduct factors built on them elsewhere) is a product with one
 sparse matrix per generator from :func:`frame_rows`, cached on the lattice.
 Its rows are always the L2 dilates a^{-1/2} fn((x - b)/a); an L1 pairing is
 the L2 one times a^{-1/2}.  A caller that needs some rows only once asks
-:func:`frame_rows` for those nodes: the analysis operator of the tail
-sweeps takes them a run at a time, copied from the cache when there is one
-and built uncached otherwise.  A caller that needs the coefficients only
-once, the decay fit, streams them with :func:`_analysis_blocks` in blocks
-of whole scales, so the full matrix is never built for it; a lattice that
-already caches psi's matrix serves it from the cache.  Every row is built by
-:func:`_scale_rows`, for a node set in lattice order, which evaluates the
+:func:`frame_rows` for those nodes, copied from the cache when there is
+one and built uncached otherwise: the tail sweeps' analysis operator a run
+at a time, and the decay fit (:func:`_analysis_blocks`) a block of whole
+scales at a time.  :func:`frame_rows` is the one door to the row builder,
+:func:`_scale_rows`, which takes a sorted index array and evaluates the
 generator in cache-sized chunks of whole rows, so a row is the same bits
 whichever way it is asked for.
 """
@@ -152,40 +150,35 @@ def _windows(fgrid: FrameGrid, grid: SpatialGrid, nodes):
     return i_lo, np.maximum(i_hi - i_lo, 0)
 
 
-def _scale_rows(fn, fgrid: FrameGrid, grid: SpatialGrid, nodes):
-    """The :func:`frame_rows` rows of the lattice nodes ``nodes``, in lattice order, uncached.
+def _scale_rows(fn, fgrid: FrameGrid, grid: SpatialGrid, nodes: np.ndarray):
+    """The :func:`frame_rows` rows of ``nodes``, a checked and sorted index array, uncached.
 
-    ``nodes`` is a slice of the lattice or a sorted array of node indices, so
-    a scale's rows are consecutive.  One CSR is preallocated and filled scale
-    by scale (a scale's nodes share one dilation).  A scale's rows of n
-    nonzeros are cut into round(n / ``_CHUNK_NNZ``) chunks (at least one) of
-    equally many whole rows, so a chunk holds about ``_CHUNK_NNZ`` nonzeros
-    unless one row is wider.  A chunk's columns are written into ``indices``
-    and its arguments (x - b)/a into one reused buffer, so peak memory is the
-    finished rows plus chunk-sized temporaries.  Every entry is the same
-    elementwise expression as in :func:`frame_element`, so the chunking does
-    not change a bit.
+    One CSR is preallocated and filled scale by scale (a scale's nodes share
+    one dilation and its rows are consecutive), skipping the scales that hold
+    none of ``nodes``.  A scale's rows of n nonzeros are cut into round(n /
+    ``_CHUNK_NNZ``) chunks (at least one) of equally many whole rows, so a
+    chunk holds about ``_CHUNK_NNZ`` nonzeros unless one row is wider.  A
+    chunk's columns are written into ``indices`` and its arguments (x - b)/a
+    into one reused buffer, so peak memory is the finished rows plus
+    chunk-sized temporaries.  Every entry is the same elementwise expression
+    as in :func:`frame_element`, so the chunking does not change a bit.
     """
     i_lo, widths = _windows(fgrid, grid, nodes)
-    b = fgrid.b[nodes]
     indptr = np.zeros(widths.size + 1, dtype=np.int32)
     np.cumsum(widths, out=indptr[1:])
     del widths  # each scale's widths come from indptr, so one node-sized array stays
     shift = np.subtract(indptr[:-1], i_lo, out=i_lo)  # entry p of row k is column p - shift[k]
-    if isinstance(nodes, slice):
-        ends = np.clip(fgrid.offsets[1:], nodes.start, nodes.stop) - nodes.start
-    else:
-        ends = np.searchsorted(nodes, fgrid.offsets[1:])
+    bounds = np.searchsorted(nodes, fgrid.offsets).tolist()  # scale j's rows: bounds[j:j + 2]
     data = np.empty(indptr[-1])
     indices = np.empty(indptr[-1], dtype=np.int32)
     ramp, buf = np.arange(0, dtype=np.int32), np.empty(0)  # grown to the widest chunk
     x = grid.x
-    r_start = 0
-    for j, r_end in enumerate(ends.tolist()):  # the rows of scale j are [r_start, r_end)
+    for j in np.flatnonzero(np.diff(bounds)).tolist():  # the scales that hold a node
+        r_start, r_end = bounds[j], bounds[j + 1]
         aj, root = fgrid.scales[j], math.sqrt(fgrid.scales[j])
-        w_j = np.diff(indptr[r_start : r_end + 1])
+        w_j, b_j = np.diff(indptr[r_start : r_end + 1]), fgrid.b[nodes[r_start:r_end]]
         runs = max(1, round(int(indptr[r_end] - indptr[r_start]) / _CHUNK_NNZ))
-        step = max(1, -(-(r_end - r_start) // runs))  # rows per chunk, rounded up
+        step = -(-(r_end - r_start) // runs)  # rows per chunk, rounded up
         for r0 in range(r_start, r_end, step):
             r1 = min(r0 + step, r_end)
             p0, p1 = int(indptr[r0]), int(indptr[r1])
@@ -193,15 +186,14 @@ def _scale_rows(fn, fgrid: FrameGrid, grid: SpatialGrid, nodes):
                 continue
             if buf.size < p1 - p0:
                 ramp, buf = np.arange(p1 - p0, dtype=np.int32), np.empty(p1 - p0)
-            w = w_j[r0 - r_start : r1 - r_start]
+            w, b = w_j[r0 - r_start : r1 - r_start], b_j[r0 - r_start : r1 - r_start]
             cols = np.add(ramp[: p1 - p0], p0, out=indices[p0:p1])
             cols -= np.repeat(shift[r0:r1], w)
             u = np.take(x, cols, out=buf[: p1 - p0], mode="clip")  # unbuffered; cols are in range
-            u -= np.repeat(b[r0:r1], w)
+            u -= np.repeat(b, w)
             u /= aj
             np.divide(fn(u), root, out=data[p0:p1])
-        r_start = r_end
-    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(b.size, grid.N))
+    return scipy.sparse.csr_matrix((data, indices, indptr), shape=(nodes.size, grid.N))
 
 
 def frame_rows(fn, fgrid: FrameGrid, grid: SpatialGrid, nodes=None) -> scipy.sparse.csr_matrix:
@@ -213,30 +205,35 @@ def frame_rows(fn, fgrid: FrameGrid, grid: SpatialGrid, nodes=None) -> scipy.spa
     factors are all products with this matrix; an L1-normalized pairing is
     the L2 one times a_k^{-1/2}.  It is cached on ``fgrid`` under
     ``(fn, grid)``, so it lives exactly as long as the lattice.  ``fn`` must
-    be hashable.
+    be hashable.  This is the one door to :func:`_scale_rows`, which builds
+    the cached matrix from every node index.
 
-    With ``nodes``, an array of node indices, the result is a new matrix of
-    those nodes' rows, in that order: copied from the cached matrix when
-    there is one, and otherwise built by :func:`_scale_rows` and not cached,
-    for nodes out of lattice order as one sorted matrix whose rows are then
-    taken in the given order.  Either way it is the same bits, so a caller
-    that needs some rows once, such as the analysis operator, never makes
-    the lattice hold them all.  A single product on a lattice that is
-    dropped next should stream :func:`_analysis_blocks` instead.
+    With ``nodes``, a 1-D integer array of indices in [0, n_nodes) (anything
+    else, such as a mask or a negative index, raises ``ValueError``, cached or
+    not), the result is a new matrix of those rows, in that order: copied from
+    the cached matrix when there is one, and otherwise built by
+    :func:`_scale_rows` in lattice order, then taken in the given order, and
+    not cached.  Either way it is the same bits, so a caller that needs some
+    rows once, such as the analysis operator or the decay fit's blocks, never
+    makes the lattice hold them all.
     """
     key = (fn, grid)
     rows = fgrid._rows.get(key)
-    if nodes is not None:
-        if rows is not None:
-            return rows[nodes]
-        nodes = np.asarray(nodes)
-        if np.all(nodes[1:] >= nodes[:-1]):
-            return _scale_rows(fn, fgrid, grid, nodes)
-        ordered = np.sort(nodes)
-        return _scale_rows(fn, fgrid, grid, ordered)[np.searchsorted(ordered, nodes)]
-    if rows is None:
-        rows = fgrid._rows[key] = _scale_rows(fn, fgrid, grid, slice(0, fgrid.n_nodes))
-    return rows
+    if nodes is None:
+        if rows is None:
+            rows = fgrid._rows[key] = _scale_rows(fn, fgrid, grid, np.arange(fgrid.n_nodes))
+        return rows
+    nodes = np.asarray(nodes)
+    if nodes.ndim != 1 or nodes.dtype.kind not in "iu":
+        raise ValueError("nodes must be a 1-D integer array")
+    if nodes.size and not (nodes.min() >= 0 and nodes.max() < fgrid.n_nodes):
+        raise ValueError(f"nodes must lie in [0, {fgrid.n_nodes})")
+    if rows is not None:
+        return rows[nodes]
+    if np.all(nodes[1:] >= nodes[:-1]):
+        return _scale_rows(fn, fgrid, grid, nodes)
+    ordered = np.sort(nodes)
+    return _scale_rows(fn, fgrid, grid, ordered)[np.searchsorted(ordered, nodes)]
 
 
 def _analysis_blocks(f: SampledFunction, fgrid: FrameGrid):
@@ -246,9 +243,10 @@ def _analysis_blocks(f: SampledFunction, fgrid: FrameGrid):
     caches psi's :func:`frame_rows` matrix on this grid, the one block is the
     whole lattice, applied with that matrix.  Otherwise a block holds at most
     ``_BLOCK_NNZ`` row nonzeros, unless one scale alone has more; its rows
-    are built by :func:`_scale_rows`, applied once and dropped, never cached
-    on ``fgrid``.  A CSR product sums each row in index order, so the
-    coefficients are bitwise the same either way.
+    come from :func:`frame_rows` for the block's node indices, applied once
+    and dropped before the yield (so two blocks are never held at once), and
+    never cached on ``fgrid``.  A CSR product sums each row in index order, so
+    the coefficients are bitwise the same either way.
     """
     psi = make_mother_wavelet()
     rows = fgrid._rows.get((psi, f.grid))
@@ -261,7 +259,8 @@ def _analysis_blocks(f: SampledFunction, fgrid: FrameGrid):
     while j0 < fgrid.scales.size:
         j1 = max(j0 + 1, int(np.searchsorted(starts, starts[j0] + _BLOCK_NNZ, side="right")) - 1)
         nodes = slice(int(fgrid.offsets[j0]), int(fgrid.offsets[j1]))
-        yield nodes, (_scale_rows(psi, fgrid, f.grid, nodes) @ f.values) * f.grid.h
+        coeffs = frame_rows(psi, fgrid, f.grid, np.arange(nodes.start, nodes.stop)) @ f.values
+        yield nodes, coeffs * f.grid.h
         j0 = j1
 
 

@@ -62,6 +62,13 @@ def test_point_mass_carleson_function(fgrid):
         carleson_function(mu, 1e9)
 
 
+def test_carleson_function_refuses_a_nan_point(fgrid):
+    # NaN compares False with the box edge, so it must be refused, not read as an empty cone
+    mu = point_mass(fgrid, fgrid.n_nodes // 3)
+    with pytest.raises(ValueError, match="outside the translation box"):
+        carleson_function(mu, np.nan)
+
+
 def test_vanishing_profile_monotone_and_compact_support(grid, fgrid):
     f = SampledFunction.from_callable(grid, partial(smooth_bump, center=0.0, width=2.0))
     mu = coefficient_measure(f, fgrid)

@@ -551,7 +551,16 @@ def test_sweep_workers_follow_usable_cores(monkeypatch):
     assert compactness._sweep_workers(2) == 2
 
 
+def _band_order(fgrid, radii):
+    """The nodes of tail(R), R in ``radii`` from the largest down, each band in lattice order."""
+    masks = [tail_nodes(fgrid, R) for R in sorted(radii, reverse=True)]
+    before = [np.zeros(fgrid.n_nodes, dtype=bool), *masks[:-1]]
+    return np.concatenate([np.flatnonzero(m & ~b) for b, m in zip(before, masks)])
+
+
 def test_sparse_tails_are_row_prefixes_of_one_sorted_copy(small_grid, small_fgrid, monkeypatch):
+    # the one copy holds the bands (the nodes one tail adds to the next
+    # smaller one), each sorted into lattice order, and every tail is a prefix
     build, copies = compactness.analysis_operator, []
 
     def recorded(*args):
@@ -562,9 +571,9 @@ def test_sparse_tails_are_row_prefixes_of_one_sorted_copy(small_grid, small_fgri
     ascending = compactness._tail_counts(small_fgrid, SWEEP_RADII)[::-1]
     views = list(compactness._tails(small_fgrid, small_grid, ascending, gram=False))
     [S_sorted] = copies
-    order = np.argsort(-small_fgrid.dist0, kind="stable")
+    order = _band_order(small_fgrid, SWEEP_RADII)
     S = build(small_fgrid, small_grid)
-    assert np.all(np.diff(small_fgrid.dist0[order]) <= 0.0)
+    assert np.array_equal(S_sorted.toarray(), S[order].toarray())
     for R, view in zip(SWEEP_RADII[::-1], views):
         for part in ("data", "indices", "indptr"):
             assert np.shares_memory(getattr(view, part), getattr(S_sorted, part))
@@ -587,6 +596,24 @@ def test_sparse_tails_are_row_prefixes_of_one_sorted_copy(small_grid, small_fgri
         assert copy.shape[0] == np.count_nonzero(tail_nodes(small_fgrid, radii[0]))
         copied.append(copy.shape[0])
     assert copied[1] < copied[0] == small_fgrid.n_nodes
+
+
+def test_both_routes_ask_for_rows_in_one_order(small_grid, small_fgrid, monkeypatch):
+    # the sparse route's one request is the Gram route's run requests joined,
+    # band by band, each band in lattice order
+    monkeypatch.setattr(compactness, "_PANEL", 8)  # several runs in a band
+    build, asked = compactness.analysis_operator, {True: [], False: []}
+    counts = sorted(set(compactness._tail_counts(small_fgrid, GRAM_RADII)))
+    for gram in (True, False):
+        monkeypatch.setattr(compactness, "analysis_operator",
+                            lambda fg, g, nodes, gram=gram: asked[gram].append(nodes.copy())
+                            or build(fg, g, nodes))
+        for _ in compactness._tails(small_fgrid, small_grid, counts, gram):
+            pass
+    [sparse] = asked[False]
+    assert len(asked[True]) > len(counts)
+    assert np.array_equal(np.concatenate(asked[True]), sparse)
+    assert np.array_equal(sparse, _band_order(small_fgrid, GRAM_RADII))
 
 
 @pytest.mark.parametrize("panel", [None, 8])

@@ -182,6 +182,13 @@ def test_schur_tail_refuses_a_nan_radius(grid, fgrid):
         schur_tail(get_model("hilbert").kernel, fgrid, grid, [0.0, np.nan])
 
 
+def test_weak_compactness_profile_refuses_a_nan_or_negative_radius(fgrid):
+    # its bins are cut by tail_nodes, which refuses both, as every other sweep does
+    for r in (np.nan, -1.0):
+        with pytest.raises(ValueError, match="nonnegative"):
+            weak_compactness_profile(get_model("hilbert").kernel, fgrid, np.array([1.0, r]))
+
+
 def test_schur_tail_monotone_and_decaying(grid, fgrid):
     kern = get_model("hilbert").kernel
     t0, t1, t6 = schur_tail(kern, fgrid, grid, [0.0, 1.0, 6.0])

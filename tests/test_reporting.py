@@ -614,6 +614,7 @@ _one_entry_junk = st.builds(
 @settings(max_examples=500, deadline=None)
 @given(_config | _one_entry_junk | _json)
 @example({"grid": {"N": 10**400}})
+@example({"grid": {"L": 2**63, "N": 2**69}, "diagnostics": ["frame"], "frame": {"L_b": 1}})
 def test_from_dict_validates_or_raises_config_error(raw):
     try:
         cfg = SuiteConfig.from_dict(raw)

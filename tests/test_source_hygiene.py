@@ -18,13 +18,15 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "czframe"
 MODULES = sorted(SRC.glob("*.py"))
 DEFS, FUNCTIONS = "FunctionDef AsyncFunctionDef ClassDef", "FunctionDef AsyncFunctionDef Lambda"
 # The (module, top-level def) that may call kernel_matrix: discretize's dense backend and the
-# dense oracle; svdvals: the oracle of the tail solves; _scale_rows: the cached and node-set rows
-# and the decay fit's blocks; frame_rows: analyze/synthesize, the analysis operator, the paraproduct.
+# dense oracle; svdvals: the oracle of the tail solves; _scale_rows: frame_rows alone, the one door
+# to every row; frame_rows: analyze/synthesize, the decay fit's blocks, the analysis operator and
+# the paraproduct.
 DENSE_ASSEMBLY = {("operators", "discretize"), ("compactness", "operator_matrix")}
 DENSE_SVD = {("compactness", "singular_spectrum")}
-ROW_BUILDS = {("wavelets", "frame_rows"), ("wavelets", "_analysis_blocks")}
+ROW_BUILDS = {("wavelets", "frame_rows")}
 FRAME_ROWS_CALLERS = {("wavelets", "analyze"), ("wavelets", "synthesize"),
-                      ("compactness", "analysis_operator"), ("paraproducts", "paraproduct_operator")}
+                      ("wavelets", "_analysis_blocks"), ("compactness", "analysis_operator"),
+                      ("paraproducts", "paraproduct_operator")}
 GENERATOR_NAMES = {"psi", "phi"}  # frame_rows, analyze and synthesize take one as ``fn``
 # rmatvec time-reverses a real Toeplitz column: it applies the conjugate of the column's FFT
 # symbol, taken once when the operator is made.
@@ -381,13 +383,13 @@ def paraproduct_operator(symbol, phi, psi, grid):
     return wavelets.frame_rows(psi, symbol.fgrid, grid)
 """}, {"frame_rows_callers_are_confined": [
         ("paraproduct_apply", 2, None), ("wavelets", "analyze", None, "stale"),
-        ("wavelets", "synthesize", None, "stale"),
+        ("wavelets", "synthesize", None, "stale"), ("wavelets", "_analysis_blocks", None, "stale"),
         ("compactness", "analysis_operator", None, "stale")]})],
     "a_second_row_builder": [({"wavelets": """def frame_rows(fn, fgrid, grid):
     return _scale_rows(fn, fgrid, grid)
 def analyze(f, fn, fgrid):
     return _scale_rows(fn, fgrid, f.grid) @ f.values
-"""}, {"frame_row_builder_is_confined": [("analyze", 4, None), ("_analysis_blocks", None, "stale")]})],
+"""}, {"frame_row_builder_is_confined": [("analyze", 4, None)]})],
     "kernel_matrix_calls": [({"m": """K = kernel_matrix(k, g)
 def f():
     return operators.kernel_matrix(k, g) * h

@@ -169,8 +169,8 @@ def test_frame_rows_cached_per_function_and_grid(psi, tiny):
 
 
 def _scale_nodes(fg, j0, j1):
-    """The nodes of scales [j0, j1) as a slice of the lattice."""
-    return slice(int(fg.offsets[j0]), int(fg.offsets[j1]))
+    """The nodes of scales [j0, j1) as a sorted index array, the one node form of _scale_rows."""
+    return np.arange(fg.offsets[j0], fg.offsets[j1])
 
 
 def test_scale_blocks_match_frame_rows_bitwise(psi, tiny):
@@ -201,6 +201,31 @@ def test_scale_blocks_match_frame_rows_bitwise(psi, tiny):
         assert blocks[-1][0].stop == fg.n_nodes
         assert np.concatenate([c for _, c in blocks]).tobytes() == full.tobytes()
     assert twin._rows == {}
+
+
+def test_frame_rows_checks_every_node_set_cached_or_not(psi):
+    # both lattices refuse the same node sets, rather than reading a negative
+    # index from the end or a mask as a selection, and give every valid set,
+    # in any order, as the same bits
+    grid = SpatialGrid(4.0, 64)
+    cached, bare = (make_frame_grid(grid, 0.25, 16.0, s=0.5, cone_factor=1.0) for _ in range(2))
+    frame_rows(psi, cached, grid)
+    n = bare.n_nodes
+    bad = [np.array([3, -1]), np.array([0, n]), np.ones(n, dtype=bool), np.array([0.0, 1.0]),
+           np.array([[0, 1]]), np.arange(n)[::-1].reshape(1, -1)]
+    for lattice in (cached, bare):
+        for nodes in bad:
+            with pytest.raises(ValueError, match="nodes"):
+                frame_rows(psi, lattice, grid, nodes)
+    perm = np.random.default_rng(3).permutation(n)
+    valid = [np.arange(n), perm, np.sort(perm[: n // 3]), perm[: n // 2].astype(np.uint32),
+             np.array([n - 1, 5, 5, 0], dtype=np.int32), [2, 1], np.array([], dtype=int)]
+    for nodes in valid:
+        want, got = (frame_rows(psi, lattice, grid, nodes) for lattice in (cached, bare))
+        assert got.shape == want.shape == (len(nodes), grid.N)
+        for part in ("data", "indices", "indptr"):
+            assert getattr(got, part).tobytes() == getattr(want, part).tobytes()
+    assert bare._rows == {}
 
 
 def _small_lattice(shape):
@@ -355,9 +380,10 @@ def test_decay_block_build_peaks_near_its_csr_bytes(psi):
     nodes, _ = next(_analysis_blocks(SampledFunction(grid, np.zeros(grid.N)), fg))
     j1 = int(np.searchsorted(fg.offsets, nodes.stop))
     assert fg.offsets[j1] == nodes.stop
+    nodes = _scale_nodes(fg, 0, j1)  # the input, made before the build is traced
     tracemalloc.start()
     try:
-        rows = _scale_rows(psi, fg, grid, _scale_nodes(fg, 0, j1))
+        rows = _scale_rows(psi, fg, grid, nodes)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
