@@ -63,7 +63,8 @@ import scipy.sparse
 
 from .grids import FrameGrid, SampledFunction, SpatialGrid, tail_nodes
 from .operators import CZKernel, DiscreteOperator, kernel_matrix
-from .wavelets import _windows, frame_rows, make_mother_wavelet
+from . import wavelets
+from .wavelets import _windows, frame_rows, make_mother_wavelet, row_runs
 
 __all__ = [
     "LanczosResult",
@@ -79,11 +80,6 @@ __all__ = [
 # of the normal operator; the largest solve measured took 190 (Hilbert, N = 4096).
 _TOL = 1e-6
 _MAXITER = 500
-
-# The one block size of a tail Gram build: rows enter as dense blocks of this
-# many rows, copied in runs of whole blocks of about _PANEL * N nonzeros, and G
-# is updated this many rows at a time.
-_PANEL = 128
 
 
 def _use_gram(n: int, nnz: float) -> bool:
@@ -137,12 +133,12 @@ def _add_gram(G: np.ndarray, fgrid: FrameGrid, grid: SpatialGrid, nodes: np.ndar
     Every row is one contiguous window of columns (:func:`wavelets._windows`).
     Every row takes one path.  ``nodes`` is in lattice order, by scale and then
     by translation, as :func:`_tails` sorts each band, so a scale's windows
-    come left to right, and ``_PANEL`` rows at a time form one dense block over
-    the columns their windows span.  :func:`analysis_operator` gives the rows a
-    run of whole blocks at a time, about ``_PANEL * N`` nonzeros plus at most
-    one block, so each row is evaluated once and, on a lattice that caches no
-    psi matrix, the whole matrix is never held.  G is updated from a block
-    ``_PANEL`` rows at a time, each panel from the block rows that meet its
+    come left to right.  The rows are walked as :func:`wavelets.row_runs` cuts
+    them, each run from :func:`analysis_operator`, so each row is evaluated
+    once and, on a lattice that caches no psi matrix, the whole matrix is
+    never held; each of a run's blocks of ``wavelets._BLOCK`` rows is one
+    dense block over the columns its windows span.  G is updated from a block
+    ``_BLOCK`` rows at a time, each panel from the block rows that meet its
     columns, over the columns from the panel's first one to the last those rows
     span, so only the panel's diagonal block reaches below the diagonal.  G's
     strict lower triangle is therefore not S^T S and must not be read.  Each
@@ -154,21 +150,20 @@ def _add_gram(G: np.ndarray, fgrid: FrameGrid, grid: SpatialGrid, nodes: np.ndar
     # Imported here so that runs which never build a Gram do not load scipy.linalg.
     from scipy.linalg.blas import dgemm
 
-    lo, widths = _windows(fgrid, grid, nodes)
-    nnz = np.add.reduceat(widths, np.arange(0, nodes.size, _PANEL))  # of each block
-    run = (np.cumsum(nnz) - nnz) // (_PANEL * grid.N)
-    cuts = (np.flatnonzero(np.diff(run)) + 1) * _PANEL
-    for part, starts, ends in zip(*(np.split(x, cuts) for x in (nodes, lo, lo + widths))):
+    panel = wavelets._BLOCK
+    for part in row_runs(fgrid, grid, nodes):
+        starts, widths = _windows(fgrid, grid, part)
+        ends = starts + widths
         S = analysis_operator(fgrid, grid, part)
-        for r0 in range(0, part.size, _PANEL):
-            first, last = starts[r0:r0 + _PANEL], ends[r0:r0 + _PANEL]
+        for r0 in range(0, part.size, panel):
+            first, last = starts[r0:r0 + panel], ends[r0:r0 + panel]
             c0, c1 = int(first.min()), int(last.max())
             p = S.indptr[r0:r0 + first.size + 1]
             block = np.zeros((first.size, c1 - c0))
             block[np.repeat(np.arange(first.size), np.diff(p)), S.indices[p[0]:p[-1]] - c0] = \
                 S.data[p[0]:p[-1]]
-            for p0 in range(c0, c1, _PANEL):
-                p1 = min(p0 + _PANEL, c1)
+            for p0 in range(c0, c1, panel):
+                p1 = min(p0 + panel, c1)
                 meet = (first < p1) & (last > p0)
                 if meet.any():  # the block's windows may leave a gap
                     j1 = max(int(last[meet].max()), p1)

@@ -143,7 +143,7 @@ class SuiteConfig:
         if "N" in grid:
             kwargs["grid_N"] = _integer(grid["N"], "grid.N")
         for key, val in _section(raw, "frame", schema["frame"]).items():
-            if val is not None:
+            if not (key == "L_b" and val is None):  # a null L_b is the box half-width
                 kwargs[key] = _finite(val, f"frame.{key}")
         for key in ("operators", "diagnostics"):
             if key in raw:
@@ -221,13 +221,14 @@ class SuiteConfig:
         ``compactness._use_gram`` holds on the row estimate, and otherwise
         holds a sorted copy of the first tail's rows next to the cached ones:
         12 B per row nonzero more.  The row term is counted for every run,
-        an upper bound: rk_tail builds only the rows it uses and caches
-        none, so in a run in which no other diagnostic caches psi's rows the
-        Gram route never holds them all, and the sparse route holds its
-        lattice-order build of the first tail's rows only while it takes the
-        copy.  The dense term is the actual peak: ``kernel_matrix``,
-        the dense ``window_sums`` and the Gram build go by blocks, so their
-        temporaries are small.
+        an upper bound: rk_tail and the decay fit cache no rows, and the
+        Gram build and the decay fit walk psi's rows a run of
+        ``wavelets.row_runs`` at a time (about ``128 * N`` nonzeros), so in a
+        run in which no other diagnostic caches psi's rows neither holds them
+        all, and the sparse route holds its lattice-order build of the first
+        tail's rows only while it takes the copy.  The dense term is the
+        actual peak: ``kernel_matrix``, the dense ``window_sums`` and the Gram
+        build go by blocks, so their temporaries are small.
         Summing stops as soon as the estimate exceeds the physical memory, so
         a lattice with more scales than fit is never visited in full.  Call it only on a
         validated grid and frame.

@@ -11,6 +11,7 @@ Every bump evaluates one step, e(t) = exp(-1/t) for t > 0 and 0 otherwise
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -54,9 +55,15 @@ class SpatialGrid:
     def h(self) -> float:
         return 2.0 * self.L / self.N
 
-    @property
+    @functools.cached_property
     def x(self) -> np.ndarray:
-        return -self.L + self.h * np.arange(self.N)
+        """The N sample points -L + h*i, made on the first read and read-only.
+
+        Not a field, so equality and hashing (grids key the row cache) see only L and N.
+        """
+        x = -self.L + self.h * np.arange(self.N)
+        x.flags.writeable = False
+        return x
 
 
 @dataclass

@@ -33,8 +33,8 @@ from .grids import FrameGrid, SampledFunction, SpatialGrid, smooth_bump, tail_no
 from .operators import CZKernel, apply_kernel, conjugate, discretize
 # Never called here; perfbench's tracer test still expects this binding.
 from .operators import kernel_matrix  # noqa: F401
-from .wavelets import (CoefficientField, _analysis_blocks, analyze, frame_element,
-                       make_mother_wavelet)
+from .wavelets import (CoefficientField, analyze, frame_element, frame_rows, make_mother_wavelet,
+                       row_runs)
 
 __all__ = [
     "decay_majorant",
@@ -124,12 +124,14 @@ def verify_decay(kernel: CZKernel, fgrid: FrameGrid, grid: SpatialGrid) -> float
     """Fit the smallest C with |coeff(a,b)| <= C * bound(a,b), delta = kernel.delta.
 
     The coefficients are those of :func:`coefficient_field` at the identity
-    anchor, from :func:`~czframe.wavelets._analysis_blocks`: psi's frame rows
-    cached on ``fgrid`` when it holds them, and otherwise streamed in blocks
-    of whole scales, each block's ratios reduced to their maximum and the
-    block dropped, so that neither the full frame-row matrix nor the per-node
-    ratios are ever resident.  Nothing is cached on ``fgrid``.  The maximum
-    is exact, so C is bitwise the whole-lattice one either way.
+    anchor, taken a run at a time as :func:`~czframe.wavelets.row_runs` cuts
+    the lattice: each run's psi rows from :func:`~czframe.wavelets.frame_rows`
+    (copied from ``fgrid``'s cache when it holds them, built uncached
+    otherwise), its ratios reduced to their maximum and the run dropped, so
+    that neither the full frame-row matrix nor the per-node ratios are ever
+    resident.  Nothing is cached on ``fgrid``.  A CSR product sums each row
+    in index order and the maximum is exact, so C is bitwise the
+    whole-lattice one either way.
     """
     if not kernel.exact_cancellation:
         warnings.warn(
@@ -137,10 +139,11 @@ def verify_decay(kernel: CZKernel, fgrid: FrameGrid, grid: SpatialGrid) -> float
             "majorant is not guaranteed",
             stacklevel=2,
         )
-    Tpsi = apply_kernel(kernel, frame_element(IDENTITY, grid))
-    block_max = [np.max(np.abs(c) / decay_majorant(kernel.delta, fgrid.a[nodes], fgrid.b[nodes]))
-                 for nodes, c in _analysis_blocks(Tpsi, fgrid)]
-    return float(np.max(block_max))  # np.max propagates NaN
+    Tpsi, psi = apply_kernel(kernel, frame_element(IDENTITY, grid)), make_mother_wavelet()
+    run_max = [np.max(np.abs(frame_rows(psi, fgrid, grid, run) @ Tpsi.values * grid.h)
+                      / decay_majorant(kernel.delta, fgrid.a[run], fgrid.b[run]))
+               for run in row_runs(fgrid, grid, np.arange(fgrid.n_nodes))]
+    return float(np.max(run_max))  # np.max propagates NaN
 
 
 def default_anchor_lattice() -> tuple[GroupPoint, ...]:

@@ -16,14 +16,14 @@ Every lattice-wide operation (analysis, synthesis, and the bump pairings
 and paraproduct factors built on them elsewhere) is a product with one
 sparse matrix per generator from :func:`frame_rows`, cached on the lattice.
 Its rows are always the L2 dilates a^{-1/2} fn((x - b)/a); an L1 pairing is
-the L2 one times a^{-1/2}.  A caller that needs some rows only once asks
-:func:`frame_rows` for those nodes, copied from the cache when there is
-one and built uncached otherwise: the tail sweeps' analysis operator a run
-at a time, and the decay fit (:func:`_analysis_blocks`) a block of whole
-scales at a time.  :func:`frame_rows` is the one door to the row builder,
-:func:`_scale_rows`, which takes a sorted index array and evaluates the
-generator in cache-sized chunks of whole rows, so a row is the same bits
-whichever way it is asked for.
+the L2 one times a^{-1/2}.  A caller that reads some rows only once walks
+them by one rule, :func:`row_runs`: runs of whole ``_BLOCK``-row blocks of
+about ``_BLOCK * N`` nonzeros, each asked of :func:`frame_rows`, copied from
+the cache when there is one and built uncached otherwise.  The tail Gram
+build and the decay fit walk this way.  :func:`frame_rows` is the one door
+to the row builder, :func:`_scale_rows`, which takes a sorted index array
+and evaluates the generator in cache-sized chunks of whole rows, so a row is
+the same bits whichever way it is asked for.
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ __all__ = [
     "bump_phi",
     "frame_element",
     "frame_rows",
+    "row_runs",
     "analyze",
     "synthesize",
 ]
@@ -130,9 +131,10 @@ def frame_element(point: GroupPoint, grid: SpatialGrid) -> SampledFunction:
     return SampledFunction(grid, make_mother_wavelet()(u) / math.sqrt(point.a))
 
 
-# Nonzeros per block of :func:`_analysis_blocks`: about 25 MB of CSR at 12 B a
-# nonzero (a float64 value and an int32 column index).
-_BLOCK_NNZ = 1 << 21
+# Rows per block of :func:`row_runs`, whose runs hold about _BLOCK * N
+# nonzeros (3 MB of CSR at N = 2048); the tail Gram build's dense blocks and
+# panels have this size too.
+_BLOCK = 128
 
 # Target nonzeros per chunk of whole rows in :func:`_scale_rows`: a 256 kB
 # float64 argument, so the generator's few temporaries of that size stay in a
@@ -214,8 +216,8 @@ def frame_rows(fn, fgrid: FrameGrid, grid: SpatialGrid, nodes=None) -> scipy.spa
     the cached matrix when there is one, and otherwise built by
     :func:`_scale_rows` in lattice order, then taken in the given order, and
     not cached.  Either way it is the same bits, so a caller that needs some
-    rows once, such as the analysis operator or the decay fit's blocks, never
-    makes the lattice hold them all.
+    rows once, such as a walk over :func:`row_runs`, never makes the lattice
+    hold them all.  This is the one reader of the cache.
     """
     key = (fn, grid)
     rows = fgrid._rows.get(key)
@@ -236,32 +238,20 @@ def frame_rows(fn, fgrid: FrameGrid, grid: SpatialGrid, nodes=None) -> scipy.spa
     return _scale_rows(fn, fgrid, grid, ordered)[np.searchsorted(ordered, nodes)]
 
 
-def _analysis_blocks(f: SampledFunction, fgrid: FrameGrid):
-    """Yield ``(nodes, coefficients)`` of psi's :func:`analyze`, a block of whole scales at a time.
+def row_runs(fgrid: FrameGrid, grid: SpatialGrid, nodes: np.ndarray) -> list[np.ndarray]:
+    """Cut the sorted node array ``nodes`` into consecutive runs of whole blocks.
 
-    ``nodes`` is the block's slice of the lattice.  When ``fgrid`` already
-    caches psi's :func:`frame_rows` matrix on this grid, the one block is the
-    whole lattice, applied with that matrix.  Otherwise a block holds at most
-    ``_BLOCK_NNZ`` row nonzeros, unless one scale alone has more; its rows
-    come from :func:`frame_rows` for the block's node indices, applied once
-    and dropped before the yield (so two blocks are never held at once), and
-    never cached on ``fgrid``.  A CSR product sums each row in index order, so
-    the coefficients are bitwise the same either way.
+    A block is ``_BLOCK`` consecutive entries of ``nodes`` (the last may be
+    short), and block b joins run floor(n_b / (``_BLOCK`` * N)), n_b the row
+    nonzeros of the blocks before it, so a run holds about ``_BLOCK * N``
+    nonzeros plus at most one block.  The runs are views of ``nodes``, in
+    order: ask :func:`frame_rows` for each run's rows, so a walk over them
+    never holds more than one run, cached or not.
     """
-    psi = make_mother_wavelet()
-    rows = fgrid._rows.get((psi, f.grid))
-    if rows is not None:
-        yield slice(0, fgrid.n_nodes), (rows @ f.values) * f.grid.h
-        return
-    _, widths = _windows(fgrid, f.grid, slice(None))
-    starts = np.concatenate([[0], np.cumsum(widths)])[fgrid.offsets]  # nonzeros before each scale
-    j0 = 0
-    while j0 < fgrid.scales.size:
-        j1 = max(j0 + 1, int(np.searchsorted(starts, starts[j0] + _BLOCK_NNZ, side="right")) - 1)
-        nodes = slice(int(fgrid.offsets[j0]), int(fgrid.offsets[j1]))
-        coeffs = frame_rows(psi, fgrid, f.grid, np.arange(nodes.start, nodes.stop)) @ f.values
-        yield nodes, coeffs * f.grid.h
-        j0 = j1
+    _, widths = _windows(fgrid, grid, nodes)
+    nnz = np.add.reduceat(widths, np.arange(0, nodes.size, _BLOCK))  # of each block
+    run = (np.cumsum(nnz) - nnz) // (_BLOCK * grid.N)
+    return np.split(nodes, (np.flatnonzero(np.diff(run)) + 1) * _BLOCK)
 
 
 def analyze(f: SampledFunction, fn, fgrid: FrameGrid) -> CoefficientField:

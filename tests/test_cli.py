@@ -156,6 +156,7 @@ def test_non_integer_seed_exit_2(tmp_path, capsys, seed):
         {"frame": {"cone_factor": 1e308}},
         {"grid": {"L": 1e-300}, "frame": {"a_min": 1e-300, "a_max": 1e308}},
         {"operators": "hilbert"},
+        {"frame": {"a_min": None}},
     ],
 )
 def test_bad_grid_or_frame_exit_2(tmp_path, capsys, payload):

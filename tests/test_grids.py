@@ -32,6 +32,20 @@ def test_spatial_grid_basics(grid):
     assert np.allclose(np.diff(grid.x), grid.h)
 
 
+def test_spatial_grid_samples_are_computed_once_and_read_only():
+    # x is made on the first read and kept: the same read-only array every
+    # time, bitwise the closed form, and not part of equality or hashing,
+    # since grids key the frame-row cache
+    grid, twin = SpatialGrid(3.0, 48), SpatialGrid(3.0, 48)
+    x = grid.x
+    assert grid.x is x and not x.flags.writeable
+    assert x.tobytes() == (-grid.L + grid.h * np.arange(grid.N)).tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        x[0] = 0.0
+    assert grid == twin and hash(grid) == hash(twin) and {grid: 1}[twin] == 1
+    assert repr(grid) == repr(twin) == "SpatialGrid(L=3.0, N=48)"
+
+
 def test_spatial_grid_validation():
     with pytest.raises(ValueError):
         SpatialGrid(32.0, 8)

@@ -139,9 +139,9 @@ def test_verify_decay_reads_cached_rows_bitwise(psi, grid, monkeypatch):
 
 
 def test_verify_decay_streams_blocks_of_the_full_rows(psi):
-    # 9.4M row nonzeros (113 MB): several blocks, so the full matrix must
-    # never be resident, and the fit must still be the whole-lattice maximum
-    from czframe.wavelets import _analysis_blocks, _BLOCK_NNZ
+    # 9.4M row nonzeros (113 MB): many runs of the one walk, so the full matrix
+    # must never be resident, and the fit must still be the whole-lattice maximum
+    from czframe.wavelets import _BLOCK, row_runs
 
     kern = get_model("hilbert").kernel
     grid = SpatialGrid(32.0, 8192)
@@ -152,17 +152,19 @@ def test_verify_decay_streams_blocks_of_the_full_rows(psi):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert fg._rows == {}
     other = make_frame_grid(grid, 0.0625, 512.0, s=0.125, cone_factor=1.0)
     rows = frame_rows(psi, other, grid)
     assert peak < 0.5 * (rows.data.nbytes + rows.indices.nbytes)
     Tpsi = apply_kernel(kern, frame_element(IDENTITY, grid))
     coeffs = rows @ Tpsi.values * grid.h
     assert fit == float(np.max(np.abs(coeffs) / decay_majorant(kern.delta, other.a, other.b)))
-    blocks = list(_analysis_blocks(Tpsi, fg))
-    assert len(blocks) > 2
-    assert all(rows.indptr[nodes.stop] - rows.indptr[nodes.start] <= _BLOCK_NNZ
-               for nodes, _ in blocks)
-    assert np.concatenate([c for _, c in blocks]).tobytes() == coeffs.tobytes()
+    runs = row_runs(fg, grid, np.arange(fg.n_nodes))
+    assert len(runs) > 2
+    assert all(rows.indptr[run[-1] + 1] - rows.indptr[run[0]] <= 2 * _BLOCK * grid.N
+               for run in runs)
+    got = [frame_rows(psi, fg, grid, run) @ Tpsi.values * grid.h for run in runs]
+    assert np.concatenate(got).tobytes() == coeffs.tobytes()
 
 
 def test_schur_anchor_invariance_hilbert(grid, fgrid):

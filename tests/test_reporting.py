@@ -615,9 +615,17 @@ _one_entry_junk = st.builds(
 @given(_config | _one_entry_junk | _json)
 @example({"grid": {"N": 10**400}})
 @example({"grid": {"L": 2**63, "N": 2**69}, "diagnostics": ["frame"], "frame": {"L_b": 1}})
+@example({"frame": {"a_min": None}})
+@example({"frame": {"a_max": None}})
+@example({"frame": {"s": None}})
+@example({"frame": {"cone_factor": None}})
+@example({"frame": {"L_b": None}})
 def test_from_dict_validates_or_raises_config_error(raw):
     try:
         cfg = SuiteConfig.from_dict(raw)
     except ConfigError:
         return
     cfg.validate()
+    # a null frame key is refused, except L_b, whose null is the box half-width
+    assert all(v is not None for k, v in raw.get("frame", {}).items() if k != "L_b")
+    assert SuiteConfig.from_dict(cfg.to_dict()) == cfg

@@ -19,14 +19,15 @@ MODULES = sorted(SRC.glob("*.py"))
 DEFS, FUNCTIONS = "FunctionDef AsyncFunctionDef ClassDef", "FunctionDef AsyncFunctionDef Lambda"
 # The (module, top-level def) that may call kernel_matrix: discretize's dense backend and the
 # dense oracle; svdvals: the oracle of the tail solves; _scale_rows: frame_rows alone, the one door
-# to every row; frame_rows: analyze/synthesize, the decay fit's blocks, the analysis operator and
-# the paraproduct.
+# to every row; frame_rows: analyze/synthesize, the decay fit, the analysis operator and the
+# paraproduct; a lattice's _rows cache: frame_rows alone.
 DENSE_ASSEMBLY = {("operators", "discretize"), ("compactness", "operator_matrix")}
 DENSE_SVD = {("compactness", "singular_spectrum")}
 ROW_BUILDS = {("wavelets", "frame_rows")}
 FRAME_ROWS_CALLERS = {("wavelets", "analyze"), ("wavelets", "synthesize"),
-                      ("wavelets", "_analysis_blocks"), ("compactness", "analysis_operator"),
+                      ("localization", "verify_decay"), ("compactness", "analysis_operator"),
                       ("paraproducts", "paraproduct_operator")}
+ROW_CACHE_READERS = {("wavelets", "frame_rows")}
 GENERATOR_NAMES = {"psi", "phi"}  # frame_rows, analyze and synthesize take one as ``fn``
 # rmatvec time-reverses a real Toeplitz column: it applies the conjugate of the column's FFT
 # symbol, taken once when the operator is made.
@@ -256,6 +257,9 @@ RULES = {
     "frame_row_builder_is_confined": (_calls("_scale_rows"), ROW_BUILDS, True),  # built one way
     # Every other pairing, with psi or the bump phi, goes through analyze/synthesize.
     "frame_rows_callers_are_confined": (_calls("frame_rows"), FRAME_ROWS_CALLERS, True),
+    "frame_row_cache_is_confined": (lambda pkg: [(m, _top(o), n.lineno, None) for m, o, n
+                                                 in _sites(pkg, "Attribute") if n.attr == "_rows"],
+                                    ROW_CACHE_READERS, True),
     # reporting spells a bound only in BOUND_TABLES, and reads cfg.tol( once, in _record.
     "bounds_live_only_in_checks": (_bounds, (), False),
     # One record path; _record takes no case; CASE_COVERED diagnostics spell no operator label.
@@ -383,13 +387,17 @@ def paraproduct_operator(symbol, phi, psi, grid):
     return wavelets.frame_rows(psi, symbol.fgrid, grid)
 """}, {"frame_rows_callers_are_confined": [
         ("paraproduct_apply", 2, None), ("wavelets", "analyze", None, "stale"),
-        ("wavelets", "synthesize", None, "stale"), ("wavelets", "_analysis_blocks", None, "stale"),
+        ("wavelets", "synthesize", None, "stale"), ("localization", "verify_decay", None, "stale"),
         ("compactness", "analysis_operator", None, "stale")]})],
     "a_second_row_builder": [({"wavelets": """def frame_rows(fn, fgrid, grid):
     return _scale_rows(fn, fgrid, grid)
 def analyze(f, fn, fgrid):
     return _scale_rows(fn, fgrid, f.grid) @ f.values
 """}, {"frame_row_builder_is_confined": [("analyze", 4, None)]})],
+    "a_second_row_cache_reader": [({"localization": """def verify_decay(kernel, fgrid, grid):
+    return fgrid._rows.get((psi, grid))
+"""}, {"frame_row_cache_is_confined": [("verify_decay", 2, None),
+                                       ("wavelets", "frame_rows", None, "stale")]})],
     "kernel_matrix_calls": [({"m": """K = kernel_matrix(k, g)
 def f():
     return operators.kernel_matrix(k, g) * h

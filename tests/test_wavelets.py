@@ -173,10 +173,11 @@ def _scale_nodes(fg, j0, j1):
     return np.arange(fg.offsets[j0], fg.offsets[j1])
 
 
-def test_scale_blocks_match_frame_rows_bitwise(psi, tiny):
-    # the block path builds the rows of any scale range exactly as frame_rows
-    # builds the whole lattice, so every coefficient is the same float
-    from czframe.wavelets import _analysis_blocks, _scale_rows
+def test_scale_blocks_match_frame_rows_bitwise(psi, tiny, monkeypatch):
+    # the row builder builds the rows of any scale range exactly as frame_rows
+    # builds the whole lattice, and a walk over row_runs, cached or not, gives
+    # every coefficient as the same float
+    from czframe.wavelets import _scale_rows, row_runs
 
     grid, fg = tiny
     n = fg.scales.size
@@ -192,14 +193,17 @@ def test_scale_blocks_match_frame_rows_bitwise(psi, tiny):
         for j0, j1 in cuts:
             got = _scale_rows(psi, fg, grid, _scale_nodes(fg, j0, j1)) @ v * grid.h
             assert got.tobytes() == full[fg.offsets[j0] : fg.offsets[j1]].tobytes()
-    # fg caches psi's rows now, so the streamed blocks are those of an uncached twin
+    # fg caches psi's rows now, so the walk also runs on an uncached twin
     twin = make_frame_grid(grid, 0.25, 16.0, s=0.5, cone_factor=1.0)
-    for lattice in (twin, fg):
-        blocks = list(_analysis_blocks(SampledFunction(grid, v), lattice))
-        assert [nodes.start for nodes, _ in blocks] == [0] + [
-            nodes.stop for nodes, _ in blocks[:-1]]
-        assert blocks[-1][0].stop == fg.n_nodes
-        assert np.concatenate([c for _, c in blocks]).tobytes() == full.tobytes()
+    nodes = np.arange(fg.n_nodes)
+    for block in (wavelets_mod._BLOCK, 4):
+        monkeypatch.setattr(wavelets_mod, "_BLOCK", block)
+        for lattice in (twin, fg):
+            runs = row_runs(lattice, grid, nodes)
+            assert len(runs) > (block == 4)
+            assert np.concatenate(runs).tobytes() == nodes.tobytes()
+            got = np.concatenate([frame_rows(psi, lattice, grid, run) @ v * grid.h for run in runs])
+            assert got.tobytes() == full.tobytes()
     assert twin._rows == {}
 
 
@@ -371,25 +375,24 @@ def test_scale_rows_do_not_depend_on_the_chunk(psi, grid, monkeypatch):
 
 
 def test_decay_block_build_peaks_near_its_csr_bytes(psi):
-    # the first block of the decay fit on the refined lattice (N 4096, s 1/16):
-    # ~2M nonzeros, built with chunk-sized temporaries only
-    from czframe.wavelets import _analysis_blocks, _scale_rows
+    # the first run of the decay fit's walk on the refined lattice (N 4096,
+    # s 1/16): about _BLOCK * N nonzeros, built with no nonzero-sized temporary
+    from czframe.wavelets import _scale_rows, row_runs
 
     grid = SpatialGrid(32.0, 4096)
     fg = make_frame_grid(grid, 0.0625, 512.0, s=0.0625, cone_factor=1.0)
-    nodes, _ = next(_analysis_blocks(SampledFunction(grid, np.zeros(grid.N)), fg))
-    j1 = int(np.searchsorted(fg.offsets, nodes.stop))
-    assert fg.offsets[j1] == nodes.stop
-    nodes = _scale_nodes(fg, 0, j1)  # the input, made before the build is traced
+    run = row_runs(fg, grid, np.arange(fg.n_nodes))[0]  # the input, made before tracing
     tracemalloc.start()
     try:
-        rows = _scale_rows(psi, fg, grid, nodes)
+        rows = _scale_rows(psi, fg, grid, run)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     csr = rows.data.nbytes + rows.indices.nbytes + rows.indptr.nbytes
-    assert rows.nnz > 1_900_000
-    assert peak <= 1.1 * csr
+    budget = wavelets_mod._BLOCK * grid.N  # plus at most one block, of rows no wider than N
+    assert budget <= rows.nnz <= 2 * budget
+    # node-sized and chunk-sized temporaries only: less than one int32 per nonzero
+    assert peak - csr < 4 * rows.nnz
 
 
 def test_analysis_operator_matches_dense_assembly(psi, tiny):
