@@ -21,9 +21,10 @@ as ``DiscreteOperator(N, matrix=A)`` to solve on it.
 :func:`singular_spectrum` is the one dense SVD, the oracle a Lanczos solve is
 checked against.  The analysis operator holds the rows of the fixed mother
 wavelet that it is asked for, from :func:`~czframe.wavelets.frame_rows`,
-scaled by sqrt(dlambda) * h, one number for the whole lattice: copied from
-the lattice's cached matrix when there is one, and otherwise built for that
-call and never cached, so a tail sweep alone leaves no rows on the lattice.
+scaled by sqrt(dlambda) * h, one number for the whole lattice: taken from
+the lattice's cached matrix when there is one, which stays unscaled, and
+otherwise built for that call and never cached, so a tail sweep alone leaves
+no rows on the lattice.
 
 A sweep over radii (:func:`tail_functional`) solves every operator on every
 distinct tail; two radii whose tails hold the same nodes share one solve.
@@ -63,7 +64,7 @@ import scipy.sparse
 
 from .grids import FrameGrid, SampledFunction, SpatialGrid, tail_nodes
 from .operators import CZKernel, DiscreteOperator, kernel_matrix
-from . import wavelets
+from . import wavelets  # ROW_BLOCK is read at call time, so one value sizes the runs and panels
 from .wavelets import _windows, frame_rows, make_mother_wavelet, row_runs
 
 __all__ = [
@@ -108,17 +109,16 @@ def analysis_operator(
 
     Row ``k`` holds sqrt(dlambda) * h * psi_k(x_i) over the grid window
     intersecting the support of the frame element at node k, its rows taken
-    in ``order`` (node order by default): the new matrix of those rows from
-    :func:`~czframe.wavelets.frame_rows`, copied from the lattice's cached
-    psi matrix if it has one and built uncached otherwise, with its data
-    scaled in place by the one number sqrt(dlambda) * h.  So the scaling
-    makes no second matrix-sized array, a cache stays unscaled, and a
-    lattice without one is not made to hold one.
+    in ``order`` (node order by default): those rows from
+    :func:`~czframe.wavelets.frame_rows` times the one number
+    sqrt(dlambda) * h, in place unless they are a read-only slice of the
+    lattice's cache, which then gets new data and stays unscaled.
     """
     if order is None:
         order = np.arange(fgrid.n_nodes)
     S = frame_rows(make_mother_wavelet(), fgrid, grid, order)
-    S.data *= np.sqrt(fgrid.dlam) * grid.h
+    out = S.data if S.data.flags.writeable else None  # a read-only slice of the cache: new data
+    S.data = np.multiply(S.data, np.sqrt(fgrid.dlam) * grid.h, out=out)
     return S
 
 
@@ -133,26 +133,26 @@ def _add_gram(G: np.ndarray, fgrid: FrameGrid, grid: SpatialGrid, nodes: np.ndar
     Every row is one contiguous window of columns (:func:`wavelets._windows`).
     Every row takes one path.  ``nodes`` is in lattice order, by scale and then
     by translation, as :func:`_tails` sorts each band, so a scale's windows
-    come left to right.  The rows are walked as :func:`wavelets.row_runs` cuts
-    them, each run from :func:`analysis_operator`, so each row is evaluated
-    once and, on a lattice that caches no psi matrix, the whole matrix is
-    never held; each of a run's blocks of ``wavelets._BLOCK`` rows is one
-    dense block over the columns its windows span.  G is updated from a block
-    ``_BLOCK`` rows at a time, each panel from the block rows that meet its
-    columns, over the columns from the panel's first one to the last those rows
-    span, so only the panel's diagonal block reaches below the diagonal.  G's
-    strict lower triangle is therefore not S^T S and must not be read.  Each
-    panel is one ``scipy.linalg.blas.dgemm``, in the OpenBLAS that also runs
-    the solves' ``dsymv`` (see the module docstring), on operands f2py takes
-    uncopied: the block's transpose is F-contiguous, and only the panel's
-    columns of it are copied, as the left factor.
+    come left to right.  The rows are walked in the runs of
+    :func:`wavelets.row_runs`, each from :func:`analysis_operator`, so each row
+    is evaluated once and an uncached lattice never holds them all; each of a
+    run's blocks of ``wavelets.ROW_BLOCK`` rows is one dense block over the
+    columns its windows span.  G is updated from a block ``ROW_BLOCK`` rows at
+    a time, each panel from the block rows that meet its columns, over the
+    columns from the panel's first one to the last those rows span, so only the
+    panel's diagonal block reaches below the diagonal.  G's strict lower
+    triangle is therefore not S^T S and must not be read.  Each panel is one
+    ``scipy.linalg.blas.dgemm``, in the OpenBLAS that also runs the solves'
+    ``dsymv`` (see the module docstring), on operands f2py takes uncopied: the
+    block's transpose is F-contiguous, and only the panel's columns of it are
+    copied, as the left factor.
     """
     # Imported here so that runs which never build a Gram do not load scipy.linalg.
     from scipy.linalg.blas import dgemm
 
-    panel = wavelets._BLOCK
+    panel = wavelets.ROW_BLOCK
     for part in row_runs(fgrid, grid, nodes):
-        starts, widths = _windows(fgrid, grid, part)
+        starts, widths = _windows(fgrid, grid, part)  # as row_runs did: ~1 ms a default sweep
         ends = starts + widths
         S = analysis_operator(fgrid, grid, part)
         for r0 in range(0, part.size, panel):

@@ -221,14 +221,13 @@ class SuiteConfig:
         ``compactness._use_gram`` holds on the row estimate, and otherwise
         holds a sorted copy of the first tail's rows next to the cached ones:
         12 B per row nonzero more.  The row term is counted for every run,
-        an upper bound: rk_tail and the decay fit cache no rows, and the
-        Gram build and the decay fit walk psi's rows a run of
-        ``wavelets.row_runs`` at a time (about ``128 * N`` nonzeros), so in a
-        run in which no other diagnostic caches psi's rows neither holds them
-        all, and the sparse route holds its lattice-order build of the first
-        tail's rows only while it takes the copy.  The dense term is the
-        actual peak: ``kernel_matrix``, the dense ``window_sums`` and the Gram
-        build go by blocks, so their temporaries are small.
+        an upper bound: the Gram build and the decay fit walk psi's rows a
+        run of ``wavelets.row_runs`` (about ``128 * N`` nonzeros) at a time
+        and cache none, so in a run in which no other diagnostic caches them
+        neither holds them all, and the sparse route holds its lattice-order
+        build of the first tail's rows only while it takes the copy.  The
+        dense term is the actual peak: ``kernel_matrix``, the dense
+        ``window_sums`` and the Gram build go by blocks.
         Summing stops as soon as the estimate exceeds the physical memory, so
         a lattice with more scales than fit is never visited in full.  Call it only on a
         validated grid and frame.

@@ -57,10 +57,7 @@ class SpatialGrid:
 
     @functools.cached_property
     def x(self) -> np.ndarray:
-        """The N sample points -L + h*i, made on the first read and read-only.
-
-        Not a field, so equality and hashing (grids key the row cache) see only L and N.
-        """
+        """The N points -L + h*i, computed once, read-only; not a field, so not in == or hash."""
         x = -self.L + self.h * np.arange(self.N)
         x.flags.writeable = False
         return x

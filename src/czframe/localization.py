@@ -124,14 +124,12 @@ def verify_decay(kernel: CZKernel, fgrid: FrameGrid, grid: SpatialGrid) -> float
     """Fit the smallest C with |coeff(a,b)| <= C * bound(a,b), delta = kernel.delta.
 
     The coefficients are those of :func:`coefficient_field` at the identity
-    anchor, taken a run at a time as :func:`~czframe.wavelets.row_runs` cuts
-    the lattice: each run's psi rows from :func:`~czframe.wavelets.frame_rows`
-    (copied from ``fgrid``'s cache when it holds them, built uncached
-    otherwise), its ratios reduced to their maximum and the run dropped, so
-    that neither the full frame-row matrix nor the per-node ratios are ever
-    resident.  Nothing is cached on ``fgrid``.  A CSR product sums each row
-    in index order and the maximum is exact, so C is bitwise the
-    whole-lattice one either way.
+    anchor, a run of :func:`~czframe.wavelets.row_runs` at a time: each
+    run's psi rows come from :func:`~czframe.wavelets.frame_rows`, its
+    ratios are reduced to their maximum and the run is dropped, so neither
+    the whole row matrix nor the per-node ratios are held and nothing is
+    cached on ``fgrid``.  A row's product does not depend on its run and
+    the maximum is exact, so C is bitwise the whole-lattice one.
     """
     if not kernel.exact_cancellation:
         warnings.warn(
@@ -139,7 +137,8 @@ def verify_decay(kernel: CZKernel, fgrid: FrameGrid, grid: SpatialGrid) -> float
             "majorant is not guaranteed",
             stacklevel=2,
         )
-    Tpsi, psi = apply_kernel(kernel, frame_element(IDENTITY, grid)), make_mother_wavelet()
+    Tpsi = apply_kernel(kernel, frame_element(IDENTITY, grid))
+    psi = make_mother_wavelet()
     run_max = [np.max(np.abs(frame_rows(psi, fgrid, grid, run) @ Tpsi.values * grid.h)
                       / decay_majorant(kernel.delta, fgrid.a[run], fgrid.b[run]))
                for run in row_runs(fgrid, grid, np.arange(fgrid.n_nodes))]

@@ -16,14 +16,12 @@ Every lattice-wide operation (analysis, synthesis, and the bump pairings
 and paraproduct factors built on them elsewhere) is a product with one
 sparse matrix per generator from :func:`frame_rows`, cached on the lattice.
 Its rows are always the L2 dilates a^{-1/2} fn((x - b)/a); an L1 pairing is
-the L2 one times a^{-1/2}.  A caller that reads some rows only once walks
-them by one rule, :func:`row_runs`: runs of whole ``_BLOCK``-row blocks of
-about ``_BLOCK * N`` nonzeros, each asked of :func:`frame_rows`, copied from
-the cache when there is one and built uncached otherwise.  The tail Gram
-build and the decay fit walk this way.  :func:`frame_rows` is the one door
-to the row builder, :func:`_scale_rows`, which takes a sorted index array
-and evaluates the generator in cache-sized chunks of whole rows, so a row is
-the same bits whichever way it is asked for.
+the L2 one times a^{-1/2}.  A caller that reads rows only once, the tail
+Gram build or the decay fit, walks them in the runs of :func:`row_runs`,
+asking :func:`frame_rows` for each.  :func:`frame_rows` is the one reader
+of the cache and the one door to the row builder, :func:`_scale_rows`,
+which evaluates the generator in cache-sized chunks of whole rows, so a row
+is the same bits whichever way it is asked for.
 """
 
 from __future__ import annotations
@@ -131,10 +129,10 @@ def frame_element(point: GroupPoint, grid: SpatialGrid) -> SampledFunction:
     return SampledFunction(grid, make_mother_wavelet()(u) / math.sqrt(point.a))
 
 
-# Rows per block of :func:`row_runs`, whose runs hold about _BLOCK * N
+# Rows per block of :func:`row_runs`, whose runs hold about ROW_BLOCK * N
 # nonzeros (3 MB of CSR at N = 2048); the tail Gram build's dense blocks and
 # panels have this size too.
-_BLOCK = 128
+ROW_BLOCK = 128
 
 # Target nonzeros per chunk of whole rows in :func:`_scale_rows`: a 256 kB
 # float64 argument, so the generator's few temporaries of that size stay in a
@@ -212,12 +210,12 @@ def frame_rows(fn, fgrid: FrameGrid, grid: SpatialGrid, nodes=None) -> scipy.spa
 
     With ``nodes``, a 1-D integer array of indices in [0, n_nodes) (anything
     else, such as a mask or a negative index, raises ``ValueError``, cached or
-    not), the result is a new matrix of those rows, in that order: copied from
-    the cached matrix when there is one, and otherwise built by
-    :func:`_scale_rows` in lattice order, then taken in the given order, and
-    not cached.  Either way it is the same bits, so a caller that needs some
-    rows once, such as a walk over :func:`row_runs`, never makes the lattice
-    hold them all.  This is the one reader of the cache.
+    not), the result holds those rows, in that order, the same bits either
+    way.  From a cache, consecutive ascending indices give a row slice whose
+    ``data`` and ``indices`` are read-only views, and other sets a copy.
+    Without one, the rows are built in lattice order, taken in the given
+    order and not cached, so a walk over :func:`row_runs` never makes the
+    lattice hold them all.
     """
     key = (fn, grid)
     rows = fgrid._rows.get(key)
@@ -231,7 +229,16 @@ def frame_rows(fn, fgrid: FrameGrid, grid: SpatialGrid, nodes=None) -> scipy.spa
     if nodes.size and not (nodes.min() >= 0 and nodes.max() < fgrid.n_nodes):
         raise ValueError(f"nodes must lie in [0, {fgrid.n_nodes})")
     if rows is not None:
-        return rows[nodes]
+        if not (nodes.size and np.all(nodes[1:] == nodes[:-1] + 1)):
+            return rows[nodes]
+        n0, n1 = int(nodes[0]), int(nodes[-1]) + 1
+        p0, p1 = int(rows.indptr[n0]), int(rows.indptr[n1])
+        run = scipy.sparse.csr_matrix((nodes.size, grid.N))
+        # set after construction: scipy's constructor copies a view under half its base's size
+        run.data, run.indices = rows.data[p0:p1], rows.indices[p0:p1]
+        run.data.flags.writeable = run.indices.flags.writeable = False
+        run.indptr = rows.indptr[n0:n1 + 1] - p0
+        return run
     if np.all(nodes[1:] >= nodes[:-1]):
         return _scale_rows(fn, fgrid, grid, nodes)
     ordered = np.sort(nodes)
@@ -241,17 +248,17 @@ def frame_rows(fn, fgrid: FrameGrid, grid: SpatialGrid, nodes=None) -> scipy.spa
 def row_runs(fgrid: FrameGrid, grid: SpatialGrid, nodes: np.ndarray) -> list[np.ndarray]:
     """Cut the sorted node array ``nodes`` into consecutive runs of whole blocks.
 
-    A block is ``_BLOCK`` consecutive entries of ``nodes`` (the last may be
-    short), and block b joins run floor(n_b / (``_BLOCK`` * N)), n_b the row
-    nonzeros of the blocks before it, so a run holds about ``_BLOCK * N``
-    nonzeros plus at most one block.  The runs are views of ``nodes``, in
-    order: ask :func:`frame_rows` for each run's rows, so a walk over them
-    never holds more than one run, cached or not.
+    A block is ``ROW_BLOCK`` consecutive entries of ``nodes`` (the last may be
+    short), and block b joins run floor(n_b / (``ROW_BLOCK`` * N)), n_b the
+    row nonzeros of the blocks before it, so a run holds about
+    ``ROW_BLOCK * N`` nonzeros plus at most one block.  The runs are views of
+    ``nodes``, in order.  The windows are not returned with them, since a
+    walk that does not use them, such as the decay fit, would hold them.
     """
     _, widths = _windows(fgrid, grid, nodes)
-    nnz = np.add.reduceat(widths, np.arange(0, nodes.size, _BLOCK))  # of each block
-    run = (np.cumsum(nnz) - nnz) // (_BLOCK * grid.N)
-    return np.split(nodes, (np.flatnonzero(np.diff(run)) + 1) * _BLOCK)
+    nnz = np.add.reduceat(widths, np.arange(0, nodes.size, ROW_BLOCK))  # of each block
+    run = (np.cumsum(nnz) - nnz) // (ROW_BLOCK * grid.N)
+    return np.split(nodes, (np.flatnonzero(np.diff(run)) + 1) * ROW_BLOCK)
 
 
 def analyze(f: SampledFunction, fn, fgrid: FrameGrid) -> CoefficientField:

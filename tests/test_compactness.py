@@ -61,12 +61,15 @@ def test_analysis_operator_rows_are_scaled_frame_elements(small_grid, small_fgri
 
 def test_analysis_operator_scales_a_copy_of_the_cached_rows(psi, small_grid):
     # oracle: sqrt(dlam) * h times the frame rows, in node and in permuted
-    # order; the cached frame-row matrix must come out unscaled
+    # order; the cached frame-row matrix must come out unscaled.  In node
+    # order the rows are a slice of the cache: new data, the cache's columns
     fg = make_frame_grid(small_grid, 0.5, 64.0, s=0.25)  # a fresh cache
     rows = compactness.frame_rows(psi, fg, small_grid)
     cached = rows.toarray()
     expected = math.sqrt(fg.dlam) * small_grid.h * cached
-    assert np.array_equal(analysis_operator(fg, small_grid).toarray(), expected)
+    S = analysis_operator(fg, small_grid)
+    assert np.array_equal(S.toarray(), expected)
+    assert np.shares_memory(S.indices, rows.indices) and not np.shares_memory(S.data, rows.data)
     order = np.random.default_rng(0).permutation(fg.n_nodes)
     assert np.array_equal(analysis_operator(fg, small_grid, order).toarray(), expected[order])
     assert compactness.frame_rows(psi, fg, small_grid) is rows
@@ -350,10 +353,10 @@ def test_small_lattice_selects_the_gram_path(small_grid, small_fgrid):
 def test_tail_grams_equal_the_sparse_products(small_grid, small_fgrid, monkeypatch, chunks):
     # oracle: S_R^T S_R of the masked analysis rows, for each radius of the
     # sweep, the empty band included, on the upper triangle that G stores;
-    # "small" (_BLOCK = 8) cuts the bands into several copies of many blocks,
+    # "small" (ROW_BLOCK = 8) cuts the bands into several copies of many blocks,
     # some of which span two scales, and a block into several panels
     if chunks == "small":
-        monkeypatch.setattr(wavelets, "_BLOCK", 8)
+        monkeypatch.setattr(wavelets, "ROW_BLOCK", 8)
     rows = analysis_operator(small_fgrid, small_grid)
     counts = compactness._tail_counts(small_fgrid, GRAM_RADII)
     assert counts[0] == counts[1] and len(set(counts)) == len(counts) - 1
@@ -404,17 +407,17 @@ def test_gram_panels_run_in_scipy_blas(small_grid, small_fgrid, monkeypatch):
 def test_rows_narrower_than_the_panel_still_run_in_dgemm(small_grid, small_fgrid, monkeypatch):
     # one path for every row: with the panel wider than every window, each
     # row still enters G through a dense block and its panel products
-    monkeypatch.setattr(wavelets, "_BLOCK", small_grid.N + 1)
+    monkeypatch.setattr(wavelets, "ROW_BLOCK", small_grid.N + 1)
     assert _checked_panel_products(small_grid, small_fgrid, monkeypatch)
 
 
 def test_gram_build_copies_runs_of_whole_blocks_in_lattice_order(small_grid, small_fgrid,
                                                                   monkeypatch):
     # no band is copied whole: each analysis_operator copy holds whole blocks
-    # of _BLOCK rows (a band's last one may be short), in increasing node
-    # order, and about _BLOCK * N nonzeros, plus at most one block
+    # of ROW_BLOCK rows (a band's last one may be short), in increasing node
+    # order, and about ROW_BLOCK * N nonzeros, plus at most one block
     panel = 8
-    monkeypatch.setattr(wavelets, "_BLOCK", panel)
+    monkeypatch.setattr(wavelets, "ROW_BLOCK", panel)
     copy, copies = compactness.analysis_operator, []
 
     def recorded(fgrid, grid, order=None):
@@ -601,7 +604,7 @@ def test_sparse_tails_are_row_prefixes_of_one_sorted_copy(small_grid, small_fgri
 def test_both_routes_ask_for_rows_in_one_order(small_grid, small_fgrid, monkeypatch):
     # the sparse route's one request is the Gram route's run requests joined,
     # band by band, each band in lattice order
-    monkeypatch.setattr(wavelets, "_BLOCK", 8)  # several runs in a band
+    monkeypatch.setattr(wavelets, "ROW_BLOCK", 8)  # several runs in a band
     build, asked = compactness.analysis_operator, {True: [], False: []}
     counts = sorted(set(compactness._tail_counts(small_fgrid, GRAM_RADII)))
     for gram in (True, False):
@@ -621,10 +624,10 @@ def test_decay_fit_and_gram_build_walk_the_same_runs(small_grid, small_fgrid, mo
     # both read psi's rows once, as wavelets.row_runs cuts them: over the whole
     # lattice (the one band of a radius-0 sweep) they ask frame_rows for the
     # same runs, which partition the nodes in order, hold whole blocks, and
-    # start no block past _BLOCK * N nonzeros into the run
+    # start no block past ROW_BLOCK * N nonzeros into the run
     if block is not None:
-        monkeypatch.setattr(wavelets, "_BLOCK", block)
-    block, N = wavelets._BLOCK, small_grid.N
+        monkeypatch.setattr(wavelets, "ROW_BLOCK", block)
+    block, N = wavelets.ROW_BLOCK, small_grid.N
     indptr = analysis_operator(small_fgrid, small_grid).indptr
     asked = {compactness: [], localization: []}
     for module, log in asked.items():
@@ -650,7 +653,7 @@ def test_tails_are_bitwise_the_same_with_or_without_cached_rows(psi, small_grid,
     # a lattice without psi's cached matrix builds each run of rows itself and
     # keeps none, and every tail operand is bitwise the one the cache gives
     if panel is not None:
-        monkeypatch.setattr(wavelets, "_BLOCK", panel)
+        monkeypatch.setattr(wavelets, "ROW_BLOCK", panel)
     cached, bare = (make_frame_grid(small_grid, 0.5, 64.0, s=0.25) for _ in range(2))
     compactness.frame_rows(psi, cached, small_grid)
     ascending = compactness._tail_counts(cached, GRAM_RADII)[::-1]
@@ -666,14 +669,14 @@ def test_tails_are_bitwise_the_same_with_or_without_cached_rows(psi, small_grid,
 
 
 def test_gram_sweep_never_holds_the_lattice_rows(psi):
-    # on the default lattice, where psi's rows are about 9 runs of _BLOCK * N
+    # on the default lattice, where psi's rows are about 9 runs of ROW_BLOCK * N
     # nonzeros at 12 B each, a Gram sweep holds G and at most one copied part
     # of two runs, its dense block, the block's scatter indices and a panel
     # product, each no larger than a run: under 6 runs in all
     grid = SpatialGrid(32.0, 2048)
     fgrid = make_frame_grid(grid, 0.0625, 512.0, s=0.125, cone_factor=1.0)
     A = discretize(get_model("zero").kernel, grid)
-    run = wavelets._BLOCK * grid.N * 12
+    run = wavelets.ROW_BLOCK * grid.N * 12
     rows = compactness.frame_rows(psi, make_frame_grid(grid, 0.0625, 512.0, s=0.125,
                                                        cone_factor=1.0), grid)
     assert compactness._use_gram(grid.N, rows.nnz) and 12 * rows.nnz > 8 * run

@@ -141,7 +141,7 @@ def test_verify_decay_reads_cached_rows_bitwise(psi, grid, monkeypatch):
 def test_verify_decay_streams_blocks_of_the_full_rows(psi):
     # 9.4M row nonzeros (113 MB): many runs of the one walk, so the full matrix
     # must never be resident, and the fit must still be the whole-lattice maximum
-    from czframe.wavelets import _BLOCK, row_runs
+    from czframe.wavelets import ROW_BLOCK, row_runs
 
     kern = get_model("hilbert").kernel
     grid = SpatialGrid(32.0, 8192)
@@ -161,7 +161,7 @@ def test_verify_decay_streams_blocks_of_the_full_rows(psi):
     assert fit == float(np.max(np.abs(coeffs) / decay_majorant(kern.delta, other.a, other.b)))
     runs = row_runs(fg, grid, np.arange(fg.n_nodes))
     assert len(runs) > 2
-    assert all(rows.indptr[run[-1] + 1] - rows.indptr[run[0]] <= 2 * _BLOCK * grid.N
+    assert all(rows.indptr[run[-1] + 1] - rows.indptr[run[0]] <= 2 * ROW_BLOCK * grid.N
                for run in runs)
     got = [frame_rows(psi, fg, grid, run) @ Tpsi.values * grid.h for run in runs]
     assert np.concatenate(got).tobytes() == coeffs.tobytes()

@@ -196,8 +196,8 @@ def test_scale_blocks_match_frame_rows_bitwise(psi, tiny, monkeypatch):
     # fg caches psi's rows now, so the walk also runs on an uncached twin
     twin = make_frame_grid(grid, 0.25, 16.0, s=0.5, cone_factor=1.0)
     nodes = np.arange(fg.n_nodes)
-    for block in (wavelets_mod._BLOCK, 4):
-        monkeypatch.setattr(wavelets_mod, "_BLOCK", block)
+    for block in (wavelets_mod.ROW_BLOCK, 4):
+        monkeypatch.setattr(wavelets_mod, "ROW_BLOCK", block)
         for lattice in (twin, fg):
             runs = row_runs(lattice, grid, nodes)
             assert len(runs) > (block == 4)
@@ -263,7 +263,9 @@ def _node_sets(fg):
 def test_uncached_node_rows_match_the_cached_matrix_bitwise(psi, shape, chunk, monkeypatch):
     # frame_rows of a node set on an uncached lattice builds exactly the rows
     # the cached matrix holds, in the given order, down to the sign of zero,
-    # and caches nothing; on the cached lattice it copies them
+    # and caches nothing; on the cached lattice it copies them, except that a
+    # run of consecutive ascending nodes gets read-only views of the cache's
+    # data and indices
     if chunk is not None:
         monkeypatch.setattr(wavelets_mod, "_CHUNK_NNZ", chunk)
     grid, cached = _small_lattice(shape)
@@ -272,12 +274,16 @@ def test_uncached_node_rows_match_the_cached_matrix_bitwise(psi, shape, chunk, m
         full = frame_rows(fn, cached, grid)
         for name, nodes in _node_sets(cached).items():
             want = full[nodes]
-            for got in (frame_rows(fn, bare, grid, nodes), frame_rows(fn, cached, grid, nodes)):
+            run = nodes.size > 0 and bool(np.all(np.diff(nodes) == 1))
+            for lattice in (bare, cached):
+                got = frame_rows(fn, lattice, grid, nodes)
                 assert got.shape == (nodes.size, grid.N), name
                 for part in ("data", "indices", "indptr"):
                     a, b = getattr(got, part), getattr(want, part)
                     assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (name, part)
-                    assert not np.shares_memory(a, getattr(full, part))
+                    view = lattice is cached and run and part != "indptr"
+                    assert np.shares_memory(a, getattr(full, part)) == view, (name, part)
+                    assert a.flags.writeable != view, (name, part)
     assert bare._rows == {}
 
 
@@ -375,24 +381,25 @@ def test_scale_rows_do_not_depend_on_the_chunk(psi, grid, monkeypatch):
 
 
 def test_decay_block_build_peaks_near_its_csr_bytes(psi):
-    # the first run of the decay fit's walk on the refined lattice (N 4096,
-    # s 1/16): about _BLOCK * N nonzeros, built with no nonzero-sized temporary
-    from czframe.wavelets import _scale_rows, row_runs
+    # the first whole scales of the refined lattice (N 4096, s 1/16) that hold
+    # at most 2**21 nonzeros: ~2M nonzeros, built with chunk-sized temporaries only
+    from czframe.wavelets import _scale_rows, _windows
 
     grid = SpatialGrid(32.0, 4096)
     fg = make_frame_grid(grid, 0.0625, 512.0, s=0.0625, cone_factor=1.0)
-    run = row_runs(fg, grid, np.arange(fg.n_nodes))[0]  # the input, made before tracing
+    _, widths = _windows(fg, grid, slice(None))
+    before = np.concatenate([[0], np.cumsum(widths)])[fg.offsets]  # nonzeros before each scale
+    j1 = int(np.searchsorted(before, 1 << 21, side="right")) - 1
+    nodes = _scale_nodes(fg, 0, j1)  # the input, made before the build is traced
     tracemalloc.start()
     try:
-        rows = _scale_rows(psi, fg, grid, run)
+        rows = _scale_rows(psi, fg, grid, nodes)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     csr = rows.data.nbytes + rows.indices.nbytes + rows.indptr.nbytes
-    budget = wavelets_mod._BLOCK * grid.N  # plus at most one block, of rows no wider than N
-    assert budget <= rows.nnz <= 2 * budget
-    # node-sized and chunk-sized temporaries only: less than one int32 per nonzero
-    assert peak - csr < 4 * rows.nnz
+    assert rows.nnz > 1_900_000
+    assert peak <= 1.1 * csr
 
 
 def test_analysis_operator_matches_dense_assembly(psi, tiny):
