@@ -32,6 +32,7 @@ use on the same lattice.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import partial
 
@@ -75,7 +76,16 @@ def coefficient_measure(f: SampledFunction, fgrid: FrameGrid) -> CoefficientMeas
 
 
 def point_mass(fgrid: FrameGrid, node_index: int) -> CoefficientMeasure:
-    """Synthetic measure with a single unit atom at one lattice node."""
+    """Synthetic measure with a single unit atom at one lattice node.
+
+    ``node_index`` must be an integer (a numpy one too, not a bool) in
+    [0, n_nodes), else ``ValueError``: a negative index or a bool is never
+    read as numpy would read it.
+    """
+    if isinstance(node_index, bool) or not isinstance(node_index, numbers.Integral):
+        raise ValueError("node_index must be an integer")
+    if not 0 <= node_index < fgrid.n_nodes:
+        raise ValueError(f"node_index must lie in [0, {fgrid.n_nodes})")
     m = np.zeros(fgrid.n_nodes)
     m[node_index] = 1.0
     return CoefficientMeasure(fgrid, m)

@@ -44,10 +44,11 @@ route's dense BLAS calls, the build's panel products (``dgemm``) and
 ``dsymv``, go through ``scipy.linalg.blas``: numpy bundles an OpenBLAS of
 its own, whose thread pool would keep spinning between builds and compete
 with scipy's for the same cores.  Otherwise the first tail's rows are copied
-once, in that order, each tail is a zero-copy CSR row prefix of the copy,
-and the solves run concurrently on a thread pool with one worker per usable
-core, collected in a fixed order, so that route's result is bitwise
-independent of the worker count.  The two routes agree to rounding.  The
+once, in that order, and that is the only copy: each tail is the copy's
+first rows from :func:`~czframe.wavelets.row_range`, read-only views of its
+``data`` and ``indices`` with a new ``indptr``.  The solves run concurrently
+on a thread pool with one worker per usable core, collected in a fixed
+order, so that route's result is bitwise independent of the worker count.  The two routes agree to rounding.  The
 Gram route's products go through BLAS, whose rounding may depend on its
 thread count, so a report is byte-identical when re-run in the
 same environment.
@@ -65,7 +66,7 @@ import scipy.sparse
 from .grids import FrameGrid, SampledFunction, SpatialGrid, tail_nodes
 from .operators import CZKernel, DiscreteOperator, kernel_matrix
 from . import wavelets  # ROW_BLOCK is read at call time, so one value sizes the runs and panels
-from .wavelets import _windows, frame_rows, make_mother_wavelet, row_runs
+from .wavelets import _windows, frame_rows, make_mother_wavelet, row_range, row_runs
 
 __all__ = [
     "LanczosResult",
@@ -182,9 +183,11 @@ def _tails(fgrid: FrameGrid, grid: SpatialGrid, counts, gram: bool):
     so a tail's n nodes are the first n and both routes take the rows in that
     one order.  With ``gram``, one N x N array is yielded every time, only its
     upper triangle holding S_n^T S_n: each band is added to it in place by
-    :func:`_add_gram`, so use it before asking for the next.  Otherwise S_n is
-    yielded as a zero-copy CSR row prefix of one :func:`analysis_operator`
-    matrix of the largest tail's rows.
+    :func:`_add_gram`, so use it before asking for the next.  Otherwise the
+    largest tail's rows are copied once, into one :func:`analysis_operator`
+    matrix, and S_n is yielded as its first n rows by
+    :func:`wavelets.row_range`: read-only views of the copy's ``data`` and
+    ``indices``, and a new ``indptr`` of n + 1 offsets.
     """
     order = np.argsort(-fgrid.dist0, kind="stable")
     for lo, hi in zip([0, *counts], counts):
@@ -192,9 +195,7 @@ def _tails(fgrid: FrameGrid, grid: SpatialGrid, counts, gram: bool):
     if not gram:
         S = analysis_operator(fgrid, grid, order[:counts[-1]])
         for n in counts:
-            nnz = S.indptr[n]
-            yield scipy.sparse.csr_matrix(
-                (S.data[:nnz], S.indices[:nnz], S.indptr[:n + 1]), shape=(n, grid.N), copy=False)
+            yield row_range(S, 0, n)
         return
     G = np.zeros((grid.N, grid.N))
     for lo, hi in zip([0, *counts], counts):

@@ -220,8 +220,10 @@ class SuiteConfig:
         accumulates the 8 N^2 B tail Gram matrix when
         ``compactness._use_gram`` holds on the row estimate, and otherwise
         holds a sorted copy of the first tail's rows next to the cached ones:
-        12 B per row nonzero more.  The row term is counted for every run,
-        an upper bound: the Gram build and the decay fit walk psi's rows a
+        12 B per row nonzero more.  That copy is the only one: every tail is
+        a ``wavelets.row_range`` view of its ``data`` and ``indices``, with
+        only a new ``indptr`` of its own.  The row term is counted for every
+        run, an upper bound: the Gram build and the decay fit walk psi's rows a
         run of ``wavelets.row_runs`` (about ``128 * N`` nonzeros) at a time
         and cache none, so in a run in which no other diagnostic caches them
         neither holds them all, and the sparse route holds its lattice-order

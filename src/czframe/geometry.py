@@ -79,7 +79,7 @@ def haar_ball_volume(R: float) -> tuple[float, float]:
     The rule has 4096 midpoint nodes.  Returns (value, err) where err
     compares against the half-resolution rule.
     """
-    if R <= 0:
+    if not R > 0:  # NaN too
         raise ValueError("R must be positive")
 
     def rule(m):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import sys
 from dataclasses import dataclass, field
 
@@ -40,16 +41,22 @@ class GridMismatchError(ValueError):
 
 @dataclass(frozen=True)
 class SpatialGrid:
-    """Uniform grid on [-L, L) with N nodes and spacing h = 2L/N."""
+    """Uniform grid on [-L, L) with N nodes and spacing h = 2L/N.
+
+    L must be a finite positive number, and N an integer (a numpy one too, not a
+    bool) of at least 16; anything else raises ``ValueError``.
+    """
 
     L: float
     N: int
 
     def __post_init__(self):
+        if isinstance(self.N, bool) or not isinstance(self.N, numbers.Integral):
+            raise ValueError("the node count must be an integer")
         if self.N < 16:
             raise ValueError("spatial grid needs at least 16 nodes")
-        if self.L <= 0:
-            raise ValueError("half-width must be positive")
+        if not (isinstance(self.L, numbers.Real) and math.isfinite(self.L) and self.L > 0):
+            raise ValueError("half-width must be finite and positive")
 
     @property
     def h(self) -> float:

@@ -18,8 +18,9 @@ sparse matrix per generator from :func:`frame_rows`, cached on the lattice.
 Its rows are always the L2 dilates a^{-1/2} fn((x - b)/a); an L1 pairing is
 the L2 one times a^{-1/2}.  A caller that reads rows only once, the tail
 Gram build or the decay fit, walks them in the runs of :func:`row_runs`,
-asking :func:`frame_rows` for each.  :func:`frame_rows` is the one reader
-of the cache and the one door to the row builder, :func:`_scale_rows`,
+asking :func:`frame_rows` for each; a run of cached rows is a view from
+:func:`row_range`, which copies no entry.  :func:`frame_rows` is the one
+reader of the cache and the one door to the row builder, :func:`_scale_rows`,
 which evaluates the generator in cache-sized chunks of whole rows, so a row
 is the same bits whichever way it is asked for.
 """
@@ -43,6 +44,7 @@ __all__ = [
     "bump_phi",
     "frame_element",
     "frame_rows",
+    "row_range",
     "row_runs",
     "analyze",
     "synthesize",
@@ -211,8 +213,9 @@ def frame_rows(fn, fgrid: FrameGrid, grid: SpatialGrid, nodes=None) -> scipy.spa
     With ``nodes``, a 1-D integer array of indices in [0, n_nodes) (anything
     else, such as a mask or a negative index, raises ``ValueError``, cached or
     not), the result holds those rows, in that order, the same bits either
-    way.  From a cache, consecutive ascending indices give a row slice whose
-    ``data`` and ``indices`` are read-only views, and other sets a copy.
+    way.  From a cache, a nonempty run of consecutive ascending indices is
+    :func:`row_range` of the cached matrix, read-only views of its ``data``
+    and ``indices`` with a new ``indptr``, and any other set is a copy.
     Without one, the rows are built in lattice order, taken in the given
     order and not cached, so a walk over :func:`row_runs` never makes the
     lattice hold them all.
@@ -231,18 +234,28 @@ def frame_rows(fn, fgrid: FrameGrid, grid: SpatialGrid, nodes=None) -> scipy.spa
     if rows is not None:
         if not (nodes.size and np.all(nodes[1:] == nodes[:-1] + 1)):
             return rows[nodes]
-        n0, n1 = int(nodes[0]), int(nodes[-1]) + 1
-        p0, p1 = int(rows.indptr[n0]), int(rows.indptr[n1])
-        run = scipy.sparse.csr_matrix((nodes.size, grid.N))
-        # set after construction: scipy's constructor copies a view under half its base's size
-        run.data, run.indices = rows.data[p0:p1], rows.indices[p0:p1]
-        run.data.flags.writeable = run.indices.flags.writeable = False
-        run.indptr = rows.indptr[n0:n1 + 1] - p0
-        return run
+        return row_range(rows, int(nodes[0]), int(nodes[-1]) + 1)
     if np.all(nodes[1:] >= nodes[:-1]):
         return _scale_rows(fn, fgrid, grid, nodes)
     ordered = np.sort(nodes)
     return _scale_rows(fn, fgrid, grid, ordered)[np.searchsorted(ordered, nodes)]
+
+
+def row_range(S: scipy.sparse.csr_matrix, r0: int, r1: int) -> scipy.sparse.csr_matrix:
+    """Rows r0 ... r1 - 1 of the CSR matrix ``S``, copying none of its entries.
+
+    The result's ``data`` and ``indices`` are read-only views of ``S``'s, and
+    its ``indptr`` is a new array, ``S``'s r1 - r0 + 1 offsets shifted to
+    start at 0.  The views are set after an empty matrix is constructed,
+    because scipy's CSR constructor copies a view holding under half its
+    base's entries.
+    """
+    p0, p1 = int(S.indptr[r0]), int(S.indptr[r1])
+    out = scipy.sparse.csr_matrix((r1 - r0, S.shape[1]))
+    out.data, out.indices = S.data[p0:p1], S.indices[p0:p1]
+    out.data.flags.writeable = out.indices.flags.writeable = False
+    out.indptr = S.indptr[r0:r1 + 1] - p0
+    return out
 
 
 def row_runs(fgrid: FrameGrid, grid: SpatialGrid, nodes: np.ndarray) -> list[np.ndarray]:

@@ -49,6 +49,22 @@ def test_measure_validation(fgrid):
         CoefficientMeasure(fgrid, -np.ones(fgrid.n_nodes))
 
 
+@pytest.mark.parametrize("index", [True, False, -1, "n_nodes", 1.0, "0"])
+def test_point_mass_refuses_an_index_it_would_misread(fgrid, index):
+    # numpy would put the atom on every node for True and on the last for -1
+    if index == "n_nodes":
+        index = fgrid.n_nodes
+    with pytest.raises(ValueError):
+        point_mass(fgrid, index)
+
+
+def test_point_mass_takes_a_numpy_integer(fgrid):
+    k = fgrid.n_nodes - 1
+    for index in (np.int64(k), np.intp(k), k):
+        masses = point_mass(fgrid, index).masses
+        assert masses[k] == 1.0 and masses.sum() == 1.0
+
+
 def test_point_mass_carleson_function(fgrid):
     # one atom at node k: C mu(x) = sup over tents containing the atom of
     # mass / (2a); for x in the atom's cone the sup is attained and positive

@@ -571,15 +571,20 @@ def test_sparse_tails_are_row_prefixes_of_one_sorted_copy(small_grid, small_fgri
         return copies[-1]
 
     monkeypatch.setattr(compactness, "analysis_operator", recorded)
-    ascending = compactness._tail_counts(small_fgrid, SWEEP_RADII)[::-1]
+    # the tails at radii 5 and 6 hold under half the copy's nonzeros, which
+    # scipy's CSR constructor would copy; each tail's indptr is its own
+    radii = SWEEP_RADII + [5.0, 6.0]
+    ascending = compactness._tail_counts(small_fgrid, radii)[::-1]
     views = list(compactness._tails(small_fgrid, small_grid, ascending, gram=False))
     [S_sorted] = copies
-    order = _band_order(small_fgrid, SWEEP_RADII)
+    order = _band_order(small_fgrid, radii)
     S = build(small_fgrid, small_grid)
     assert np.array_equal(S_sorted.toarray(), S[order].toarray())
-    for R, view in zip(SWEEP_RADII[::-1], views):
-        for part in ("data", "indices", "indptr"):
-            assert np.shares_memory(getattr(view, part), getattr(S_sorted, part))
+    assert 2 * views[0].nnz < S_sorted.nnz
+    for R, view in zip(radii[::-1], views):
+        for part in ("data", "indices"):
+            assert np.shares_memory(getattr(view, part), getattr(S_sorted, part)), (R, part)
+            assert not getattr(view, part).flags.writeable, (R, part)
         mask = tail_nodes(small_fgrid, R)
         n = view.shape[0]
         assert n == np.count_nonzero(mask) and view.shape[1] == small_grid.N

@@ -127,6 +127,12 @@ def test_haar_ball_volume(R):
     assert err >= 0.0
 
 
+@pytest.mark.parametrize("R", [0.0, -1.0, math.nan])
+def test_haar_ball_volume_refuses_a_radius_that_is_not_positive(R):
+    with pytest.raises(ValueError):
+        haar_ball_volume(R)
+
+
 def test_group_point_validation():
     with pytest.raises(ValueError):
         GroupPoint(0.0, 1.0)

@@ -53,6 +53,22 @@ def test_spatial_grid_validation():
         SpatialGrid(-1.0, 256)
 
 
+@pytest.mark.parametrize("L, N", [(np.nan, 64), (np.inf, 64), (-np.inf, 64), (0.0, 64),
+                                  (32.0, 64.5), (32.0, 64.0), (32.0, True), (32.0, "64"),
+                                  ("32", 64)])
+def test_spatial_grid_refuses_what_it_would_misread(L, N):
+    # a non-finite half-width would sample NaN, and a fractional node count
+    # would give x a sample more than N says
+    with pytest.raises(ValueError):
+        SpatialGrid(L, N)
+
+
+def test_spatial_grid_takes_numpy_scalars_as_python_ones():
+    grid = SpatialGrid(np.float64(32.0), np.int64(64))
+    assert grid == SpatialGrid(32.0, 64) and hash(grid) == hash(SpatialGrid(32.0, 64))
+    assert grid.x.size == 64 and SpatialGrid(32, np.int32(16)).N == 16
+
+
 def test_inner_product_and_norm(grid):
     f = SampledFunction.from_callable(grid, lambda x: np.exp(-(x**2)))
     # integral exp(-2 x^2) = sqrt(pi/2)

@@ -16,6 +16,7 @@ from czframe.wavelets import (
     frame_element,
     frame_rows,
     make_mother_wavelet,
+    row_range,
     synthesize,
 )
 
@@ -285,6 +286,30 @@ def test_uncached_node_rows_match_the_cached_matrix_bitwise(psi, shape, chunk, m
                     assert np.shares_memory(a, getattr(full, part)) == view, (name, part)
                     assert a.flags.writeable != view, (name, part)
     assert bare._rows == {}
+
+
+def test_row_range_views_the_rows_it_slices(psi):
+    # rows r0 ... r1 - 1 bitwise, their data and indices read-only views of
+    # the matrix's however few entries they hold, a new indptr, and the
+    # matrix untouched; an empty range's views lie in the matrix's arrays too
+    grid, fg = _small_lattice("default")
+    S = frame_rows(psi, fg, grid)
+    before = {part: getattr(S, part).copy() for part in ("data", "indices", "indptr")}
+    n = S.shape[0]
+    for r0, r1 in [(0, n // 5), (n // 3, n // 2), (0, n), (n // 2, n // 2)]:
+        got, want = row_range(S, r0, r1), S[r0:r1]
+        assert got.shape == want.shape == (r1 - r0, grid.N)
+        for part in ("data", "indices", "indptr"):
+            a, b = getattr(got, part), getattr(want, part)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (r0, r1, part)
+        for part in ("data", "indices"):
+            a = getattr(got, part)
+            assert np.shares_memory(a if a.size else a.base, getattr(S, part)), (r0, r1, part)
+            assert not a.flags.writeable, (r0, r1, part)
+        assert not np.shares_memory(got.indptr, S.indptr) and got.indptr.flags.writeable
+    assert 2 * (S.indptr[n // 5] - S.indptr[0]) < S.nnz  # under half: scipy would copy it
+    for part, arr in before.items():
+        assert getattr(S, part).tobytes() == arr.tobytes() and getattr(S, part).flags.writeable
 
 
 def _masked_bump_derivative(x):
